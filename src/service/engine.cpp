@@ -198,6 +198,12 @@ void Engine::check_invariants() const {
 }
 
 void Engine::submit(const Request& request, Responder respond) {
+  if (Claim claim = admit(request, std::move(respond))) {
+    dispatch(std::move(claim));
+  }
+}
+
+Engine::Claim Engine::admit(const Request& request, Responder respond) {
   switch (request.verb) {
     case Verb::kPing:
     case Verb::kShutdown:
@@ -205,10 +211,10 @@ void Engine::submit(const Request& request, Responder respond) {
       // engine ever sees them.
       respond(err_line(ErrorCode::kBadRequest,
                        "verb is handled by the transport"));
-      return;
+      return {};
     case Verb::kStats:
       respond(stats_line(request));
-      return;
+      return {};
     default:
       break;
   }
@@ -224,7 +230,7 @@ void Engine::submit(const Request& request, Responder respond) {
   enum class Outcome { kAccepted, kOverloaded, kNotFound, kShuttingDown };
   Outcome outcome = Outcome::kShuttingDown;
   std::shared_ptr<Session> session;
-  bool schedule = false;
+  bool claimed = false;
   {
     const MutexLock lock(&shard.mutex);
     if (shard.shutting_down) {
@@ -255,7 +261,7 @@ void Engine::submit(const Request& request, Responder respond) {
         session->pending.push_back(std::move(event));
         if (!session->draining) {
           session->draining = true;
-          schedule = true;
+          claimed = true;
         }
         outcome = Outcome::kAccepted;
       } else {
@@ -265,141 +271,154 @@ void Engine::submit(const Request& request, Responder respond) {
     }
   }
 
-  // Everything below runs unlocked so responders and the pool can't deadlock
-  // back into submit().
+  // Everything below runs unlocked so responders can't deadlock back into
+  // admit().
   switch (outcome) {
     case Outcome::kAccepted:
-      if (schedule) {
-        shard.pool.submit([this, &shard, session] {
-          drain_session(shard, session);
-        });
-      }
-      return;
+      if (claimed) return Claim(&shard, std::move(session));
+      return {};
     case Outcome::kShuttingDown:
       event.respond(err_line(ErrorCode::kShuttingDown, "daemon is draining"));
-      return;
+      return {};
     case Outcome::kNotFound:
       event.respond(err_line(ErrorCode::kNotFound,
                              "unknown session '" + request.session + "'"));
-      return;
+      return {};
     case Outcome::kOverloaded:
       event.respond(err_line(ErrorCode::kOverloaded,
                              "admission queue full (shard quota=" +
                                  std::to_string(shard.quota) + ")"));
-      return;
+      return {};
+  }
+  return {};
+}
+
+void Engine::run_batch(Claim claim) {
+  if (claim && drain_batch(*claim.shard_, *claim.session_)) {
+    dispatch(std::move(claim));
   }
 }
 
-void Engine::drain_session(Shard& shard,
-                           const std::shared_ptr<Session>& session) {
-  for (;;) {
-    std::vector<Event> batch;
-    {
-      const MutexLock lock(&shard.mutex);
-      session->shard_mutex->assert_held();
-      const std::size_t n =
-          std::min(session->pending.size(), options_.max_batch);
-      if (n == 0) {
-        session->draining = false;
-        return;
-      }
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(session->pending.front()));
-        session->pending.pop_front();
-      }
+void Engine::dispatch(Claim claim) {
+  if (!claim) return;
+  Shard& shard = *claim.shard_;
+  shard.pool.submit([this, &shard, session = std::move(claim.session_)] {
+    while (drain_batch(shard, *session)) {
     }
+  });
+}
 
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t expired = 0;
-    std::vector<double> latencies;
-    latencies.reserve(batch.size());
-    SessionSnapshot snapshot;
-    // The cluster lock serializes this batch's mutations (and the snapshot
-    // read below) against the session's background re-optimizer. The
-    // optimizer only try_locks, so holding it for the whole batch never
-    // stalls anyone but the optimizer — which simply skips a pass.
-    ReleasableMutexLock cluster_lock(&session->cluster_mutex);
-    for (Event& event : batch) {
-      // Deadline re-check at dequeue time (boundary inclusive: a deadline
-      // exactly at dequeue is expired) — the event leaves the queue for
-      // execution here, possibly long after batch formation.
-      if (deadline_expired(event.deadline, Clock::now())) {
-        ++expired;
-        event.respond(err_line(ErrorCode::kDeadlineExceeded,
-                               "expired after queueing"));
-        continue;
-      }
-      std::string line = apply(*session, event.request);
-      const Clock::time_point finished = Clock::now();
-      if (deadline_expired(event.deadline, finished)) {
-        // The deadline passed while the event executed. The cluster
-        // mutation is kept (it ran to completion), but the client is
-        // answered — and the ledger counts — consistently with the
-        // deadline contract: this is rejected_deadline, never completed.
-        ++expired;
-        event.respond(err_line(ErrorCode::kDeadlineExceeded,
-                               "deadline passed during execution"));
-        continue;
-      }
-      const bool ok = line.starts_with("OK");
-      (ok ? completed : failed) += 1;
-      latencies.push_back(
-          std::chrono::duration<double, std::micro>(finished - event.enqueued)
-              .count());
-      event.respond(std::move(line));
+bool Engine::drain_batch(Shard& shard, Session& session) {
+  std::vector<Event> batch;
+  {
+    const MutexLock lock(&shard.mutex);
+    session.shard_mutex->assert_held();
+    const std::size_t n = std::min(session.pending.size(), options_.max_batch);
+    if (n == 0) {
+      session.draining = false;
+      return false;
     }
-
-    // One metrics flush per batch (micro-batching's second dividend). Still
-    // under the cluster lock: the snapshot must not race optimizer moves.
-    snapshot.configured = session->cluster != nullptr;
-    if (session->cluster) {
-      const DynamicCluster& cluster = *session->cluster;
-      snapshot.devices = cluster.active_count();
-      snapshot.servers = cluster.server_count();
-      snapshot.healthy_servers = cluster.healthy_server_count();
-      snapshot.avg_delay_ms = cluster.avg_delay_ms();
-      snapshot.max_utilization = cluster.max_utilization();
-      snapshot.feasible = cluster.feasible();
-      const topo::incr::EngineStats& link_stats = cluster.link_stats();
-      snapshot.delay_epoch = link_stats.epoch;
-      snapshot.link_updates = link_stats.link_updates;
-      snapshot.link_nodes_affected = link_stats.nodes_affected;
-      snapshot.link_nodes_saved = link_stats.nodes_saved;
-      snapshot.delay_rows_refreshed = cluster.delay_rows_refreshed();
-      snapshot.delay_rows_saved = cluster.delay_rows_saved();
-    }
-    if (session->reoptimizer) {
-      snapshot.reopt_running = session->reoptimizer->running();
-      const opt::ReoptStats reopt = session->reoptimizer->stats();
-      snapshot.reopt_passes = reopt.passes;
-      snapshot.reopt_proposed = reopt.moves_proposed;
-      snapshot.reopt_applied = reopt.moves_applied;
-      snapshot.reopt_rejected = reopt.rejected();
-      snapshot.reopt_gain = reopt.achieved_gain;
-    }
-    cluster_lock.release();
-    {
-      // One lock, one coherent flush: queue ledger, per-session counters,
-      // and the snapshot move together, so no STATS reply can catch the
-      // identity mid-update.
-      const MutexLock lock(&shard.mutex);
-      session->shard_mutex->assert_held();
-      session->counters.completed += completed;
-      session->counters.failed += failed;
-      session->counters.rejected_deadline += expired;
-      ++session->batches;
-      for (const double us : latencies) session->latency_us.add(us);
-      session->snapshot = snapshot;
-      shard.counters.completed += completed;
-      shard.counters.failed += failed;
-      shard.counters.rejected_deadline += expired;
-      shard.in_flight -= batch.size();
-      if (shard.in_flight == 0) shard.drained_cv.notify_all();
+    batch.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push_back(std::move(session.pending.front()));
+      session.pending.pop_front();
     }
   }
+
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t expired = 0;
+  std::vector<double> latencies;
+  latencies.reserve(batch.size());
+  SessionSnapshot snapshot;
+  // The cluster lock serializes this batch's mutations (and the snapshot
+  // read below) against the session's background re-optimizer. The
+  // optimizer only try_locks, so holding it for the whole batch never
+  // stalls anyone but the optimizer — which simply skips a pass.
+  ReleasableMutexLock cluster_lock(&session.cluster_mutex);
+  for (Event& event : batch) {
+    // Deadline re-check at dequeue time (boundary inclusive: a deadline
+    // exactly at dequeue is expired) — the event leaves the queue for
+    // execution here, possibly long after batch formation.
+    if (deadline_expired(event.deadline, Clock::now())) {
+      ++expired;
+      event.respond(err_line(ErrorCode::kDeadlineExceeded,
+                             "expired after queueing"));
+      continue;
+    }
+    std::string line = apply(session, event.request);
+    const Clock::time_point finished = Clock::now();
+    if (deadline_expired(event.deadline, finished)) {
+      // The deadline passed while the event executed. The cluster
+      // mutation is kept (it ran to completion), but the client is
+      // answered — and the ledger counts — consistently with the
+      // deadline contract: this is rejected_deadline, never completed.
+      ++expired;
+      event.respond(err_line(ErrorCode::kDeadlineExceeded,
+                             "deadline passed during execution"));
+      continue;
+    }
+    const bool ok = line.starts_with("OK");
+    (ok ? completed : failed) += 1;
+    latencies.push_back(
+        std::chrono::duration<double, std::micro>(finished - event.enqueued)
+            .count());
+    event.respond(std::move(line));
+  }
+
+  // One metrics flush per batch (micro-batching's second dividend). Still
+  // under the cluster lock: the snapshot must not race optimizer moves.
+  snapshot.configured = session.cluster != nullptr;
+  if (session.cluster) {
+    const DynamicCluster& cluster = *session.cluster;
+    snapshot.devices = cluster.active_count();
+    snapshot.servers = cluster.server_count();
+    snapshot.healthy_servers = cluster.healthy_server_count();
+    snapshot.avg_delay_ms = cluster.avg_delay_ms();
+    snapshot.max_utilization = cluster.max_utilization();
+    snapshot.feasible = cluster.feasible();
+    const topo::incr::EngineStats& link_stats = cluster.link_stats();
+    snapshot.delay_epoch = link_stats.epoch;
+    snapshot.link_updates = link_stats.link_updates;
+    snapshot.link_nodes_affected = link_stats.nodes_affected;
+    snapshot.link_nodes_saved = link_stats.nodes_saved;
+    snapshot.delay_rows_refreshed = cluster.delay_rows_refreshed();
+    snapshot.delay_rows_saved = cluster.delay_rows_saved();
+  }
+  if (session.reoptimizer) {
+    snapshot.reopt_running = session.reoptimizer->running();
+    const opt::ReoptStats reopt = session.reoptimizer->stats();
+    snapshot.reopt_passes = reopt.passes;
+    snapshot.reopt_proposed = reopt.moves_proposed;
+    snapshot.reopt_applied = reopt.moves_applied;
+    snapshot.reopt_rejected = reopt.rejected();
+    snapshot.reopt_gain = reopt.achieved_gain;
+  }
+  cluster_lock.release();
+  {
+    // One lock, one coherent flush: queue ledger, per-session counters,
+    // and the snapshot move together, so no STATS reply can catch the
+    // identity mid-update.
+    const MutexLock lock(&shard.mutex);
+    session.shard_mutex->assert_held();
+    session.counters.completed += completed;
+    session.counters.failed += failed;
+    session.counters.rejected_deadline += expired;
+    ++session.batches;
+    for (const double us : latencies) session.latency_us.add(us);
+    session.snapshot = snapshot;
+    shard.counters.completed += completed;
+    shard.counters.failed += failed;
+    shard.counters.rejected_deadline += expired;
+    shard.in_flight -= batch.size();
+    if (shard.in_flight == 0) shard.drained_cv.notify_all();
+    // Releasing the claim under the lock that saw the queue empty keeps
+    // admit() from ever leaving an event without a drainer.
+    if (session.pending.empty()) session.draining = false;
+    return session.draining;
+  }
 }
+
 
 std::string Engine::apply(Session& session, const Request& request) {
   try {

@@ -19,16 +19,24 @@
 //    max(1, threads / shards) workers per shard, so the default
 //    configuration is one shard and one worker per core.
 //
-// Execution model (per shard, unchanged from the single-engine design):
+// Execution model (per shard):
 //  - Every mutation request (CONFIGURE/JOIN/MOVE/LEAVE/FAIL/RECOVER/
 //    EVACUATE/LINK_*/REOPT_*/SLEEP) is admitted into its session's FIFO and
-//    stamped with a
-//    deadline (per-request timeout_ms or the engine default).
-//  - Micro-batching: one pool task drains a session's FIFO up to
-//    `max_batch` events per pass, so a burst of compatible mutations pays
-//    for one task dispatch and one metrics flush instead of N. Events on
-//    one session always execute sequentially (single drainer per session);
-//    different sessions execute concurrently on their shards' pools.
+//    stamped with a deadline (per-request timeout_ms or the engine default).
+//  - Admission and dispatch are separate steps. admit() queues the event
+//    and, when the session was idle, hands the caller the session's drain
+//    claim. The holder of a claim is the session's single drainer: events
+//    on one session always execute sequentially, different sessions
+//    execute concurrently. A claim is either dispatched to the shard's pool
+//    (submit() always does this) or run by its holder: run_batch() is
+//    caller-runs execution, one pass on the calling thread, which saves
+//    the hand-off to a pool worker and its wake-up.
+//  - Micro-batching: a drain pass executes up to `max_batch` events, so a
+//    burst of compatible mutations pays for one dispatch and one metrics
+//    flush instead of N. A pool task keeps passing until the FIFO is
+//    empty; run_batch() runs exactly one pass and hands whatever is still
+//    queued, together with the claim, to the shard's pool. No caller is
+//    ever held for more than one batch of its session.
 //  - Deadlines are re-checked when an event is dequeued for execution: a
 //    request whose deadline has passed at dequeue time (boundary included
 //    — deadline exactly at dequeue counts as expired) answers
@@ -45,7 +53,8 @@
 //
 // Every submitted request receives exactly one terminal response: the
 // responder callback is invoked exactly once, with an OK line or an ERR
-// line, on the submitting thread (rejections, STATS) or a worker thread.
+// line, on the admitting thread (rejections, STATS), on the thread that
+// called run_batch() (events of that pass), or on a pool worker.
 #pragma once
 
 #include <chrono>
@@ -115,12 +124,40 @@ struct EngineCounters {
 };
 
 class Engine {
+  struct Session;
+  struct Shard;
+
  public:
   /// Exactly-once terminal response callback. May be invoked from the
-  /// submitting thread or a pool worker; must not block for long and must
-  /// not call back into the engine.
+  /// admitting thread, a run_batch() caller or a pool worker; must not
+  /// call back into the engine. A responder that blocks (a socket write to
+  /// a slow client) stalls the thread running it: a run_batch() caller
+  /// stalls alone, a pool worker stalls its shard's pool queue.
   using Responder = std::function<void(std::string)>;
   using Clock = std::chrono::steady_clock;
+
+  /// A session's drain claim, returned by admit() when it queued an event
+  /// on an idle session. Its holder is the session's single drainer until
+  /// it passes the claim to run_batch() or dispatch(); one of the two must
+  /// follow, or the session's queue is never drained. Move-only.
+  class Claim {
+   public:
+    Claim() = default;
+    Claim(Claim&&) noexcept = default;
+    Claim& operator=(Claim&&) noexcept = default;
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+
+    explicit operator bool() const noexcept { return session_ != nullptr; }
+
+   private:
+    friend class Engine;
+    Claim(Shard* shard, std::shared_ptr<Session> session) noexcept
+        : shard_(shard), session_(std::move(session)) {}
+
+    Shard* shard_ = nullptr;
+    std::shared_ptr<Session> session_;
+  };
 
   explicit Engine(EngineOptions options = {});
   /// Drains all admitted work before returning.
@@ -129,9 +166,24 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Routes one parsed request. PING/SHUTDOWN are transport-level verbs and
-  /// are answered BAD_REQUEST here. Never blocks on cluster work.
+  /// Routes one parsed request: admit(), then dispatch() any claim to the
+  /// shard's pool. PING/SHUTDOWN are transport-level verbs and are
+  /// answered BAD_REQUEST here. Never blocks on cluster work.
   void submit(const Request& request, Responder respond);
+
+  /// Admission without dispatch. Answers STATS, transport verbs and every
+  /// rejection (OVERLOADED, NOT_FOUND, SHUTTING_DOWN) on the calling
+  /// thread; otherwise queues the event and, if the session had no
+  /// drainer, returns its claim (an empty Claim otherwise).
+  [[nodiscard]] Claim admit(const Request& request, Responder respond);
+  /// Caller-runs execution: one drain pass (at most `max_batch` events) of
+  /// the claimed session on the calling thread, responders included. If
+  /// events are still queued afterwards, the claim goes to the shard's
+  /// pool as by dispatch().
+  void run_batch(Claim claim);
+  /// Hands the claim to the shard's pool, which drains the session until
+  /// its queue is empty.
+  void dispatch(Claim claim);
 
   /// Stops admitting new requests on every shard (they answer
   /// ERR SHUTTING_DOWN); already admitted requests still execute.
@@ -241,9 +293,9 @@ class Engine {
     metrics::Histogram latency_us TACC_GUARDED_BY(shard_mutex);
     SessionSnapshot snapshot TACC_GUARDED_BY(shard_mutex);
 
-    // Cluster — mutated only by the (single) active drain task and, through
+    // Cluster — mutated only by the (single) active drainer and, through
     // apply_move_plan(), by the session's background re-optimizer. Both
-    // serialize on cluster_mutex: the drain task locks it around each
+    // serialize on cluster_mutex: the drainer locks it around each
     // batch's apply()s, the optimizer thread only ever try_locks it (the
     // serving path always wins; see opt::Reoptimizer). The oracle/delay
     // cache inside the cluster have no locks of their own — this mutex is
@@ -253,7 +305,7 @@ class Engine {
         TACC_PT_GUARDED_BY(cluster_mutex);
     // Per-session optimizer attach/detach (REOPT_START/REOPT_STOP or
     // EngineOptions::auto_reopt). The pointer itself is only touched by the
-    // drain task under cluster_mutex. Declared after `cluster`: destroyed
+    // drainer under cluster_mutex. Declared after `cluster`: destroyed
     // first, so the optimizer thread joins before the cluster it scans dies.
     std::unique_ptr<opt::Reoptimizer> reoptimizer
         TACC_GUARDED_BY(cluster_mutex);
@@ -266,7 +318,7 @@ class Engine {
   /// One engine shard: sessions, admission ledger, and workers, all behind
   /// one mutex that no other shard ever touches. Lock order: shard mutex
   /// first, a session's cluster_mutex second — never both at once in this
-  /// file (drain_session drops the shard lock before taking the cluster
+  /// file (drain_batch drops the shard lock before taking the cluster
   /// lock), but the hierarchy matters for future code.
   struct Shard {
     Shard(std::size_t admission_quota, std::size_t workers)
@@ -284,10 +336,14 @@ class Engine {
     runtime::ThreadPool pool;  // last member: workers stop before state dies
   };
 
-  void drain_session(Shard& shard, const std::shared_ptr<Session>& session);
+  /// One drain pass: executes up to `max_batch` queued events of the
+  /// session and flushes their metrics. Returns true while events remain
+  /// queued (the caller still holds the claim); on false the claim was
+  /// released under the same shard lock that saw the queue empty.
+  bool drain_batch(Shard& shard, Session& session);
   /// Executes one event against the session's cluster; returns the response
   /// line. Never throws. Caller holds the session's cluster mutex (the
-  /// drain task takes it around the whole batch).
+  /// drainer takes it around the whole batch).
   std::string apply(Session& session, const Request& request)
       TACC_REQUIRES(session.cluster_mutex);
   [[nodiscard]] std::string stats_line(const Request& request) const;

@@ -217,11 +217,15 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
   std::uint64_t next_seq = 0;
   char chunk[4096];
   bool overflow = false;
+  std::vector<Engine::Claim> claims;
   while (!overflow) {
     const ssize_t n = ::read(connection->fd, chunk, sizeof chunk);
     if (n <= 0) break;  // EOF, client reset, or our own SHUT_RDWR
     buffer.append(chunk, static_cast<std::size_t>(n));
 
+    // Admit every complete line of this read before running any of them,
+    // so a pipelined burst still forms batches and meets the admission
+    // quota as a whole.
     std::size_t start = 0;
     for (std::size_t pos = buffer.find('\n', start);
          pos != std::string::npos; pos = buffer.find('\n', start)) {
@@ -231,11 +235,24 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
         break;
       }
       if (!line.empty() && line != "\r") {
-        handle_line(connection, next_seq++, line);
+        if (Engine::Claim claim = handle_line(connection, next_seq++, line)) {
+          claims.push_back(std::move(claim));
+        }
       }
       start = pos + 1;
     }
     buffer.erase(0, start);
+
+    // Caller-runs: the first claimed session runs one batch right here,
+    // without a hand-off to a pool worker. Other claims go to their shards'
+    // pools first, so a pipeline that spans shards keeps its parallelism.
+    if (!claims.empty()) {
+      for (std::size_t i = 1; i < claims.size(); ++i) {
+        engine_.dispatch(std::move(claims[i]));
+      }
+      engine_.run_batch(std::move(claims.front()));
+      claims.clear();
+    }
 
     // Both a complete oversized line and an unbounded partial one mean the
     // client is out of protocol; answer once and hang up.
@@ -252,28 +269,28 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
   connection->reader_done.store(true);
 }
 
-void Server::handle_line(const std::shared_ptr<Connection>& connection,
-                         std::uint64_t seq, std::string_view line) {
+Engine::Claim Server::handle_line(
+    const std::shared_ptr<Connection>& connection, std::uint64_t seq,
+    std::string_view line) {
   ParseResult parsed = parse_request(line);
   if (!parsed.ok()) {
     connection->respond(seq, err_line(ErrorCode::kBadRequest, parsed.error));
-    return;
+    return {};
   }
   const Request& request = *parsed.request;
   switch (request.verb) {
     case Verb::kPing:
       connection->respond(seq, "OK pong");
-      return;
+      return {};
     case Verb::kShutdown:
       connection->respond(seq, "OK draining");
       request_shutdown();
-      return;
+      return {};
     default:
-      engine_.submit(request,
-                     [connection, seq](std::string response) {
-                       connection->respond(seq, std::move(response));
-                     });
-      return;
+      return engine_.admit(request,
+                           [connection, seq](std::string response) {
+                             connection->respond(seq, std::move(response));
+                           });
   }
 }
 

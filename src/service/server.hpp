@@ -2,16 +2,32 @@
 // listeners speaking the line protocol in protocol.hpp.
 //
 // Threading: run() owns the accept loop (poll over the listeners plus a
-// self-pipe wakeup); each accepted connection gets a reader thread that
-// parses lines and submits them to the Engine. Responses are written back
-// strictly in per-connection request order — a response sequencer holds
-// out-of-order completions until their predecessors flush — so pipelined
-// clients can match responses to requests positionally. This ordering is
-// independent of the engine's completion order: with the engine sharded
-// per core, one connection's requests may target sessions on different
-// shards and complete in any interleaving on different worker threads,
-// but each completion lands at its reader-assigned sequence number and
-// flushes only after every earlier sequence has flushed.
+// self-pipe wakeup); each accepted connection gets a reader thread. Per
+// read(), the reader first parses and admits every complete line, so a
+// pipelined burst forms batches and meets the admission quota as a whole.
+// It then runs the first session it claimed itself (caller-runs: one batch
+// of at most max_batch events, with no hand-off to a pool worker) and
+// dispatches any other claims to their shards' pools, so a pipeline that
+// spans shards keeps its parallelism. Whatever is still queued after the
+// one batch goes to the shard pool too; a reader is never held for more
+// than one batch. While it runs a batch the reader does not read its
+// socket, so lines the client has not yet delivered meet socket
+// backpressure rather than OVERLOADED. A client that stops reading blocks
+// the thread writing its replies: its own reader, or the pool worker
+// draining its session. Other connections still run their batches on their
+// own readers; only work that lands in that shard's pool (leftover
+// batches, other shards' claims of a pipeline) can queue behind the
+// blocked worker.
+//
+// Responses are written back strictly in per-connection request order — a
+// response sequencer holds out-of-order completions until their
+// predecessors flush — so pipelined clients can match responses to
+// requests positionally. This ordering is independent of the engine's
+// completion order: one connection's requests may target sessions on
+// different shards and complete in any interleaving on the reader and on
+// worker threads, but each completion lands at its reader-assigned
+// sequence number and flushes only after every earlier sequence has
+// flushed.
 //
 // Shutdown (SIGINT/SIGTERM via install_signal_handlers(), the SHUTDOWN
 // verb, or request_shutdown()):
@@ -85,7 +101,7 @@ class Server {
 
  private:
   /// Per-connection state shared between its reader thread and the engine
-  /// responders (which may run on pool workers).
+  /// responders (which run on the reader or on pool workers).
   struct Connection {
     explicit Connection(int socket_fd) : fd(socket_fd) {}
     ~Connection();
@@ -95,7 +111,8 @@ class Server {
 
     // Response sequencing — all guarded by write_mutex. Seqs are assigned
     // by the single reader thread in arrival order; completions may arrive
-    // from any shard's workers in any order, and flush strictly by seq.
+    // from the reader or any shard's workers in any order, and flush
+    // strictly by seq.
     Mutex write_mutex;
     // Seq whose response flushes next.
     std::uint64_t next_write TACC_GUARDED_BY(write_mutex) = 0;
@@ -121,8 +138,11 @@ class Server {
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& connection);
-  void handle_line(const std::shared_ptr<Connection>& connection,
-                   std::uint64_t seq, std::string_view line);
+  /// Answers or admits one line; returns the drain claim the admission
+  /// handed out, for reader_loop to run or dispatch.
+  [[nodiscard]] Engine::Claim handle_line(
+      const std::shared_ptr<Connection>& connection, std::uint64_t seq,
+      std::string_view line);
   void reap_finished_connections();
   void shutdown_sequence();
   void close_listeners() noexcept;

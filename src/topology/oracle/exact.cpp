@@ -73,6 +73,11 @@ const std::vector<double>& ExactOracle::row(std::size_t row) const {
   return fetch_row(row);
 }
 
+double ExactOracle::delay_ms(std::size_t row, std::size_t server) const {
+  ++stats_.queries;
+  return (compress_ ? fetch_row(row) : cache_.row(row))[server];
+}
+
 DelayBounds ExactOracle::bounds_ms(std::size_t row, std::size_t server) const {
   // Exact backend: the envelope is the tree value itself, which also keeps
   // bounds certified even while a row awaits refresh().

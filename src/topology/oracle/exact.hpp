@@ -39,6 +39,8 @@ class ExactOracle final : public DelayOracle {
 
   [[nodiscard]] const std::vector<double>& row(
       std::size_t row) const override;
+  [[nodiscard]] double delay_ms(std::size_t row,
+                                std::size_t server) const override;
   [[nodiscard]] DelayBounds bounds_ms(std::size_t row,
                                       std::size_t server) const override;
 

@@ -61,10 +61,6 @@ void RowBindings::check_invariants() const {
   }
 }
 
-double DelayOracle::delay_ms(std::size_t row_index, std::size_t server) const {
-  return row(row_index)[server];
-}
-
 std::size_t width_bucket(double relative_width) noexcept {
   constexpr std::array<double, 7> kEdges = {1e-3, 3e-3, 1e-2, 3e-2,
                                             1e-1, 3e-1, 1.0};

@@ -93,9 +93,10 @@ class DelayOracle {
   /// eviction for compressed ones) — read it before querying other rows.
   [[nodiscard]] virtual const std::vector<double>& row(
       std::size_t row) const = 0;
-  /// One served entry; same guarantees as row().
+  /// One served entry; same guarantees as row(). Counts one query, where
+  /// row() counts server_count().
   [[nodiscard]] virtual double delay_ms(std::size_t row,
-                                        std::size_t server) const;
+                                        std::size_t server) const = 0;
   /// The certified envelope for one entry, computed live (never from
   /// compressed storage) — the property-tested containment guarantee.
   [[nodiscard]] virtual DelayBounds bounds_ms(std::size_t row,

@@ -352,6 +352,44 @@ TEST(Engine, BatchingCoalescesBurstsIntoFewerDrains) {
   EXPECT_LT(batches, kBurst) << "no coalescing happened: " << stats;
 }
 
+TEST(Engine, RunBatchRunsOnePassOnTheCallerAndPoolsTheRest) {
+  EngineOptions options = small_options();
+  options.max_batch = 8;
+  Engine engine(options);
+  ASSERT_EQ(call(engine, "CONFIGURE c 20 3 seed=16").rfind("OK", 0), 0u);
+  // The reply leaves before the pool task's ledger flush releases the
+  // claim; the session must be idle for the first admission to claim it.
+  engine.drain();
+
+  constexpr std::size_t kEvents = 20;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<std::size_t> on_caller{0};
+  std::atomic<std::size_t> answered{0};
+  Engine::Claim claim;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    Engine::Claim admitted = engine.admit(
+        must_parse("MOVE c " + std::to_string(i) + " 1.0 1.0"),
+        [&](const std::string& response) {
+          EXPECT_EQ(response.rfind("OK", 0), 0u) << response;
+          if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+          answered.fetch_add(1);
+        });
+    // Only the admission that found the session idle hands out its claim.
+    EXPECT_EQ(static_cast<bool>(admitted), i == 0) << "event " << i;
+    if (admitted) claim = std::move(admitted);
+  }
+  EXPECT_EQ(answered.load(), 0u) << "admission must not execute anything";
+
+  engine.run_batch(std::move(claim));
+  EXPECT_EQ(on_caller.load(), options.max_batch);  // exactly one pass here
+  engine.drain();
+  EXPECT_EQ(answered.load(), kEvents);
+  EXPECT_EQ(on_caller.load(), options.max_batch);
+  engine.check_invariants();
+  // CONFIGURE, the caller's pass, and two pool passes over the other 12.
+  EXPECT_EQ(field_value(call(engine, "STATS c"), "batches"), 4u);
+}
+
 TEST(Engine, SessionsDrainConcurrently) {
   EngineOptions options = small_options();
   options.threads = 2;

@@ -1,16 +1,20 @@
 // Socket-level tests for the taccd server: real Unix-domain/TCP clients
 // driving malformed lines, oversized lines, mid-request disconnects,
-// SHUTDOWN with work in flight, and admission-queue overflow.
+// SHUTDOWN with work in flight, admission-queue overflow, pipelined
+// batching, concurrent pipelines sharing sessions, and a client that
+// stops reading its replies.
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -99,6 +103,20 @@ class LineClient {
   void close() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
+  }
+
+  /// Hangs up both directions without releasing the fd, which also wakes a
+  /// send() blocked on this socket in another thread.
+  void shutdown() {
+    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  }
+
+  /// Makes read_line() give up after `timeout` without data.
+  void set_receive_timeout(std::chrono::milliseconds timeout) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   }
 
  private:
@@ -339,6 +357,170 @@ TEST(Server, PipelinedRepliesStayOrderedAcrossShards) {
     ASSERT_EQ(response.rfind("OK slept_ms=", 0), 0u) << response;
     EXPECT_DOUBLE_EQ(std::stod(response.substr(12)), expected) << response;
   }
+}
+
+/// Extracts the integer value of `key=` from an OK response line.
+std::uint64_t field_value(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << "missing " << key << " in: " << line;
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + key.size() + 2));
+}
+
+TEST(Server, PipelinedBurstStillFormsBatches) {
+  ServerOptions options;
+  options.engine.shards = 1;  // the whole burst fits one shard's quota
+  ServerFixture fixture(std::move(options));
+  LineClient client = fixture.client();
+  ASSERT_EQ(client.roundtrip("CONFIGURE burst 20 3 seed=12").rfind("OK", 0),
+            0u);
+
+  // One write well under the reader's 4 KiB read: the reader admits all 64
+  // lines before it runs any, so they drain in batches of max_batch.
+  constexpr std::size_t kBurst = 64;
+  std::string burst;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    burst += "MOVE burst " + std::to_string(i % 20) + " 1.5 2.5\n";
+  }
+  ASSERT_LT(burst.size(), 4096u);
+  ASSERT_TRUE(client.send_raw(burst));
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    std::string response;
+    ASSERT_TRUE(client.read_line(response)) << "reply " << i << " missing";
+    EXPECT_EQ(response.rfind("OK device=", 0), 0u) << response;
+  }
+
+  // A reply leaves before its batch's ledger flush; wait for the flush.
+  std::string stats;
+  for (int i = 0; i < 200; ++i) {
+    stats = client.roundtrip("STATS burst");
+    if (field_value(stats, "in_flight") == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(field_value(stats, "in_flight"), 0u) << stats;
+  const std::uint64_t completed = field_value(stats, "completed");
+  EXPECT_EQ(completed, kBurst + 1) << stats;  // + the CONFIGURE
+  EXPECT_LT(field_value(stats, "batches"), completed) << stats;
+  EXPECT_EQ(field_value(stats, "accepted"),
+            completed + field_value(stats, "failed") +
+                field_value(stats, "rejected_deadline"))
+      << stats;
+  fixture.server().engine().check_invariants();
+}
+
+TEST(Server, SlowReaderDoesNotStallOtherSessionsOnItsShard) {
+  ServerOptions options;
+  options.engine.shards = 1;
+  options.engine.threads = 1;  // one pool worker for the only shard
+  // Room for the whole pipeline: this test is about who executes, not
+  // about the shared admission quota.
+  options.engine.max_queue = 1 << 16;
+  ServerFixture fixture(std::move(options));
+  LineClient slow = fixture.client();
+  LineClient fast = fixture.client();
+  ASSERT_EQ(slow.roundtrip("CONFIGURE a 20 3 seed=14").rfind("OK", 0), 0u);
+  ASSERT_EQ(fast.roundtrip("CONFIGURE b 20 3 seed=15").rfind("OK", 0), 0u);
+
+  // Connection A pipelines far more replies than its socket buffers hold
+  // and never reads one, so whichever thread writes A's replies blocks.
+  constexpr int kPipelined = 20'000;
+  std::jthread writer([&slow] {
+    std::string burst;
+    for (int i = 0; i < kPipelined; ++i) {
+      burst += "MOVE a " + std::to_string(i % 20) + " 1.0 1.0\n";
+    }
+    slow.send_raw(burst);  // fails once A hangs up below
+  });
+  // Declared after the writer, so A hangs up (and the writer's blocked
+  // send fails) before the writer is joined, on every exit path.
+  struct HangUp {
+    LineClient& client;
+    ~HangUp() { client.shutdown(); }
+  } hang_up{slow};
+
+  // Wait until A's replies back up: completions stop advancing.
+  Engine& engine = fixture.server().engine();
+  std::uint64_t last = engine.counters().completed;
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::uint64_t now = engine.counters().completed;
+    if (now == last && now > 2) break;
+    last = now;
+  }
+
+  // B shares A's shard and its single worker, yet must keep going.
+  fast.set_receive_timeout(std::chrono::seconds(5));
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(fast.send_line("MOVE b " + std::to_string(i % 20) +
+                               " 2.0 2.0"));
+    std::string response;
+    ASSERT_TRUE(fast.read_line(response)) << "round trip " << i << " stalled";
+    ASSERT_EQ(response.rfind("OK device=", 0), 0u) << response;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(Server, ConcurrentPipelinesShareSessionsWithoutLoss) {
+  ServerOptions options;
+  options.engine.shards = 2;
+  options.engine.threads = 2;
+  options.engine.max_queue = 4096;
+  options.engine.default_timeout_ms = 10'000.0;
+  ServerFixture fixture(std::move(options));
+  Engine& engine = fixture.server().engine();
+
+  // Two sessions on different shards, shared by every connection: their
+  // claims pass between readers running batches inline and pool workers
+  // draining leftovers and other shards' claims.
+  std::vector<std::string> names(2);
+  for (int i = 0; names[0].empty() || names[1].empty(); ++i) {
+    std::string name = "shared" + std::to_string(i);
+    std::string& slot = names[engine.shard_of(name)];
+    if (slot.empty()) slot = std::move(name);
+  }
+  {
+    LineClient setup = fixture.client();
+    for (const std::string& name : names) {
+      ASSERT_EQ(setup.roundtrip("CONFIGURE " + name + " 20 3 seed=17")
+                    .rfind("OK", 0),
+                0u);
+    }
+  }
+
+  constexpr int kConnections = 4;
+  constexpr int kRounds = 8;
+  constexpr int kPerRound = 40;
+  std::atomic<int> ok{0};
+  std::vector<std::jthread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&fixture, &names, &ok, c] {
+      LineClient client = fixture.client();
+      for (int round = 0; round < kRounds; ++round) {
+        std::string burst;
+        for (int i = 0; i < kPerRound; ++i) {
+          burst += "MOVE " + names[static_cast<std::size_t>(i % 2)] + " " +
+                   std::to_string((c * kPerRound + i) % 20) + " 1.0 2.0\n";
+        }
+        if (!client.send_raw(burst)) return;
+        for (int i = 0; i < kPerRound; ++i) {
+          std::string response;
+          if (!client.read_line(response)) return;
+          if (response.rfind("OK device=", 0) == 0) ok.fetch_add(1);
+        }
+      }
+    });
+  }
+  clients.clear();  // joins
+
+  EXPECT_EQ(ok.load(), kConnections * kRounds * kPerRound);
+  engine.drain();
+  engine.check_invariants();
+  const EngineCounters counters = engine.counters();
+  EXPECT_EQ(counters.completed,
+            static_cast<std::uint64_t>(kConnections * kRounds * kPerRound) +
+                names.size());
+  EXPECT_EQ(counters.accepted, counters.completed);
 }
 
 TEST(Server, SocketFileIsUnlinkedOnShutdown) {

@@ -419,6 +419,30 @@ TEST(LandmarkOracle, RefreshAllInvalidatesEverything) {
   EXPECT_TRUE(envelopes_contain_exact(*oracle, net, config.max_rel_error));
 }
 
+TEST(DelayOracle, EveryBackendCountsOneQueryPerEntryAndOnePerServerPerRow) {
+  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 31);
+  incr::IncrementalDelayEngine engine(net);
+  OracleConfig compressed;
+  compressed.compress = true;
+  OracleConfig landmark;
+  landmark.backend = OracleBackend::kLandmark;
+  for (const OracleConfig& config : {OracleConfig{}, compressed, landmark}) {
+    auto oracle = make_oracle(config, engine);
+    for (std::size_t i = 0; i < net.iot_count(); ++i) {
+      oracle->bind_row(i, net.iot_nodes[i]);
+    }
+    std::uint64_t queries = oracle->stats().queries;
+    const std::vector<double> served = oracle->row(0);
+    EXPECT_EQ(oracle->stats().queries - queries, oracle->server_count())
+        << oracle->name();
+    for (std::size_t j = 0; j < oracle->server_count(); ++j) {
+      queries = oracle->stats().queries;
+      EXPECT_EQ(oracle->delay_ms(0, j), served[j]) << oracle->name();
+      EXPECT_EQ(oracle->stats().queries - queries, 1u) << oracle->name();
+    }
+  }
+}
+
 TEST(RowBindings, BindUnbindRebindBookkeeping) {
   RowBindings book;
   EXPECT_FALSE(book.bind(0, 5));

@@ -141,8 +141,8 @@ int run(int argc, char** argv) {
   }
 
   // Pipelined send: all requests go out before any response is read. The
-  // daemon's reader thread keeps consuming while its workers respond, so
-  // this cannot deadlock at smoke-test scale.
+  // daemon reads between batches, and the socket buffers hold the replies
+  // of a smoke-test-sized stream, so this cannot deadlock at that scale.
   std::string outgoing;
   for (const std::string& request : requests) {
     outgoing += request;
