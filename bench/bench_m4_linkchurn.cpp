@@ -2,14 +2,15 @@
 //
 // Drives provider-generated link events (correlated regional outages plus
 // background reweights by default — fail when live, restore when failed,
-// reweight live links) against an IncrementalDelayEngine + DelayMatrixCache
-// and HARD-GATES the three properties the engine exists for:
+// reweight live links) against an IncrementalDelayEngine + the default
+// (dense) ExactOracle and HARD-GATES the three properties the engine exists
+// for:
 //   1. Exactness: at sampled epochs the engine's per-server distances are
 //      bit-identical to a from-scratch dijkstra_fan_out on the same graph.
-//   2. Speed: the median incremental update (engine + cache refresh) beats
+//   2. Speed: the median incremental update (engine + oracle refresh) beats
 //      the median full recompute (fan-out + rebuilding every device row) by
 //      at least 10x. Skipped under --quick: sanitizers skew timings.
-//   3. Flat memory: engine + cache scratch stays flat across the whole run
+//   3. Flat memory: engine scratch stays flat across the whole run
 //      (100k link events by default) — repairs must reuse epoch-marked
 //      scratch, not allocate per event.
 // Exit code 1 if a gate fails, so CI can run it as a regression check.
@@ -32,7 +33,7 @@
 #include "bench/bench_common.hpp"
 #include "core/scenario.hpp"
 #include "metrics/stats.hpp"
-#include "topology/incremental/cache.hpp"
+#include "topology/oracle/oracle.hpp"
 #include "topology/shortest_paths.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -89,9 +90,9 @@ int run(int argc, char** argv) {
   const Scenario scenario = Scenario::smart_city(iot, edge, config.base_seed);
   topo::NetworkTopology net = scenario.network();
   topo::incr::IncrementalDelayEngine engine(net);
-  topo::incr::DelayMatrixCache cache(engine);
+  const auto oracle = topo::oracle::make_oracle({}, engine);
   for (std::size_t i = 0; i < net.iot_nodes.size(); ++i) {
-    cache.bind_row(i, net.iot_nodes[i]);
+    oracle->bind_row(i, net.iot_nodes[i]);
   }
 
   const workload::ProviderContext ctx =
@@ -147,7 +148,7 @@ int run(int argc, char** argv) {
         default:
           continue;  // device churn is out of scope here
       }
-      const std::size_t refreshed = cache.refresh();
+      const std::size_t refreshed = oracle->refresh();
       inc_us.push_back(timer.elapsed_ms() * 1e3);
       const std::size_t event_index = event_count++;
 
@@ -175,7 +176,7 @@ int run(int argc, char** argv) {
           break;
         }
         for (std::size_t i = 0; i < iot; ++i) {
-          if (cache.row(i) != reference_rows[i]) {
+          if (oracle->row(i) != reference_rows[i]) {
             std::cerr << "cached delay row " << i << " diverged at event "
                       << event_index << "\n";
             exact = false;
@@ -184,12 +185,12 @@ int run(int argc, char** argv) {
         }
         if (!exact) break;
         // Deep validators at the same sampled epochs: dirty-set bookkeeping,
-        // row-epoch coherence, and dirty-set soundness of the cache. Spot
+        // row-epoch coherence, and dirty-set soundness of the oracle. Spot
         // checks are 0 here — the gate above already compared every tree
         // against the fresh fan-out. The default abort handler makes any
         // violation a hard bench failure.
         engine.check_invariants(/*spot_check_trees=*/0);
-        cache.check_invariants();
+        oracle->check_invariants();
       }
     }
   }
@@ -212,8 +213,8 @@ int run(int argc, char** argv) {
                  std::to_string(stats.nodes_affected)});
   table.add_row({"node visits saved", std::to_string(stats.nodes_saved)});
   table.add_row({"rows refreshed",
-                 std::to_string(cache.rows_refreshed())});
-  table.add_row({"rows saved", std::to_string(cache.rows_saved())});
+                 std::to_string(oracle->rows_refreshed())});
+  table.add_row({"rows saved", std::to_string(oracle->rows_saved())});
   table.add_row({"scratch bytes (early/peak)",
                  std::to_string(scratch_early) + " / " +
                      std::to_string(scratch_peak)});

@@ -247,8 +247,8 @@ class DynamicCluster {
   }
   /// Digest of the served delay view; distinguishes every epoch, so stale
   /// consumers detect reconfigurations they slept through even when a
-  /// fail/restore pair returned the values to their start state. Matches
-  /// DelayMatrixCache::fingerprint() bit-for-bit under the default backend.
+  /// fail/restore pair returned the values to their start state. Under the
+  /// default backend it also digests every row value (see RowStore).
   [[nodiscard]] std::uint64_t delay_fingerprint() const {
     return oracle_->fingerprint();
   }
@@ -366,8 +366,8 @@ class DynamicCluster {
   // Declared right after net_ (initialization order matters).
   topo::incr::IncrementalDelayEngine engine_;
   // Serves the per-device delay rows (row i == device slot i); backend
-  // chosen by ConfigureRequest::oracle (default: exact, bit-identical to
-  // the pre-oracle DelayMatrixCache).
+  // chosen by ConfigureRequest::oracle (default: exact, dense rows
+  // bit-identical to the engine's trees).
   std::unique_ptr<topo::oracle::DelayOracle> oracle_;
   topo::LinkDelayModel delay_model_;
   std::vector<topo::NodeId> router_nodes_;

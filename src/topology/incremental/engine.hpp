@@ -5,8 +5,8 @@
 // links and attach/detach device nodes through it, and it forwards each
 // change to every server tree (cost O(affected region) per tree, not a full
 // recompute). Nodes whose server distances changed accumulate in a dirty set
-// that a downstream DelayMatrixCache drains to refresh exactly the rows that
-// moved. Distances read from the trees are bit-identical to a from-scratch
+// that the delay oracle (topology/oracle/) drains to refresh exactly the
+// rows that moved. Distances read from the trees are bit-identical to a from-scratch
 // compute_delay_matrix() at every epoch (see dynamic_sssp.hpp).
 #pragma once
 
@@ -97,8 +97,8 @@ class IncrementalDelayEngine {
   std::size_t drain_dirty(std::vector<NodeId>& out);
 
   /// True iff `node` is currently in the dirty set (distance changed since
-  /// the last drain). Used by DelayMatrixCache::check_invariants to prove
-  /// stale rows are excused by dirtiness.
+  /// the last drain). Used by ExactOracle::check_invariants to prove stale
+  /// rows are excused by dirtiness.
   [[nodiscard]] bool is_dirty(NodeId node) const noexcept {
     return node < in_dirty_.size() && in_dirty_[node] != 0;
   }

@@ -11,7 +11,7 @@ namespace {
   throw std::invalid_argument(
       "parse_oracle_spec: " + why + " in \"" + std::string(spec) +
       "\"; expected exact[,compress=0|1][,hot=N] or "
-      "landmark[,k=N][,eps=X][,compress=0|1][,hot=N][,seed=N]");
+      "landmark[,k=N][,eps=X][,hot=N][,seed=N]");
 }
 
 double parse_number(std::string_view spec, std::string_view key,
@@ -80,7 +80,7 @@ OracleConfig parse_oracle_spec(std::string_view spec) {
       config.max_rel_error = eps;
     } else if (key == "seed" && landmark) {
       config.seed = static_cast<std::uint64_t>(parse_number(spec, key, value));
-    } else if (key == "compress") {
+    } else if (key == "compress" && !landmark) {
       const double flag = parse_number(spec, key, value);
       if (flag != 0.0 && flag != 1.0) bad_spec(spec, "compress must be 0 or 1");
       config.compress = flag != 0.0;
@@ -102,8 +102,9 @@ std::string to_string(const OracleConfig& config) {
     out += ",k=" + std::to_string(config.landmarks);
     out += ",eps=" + std::to_string(config.max_rel_error);
     out += ",seed=" + std::to_string(config.seed);
+  } else {
+    out += ",compress=" + std::to_string(config.compress ? 1 : 0);
   }
-  out += ",compress=" + std::to_string(config.compress ? 1 : 0);
   out += ",hot=" + std::to_string(config.hot_rows);
   return out;
 }

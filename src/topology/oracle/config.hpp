@@ -14,7 +14,7 @@
 namespace tacc::topo::oracle {
 
 enum class OracleBackend : std::uint8_t {
-  kExact,     ///< IncrementalDelayEngine + DelayMatrixCache (bit-exact)
+  kExact,     ///< rows filled from the engine's trees (bit-exact when dense)
   kLandmark,  ///< landmark/ALT envelopes with exact fallback
 };
 
@@ -31,12 +31,12 @@ struct OracleConfig {
   /// only when hi <= lo * (1 + eps) (+ tiny absolute slack); otherwise the
   /// entry falls back to an exact shortest-path value.
   double max_rel_error = 0.1;
-  /// Route rows through the QuantizedRowStore (LRU hot set of exact rows,
-  /// uint16-quantized cold rows, bounded residency). Opt-in: it trades
-  /// bit-exactness for bounded memory, so the default exact backend never
-  /// compresses.
+  /// Exact backend only: keep rows in the bounded row store (LRU hot set
+  /// of exact rows, uint16-quantized cold rows) instead of dense. Opt-in:
+  /// it trades bit-exactness for bounded memory. The landmark backend is
+  /// always bounded and rejects the key.
   bool compress = false;
-  /// Hot (exact, uncompressed) rows kept by the row store; the cold
+  /// Hot (exact, uncompressed) rows kept by a bounded row store; the cold
   /// quantized tier holds kColdPerHot x this many rows.
   std::size_t hot_rows = 64;
   /// Seed for the deterministic landmark selection.
@@ -46,14 +46,15 @@ struct OracleConfig {
 };
 
 /// Parses "exact[,compress=0|1][,hot=N]" or
-/// "landmark[,k=N][,eps=X][,compress=0|1][,hot=N][,seed=N]" — the same spec
+/// "landmark[,k=N][,eps=X][,hot=N][,seed=N]" — the same spec
 /// accepted by `taccd --oracle=` and the CONFIGURE wire option. Throws
 /// std::invalid_argument (listing the valid keys) on an unknown backend,
 /// unknown key, or out-of-range value. An empty spec means the default
 /// exact backend.
 [[nodiscard]] OracleConfig parse_oracle_spec(std::string_view spec);
 
-/// Canonical spec round-trip: parse_oracle_spec(to_string(c)) == c.
+/// Canonical spec round-trip: parse_oracle_spec(to_string(c)) == c for every
+/// parsed config (a landmark spec never carries compress=).
 [[nodiscard]] std::string to_string(const OracleConfig& config);
 
 }  // namespace tacc::topo::oracle

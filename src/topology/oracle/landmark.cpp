@@ -17,6 +17,8 @@ namespace {
 /// that are tight to the last ulp.
 constexpr double kAcceptSlackMs = 1e-9;
 
+constexpr std::uint64_t kLandmarkTag = 0x1A4DAA2CULL;
+
 /// Landmark vector entry; nodes beyond the tree (acquired but not yet wired
 /// into any link) are unreachable by construction.
 double tree_distance(const incr::DynamicSsspTree& tree, NodeId node) {
@@ -27,12 +29,12 @@ double tree_distance(const incr::DynamicSsspTree& tree, NodeId node) {
 
 LandmarkOracle::LandmarkOracle(incr::IncrementalDelayEngine& engine,
                                const OracleConfig& config)
-    : net_(&engine.network()),
+    : DelayOracle(RowEncoding::kBounded, engine.network().edge_count(),
+                  config.hot_rows),
+      net_(&engine.network()),
       engine_(&engine),
       config_(config),
-      server_nodes_(engine.network().edge_nodes),
-      store_(server_nodes_.size(), config.hot_rows,
-             config.hot_rows * kColdPerHot) {
+      server_nodes_(engine.network().edge_nodes) {
   is_server_node_.assign(net_->graph.node_count(), 0);
   for (const NodeId node : server_nodes_) {
     if (node >= is_server_node_.size()) is_server_node_.resize(node + 1, 0);
@@ -44,12 +46,11 @@ LandmarkOracle::LandmarkOracle(incr::IncrementalDelayEngine& engine,
 
 LandmarkOracle::LandmarkOracle(const NetworkTopology& net,
                                const OracleConfig& config)
-    : net_(&net),
+    : DelayOracle(RowEncoding::kBounded, net.edge_count(), config.hot_rows),
+      net_(&net),
       engine_(nullptr),
       config_(config),
-      server_nodes_(net.edge_nodes),
-      store_(server_nodes_.size(), config.hot_rows,
-             config.hot_rows * kColdPerHot) {
+      server_nodes_(net.edge_nodes) {
   is_server_node_.assign(net_->graph.node_count(), 0);
   for (const NodeId node : server_nodes_) {
     if (node >= is_server_node_.size()) is_server_node_.resize(node + 1, 0);
@@ -121,23 +122,21 @@ void LandmarkOracle::select_landmarks() {
 }
 
 void LandmarkOracle::bind_row(std::size_t row, NodeId node) {
-  book_.bind(row, node);
-  if (row_has_exact_.size() < book_.nodes.size()) {
-    row_has_exact_.resize(book_.nodes.size(), 0);
-  }
-  if (row_pending_.size() < book_.nodes.size()) {
-    row_pending_.resize(book_.nodes.size(), 0);
-  }
-  row_has_exact_[row] = 0;
   // A fresh binding supersedes both the resident values and any queued
   // invalidation for this row slot.
+  DelayOracle::bind_row(row, node);
+  if (row_has_exact_.size() < store_.row_count()) {
+    row_has_exact_.resize(store_.row_count(), 0);
+  }
+  if (row_pending_.size() < store_.row_count()) {
+    row_pending_.resize(store_.row_count(), 0);
+  }
+  row_has_exact_[row] = 0;
   row_pending_[row] = 0;
-  store_.erase(row);
 }
 
 void LandmarkOracle::unbind_row(std::size_t row) {
-  if (!book_.unbind(row)) return;
-  store_.erase(row);
+  if (!store_.unbind(row)) return;
   row_has_exact_[row] = 0;
   if (row < row_pending_.size()) row_pending_[row] = 0;
 }
@@ -170,9 +169,8 @@ DelayBounds LandmarkOracle::envelope(NodeId node, NodeId server_node) const {
   return {lo, hi, true};
 }
 
-void LandmarkOracle::compute_row(std::size_t row, NodeId node,
-                                 std::vector<double>& out) const {
-  out.resize(server_nodes_.size());
+std::uint64_t LandmarkOracle::fill_row(std::size_t row, NodeId node,
+                                       std::span<double> out) const {
   bool has_exact = false;
   ShortestPathTree fallback;
   bool fallback_ready = false;
@@ -205,33 +203,12 @@ void LandmarkOracle::compute_row(std::size_t row, NodeId node,
     }
   }
   if (row < row_has_exact_.size()) row_has_exact_[row] = has_exact ? 1 : 0;
-}
-
-const std::vector<double>& LandmarkOracle::fetch_row(std::size_t row) const {
-  if (const std::vector<double>* resident = store_.get(row)) {
-    return *resident;
-  }
-  const NodeId node = book_.nodes.at(row);
-  TACC_REQUIRE(node != kInvalidNode, "reading an unbound oracle row");
-  compute_row(row, node, fill_scratch_);
-  book_.epochs[row] = epoch();
-  ++stats_.row_fills;
-  return store_.put(row, fill_scratch_);
-}
-
-const std::vector<double>& LandmarkOracle::row(std::size_t row) const {
-  stats_.queries += server_nodes_.size();
-  return fetch_row(row);
-}
-
-double LandmarkOracle::delay_ms(std::size_t row, std::size_t server) const {
-  ++stats_.queries;
-  return fetch_row(row).at(server);
+  return epoch();
 }
 
 DelayBounds LandmarkOracle::bounds_ms(std::size_t row,
                                       std::size_t server) const {
-  const NodeId node = book_.row_node(row);
+  const NodeId node = store_.row_node(row);
   TACC_REQUIRE(node != kInvalidNode, "bounds for an unbound oracle row");
   return envelope(node, server_nodes_.at(server));
 }
@@ -276,8 +253,8 @@ void LandmarkOracle::repair_landmarks(int kind, NodeId u, NodeId v,
       // envelope involved that vector, so everything resident is suspect.
       all_pending_ = true;
     }
-    const std::size_t row = book_.row_of(node);
-    if (row != RowBindings::kUnbound) mark_pending(row);
+    const std::size_t row = store_.row_of(node);
+    if (row != RowStore::kUnbound) mark_pending(row);
   }
   // Exact-fallback values carry no envelope that current vectors certify,
   // so rows holding any are conservatively re-dirtied on every mutation.
@@ -294,37 +271,27 @@ void LandmarkOracle::mark_pending(std::size_t row) {
 }
 
 std::size_t LandmarkOracle::refresh() {
-  std::size_t invalidated = 0;
+  drain_scratch_.clear();
   if (engine_ != nullptr) {
-    drain_scratch_.clear();
     engine_->drain_dirty(drain_scratch_);
-    for (const NodeId node : drain_scratch_) {
-      const std::size_t row = book_.row_of(node);
-      if (row == RowBindings::kUnbound) continue;
-      store_.erase(row);
-      row_has_exact_[row] = 0;
-      ++invalidated;
-    }
-  } else if (all_pending_) {
-    invalidated = book_.bound;
-    store_.clear();
-    std::fill(row_has_exact_.begin(), row_has_exact_.end(), 0);
+    return store_.refresh(drain_scratch_);
+  }
+  if (all_pending_) {
     for (const std::size_t row : pending_rows_) row_pending_[row] = 0;
     pending_rows_.clear();
     all_pending_ = false;
-  } else {
-    for (const std::size_t row : pending_rows_) {
-      if (row_pending_[row] == 0) continue;  // superseded by a rebind
-      row_pending_[row] = 0;
-      store_.erase(row);
-      row_has_exact_[row] = 0;
-      ++invalidated;
-    }
-    pending_rows_.clear();
+    std::fill(row_has_exact_.begin(), row_has_exact_.end(), 0);
+    store_.refresh_all();
+    return store_.bound_count();
   }
-  rows_refreshed_ += invalidated;
-  rows_saved_ += book_.bound > invalidated ? book_.bound - invalidated : 0;
-  return invalidated;
+  for (const std::size_t row : pending_rows_) {
+    if (row_pending_[row] == 0) continue;  // superseded by a rebind
+    row_pending_[row] = 0;
+    row_has_exact_[row] = 0;
+    drain_scratch_.push_back(store_.row_node(row));
+  }
+  pending_rows_.clear();
+  return store_.refresh(drain_scratch_);
 }
 
 void LandmarkOracle::refresh_all() {
@@ -337,9 +304,8 @@ void LandmarkOracle::refresh_all() {
     all_pending_ = false;
     ++own_epoch_;
   }
-  store_.clear();
   std::fill(row_has_exact_.begin(), row_has_exact_.end(), 0);
-  rows_refreshed_ += book_.bound;
+  store_.refresh_all();
 }
 
 std::uint64_t LandmarkOracle::epoch() const {
@@ -347,35 +313,14 @@ std::uint64_t LandmarkOracle::epoch() const {
 }
 
 std::uint64_t LandmarkOracle::fingerprint() const {
-  // Values are never all materialized: digest the backend identity, the
-  // epoch, the landmark set and the bindings (see oracle.hpp).
-  std::uint64_t state = 0x7ACC5EEDULL;
-  std::uint64_t digest = 0;
-  const auto mix = [&state, &digest](std::uint64_t value) {
-    state ^= value;
-    digest = util::splitmix64(state);
-  };
-  mix(0x1A4DAA2CULL);  // backend tag
-  mix(epoch());
-  mix(static_cast<std::uint64_t>(book_.bound));
-  for (const NodeId landmark : landmark_nodes_) {
-    mix(static_cast<std::uint64_t>(landmark));
-  }
-  for (std::size_t i = 0; i < book_.nodes.size(); ++i) {
-    if (book_.nodes[i] == kInvalidNode) continue;
-    mix(static_cast<std::uint64_t>(i));
-    mix(static_cast<std::uint64_t>(book_.nodes[i]));
-  }
-  return digest;
+  // Values are never all materialized: the store digests the backend tag,
+  // the epoch, the landmark set and the bindings (see oracle.hpp).
+  return store_.fingerprint(epoch(), kLandmarkTag, landmark_nodes_);
 }
 
 std::size_t LandmarkOracle::resident_bytes() const {
-  std::size_t bytes = store_.resident_bytes() +
-                      book_.nodes.capacity() * sizeof(NodeId) +
-                      book_.epochs.capacity() * sizeof(std::uint64_t) +
-                      book_.node_to_row.capacity() * sizeof(std::size_t) +
-                      row_has_exact_.capacity() + row_pending_.capacity() +
-                      is_server_node_.capacity() +
+  std::size_t bytes = store_.resident_bytes() + row_has_exact_.capacity() +
+                      row_pending_.capacity() + is_server_node_.capacity() +
                       pending_rows_.capacity() * sizeof(std::size_t) +
                       server_nodes_.capacity() * sizeof(NodeId) +
                       landmark_nodes_.capacity() * sizeof(NodeId);
@@ -386,21 +331,8 @@ std::size_t LandmarkOracle::resident_bytes() const {
   return bytes;
 }
 
-DelayMatrix LandmarkOracle::materialize() const {
-  DelayMatrix matrix(book_.nodes.size(), server_nodes_.size(), kUnreachable);
-  for (std::size_t i = 0; i < book_.nodes.size(); ++i) {
-    if (book_.nodes[i] == kInvalidNode) continue;
-    const std::vector<double>& values = fetch_row(i);
-    for (std::size_t j = 0; j < values.size(); ++j) {
-      matrix.set(i, j, values[j]);
-    }
-  }
-  return matrix;
-}
-
 void LandmarkOracle::check_invariants() const {
-  book_.check_invariants();
-  store_.check_invariants();
+  store_.check_invariants(epoch());
 
   TACC_CHECK_INVARIANT(!landmark_nodes_.empty() &&
                            landmark_nodes_.size() == landmark_trees_.size(),
@@ -429,15 +361,6 @@ void LandmarkOracle::check_invariants() const {
                              std::to_string(row));
   }
 
-  for (std::size_t row = 0; row < book_.nodes.size(); ++row) {
-    TACC_CHECK_INVARIANT(
-        book_.nodes[row] != kInvalidNode || !store_.contains(row),
-        "unbound row still resident in the store: row " + std::to_string(row));
-    TACC_CHECK_INVARIANT(book_.epochs[row] <= epoch(),
-                         "row stamped with an epoch from the future: row " +
-                             std::to_string(row));
-  }
-
   // Landmark coherence: one tree (rotated by epoch so successive calls
   // sweep the set) compared bit-for-bit against a from-scratch Dijkstra —
   // the incremental repairs must be indistinguishable from a rebuild.
@@ -457,13 +380,13 @@ void LandmarkOracle::check_invariants() const {
 
   // Sampled envelope containment: one bound row (rotated by epoch) checked
   // against true distances. Tiny slack covers summation-order rounding.
-  if (book_.bound > 0) {
-    const std::size_t rows = book_.nodes.size();
+  if (store_.bound_count() > 0) {
+    const std::size_t rows = store_.row_count();
     std::size_t row = static_cast<std::size_t>(epoch()) % rows;
     for (std::size_t step = 0; step < rows; ++step, row = (row + 1) % rows) {
-      if (book_.nodes[row] != kInvalidNode) break;
+      if (store_.row_node(row) != kInvalidNode) break;
     }
-    const NodeId node = book_.nodes[row];
+    const NodeId node = store_.row_node(row);
     const ShortestPathTree truth = dijkstra(net_->graph, node);
     for (std::size_t j = 0; j < server_nodes_.size(); ++j) {
       const double exact = truth.distance_ms[server_nodes_[j]];
@@ -504,7 +427,7 @@ void LandmarkOracle::on_rebuild() {
   } else {
     select_landmarks();
   }
-  store_.clear();
+  store_.invalidate_all();
   std::fill(row_has_exact_.begin(), row_has_exact_.end(), 0);
 }
 

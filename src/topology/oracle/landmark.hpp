@@ -36,15 +36,15 @@
 //    drops exactly the resident rows in that set; everything else keeps
 //    serving certified values.
 //
-// Rows live in a bounded QuantizedRowStore and are computed lazily on first
-// touch, so residency is O(landmarks·V + store capacity), not O(N·M) — the
-// bench_m6 memory gate.
+// Rows live in a bounded RowStore (rowstore.hpp) and are computed lazily on
+// first touch, so residency is O(landmarks·V + store capacity), not O(N·M)
+// — the bench_m6 memory gate.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "topology/oracle/oracle.hpp"
-#include "topology/oracle/rowstore.hpp"
 #include "topology/shortest_paths.hpp"
 
 namespace tacc::topo::oracle {
@@ -61,47 +61,16 @@ class LandmarkOracle final : public DelayOracle, private incr::MutationListener 
   ~LandmarkOracle() override;
 
   [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::size_t server_count() const override {
-    return server_nodes_.size();
-  }
-
   void bind_row(std::size_t row, NodeId node) override;
   void unbind_row(std::size_t row) override;
-  [[nodiscard]] NodeId row_node(std::size_t row) const override {
-    return book_.row_node(row);
-  }
-  [[nodiscard]] std::size_t row_count() const override {
-    return book_.nodes.size();
-  }
-  [[nodiscard]] std::size_t bound_count() const override {
-    return book_.bound;
-  }
-
-  [[nodiscard]] const std::vector<double>& row(
-      std::size_t row) const override;
-  [[nodiscard]] double delay_ms(std::size_t row,
-                                std::size_t server) const override;
   [[nodiscard]] DelayBounds bounds_ms(std::size_t row,
                                       std::size_t server) const override;
-
   std::size_t refresh() override;
   void refresh_all() override;
   [[nodiscard]] std::uint64_t epoch() const override;
-  [[nodiscard]] std::uint64_t row_epoch(std::size_t row) const override {
-    return book_.epochs.at(row);
-  }
   [[nodiscard]] std::uint64_t fingerprint() const override;
-  [[nodiscard]] std::uint64_t rows_refreshed() const override {
-    return rows_refreshed_;
-  }
-  [[nodiscard]] std::uint64_t rows_saved() const override {
-    return rows_saved_;
-  }
-
   [[nodiscard]] std::size_t resident_bytes() const override;
-  [[nodiscard]] const OracleStats& stats() const override { return stats_; }
-  [[nodiscard]] DelayMatrix materialize() const override;
-  /// Deep validation: bindings/store/pending bookkeeping, plus landmark
+  /// Deep validation: store/pending bookkeeping, plus landmark
   /// coherence — one epoch-rotated landmark tree compared bit-for-bit
   /// against a fresh Dijkstra, and one sampled bound row checked for
   /// envelope containment of the true distances. Cold path (two Dijkstras).
@@ -135,9 +104,8 @@ class LandmarkOracle final : public DelayOracle, private incr::MutationListener 
   [[nodiscard]] DelayBounds envelope(NodeId node, NodeId server_node) const;
   /// Bounds + fallbacks for every server; records stats and whether the
   /// row holds exact-fallback entries.
-  void compute_row(std::size_t row, NodeId node,
-                   std::vector<double>& out) const;
-  const std::vector<double>& fetch_row(std::size_t row) const;
+  std::uint64_t fill_row(std::size_t row, NodeId node,
+                         std::span<double> out) const override;
 
   const NetworkTopology* net_;
   incr::IncrementalDelayEngine* engine_;  ///< nullptr in standalone mode
@@ -147,11 +115,8 @@ class LandmarkOracle final : public DelayOracle, private incr::MutationListener 
   std::vector<NodeId> landmark_nodes_;
   std::vector<incr::DynamicSsspTree> landmark_trees_;
 
-  // Lazy row cache (mutable: logically-const fills; externally
-  // synchronized — see oracle.hpp).
-  mutable RowBindings book_;
-  mutable QuantizedRowStore store_;
-  mutable std::vector<double> fill_scratch_;
+  // mutable: set by logically-const fills (externally synchronized — see
+  // oracle.hpp).
   mutable std::vector<std::uint8_t> row_has_exact_;  ///< per row
 
   // Standalone invalidation queue (refresh() drains it).
@@ -162,9 +127,6 @@ class LandmarkOracle final : public DelayOracle, private incr::MutationListener 
   std::vector<NodeId> changed_scratch_;
   std::vector<NodeId> drain_scratch_;
   std::uint64_t own_epoch_ = 0;  ///< standalone epoch (attached: engine's)
-  std::uint64_t rows_refreshed_ = 0;
-  std::uint64_t rows_saved_ = 0;
-  mutable OracleStats stats_;
 };
 
 }  // namespace tacc::topo::oracle

@@ -2,27 +2,27 @@
 //
 // Every consumer of per-device delay rows (DynamicCluster placement, the
 // re-optimizer's planner, avg-delay metrics, the STATS wire surface) goes
-// through this interface instead of touching DelayMatrixCache directly
-// (lint rule R7). Backends:
+// through this interface instead of touching the incremental engine
+// directly (lint rule R7). Backends:
 //
-//   ExactOracle     (exact.hpp)    — wraps IncrementalDelayEngine +
-//                                    DelayMatrixCache; the default, and
-//                                    bit-identical to pre-oracle behavior.
+//   ExactOracle     (exact.hpp)    — rows filled from the
+//                                    IncrementalDelayEngine's trees; the
+//                                    default, bit-identical to them.
 //   LandmarkOracle  (landmark.hpp) — landmark/ALT lower+upper bound
 //                                    envelopes with exact fallback; O(k)
 //                                    per entry instead of dense rows.
 //
-// Either backend can layer a QuantizedRowStore (rowstore.hpp) underneath
-// for bounded residency (config.compress).
+// Both keep their rows in a RowStore (rowstore.hpp): dense for the default
+// ExactOracle, bounded (a QuantizedRowStore) for ExactOracle with
+// config.compress and for LandmarkOracle.
 //
-// Contract mirror of DelayMatrixCache: rows are bound to graph nodes, carry
-// the epoch they were last written at, refresh() drains the pending
-// invalidations (the engine's dirty set for attached backends), and
-// fingerprint() digests the cached view. Approximate/compressed backends
-// cannot digest values they never materialize, so their fingerprint covers
-// (epoch, bindings, backend identity) only — still a change detector, but
-// not a value digest; only the default ExactOracle reproduces
-// DelayMatrixCache::fingerprint() bit-for-bit.
+// Row contract: rows are bound to graph nodes, carry the epoch they were
+// last written at, refresh() drains the pending invalidations (the engine's
+// dirty set for attached backends), and fingerprint() digests the cached
+// view. Bounded stores cannot digest values they never materialize, so
+// their fingerprint covers (epoch, bindings, backend identity) only — still
+// a change detector, but not a value digest; only the default dense
+// ExactOracle also digests every row value.
 //
 // Thread safety: none. Oracles are owned by a DynamicCluster and share its
 // external synchronization. Backends with an LRU row store mutate internal
@@ -38,11 +38,13 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "topology/incremental/engine.hpp"
 #include "topology/oracle/config.hpp"
+#include "topology/oracle/rowstore.hpp"
 
 namespace tacc::topo::oracle {
 
@@ -68,35 +70,51 @@ struct OracleStats {
   std::array<std::uint64_t, 8> width_hist{};
 };
 
+/// The row bookkeeping, reads and accounting live here once, over the
+/// backend's RowStore; a backend supplies the fill and the parts that
+/// differ (envelopes, invalidation sources, digest identity, validation).
 class DelayOracle {
  public:
-  DelayOracle() = default;
   virtual ~DelayOracle();
   DelayOracle(const DelayOracle&) = delete;
   DelayOracle& operator=(const DelayOracle&) = delete;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  [[nodiscard]] virtual std::size_t server_count() const = 0;
+  [[nodiscard]] std::size_t server_count() const noexcept {
+    return store_.width();
+  }
 
-  // ---- Row bindings (DelayMatrixCache contract) ---------------------------
-  virtual void bind_row(std::size_t row, NodeId node) = 0;
-  virtual void unbind_row(std::size_t row) = 0;
-  [[nodiscard]] virtual NodeId row_node(std::size_t row) const = 0;
-  [[nodiscard]] virtual std::size_t row_count() const = 0;
-  [[nodiscard]] virtual std::size_t bound_count() const = 0;
+  // ---- Row bindings ---------------------------------------------------------
+  virtual void bind_row(std::size_t row, NodeId node) {
+    store_.bind(row, node);
+  }
+  virtual void unbind_row(std::size_t row) { store_.unbind(row); }
+  [[nodiscard]] NodeId row_node(std::size_t row) const {
+    return store_.row_node(row);
+  }
+  [[nodiscard]] std::size_t row_count() const noexcept {
+    return store_.row_count();
+  }
+  [[nodiscard]] std::size_t bound_count() const noexcept {
+    return store_.bound_count();
+  }
 
   // ---- Queries ------------------------------------------------------------
   /// The served per-server delay row. For approximate backends every entry
   /// e satisfies exact <= e <= (1+eps)·exact + slack (see landmark.hpp).
   /// The reference stays valid until the backend evicts the row (stable
-  /// until the next mutation for uncompressed backends; until hot-set
-  /// eviction for compressed ones) — read it before querying other rows.
-  [[nodiscard]] virtual const std::vector<double>& row(
-      std::size_t row) const = 0;
+  /// until the next mutation for dense stores; until hot-set eviction for
+  /// bounded ones) — read it before querying other rows.
+  [[nodiscard]] const std::vector<double>& row(std::size_t row) const {
+    stats_.queries += store_.width();
+    return store_.row(row);
+  }
   /// One served entry; same guarantees as row(). Counts one query, where
   /// row() counts server_count().
-  [[nodiscard]] virtual double delay_ms(std::size_t row,
-                                        std::size_t server) const = 0;
+  [[nodiscard]] double delay_ms(std::size_t row, std::size_t server) const {
+    ++stats_.queries;
+    return store_.row(row)[server];
+  }
   /// The certified envelope for one entry, computed live (never from
   /// compressed storage) — the property-tested containment guarantee.
   [[nodiscard]] virtual DelayBounds bounds_ms(std::size_t row,
@@ -110,52 +128,50 @@ class DelayOracle {
   /// Rewrites/invalidates every bound row (recovery hatch after rebuild()).
   virtual void refresh_all() = 0;
   [[nodiscard]] virtual std::uint64_t epoch() const = 0;
-  [[nodiscard]] virtual std::uint64_t row_epoch(std::size_t row) const = 0;
+  [[nodiscard]] std::uint64_t row_epoch(std::size_t row) const {
+    return store_.row_epoch(row);
+  }
   [[nodiscard]] virtual std::uint64_t fingerprint() const = 0;
-  [[nodiscard]] virtual std::uint64_t rows_refreshed() const = 0;
-  [[nodiscard]] virtual std::uint64_t rows_saved() const = 0;
+  [[nodiscard]] std::uint64_t rows_refreshed() const noexcept {
+    return store_.rows_refreshed();
+  }
+  [[nodiscard]] std::uint64_t rows_saved() const noexcept {
+    return store_.rows_saved();
+  }
 
   // ---- Introspection ------------------------------------------------------
   /// Bytes resident in the backend beyond the shared engine (row storage,
   /// landmark vectors, bookkeeping).
   [[nodiscard]] virtual std::size_t resident_bytes() const = 0;
-  [[nodiscard]] virtual const OracleStats& stats() const = 0;
+  [[nodiscard]] const OracleStats& stats() const noexcept {
+    stats_.row_fills = store_.row_fills();
+    return stats_;
+  }
   /// Served rows as a dense DelayMatrix (unbound rows kUnreachable). Forces
   /// materialization for lazy backends — bench/test use only.
-  [[nodiscard]] virtual DelayMatrix materialize() const = 0;
+  [[nodiscard]] DelayMatrix materialize() const {
+    return store_.materialize();
+  }
   /// Deep validation via the contracts failure handler; cold path.
   virtual void check_invariants() const = 0;
-};
 
-/// Shared row<->node binding bookkeeping for store-backed backends (the
-/// compressed ExactOracle and the LandmarkOracle): the same parallel-array +
-/// inverse-index structure DelayMatrixCache keeps, without the row storage.
-struct RowBindings {
-  static constexpr std::size_t kUnbound = static_cast<std::size_t>(-1);
+ protected:
+  /// `width` servers per row; see RowStore for the encodings.
+  DelayOracle(RowEncoding encoding, std::size_t width, std::size_t hot_rows);
 
-  std::vector<NodeId> nodes;             ///< per row; kInvalidNode if unbound
-  std::vector<std::uint64_t> epochs;     ///< per row: epoch last written
-  std::vector<std::size_t> node_to_row;  ///< per node; kUnbound if none
-  std::size_t bound = 0;
+  /// The store's fill: bound `row`'s (attached to `node`) delay to every
+  /// server, written to `out`; returns the epoch the values are current at.
+  virtual std::uint64_t fill_row(std::size_t row, NodeId node,
+                                 std::span<double> out) const = 0;
 
-  /// Binds `row` to `node`, growing the arrays; true if the row was
-  /// previously bound (a rebind).
-  bool bind(std::size_t row, NodeId node);
-  /// Unbinds `row`; false if it was not bound.
-  bool unbind(std::size_t row);
-  [[nodiscard]] NodeId row_node(std::size_t row) const {
-    return nodes.at(row);
-  }
-  [[nodiscard]] std::size_t row_of(NodeId node) const noexcept {
-    return node < node_to_row.size() ? node_to_row[node] : kUnbound;
-  }
-  /// Structural validation via the contracts failure handler.
-  void check_invariants() const;
+  // mutable: bounded reads fill and stamp rows on logically-const calls
+  // (externally synchronized, see above).
+  mutable RowStore store_;
+  mutable OracleStats stats_;
 };
 
 /// Builds the configured backend over `engine` (which must outlive the
-/// oracle). The default config returns an ExactOracle that is bit-identical
-/// to driving a DelayMatrixCache directly.
+/// oracle). The default config returns a dense ExactOracle.
 [[nodiscard]] std::unique_ptr<DelayOracle> make_oracle(
     const OracleConfig& config, incr::IncrementalDelayEngine& engine);
 

@@ -11,8 +11,8 @@
 #include "core/dynamic.hpp"
 #include "service/engine.hpp"
 #include "topology/failures.hpp"
-#include "topology/incremental/cache.hpp"
 #include "topology/incremental/engine.hpp"
+#include "topology/oracle/exact.hpp"
 #include "util/contracts.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -33,19 +33,16 @@ struct GraphTestPeer {
   }
 };
 
-namespace incr {
+namespace oracle {
 
-/// Friend of DelayMatrixCache.
-struct CacheTestPeer {
-  static std::vector<std::uint64_t>& row_epochs(DelayMatrixCache& cache) {
-    return cache.row_epochs_;
-  }
-  static std::vector<std::vector<double>>& rows(DelayMatrixCache& cache) {
-    return cache.rows_;
+/// Friend of RowStore and of ExactOracle (which owns one).
+struct RowStoreTestPeer {
+  static std::vector<std::uint64_t>& row_epochs(ExactOracle& oracle) {
+    return oracle.store_.epochs_;
   }
 };
 
-}  // namespace incr
+}  // namespace oracle
 }  // namespace tacc::topo
 
 namespace tacc {
@@ -222,12 +219,12 @@ TEST_F(InvariantsTest, EngineCatchesOutOfBandTopologyEdit) {
   EXPECT_NO_THROW(engine.check_invariants(net.edge_count()));
 }
 
-// ---- topo::incr::DelayMatrixCache ------------------------------------------
+// ---- topo::oracle::ExactOracle's dense row cache ----------------------------
 
 TEST_F(InvariantsTest, CacheHealthyRefreshCyclePasses) {
   topo::NetworkTopology net = make_net(31);
   topo::incr::IncrementalDelayEngine engine(net);
-  topo::incr::DelayMatrixCache cache(engine);
+  topo::oracle::ExactOracle cache(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     cache.bind_row(i, net.iot_nodes[i]);
   }
@@ -245,7 +242,7 @@ TEST_F(InvariantsTest, CacheHealthyRefreshCyclePasses) {
 TEST_F(InvariantsTest, CacheCatchesUnexcusedStaleRow) {
   topo::NetworkTopology net = make_net(32);
   topo::incr::IncrementalDelayEngine engine(net);
-  topo::incr::DelayMatrixCache cache(engine);
+  topo::oracle::ExactOracle cache(engine);
   cache.bind_row(0, net.iot_nodes[0]);
   // Move device 0's distances through the engine, then throw away the dirty
   // notification instead of refreshing: the cache now serves stale delays
@@ -262,11 +259,11 @@ TEST_F(InvariantsTest, CacheCatchesUnexcusedStaleRow) {
 TEST_F(InvariantsTest, CacheCatchesEpochFromTheFuture) {
   topo::NetworkTopology net = make_net(33);
   topo::incr::IncrementalDelayEngine engine(net);
-  topo::incr::DelayMatrixCache cache(engine);
+  topo::oracle::ExactOracle cache(engine);
   cache.bind_row(0, net.iot_nodes[0]);
   // A row stamped past the engine epoch claims to have seen a mutation that
   // never happened.
-  topo::incr::CacheTestPeer::row_epochs(cache)[0] = engine.epoch() + 1;
+  topo::oracle::RowStoreTestPeer::row_epochs(cache)[0] = engine.epoch() + 1;
   EXPECT_THROW(cache.check_invariants(), ContractViolation);
 }
 

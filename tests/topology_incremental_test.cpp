@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "topology/failures.hpp"
-#include "topology/incremental/cache.hpp"
 #include "topology/shortest_paths.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -218,141 +217,6 @@ TEST(IncrementalDelayEngine, StatsTrackSavings) {
                              net.graph.live_node_count();
   EXPECT_LE(stats.nodes_affected, full);
   EXPECT_EQ(stats.nodes_saved, full - stats.nodes_affected);
-}
-
-TEST(DelayMatrixCache, RefreshRewritesExactlyTheDirtyBoundRows) {
-  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 21);
-  IncrementalDelayEngine engine(net);
-  DelayMatrixCache cache(engine);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    cache.bind_row(i, net.iot_nodes[i]);
-  }
-  EXPECT_EQ(cache.bound_count(), net.iot_count());
-
-  // Bound rows start identical to the batch precomputation.
-  const DelayMatrix expected = compute_delay_matrix(net);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    for (std::size_t j = 0; j < net.edge_count(); ++j) {
-      EXPECT_EQ(cache.row(i)[j], expected.at(i, j));
-    }
-  }
-
-  const auto links = backbone_links(net);
-  engine.fail_link(links[0].first, links[0].second);
-  const std::size_t refreshed = cache.refresh();
-  EXPECT_LE(refreshed, cache.bound_count());
-  EXPECT_EQ(cache.rows_refreshed(), refreshed);
-  EXPECT_EQ(cache.rows_saved(), cache.bound_count() - refreshed);
-  {
-    // Post-refresh the cache must be provably current (dirty-set empty, all
-    // bound rows equal to the engine's trees).
-    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    cache.check_invariants();
-  }
-
-  const DelayMatrix degraded = compute_delay_matrix(net);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    for (std::size_t j = 0; j < net.edge_count(); ++j) {
-      const double want = degraded.at(i, j);
-      if (std::isinf(want)) {
-        EXPECT_TRUE(std::isinf(cache.row(i)[j]));
-      } else {
-        EXPECT_EQ(cache.row(i)[j], want);
-      }
-    }
-  }
-  // Untouched rows keep their epoch; refreshed rows carry the new one.
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    EXPECT_TRUE(cache.row_epoch(i) == 0 ||
-                cache.row_epoch(i) == engine.epoch());
-  }
-  EXPECT_EQ(cache.materialize().iot_count(), net.iot_count());
-}
-
-TEST(DelayMatrixCache, FingerprintTracksEpochAcrossRoundTrips) {
-  NetworkTopology net = make_net(TopologyFamily::kGrid, 31);
-  IncrementalDelayEngine engine(net);
-  DelayMatrixCache cache(engine);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    cache.bind_row(i, net.iot_nodes[i]);
-  }
-  const std::uint64_t fp0 = cache.fingerprint();
-  EXPECT_EQ(fp0, cache.fingerprint());  // pure
-
-  const auto links = backbone_links(net);
-  engine.fail_link(links[0].first, links[0].second);
-  cache.refresh();
-  const std::uint64_t fp1 = cache.fingerprint();
-  EXPECT_NE(fp0, fp1);
-
-  engine.restore_link(links[0].first, links[0].second);
-  cache.refresh();
-  // Values returned to the start state, but the epoch distinguishes the
-  // mutation history — stale consumers keyed on the fingerprint must see a
-  // change for each reconfiguration they slept through.
-  EXPECT_NE(cache.fingerprint(), fp0);
-  EXPECT_NE(cache.fingerprint(), fp1);
-}
-
-TEST(DelayMatrixCache, UnbindAndRebindRecyclesRows) {
-  NetworkTopology net = make_net(TopologyFamily::kGrid, 41);
-  IncrementalDelayEngine engine(net);
-  DelayMatrixCache cache(engine);
-  cache.bind_row(0, net.iot_nodes[0]);
-  cache.bind_row(1, net.iot_nodes[1]);
-  cache.unbind_row(0);
-  EXPECT_EQ(cache.bound_count(), 1u);
-  EXPECT_EQ(cache.row_node(0), kInvalidNode);
-  cache.bind_row(0, net.iot_nodes[2]);  // slot reuse, different node
-  EXPECT_EQ(cache.bound_count(), 2u);
-  const auto tree = dijkstra(net.graph, net.edge_nodes[0]);
-  EXPECT_EQ(cache.row(0)[0], tree.distance_ms[net.iot_nodes[2]]);
-}
-
-TEST(DelayMatrixCache, RefreshAllRecoversAfterOutOfBandRebuild) {
-  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 61);
-  IncrementalDelayEngine engine(net);
-  DelayMatrixCache cache(engine);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    cache.bind_row(i, net.iot_nodes[i]);
-  }
-  const std::uint64_t refreshed_before = cache.rows_refreshed();
-
-  // Out-of-band topology edit the engine never saw: the cache's rows are
-  // now silently stale, and only the rebuild() + refresh_all() recovery
-  // hatch brings them back.
-  const auto links = backbone_links(net);
-  net.graph.remove_edge(links[0].first, links[0].second);
-  engine.rebuild();
-  cache.refresh_all();
-
-  // refresh_all() counts every bound row toward rows_refreshed, exactly
-  // once, regardless of how many actually changed value.
-  EXPECT_EQ(cache.rows_refreshed(), refreshed_before + cache.bound_count());
-  EXPECT_EQ(cache.rows_saved(), 0u);
-
-  const DelayMatrix expected = compute_delay_matrix(net);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    EXPECT_EQ(cache.row_epoch(i), engine.epoch());
-    for (std::size_t j = 0; j < net.edge_count(); ++j) {
-      const double want = expected.at(i, j);
-      if (std::isinf(want)) {
-        EXPECT_TRUE(std::isinf(cache.row(i)[j]));
-      } else {
-        EXPECT_EQ(cache.row(i)[j], want);
-      }
-    }
-  }
-  {
-    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    cache.check_invariants();
-  }
-
-  // A second refresh_all keeps accounting linear (no double counting of
-  // rows that were already current).
-  cache.refresh_all();
-  EXPECT_EQ(cache.rows_refreshed(),
-            refreshed_before + 2 * cache.bound_count());
 }
 
 TEST(IncrementalDelayEngine, RebuildDirtiesEverythingAndMatches) {

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "topology/failures.hpp"
-#include "topology/incremental/cache.hpp"
 #include "topology/oracle/exact.hpp"
 #include "topology/oracle/landmark.hpp"
 #include "topology/oracle/rowstore.hpp"
@@ -59,6 +63,11 @@ TEST(OracleConfig, ParsesSpecsAndRoundTrips) {
   EXPECT_EQ(parse_oracle_spec(to_string(compressed)), compressed);
   const OracleConfig seeded = parse_oracle_spec("landmark,seed=9,k=3");
   EXPECT_EQ(parse_oracle_spec(to_string(seeded)), seeded);
+
+  // compress= is an exact-only key: the landmark store is always bounded.
+  EXPECT_THROW((void)parse_oracle_spec("landmark,compress=1"),
+               std::invalid_argument);
+  EXPECT_EQ(to_string(landmark).find("compress="), std::string::npos);
 }
 
 TEST(OracleConfig, RejectsMalformedSpecs) {
@@ -130,50 +139,188 @@ TEST(QuantizedRowStore, EvictsBeyondColdCapacityAndErases) {
   }
 }
 
+TEST(QuantizedRowStore, RowsCyclingBetweenTiersStayWithinOneScaleStep) {
+  // Each get() of a cold row promotes it and each put() of another row
+  // demotes it again; the served values must not creep up per round trip.
+  util::Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    QuantizedRowStore store(/*width=*/8, /*hot_capacity=*/1,
+                            /*cold_capacity=*/2);
+    std::vector<double> truth(8);
+    for (double& value : truth) value = rng.uniform(0.5, 20.0);
+    const double scale =
+        *std::max_element(truth.begin(), truth.end()) / 65534.0;
+    store.put(0, truth);
+    for (int cycle = 0; cycle < 6; ++cycle) {
+      store.put(1, std::vector<double>(8, 1.0));  // demotes row 0
+      const std::vector<double>* served = store.get(0);
+      ASSERT_NE(served, nullptr);
+      for (std::size_t j = 0; j < truth.size(); ++j) {
+        EXPECT_GE((*served)[j], truth[j]);
+        EXPECT_LE((*served)[j], truth[j] + scale * 1.0001)
+            << "trial " << trial << " cycle " << cycle;
+      }
+    }
+  }
+}
+
 // ---- ExactOracle -----------------------------------------------------------
 
-TEST(ExactOracle, BitIdenticalToDelayMatrixCacheThroughChurn) {
+/// One step of the recorded churn run: refresh()'s return, the cumulative
+/// refresh counters, fingerprint(), rows_digest() and stats().row_fills.
+struct GoldenStep {
+  std::size_t refreshed;
+  std::uint64_t rows_refreshed;
+  std::uint64_t rows_saved;
+  std::uint64_t fingerprint;
+  std::uint64_t rows_digest;
+  std::uint64_t row_fills;
+};
+
+/// Splitmix64 chain over every bound row's value bits and row_epoch().
+/// Reads each row, so it fills lazy rows.
+std::uint64_t rows_digest(const DelayOracle& oracle) {
+  std::uint64_t state = 0x7ACC5EEDULL;
+  std::uint64_t digest = 0;
+  const auto mix = [&state, &digest](std::uint64_t value) {
+    state ^= value;
+    digest = util::splitmix64(state);
+  };
+  for (std::size_t i = 0; i < oracle.row_count(); ++i) {
+    if (oracle.row_node(i) == kInvalidNode) continue;
+    for (const double value : oracle.row(i)) {
+      mix(std::bit_cast<std::uint64_t>(value));
+    }
+    mix(oracle.row_epoch(i));
+  }
+  return digest;
+}
+
+// Recorded from the standalone DelayMatrixCache (dense) and the compressed
+// ExactOracle before the cache was folded into ExactOracle's row store:
+// step 0 is the freshly bound state, then one row per churn step below.
+constexpr std::array<GoldenStep, 31> kDenseGolden = {{
+    {0, 0, 0, 0xCD9F339560F46DDAULL, 0xA5FBE67661141EAAULL, 0},
+    {0, 0, 24, 0x855D7ADD48D991CAULL, 0xA5FBE67661141EAAULL, 0},
+    {0, 0, 48, 0x42B9DDD8BC3CFEE4ULL, 0xA5FBE67661141EAAULL, 0},
+    {0, 0, 72, 0x1D4B54ECE6704DC0ULL, 0xA5FBE67661141EAAULL, 0},
+    {0, 0, 96, 0xF022D1907531627AULL, 0xA5FBE67661141EAAULL, 0},
+    {3, 3, 117, 0x954B02870A5047A9ULL, 0x8B0CBD1F3027032FULL, 0},
+    {0, 3, 141, 0xC2B388EC854D9E56ULL, 0x8B0CBD1F3027032FULL, 0},
+    {0, 3, 165, 0x135FE9DA510FDD4DULL, 0x8B0CBD1F3027032FULL, 0},
+    {0, 3, 189, 0x6C637AC2B4AE330EULL, 0x8B0CBD1F3027032FULL, 0},
+    {0, 3, 213, 0xE843EA1743F83BCEULL, 0x8B0CBD1F3027032FULL, 0},
+    {0, 3, 237, 0xE05B1B686E36D0F3ULL, 0x8B0CBD1F3027032FULL, 0},
+    {0, 3, 261, 0xA1F8554A36AE1393ULL, 0x8B0CBD1F3027032FULL, 0},
+    {0, 3, 285, 0xC1489BEB1A09A7C6ULL, 0x8B0CBD1F3027032FULL, 0},
+    {0, 3, 309, 0x9297FB7EB43F6488ULL, 0x8B0CBD1F3027032FULL, 0},
+    {1, 4, 332, 0xB81D830C085C4AA9ULL, 0x00A93A1C2A67112DULL, 0},
+    {0, 4, 356, 0x73A581287D4602C0ULL, 0x00A93A1C2A67112DULL, 0},
+    {2, 6, 378, 0x6938246A86819822ULL, 0x6722AF6D226C3B84ULL, 0},
+    {0, 6, 402, 0x4080A74F2F93E206ULL, 0x6722AF6D226C3B84ULL, 0},
+    {0, 6, 426, 0xBA81FB95BAC085FBULL, 0x6722AF6D226C3B84ULL, 0},
+    {1, 7, 449, 0x012242198CE4CE56ULL, 0x0F00758F178B1411ULL, 0},
+    {0, 7, 473, 0xA6540FA43CB232E0ULL, 0x0F00758F178B1411ULL, 0},
+    {0, 7, 497, 0x215DF95E66A55079ULL, 0x0F00758F178B1411ULL, 0},
+    {5, 12, 516, 0x1AC51F411E88F13CULL, 0xB4E82FAFA06FE9A4ULL, 0},
+    {0, 12, 540, 0x321F7C0B7A33ED0DULL, 0xB4E82FAFA06FE9A4ULL, 0},
+    {0, 12, 564, 0xFE0912BD23B8FD1DULL, 0xB4E82FAFA06FE9A4ULL, 0},
+    {4, 16, 584, 0x93C9A27ADDEB8426ULL, 0x781CB94B120D6195ULL, 0},
+    {2, 18, 606, 0x0593ED02DED88406ULL, 0xE2191FAE17CDF8D1ULL, 0},
+    {0, 18, 630, 0x73D8B7EB54EA81FCULL, 0xE2191FAE17CDF8D1ULL, 0},
+    {1, 19, 653, 0x5A545E00DCD05453ULL, 0x46D316375F040204ULL, 0},
+    {0, 19, 677, 0x644077550C8888DAULL, 0x46D316375F040204ULL, 0},
+    {0, 19, 701, 0x224DCF866C7CA82EULL, 0x46D316375F040204ULL, 0}
+}};
+
+constexpr std::array<GoldenStep, 31> kCompressedGolden = {{
+    {0, 0, 0, 0x1C430B0BDC089B69ULL, 0xA5FBE67661141EAAULL, 24},
+    {0, 0, 24, 0x8C7EA1DF20F9406BULL, 0xA5FBE67661141EAAULL, 24},
+    {0, 0, 48, 0x1A0E2F1C01031ADAULL, 0xA5FBE67661141EAAULL, 24},
+    {0, 0, 72, 0x768FECDFBADCFBD2ULL, 0xA5FBE67661141EAAULL, 24},
+    {0, 0, 96, 0xD02FCC053093C2C8ULL, 0xA5FBE67661141EAAULL, 24},
+    {3, 3, 117, 0xBF27EE494D6EE6BFULL, 0x8B0CBD1F3027032FULL, 27},
+    {0, 3, 141, 0x562A26C29749FB04ULL, 0x8B0CBD1F3027032FULL, 27},
+    {0, 3, 165, 0x168FCA7B1A0C00C1ULL, 0x8B0CBD1F3027032FULL, 27},
+    {0, 3, 189, 0xEBA6D4C19C439D10ULL, 0x8B0CBD1F3027032FULL, 27},
+    {0, 3, 213, 0xA314428CD730917FULL, 0x8B0CBD1F3027032FULL, 27},
+    {0, 3, 237, 0x8E8CF26C6DBFCE91ULL, 0x8B0CBD1F3027032FULL, 27},
+    {0, 3, 261, 0xE7DE3DC7F779053AULL, 0x8B0CBD1F3027032FULL, 27},
+    {0, 3, 285, 0xE6D822EC287ED1E7ULL, 0x8B0CBD1F3027032FULL, 27},
+    {0, 3, 309, 0x871405B46B07FA47ULL, 0x8B0CBD1F3027032FULL, 27},
+    {1, 4, 332, 0x5CAB27578CE0B971ULL, 0x00A93A1C2A67112DULL, 28},
+    {0, 4, 356, 0x5BB0DE01D05A697EULL, 0x00A93A1C2A67112DULL, 28},
+    {2, 6, 378, 0x3328ED6DE6B9EFDAULL, 0x6722AF6D226C3B84ULL, 30},
+    {0, 6, 402, 0x82FF97769BC849C0ULL, 0x6722AF6D226C3B84ULL, 30},
+    {0, 6, 426, 0x670D9D8713FB05C8ULL, 0x6722AF6D226C3B84ULL, 30},
+    {1, 7, 449, 0x968577F7B5CC0DE1ULL, 0x0F00758F178B1411ULL, 31},
+    {0, 7, 473, 0xA21FEF6BDA4210F5ULL, 0x0F00758F178B1411ULL, 31},
+    {0, 7, 497, 0x8D7B177CB789D7A7ULL, 0x0F00758F178B1411ULL, 31},
+    {5, 12, 516, 0x1051457337B741E0ULL, 0xB4E82FAFA06FE9A4ULL, 36},
+    {0, 12, 540, 0x68BB82720C499ADAULL, 0xB4E82FAFA06FE9A4ULL, 36},
+    {0, 12, 564, 0x0C89D237221E8F7AULL, 0xB4E82FAFA06FE9A4ULL, 36},
+    {4, 16, 584, 0xF8DBF58B5D53736AULL, 0x781CB94B120D6195ULL, 40},
+    {2, 18, 606, 0x0249FFF86939BA6FULL, 0xE2191FAE17CDF8D1ULL, 42},
+    {0, 18, 630, 0xEEBE3761EF9C87D6ULL, 0xE2191FAE17CDF8D1ULL, 42},
+    {1, 19, 653, 0xB47527BDCCAE245DULL, 0x46D316375F040204ULL, 43},
+    {0, 19, 677, 0xB088B5985B190851ULL, 0x46D316375F040204ULL, 43},
+    {0, 19, 701, 0xFF4ECE0B84D39216ULL, 0x46D316375F040204ULL, 43}
+}};
+
+void expect_golden_churn(std::string_view spec, std::string_view name,
+                         std::span<const GoldenStep> golden) {
+  SCOPED_TRACE(std::string(spec));
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 7);
-  NetworkTopology net2 = net;  // the reference drives an identical copy
   incr::IncrementalDelayEngine engine(net);
-  incr::IncrementalDelayEngine reference_engine(net2);
-  incr::DelayMatrixCache cache(reference_engine);
-  auto oracle = make_oracle(OracleConfig{}, engine);
-  EXPECT_EQ(oracle->name(), "exact");
+  auto oracle = make_oracle(parse_oracle_spec(spec), engine);
+  EXPECT_EQ(oracle->name(), name);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     oracle->bind_row(i, net.iot_nodes[i]);
-    cache.bind_row(i, net2.iot_nodes[i]);
   }
-  EXPECT_EQ(oracle->fingerprint(), cache.fingerprint());
+  const auto expect_step = [&](std::size_t step, std::size_t refreshed) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const GoldenStep& want = golden[step];
+    EXPECT_EQ(refreshed, want.refreshed);
+    EXPECT_EQ(oracle->rows_refreshed(), want.rows_refreshed);
+    EXPECT_EQ(oracle->rows_saved(), want.rows_saved);
+    EXPECT_EQ(oracle->fingerprint(), want.fingerprint);
+    EXPECT_EQ(rows_digest(*oracle), want.rows_digest);
+    EXPECT_EQ(oracle->stats().row_fills, want.row_fills);
+    if (name != "exact") return;
+    // Dense rows are exact: check them against the engine's trees too.
+    for (std::size_t i = 0; i < net.iot_count(); ++i) {
+      const std::vector<double>& served = oracle->row(i);
+      for (std::size_t j = 0; j < net.edge_count(); ++j) {
+        EXPECT_EQ(served[j], engine.delay_ms(j, net.iot_nodes[i]));
+      }
+    }
+  };
+  ASSERT_EQ(golden.size(), 31u);
+  expect_step(0, 0);
 
   const auto links = backbone_links(net);
   util::Rng rng(77);
-  for (int step = 0; step < 30; ++step) {
+  for (std::size_t step = 1; step < golden.size(); ++step) {
     const auto& [u, v] = links[rng.index(links.size())];
     if (net.link_failed(u, v)) {
       engine.restore_link(u, v);
-      reference_engine.restore_link(u, v);
     } else if (rng.uniform() < 0.5) {
       engine.fail_link(u, v);
-      reference_engine.fail_link(u, v);
     } else {
-      const double ms = rng.uniform(0.5, 6.0);
-      engine.set_link_latency(u, v, ms);
-      reference_engine.set_link_latency(u, v, ms);
+      engine.set_link_latency(u, v, rng.uniform(0.5, 6.0));
     }
-    EXPECT_EQ(oracle->refresh(), cache.refresh());
-    EXPECT_EQ(oracle->rows_refreshed(), cache.rows_refreshed());
-    EXPECT_EQ(oracle->rows_saved(), cache.rows_saved());
-    EXPECT_EQ(oracle->fingerprint(), cache.fingerprint());
-    for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      EXPECT_EQ(oracle->row(i), cache.row(i));
-      EXPECT_EQ(oracle->row_epoch(i), cache.row_epoch(i));
-    }
+    expect_step(step, oracle->refresh());
   }
   {
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
     oracle->check_invariants();
   }
+}
+
+TEST(ExactOracle, BitIdenticalToDelayMatrixCacheThroughChurn) {
+  expect_golden_churn("exact", "exact", kDenseGolden);
+  expect_golden_churn("exact,compress=1", "exact+compress",
+                      kCompressedGolden);
 }
 
 TEST(ExactOracle, CompressedModeStaysWithinQuantizationSlack) {
@@ -184,22 +331,24 @@ TEST(ExactOracle, CompressedModeStaysWithinQuantizationSlack) {
   config.hot_rows = 2;  // force demotion traffic with 24 devices
   auto oracle = make_oracle(config, engine);
   EXPECT_EQ(oracle->name(), "exact+compress");
-
-  incr::DelayMatrixCache reference(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     oracle->bind_row(i, net.iot_nodes[i]);
-    reference.bind_row(i, net.iot_nodes[i]);
   }
-  // Touch every row twice so most traffic comes from the cold tier.
-  for (int pass = 0; pass < 2; ++pass) {
+
+  // Every served row against the engine's current trees: unreachable stays
+  // unreachable, finite values within one quantization step above.
+  const auto expect_within_slack = [&] {
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      const std::vector<double>& served = oracle->row(i);
-      const std::vector<double>& truth = reference.row(i);
+      std::vector<double> truth(net.edge_count());
       double max_finite = 0.0;
-      for (const double v : truth) {
-        if (v != kUnreachable) max_finite = std::max(max_finite, v);
+      for (std::size_t j = 0; j < truth.size(); ++j) {
+        truth[j] = engine.delay_ms(j, net.iot_nodes[i]);
+        if (truth[j] != kUnreachable) {
+          max_finite = std::max(max_finite, truth[j]);
+        }
       }
       const double scale = max_finite / 65534.0;
+      const std::vector<double>& served = oracle->row(i);
       for (std::size_t j = 0; j < truth.size(); ++j) {
         if (truth[j] == kUnreachable) {
           EXPECT_EQ(served[j], kUnreachable);
@@ -214,26 +363,177 @@ TEST(ExactOracle, CompressedModeStaysWithinQuantizationSlack) {
       EXPECT_EQ(bounds.hi_ms, truth[0]);
       EXPECT_TRUE(bounds.certified);
     }
-  }
+  };
+  // Touch every row twice so most traffic comes from the cold tier.
+  expect_within_slack();
+  expect_within_slack();
   EXPECT_GT(oracle->stats().row_fills, 0u);
-  // Residency stays bounded by the store, not the device count.
+
+  // Fail backbone links until one moves some bound row's delays.
+  const auto links = backbone_links(net);
+  std::size_t refreshed = 0;
+  for (std::size_t k = 0; k < links.size() && refreshed == 0; ++k) {
+    engine.fail_link(links[k].first, links[k].second);
+    refreshed = oracle->refresh();
+  }
+  ASSERT_GT(refreshed, 0u);
+  expect_within_slack();
+  expect_within_slack();
+  {
+    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+    oracle->check_invariants();
+  }
+}
+
+TEST(ExactOracle, RefreshRewritesExactlyTheDirtyBoundRows) {
+  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 21);
+  incr::IncrementalDelayEngine engine(net);
+  ExactOracle oracle(engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle.bind_row(i, net.iot_nodes[i]);
+  }
+  EXPECT_EQ(oracle.bound_count(), net.iot_count());
+
+  // Bound rows start identical to the batch precomputation.
+  const DelayMatrix expected = compute_delay_matrix(net);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    for (std::size_t j = 0; j < net.edge_count(); ++j) {
+      EXPECT_EQ(oracle.row(i)[j], expected.at(i, j));
+    }
+  }
+
   const auto links = backbone_links(net);
   engine.fail_link(links[0].first, links[0].second);
-  oracle->refresh();
-  reference.refresh();
+  const std::size_t refreshed = oracle.refresh();
+  EXPECT_LE(refreshed, oracle.bound_count());
+  EXPECT_EQ(oracle.rows_refreshed(), refreshed);
+  EXPECT_EQ(oracle.rows_saved(), oracle.bound_count() - refreshed);
+  {
+    // Post-refresh the rows must be provably current (dirty-set empty, all
+    // bound rows equal to the engine's trees).
+    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+    oracle.check_invariants();
+  }
+
+  const DelayMatrix degraded = compute_delay_matrix(net);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    const std::vector<double>& truth = reference.row(i);
-    const std::vector<double>& served = oracle->row(i);
-    for (std::size_t j = 0; j < truth.size(); ++j) {
-      if (truth[j] == kUnreachable) {
-        EXPECT_EQ(served[j], kUnreachable);
+    for (std::size_t j = 0; j < net.edge_count(); ++j) {
+      const double want = degraded.at(i, j);
+      if (std::isinf(want)) {
+        EXPECT_TRUE(std::isinf(oracle.row(i)[j]));
+      } else {
+        EXPECT_EQ(oracle.row(i)[j], want);
+      }
+    }
+  }
+  // Untouched rows keep their epoch; refreshed rows carry the new one.
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    EXPECT_TRUE(oracle.row_epoch(i) == 0 ||
+                oracle.row_epoch(i) == engine.epoch());
+  }
+  EXPECT_EQ(oracle.materialize().iot_count(), net.iot_count());
+}
+
+TEST(ExactOracle, FingerprintTracksEpochAcrossRoundTrips) {
+  NetworkTopology net = make_net(TopologyFamily::kGrid, 31);
+  incr::IncrementalDelayEngine engine(net);
+  ExactOracle oracle(engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle.bind_row(i, net.iot_nodes[i]);
+  }
+  const std::uint64_t fp0 = oracle.fingerprint();
+  EXPECT_EQ(fp0, oracle.fingerprint());  // pure
+
+  const auto links = backbone_links(net);
+  engine.fail_link(links[0].first, links[0].second);
+  oracle.refresh();
+  const std::uint64_t fp1 = oracle.fingerprint();
+  EXPECT_NE(fp0, fp1);
+
+  engine.restore_link(links[0].first, links[0].second);
+  oracle.refresh();
+  // Values returned to the start state, but the epoch distinguishes the
+  // mutation history — stale consumers keyed on the fingerprint must see a
+  // change for each reconfiguration they slept through.
+  EXPECT_NE(oracle.fingerprint(), fp0);
+  EXPECT_NE(oracle.fingerprint(), fp1);
+}
+
+TEST(ExactOracle, UnbindAndRebindRecyclesRows) {
+  NetworkTopology net = make_net(TopologyFamily::kGrid, 41);
+  incr::IncrementalDelayEngine engine(net);
+  ExactOracle oracle(engine);
+  oracle.bind_row(0, net.iot_nodes[0]);
+  oracle.bind_row(1, net.iot_nodes[1]);
+  oracle.unbind_row(0);
+  EXPECT_EQ(oracle.bound_count(), 1u);
+  EXPECT_EQ(oracle.row_node(0), kInvalidNode);
+  oracle.bind_row(0, net.iot_nodes[2]);  // slot reuse, different node
+  EXPECT_EQ(oracle.bound_count(), 2u);
+  const auto tree = dijkstra(net.graph, net.edge_nodes[0]);
+  EXPECT_EQ(oracle.row(0)[0], tree.distance_ms[net.iot_nodes[2]]);
+}
+
+TEST(ExactOracle, RefreshAllRecoversAfterOutOfBandRebuild) {
+  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 61);
+  incr::IncrementalDelayEngine engine(net);
+  ExactOracle oracle(engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle.bind_row(i, net.iot_nodes[i]);
+  }
+  const std::uint64_t refreshed_before = oracle.rows_refreshed();
+
+  // Out-of-band topology edit the engine never saw: the rows are now
+  // silently stale, and only the rebuild() + refresh_all() recovery hatch
+  // brings them back.
+  const auto links = backbone_links(net);
+  net.graph.remove_edge(links[0].first, links[0].second);
+  engine.rebuild();
+  oracle.refresh_all();
+
+  // refresh_all() counts every bound row toward rows_refreshed, exactly
+  // once, regardless of how many actually changed value.
+  EXPECT_EQ(oracle.rows_refreshed(), refreshed_before + oracle.bound_count());
+  EXPECT_EQ(oracle.rows_saved(), 0u);
+
+  const DelayMatrix expected = compute_delay_matrix(net);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    EXPECT_EQ(oracle.row_epoch(i), engine.epoch());
+    for (std::size_t j = 0; j < net.edge_count(); ++j) {
+      const double want = expected.at(i, j);
+      if (std::isinf(want)) {
+        EXPECT_TRUE(std::isinf(oracle.row(i)[j]));
+      } else {
+        EXPECT_EQ(oracle.row(i)[j], want);
       }
     }
   }
   {
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    oracle->check_invariants();
+    oracle.check_invariants();
   }
+
+  // A second refresh_all keeps accounting linear (no double counting of
+  // rows that were already current).
+  oracle.refresh_all();
+  EXPECT_EQ(oracle.rows_refreshed(),
+            refreshed_before + 2 * oracle.bound_count());
+}
+
+TEST(ExactOracle, ResidentBytesKeepRecycledRowAllocations) {
+  NetworkTopology net = make_net(TopologyFamily::kGrid, 47);
+  incr::IncrementalDelayEngine engine(net);
+  ExactOracle oracle(engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle.bind_row(i, net.iot_nodes[i]);
+  }
+  ASSERT_EQ(oracle.bound_count(), 24u);
+  const std::size_t bound_bytes = oracle.resident_bytes();
+  // Unbound rows keep their values allocated for the next JOIN to refill
+  // in place, so the memory stays held and must stay counted.
+  for (std::size_t i = 0; i < 12; ++i) oracle.unbind_row(i);
+  EXPECT_GE(oracle.resident_bytes(), bound_bytes);
+  EXPECT_GE(bound_bytes, net.iot_count() * net.edge_count() * sizeof(double));
 }
 
 // ---- LandmarkOracle --------------------------------------------------------
@@ -443,22 +743,37 @@ TEST(DelayOracle, EveryBackendCountsOneQueryPerEntryAndOnePerServerPerRow) {
   }
 }
 
-TEST(RowBindings, BindUnbindRebindBookkeeping) {
-  RowBindings book;
-  EXPECT_FALSE(book.bind(0, 5));
-  EXPECT_FALSE(book.bind(1, 7));
-  EXPECT_EQ(book.bound, 2u);
-  EXPECT_EQ(book.row_of(5), 0u);
-  EXPECT_TRUE(book.bind(0, 9));  // rebind
-  EXPECT_EQ(book.row_of(9), 0u);
-  EXPECT_EQ(book.row_of(5), RowBindings::kUnbound);
-  EXPECT_TRUE(book.unbind(1));
-  EXPECT_FALSE(book.unbind(1));  // already unbound
-  EXPECT_EQ(book.bound, 1u);
-  EXPECT_EQ(book.row_node(1), kInvalidNode);
-  {
-    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    book.check_invariants();
+TEST(RowStore, BindUnbindRebindBookkeeping) {
+  for (const RowEncoding encoding :
+       {RowEncoding::kDense, RowEncoding::kBounded}) {
+    RowStore store(encoding, /*width=*/2, /*hot_rows=*/1,
+                   [](std::size_t, NodeId node, std::span<double> out) {
+                     out[0] = node;
+                     out[1] = 2.0 * node;
+                     return std::uint64_t{3};
+                   });
+    store.bind(0, 5);
+    store.bind(1, 7);
+    EXPECT_EQ(store.bound_count(), 2u);
+    EXPECT_EQ(store.row_of(5), 0u);
+    store.bind(0, 9);  // rebind
+    EXPECT_EQ(store.bound_count(), 2u);
+    EXPECT_EQ(store.row_of(9), 0u);
+    EXPECT_EQ(store.row_of(5), RowStore::kUnbound);
+    EXPECT_EQ(store.row(0), (std::vector<double>{9.0, 18.0}));
+    EXPECT_EQ(store.row_epoch(0), 3u);
+    EXPECT_TRUE(store.unbind(1));
+    EXPECT_FALSE(store.unbind(1));  // already unbound
+    EXPECT_EQ(store.bound_count(), 1u);
+    EXPECT_EQ(store.row_node(1), kInvalidNode);
+    EXPECT_EQ(store.row_fills(),
+              encoding == RowEncoding::kBounded ? 1u : 0u);
+    {
+      const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+      store.check_invariants(/*epoch=*/3);
+      EXPECT_THROW(store.check_invariants(/*epoch=*/2),
+                   contracts::ContractViolation);
+    }
   }
 }
 

@@ -14,11 +14,12 @@ real AST checks over compile_commands.json:
       what the receiver expression looks like — `cluster_->join(...)`,
       `auto& c = *cluster_; c.join(...)`, and calls through references
       all resolve to the same method declaration.
-  R7  src/solvers/ and src/optimize/ never touch the delay store: flags
-      any expression whose type — or whose referenced declaration's
-      parent — is tacc::topo::incr::DelayMatrixCache. Catches aliased
-      access (`auto& store = engine.cache(); store.refresh();`) where the
-      class name never appears in the file and the regex rule is blind.
+  R7  src/solvers/ and src/optimize/ never reach under the delay oracle:
+      flags any expression whose (canonical) type — or whose referenced
+      declaration — lives in namespace tacc::topo::incr. Catches aliased
+      access (`auto& engine = provider.engine(); engine.refresh();`) where
+      no incr:: name or include appears in the file and the regex rule is
+      blind.
 
 Usage (from the repo root, after a cmake configure that wrote
 compile_commands.json):
@@ -49,6 +50,7 @@ R1_DIRS = ("src/",)
 R1_EXEMPT = ("src/util/contracts.hpp",)
 R6_DIRS = ("src/optimize/",)
 R7_DIRS = ("src/solvers/", "src/optimize/")
+R7_NAMESPACE = "tacc::topo::incr"
 
 ASSERT_CALLEES = {"__assert_fail", "__assert_rtn", "__assert", "_assert"}
 
@@ -145,22 +147,23 @@ class AstLinter:
                         f"{referenced.spelling}(); optimizer mutations must "
                         "go through DynamicCluster::apply_move_plan()")
 
-        # R7: any expression typed as (or declared inside) DelayMatrixCache.
+        # R7: any expression typed as, or referring to a declaration in,
+        # namespace tacc::topo::incr.
         if rel.startswith(R7_DIRS):
             hit = False
-            type_spelling = cursor.type.spelling if cursor.type else ""
-            if "DelayMatrixCache" in type_spelling:
-                hit = True
+            if cursor.type is not None:
+                hit = (R7_NAMESPACE + "::"
+                       in cursor.type.get_canonical().spelling)
             referenced = cursor.referenced
             if not hit and referenced is not None:
-                parent = referenced.semantic_parent
-                if parent is not None and parent.spelling == "DelayMatrixCache":
-                    hit = True
+                name = qualified_name(referenced)
+                hit = (name == R7_NAMESPACE
+                       or name.startswith(R7_NAMESPACE + "::"))
             if hit:
                 self.report(
                     cursor, "R7",
-                    "expression touches tacc::topo::incr::DelayMatrixCache; "
-                    "query delays through the DelayOracle interface "
+                    "expression touches tacc::topo::incr; query delays "
+                    "through the DelayOracle interface "
                     "(topology/oracle/oracle.hpp)")
 
     def walk(self, cursor) -> None:

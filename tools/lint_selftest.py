@@ -10,9 +10,10 @@ linters classify every case correctly:
      justification sits on the FOLLOWING line is flagged (the false
      negative this rule exists to close), reasons on the marker line pass,
      block-comment markers are checked, NOLINTEND must name its checks.
-  3. The documented R7 regex blind spot: an aliased DelayMatrixCache
-     access (`auto& store = provider.cache(); store.refresh();`) that
-     never spells the class name is INVISIBLE to the regex linter — and
+  3. R7: a tacc::topo::incr include + type in src/solvers/ is flagged by
+     the regex linter, but an aliased IncrementalDelayEngine access
+     (`auto& engine = provider.engine(); engine.refresh();`) that never
+     spells an incr:: name is INVISIBLE to it — and
      detected by ast_lint.py when libclang is available. Same for an R6
      mutation through a temporary (`provider.cluster().join(...)`).
 
@@ -64,13 +65,13 @@ def rules_at(result: dict, rel: str) -> set[str]:
 
 def seed_tree(root: Path) -> None:
     # Minimal real-ish classes so the ast_lint cases parse as a TU.
-    write(root, "src/topology/incremental/cache.hpp", """\
+    write(root, "src/topology/incremental/engine.hpp", """\
 #pragma once
 namespace tacc::topo::incr {
-class DelayMatrixCache {
+class IncrementalDelayEngine {
  public:
   void refresh() {}
-  [[nodiscard]] double at(int, int) const { return 0.0; }
+  [[nodiscard]] double delay_ms(int, int) const { return 0.0; }
 };
 }  // namespace tacc::topo::incr
 """)
@@ -87,14 +88,16 @@ class DynamicCluster {
     write(root, "src/core/provider.hpp", """\
 #pragma once
 #include "core/dynamic.hpp"
-#include "topology/incremental/cache.hpp"
+#include "topology/incremental/engine.hpp"
 namespace tacc::core {
 class Provider {
  public:
-  [[nodiscard]] topo::incr::DelayMatrixCache& cache() { return cache_; }
+  [[nodiscard]] topo::incr::IncrementalDelayEngine& engine() {
+    return engine_;
+  }
   [[nodiscard]] DynamicCluster& cluster() { return cluster_; }
  private:
-  topo::incr::DelayMatrixCache cache_;
+  topo::incr::IncrementalDelayEngine engine_;
   DynamicCluster cluster_;
 };
 }  // namespace tacc::core
@@ -149,18 +152,27 @@ inline int r5f() { return 2; }
 inline int r5g() { return 3; }
 // NOLINTEND(bugprone-baz)
 """)
-    # R7 regex blind spot: the class name never appears in this file; the
-    # only route to it is through auto-deduced references. R6 blind spot:
+    # R7, spelled out: an incremental-engine include and an incr:: type.
+    write(root, "src/solvers/direct.cpp", """\
+#include "topology/incremental/engine.hpp"
+namespace tacc::solvers {
+double peek(topo::incr::IncrementalDelayEngine& engine) {
+  return engine.delay_ms(0, 0);
+}
+}  // namespace tacc::solvers
+""")
+    # R7 regex blind spot: no incr:: name appears in this file; the only
+    # route to the engine is through auto-deduced references. R6 blind spot:
     # the mutator's receiver is a temporary-returning call, which the
     # receiver-identifier regex cannot see.
     write(root, "src/optimize/aliased.cpp", """\
 #include "core/provider.hpp"
 namespace tacc::opt {
 double touch(core::Provider& provider) {
-  auto& store = provider.cache();
-  store.refresh();
+  auto& engine = provider.engine();
+  engine.refresh();
   provider.cluster().join();
-  return store.at(0, 0);
+  return engine.delay_ms(0, 0);
 }
 }  // namespace tacc::opt
 """)
@@ -204,6 +216,12 @@ def main() -> int:
               "R3 flags a removed-API mention")
         check("R4" in rules_at(result, "src/util/no_pragma.hpp"),
               "R4 flags a header without #pragma once")
+        direct_r7 = [f["line"] for f in result["findings"]
+                     if f["file"] == "src/solvers/direct.cpp"
+                     and f["rule"] == "R7"]
+        check(direct_r7 == [1, 3],
+              "R7 flags an incremental-engine include and an incr:: type "
+              "in src/solvers/")
 
         # R5 marker-line discipline.
         check("R5" in rules_at(result, "src/util/r5_bare_nextline.hpp"),
@@ -218,7 +236,7 @@ def main() -> int:
         check(rules_at(result, "src/util/r5_clean.hpp") == set(),
               "R5 passes justified markers (line, NEXTLINE, BEGIN/END)")
 
-        # The regex linter is blind to the aliased delay-store access and
+        # The regex linter is blind to the aliased engine access and
         # the temporary-receiver mutation — that blindness is the reason
         # ast_lint exists, so assert it explicitly.
         check(rules_at(result, "src/optimize/aliased.cpp") == set(),
@@ -237,7 +255,8 @@ def main() -> int:
             aliased = {(f["rule"]) for f in ast["findings"]
                        if f["file"] == "src/optimize/aliased.cpp"}
             check("R7" in aliased,
-                  "ast_lint R7 catches the aliased DelayMatrixCache access")
+                  "ast_lint R7 catches the aliased IncrementalDelayEngine "
+                  "access")
             check("R6" in aliased,
                   "ast_lint R6 catches the temporary-receiver mutation")
             asserting = {(f["rule"]) for f in ast["findings"]

@@ -28,11 +28,11 @@ Enforces the conventions clang-tidy cannot express:
       recover_server/evacuate_server — every optimizer mutation goes
       through DynamicCluster::apply_move_plan(), which re-validates
       against live state and meters the migration budget.
-  R7  src/solvers/ and src/optimize/ never read the delay store directly:
-      no DelayMatrixCache references and no topology/incremental/cache.hpp
-      includes — all delay queries go through the DelayOracle interface
-      (src/topology/oracle/) so exact and approximate backends stay
-      interchangeable.
+  R7  src/solvers/ and src/optimize/ never reach under the delay oracle:
+      no topology/incremental/ includes and no tacc::topo::incr types
+      (incr:: qualified names) — all delay queries go through the
+      DelayOracle interface (src/topology/oracle/) so exact and approximate
+      backends stay interchangeable.
 
 Run from the repo root (or via the `lint` CMake target):
     python3 tools/lint_tacc.py [--json] [--root DIR]
@@ -164,17 +164,16 @@ def collect_findings(root: Path) -> list[dict]:
                            "use DynamicCluster::apply_move_plan()")
 
             # R7: solvers and the optimizer see delays only through the
-            # DelayOracle; touching the cache ties them to the exact backend.
+            # DelayOracle; touching the engine ties them to one backend.
             if rel.startswith(("src/solvers/", "src/optimize/")):
-                if "DelayMatrixCache" in code:
+                if re.search(r'#\s*include\s*"topology/incremental/', raw):
                     report(path, i, "R7",
-                           "direct DelayMatrixCache reference; query delays "
-                           "through DelayOracle (topology/oracle/oracle.hpp)")
-                if re.search(r'#\s*include\s*"topology/incremental/cache\.hpp"',
-                             raw):
-                    report(path, i, "R7",
-                           "topology/incremental/cache.hpp include; use the "
+                           "topology/incremental/ include; use the "
                            "DelayOracle interface (topology/oracle/oracle.hpp)")
+                elif re.search(r"\bincr::", code):
+                    report(path, i, "R7",
+                           "tacc::topo::incr type; query delays through "
+                           "DelayOracle (topology/oracle/oracle.hpp)")
 
         # R4: self-contained headers — a src/ .cpp includes its header first.
         if path.suffix == ".cpp":
