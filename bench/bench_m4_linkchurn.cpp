@@ -67,7 +67,7 @@ bool trees_match(const topo::incr::IncrementalDelayEngine& engine,
   for (std::size_t j = 0; j < reference.size(); ++j) {
     for (topo::NodeId n = 0; n < node_count; ++n) {
       const double expected = reference[j].distance_ms[n];
-      const double actual = engine.tree(j).distance_ms(n);
+      const double actual = engine.delay_ms(j, n);
       // Bitwise agreement, except both-unreachable compares equal.
       if (actual != expected &&
           !(actual == topo::kUnreachable && expected == topo::kUnreachable)) {

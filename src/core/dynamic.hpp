@@ -63,7 +63,9 @@ struct EvacuationReport {
 /// Outcome of one in-place backbone-link mutation.
 struct LinkUpdateReport {
   std::uint64_t epoch = 0;           ///< engine epoch after the update
-  std::uint64_t nodes_affected = 0;  ///< Σ per-tree affected-region sizes
+  /// Σ per-tree affected-region sizes (tree nodes examined; single-homed
+  /// devices never enter a tree, so they count nothing).
+  std::uint64_t nodes_affected = 0;
   std::uint64_t nodes_saved = 0;     ///< full-recompute visits avoided
   std::size_t rows_refreshed = 0;    ///< device delay rows rewritten
   double latency_ms = 0.0;           ///< the link's (previous) latency

@@ -4,13 +4,23 @@
 
 namespace tacc::topo::incr {
 
-DynamicSsspTree::DynamicSsspTree(const Graph& graph, NodeId source)
+DynamicSsspTree::DynamicSsspTree(const Graph& graph, NodeId source,
+                                 PendantMask skip)
     : source_(source) {
   ShortestPathTree tree = dijkstra(graph, source);
   dist_ = std::move(tree.distance_ms);
   parent_ = std::move(tree.parent);
   mark_.assign(dist_.size(), 0);
   cmark_.assign(dist_.size(), 0);
+  // A masked leaf is never anyone's parent (a path through it would have
+  // to leave by the link it came in on), so clearing it affects no other
+  // slot.
+  for (std::size_t node = 0; node < skip.size() && node < dist_.size();
+       ++node) {
+    if (skip[node] == 0) continue;
+    dist_[node] = kUnreachable;
+    parent_[node] = kInvalidNode;
+  }
 }
 
 void DynamicSsspTree::ensure_node_count(std::size_t count) {
@@ -32,11 +42,17 @@ void DynamicSsspTree::bump_epochs() {
   }
 }
 
+void DynamicSsspTree::adopt_leaf(NodeId node, NodeId via, double latency_ms) {
+  ensure_node_count(std::max(node, via) + std::size_t{1});
+  dist_[node] = dist_[via] + latency_ms;
+  parent_[node] = dist_[via] == kUnreachable ? kInvalidNode : via;
+}
+
 void DynamicSsspTree::improve(NodeId node, double dist, NodeId via,
-                              std::vector<NodeId>* changed) {
+                              std::vector<DistanceChange>* changed) {
   if (changed != nullptr && cmark_[node] != cmark_epoch_) {
     cmark_[node] = cmark_epoch_;
-    changed->push_back(node);
+    changed->push_back({node, dist_[node]});
   }
   dist_[node] = dist;
   parent_[node] = via;
@@ -45,7 +61,8 @@ void DynamicSsspTree::improve(NodeId node, double dist, NodeId via,
 }
 
 std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
-                                      std::vector<NodeId>* changed) {
+                                      PendantMask skip,
+                                      std::vector<DistanceChange>* changed) {
   std::size_t settled = 0;
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end());
@@ -54,7 +71,9 @@ std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
     if (top.dist > dist_[top.node]) continue;  // stale entry
     ++settled;
     for (const Adjacency& adj : graph.neighbors(top.node)) {
-      if (orphan_only && !marked(adj.to)) continue;
+      if (masked(skip, adj.to) || (orphan_only && !marked(adj.to))) {
+        continue;
+      }
       const double candidate = top.dist + adj.props.latency_ms;
       if (candidate < dist_[adj.to]) {
         improve(adj.to, candidate, top.node, changed);
@@ -64,9 +83,9 @@ std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
   return settled;
 }
 
-SsspUpdateStats DynamicSsspTree::on_edge_added(const Graph& graph, NodeId u,
-                                               NodeId v, double latency_ms,
-                                               std::vector<NodeId>& changed) {
+SsspUpdateStats DynamicSsspTree::on_edge_added(
+    const Graph& graph, NodeId u, NodeId v, double latency_ms,
+    std::vector<DistanceChange>& changed, PendantMask skip) {
   ensure_node_count(graph.node_count());
   bump_epochs();
   heap_.clear();
@@ -78,44 +97,46 @@ SsspUpdateStats DynamicSsspTree::on_edge_added(const Graph& graph, NodeId u,
   if (via_v < dist_[u]) improve(u, via_v, v, &changed);
 
   SsspUpdateStats stats;
-  stats.nodes_affected = run_heap(graph, /*orphan_only=*/false, &changed);
+  stats.nodes_affected =
+      run_heap(graph, /*orphan_only=*/false, skip, &changed);
   stats.nodes_changed = changed.size() - before;
   return stats;
 }
 
-SsspUpdateStats DynamicSsspTree::on_edge_removed(const Graph& graph, NodeId u,
-                                                 NodeId v,
-                                                 std::vector<NodeId>& changed) {
+SsspUpdateStats DynamicSsspTree::on_edge_removed(
+    const Graph& graph, NodeId u, NodeId v,
+    std::vector<DistanceChange>& changed, PendantMask skip) {
   ensure_node_count(graph.node_count());
   // Only the tree edge's child-side subtree can be affected: every other
   // node's shortest path survives intact, and deletion never shortens one.
-  if (parent_[v] == u) return repair_orphans(graph, v, changed);
-  if (parent_[u] == v) return repair_orphans(graph, u, changed);
+  if (parent_[v] == u) return repair_orphans(graph, v, changed, skip);
+  if (parent_[u] == v) return repair_orphans(graph, u, changed, skip);
   return {};
 }
 
 SsspUpdateStats DynamicSsspTree::on_edge_latency_changed(
     const Graph& graph, NodeId u, NodeId v, double old_latency_ms,
-    double new_latency_ms, std::vector<NodeId>& changed) {
+    double new_latency_ms, std::vector<DistanceChange>& changed,
+    PendantMask skip) {
   ensure_node_count(graph.node_count());
   if (new_latency_ms < old_latency_ms) {
     // A cheaper edge behaves exactly like a fresh insertion: only paths
     // through it can improve.
-    return on_edge_added(graph, u, v, new_latency_ms, changed);
+    return on_edge_added(graph, u, v, new_latency_ms, changed, skip);
   }
   if (new_latency_ms > old_latency_ms) {
     // A costlier non-tree edge changes nothing; a costlier tree edge is a
     // deletion followed by re-relaxation in which the (still present,
     // reweighted) edge competes like any other frontier edge.
-    if (parent_[v] == u) return repair_orphans(graph, v, changed);
-    if (parent_[u] == v) return repair_orphans(graph, u, changed);
+    if (parent_[v] == u) return repair_orphans(graph, v, changed, skip);
+    if (parent_[u] == v) return repair_orphans(graph, u, changed, skip);
   }
   return {};
 }
 
-SsspUpdateStats DynamicSsspTree::repair_orphans(const Graph& graph,
-                                                NodeId child,
-                                                std::vector<NodeId>& changed) {
+SsspUpdateStats DynamicSsspTree::repair_orphans(
+    const Graph& graph, NodeId child, std::vector<DistanceChange>& changed,
+    PendantMask skip) {
   bump_epochs();
 
   // Collect the subtree below `child` by scanning each orphan's neighbors
@@ -128,6 +149,7 @@ SsspUpdateStats DynamicSsspTree::repair_orphans(const Graph& graph,
   for (std::size_t i = 0; i < orphans_.size(); ++i) {
     const NodeId x = orphans_[i];
     for (const Adjacency& adj : graph.neighbors(x)) {
+      if (masked(skip, adj.to)) continue;
       if (!marked(adj.to) && parent_[adj.to] == x) {
         mark_[adj.to] = mark_epoch_;
         orphans_.push_back(adj.to);
@@ -147,7 +169,10 @@ SsspUpdateStats DynamicSsspTree::repair_orphans(const Graph& graph,
   heap_.clear();
   for (const NodeId x : orphans_) {
     for (const Adjacency& adj : graph.neighbors(x)) {
-      if (marked(adj.to) || dist_[adj.to] == kUnreachable) continue;
+      if (masked(skip, adj.to) || marked(adj.to) ||
+          dist_[adj.to] == kUnreachable) {
+        continue;
+      }
       const double candidate = dist_[adj.to] + adj.props.latency_ms;
       if (candidate < dist_[x]) {
         dist_[x] = candidate;
@@ -159,13 +184,13 @@ SsspUpdateStats DynamicSsspTree::repair_orphans(const Graph& graph,
       std::push_heap(heap_.begin(), heap_.end());
     }
   }
-  run_heap(graph, /*orphan_only=*/true, nullptr);
+  run_heap(graph, /*orphan_only=*/true, skip, nullptr);
 
   SsspUpdateStats stats;
   stats.nodes_affected = orphans_.size();
   for (std::size_t i = 0; i < orphans_.size(); ++i) {
     if (dist_[orphans_[i]] != old_dist_[i]) {
-      changed.push_back(orphans_[i]);
+      changed.push_back({orphans_[i], old_dist_[i]});
       ++stats.nodes_changed;
     }
   }

@@ -14,6 +14,14 @@
 //    re-relaxes from the surviving frontier. Non-orphan distances are
 //    provably unchanged, so the cost is O(affected · (deg + log)).
 //
+// Pendant mask: an optional per-node mask names nodes the tree never holds
+// (IncrementalDelayEngine's single-homed devices, whose distance it derives
+// from their one neighbour). Masked nodes are never relaxed, settled,
+// orphaned or pushed; their slots stay unreachable. "affected" then counts
+// unmasked nodes only, and a masked neighbour costs a neighbour scan one
+// byte of the shared mask — no per-tree array is read for it. An empty mask
+// (the landmark trees) keeps every node in the tree.
+//
 // Exactness: distances are the min-plus closure of the rounded edge weights
 // (the same value Dijkstra computes), so an incrementally maintained tree is
 // bit-identical to a from-scratch dijkstra() at every step — the randomized
@@ -21,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topology/shortest_paths.hpp"
@@ -35,11 +44,22 @@ struct SsspUpdateStats {
   std::size_t nodes_changed = 0;
 };
 
+/// A node whose distance one update moved, with its distance before the
+/// update (the first old value, however often the update moved it).
+struct DistanceChange {
+  NodeId node = kInvalidNode;
+  double old_ms = 0.0;
+};
+
+/// Per-node skip mask (non-zero = not held by the tree); empty = none. A
+/// non-empty mask must cover every node of the graph passed alongside it.
+using PendantMask = std::span<const std::uint8_t>;
+
 class DynamicSsspTree {
  public:
   DynamicSsspTree() = default;
-  /// Initializes from a full Dijkstra run.
-  DynamicSsspTree(const Graph& graph, NodeId source);
+  /// Initializes from a full Dijkstra run; masked slots are then cleared.
+  DynamicSsspTree(const Graph& graph, NodeId source, PendantMask skip = {});
 
   [[nodiscard]] NodeId source() const noexcept { return source_; }
   [[nodiscard]] std::size_t node_count() const noexcept {
@@ -59,18 +79,27 @@ class DynamicSsspTree {
   /// Call after the graph acquires nodes beyond the initial count.
   void ensure_node_count(std::size_t count);
 
+  /// Takes a masked node into the tree as a leaf below `via`, its only
+  /// neighbour over a `latency_ms` link: distance dist(via) + latency_ms
+  /// (unreachable if `via` is). Then update hooks may treat it as a node.
+  void adopt_leaf(NodeId node, NodeId via, double latency_ms);
+
   // Update hooks. The graph must ALREADY reflect the mutation (edge present
-  // for added, absent for removed, new weight for changed). Nodes whose
-  // distance changed are appended to `changed` (each node once).
+  // for added, absent for removed, new weight for changed), and neither
+  // endpoint may be masked in `skip`. Nodes whose distance changed are
+  // appended to `changed` (each node once, with its pre-update distance).
   SsspUpdateStats on_edge_added(const Graph& graph, NodeId u, NodeId v,
                                 double latency_ms,
-                                std::vector<NodeId>& changed);
+                                std::vector<DistanceChange>& changed,
+                                PendantMask skip = {});
   SsspUpdateStats on_edge_removed(const Graph& graph, NodeId u, NodeId v,
-                                  std::vector<NodeId>& changed);
+                                  std::vector<DistanceChange>& changed,
+                                  PendantMask skip = {});
   SsspUpdateStats on_edge_latency_changed(const Graph& graph, NodeId u,
                                           NodeId v, double old_latency_ms,
                                           double new_latency_ms,
-                                          std::vector<NodeId>& changed);
+                                          std::vector<DistanceChange>& changed,
+                                          PendantMask skip = {});
 
   /// Bytes held by the scratch buffers (orphan list, heap, marks) — the
   /// bench's flat-memory gate checks this stays O(V), independent of how
@@ -89,17 +118,25 @@ class DynamicSsspTree {
   /// Advances the scratch epochs (resetting the arrays on wraparound).
   void bump_epochs();
   /// Records the improved distance/parent, pushes the node, and appends it
-  /// to `changed` the first time its distance moves this update.
+  /// (with its old distance) to `changed` the first time it moves this
+  /// update.
   void improve(NodeId node, double dist, NodeId via,
-               std::vector<NodeId>* changed);
+               std::vector<DistanceChange>* changed);
   /// Bounded Dijkstra over the pre-seeded heap_: pops until empty, relaxing
-  /// into orphans only (marked) or all nodes. Returns settled-node count.
-  std::size_t run_heap(const Graph& graph, bool orphan_only,
-                       std::vector<NodeId>* changed);
+  /// into orphans only (marked) or all unmasked nodes. Returns settled-node
+  /// count.
+  std::size_t run_heap(const Graph& graph, bool orphan_only, PendantMask skip,
+                       std::vector<DistanceChange>* changed);
   /// Delete/increase repair: collect the subtree below `child`, invalidate
   /// it, re-seed from the surviving frontier, settle within the orphan set.
   SsspUpdateStats repair_orphans(const Graph& graph, NodeId child,
-                                 std::vector<NodeId>& changed);
+                                 std::vector<DistanceChange>& changed,
+                                 PendantMask skip);
+  /// Masked nodes are skipped before any per-tree array is read, so a
+  /// neighbour scan costs nothing per pendant beyond one shared mask byte.
+  [[nodiscard]] static bool masked(PendantMask skip, NodeId node) noexcept {
+    return !skip.empty() && skip[node] != 0;
+  }
   [[nodiscard]] bool marked(NodeId node) const noexcept {
     return mark_[node] == mark_epoch_;
   }

@@ -6,11 +6,28 @@
 // change to every server tree (cost O(affected region) per tree, not a full
 // recompute). Nodes whose server distances changed accumulate in a dirty set
 // that the delay oracle (topology/oracle/) drains to refresh exactly the
-// rows that moved. Distances read from the trees are bit-identical to a from-scratch
-// compute_delay_matrix() at every epoch (see dynamic_sssp.hpp).
+// rows that moved. Distances read through delay_ms()/delay_row() are
+// bit-identical to a from-scratch compute_delay_matrix() at every epoch (see
+// dynamic_sssp.hpp).
+//
+// Pendants. A single-homed device — an IoT node with exactly one link, to a
+// node that is not itself a pendant — is never held by the trees: its delay
+// is served as dist_j(anchor) + w, the anchor's tree distance plus the
+// access latency, which is exactly the value a tree would store. The trees
+// therefore hold only the backbone (routers, servers, multi-homed devices):
+// a backbone repair settles and heap-orders backbone nodes only, a device
+// costs a neighbour scan one mask byte, and attaching, detaching or
+// reweighting a pendant's access link touches no tree at all. When a repair
+// moves an anchor, each of its pendants costs one compare: it is dirty iff
+// old + w != new + w in some tree, so the dirty set is exactly the set of
+// nodes whose served delay changed. A pendant that gains a second link is
+// promoted into the trees (seeded from its anchor, then repaired like any
+// insertion); a promoted device stays in the trees until rebuild()
+// reclassifies.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topology/incremental/dynamic_sssp.hpp"
@@ -23,15 +40,22 @@ namespace tacc::topo::incr {
 struct EngineStats {
   std::uint64_t epoch = 0;
   std::uint64_t link_updates = 0;    ///< fail/restore/set_latency calls
-  std::uint64_t nodes_affected = 0;  ///< Σ per-tree affected-region sizes
-  std::uint64_t nodes_saved = 0;     ///< full-recompute node visits avoided
+  /// Σ per-tree affected-region sizes: tree nodes examined, so pendants
+  /// (and pendant access-link events) count nothing.
+  std::uint64_t nodes_affected = 0;
+  /// Full-recompute node visits avoided (a full recompute settles every
+  /// live node, pendants included, once per tree).
+  std::uint64_t nodes_saved = 0;
 };
 
 /// Observer for the engine's mutation funnel. Listeners are notified AFTER
 /// the graph and every server tree reflect the mutation (the same contract
 /// DynamicSsspTree's update hooks have with the graph), so a listener can
 /// repair its own derived structures against the post-mutation graph.
-/// `kind` matches apply_to_trees: 0 edge added, 1 removed, 2 reweighted.
+/// `kind` matches apply_mutation: 0 edge added, 1 removed, 2 reweighted;
+/// old_ms/new_ms are the link latency before/after (kUnreachable when
+/// absent; remove_link reports no old latency). Every mutation is reported,
+/// pendant access links included.
 /// Used by the landmark delay oracle to keep its landmark distance vectors
 /// in sync with link churn (see topology/oracle/landmark.hpp).
 class MutationListener {
@@ -61,10 +85,18 @@ class IncrementalDelayEngine {
   /// Delay (ms) from edge server `server` (index into net.edge_nodes) to
   /// any graph node; kUnreachable if disconnected.
   [[nodiscard]] double delay_ms(std::size_t server, NodeId node) const {
+    if (is_pendant(node)) {
+      const PendantLink& link = pendant_link_[node];
+      return trees_[server].distance_ms(link.anchor) + link.latency_ms;
+    }
     return trees_[server].distance_ms(node);
   }
-  [[nodiscard]] const DynamicSsspTree& tree(std::size_t server) const {
-    return trees_.at(server);
+  /// delay_ms(j, node) for every server j into `out` (size server_count()),
+  /// resolving a pendant's anchor once for the whole row.
+  void delay_row(NodeId node, std::span<double> out) const;
+  /// True iff `node` is a pendant (served from its anchor, not the trees).
+  [[nodiscard]] bool is_pendant(NodeId node) const noexcept {
+    return node < pendant_.size() && pendant_[node] != 0;
   }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return stats_.epoch; }
@@ -107,20 +139,25 @@ class IncrementalDelayEngine {
   ///  - one tree per edge server, rooted at that server's node, sized to
   ///    the graph;
   ///  - dirty-set bookkeeping (dirty list and membership bitmap agree);
-  ///  - exactness spot-check: up to `spot_check_trees` trees (rotated by
-  ///    epoch so successive calls cover different servers) are compared
-  ///    bit-for-bit against a from-scratch Dijkstra on the live graph —
-  ///    the Ramalingam–Reps-style repair must be indistinguishable from a
-  ///    full recompute.
+  ///  - pendants: each is an IoT device with one link, to the recorded
+  ///    anchor at the recorded latency, whose neighbour is not a pendant,
+  ///    and no tree holds a distance for it;
+  ///  - exactness spot-check: up to `spot_check_trees` servers (rotated by
+  ///    epoch so successive calls cover different servers) have delay_ms()
+  ///    of every node, pendants included, compared bit-for-bit against a
+  ///    from-scratch Dijkstra on the live graph — the Ramalingam–Reps-style
+  ///    repair must be indistinguishable from a full recompute.
   /// Cold path (each spot check is one Dijkstra); for tests and sampled
   /// bench epochs.
   void check_invariants(std::size_t spot_check_trees = 1) const;
 
-  /// From-scratch reconstruction of every tree (and dirties every node).
-  /// Recovery hatch for out-of-band topology edits; also used by tests.
+  /// From-scratch reconstruction of every tree (and dirties every node),
+  /// reclassifying pendants. Recovery hatch for out-of-band topology edits;
+  /// also used by tests.
   void rebuild();
 
-  /// Scratch bytes across all trees plus the dirty set — the bench's
+  /// Scratch bytes across all trees plus the dirty set, the pendant mask,
+  /// links and event stamps, and the per-update change log — the bench's
   /// flat-memory gate watches this across 100k+ events.
   [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
@@ -131,22 +168,44 @@ class IncrementalDelayEngine {
   void remove_listener(MutationListener* listener) noexcept;
 
  private:
-  /// Grows per-tree arrays and the dirty bitmap to the graph's node count.
+  /// Classifies pendants on the live graph and builds every tree.
+  void build_trees();
+  /// Grows per-tree arrays, the per-node pendant arrays and the dirty
+  /// bitmap to the graph's node count.
   void sync_node_count();
-  /// Applies one already-performed graph mutation to every tree and folds
-  /// the changed nodes into the dirty set. kind: 0 added, 1 removed,
-  /// 2 reweighted.
-  void apply_to_trees(int kind, NodeId u, NodeId v, double old_ms,
+  /// Promotes whichever endpoint of the just-added u–v link was a pendant,
+  /// then returns the endpoint the link made a pendant (kInvalidNode if
+  /// none).
+  NodeId classify_added_link(NodeId u, NodeId v);
+  void set_pendant(NodeId node, const Adjacency& link);
+  void clear_pendant(NodeId node);
+  void mark_dirty(NodeId node);
+  /// Applies one already-performed graph mutation: a pendant's access link
+  /// only dirties the pendant; any other link repairs every tree and
+  /// dirties the changed tree nodes plus their pendants whose delay moved.
+  /// kind: 0 added, 1 removed, 2 reweighted; old_ms/new_ms as reported to
+  /// listeners.
+  void apply_mutation(int kind, NodeId u, NodeId v, double old_ms,
                       double new_ms);
 
   NetworkTopology* net_;
   std::size_t threads_;
   std::vector<DynamicSsspTree> trees_;  ///< trees_[j] rooted at edge_nodes[j]
+  /// A pendant's one link, as the engine last applied it.
+  struct PendantLink {
+    NodeId anchor = kInvalidNode;
+    double latency_ms = 0.0;
+  };
+  std::vector<std::uint8_t> pendant_;       ///< per node: a pendant?
+  std::vector<PendantLink> pendant_link_;  ///< per node, valid if pendant
   EngineStats stats_;
 
   std::vector<NodeId> dirty_;
   std::vector<std::uint8_t> in_dirty_;  ///< per node: already in dirty_?
-  std::vector<NodeId> changed_scratch_;
+  std::vector<DistanceChange> changes_;  ///< one tree's change log
+  /// Per node: the event (epoch + 1) in which all its pendants were found
+  /// dirty, so later trees of that event skip scanning them again.
+  std::vector<std::uint64_t> pendants_dirty_in_;
   std::vector<MutationListener*> listeners_;
 };
 

@@ -22,9 +22,7 @@ std::string_view ExactOracle::name() const noexcept {
 
 std::uint64_t ExactOracle::fill_row(std::size_t /*row*/, NodeId node,
                                     std::span<double> out) const {
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    out[j] = engine_->delay_ms(j, node);
-  }
+  engine_->delay_row(node, out);
   return engine_->epoch();
 }
 

@@ -247,7 +247,8 @@ void LandmarkOracle::repair_landmarks(int kind, NodeId u, NodeId v,
   if (engine_ != nullptr) return;  // the engine dirty set drives invalidation
 
   ++own_epoch_;
-  for (const NodeId node : changed_scratch_) {
+  for (const incr::DistanceChange& change : changed_scratch_) {
+    const NodeId node = change.node;
     if (node < is_server_node_.size() && is_server_node_[node] != 0) {
       // A server's landmark vector moved: every row holds an entry whose
       // envelope involved that vector, so everything resident is suspect.

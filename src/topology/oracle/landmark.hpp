@@ -124,7 +124,7 @@ class LandmarkOracle final : public DelayOracle, private incr::MutationListener 
   std::vector<std::uint8_t> row_pending_;  ///< per row: already queued?
   bool all_pending_ = false;  ///< a server's landmark vector moved
 
-  std::vector<NodeId> changed_scratch_;
+  std::vector<incr::DistanceChange> changed_scratch_;
   std::vector<NodeId> drain_scratch_;
   std::uint64_t own_epoch_ = 0;  ///< standalone epoch (attached: engine's)
 };

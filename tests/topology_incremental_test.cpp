@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "topology/failures.hpp"
 #include "topology/shortest_paths.hpp"
@@ -20,7 +22,8 @@ const LinkDelayModel kDelay;
 /// Router backbone + a few devices/servers over the given family.
 NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
                          std::size_t routers = 49, std::size_t devices = 24,
-                         std::size_t servers = 4) {
+                         std::size_t servers = 4,
+                         const AttachParams& attach = {}) {
   util::Rng rng(seed);
   GeneratorParams params;
   params.node_count = routers;
@@ -31,19 +34,18 @@ NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
                            rng.uniform(0.0, params.area_km)};
   for (auto& p : edges) p = {rng.uniform(0.0, params.area_km),
                              rng.uniform(0.0, params.area_km)};
-  return build_network(infra, iot, edges, kDelay);
+  return build_network(infra, iot, edges, kDelay, attach);
 }
 
-/// True iff every tree distance equals the from-scratch Dijkstra value
-/// bitwise (inf compares equal to inf).
+/// True iff every served delay (pendants included) equals the
+/// from-scratch Dijkstra value bitwise (inf compares equal to inf).
 testing::AssertionResult trees_match_rebuild(
     const IncrementalDelayEngine& engine, const NetworkTopology& net) {
   const auto fresh = dijkstra_fan_out(net.graph, net.edge_nodes);
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    const auto& incremental = engine.tree(j).distances();
     for (NodeId node = 0; node < net.graph.node_count(); ++node) {
       const double expect = fresh[j].distance_ms[node];
-      const double got = incremental[node];
+      const double got = engine.delay_ms(j, node);
       if (!(expect == got || (std::isinf(expect) && std::isinf(got)))) {
         return testing::AssertionFailure()
                << "server " << j << " node " << node << ": incremental "
@@ -169,38 +171,278 @@ TEST(IncrementalDelayEngine, DeviceChurnKeepsTreesExact) {
   engine.check_invariants(net.edge_count());
 }
 
-TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
-  NetworkTopology net = make_net(TopologyFamily::kGrid, 3);
-  IncrementalDelayEngine engine(net);
-  const auto links = backbone_links(net);
-  ASSERT_FALSE(links.empty());
-
-  const auto before = dijkstra_fan_out(net.graph, net.edge_nodes);
-  engine.fail_link(links[0].first, links[0].second);
-  const auto after = dijkstra_fan_out(net.graph, net.edge_nodes);
-
-  std::vector<NodeId> dirty;
-  EXPECT_EQ(engine.drain_dirty(dirty), dirty.size());
-  std::vector<bool> is_dirty(net.graph.node_count(), false);
-  for (const NodeId node : dirty) {
-    EXPECT_FALSE(is_dirty[node]) << "duplicate dirty node " << node;
-    is_dirty[node] = true;
-  }
-  // Every node whose distance to some server moved must be in the set.
-  for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    for (NodeId node = 0; node < net.graph.node_count(); ++node) {
-      const double a = before[j].distance_ms[node];
-      const double b = after[j].distance_ms[node];
-      if (a != b && !(std::isinf(a) && std::isinf(b))) {
-        EXPECT_TRUE(is_dirty[node]) << "node " << node << " changed but "
-                                    << "was not reported dirty";
+/// Nodes whose distance to some server differs bitwise between two fan-outs
+/// (inf equals inf; nodes beyond `before` were unreachable then), ascending.
+std::vector<NodeId> changed_nodes(const std::vector<ShortestPathTree>& before,
+                                  const std::vector<ShortestPathTree>& after) {
+  std::vector<NodeId> changed;
+  for (NodeId node = 0; node < after.front().distance_ms.size(); ++node) {
+    for (std::size_t j = 0; j < after.size(); ++j) {
+      const std::vector<double>& old_ms = before[j].distance_ms;
+      const double a = node < old_ms.size() ? old_ms[node] : kUnreachable;
+      if (a != after[j].distance_ms[node]) {
+        changed.push_back(node);
+        break;
       }
     }
   }
-  // A second drain yields nothing.
-  std::vector<NodeId> again;
-  EXPECT_EQ(engine.drain_dirty(again), 0u);
-  EXPECT_TRUE(again.empty());
+  return changed;
+}
+
+// After every event of a mixed churn the drained dirty set must EQUAL the
+// set of nodes whose delay to some server changed bitwise, as an
+// independent from-scratch fan-out sees it — pendant devices included, and
+// none whose delay a rounding absorbed.
+TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
+  NetworkTopology net = make_net(TopologyFamily::kGrid, 3);
+  IncrementalDelayEngine engine(net);
+  for (const NodeId device : net.iot_nodes) {
+    ASSERT_TRUE(engine.is_pendant(device));
+  }
+  util::Rng rng(41);
+  auto before = dijkstra_fan_out(net.graph, net.edge_nodes);
+  std::vector<NodeId> discarded;
+  engine.drain_dirty(discarded);
+
+  std::vector<std::pair<NodeId, NodeId>> failed_backbone;
+  std::vector<std::pair<NodeId, NodeId>> failed_access;
+  std::vector<NodeId> attached;
+  std::vector<std::size_t> kinds(9, 0);
+  std::size_t absorbed = 0;
+
+  // Drains the dirty set and compares it with the reference; returns it.
+  const auto drain_exact = [&](const std::string& what) {
+    const auto after = dijkstra_fan_out(net.graph, net.edge_nodes);
+    std::vector<NodeId> dirty;
+    const std::size_t drained = engine.drain_dirty(dirty);
+    EXPECT_EQ(drained, dirty.size()) << what;
+    std::sort(dirty.begin(), dirty.end());
+    EXPECT_TRUE(std::adjacent_find(dirty.begin(), dirty.end()) ==
+                dirty.end())
+        << what << ": duplicate dirty node";
+    EXPECT_EQ(dirty, changed_nodes(before, after)) << what;
+    std::vector<NodeId> again;
+    EXPECT_EQ(engine.drain_dirty(again), 0u) << what;
+    before = after;
+    return dirty;
+  };
+
+  for (std::size_t event = 0; event < 600; ++event) {
+    const std::size_t kind = rng.index(kinds.size());
+    const std::string what =
+        "event " + std::to_string(event) + " kind " + std::to_string(kind);
+    const auto live = backbone_links(net);
+    const NodeId device = net.iot_nodes[rng.index(net.iot_count())];
+    const bool access_live = net.graph.degree(device) == 1;
+    bool absorbed_everywhere = false;
+    switch (kind) {
+      case 0:  // backbone fail
+        if (live.empty()) continue;
+        failed_backbone.push_back(live[rng.index(live.size())]);
+        engine.fail_link(failed_backbone.back().first,
+                         failed_backbone.back().second);
+        break;
+      case 1: {  // backbone restore
+        if (failed_backbone.empty()) continue;
+        const std::size_t k = rng.index(failed_backbone.size());
+        engine.restore_link(failed_backbone[k].first,
+                            failed_backbone[k].second);
+        failed_backbone.erase(failed_backbone.begin() +
+                              static_cast<std::ptrdiff_t>(k));
+        break;
+      }
+      case 2: {  // backbone reweight, half of them by one ulp: anchors
+                 // move so little that adding w rounds some moves away
+        if (live.empty()) continue;
+        const auto [u, v] = live[rng.index(live.size())];
+        const double w = net.graph.edge_props(u, v)->latency_ms;
+        engine.set_link_latency(u, v,
+                                rng.uniform() < 0.5
+                                    ? std::nextafter(w, kUnreachable)
+                                    : w * rng.uniform(0.5, 2.0));
+        break;
+      }
+      case 3: {  // device attach
+        const Point2D pos{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
+        const NodeId node = engine.acquire_node(pos, NodeKind::kIotDevice);
+        engine.add_link(node, static_cast<NodeId>(rng.index(49)),
+                        kDelay.access_link(rng.uniform(0.1, 2.0)));
+        EXPECT_TRUE(engine.is_pendant(node)) << what;
+        attached.push_back(node);
+        break;
+      }
+      case 4: {  // device detach
+        if (attached.empty()) continue;
+        const std::size_t k = rng.index(attached.size());
+        engine.release_node(attached[k]);
+        attached.erase(attached.begin() + static_cast<std::ptrdiff_t>(k));
+        break;
+      }
+      case 5: {  // pendant access-link fail
+        if (!access_live) continue;
+        const NodeId router = net.graph.neighbors(device).front().to;
+        engine.fail_link(device, router);
+        EXPECT_FALSE(engine.is_pendant(device)) << what;
+        failed_access.emplace_back(device, router);
+        break;
+      }
+      case 6: {  // pendant access-link restore
+        if (failed_access.empty()) continue;
+        const std::size_t k = rng.index(failed_access.size());
+        engine.restore_link(failed_access[k].first, failed_access[k].second);
+        EXPECT_TRUE(engine.is_pendant(failed_access[k].first)) << what;
+        failed_access.erase(failed_access.begin() +
+                            static_cast<std::ptrdiff_t>(k));
+        break;
+      }
+      case 7: {  // pendant access-link reweight
+        if (!access_live) continue;
+        const Adjacency link = net.graph.neighbors(device).front();
+        engine.set_link_latency(device, link.to,
+                                link.props.latency_ms * rng.uniform(0.5, 2.0));
+        break;
+      }
+      default: {  // pendant reweight by one ulp, often rounded away
+        if (!access_live) continue;
+        const Adjacency link = net.graph.neighbors(device).front();
+        const double w = link.props.latency_ms;
+        const double next = std::nextafter(w, kUnreachable);
+        absorbed_everywhere = true;
+        for (const ShortestPathTree& tree : before) {
+          const double base = tree.distance_ms[link.to];
+          absorbed_everywhere = absorbed_everywhere &&
+                                base != kUnreachable && base + w == base + next;
+        }
+        engine.set_link_latency(device, link.to, next);
+        break;
+      }
+    }
+    ++kinds[kind];
+    const std::vector<NodeId> dirty = drain_exact(what);
+    if (absorbed_everywhere) {
+      ++absorbed;
+      EXPECT_FALSE(std::binary_search(dirty.begin(), dirty.end(), device))
+          << what << ": a reweight every tree rounds away dirtied the device";
+    }
+    ASSERT_TRUE(trees_match_rebuild(engine, net)) << what;
+  }
+  for (std::size_t kind = 0; kind < kinds.size(); ++kind) {
+    EXPECT_GT(kinds[kind], 10u) << "event kind " << kind << " barely ran";
+  }
+  EXPECT_GT(absorbed, 0u) << "no reweight was absorbed by rounding";
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  engine.check_invariants(net.edge_count());
+}
+
+// Multi-homed devices (two access links each) are never pendants: every
+// node lives in the trees and must track a from-scratch Dijkstra through
+// backbone and access-link churn.
+TEST(IncrementalDelayEngine, MultiHomedChurnMatchesFromScratch) {
+  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 0xD1CE,
+                                 49, 24, 4, AttachParams{.attach_count = 2});
+  IncrementalDelayEngine engine(net);
+  for (const NodeId device : net.iot_nodes) {
+    ASSERT_EQ(net.graph.degree(device), 2u);
+    ASSERT_FALSE(engine.is_pendant(device));
+  }
+  util::Rng rng(0x2A77);
+  std::size_t fails = 0, restores = 0, reweights = 0, access = 0;
+  for (std::size_t event = 0; event < 1000; ++event) {
+    const auto live = backbone_links(net);
+    const double roll = rng.uniform();
+    if (!net.failed_links.empty() && (roll < 0.3 || live.empty())) {
+      const FailedLink& pick =
+          net.failed_links[rng.index(net.failed_links.size())];
+      engine.restore_link(pick.u, pick.v);
+      ++restores;
+    } else if (roll < 0.6 && !live.empty()) {
+      const auto [u, v] = live[rng.index(live.size())];
+      engine.fail_link(u, v);
+      ++fails;
+    } else if (roll < 0.8 && !live.empty()) {
+      const auto [u, v] = live[rng.index(live.size())];
+      const double old_ms = net.graph.edge_props(u, v)->latency_ms;
+      engine.set_link_latency(u, v, old_ms * rng.uniform(0.5, 2.0));
+      ++reweights;
+    } else {
+      const NodeId device = net.iot_nodes[rng.index(net.iot_count())];
+      const Adjacency link =
+          net.graph.neighbors(device)[rng.index(net.graph.degree(device))];
+      engine.set_link_latency(device, link.to,
+                              link.props.latency_ms * rng.uniform(0.5, 2.0));
+      ++access;
+    }
+    ASSERT_TRUE(trees_match_rebuild(engine, net)) << "event " << event;
+  }
+  EXPECT_GT(fails, 100u);
+  EXPECT_GT(restores, 100u);
+  EXPECT_GT(reweights, 100u);
+  EXPECT_GT(access, 100u);
+  for (const NodeId device : net.iot_nodes) {
+    EXPECT_FALSE(engine.is_pendant(device));
+  }
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  engine.check_invariants(net.edge_count());
+}
+
+// A pendant that gains a second link is promoted into the trees. Here that
+// link makes the device the only shortest route between its two routers:
+// every tree must route through it, and drop the route exactly once the
+// link is removed again.
+TEST(IncrementalDelayEngine, PromotedPendantCarriesTheOnlyShortestRoute) {
+  // r0 ——(slow backbone)—— r1, server 0 on r0, server 1 on r1, and one
+  // device attached to r0.
+  GeoGraph infra{Graph(2), {{0.0, 0.0}, {10.0, 0.0}}};
+  infra.graph.add_edge(0, 1, EdgeProps{40.0, 100.0});
+  const std::vector<Point2D> iot{{1.0, 0.0}};
+  const std::vector<Point2D> edges{{-1.0, 0.0}, {11.0, 0.0}};
+  NetworkTopology net = build_network(infra, iot, edges, kDelay);
+  IncrementalDelayEngine engine(net);
+  const NodeId device = net.iot_nodes[0];
+  ASSERT_TRUE(engine.is_pendant(device));
+  ASSERT_EQ(net.graph.neighbors(device).front().to, 0u);
+  const double w0 = net.graph.neighbors(device).front().props.latency_ms;
+  const double w1 = 1.5;
+  ASSERT_LT(w0 + w1, 40.0);
+
+  std::vector<std::vector<double>> original(net.edge_count());
+  for (std::size_t j = 0; j < net.edge_count(); ++j) {
+    for (NodeId node = 0; node < net.graph.node_count(); ++node) {
+      original[j].push_back(engine.delay_ms(j, node));
+    }
+  }
+  std::vector<NodeId> dirty;
+  engine.drain_dirty(dirty);
+  const auto before = dijkstra_fan_out(net.graph, net.edge_nodes);
+
+  engine.add_link(device, 1, EdgeProps{w1, 100.0});
+  EXPECT_FALSE(engine.is_pendant(device));
+  ASSERT_TRUE(trees_match_rebuild(engine, net));
+  // Server 0 reaches r1, and server 1 reaches r0, only through the device.
+  EXPECT_EQ(engine.delay_ms(0, 1), engine.delay_ms(0, device) + w1);
+  EXPECT_LT(engine.delay_ms(0, 1), original[0][1]);
+  EXPECT_EQ(engine.delay_ms(1, 0), engine.delay_ms(1, device) + w0);
+  EXPECT_LT(engine.delay_ms(1, 0), original[1][0]);
+  dirty.clear();
+  engine.drain_dirty(dirty);
+  std::sort(dirty.begin(), dirty.end());
+  EXPECT_EQ(dirty, changed_nodes(before, dijkstra_fan_out(net.graph,
+                                                          net.edge_nodes)));
+  {
+    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+    engine.check_invariants(net.edge_count());
+  }
+
+  ASSERT_TRUE(engine.remove_link(device, 1));
+  ASSERT_TRUE(trees_match_rebuild(engine, net));
+  for (std::size_t j = 0; j < net.edge_count(); ++j) {
+    for (NodeId node = 0; node < net.graph.node_count(); ++node) {
+      EXPECT_EQ(engine.delay_ms(j, node), original[j][node])
+          << "server " << j << " node " << node;
+    }
+  }
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  engine.check_invariants(net.edge_count());
 }
 
 TEST(IncrementalDelayEngine, StatsTrackSavings) {
