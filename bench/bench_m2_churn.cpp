@@ -17,20 +17,26 @@
 // (--workload=NAME[,k=v...], default "steady"); --stream-out=FILE dumps the
 // exact taccd wire rendering of the stream (byte-identical across runs with
 // the same seed and spec) for replay via `tacc_client --stdin`. The soak
-// applies every event through the same WireAdapter slot mapping the replay
-// uses, so in-process and replayed runs agree on device indices by
-// construction (demand pulses are applied as leave+join for the same
-// reason — the wire has no in-place demand verb).
+// applies every event exactly as taccd would: WireAdapter renders it,
+// parse_request parses it and service::apply applies it, so in-process and
+// replayed runs agree on device indices by construction. A demand pulse is
+// the adapter's LEAVE + JOIN pair (the wire has no in-place demand verb),
+// timed as one event. About 10% of MOVEs are applied pinned, drawn from a
+// bench-local rng; the dumped stream carries them unpinned.
 //
 //   ./bench_m2_churn [--events=100000] [--iot=200] [--edge=10] [--seed=...]
 //                    [--workload=steady] [--stream-out=FILE]
 //   --quick shrinks to 20k events for sanitizer/CI runs.
 #include <cstdint>
 #include <fstream>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "core/dynamic.hpp"
 #include "metrics/stats.hpp"
+#include "service/apply.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 #include "workload/wire.hpp"
@@ -121,11 +127,11 @@ int run(int argc, char** argv) {
   std::size_t peak_active = cluster.active_count();
   std::vector<double> latency_us;
   latency_us.reserve(events);
-  std::vector<const char*> types;
+  std::vector<std::string_view> types;
   types.reserve(events);
   bool index_parity = true;
 
-  const auto record = [&](const char* type, double us) {
+  const auto record = [&](std::string_view type, double us) {
     latency_us.push_back(us);
     types.push_back(type);
     peak_active = std::max(peak_active, cluster.active_count());
@@ -141,98 +147,38 @@ int run(int argc, char** argv) {
   while (latency_us.size() < events && index_parity) {
     for (const workload::Event& event : provider->step(1.0)) {
       if (latency_us.size() >= events) break;
-      // A LEAVE retires the device inside the adapter, so its slot has to be
-      // read before rendering.
-      const std::size_t leave_slot =
-          event.kind == workload::EventKind::kLeave
-              ? adapter.slot_of(event.device)
-              : 0;
-      // Render first: the adapter predicts the slot the cluster is about to
-      // assign, and the dump must contain every event the cluster sees.
-      if (stream_file.is_open()) {
-        for (const std::string& line : adapter.render(event)) {
-          stream_file << line << "\n";
-        }
-      } else {
-        (void)adapter.render(event);
+      // Render and parse outside the timed region. The adapter predicts the
+      // slot the cluster is about to assign, and the dump must contain
+      // every event the cluster sees.
+      std::vector<service::Request> requests;
+      for (const std::string& line : adapter.render(event)) {
+        if (stream_file.is_open()) stream_file << line << "\n";
+        requests.push_back(service::parse_request(line).request.value());
       }
+      std::string_view type = event.kind == workload::EventKind::kLinkSetLatency
+                                  ? "link_set"
+                                  : workload::to_string(event.kind);
+      if (event.kind == workload::EventKind::kMove) {
+        service::Request& move = requests.front();
+        move.pinned = rng.bernoulli(0.1) &&
+                      !cluster.server_failed(cluster.server_of(move.index));
+        if (move.pinned) type = "move_pinned";
+      }
+      // A demand pulse is one LEAVE + JOIN pair and one latency sample.
       util::WallTimer timer;
-      switch (event.kind) {
-        case workload::EventKind::kJoin: {
-          workload::IotDevice device;
-          device.position = event.position;
-          device.request_rate_hz = event.rate_hz;
-          device.demand = event.demand;
-          timer.reset();
-          const JoinResult joined = cluster.join(device);
-          record("join", timer.elapsed_ms() * 1e3);
-          if (joined.device_index != adapter.slot_of(event.device)) {
-            std::cerr << "wire adapter predicted slot "
-                      << adapter.slot_of(event.device) << " but join got "
-                      << joined.device_index << "\n";
-            index_parity = false;
-          }
-          break;
-        }
-        case workload::EventKind::kLeave: {
-          timer.reset();
-          cluster.leave(leave_slot);
-          record("leave", timer.elapsed_ms() * 1e3);
-          break;
-        }
-        case workload::EventKind::kMove: {
-          const std::size_t slot = adapter.slot_of(event.device);
-          const bool pinned =
-              rng.bernoulli(0.1) &&
-              !cluster.server_failed(cluster.server_of(slot));
-          timer.reset();
-          if (pinned) {
-            (void)cluster.move_pinned(slot, event.position);
-          } else {
-            (void)cluster.move(slot, event.position);
-          }
-          record(pinned ? "move_pinned" : "move", timer.elapsed_ms() * 1e3);
-          break;
-        }
-        case workload::EventKind::kDemandPulse: {
-          // Applied exactly as the wire replays it: leave + join back into
-          // the same (LIFO-recycled) slot with the new demand.
-          const std::size_t slot = adapter.slot_of(event.device);
-          workload::IotDevice device;
-          device.position = event.position;
-          device.request_rate_hz = event.rate_hz;
-          device.demand = event.demand;
-          timer.reset();
-          cluster.leave(slot);
-          const JoinResult rejoined = cluster.join(device);
-          record("demand_pulse", timer.elapsed_ms() * 1e3);
-          if (rejoined.device_index != slot) {
-            std::cerr << "demand pulse left slot " << slot
-                      << " but rejoined at " << rejoined.device_index << "\n";
-            index_parity = false;
-          }
-          break;
-        }
-        case workload::EventKind::kLinkFail: {
-          const auto& [u, v] = ctx.links[event.link];
-          timer.reset();
-          (void)cluster.fail_link(u, v);
-          record("link_fail", timer.elapsed_ms() * 1e3);
-          break;
-        }
-        case workload::EventKind::kLinkRestore: {
-          const auto& [u, v] = ctx.links[event.link];
-          timer.reset();
-          (void)cluster.restore_link(u, v);
-          record("link_restore", timer.elapsed_ms() * 1e3);
-          break;
-        }
-        case workload::EventKind::kLinkSetLatency: {
-          const auto& [u, v] = ctx.links[event.link];
-          timer.reset();
-          (void)cluster.set_link_latency(u, v, event.latency_ms);
-          record("link_set", timer.elapsed_ms() * 1e3);
-          break;
+      service::ApplyResult applied;
+      for (const service::Request& request : requests) {
+        applied = service::apply(cluster, request);
+      }
+      record(type, timer.elapsed_ms() * 1e3);
+      if (event.kind == workload::EventKind::kJoin ||
+          event.kind == workload::EventKind::kDemandPulse) {
+        const std::size_t slot = std::get<JoinResult>(applied).device_index;
+        if (slot != adapter.slot_of(event.device)) {
+          std::cerr << "wire adapter predicted slot "
+                    << adapter.slot_of(event.device) << " but join got "
+                    << slot << "\n";
+          index_parity = false;
         }
       }
     }

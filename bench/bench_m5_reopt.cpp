@@ -43,11 +43,13 @@
 #include "gap/instance.hpp"
 #include "metrics/stats.hpp"
 #include "optimize/reoptimizer.hpp"
+#include "service/apply.hpp"
 #include "service/engine.hpp"
 #include "util/contracts.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
+#include "workload/wire.hpp"
 
 namespace {
 
@@ -129,9 +131,9 @@ SegmentResult run_segment(const std::string& workload_spec, std::size_t iot,
       scenario.params().workload.area_km, seed);
   auto provider = workload::make_provider(workload_spec, ctx);
 
-  // Provider id -> live cluster slot (base ids start at their own index).
-  std::vector<std::size_t> slot_of(iot);
-  for (std::size_t i = 0; i < iot; ++i) slot_of[i] = i;
+  // Renders events to the wire lines taccd would receive; it is the one
+  // predictor of the slots the cluster assigns.
+  workload::WireAdapter adapter(ctx, "m5");
 
   SegmentResult segment;
   const std::size_t sample_every = std::max<std::size_t>(1, events / samples);
@@ -142,35 +144,11 @@ SegmentResult run_segment(const std::string& workload_spec, std::size_t iot,
     const double step_start_s = provider->now_s();
     for (const workload::Event& event : provider->step(1.0)) {
       if (segment.events >= events) break;
-      switch (event.kind) {
-        case workload::EventKind::kJoin: {
-          workload::IotDevice device;
-          device.position = event.position;
-          device.request_rate_hz = event.rate_hz;
-          device.demand = event.demand;
-          slot_of.push_back(cluster.join(device).device_index);
-          break;
-        }
-        case workload::EventKind::kLeave:
-          cluster.leave(slot_of[event.device]);
-          break;
-        case workload::EventKind::kMove:
-          (void)cluster.move(slot_of[event.device], event.position);
-          break;
-        case workload::EventKind::kDemandPulse: {
-          // In-place demand change rendered the way the wire replays it:
-          // leave + rejoin into the same LIFO-recycled slot.
-          const std::size_t slot = slot_of[event.device];
-          workload::IotDevice device;
-          device.position = event.position;
-          device.request_rate_hz = event.rate_hz;
-          device.demand = event.demand;
-          cluster.leave(slot);
-          slot_of[event.device] = cluster.join(device).device_index;
-          break;
-        }
-        default:
-          continue;  // diurnal/hotspot emit no link events
+      // diurnal/hotspot emit no link events; skip any a custom workload has.
+      if (workload::is_link_event(event.kind)) continue;
+      for (const std::string& line : adapter.render(event)) {
+        (void)service::apply(cluster,
+                             service::parse_request(line).request.value());
       }
       ++segment.events;
     }

@@ -32,6 +32,7 @@
 #include "bench/bench_common.hpp"
 #include "core/dynamic.hpp"
 #include "core/scenario.hpp"
+#include "service/apply.hpp"
 #include "topology/failures.hpp"
 #include "topology/generators.hpp"
 #include "topology/network.hpp"
@@ -39,6 +40,7 @@
 #include "topology/oracle/oracle.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
+#include "workload/wire.hpp"
 
 namespace {
 
@@ -92,6 +94,7 @@ QualityResult run_quality(const bench::BenchConfig& config,
   const workload::ProviderContext ctx =
       bench::provider_context(scenario, config.base_seed);
   auto provider = workload::make_provider(workload_spec, ctx);
+  workload::WireAdapter adapter(ctx, "m6");
 
   bench::CsvFile csv(config, "m6_oracle");
   csv.writer().header({"event", "exact_avg_ms", "landmark_true_avg_ms",
@@ -105,22 +108,14 @@ QualityResult run_quality(const bench::BenchConfig& config,
   while (event_count < events && result.containment) {
     for (const workload::Event& event : provider->step(1.0)) {
       if (event_count >= events || !result.containment) break;
-      const auto& [u, v] = ctx.links[event.link];
-      switch (event.kind) {
-        case workload::EventKind::kLinkFail:
-          exact_cluster.fail_link(u, v);
-          landmark_cluster.fail_link(u, v);
-          break;
-        case workload::EventKind::kLinkRestore:
-          exact_cluster.restore_link(u, v);
-          landmark_cluster.restore_link(u, v);
-          break;
-        case workload::EventKind::kLinkSetLatency:
-          exact_cluster.set_link_latency(u, v, event.latency_ms);
-          landmark_cluster.set_link_latency(u, v, event.latency_ms);
-          break;
-        default:
-          continue;  // device churn is out of scope here
+      if (!workload::is_link_event(event.kind)) {
+        continue;  // device churn is out of scope here
+      }
+      for (const std::string& line : adapter.render(event)) {
+        const service::Request request =
+            service::parse_request(line).request.value();
+        (void)service::apply(exact_cluster, request);
+        (void)service::apply(landmark_cluster, request);
       }
       const std::size_t event_index = event_count++;
       if (event_index % sample_every != 0 && event_index + 1 != events) {

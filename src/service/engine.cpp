@@ -5,11 +5,13 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/configurator.hpp"
 #include "core/dynamic.hpp"
 #include "core/scenario.hpp"
+#include "service/apply.hpp"
 #include "topology/failures.hpp"
 #include "topology/oracle/config.hpp"
 #include "topology/oracle/oracle.hpp"
@@ -38,6 +40,38 @@ std::size_t workers_per_shard(const EngineOptions& options,
 
 std::size_t admission_quota(const EngineOptions& options, std::size_t shards) {
   return std::max<std::size_t>(1, (options.max_queue + shards - 1) / shards);
+}
+
+/// The OK line for a cluster verb, from what service::apply returned.
+std::string cluster_reply(const Request& request, const ApplyResult& result,
+                          const DynamicCluster& cluster) {
+  OkLine line;
+  if (const auto* placed = std::get_if<JoinResult>(&result)) {
+    return line.field("device", placed->device_index)
+        .field("server", placed->server)
+        .field("feasible", placed->feasible)
+        .field("overload", placed->overload_fallback)
+        .str();
+  }
+  if (const auto* link = std::get_if<LinkUpdateReport>(&result)) {
+    return line.field("u", request.link_u)
+        .field("v", request.link_v)
+        .field("epoch", static_cast<std::size_t>(link->epoch))
+        .field("affected", static_cast<std::size_t>(link->nodes_affected))
+        .field("saved", static_cast<std::size_t>(link->nodes_saved))
+        .field("rows_refreshed", link->rows_refreshed)
+        // For LINK_SET this is the latency the link had before.
+        .field("latency_ms", link->latency_ms)
+        .field("avg_delay_ms", cluster.avg_delay_ms())
+        .str();
+  }
+  // LEAVE names its device; FAIL, RECOVER and EVACUATE name their server.
+  line.field(request.verb == Verb::kLeave ? "device" : "server", request.index);
+  if (const auto* evacuation = std::get_if<EvacuationReport>(&result)) {
+    line.field("evacuated", evacuation->evacuated)
+        .field("overloaded", evacuation->overloaded);
+  }
+  return line.str();
 }
 
 void add_counters(EngineCounters& into, const EngineCounters& from) {
@@ -481,77 +515,6 @@ std::string Engine::apply(Session& session, const Request& request) {
     }
     DynamicCluster& cluster = *session.cluster;
     switch (request.verb) {
-      case Verb::kJoin: {
-        workload::IotDevice device;
-        device.position = {request.x, request.y};
-        device.request_rate_hz = request.rate_hz;
-        device.demand = request.demand;
-        const JoinResult joined = cluster.join(device);
-        return OkLine()
-            .field("device", joined.device_index)
-            .field("server", joined.server)
-            .field("feasible", joined.feasible)
-            .field("overload", joined.overload_fallback)
-            .str();
-      }
-      case Verb::kMove: {
-        const topo::Point2D position{request.x, request.y};
-        const JoinResult moved = request.pinned
-                                     ? cluster.move_pinned(request.index,
-                                                           position)
-                                     : cluster.move(request.index, position);
-        return OkLine()
-            .field("device", moved.device_index)
-            .field("server", moved.server)
-            .field("feasible", moved.feasible)
-            .field("overload", moved.overload_fallback)
-            .str();
-      }
-      case Verb::kLeave:
-        cluster.leave(request.index);
-        return OkLine().field("device", request.index).str();
-      case Verb::kFail: {
-        const EvacuationReport report =
-            cluster.fail_server(request.index, request.evacuate);
-        return OkLine()
-            .field("server", request.index)
-            .field("evacuated", report.evacuated)
-            .field("overloaded", report.overloaded)
-            .str();
-      }
-      case Verb::kRecover:
-        cluster.recover_server(request.index);
-        return OkLine().field("server", request.index).str();
-      case Verb::kEvacuate: {
-        const EvacuationReport report = cluster.evacuate_server(request.index);
-        return OkLine()
-            .field("server", request.index)
-            .field("evacuated", report.evacuated)
-            .field("overloaded", report.overloaded)
-            .str();
-      }
-      case Verb::kLinkFail:
-      case Verb::kLinkRestore:
-      case Verb::kLinkSet: {
-        const auto u = static_cast<topo::NodeId>(request.link_u);
-        const auto v = static_cast<topo::NodeId>(request.link_v);
-        const LinkUpdateReport report =
-            request.verb == Verb::kLinkFail ? cluster.fail_link(u, v)
-            : request.verb == Verb::kLinkRestore
-                ? cluster.restore_link(u, v)
-                : cluster.set_link_latency(u, v, request.latency_ms);
-        return OkLine()
-            .field("u", request.link_u)
-            .field("v", request.link_v)
-            .field("epoch", static_cast<std::size_t>(report.epoch))
-            .field("affected", static_cast<std::size_t>(report.nodes_affected))
-            .field("saved", static_cast<std::size_t>(report.nodes_saved))
-            .field("rows_refreshed", report.rows_refreshed)
-            // For LINK_SET this is the latency the link had before.
-            .field("latency_ms", report.latency_ms)
-            .field("avg_delay_ms", cluster.avg_delay_ms())
-            .str();
-      }
       case Verb::kReoptStart: {
         opt::ReoptOptions reopt = options_.reopt;
         if (request.reopt_moves > 0) {
@@ -663,8 +626,9 @@ std::string Engine::apply(Session& session, const Request& request) {
             .field("links", list)
             .str();
       }
-      default:
-        return err_line(ErrorCode::kInternal, "unroutable verb");
+      default:  // the cluster verbs
+        return cluster_reply(request, service::apply(cluster, request),
+                             cluster);
     }
   } catch (const std::logic_error& error) {
     // DynamicCluster signals precondition violations (inactive device, bad

@@ -341,9 +341,11 @@ class Engine {
   /// queued (the caller still holds the claim); on false the claim was
   /// released under the same shard lock that saw the queue empty.
   bool drain_batch(Shard& shard, Session& session);
-  /// Executes one event against the session's cluster; returns the response
-  /// line. Never throws. Caller holds the session's cluster mutex (the
-  /// drainer takes it around the whole batch).
+  /// Executes one event against the session; returns the response line.
+  /// CONFIGURE, SLEEP, REOPT_*, ORACLE_STATS and LINKS are handled here;
+  /// cluster verbs go through service::apply() and their reply is
+  /// formatted from its ApplyResult. Never throws. Caller holds the
+  /// session's cluster mutex (the drainer takes it around the whole batch).
   std::string apply(Session& session, const Request& request)
       TACC_REQUIRES(session.cluster_mutex);
   [[nodiscard]] std::string stats_line(const Request& request) const;

@@ -3,9 +3,11 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "topology/graph.hpp"
 #include "topology/oracle/config.hpp"
 
 namespace tacc::service {
@@ -40,6 +42,10 @@ std::optional<std::size_t> parse_size(std::string_view token) {
   if (ec != std::errc() || ptr != end) return std::nullopt;
   return value;
 }
+
+/// Link endpoints are topo::NodeId router ids; a larger value would wrap
+/// onto another node when narrowed.
+constexpr std::size_t kMaxNode = std::numeric_limits<topo::NodeId>::max();
 
 std::optional<bool> parse_bool(std::string_view token) {
   if (token == "1" || token == "true") return true;
@@ -276,13 +282,15 @@ ParseResult parse_request(std::string_view line) {
     return true;
   };
   const auto size_at = [&](std::size_t i, std::size_t& out,
-                           std::string_view what) {
+                           std::string_view what,
+                           std::size_t max =
+                               std::numeric_limits<std::size_t>::max()) {
     if (i >= tokens.size()) {
       error = "missing " + std::string(what);
       return false;
     }
     const auto v = parse_size(tokens[i]);
-    if (!v) {
+    if (!v || *v > max) {
       error = "bad " + std::string(what) + " '" + std::string(tokens[i]) + "'";
       return false;
     }
@@ -349,8 +357,9 @@ ParseResult parse_request(std::string_view line) {
   }
   if (verb == "LINK_FAIL" || verb == "LINK_RESTORE") {
     request.verb = verb == "LINK_FAIL" ? Verb::kLinkFail : Verb::kLinkRestore;
-    if (!session_at(1) || !size_at(2, request.link_u, "link endpoint u") ||
-        !size_at(3, request.link_v, "link endpoint v") ||
+    if (!session_at(1) ||
+        !size_at(2, request.link_u, "link endpoint u", kMaxNode) ||
+        !size_at(3, request.link_v, "link endpoint v", kMaxNode) ||
         !options_from(4, "timeout_ms")) {
       return fail(std::move(error));
     }
@@ -358,8 +367,9 @@ ParseResult parse_request(std::string_view line) {
   }
   if (verb == "LINK_SET") {
     request.verb = Verb::kLinkSet;
-    if (!session_at(1) || !size_at(2, request.link_u, "link endpoint u") ||
-        !size_at(3, request.link_v, "link endpoint v") ||
+    if (!session_at(1) ||
+        !size_at(2, request.link_u, "link endpoint u", kMaxNode) ||
+        !size_at(3, request.link_v, "link endpoint v", kMaxNode) ||
         !double_at(4, request.latency_ms, "latency ms") ||
         !options_from(5, "timeout_ms")) {
       return fail(std::move(error));

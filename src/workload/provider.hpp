@@ -56,6 +56,13 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(EventKind kind) noexcept;
 
+/// True for the backbone-link kinds: kLinkFail, kLinkRestore and
+/// kLinkSetLatency.
+[[nodiscard]] constexpr bool is_link_event(EventKind kind) noexcept {
+  return kind == EventKind::kLinkFail || kind == EventKind::kLinkRestore ||
+         kind == EventKind::kLinkSetLatency;
+}
+
 /// One typed workload event. `device` is a provider-scoped id: base devices
 /// are 0..base-1, each kJoin mints the next id. Consumers map provider ids
 /// to their own device handles (see workload/wire.hpp for the canonical

@@ -13,8 +13,9 @@
 // kDemandPulse has no wire verb; it renders as LEAVE + JOIN at the same
 // position with the new demand. LIFO recycling guarantees the rejoining
 // device lands back in the slot it just left, so later MOVE/LEAVE lines for
-// it stay valid — consumers applying events directly must do the same
-// leave()+join() dance to agree (see bench_m2_churn).
+// it stay valid. In-process consumers apply events the same way taccd
+// does: parse each rendered line and pass it to service::apply
+// (service/apply.hpp), so the adapter stays the only slot predictor.
 #pragma once
 
 #include <cstddef>

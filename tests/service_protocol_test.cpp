@@ -104,6 +104,21 @@ TEST(Protocol, LinkVerbsRejectMalformedArguments) {
   parse_error("LINKS s 5");  // bare token, not key=value
 }
 
+TEST(Protocol, LinkEndpointsMustFitANodeId) {
+  // 2^32 would wrap onto node 0 when narrowed to topo::NodeId.
+  for (const std::string verb : {"LINK_FAIL", "LINK_RESTORE", "LINK_SET"}) {
+    const std::string latency = verb == "LINK_SET" ? " 7.5" : "";
+    const std::string error =
+        parse_error(verb + " s 4294967296 11" + latency);
+    EXPECT_NE(error.find("link endpoint u"), std::string::npos) << error;
+    parse_error(verb + " s 11 4294967296" + latency);
+    parse_error(verb + " s 18446744073709551615 11" + latency);
+    // The largest node id is still a well-formed endpoint.
+    const Request max = parse_ok(verb + " s 4294967295 11" + latency);
+    EXPECT_EQ(max.link_u, 4294967295u);
+  }
+}
+
 TEST(Protocol, SleepStatsPingShutdown) {
   const Request sleep = parse_ok("SLEEP s 250");
   EXPECT_EQ(sleep.verb, Verb::kSleep);

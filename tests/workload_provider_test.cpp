@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "core/dynamic.hpp"
 #include "core/scenario.hpp"
+#include "service/apply.hpp"
 #include "service/protocol.hpp"
 #include "workload/wire.hpp"
 
@@ -402,8 +405,8 @@ TEST(WireAdapter, RenderedLinesParse) {
 }
 
 // The load-bearing parity property: the adapter's predicted slots match the
-// indices a real DynamicCluster assigns when the same stream is applied
-// directly (pulses applied as leave()+join(), exactly as documented).
+// indices a real DynamicCluster assigns when the rendered stream is parsed
+// and applied through service::apply, exactly as taccd applies it.
 TEST(WireAdapter, SlotPredictionsMatchDynamicCluster) {
   const std::uint64_t seed = 21;
   const Scenario scenario = Scenario::smart_city(24, 4, seed);
@@ -416,60 +419,16 @@ TEST(WireAdapter, SlotPredictionsMatchDynamicCluster) {
 
   for (int step = 0; step < 60; ++step) {
     for (const Event& event : provider->step(1.0)) {
-      switch (event.kind) {
-        case EventKind::kJoin: {
-          (void)adapter.render(event);
-          IotDevice device;
-          device.position = event.position;
-          device.request_rate_hz = event.rate_hz;
-          device.demand = event.demand;
-          const JoinResult result = cluster.join(device);
-          ASSERT_EQ(result.device_index, adapter.slot_of(event.device));
-          break;
-        }
-        case EventKind::kLeave: {
-          const std::size_t slot = adapter.slot_of(event.device);
-          (void)adapter.render(event);
-          cluster.leave(slot);
-          break;
-        }
-        case EventKind::kMove: {
-          const std::size_t slot = adapter.slot_of(event.device);
-          (void)adapter.render(event);
-          (void)cluster.move(slot, event.position);
-          break;
-        }
-        case EventKind::kDemandPulse: {
-          const std::size_t slot = adapter.slot_of(event.device);
-          (void)adapter.render(event);
-          cluster.leave(slot);
-          IotDevice device;
-          device.position = event.position;
-          device.request_rate_hz = event.rate_hz;
-          device.demand = event.demand;
-          const JoinResult result = cluster.join(device);
-          ASSERT_EQ(result.device_index, slot);
-          ASSERT_EQ(result.device_index, adapter.slot_of(event.device));
-          break;
-        }
-        case EventKind::kLinkFail: {
-          (void)adapter.render(event);
-          const auto& [u, v] = ctx.links[event.link];
-          (void)cluster.fail_link(u, v);
-          break;
-        }
-        case EventKind::kLinkRestore: {
-          (void)adapter.render(event);
-          const auto& [u, v] = ctx.links[event.link];
-          (void)cluster.restore_link(u, v);
-          break;
-        }
-        case EventKind::kLinkSetLatency: {
-          (void)adapter.render(event);
-          const auto& [u, v] = ctx.links[event.link];
-          (void)cluster.set_link_latency(u, v, event.latency_ms);
-          break;
-        }
+      // A demand pulse renders as LEAVE + JOIN; the JOIN is applied last.
+      service::ApplyResult applied;
+      for (const std::string& line : adapter.render(event)) {
+        applied = service::apply(
+            cluster, service::parse_request(line).request.value());
+      }
+      if (event.kind == EventKind::kJoin ||
+          event.kind == EventKind::kDemandPulse) {
+        ASSERT_EQ(std::get<JoinResult>(applied).device_index,
+                  adapter.slot_of(event.device));
       }
     }
   }
