@@ -118,23 +118,29 @@ DynamicCluster::ServerChoice DynamicCluster::cheapest_feasible_server(
   return {least_loaded, false};
 }
 
-void DynamicCluster::attach_device(std::size_t slot,
-                                   const workload::IotDevice& device) {
-  // Attach to the nearest router with a wireless access link.
-  topo::NodeId nearest = router_nodes_.front();
-  double nearest_distance = std::numeric_limits<double>::infinity();
+DynamicCluster::Access DynamicCluster::nearest_router(
+    topo::Point2D position) const {
+  Access nearest{router_nodes_.front(),
+                 std::numeric_limits<double>::infinity()};
   for (std::size_t r = 0; r < router_nodes_.size(); ++r) {
-    const double d =
-        topo::euclidean_distance(router_positions_[r], device.position);
-    if (d < nearest_distance) {
-      nearest_distance = d;
-      nearest = router_nodes_[r];
-    }
+    const double d = topo::euclidean_distance(router_positions_[r], position);
+    if (d < nearest.distance_km) nearest = {router_nodes_[r], d};
   }
+  if (!std::isfinite(nearest.distance_km)) {
+    throw std::invalid_argument(
+        "DynamicCluster: device position has no finite router distance");
+  }
+  return nearest;
+}
+
+void DynamicCluster::attach_device(std::size_t slot,
+                                   const workload::IotDevice& device,
+                                   const Access& access) {
+  // Attach to the nearest router with a wireless access link.
   const topo::NodeId node =
       engine_.acquire_node(device.position, topo::NodeKind::kIotDevice);
-  engine_.add_link(node, nearest,
-                   delay_model_.access_link(nearest_distance));
+  engine_.add_link(node, access.router,
+                   delay_model_.access_link(access.distance_km));
   absorb_device_churn();
 
   if (slot == devices_.size()) {
@@ -173,12 +179,16 @@ JoinResult DynamicCluster::place_device(std::size_t slot) {
 }
 
 JoinResult DynamicCluster::join(const workload::IotDevice& device) {
+  if (!std::isfinite(device.demand)) {
+    throw std::invalid_argument("DynamicCluster::join: demand is not finite");
+  }
+  const Access access = nearest_router(device.position);
   std::size_t slot = devices_.size();
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  attach_device(slot, device);
+  attach_device(slot, device, access);
   const JoinResult result = place_device(slot);
   ++active_;
   return result;
@@ -189,12 +199,13 @@ JoinResult DynamicCluster::move(std::size_t device_index,
   if (!is_active(device_index)) {
     throw std::invalid_argument("DynamicCluster::move: not active");
   }
+  const Access access = nearest_router(new_position);
   const auto from = static_cast<std::size_t>(assignment_[device_index]);
   loads_[from] -= devices_[device_index].demand;
   workload::IotDevice device = devices_[device_index];
   device.position = new_position;
   detach_device(device_index);
-  attach_device(device_index, device);
+  attach_device(device_index, device, access);
   return place_device(device_index);
 }
 
@@ -203,11 +214,12 @@ JoinResult DynamicCluster::move_pinned(std::size_t device_index,
   if (!is_active(device_index)) {
     throw std::invalid_argument("DynamicCluster::move_pinned: not active");
   }
+  const Access access = nearest_router(new_position);
   const auto pinned = static_cast<std::size_t>(assignment_[device_index]);
   workload::IotDevice device = devices_[device_index];
   device.position = new_position;
   detach_device(device_index);
-  attach_device(device_index, device);
+  attach_device(device_index, device, access);
   if (failed_[pinned]) {
     // The pinned server went down (deferred evacuation): a handover must
     // never land a device back on a failed server.

@@ -97,7 +97,9 @@ class DynamicCluster {
   /// Attaches a new device at its position (recycling a departed device's
   /// slot + graph node when available) and assigns it to the cheapest
   /// feasible server. The result carries the index, the server, and whether
-  /// the overload fallback fired.
+  /// the overload fallback fired. Throws std::invalid_argument, before any
+  /// state changes, if the demand or the nearest-router distance is not
+  /// finite.
   JoinResult join(const workload::IotDevice& device);
 
   /// Removes a device: frees its load, releases its graph node + access
@@ -108,7 +110,9 @@ class DynamicCluster {
   // ---- Mobility -------------------------------------------------------------
   /// Radio handover: re-attaches an active device at `new_position` (fresh
   /// access link + recomputed delay row, in place — the index is stable)
-  /// and reassigns it to the cheapest feasible server.
+  /// and reassigns it to the cheapest feasible server. Like join(), throws
+  /// before any state changes if the new position has no finite distance
+  /// to a router; so does move_pinned().
   JoinResult move(std::size_t device_index, topo::Point2D new_position);
   /// Same handover but the device stays pinned to its current server — the
   /// "no reconfiguration" baseline that lets mobility experiments measure
@@ -348,10 +352,20 @@ class DynamicCluster {
   /// is a single-access-link leaf, so only its own distances move, and its
   /// row is (re)bound or unbound explicitly by the caller.
   void absorb_device_churn();
+  /// The router a device at some position attaches to, and how far away.
+  struct Access {
+    topo::NodeId router = topo::kInvalidNode;
+    double distance_km = 0.0;
+  };
+  /// The nearest router to `position`. Throws std::invalid_argument when
+  /// the distance is not finite (a NaN or far-off position), so callers
+  /// check it before they change any state.
+  [[nodiscard]] Access nearest_router(topo::Point2D position) const;
   /// Acquires a graph node at `device`'s position (recycled when possible),
-  /// wires the access link to the nearest router, and installs the device
+  /// wires the access link to `access.router`, and installs the device
   /// into `slot` with a fresh delay row. No assignment yet.
-  void attach_device(std::size_t slot, const workload::IotDevice& device);
+  void attach_device(std::size_t slot, const workload::IotDevice& device,
+                     const Access& access);
   /// Releases `slot`'s graph node + access link back to the free list.
   void detach_device(std::size_t slot);
   /// Cheapest feasible healthy server, else the least-utilized healthy one

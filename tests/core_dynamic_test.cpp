@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "topology/failures.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -187,6 +189,57 @@ TEST(DynamicCluster, ChurnStormStaysFeasible) {
   strict.require_feasible = true;
   strict.forbid_failed_residents = true;
   cluster.check_invariants(strict);
+}
+
+// A non-finite demand or a position with no finite router distance is
+// rejected before any state changes. join() used to attach the device first:
+// the placement then threw and left the slot attached, unassigned and off
+// the free list; a far-off position was placed at infinite delay.
+TEST(DynamicCluster, RejectsNonFiniteDeviceBeforeTouchingState) {
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  DynamicCluster cluster(Scenario::smart_city(50, 4, 3),
+                         Algorithm::kGreedyBestFit, cheap_options(3));
+  // One departed slot on the free list, so join's recycling path is covered.
+  cluster.leave(cluster.join(test_device(1.0, 1.0)).device_index);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t active = cluster.active_count();
+  const std::size_t slots = cluster.device_slot_count();
+  const std::size_t free_slots = cluster.free_slot_count();
+  const std::size_t live_nodes = cluster.live_graph_node_count();
+  const double avg_delay = cluster.avg_delay_ms();
+  const std::size_t server = cluster.server_of(0);
+  const auto expect_unchanged = [&](const char* call) {
+    SCOPED_TRACE(call);
+    EXPECT_EQ(cluster.active_count(), active);
+    EXPECT_EQ(cluster.device_slot_count(), slots);
+    EXPECT_EQ(cluster.free_slot_count(), free_slots);
+    EXPECT_EQ(cluster.live_graph_node_count(), live_nodes);
+    EXPECT_EQ(cluster.avg_delay_ms(), avg_delay);
+    EXPECT_EQ(cluster.server_of(0), server);
+    EXPECT_NO_THROW(cluster.check_invariants());
+  };
+
+  workload::IotDevice infinite_demand = test_device(1.0, 1.0);
+  infinite_demand.demand = inf;
+  EXPECT_THROW(cluster.join(infinite_demand), std::invalid_argument);
+  expect_unchanged("join demand=inf");
+  workload::IotDevice nan_demand = test_device(1.0, 1.0);
+  nan_demand.demand = nan;
+  EXPECT_THROW(cluster.join(nan_demand), std::invalid_argument);
+  expect_unchanged("join demand=nan");
+  EXPECT_THROW(cluster.join(test_device(1e308, 1e308)), std::invalid_argument);
+  expect_unchanged("join at 1e308");
+  EXPECT_THROW(cluster.join(test_device(nan, 1.0)), std::invalid_argument);
+  expect_unchanged("join at nan");
+  EXPECT_THROW(cluster.move(0, {1e308, 1e308}), std::invalid_argument);
+  expect_unchanged("move to 1e308");
+  EXPECT_THROW(cluster.move_pinned(0, {-1e308, 1e308}),
+               std::invalid_argument);
+  expect_unchanged("move_pinned to -1e308");
+  EXPECT_THROW(cluster.move(0, {1.0, inf}), std::invalid_argument);
+  expect_unchanged("move to inf");
 }
 
 TEST(DynamicClusterLinks, FailRestoreRoundTripRestoresDelaysExactly) {

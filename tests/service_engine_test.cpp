@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -232,6 +233,34 @@ TEST(Engine, ClusterVerbRepliesAreByteStable) {
   for (const auto& [request, reply] : golden) {
     EXPECT_EQ(call(engine, request), reply) << request;
   }
+}
+
+// Devices the cluster cannot place (a position with no finite router
+// distance, a non-finite demand) are rejected before they touch the session:
+// avg_delay_ms once became inf for good after JOIN u 1e308 1e308.
+TEST(Engine, UnplaceableDevicesAnswerBadRequest) {
+  Engine engine(small_options());
+  ASSERT_EQ(call(engine, "CONFIGURE u 50 4 seed=3").rfind("OK", 0), 0u);
+  const auto avg_delay = [&] {
+    const std::string stats = call(engine, "STATS u");
+    const std::size_t at = stats.find(" avg_delay_ms=");
+    return stats.substr(at, stats.find(' ', at + 1) - at);
+  };
+  engine.drain();
+  const std::string before = avg_delay();
+
+  Request infinite_demand = must_parse("JOIN u 1 1");
+  infinite_demand.demand = std::numeric_limits<double>::infinity();
+  const Request lines[] = {must_parse("JOIN u 1e308 1e308"),
+                           must_parse("MOVE u 0 1e308 1e308"),
+                           must_parse("MOVE u 0 -1e308 1e308 pinned=1"),
+                           infinite_demand};
+  for (const Request& request : lines) {
+    EXPECT_EQ(call(engine, request).rfind("ERR BAD_REQUEST", 0), 0u);
+  }
+  engine.drain();
+  EXPECT_EQ(avg_delay(), before);
+  EXPECT_EQ(field_value(call(engine, "STATS u"), "devices"), 50u);
 }
 
 // A link endpoint past topo::NodeId must not wrap onto a real node. These
