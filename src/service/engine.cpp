@@ -42,6 +42,10 @@ std::size_t admission_quota(const EngineOptions& options, std::size_t shards) {
   return std::max<std::size_t>(1, (options.max_queue + shards - 1) / shards);
 }
 
+// Per-session service-latency histogram range and resolution.
+constexpr double kLatencyHistogramMaxUs = 20'000.0;
+constexpr std::size_t kLatencyHistogramBins = 2'000;
+
 /// The OK line for a cluster verb, from what service::apply returned.
 std::string cluster_reply(const Request& request, const ApplyResult& result,
                           const DynamicCluster& cluster) {
@@ -85,6 +89,11 @@ void add_counters(EngineCounters& into, const EngineCounters& from) {
 }
 
 }  // namespace
+
+Engine::Session::Session(std::string session_name, Mutex* owning_shard_mutex)
+    : shard_mutex(owning_shard_mutex),
+      name(std::move(session_name)),
+      latency_us(0.0, kLatencyHistogramMaxUs, kLatencyHistogramBins) {}
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   const std::size_t shards = resolve_shards(options_);
@@ -284,7 +293,7 @@ Engine::Claim Engine::admit(const Request& request, Responder respond) {
         session = it->second;
       } else if (request.verb == Verb::kConfigure) {
         session =
-            std::make_shared<Session>(request.session, options_, &shard.mutex);
+            std::make_shared<Session>(request.session, &shard.mutex);
         shard.sessions.emplace(request.session, session);
       }
       if (session) {

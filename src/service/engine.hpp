@@ -92,9 +92,6 @@ struct EngineOptions {
   double default_timeout_ms = 1000.0;
   /// Max events one drain pass executes before re-checking the queue.
   std::size_t max_batch = 32;
-  /// Service-latency histogram range/resolution (microseconds).
-  double histogram_max_us = 20'000.0;
-  std::size_t histogram_bins = 2'000;
   /// Attach + start a background re-optimizer on every session as soon as
   /// it is configured (taccd --reopt). Sessions can still attach/detach
   /// individually with REOPT_START/REOPT_STOP.
@@ -268,11 +265,7 @@ class Engine {
   };
 
   struct Session {
-    Session(std::string session_name, const EngineOptions& options,
-            Mutex* owning_shard_mutex)
-        : shard_mutex(owning_shard_mutex),
-          name(std::move(session_name)),
-          latency_us(0.0, options.histogram_max_us, options.histogram_bins) {}
+    Session(std::string session_name, Mutex* owning_shard_mutex);
 
     // Back-pointer to the owning Shard's mutex: the guard expression for
     // every queue/metrics field below. The thread-safety analysis cannot
