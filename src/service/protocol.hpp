@@ -36,10 +36,12 @@
 //   PING
 //   SHUTDOWN
 //
-// Every session verb additionally accepts timeout_ms=T, overriding the
-// server's default admission deadline for that request. Responses are
-// either "OK key=value ..." or "ERR <CODE> <message>"; see DESIGN.md for
-// the full grammar and semantics.
+// Every session verb additionally accepts timeout_ms=T (at most 86400000),
+// overriding the server's default admission deadline for that request.
+// Numbers must be finite: nan and inf are rejected. Responses are either
+// "OK key=value ..." or "ERR <CODE> <message>"; see DESIGN.md for the
+// semantics. The verb table in protocol.cpp is the authoritative grammar;
+// this summary mirrors it.
 //
 // This header is pure parsing/formatting — no sockets, no sessions — so the
 // protocol is unit-testable in isolation.
