@@ -121,6 +121,28 @@ LF2=$(field "$LM2" exact_fallbacks)
 [ "$LF2" -ge "$LF1" ] \
   || { echo "FAIL: landmark exact_fallbacks went backwards ($LF1 -> $LF2)"; exit 1; }
 
+# Non-finite and far-off numbers: a nan coordinate, an overflowing
+# timeout_ms (once an out-of-range double->int64 deadline cast) and a
+# position with no finite router distance must each answer BAD_REQUEST and
+# leave the session's avg_delay_ms finite.
+expect_bad_request() {
+  echo "-> $*"
+  local reply
+  reply=$(printf '%s\n' "$*" | "$CLIENT" --socket="$SOCK" --stdin || true)
+  echo "$reply"
+  printf '%s\n' "$reply" | grep -q '^ERR BAD_REQUEST' \
+    || { echo "FAIL: expected BAD_REQUEST from: $*"; exit 1; }
+}
+expect_bad_request JOIN smoke nan 1
+expect_bad_request JOIN smoke 1 1 timeout_ms=1e300
+expect_bad_request JOIN smoke 1e308 1e308
+STATS_LINE=$("$CLIENT" --socket="$SOCK" STATS smoke)
+echo "-> STATS smoke: $STATS_LINE"
+AVG=$(printf '%s\n' "$STATS_LINE" | sed -n 's/.* avg_delay_ms=\([^ ]*\).*/\1/p')
+case "$AVG" in
+  '' | *nan* | *inf*) echo "FAIL: avg_delay_ms not finite: '$AVG'"; exit 1 ;;
+esac
+
 # Forced OVERLOADED: pipeline a SLEEP that occupies the session plus more
 # JOINs than the 2-deep admission queue can hold. The client exits 3 (some
 # ERR responses) — what matters is that every request got exactly one
