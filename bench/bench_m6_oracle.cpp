@@ -17,7 +17,8 @@
 // --quick) and --servers edge servers; link churn is mirrored through
 // apply_mutation(). Gates:
 //   * memory_reduction: resident bytes are >= 10x below the exact
-//     equivalent (per-server trees + dense device rows).
+//     equivalent (per-server trees + one dense row per distinct anchor
+//     router + the dense store's per-device record).
 //   * incremental_invalidation: zero landmark rebuilds across the run —
 //     churn must be absorbed by incremental tree repair.
 //
@@ -280,11 +281,23 @@ void run_scale(const bench::BenchConfig& config, bench::BenchReport& report,
 
   const std::size_t graph_nodes = net.graph.node_count();
   // What the exact backend would hold at this size: one shortest-path tree
-  // per server (8B distance + 4B parent per node) plus a dense 8B row entry
-  // per (device, server).
+  // per server (8B distance + 4B parent per node), one dense 8B row per
+  // distinct anchor router (single-homed devices share their anchor's
+  // row), and the dense store's record per bound device.
+  std::vector<bool> anchors(graph_nodes, false);
+  std::size_t anchor_count = 0;
+  for (const topo::NodeId device : net.iot_nodes) {
+    const topo::NodeId anchor = net.graph.neighbors(device).front().to;
+    if (!anchors[anchor]) {
+      anchors[anchor] = true;
+      ++anchor_count;
+    }
+  }
   const double exact_equiv_bytes =
       static_cast<double>(servers) * static_cast<double>(graph_nodes) * 12.0 +
-      static_cast<double>(devices) * static_cast<double>(servers) * 8.0;
+      static_cast<double>(anchor_count) * static_cast<double>(servers) * 8.0 +
+      static_cast<double>(devices) *
+          static_cast<double>(topo::oracle::RowStore::kDenseRowBytes);
   const double resident = static_cast<double>(oracle.resident_bytes());
   const double memory_ratio = resident > 0.0 ? exact_equiv_bytes / resident
                                              : 0.0;

@@ -172,7 +172,9 @@ class DynamicCluster {
   }
   /// Served per-server delay row of an active device (ms), through the
   /// configured DelayOracle. Exact under the default backend; within the
-  /// certified envelope for approximate ones (see topology/oracle/).
+  /// certified envelope for approximate ones (see topology/oracle/). The
+  /// reference lasts until the next delay_row() call (the default oracle
+  /// materializes rows into one scratch row): copy it to keep two rows.
   [[nodiscard]] const std::vector<double>& delay_row(
       std::size_t device_index) const {
     return oracle_->row(device_index);

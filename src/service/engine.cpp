@@ -1,6 +1,9 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -95,7 +98,23 @@ Engine::Session::Session(std::string session_name, Mutex* owning_shard_mutex)
       name(std::move(session_name)),
       latency_us(0.0, kLatencyHistogramMaxUs, kLatencyHistogramBins) {}
 
+void validate_engine_options(const EngineOptions& options) {
+  if (options.max_batch < 1) {
+    throw std::invalid_argument("max_batch must be at least 1");
+  }
+  const double timeout_ms = options.default_timeout_ms;
+  if (!std::isfinite(timeout_ms) || timeout_ms <= 0.0 ||
+      timeout_ms > kMaxTimeoutMs) {
+    std::ostringstream message;
+    message << "default_timeout_ms must be finite and in (0, "
+            << static_cast<std::int64_t>(kMaxTimeoutMs) << "], got "
+            << timeout_ms;
+    throw std::invalid_argument(message.str());
+  }
+}
+
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
+  validate_engine_options(options_);
   const std::size_t shards = resolve_shards(options_);
   const std::size_t workers = workers_per_shard(options_, shards);
   const std::size_t quota = admission_quota(options_, shards);

@@ -105,6 +105,13 @@ struct EngineOptions {
   std::string default_oracle;
 };
 
+/// Throws std::invalid_argument unless options.max_batch >= 1 and
+/// options.default_timeout_ms is finite and in (0, kMaxTimeoutMs]. A zero
+/// batch would drain nothing and leave every session claimed; a deadline
+/// outside that range expires every request at once or overflows the
+/// deadline arithmetic. The Engine constructor runs it.
+void validate_engine_options(const EngineOptions& options);
+
 /// Aggregate counters across a shard's (or the engine's) lifetime.
 struct EngineCounters {
   std::uint64_t accepted = 0;           ///< admitted into a session queue
@@ -156,6 +163,8 @@ class Engine {
     std::shared_ptr<Session> session_;
   };
 
+  /// Throws std::invalid_argument for options validate_engine_options()
+  /// rejects.
   explicit Engine(EngineOptions options = {});
   /// Drains all admitted work before returning.
   ~Engine();

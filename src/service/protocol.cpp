@@ -86,9 +86,6 @@ bool set_field(Request& request, std::string_view value, std::string&) {
   }
 }
 
-/// One day: any admission deadline up to it fits in a Clock::duration.
-constexpr double kMaxTimeoutMs = 86'400'000.0;
-
 bool timeout_option(Request& request, std::string_view value, std::string&) {
   const auto v = parse_number<double>(value);
   if (!v || *v <= 0.0 || *v > kMaxTimeoutMs) return false;

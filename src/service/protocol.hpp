@@ -56,6 +56,11 @@
 
 namespace tacc::service {
 
+/// The largest admission deadline, one day: any deadline up to it fits in
+/// an Engine::Clock::duration. Bounds timeout_ms= on the wire and
+/// EngineOptions::default_timeout_ms.
+inline constexpr double kMaxTimeoutMs = 86'400'000.0;
+
 enum class Verb {
   kConfigure,
   kJoin,

@@ -44,6 +44,7 @@ void IncrementalDelayEngine::build_trees() {
 void IncrementalDelayEngine::sync_node_count() {
   const std::size_t n = net_->graph.node_count();
   if (n > in_dirty_.size()) in_dirty_.resize(n, 0);
+  if (n > in_reclassified_.size()) in_reclassified_.resize(n, 0);
   if (n > pendant_.size()) pendant_.resize(n, 0);
   if (n > pendant_link_.size()) pendant_link_.resize(n, PendantLink{});
   if (n > pendants_dirty_in_.size()) pendants_dirty_in_.resize(n, 0);
@@ -82,6 +83,12 @@ void IncrementalDelayEngine::mark_dirty(NodeId node) {
   dirty_.push_back(node);
 }
 
+void IncrementalDelayEngine::mark_reclassified(NodeId node) {
+  if (in_reclassified_[node] != 0) return;
+  in_reclassified_[node] = 1;
+  reclassified_.push_back(node);
+}
+
 NodeId IncrementalDelayEngine::classify_added_link(NodeId u, NodeId v) {
   const Graph& graph = net_->graph;
   // A pendant with a second link joins the trees where it hangs today.
@@ -92,6 +99,7 @@ NodeId IncrementalDelayEngine::classify_added_link(NodeId u, NodeId v) {
       tree.adopt_leaf(node, link.anchor, link.latency_ms);
     }
     clear_pendant(node);
+    mark_reclassified(node);
   }
   // A device that was isolated hangs off the other endpoint, which after
   // the promotions above is not a pendant. Its tree slots already read
@@ -99,6 +107,7 @@ NodeId IncrementalDelayEngine::classify_added_link(NodeId u, NodeId v) {
   for (const NodeId node : {u, v}) {
     if (is_iot_device(*net_, node) && graph.degree(node) == 1) {
       set_pendant(node, graph.neighbors(node).front());
+      mark_reclassified(node);
       return node;
     }
   }
@@ -139,6 +148,8 @@ void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
     } else {
       pendant_link_[leaf].latency_ms = new_ms;
     }
+    // An added link's new pendant was reported by classify_added_link().
+    if (kind != 0) mark_reclassified(leaf);
   } else {
     const std::uint64_t event = stats_.epoch + 1;
     for (DynamicSsspTree& tree : trees_) {
@@ -252,11 +263,21 @@ std::size_t IncrementalDelayEngine::drain_dirty(std::vector<NodeId>& out) {
   return count;
 }
 
+std::size_t IncrementalDelayEngine::drain_reclassified(
+    std::vector<NodeId>& out) {
+  const std::size_t count = reclassified_.size();
+  for (const NodeId node : reclassified_) in_reclassified_[node] = 0;
+  out.insert(out.end(), reclassified_.begin(), reclassified_.end());
+  reclassified_.clear();
+  return count;
+}
+
 void IncrementalDelayEngine::rebuild() {
   build_trees();
   ++stats_.epoch;
   for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
     mark_dirty(node);
+    mark_reclassified(node);
   }
   for (MutationListener* listener : listeners_) listener->on_rebuild();
 }
@@ -276,6 +297,15 @@ void IncrementalDelayEngine::check_invariants(
   for (const NodeId node : dirty_) {
     TACC_CHECK_INVARIANT(node < in_dirty_.size() && in_dirty_[node] != 0,
                          "dirty node not flagged in the bitmap");
+  }
+  std::size_t listed = 0;
+  for (const std::uint8_t flag : in_reclassified_) listed += flag != 0 ? 1 : 0;
+  TACC_CHECK_INVARIANT(listed == reclassified_.size(),
+                       "reclassified list and bitmap disagree");
+  for (const NodeId node : reclassified_) {
+    TACC_CHECK_INVARIANT(
+        node < in_reclassified_.size() && in_reclassified_[node] != 0,
+        "reclassified node not flagged in the bitmap");
   }
 
   for (std::size_t j = 0; j < trees_.size(); ++j) {
@@ -332,8 +362,10 @@ void IncrementalDelayEngine::check_invariants(
 }
 
 std::size_t IncrementalDelayEngine::scratch_bytes() const noexcept {
-  std::size_t bytes = dirty_.capacity() * sizeof(NodeId) +
-                      in_dirty_.capacity() + pendant_.capacity() +
+  std::size_t bytes = (dirty_.capacity() + reclassified_.capacity()) *
+                          sizeof(NodeId) +
+                      in_dirty_.capacity() + in_reclassified_.capacity() +
+                      pendant_.capacity() +
                       pendant_link_.capacity() * sizeof(PendantLink) +
                       changes_.capacity() * sizeof(DistanceChange) +
                       pendants_dirty_in_.capacity() * sizeof(std::uint64_t);

@@ -67,6 +67,13 @@ class MutationListener {
   virtual void on_rebuild() = 0;
 };
 
+/// The tree node a node's delays read through, and the latency added to
+/// its tree distances: see IncrementalDelayEngine::read_through().
+struct ReadThrough {
+  NodeId node = kInvalidNode;
+  double latency_ms = 0.0;
+};
+
 class IncrementalDelayEngine {
  public:
   /// Builds one shortest-path tree per edge server of `net` (`threads`
@@ -97,6 +104,14 @@ class IncrementalDelayEngine {
   /// True iff `node` is a pendant (served from its anchor, not the trees).
   [[nodiscard]] bool is_pendant(NodeId node) const noexcept {
     return node < pendant_.size() && pendant_[node] != 0;
+  }
+  /// A pendant reads through its anchor at its access latency; any other
+  /// node reads through itself at latency 0. delay_ms(j, node) equals
+  /// distance_j(through.node) + through.latency_ms bitwise, since adding
+  /// +0.0 to a non-negative distance changes no bit.
+  [[nodiscard]] ReadThrough read_through(NodeId node) const noexcept {
+    if (!is_pendant(node)) return {node, 0.0};
+    return {pendant_link_[node].anchor, pendant_link_[node].latency_ms};
   }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return stats_.epoch; }
@@ -135,6 +150,15 @@ class IncrementalDelayEngine {
     return node < in_dirty_.size() && in_dirty_[node] != 0;
   }
 
+  /// Appends the nodes whose read_through() changed since the last drain,
+  /// clears the list and returns the count: a pendant promoted into the
+  /// trees, isolated by its link's removal or given a new access latency,
+  /// and a device that became a pendant; rebuild() reports every node.
+  /// Their served delay may not have moved, so the dirty set need not hold
+  /// them; a row store keyed by read_through() re-resolves them. Each node
+  /// appears once, so an undrained list holds at most one entry per node.
+  std::size_t drain_reclassified(std::vector<NodeId>& out);
+
   /// Deep validation, reported through the contracts failure handler:
   ///  - one tree per edge server, rooted at that server's node, sized to
   ///    the graph;
@@ -156,8 +180,9 @@ class IncrementalDelayEngine {
   /// also used by tests.
   void rebuild();
 
-  /// Scratch bytes across all trees plus the dirty set, the pendant mask,
-  /// links and event stamps, and the per-update change log — the bench's
+  /// Scratch bytes across all trees plus the dirty set, the reclassified
+  /// list, the pendant mask, links and event stamps, and the per-update
+  /// change log — the bench's
   /// flat-memory gate watches this across 100k+ events.
   [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
@@ -180,6 +205,7 @@ class IncrementalDelayEngine {
   void set_pendant(NodeId node, const Adjacency& link);
   void clear_pendant(NodeId node);
   void mark_dirty(NodeId node);
+  void mark_reclassified(NodeId node);
   /// Applies one already-performed graph mutation: a pendant's access link
   /// only dirties the pendant; any other link repairs every tree and
   /// dirties the changed tree nodes plus their pendants whose delay moved.
@@ -202,6 +228,8 @@ class IncrementalDelayEngine {
 
   std::vector<NodeId> dirty_;
   std::vector<std::uint8_t> in_dirty_;  ///< per node: already in dirty_?
+  std::vector<NodeId> reclassified_;
+  std::vector<std::uint8_t> in_reclassified_;  ///< per node: listed?
   std::vector<DistanceChange> changes_;  ///< one tree's change log
   /// Per node: the event (epoch + 1) in which all its pendants were found
   /// dirty, so later trees of that event skip scanning them again.

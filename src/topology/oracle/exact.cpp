@@ -1,5 +1,7 @@
 #include "topology/oracle/exact.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "util/contracts.hpp"
@@ -13,7 +15,8 @@ constexpr std::uint64_t kCompressedTag = 0xEC0117ULL;
 ExactOracle::ExactOracle(incr::IncrementalDelayEngine& engine,
                          const OracleConfig& config)
     : DelayOracle(config.compress ? RowEncoding::kBounded : RowEncoding::kDense,
-                  engine.server_count(), config.hot_rows),
+                  engine.server_count(), config.hot_rows,
+                  [&engine](NodeId node) { return engine.read_through(node); }),
       engine_(&engine) {}
 
 std::string_view ExactOracle::name() const noexcept {
@@ -33,15 +36,21 @@ DelayBounds ExactOracle::bounds_ms(std::size_t row, std::size_t server) const {
   return {value, value, true};
 }
 
-std::size_t ExactOracle::refresh() {
+std::size_t ExactOracle::drain() {
   drain_scratch_.clear();
-  engine_->drain_dirty(drain_scratch_);
-  return store_.refresh(drain_scratch_);
+  const std::size_t dirty = engine_->drain_dirty(drain_scratch_);
+  engine_->drain_reclassified(drain_scratch_);
+  return dirty;
+}
+
+std::size_t ExactOracle::refresh() {
+  const std::size_t dirty = drain();
+  const std::span<const NodeId> drained(drain_scratch_);
+  return store_.refresh(drained.first(dirty), drained.subspan(dirty));
 }
 
 void ExactOracle::refresh_all() {
-  drain_scratch_.clear();
-  engine_->drain_dirty(drain_scratch_);
+  drain();
   store_.refresh_all();
 }
 
@@ -62,12 +71,15 @@ void ExactOracle::check_invariants() const {
   for (std::size_t row = 0; row < store_.row_count(); ++row) {
     const NodeId node = store_.row_node(row);
     // Values that drifted from the engine's trees are only acceptable while
-    // the node is queued for the next refresh().
-    if (node == kInvalidNode || engine_->is_dirty(node)) continue;
-    const std::vector<double>& values = store_.row(row);
-    for (std::size_t j = 0; j < values.size(); ++j) {
+    // the node or its key is queued for the next refresh().
+    if (node == kInvalidNode || engine_->is_dirty(node) ||
+        engine_->is_dirty(store_.row_key(row))) {
+      continue;
+    }
+    for (std::size_t j = 0; j < store_.width(); ++j) {
       TACC_CHECK_INVARIANT(
-          values[j] == engine_->delay_ms(j, node),
+          std::bit_cast<std::uint64_t>(store_.value(row, j)) ==
+              std::bit_cast<std::uint64_t>(engine_->delay_ms(j, node)),
           "stale cached delay with a clean dirty set: row " +
               std::to_string(row) + ", server " + std::to_string(j));
     }

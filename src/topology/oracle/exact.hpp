@@ -1,11 +1,20 @@
 // ExactOracle: the default DelayOracle backend — its RowStore (rowstore.hpp)
 // filled from the IncrementalDelayEngine's per-server trees.
 //
-// Uncompressed (the default) the store is dense: every bound row is
-// resident, filled on bind and rewritten by refresh() for exactly the
-// engine's dirty nodes, so a link event that strands 2% of the network
-// touches 2% of the bound rows. Reads are a direct vector index, and
-// fingerprint() digests the epoch, the bindings and every row value.
+// Uncompressed (the default) the store is dense and keyed by the tree node
+// each device reads through (IncrementalDelayEngine::read_through): a
+// single-homed device shares its anchor router's key row and keeps only its
+// access latency and epoch; a multi-homed, promoted or isolated device
+// reads through its own node. Key rows are resident, filled on bind and
+// rewritten by refresh() for exactly the engine's dirty key nodes, so a
+// link event rewrites one row per moved router, not one per device. A read
+// adds the device's latency to its key row entry — the engine's own
+// addition, so served values are bit-identical to the trees. refresh() also
+// drains the engine's reclassified nodes and re-resolves their keys, and
+// stamps each dirty bound device's row epoch exactly as a per-device row
+// store would. row() materializes into a scratch row that lasts until the
+// next row() call. fingerprint() digests the epoch, the bindings and every
+// served value.
 //
 // With config.compress set the store is bounded: rows are (re)filled
 // lazily on first touch, hot rows are exact, demoted rows are
@@ -37,10 +46,10 @@ class ExactOracle final : public DelayOracle {
   [[nodiscard]] std::uint64_t fingerprint() const override;
   [[nodiscard]] std::size_t resident_bytes() const override;
   /// The store's structural invariants plus, when dense, dirty-set
-  /// soundness: a bound row whose values differ from the engine's current
-  /// trees must have its node in the engine's dirty set (a refresh() would
-  /// rewrite it) — otherwise the oracle serves stale delays it believes are
-  /// current.
+  /// soundness: a bound row whose values differ bitwise from the engine's
+  /// delay_ms() must have its node or its key in the engine's dirty set (a
+  /// refresh() would rewrite it) — otherwise the oracle serves stale delays
+  /// it believes are current.
   void check_invariants() const override;
 
  private:
@@ -48,6 +57,10 @@ class ExactOracle final : public DelayOracle {
 
   std::uint64_t fill_row(std::size_t row, NodeId node,
                          std::span<double> out) const override;
+
+  /// Drains the engine's dirty set, then its reclassified nodes, into
+  /// drain_scratch_; returns the dirty count.
+  std::size_t drain();
 
   incr::IncrementalDelayEngine* engine_;
   std::vector<NodeId> drain_scratch_;

@@ -1,16 +1,19 @@
 #include "topology/oracle/oracle.hpp"
 
+#include <utility>
+
 #include "topology/oracle/exact.hpp"
 #include "topology/oracle/landmark.hpp"
 
 namespace tacc::topo::oracle {
 
 DelayOracle::DelayOracle(RowEncoding encoding, std::size_t width,
-                         std::size_t hot_rows)
+                         std::size_t hot_rows, RowStore::Resolve resolve)
     : store_(encoding, width, hot_rows,
              [this](std::size_t row, NodeId node, std::span<double> out) {
                return fill_row(row, node, out);
-             }) {}
+             },
+             std::move(resolve)) {}
 
 DelayOracle::~DelayOracle() = default;
 

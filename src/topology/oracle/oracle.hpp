@@ -13,13 +13,17 @@
 //                                    per entry instead of dense rows.
 //
 // Both keep their rows in a RowStore (rowstore.hpp): dense for the default
-// ExactOracle, bounded (a QuantizedRowStore) for ExactOracle with
-// config.compress and for LandmarkOracle.
+// ExactOracle (rows keyed by the tree node they read through, so the
+// single-homed devices of one anchor router share one resident row),
+// bounded (a QuantizedRowStore) for ExactOracle with config.compress and
+// for LandmarkOracle.
 //
 // Row contract: rows are bound to graph nodes, carry the epoch they were
 // last written at, refresh() drains the pending invalidations (the engine's
-// dirty set for attached backends), and fingerprint() digests the cached
-// view. Bounded stores cannot digest values they never materialize, so
+// dirty set, and its reclassified nodes, for attached backends), and
+// fingerprint() digests the cached view. row() returns a reference that
+// lasts until the next row() call on the same oracle (dense rows are
+// materialized into one scratch row) or until hot-set eviction (bounded). Bounded stores cannot digest values they never materialize, so
 // their fingerprint covers (epoch, bindings, backend identity) only — still
 // a change detector, but not a value digest; only the default dense
 // ExactOracle also digests every row value.
@@ -102,9 +106,10 @@ class DelayOracle {
   // ---- Queries ------------------------------------------------------------
   /// The served per-server delay row. For approximate backends every entry
   /// e satisfies exact <= e <= (1+eps)·exact + slack (see landmark.hpp).
-  /// The reference stays valid until the backend evicts the row (stable
-  /// until the next mutation for dense stores; until hot-set eviction for
-  /// bounded ones) — read it before querying other rows.
+  /// The reference lasts until the next row() call on this oracle (dense
+  /// stores materialize the row into one oracle-owned scratch row) or until
+  /// hot-set eviction (bounded ones) — read it, or copy it, before asking
+  /// for another row. delay_ms() does not disturb it.
   [[nodiscard]] const std::vector<double>& row(std::size_t row) const {
     stats_.queries += store_.width();
     return store_.row(row);
@@ -113,7 +118,7 @@ class DelayOracle {
   /// row() counts server_count().
   [[nodiscard]] double delay_ms(std::size_t row, std::size_t server) const {
     ++stats_.queries;
-    return store_.row(row)[server];
+    return store_.value(row, server);
   }
   /// The certified envelope for one entry, computed live (never from
   /// compressed storage) — the property-tested containment guarantee.
@@ -123,7 +128,8 @@ class DelayOracle {
   // ---- Epochs / invalidation ----------------------------------------------
   /// Processes pending invalidations (the engine dirty set and, for the
   /// landmark backend, rows whose certifying vectors moved). Returns the
-  /// number of rows invalidated or rewritten.
+  /// number of bound rows whose served delays moved (rewritten or
+  /// invalidated), however few shared key rows that took.
   virtual std::size_t refresh() = 0;
   /// Rewrites/invalidates every bound row (recovery hatch after rebuild()).
   virtual void refresh_all() = 0;
@@ -156,11 +162,14 @@ class DelayOracle {
   virtual void check_invariants() const = 0;
 
  protected:
-  /// `width` servers per row; see RowStore for the encodings.
-  DelayOracle(RowEncoding encoding, std::size_t width, std::size_t hot_rows);
+  /// `width` servers per row; see RowStore for the encodings and for
+  /// `resolve` (dense only).
+  DelayOracle(RowEncoding encoding, std::size_t width, std::size_t hot_rows,
+              RowStore::Resolve resolve = {});
 
-  /// The store's fill: bound `row`'s (attached to `node`) delay to every
-  /// server, written to `out`; returns the epoch the values are current at.
+  /// The store's fill: `node`'s delay to every server, written to `out`;
+  /// returns the epoch the values are current at. `row` is the bound row
+  /// being filled, or kUnbound for a dense key row (see RowStore::Fill).
   virtual std::uint64_t fill_row(std::size_t row, NodeId node,
                                  std::span<double> out) const = 0;
 

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -135,6 +137,27 @@ TEST(Engine, PingAndShutdownBelongToTransport) {
   Engine engine(small_options());
   EXPECT_EQ(call(engine, "PING").rfind("ERR BAD_REQUEST", 0), 0u);
   EXPECT_EQ(call(engine, "SHUTDOWN").rfind("ERR BAD_REQUEST", 0), 0u);
+}
+
+TEST(Engine, ConstructionRejectsZeroBatchAndUnusableDeadlines) {
+  EngineOptions zero_batch = small_options();
+  zero_batch.max_batch = 0;
+  EXPECT_THROW(Engine{zero_batch}, std::invalid_argument);
+  for (const double timeout_ms :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e300,
+        std::nextafter(kMaxTimeoutMs, 1e300)}) {
+    EngineOptions options = small_options();
+    options.default_timeout_ms = timeout_ms;
+    EXPECT_THROW(Engine{options}, std::invalid_argument) << timeout_ms;
+  }
+  // The bounds themselves are usable.
+  EngineOptions edge = small_options();
+  edge.max_batch = 1;
+  edge.default_timeout_ms = kMaxTimeoutMs;
+  Engine engine(edge);
+  EXPECT_EQ(call(engine, "CONFIGURE s 20 3 seed=1").rfind("OK", 0), 0u);
+  EXPECT_EQ(call(engine, "JOIN s 1.0 1.0").rfind("OK", 0), 0u);
 }
 
 TEST(Engine, GlobalAndSessionStats) {

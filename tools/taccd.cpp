@@ -77,6 +77,14 @@ int run(int argc, char** argv) {
       return 2;
     }
   }
+  // A zero --max-batch never drains a request, and a --timeout-ms outside
+  // (0, one day] expires every request: refuse both at startup.
+  try {
+    service::validate_engine_options(options.engine);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "taccd: bad engine option: " << error.what() << "\n";
+    return 2;
+  }
   if (flags.get_bool("verbose", false)) {
     util::set_log_level(util::LogLevel::kInfo);
   }

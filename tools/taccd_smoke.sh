@@ -16,7 +16,19 @@ cleanup() {
   kill -9 "$DAEMON_PID" 2>/dev/null || true
   rm -f "$SOCK" "$OUT"
 }
+DAEMON_PID=""
 trap cleanup EXIT
+
+# Engine options are checked before the daemon listens: a zero batch once
+# left CONFIGURE unanswered, and these deadlines expired every request.
+for BAD in --max-batch=0 --timeout-ms=0 --timeout-ms=nan --timeout-ms=1e300; do
+  set +e
+  timeout 10 "$TACCD" --socket="$SOCK" "$BAD" > /dev/null 2>&1
+  RC=$?
+  set -e
+  [ "$RC" -eq 2 ] || { echo "FAIL: taccd $BAD exited $RC (want 2)"; exit 1; }
+  [ ! -S "$SOCK" ] || { echo "FAIL: taccd $BAD bound $SOCK"; exit 1; }
+done
 
 # Tiny admission queue so the forced-overload phase overflows reliably —
 # with 2 shards, --max-queue=4 is two slots per shard: enough for the
