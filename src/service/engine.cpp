@@ -717,7 +717,11 @@ std::string Engine::stats_line(const Request& request) const {
       // cut, so s<k>_accepted == s<k>_completed + s<k>_failed +
       // s<k>_deadline + s<k>_depth holds in every reply.
       for (std::size_t i = 0; i < views.size(); ++i) {
-        const std::string prefix = "s" + std::to_string(i) + "_";
+        // Appended rather than "s" + ... + "_": GCC 12 misreads the
+        // operator+(const char*, string&&) insert as overlapping (-Wrestrict).
+        std::string prefix = "s";
+        prefix += std::to_string(i);
+        prefix += '_';
         const EngineCounters& c = views[i].counters;
         line.field(prefix + "depth", views[i].in_flight)
             .field(prefix + "accepted", static_cast<std::size_t>(c.accepted))

@@ -63,6 +63,16 @@ std::uint64_t field_value(const std::string& line, const std::string& key) {
   return std::stoull(line.substr(at + key.size() + 2));
 }
 
+/// The "s<shard>_" prefix of a STATS shards=1 block, appended piecewise as
+/// Engine::stats_line builds it (GCC 12 flags "s" + ... + "_" with a
+/// false -Wrestrict).
+std::string shard_prefix(std::size_t shard) {
+  std::string prefix = "s";
+  prefix += std::to_string(shard);
+  prefix += '_';
+  return prefix;
+}
+
 /// Session names, one per shard, discovered by probing the stable hash.
 std::vector<std::string> sessions_covering_all_shards(const Engine& engine) {
   std::vector<std::string> names(engine.shard_count());
@@ -669,7 +679,7 @@ TEST(EngineSharding, GlobalStatsCarryShardFieldsAndBreakdown) {
 
   const std::string detailed = call(engine, "STATS shards=1");
   for (std::size_t shard = 0; shard < 2; ++shard) {
-    const std::string p = "s" + std::to_string(shard) + "_";
+    const std::string p = shard_prefix(shard);
     // Each shard processed its one session's CONFIGURE + JOIN.
     EXPECT_EQ(field_value(detailed, p + "accepted"), 2u) << detailed;
     EXPECT_EQ(field_value(detailed, p + "completed"), 2u) << detailed;
@@ -746,7 +756,7 @@ TEST(EngineConcurrency, StatsIdentityHoldsUnderConcurrentTraffic) {
     const std::string stats = call(engine, "STATS shards=1");
     ASSERT_EQ(stats.rfind("OK", 0), 0u) << stats;
     for (std::size_t shard = 0; shard < 2; ++shard) {
-      const std::string p = "s" + std::to_string(shard) + "_";
+      const std::string p = shard_prefix(shard);
       const std::uint64_t accepted = field_value(stats, p + "accepted");
       const std::uint64_t settled = field_value(stats, p + "completed") +
                                     field_value(stats, p + "failed") +
