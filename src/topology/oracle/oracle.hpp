@@ -87,6 +87,11 @@ class DelayOracle {
   [[nodiscard]] std::size_t server_count() const noexcept {
     return store_.width();
   }
+  /// True when every bound row is served from resident rows kept current
+  /// by bind and refresh() (the default ExactOracle), so a read is a pure
+  /// function of the engine's trees; false for bounded stores, whose reads
+  /// depend on LRU residency.
+  [[nodiscard]] bool dense() const noexcept { return store_.dense(); }
 
   // ---- Row bindings ---------------------------------------------------------
   virtual void bind_row(std::size_t row, NodeId node) {
@@ -129,8 +134,16 @@ class DelayOracle {
   /// Processes pending invalidations (the engine dirty set and, for the
   /// landmark backend, rows whose certifying vectors moved). Returns the
   /// number of bound rows whose served delays moved (rewritten or
-  /// invalidated), however few shared key rows that took.
+  /// invalidated), however few shared key rows that took; refreshed_rows()
+  /// names them.
   virtual std::size_t refresh() = 0;
+  /// The bound rows the last refresh() counted, each once (refresh_all()
+  /// reports every bound row). A bound row outside them serves what it
+  /// served before the refresh, unless a bounded store evicts and refills
+  /// it. Valid until the next refresh() or refresh_all().
+  [[nodiscard]] std::span<const std::size_t> refreshed_rows() const noexcept {
+    return store_.refreshed_rows();
+  }
   /// Rewrites/invalidates every bound row (recovery hatch after rebuild()).
   virtual void refresh_all() = 0;
   [[nodiscard]] virtual std::uint64_t epoch() const = 0;

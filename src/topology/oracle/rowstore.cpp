@@ -313,7 +313,7 @@ bool RowStore::unbind(std::size_t row) {
 
 std::size_t RowStore::refresh(std::span<const NodeId> nodes,
                               std::span<const NodeId> reclassified) {
-  std::size_t refreshed = 0;
+  refreshed_rows_.clear();
   if (dense_) {
     ++pass_;
     for (const NodeId node : reclassified) {
@@ -333,16 +333,17 @@ std::size_t RowStore::refresh(std::span<const NodeId> nodes,
       // Its key is current: any change of key was reported in
       // `reclassified` and resolved above.
       stamp_row(row);
-      ++refreshed;
+      refreshed_rows_.push_back(row);
     }
   } else {
     for (const NodeId node : nodes) {
       const std::size_t row = row_of(node);
       if (row == kUnbound) continue;
       lru_.erase(row);
-      ++refreshed;
+      refreshed_rows_.push_back(row);
     }
   }
+  const std::size_t refreshed = refreshed_rows_.size();
   rows_refreshed_ += refreshed;
   rows_saved_ += bound_ > refreshed ? bound_ - refreshed : 0;
   return refreshed;
@@ -362,6 +363,10 @@ void RowStore::invalidate_all() {
 void RowStore::refresh_all() {
   invalidate_all();
   rows_refreshed_ += bound_;
+  refreshed_rows_.clear();
+  for (std::size_t row = 0; row < nodes_.size(); ++row) {
+    if (nodes_[row] != kInvalidNode) refreshed_rows_.push_back(row);
+  }
 }
 
 std::uint64_t RowStore::fingerprint(std::uint64_t epoch, std::uint64_t tag,
@@ -412,7 +417,8 @@ std::size_t RowStore::resident_bytes() const noexcept {
          nodes_.capacity() * sizeof(NodeId) +
          row_offset_.capacity() * sizeof(std::size_t) +
          epochs_.capacity() * sizeof(std::uint64_t) +
-         node_to_row_.capacity() * sizeof(std::size_t) +
+         (node_to_row_.capacity() + refreshed_rows_.capacity()) *
+             sizeof(std::size_t) +
          (row_key_.capacity() + key_of_node_.capacity() +
           free_keys_.capacity()) *
              sizeof(std::uint32_t) +

@@ -221,13 +221,21 @@ class RowStore {
   /// rows of `nodes` and those read by bound rows in `nodes` (each once)
   /// and stamps those rows with the fill epoch; bounded drops the rows
   /// bound to `nodes` and ignores `reclassified`. Nodes without a bound row
-  /// or key row are skipped. Counts the pass into rows_refreshed/rows_saved
-  /// and returns the bound rows in `nodes`.
+  /// or key row are skipped. Counts the pass into rows_refreshed/rows_saved,
+  /// records the bound rows in `nodes` as refreshed_rows() and returns
+  /// their count.
   std::size_t refresh(std::span<const NodeId> nodes,
                       std::span<const NodeId> reclassified = {});
   /// Rewrites (dense) or drops (bounded) every bound row, counting each one
-  /// as refreshed (the recovery hatch after an engine rebuild()).
+  /// as refreshed and recording all of them as refreshed_rows() (the
+  /// recovery hatch after an engine rebuild()).
   void refresh_all();
+  /// The bound rows the last refresh() or refresh_all() counted, each once:
+  /// every row whose served delays may have moved since. Valid until the
+  /// next of those calls.
+  [[nodiscard]] std::span<const std::size_t> refreshed_rows() const noexcept {
+    return refreshed_rows_;
+  }
   /// refresh_all() without the accounting.
   void invalidate_all();
 
@@ -315,6 +323,7 @@ class RowStore {
   QuantizedRowStore lru_;                   ///< bounded: the tiers
   std::vector<double> fill_scratch_;        ///< bounded: one fill
   std::vector<double> row_scratch_;         ///< dense: the last row() read
+  std::vector<std::size_t> refreshed_rows_;  ///< see refreshed_rows()
   std::uint64_t rows_refreshed_ = 0;
   std::uint64_t rows_saved_ = 0;
   std::uint64_t row_fills_ = 0;

@@ -58,6 +58,14 @@ struct DynamicClusterTestPeer {
   static std::vector<std::size_t>& free_slots(DynamicCluster& cluster) {
     return cluster.free_slots_;
   }
+  /// Moves one slot's objective term by `delta` fixed-point units; with
+  /// `keep_sum` the running sum moves along, so the bookkeeping still adds
+  /// up and only the comparison against the served delay can tell.
+  static void shift_delay_term(DynamicCluster& cluster, std::size_t slot,
+                               std::int64_t delta, bool keep_sum) {
+    cluster.delay_terms_[slot] += delta;
+    if (keep_sum) cluster.delay_term_sum_ += delta;
+  }
 };
 
 }  // namespace tacc
@@ -326,6 +334,20 @@ TEST_F(InvariantsTest, ClusterCatchesFreeSlotDoubleBooking) {
   // served device's slot.
   DynamicClusterTestPeer::free_slots(cluster).push_back(0);
   EXPECT_THROW(cluster.check_invariants(), ContractViolation);
+}
+
+TEST_F(InvariantsTest, ClusterCatchesObjectiveDrift) {
+  // A term the running sum does not reflect: avg_delay_ms() would drift
+  // from the served delays.
+  DynamicCluster drifted = make_cluster(47);
+  DynamicClusterTestPeer::shift_delay_term(drifted, 0, 1, false);
+  EXPECT_THROW(drifted.check_invariants(), ContractViolation);
+  // A term and sum that agree with each other but not with the delay the
+  // dense oracle serves: only the independent reference catches it.
+  DynamicCluster consistent = make_cluster(47);
+  EXPECT_NO_THROW(consistent.check_invariants());
+  DynamicClusterTestPeer::shift_delay_term(consistent, 0, 1, true);
+  EXPECT_THROW(consistent.check_invariants(), ContractViolation);
 }
 
 TEST_F(InvariantsTest, ClusterFlagsDeferredDrainOnlyWhenAsked) {

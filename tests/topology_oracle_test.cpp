@@ -9,9 +9,11 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "topology/failures.hpp"
 #include "topology/oracle/exact.hpp"
@@ -1009,6 +1011,61 @@ TEST(DelayOracle, EveryBackendCountsOneQueryPerEntryAndOnePerServerPerRow) {
       EXPECT_EQ(oracle->delay_ms(0, j), served[j]) << oracle->name();
       EXPECT_EQ(oracle->stats().queries - queries, 1u) << oracle->name();
     }
+  }
+}
+
+// refreshed_rows() names exactly the bound rows whose nodes the drained
+// dirty set held, once each, as many as refresh() returns, for both
+// encodings.
+TEST(DelayOracle, RefreshedRowsAreTheBoundRowsOfTheDrainedDirtyNodes) {
+  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 59);
+  incr::IncrementalDelayEngine engine(net);
+  OracleConfig compressed;
+  compressed.compress = true;
+  std::vector<std::unique_ptr<DelayOracle>> oracles;
+  oracles.push_back(make_oracle(OracleConfig{}, engine));
+  oracles.push_back(make_oracle(compressed, engine));
+  for (const auto& oracle : oracles) {
+    for (std::size_t i = 0; i < net.iot_count(); ++i) {
+      oracle->bind_row(i, net.iot_nodes[i]);
+    }
+  }
+  // Leave one slot unbound: its node's distances move too, but no row
+  // reads them.
+  for (const auto& oracle : oracles) oracle->unbind_row(3);
+
+  const auto links = backbone_links(net);
+  std::size_t reported = 0;
+  for (std::size_t k = 0; k < links.size(); ++k) {
+    // Alternate failures and reweights so paths keep moving.
+    if (k % 2 == 0) {
+      engine.fail_link(links[k].first, links[k].second);
+    } else {
+      engine.set_link_latency(links[k].first, links[k].second, 0.01);
+    }
+    // Both oracles drain one engine, so the expectation is taken before
+    // the first refresh and the second refresh sees an empty dirty set.
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < net.iot_count(); ++i) {
+      if (i != 3 && engine.is_dirty(net.iot_nodes[i])) expected.push_back(i);
+    }
+    for (const auto& oracle : oracles) {
+      const std::size_t refreshed = oracle->refresh();
+      const std::span<const std::size_t> rows = oracle->refreshed_rows();
+      EXPECT_EQ(rows.size(), refreshed) << oracle->name();
+      std::vector<std::size_t> sorted(rows.begin(), rows.end());
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, expected) << oracle->name() << ", link " << k;
+      reported += refreshed;
+      expected.clear();
+    }
+  }
+  EXPECT_GT(reported, 0u);
+
+  // refresh_all() reports every bound row.
+  for (const auto& oracle : oracles) {
+    oracle->refresh_all();
+    EXPECT_EQ(oracle->refreshed_rows().size(), oracle->bound_count());
   }
 }
 
