@@ -42,14 +42,11 @@ DynamicCluster::DynamicCluster(const Scenario& scenario,
       engine_(net_),
       oracle_(topo::oracle::make_oracle(request.oracle, engine_)),
       delay_model_(scenario.params().delay_model),
+      router_positions_(net_.positions.begin(),
+                        net_.positions.begin() +
+                            static_cast<std::ptrdiff_t>(net_.router_count())),
       cost_model_(request.cost_model),
       penalty_factor_(request.penalty_factor) {
-  for (topo::NodeId node = 0; node < net_.graph.node_count(); ++node) {
-    if (net_.kinds[node] == topo::NodeKind::kRouter) {
-      router_nodes_.push_back(node);
-      router_positions_.push_back(net_.positions[node]);
-    }
-  }
 
   const auto& wl = scenario.workload();
   devices_ = wl.iot;
@@ -167,11 +164,10 @@ DynamicCluster::ServerChoice DynamicCluster::cheapest_feasible_server(
 
 DynamicCluster::Access DynamicCluster::nearest_router(
     topo::Point2D position) const {
-  Access nearest{router_nodes_.front(),
-                 std::numeric_limits<double>::infinity()};
-  for (std::size_t r = 0; r < router_nodes_.size(); ++r) {
+  Access nearest{0, std::numeric_limits<double>::infinity()};
+  for (topo::NodeId r = 0; r < router_positions_.size(); ++r) {
     const double d = topo::euclidean_distance(router_positions_[r], position);
-    if (d < nearest.distance_km) nearest = {router_nodes_[r], d};
+    if (d < nearest.distance_km) nearest = {r, d};
   }
   if (!std::isfinite(nearest.distance_km)) {
     throw std::invalid_argument(
@@ -656,7 +652,7 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
   // ---- Node recycling ------------------------------------------------------
   TACC_CHECK_INVARIANT(
       net_.graph.live_node_count() ==
-          router_nodes_.size() + net_.edge_count() + active_,
+          router_positions_.size() + net_.edge_count() + active_,
       "live graph nodes must be exactly routers + servers + active devices");
 
   // ---- Underlying topology / engine / oracle -------------------------------

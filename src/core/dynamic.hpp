@@ -3,11 +3,11 @@
 //
 // Full re-optimization on every arrival is wasteful and churns existing
 // sessions; DynamicCluster instead applies an incremental policy — joiners
-// get the cheapest feasible server (one Dijkstra from the new device's
-// attachment point), leavers free their load — with an optional bounded
-// rebalance() pass to drain the accumulated suboptimality. This implements
-// the "cluster configuration" lifecycle the paper's title refers to beyond
-// the one-shot assignment.
+// get the cheapest feasible server (read from the delay row of the new
+// device's anchor router), leavers free their load — with an optional
+// bounded rebalance() pass to drain the accumulated suboptimality. This
+// implements the "cluster configuration" lifecycle the paper's title refers
+// to beyond the one-shot assignment.
 //
 // The engine is churn-hardened for long horizons:
 //  - Node recycling: leave() releases the device's graph node and access
@@ -18,8 +18,9 @@
 //    keeps its index across handovers (no old-index invalidation).
 //  - Incremental delay rows: a join or move binds the device's row to its
 //    graph node, which reads the key row it shares with the other devices
-//    of its anchor router; no Dijkstra runs. Link churn rewrites only the
-//    key rows whose distances moved.
+//    of its anchor router; no Dijkstra runs. The engine's trees span the
+//    routers only, since hosts never relay, so link churn repairs router
+//    distances and rewrites only the key rows whose distances moved.
 //  - Incremental objective: each active slot's served delay to its server
 //    is kept as a fixed-point term with a running integer sum, updated
 //    wherever an assignment changes and for the rows a link update
@@ -69,8 +70,8 @@ struct EvacuationReport {
 /// Outcome of one in-place backbone-link mutation.
 struct LinkUpdateReport {
   std::uint64_t epoch = 0;           ///< engine epoch after the update
-  /// Σ per-tree affected-region sizes (tree nodes examined; single-homed
-  /// devices never enter a tree, so they count nothing).
+  /// Σ per-tree affected-region sizes (routers examined; hosts, devices
+  /// and servers, never enter a tree, so they count nothing).
   std::uint64_t nodes_affected = 0;
   std::uint64_t nodes_saved = 0;     ///< full-recompute visits avoided
   /// Bound device rows whose served delays moved: restamped (dense; only
@@ -424,7 +425,7 @@ class DynamicCluster {
   // bit-identical to the engine's trees).
   std::unique_ptr<topo::oracle::DelayOracle> oracle_;
   topo::LinkDelayModel delay_model_;
-  std::vector<topo::NodeId> router_nodes_;
+  /// Router r (routers are the node id prefix) sits at router_positions_[r].
   std::vector<topo::Point2D> router_positions_;
 
   // Per device slot. Active slots hold a served device; departed slots are

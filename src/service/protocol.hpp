@@ -17,9 +17,9 @@
 //   LINK_SET     <session> <u> <v> <latency_ms>
 //                (LINK_* replies carry affected=/saved=: shortest-path-tree
 //                 nodes the repair examined / a full recompute would have
-//                 settled beyond them. Single-homed devices are served
-//                 from their router and never enter a tree, so affected=
-//                 counts backbone nodes only — and so does STATS'
+//                 settled beyond them. The trees span routers only — hosts,
+//                 devices and servers alike, never relay — so affected=
+//                 counts routers only, and so does STATS'
 //                 link_nodes_affected.)
 //   LINKS     <session> [limit=K]          (list live backbone links)
 //   REOPT_START <session> [moves=N] [device_moves=N] [window_s=S]

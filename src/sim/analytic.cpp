@@ -73,7 +73,8 @@ AnalyticResult predict_delays(const topo::NetworkTopology& net,
       }
     }
     if (!server_used) continue;
-    const auto tree = topo::dijkstra(net.graph, net.edge_nodes[j]);
+    const auto tree =
+        topo::dijkstra(net.graph, net.edge_nodes[j], net.router_count());
     for (std::size_t i = 0; i < n; ++i) {
       if (static_cast<std::size_t>(assignment[i]) != j) continue;
       const auto path = tree.path_to(net.iot_nodes[i]);

@@ -70,7 +70,8 @@ SimResult simulate(const topo::NetworkTopology& net,
   };
 
   for (std::size_t j = 0; j < m; ++j) {
-    const auto tree = topo::dijkstra(net.graph, net.edge_nodes[j]);
+    const auto tree =
+        topo::dijkstra(net.graph, net.edge_nodes[j], net.router_count());
     for (std::size_t i = 0; i < n; ++i) {
       if (static_cast<std::size_t>(assignment[i]) != j) continue;
       // Path from server to device; traverse it reversed (device → server).

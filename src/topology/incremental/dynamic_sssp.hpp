@@ -1,8 +1,8 @@
-// Dynamic single-source shortest paths over the latency metric.
+// Dynamic single-source shortest paths over the routers of a network.
 //
-// A DynamicSsspTree maintains the distance and parent of every node from one
-// source across edge insertions, deletions, and reweightings, touching only
-// the affected region instead of re-running Dijkstra from scratch:
+// A DynamicSsspTree maintains the distance and parent of every router from
+// one source across edge insertions, deletions, and reweightings, touching
+// only the affected region instead of re-running Dijkstra from scratch:
 //
 //  - insert / latency decrease: if the edge improves one endpoint, a bounded
 //    Dijkstra from that endpoint pushes the improvement outward and stops at
@@ -14,96 +14,106 @@
 //    re-relaxes from the surviving frontier. Non-orphan distances are
 //    provably unchanged, so the cost is O(affected · (deg + log)).
 //
-// Pendant mask: an optional per-node mask names nodes the tree never holds
-// (IncrementalDelayEngine's single-homed devices, whose distance it derives
-// from their one neighbour). Masked nodes are never relaxed, settled,
-// orphaned or pushed; their slots stay unreachable. "affected" then counts
-// unmasked nodes only, and a masked neighbour costs a neighbour scan one
-// byte of the shared mask — no per-tree array is read for it. An empty mask
-// (the landmark trees) keeps every node in the tree.
+// Routers only. Routers are the id prefix [0, routers) of the graph
+// (NetworkTopology::router_count()); every other node is a host, which
+// never relays. The tree's arrays are sized by the router count. A router
+// source starts at 0; a host source (an edge server) is seeded at its
+// access routers with 0 + w, and its access links are the only host links
+// that can move a distance. Any other link with a host endpoint changes
+// nothing, so the update hooks ignore it. A host's distance is derived on
+// read (delay_ms()): the minimum over its links of the far end's distance
+// plus the link latency.
 //
 // Exactness: distances are the min-plus closure of the rounded edge weights
-// (the same value Dijkstra computes), so an incrementally maintained tree is
-// bit-identical to a from-scratch dijkstra() at every step — the randomized
-// churn tests and bench_m4_linkchurn gate on exactly that.
+// (the same value dijkstra() computes in its no-relay mode), so an
+// incrementally maintained tree is bit-identical to a from-scratch run at
+// every step — the randomized churn tests and bench_m4_linkchurn gate on
+// exactly that.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "topology/shortest_paths.hpp"
 
 namespace tacc::topo::incr {
 
-/// What one update touched. `nodes_affected` counts nodes examined for
-/// change (orphaned or improved); `changed` lists the nodes whose DISTANCE
-/// actually changed — the dirty set downstream caches must rewrite.
+/// The delay from `source` to `node` in a graph whose routers are the ids
+/// [0, routers): 0 at the source, a router's own distance `router_ms(r)`,
+/// and for any other host the minimum over its links of the far end's
+/// distance plus the latency. A host relays nothing, so a far end counts
+/// only if it is a router or the source.
+template <typename RouterMs>
+[[nodiscard]] double delay_from(const Graph& graph, std::size_t routers,
+                                NodeId source, NodeId node,
+                                RouterMs&& router_ms) {
+  if (node == source) return 0.0;
+  if (node < routers) return router_ms(node);
+  double best = kUnreachable;
+  for (const Adjacency& adj : graph.neighbors(node)) {
+    const double base = adj.to == source   ? 0.0
+                        : adj.to < routers ? router_ms(adj.to)
+                                           : kUnreachable;
+    best = std::min(best, base + adj.props.latency_ms);
+  }
+  return best;
+}
+
+/// What one update touched: `nodes_affected` counts the routers examined for
+/// change (orphaned or improved).
 struct SsspUpdateStats {
   std::size_t nodes_affected = 0;
-  std::size_t nodes_changed = 0;
 };
 
-/// A node whose distance one update moved, with its distance before the
+/// A router whose distance one update moved, with its distance before the
 /// update (the first old value, however often the update moved it).
 struct DistanceChange {
   NodeId node = kInvalidNode;
   double old_ms = 0.0;
 };
 
-/// Per-node skip mask (non-zero = not held by the tree); empty = none. A
-/// non-empty mask must cover every node of the graph passed alongside it.
-using PendantMask = std::span<const std::uint8_t>;
-
 class DynamicSsspTree {
  public:
   DynamicSsspTree() = default;
-  /// Initializes from a full Dijkstra run; masked slots are then cleared.
-  DynamicSsspTree(const Graph& graph, NodeId source, PendantMask skip = {});
+  /// Runs a routers-only Dijkstra from `source` over `graph`, whose routers
+  /// are the ids [0, routers).
+  DynamicSsspTree(const Graph& graph, std::size_t routers, NodeId source);
 
   [[nodiscard]] NodeId source() const noexcept { return source_; }
-  [[nodiscard]] std::size_t node_count() const noexcept {
+  [[nodiscard]] std::size_t router_count() const noexcept {
     return dist_.size();
   }
-  [[nodiscard]] double distance_ms(NodeId node) const {
-    return dist_.at(node);
+  [[nodiscard]] double distance_ms(NodeId router) const {
+    return dist_.at(router);
   }
+  /// Distances by router id.
   [[nodiscard]] const std::vector<double>& distances() const noexcept {
     return dist_;
   }
-  [[nodiscard]] const std::vector<NodeId>& parents() const noexcept {
-    return parent_;
+  /// delay_from() this tree's source to any node.
+  [[nodiscard]] double delay_ms(const Graph& graph, NodeId node) const {
+    return delay_from(graph, dist_.size(), source_, node,
+                      [this](NodeId router) { return dist_[router]; });
   }
 
-  /// Grows internal arrays to cover `count` nodes (new nodes unreachable).
-  /// Call after the graph acquires nodes beyond the initial count.
-  void ensure_node_count(std::size_t count);
-
-  /// Takes a masked node into the tree as a leaf below `via`, its only
-  /// neighbour over a `latency_ms` link: distance dist(via) + latency_ms
-  /// (unreachable if `via` is). Then update hooks may treat it as a node.
-  void adopt_leaf(NodeId node, NodeId via, double latency_ms);
-
   // Update hooks. The graph must ALREADY reflect the mutation (edge present
-  // for added, absent for removed, new weight for changed), and neither
-  // endpoint may be masked in `skip`. Nodes whose distance changed are
-  // appended to `changed` (each node once, with its pre-update distance).
+  // for added, absent for removed, new weight for changed). Routers whose
+  // distance changed are appended to `changed` (each once, with its
+  // pre-update distance).
   SsspUpdateStats on_edge_added(const Graph& graph, NodeId u, NodeId v,
                                 double latency_ms,
-                                std::vector<DistanceChange>& changed,
-                                PendantMask skip = {});
+                                std::vector<DistanceChange>& changed);
   SsspUpdateStats on_edge_removed(const Graph& graph, NodeId u, NodeId v,
-                                  std::vector<DistanceChange>& changed,
-                                  PendantMask skip = {});
+                                  std::vector<DistanceChange>& changed);
   SsspUpdateStats on_edge_latency_changed(const Graph& graph, NodeId u,
                                           NodeId v, double old_latency_ms,
                                           double new_latency_ms,
-                                          std::vector<DistanceChange>& changed,
-                                          PendantMask skip = {});
+                                          std::vector<DistanceChange>& changed);
 
   /// Bytes held by the scratch buffers (orphan list, heap, marks) — the
-  /// bench's flat-memory gate checks this stays O(V), independent of how
-  /// many updates have been applied.
+  /// bench's flat-memory gate checks this stays O(routers), independent of
+  /// how many updates have been applied.
   [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
  private:
@@ -115,35 +125,40 @@ class DynamicSsspTree {
     }
   };
 
+  [[nodiscard]] bool is_router(NodeId node) const noexcept {
+    return node < dist_.size();
+  }
+  /// The distance a path may continue from: the source's 0, a router's own
+  /// distance, unreachable for any other host (it relays nothing).
+  [[nodiscard]] double relay_ms(NodeId node) const noexcept {
+    if (node == source_) return 0.0;
+    return is_router(node) ? dist_[node] : kUnreachable;
+  }
   /// Advances the scratch epochs (resetting the arrays on wraparound).
   void bump_epochs();
-  /// Records the improved distance/parent, pushes the node, and appends it
+  /// Records the improved distance/parent, pushes the router, and appends it
   /// (with its old distance) to `changed` the first time it moves this
   /// update.
-  void improve(NodeId node, double dist, NodeId via,
+  void improve(NodeId router, double dist, NodeId via,
                std::vector<DistanceChange>* changed);
   /// Bounded Dijkstra over the pre-seeded heap_: pops until empty, relaxing
-  /// into orphans only (marked) or all unmasked nodes. Returns settled-node
-  /// count.
-  std::size_t run_heap(const Graph& graph, bool orphan_only, PendantMask skip,
+  /// into orphans only (marked) or all routers. Returns the settled count.
+  std::size_t run_heap(const Graph& graph, bool orphan_only,
                        std::vector<DistanceChange>* changed);
   /// Delete/increase repair: collect the subtree below `child`, invalidate
   /// it, re-seed from the surviving frontier, settle within the orphan set.
   SsspUpdateStats repair_orphans(const Graph& graph, NodeId child,
-                                 std::vector<DistanceChange>& changed,
-                                 PendantMask skip);
-  /// Masked nodes are skipped before any per-tree array is read, so a
-  /// neighbour scan costs nothing per pendant beyond one shared mask byte.
-  [[nodiscard]] static bool masked(PendantMask skip, NodeId node) noexcept {
-    return !skip.empty() && skip[node] != 0;
-  }
-  [[nodiscard]] bool marked(NodeId node) const noexcept {
-    return mark_[node] == mark_epoch_;
+                                 std::vector<DistanceChange>& changed);
+  /// Repairs below whichever endpoint hangs off the other in the tree.
+  SsspUpdateStats repair_tree_edge(const Graph& graph, NodeId u, NodeId v,
+                                   std::vector<DistanceChange>& changed);
+  [[nodiscard]] bool marked(NodeId router) const noexcept {
+    return mark_[router] == mark_epoch_;
   }
 
   NodeId source_ = kInvalidNode;
-  std::vector<double> dist_;
-  std::vector<NodeId> parent_;
+  std::vector<double> dist_;     ///< per router
+  std::vector<NodeId> parent_;   ///< per router; the source for its seeds
 
   // Scratch, reused across updates (epoch-marked so no O(V) clears).
   std::vector<HeapEntry> heap_;

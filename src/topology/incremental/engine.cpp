@@ -8,14 +8,6 @@
 
 namespace tacc::topo::incr {
 
-namespace {
-
-bool is_iot_device(const NetworkTopology& net, NodeId node) {
-  return node < net.kinds.size() && net.kinds[node] == NodeKind::kIotDevice;
-}
-
-}  // namespace
-
 IncrementalDelayEngine::IncrementalDelayEngine(NetworkTopology& net,
                                                std::size_t threads)
     : net_(&net), threads_(threads) {
@@ -24,99 +16,115 @@ IncrementalDelayEngine::IncrementalDelayEngine(NetworkTopology& net,
 
 void IncrementalDelayEngine::build_trees() {
   const Graph& graph = net_->graph;
-  // Greedy in id order, so of two devices linked only to each other the
-  // lower id is the pendant and the other its (tree-held) anchor.
-  pendant_.assign(graph.node_count(), 0);
-  pendant_link_.assign(graph.node_count(), PendantLink{});
-  for (NodeId node = 0; node < graph.node_count(); ++node) {
-    if (is_iot_device(*net_, node) && graph.degree(node) == 1 &&
-        pendant_[graph.neighbors(node).front().to] == 0) {
-      set_pendant(node, graph.neighbors(node).front());
-    }
-  }
+  router_count_ = net_->router_count();
   trees_.assign(net_->edge_count(), DynamicSsspTree());
   runtime::parallel_for(net_->edge_count(), threads_, [&](std::size_t j) {
-    trees_[j] = DynamicSsspTree(graph, net_->edge_nodes[j], pendant_);
+    trees_[j] = DynamicSsspTree(graph, router_count_, net_->edge_nodes[j]);
   });
-  sync_node_count();
+  in_dirty_.resize(std::max(in_dirty_.size(), graph.node_count()), 0);
+  in_reclassified_.resize(
+      std::max(in_reclassified_.size(), graph.node_count()), 0);
+  prior_ms_.assign(router_count_, kUnreachable);
+  prior_stamp_.assign(router_count_, 0);
+  hosts_dirty_in_.assign(router_count_, 0);
 }
 
-void IncrementalDelayEngine::sync_node_count() {
-  const std::size_t n = net_->graph.node_count();
-  if (n > in_dirty_.size()) in_dirty_.resize(n, 0);
-  if (n > in_reclassified_.size()) in_reclassified_.resize(n, 0);
-  if (n > pendant_.size()) pendant_.resize(n, 0);
-  if (n > pendant_link_.size()) pendant_link_.resize(n, PendantLink{});
-  if (n > pendants_dirty_in_.size()) pendants_dirty_in_.resize(n, 0);
-  for (DynamicSsspTree& tree : trees_) tree.ensure_node_count(n);
+ReadThrough IncrementalDelayEngine::read_through(NodeId node) const {
+  if (node < net_->kinds.size() &&
+      net_->kinds[node] == NodeKind::kIotDevice) {
+    const std::span<const Adjacency> links = net_->graph.neighbors(node);
+    if (links.size() == 1 && is_router(links.front().to)) {
+      return {links.front().to, links.front().props.latency_ms};
+    }
+  }
+  return {node, 0.0};
 }
 
 void IncrementalDelayEngine::delay_row(NodeId node,
                                        std::span<double> out) const {
   TACC_REQUIRE(out.size() == trees_.size(),
                "delay row must have one slot per server");
-  if (!is_pendant(node)) {
+  const ReadThrough through = read_through(node);
+  if (is_router(through.node)) {
     for (std::size_t j = 0; j < out.size(); ++j) {
-      out[j] = trees_[j].distance_ms(node);
+      out[j] = trees_[j].distance_ms(through.node) + through.latency_ms;
     }
     return;
   }
-  const PendantLink& link = pendant_link_[node];
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    out[j] = trees_[j].distance_ms(link.anchor) + link.latency_ms;
-  }
-}
-
-void IncrementalDelayEngine::set_pendant(NodeId node, const Adjacency& link) {
-  pendant_[node] = 1;
-  pendant_link_[node] = {link.to, link.props.latency_ms};
-}
-
-void IncrementalDelayEngine::clear_pendant(NodeId node) {
-  pendant_[node] = 0;
-  pendant_link_[node] = {};
+  for (std::size_t j = 0; j < out.size(); ++j) out[j] = delay_ms(j, node);
 }
 
 void IncrementalDelayEngine::mark_dirty(NodeId node) {
+  if (node >= in_dirty_.size()) in_dirty_.resize(net_->graph.node_count(), 0);
   if (in_dirty_[node] != 0) return;
   in_dirty_[node] = 1;
   dirty_.push_back(node);
 }
 
 void IncrementalDelayEngine::mark_reclassified(NodeId node) {
+  if (node >= in_reclassified_.size()) {
+    in_reclassified_.resize(net_->graph.node_count(), 0);
+  }
   if (in_reclassified_[node] != 0) return;
   in_reclassified_[node] = 1;
   reclassified_.push_back(node);
 }
 
-NodeId IncrementalDelayEngine::classify_added_link(NodeId u, NodeId v) {
+void IncrementalDelayEngine::snapshot_hosts(NodeId u, NodeId v) {
+  const NodeId ends[2] = {u, v};
+  for (std::size_t k = 0; k < snapshots_.size(); ++k) {
+    HostSnapshot& snapshot = snapshots_[k];
+    snapshot.node = kInvalidNode;
+    const NodeId node = ends[k];
+    if (is_router(node) || node >= net_->graph.node_count()) continue;
+    snapshot.node = node;
+    snapshot.through = read_through(node);
+    snapshot.row.resize(trees_.size());
+    delay_row(node, snapshot.row);
+  }
+}
+
+void IncrementalDelayEngine::mark_changes_dirty(const DynamicSsspTree& tree,
+                                                std::uint64_t event) {
   const Graph& graph = net_->graph;
-  // A pendant with a second link joins the trees where it hangs today.
-  for (const NodeId node : {u, v}) {
-    if (!is_pendant(node)) continue;
-    const PendantLink link = pendant_link_[node];
-    for (DynamicSsspTree& tree : trees_) {
-      tree.adopt_leaf(node, link.anchor, link.latency_ms);
-    }
-    clear_pendant(node);
-    mark_reclassified(node);
+  ++update_stamp_;
+  for (const DistanceChange& change : changes_) {
+    prior_ms_[change.node] = change.old_ms;
+    prior_stamp_[change.node] = update_stamp_;
   }
-  // A device that was isolated hangs off the other endpoint, which after
-  // the promotions above is not a pendant. Its tree slots already read
-  // unreachable, so masking it changes no tree.
-  for (const NodeId node : {u, v}) {
-    if (is_iot_device(*net_, node) && graph.degree(node) == 1) {
-      set_pendant(node, graph.neighbors(node).front());
-      mark_reclassified(node);
-      return node;
+  // The tree as it read before this update.
+  const auto prior_ms = [&](NodeId router) {
+    return prior_stamp_[router] == update_stamp_ ? prior_ms_[router]
+                                                 : tree.distance_ms(router);
+  };
+  for (const DistanceChange& change : changes_) {
+    mark_dirty(change.node);
+    if (hosts_dirty_in_[change.node] == event) continue;
+    // A host's delay moves with its routers' — unless adding its access
+    // latency rounds the change away, or another link still serves it.
+    const double now = tree.distance_ms(change.node);
+    bool clean_left = false;
+    for (const Adjacency& adj : graph.neighbors(change.node)) {
+      if (is_router(adj.to) || is_dirty(adj.to)) continue;
+      // A single-homed host other than the source reads old + w, new + w.
+      const bool moved =
+          graph.degree(adj.to) == 1 && adj.to != tree.source()
+              ? change.old_ms + adj.props.latency_ms !=
+                    now + adj.props.latency_ms
+              : delay_from(graph, router_count_, tree.source(), adj.to,
+                           prior_ms) != tree.delay_ms(graph, adj.to);
+      if (moved) {
+        mark_dirty(adj.to);
+      } else {
+        clean_left = true;
+      }
     }
+    if (!clean_left) hosts_dirty_in_[change.node] = event;
   }
-  return kInvalidNode;
 }
 
 void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
                                             double old_ms, double new_ms) {
-  sync_node_count();
   const Graph& graph = net_->graph;
   // A full recompute would settle every live node once per tree; the
   // difference against what the incremental repair actually touched is the
@@ -124,68 +132,43 @@ void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
   const std::uint64_t full_cost =
       static_cast<std::uint64_t>(trees_.size()) * graph.live_node_count();
   std::uint64_t affected = 0;
-  const NodeId leaf = kind == 0       ? classify_added_link(u, v)
-                      : is_pendant(u) ? u
-                      : is_pendant(v) ? v
-                                      : kInvalidNode;
-  if (leaf != kInvalidNode) {
-    // A pendant's access link: its delay dist_j(anchor) + latency is the
-    // only one that can move, and no tree holds it.
-    const PendantLink link = pendant_link_[leaf];
-    const double before = kind == 0 ? kUnreachable : link.latency_ms;
-    const double after = kind == 1 ? kUnreachable : new_ms;
-    for (const DynamicSsspTree& tree : trees_) {
-      const double base = tree.distance_ms(link.anchor);
-      if (base + before != base + after) {
-        mark_dirty(leaf);
+  const std::uint64_t event = stats_.epoch + 1;
+  // Hosts never relay: only a backbone link, or a server's own access link
+  // in that server's tree, can move a router's distance.
+  const bool backbone = is_router(u) && is_router(v);
+  for (DynamicSsspTree& tree : trees_) {
+    if (!backbone && tree.source() != u && tree.source() != v) continue;
+    changes_.clear();
+    SsspUpdateStats update;
+    switch (kind) {
+      case 0:
+        update = tree.on_edge_added(graph, u, v, new_ms, changes_);
         break;
-      }
+      case 1:
+        update = tree.on_edge_removed(graph, u, v, changes_);
+        break;
+      default:
+        update = tree.on_edge_latency_changed(graph, u, v, old_ms, new_ms,
+                                              changes_);
+        break;
     }
-    // Removed: the device is isolated, unreachable in every tree — which
-    // its tree slots already say.
-    if (kind == 1) {
-      clear_pendant(leaf);
-    } else {
-      pendant_link_[leaf].latency_ms = new_ms;
+    affected += update.nodes_affected;
+    mark_changes_dirty(tree, event);
+  }
+  // A host endpoint's own delay may move with its link, and so may what it
+  // reads through.
+  for (const HostSnapshot& snapshot : snapshots_) {
+    if (snapshot.node == kInvalidNode) continue;
+    row_scratch_.resize(trees_.size());
+    delay_row(snapshot.node, row_scratch_);
+    if (!std::equal(row_scratch_.begin(), row_scratch_.end(),
+                    snapshot.row.begin())) {
+      mark_dirty(snapshot.node);
     }
-    // An added link's new pendant was reported by classify_added_link().
-    if (kind != 0) mark_reclassified(leaf);
-  } else {
-    const std::uint64_t event = stats_.epoch + 1;
-    for (DynamicSsspTree& tree : trees_) {
-      changes_.clear();
-      SsspUpdateStats update;
-      switch (kind) {
-        case 0:
-          update = tree.on_edge_added(graph, u, v, new_ms, changes_, pendant_);
-          break;
-        case 1:
-          update = tree.on_edge_removed(graph, u, v, changes_, pendant_);
-          break;
-        default:
-          update = tree.on_edge_latency_changed(graph, u, v, old_ms, new_ms,
-                                                changes_, pendant_);
-          break;
-      }
-      affected += update.nodes_affected;
-      // A pendant's delay moves with its anchor's — unless adding its
-      // access latency rounds the change away.
-      for (const DistanceChange& change : changes_) {
-        mark_dirty(change.node);
-        if (pendants_dirty_in_[change.node] == event) continue;
-        const double now = tree.distance_ms(change.node);
-        bool clean_left = false;
-        for (const Adjacency& adj : graph.neighbors(change.node)) {
-          if (pendant_[adj.to] == 0 || in_dirty_[adj.to] != 0) continue;
-          if (change.old_ms + adj.props.latency_ms !=
-              now + adj.props.latency_ms) {
-            mark_dirty(adj.to);
-          } else {
-            clean_left = true;
-          }
-        }
-        if (!clean_left) pendants_dirty_in_[change.node] = event;
-      }
+    const ReadThrough through = read_through(snapshot.node);
+    if (through.node != snapshot.through.node ||
+        through.latency_ms != snapshot.through.latency_ms) {
+      mark_reclassified(snapshot.node);
     }
   }
   ++stats_.epoch;
@@ -206,6 +189,7 @@ void IncrementalDelayEngine::remove_listener(
 }
 
 EdgeProps IncrementalDelayEngine::fail_link(NodeId u, NodeId v) {
+  snapshot_hosts(u, v);
   const EdgeProps props = net_->fail_link(u, v);
   ++stats_.link_updates;
   apply_mutation(1, u, v, props.latency_ms, kUnreachable);
@@ -213,6 +197,7 @@ EdgeProps IncrementalDelayEngine::fail_link(NodeId u, NodeId v) {
 }
 
 EdgeProps IncrementalDelayEngine::restore_link(NodeId u, NodeId v) {
+  snapshot_hosts(u, v);
   const EdgeProps props = net_->restore_link(u, v);
   ++stats_.link_updates;
   apply_mutation(0, u, v, kUnreachable, props.latency_ms);
@@ -221,6 +206,7 @@ EdgeProps IncrementalDelayEngine::restore_link(NodeId u, NodeId v) {
 
 EdgeProps IncrementalDelayEngine::set_link_latency(NodeId u, NodeId v,
                                                    double latency_ms) {
+  snapshot_hosts(u, v);
   const EdgeProps previous = net_->set_link_latency(u, v, latency_ms);
   ++stats_.link_updates;
   apply_mutation(2, u, v, previous.latency_ms, latency_ms);
@@ -228,17 +214,19 @@ EdgeProps IncrementalDelayEngine::set_link_latency(NodeId u, NodeId v,
 }
 
 NodeId IncrementalDelayEngine::acquire_node(Point2D pos, NodeKind kind) {
-  const NodeId node = net_->acquire_node(pos, kind);
-  sync_node_count();
-  return node;
+  TACC_REQUIRE(kind != NodeKind::kRouter,
+               "routers are fixed: only hosts join a live network");
+  return net_->acquire_node(pos, kind);
 }
 
 void IncrementalDelayEngine::add_link(NodeId u, NodeId v, EdgeProps props) {
+  snapshot_hosts(u, v);
   net_->graph.add_edge(u, v, props);
   apply_mutation(0, u, v, kUnreachable, props.latency_ms);
 }
 
 bool IncrementalDelayEngine::remove_link(NodeId u, NodeId v) {
+  snapshot_hosts(u, v);
   if (!net_->graph.remove_edge(u, v)) return false;
   apply_mutation(1, u, v, kUnreachable, kUnreachable);
   return true;
@@ -286,8 +274,8 @@ void IncrementalDelayEngine::check_invariants(
     std::size_t spot_check_trees) const {
   TACC_CHECK_INVARIANT(trees_.size() == net_->edge_count(),
                        "one tree per edge server");
-  TACC_CHECK_INVARIANT(in_dirty_.size() >= net_->graph.node_count(),
-                       "dirty bitmap must cover every node");
+  TACC_CHECK_INVARIANT(net_->router_count() == router_count_,
+                       "the router prefix changed behind the engine");
 
   // Dirty list and membership bitmap must describe the same set.
   std::size_t flagged = 0;
@@ -295,7 +283,7 @@ void IncrementalDelayEngine::check_invariants(
   TACC_CHECK_INVARIANT(flagged == dirty_.size(),
                        "dirty list and bitmap disagree");
   for (const NodeId node : dirty_) {
-    TACC_CHECK_INVARIANT(node < in_dirty_.size() && in_dirty_[node] != 0,
+    TACC_CHECK_INVARIANT(is_dirty(node),
                          "dirty node not flagged in the bitmap");
   }
   std::size_t listed = 0;
@@ -311,49 +299,25 @@ void IncrementalDelayEngine::check_invariants(
   for (std::size_t j = 0; j < trees_.size(); ++j) {
     TACC_CHECK_INVARIANT(trees_[j].source() == net_->edge_nodes[j],
                          "tree rooted at the wrong server node");
-    TACC_CHECK_INVARIANT(trees_[j].node_count() >= net_->graph.node_count(),
-                         "tree not grown to the graph's node count");
+    TACC_CHECK_INVARIANT(trees_[j].router_count() == router_count_,
+                         "tree not sized to the routers");
   }
 
-  // Pendants: single-homed devices hanging off a tree node, held by no tree.
-  TACC_CHECK_INVARIANT(pendant_.size() >= net_->graph.node_count(),
-                       "pendant mask must cover every node");
-  for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
-    if (pendant_[node] == 0) continue;
-    const std::string where = "pendant " + std::to_string(node);
-    TACC_CHECK_INVARIANT(is_iot_device(*net_, node),
-                         where + " is not an IoT device");
-    TACC_CHECK_INVARIANT(net_->graph.degree(node) == 1,
-                         where + " does not have exactly one link");
-    const Adjacency& link = net_->graph.neighbors(node).front();
-    TACC_CHECK_INVARIANT(pendant_[link.to] == 0,
-                         where + " hangs off another pendant");
-    TACC_CHECK_INVARIANT(link.to == pendant_link_[node].anchor &&
-                             link.props.latency_ms ==
-                                 pendant_link_[node].latency_ms,
-                         where + "'s link changed behind the engine");
-    for (const DynamicSsspTree& tree : trees_) {
-      TACC_CHECK_INVARIANT(tree.distance_ms(node) == kUnreachable,
-                           where + " holds a tree distance");
-    }
-  }
-
-  // Exactness spot-check vs from-scratch Dijkstra through delay_ms(), so
-  // pendants are covered too; rotated by epoch so repeated calls (e.g.
-  // sampled bench epochs) sweep across servers.
+  // Exactness spot-check vs a from-scratch no-relay Dijkstra through
+  // delay_ms(), so hosts are covered too; rotated by epoch so repeated
+  // calls (e.g. sampled bench epochs) sweep across servers.
   const std::size_t checks = std::min(spot_check_trees, trees_.size());
   for (std::size_t k = 0; k < checks; ++k) {
     const std::size_t j =
         (static_cast<std::size_t>(stats_.epoch) + k) % trees_.size();
     const ShortestPathTree reference =
-        dijkstra(net_->graph, net_->edge_nodes[j]);
+        dijkstra(net_->graph, net_->edge_nodes[j], router_count_);
     for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
       const double expected = reference.distance_ms[node];
       const double actual = delay_ms(j, node);
-      // Bitwise agreement, except both-unreachable compares equal.
+      // Bitwise agreement (inf == inf, so unreachable matches too).
       TACC_CHECK_INVARIANT(
-          actual == expected ||
-              (actual == kUnreachable && expected == kUnreachable),
+          actual == expected,
           "server " + std::to_string(j) +
               " delay diverged from Dijkstra at node " +
               std::to_string(node));
@@ -362,13 +326,16 @@ void IncrementalDelayEngine::check_invariants(
 }
 
 std::size_t IncrementalDelayEngine::scratch_bytes() const noexcept {
-  std::size_t bytes = (dirty_.capacity() + reclassified_.capacity()) *
-                          sizeof(NodeId) +
-                      in_dirty_.capacity() + in_reclassified_.capacity() +
-                      pendant_.capacity() +
-                      pendant_link_.capacity() * sizeof(PendantLink) +
-                      changes_.capacity() * sizeof(DistanceChange) +
-                      pendants_dirty_in_.capacity() * sizeof(std::uint64_t);
+  std::size_t bytes =
+      (dirty_.capacity() + reclassified_.capacity()) * sizeof(NodeId) +
+      in_dirty_.capacity() + in_reclassified_.capacity() +
+      changes_.capacity() * sizeof(DistanceChange) +
+      (prior_ms_.capacity() + row_scratch_.capacity()) * sizeof(double) +
+      (prior_stamp_.capacity() + hosts_dirty_in_.capacity()) *
+          sizeof(std::uint64_t);
+  for (const HostSnapshot& snapshot : snapshots_) {
+    bytes += snapshot.row.capacity() * sizeof(double);
+  }
   for (const DynamicSsspTree& tree : trees_) bytes += tree.scratch_bytes();
   return bytes;
 }

@@ -104,6 +104,10 @@ void NetworkTopology::check_invariants() const {
                        "positions must cover every graph node");
   TACC_CHECK_INVARIANT(kinds.size() == graph.node_count(),
                        "kinds must cover every graph node");
+  TACC_CHECK_INVARIANT(
+      std::count(kinds.begin(), kinds.end(), NodeKind::kRouter) ==
+          static_cast<std::ptrdiff_t>(router_count()),
+      "routers must be the id prefix of the graph");
 
   for (const NodeId node : edge_nodes) {
     TACC_CHECK_INVARIANT(node < graph.node_count(),
@@ -205,7 +209,8 @@ DelayMatrix compute_delay_matrix(const NetworkTopology& net,
   // instances. Each tree fills a disjoint column, so the fan-out is
   // deterministic for any thread count.
   const std::vector<ShortestPathTree> trees =
-      dijkstra_fan_out(net.graph, net.edge_nodes, threads);
+      dijkstra_fan_out(net.graph, net.edge_nodes, threads,
+                       net.router_count());
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
       matrix.set(i, j, trees[j].distance_ms[net.iot_nodes[i]]);

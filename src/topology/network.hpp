@@ -2,6 +2,7 @@
 // edge servers, and the topology-aware delay matrix derived from it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
@@ -84,6 +85,16 @@ struct NetworkTopology {
   [[nodiscard]] Point2D edge_position(std::size_t server) const {
     return positions.at(edge_nodes.at(server));
   }
+  /// Routers are the id prefix [0, router_count()): build_network adds them
+  /// first, and only device ids are ever recycled. Every other node is a
+  /// host (an IoT device or an edge server), which never relays traffic:
+  /// pass this as dijkstra()'s `relays`.
+  [[nodiscard]] std::size_t router_count() const noexcept {
+    return static_cast<std::size_t>(
+        std::find_if(kinds.begin(), kinds.end(),
+                     [](NodeKind kind) { return kind != NodeKind::kRouter; }) -
+        kinds.begin());
+  }
 
   /// Acquires a graph node (recycling a released one when available) and
   /// records its position/kind. Callers wire the access links themselves.
@@ -114,7 +125,8 @@ struct NetworkTopology {
 
   /// Deep validation, reported through the contracts failure handler:
   ///  - graph.check_invariants();
-  ///  - positions/kinds cover every graph node;
+  ///  - positions/kinds cover every graph node, and the routers are exactly
+  ///    the id prefix [0, router_count());
   ///  - edge_nodes are live kEdgeServer nodes; iot_nodes are live
   ///    kIotDevice nodes (kInvalidNode marks a detached device slot);
   ///  - failed-link bookkeeping matches the edge set: a recorded failed
@@ -126,8 +138,9 @@ struct NetworkTopology {
 };
 
 struct AttachParams {
-  /// Each device/server connects to its `attach_count` nearest routers
-  /// (multi-homing > 1 adds route diversity).
+  /// Each device/server connects to its `attach_count` nearest routers.
+  /// Multi-homing (> 1) gives a host a choice of access router; it adds no
+  /// route between routers, since hosts never relay.
   std::size_t attach_count = 1;
 };
 
@@ -138,7 +151,8 @@ struct AttachParams {
     std::span<const Point2D> edge_positions, const LinkDelayModel& delay,
     const AttachParams& attach = {});
 
-/// Shortest-path delay (ms) from every IoT device to every edge server.
+/// Shortest-path delay (ms) from every IoT device to every edge server,
+/// over paths that only routers relay (the no-relay model of dijkstra()).
 /// Runs one Dijkstra per edge server (m << n in practice).
 /// `threads` spreads the per-server Dijkstra runs over a worker pool
 /// (1 = serial, 0 = hardware concurrency); the matrix is bit-identical for

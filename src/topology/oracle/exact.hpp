@@ -1,11 +1,11 @@
 // ExactOracle: the default DelayOracle backend — its RowStore (rowstore.hpp)
 // filled from the IncrementalDelayEngine's per-server trees.
 //
-// Uncompressed (the default) the store is dense and keyed by the tree node
-// each device reads through (IncrementalDelayEngine::read_through): a
+// Uncompressed (the default) the store is dense and keyed by the node each
+// device reads through (IncrementalDelayEngine::read_through): a
 // single-homed device shares its anchor router's key row and keeps only its
-// access latency and epoch; a multi-homed, promoted or isolated device
-// reads through its own node. Key rows are resident, filled on bind and
+// access latency and epoch; a multi-homed or isolated device reads through
+// its own node. Key rows are resident, filled on bind and
 // rewritten by refresh() for exactly the engine's dirty key nodes, so a
 // link event rewrites one row per moved router, not one per device. A read
 // adds the device's latency to its key row entry — the engine's own

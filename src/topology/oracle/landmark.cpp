@@ -19,28 +19,12 @@ constexpr double kAcceptSlackMs = 1e-9;
 
 constexpr std::uint64_t kLandmarkTag = 0x1A4DAA2CULL;
 
-/// Landmark vector entry; nodes beyond the tree (acquired but not yet wired
-/// into any link) are unreachable by construction.
-double tree_distance(const incr::DynamicSsspTree& tree, NodeId node) {
-  return node < tree.node_count() ? tree.distance_ms(node) : kUnreachable;
-}
-
 }  // namespace
 
 LandmarkOracle::LandmarkOracle(incr::IncrementalDelayEngine& engine,
                                const OracleConfig& config)
-    : DelayOracle(RowEncoding::kBounded, engine.network().edge_count(),
-                  config.hot_rows),
-      net_(&engine.network()),
-      engine_(&engine),
-      config_(config),
-      server_nodes_(engine.network().edge_nodes) {
-  is_server_node_.assign(net_->graph.node_count(), 0);
-  for (const NodeId node : server_nodes_) {
-    if (node >= is_server_node_.size()) is_server_node_.resize(node + 1, 0);
-    is_server_node_[node] = 1;
-  }
-  select_landmarks();
+    : LandmarkOracle(engine.network(), config) {
+  engine_ = &engine;
   engine_->add_listener(this);
 }
 
@@ -50,12 +34,10 @@ LandmarkOracle::LandmarkOracle(const NetworkTopology& net,
       net_(&net),
       engine_(nullptr),
       config_(config),
+      routers_(net.router_count()),
       server_nodes_(net.edge_nodes) {
   is_server_node_.assign(net_->graph.node_count(), 0);
-  for (const NodeId node : server_nodes_) {
-    if (node >= is_server_node_.size()) is_server_node_.resize(node + 1, 0);
-    is_server_node_[node] = 1;
-  }
+  for (const NodeId node : server_nodes_) is_server_node_[node] = 1;
   select_landmarks();
 }
 
@@ -67,22 +49,9 @@ std::string_view LandmarkOracle::name() const noexcept { return "landmark"; }
 
 void LandmarkOracle::select_landmarks() {
   const Graph& graph = net_->graph;
-  std::vector<NodeId> candidates;
-  for (NodeId node = 0; node < graph.node_count(); ++node) {
-    if (graph.node_released(node)) continue;
-    if (net_->kinds[node] == NodeKind::kRouter) candidates.push_back(node);
-  }
-  if (candidates.empty()) {
-    // Degenerate nets without infrastructure: fall back to any live node.
-    for (NodeId node = 0; node < graph.node_count(); ++node) {
-      if (!graph.node_released(node)) candidates.push_back(node);
-    }
-  }
-  TACC_REQUIRE(!candidates.empty(),
-               "landmark selection needs a non-empty graph");
+  TACC_REQUIRE(routers_ > 0, "landmark selection needs a router");
   const std::size_t count =
-      std::min(std::max<std::size_t>(config_.landmarks, 1),
-               candidates.size());
+      std::min(std::max<std::size_t>(config_.landmarks, 1), routers_);
 
   landmark_nodes_.clear();
   landmark_trees_.clear();
@@ -95,21 +64,21 @@ void LandmarkOracle::select_landmarks() {
   // first winner). The k construction Dijkstras double as the landmark
   // trees, so selection costs nothing extra.
   util::Rng rng(config_.seed);
-  std::vector<double> closest(graph.node_count(), kUnreachable);
-  std::vector<std::uint8_t> chosen(graph.node_count(), 0);
-  NodeId next = candidates[rng.index(candidates.size())];
+  std::vector<double> closest(routers_, kUnreachable);
+  std::vector<std::uint8_t> chosen(routers_, 0);
+  auto next = static_cast<NodeId>(rng.index(routers_));
   for (std::size_t i = 0; i < count; ++i) {
     landmark_nodes_.push_back(next);
     chosen[next] = 1;
-    landmark_trees_.emplace_back(graph, next);
+    landmark_trees_.emplace_back(graph, routers_, next);
     const std::vector<double>& dist = landmark_trees_.back().distances();
-    for (const NodeId node : candidates) {
+    for (NodeId node = 0; node < routers_; ++node) {
       closest[node] = std::min(closest[node], dist[node]);
     }
     if (i + 1 == count) break;
     NodeId best = kInvalidNode;
     double best_dist = -1.0;
-    for (const NodeId node : candidates) {
+    for (NodeId node = 0; node < routers_; ++node) {
       if (chosen[node] != 0) continue;
       if (best == kInvalidNode || closest[node] > best_dist) {
         best = node;
@@ -149,12 +118,28 @@ bool LandmarkOracle::accept(const DelayBounds& bounds) const noexcept {
          bounds.lo_ms * (1.0 + config_.max_rel_error) + kAcceptSlackMs;
 }
 
+bool LandmarkOracle::single_homed(NodeId node) const {
+  if (node < routers_) return true;
+  const std::span<const Adjacency> links = net_->graph.neighbors(node);
+  return links.size() == 1 && links.front().to < routers_;
+}
+
 DelayBounds LandmarkOracle::envelope(NodeId node, NodeId server_node) const {
+  const Graph& graph = net_->graph;
+  // A host with several links may join routers that are far apart by
+  // routers alone, which breaks the triangle inequality the lower bound
+  // (and the unreachability test) rest on. The upper bound still holds:
+  // node -> L -> server is a path only routers relay.
+  const bool metric = single_homed(node) && single_homed(server_node);
   double lo = 0.0;
   double hi = kUnreachable;
   for (const incr::DynamicSsspTree& tree : landmark_trees_) {
-    const double to_node = tree_distance(tree, node);
-    const double to_server = tree_distance(tree, server_node);
+    const double to_node = tree.delay_ms(graph, node);
+    const double to_server = tree.delay_ms(graph, server_node);
+    if (!metric) {
+      hi = std::min(hi, to_node + to_server);
+      continue;
+    }
     if (to_node == kUnreachable && to_server == kUnreachable) continue;
     if (to_node == kUnreachable || to_server == kUnreachable) {
       // The landmark reaches exactly one endpoint, so (undirected graph)
@@ -196,7 +181,7 @@ std::uint64_t LandmarkOracle::fill_row(std::size_t row, NodeId node,
       // One Dijkstra from the device node serves every loose entry of the
       // row — the standalone fallback cost is per ROW, not per entry.
       if (!fallback_ready) {
-        fallback = dijkstra(net_->graph, node);
+        fallback = dijkstra(net_->graph, node, routers_);
         fallback_ready = true;
       }
       out[j] = fallback.distance_ms[server_nodes_[j]];
@@ -230,7 +215,6 @@ void LandmarkOracle::repair_landmarks(int kind, NodeId u, NodeId v,
   const Graph& graph = net_->graph;
   changed_scratch_.clear();
   for (incr::DynamicSsspTree& tree : landmark_trees_) {
-    tree.ensure_node_count(graph.node_count());
     switch (kind) {
       case 0:
         tree.on_edge_added(graph, u, v, new_ms, changed_scratch_);
@@ -247,8 +231,7 @@ void LandmarkOracle::repair_landmarks(int kind, NodeId u, NodeId v,
   if (engine_ != nullptr) return;  // the engine dirty set drives invalidation
 
   ++own_epoch_;
-  for (const incr::DistanceChange& change : changed_scratch_) {
-    const NodeId node = change.node;
+  const auto invalidate = [this](NodeId node) {
     if (node < is_server_node_.size() && is_server_node_[node] != 0) {
       // A server's landmark vector moved: every row holds an entry whose
       // envelope involved that vector, so everything resident is suspect.
@@ -256,6 +239,17 @@ void LandmarkOracle::repair_landmarks(int kind, NodeId u, NodeId v,
     }
     const std::size_t row = store_.row_of(node);
     if (row != RowStore::kUnbound) mark_pending(row);
+  };
+  // A host's landmark vector moves with its own links and with the
+  // routers it hangs off.
+  for (const NodeId end : {u, v}) {
+    if (end >= routers_) invalidate(end);
+  }
+  for (const incr::DistanceChange& change : changed_scratch_) {
+    invalidate(change.node);
+    for (const Adjacency& adj : graph.neighbors(change.node)) {
+      if (adj.to >= routers_) invalidate(adj.to);
+    }
   }
   // Exact-fallback values carry no envelope that current vectors certify,
   // so rows holding any are conservatively re-dirtied on every mutation.
@@ -326,7 +320,7 @@ std::size_t LandmarkOracle::resident_bytes() const {
                       server_nodes_.capacity() * sizeof(NodeId) +
                       landmark_nodes_.capacity() * sizeof(NodeId);
   for (const incr::DynamicSsspTree& tree : landmark_trees_) {
-    bytes += tree.node_count() * (sizeof(double) + sizeof(NodeId));
+    bytes += tree.router_count() * (sizeof(double) + sizeof(NodeId));
     bytes += tree.scratch_bytes();
   }
   return bytes;
@@ -363,18 +357,18 @@ void LandmarkOracle::check_invariants() const {
   }
 
   // Landmark coherence: one tree (rotated by epoch so successive calls
-  // sweep the set) compared bit-for-bit against a from-scratch Dijkstra —
-  // the incremental repairs must be indistinguishable from a rebuild.
+  // sweep the set) compared bit-for-bit against a from-scratch no-relay
+  // Dijkstra — the incremental repairs must be indistinguishable from a
+  // rebuild.
   const std::size_t k =
       static_cast<std::size_t>(epoch()) % landmark_trees_.size();
   const ShortestPathTree reference =
-      dijkstra(net_->graph, landmark_nodes_[k]);
+      dijkstra(net_->graph, landmark_nodes_[k], routers_);
   for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
-    const double actual = tree_distance(landmark_trees_[k], node);
+    const double actual = landmark_trees_[k].delay_ms(net_->graph, node);
     const double expected = reference.distance_ms[node];
     TACC_CHECK_INVARIANT(
-        actual == expected ||
-            (actual == kUnreachable && expected == kUnreachable),
+        actual == expected,
         "landmark tree " + std::to_string(k) +
             " diverged from Dijkstra at node " + std::to_string(node));
   }
@@ -388,7 +382,7 @@ void LandmarkOracle::check_invariants() const {
       if (store_.row_node(row) != kInvalidNode) break;
     }
     const NodeId node = store_.row_node(row);
-    const ShortestPathTree truth = dijkstra(net_->graph, node);
+    const ShortestPathTree truth = dijkstra(net_->graph, node, routers_);
     for (std::size_t j = 0; j < server_nodes_.size(); ++j) {
       const double exact = truth.distance_ms[server_nodes_[j]];
       const DelayBounds bounds = envelope(node, server_nodes_[j]);
@@ -422,8 +416,8 @@ void LandmarkOracle::on_rebuild() {
   }
   if (landmarks_live) {
     for (std::size_t k = 0; k < landmark_nodes_.size(); ++k) {
-      landmark_trees_[k] =
-          incr::DynamicSsspTree(net_->graph, landmark_nodes_[k]);
+      landmark_trees_[k] = incr::DynamicSsspTree(
+          net_->graph, routers_, landmark_nodes_[k]);
     }
   } else {
     select_landmarks();

@@ -7,19 +7,24 @@
 // by seed-deterministic farthest-point sampling: the first landmark is drawn
 // from util::Rng(seed), each next one maximizes its shortest-path distance
 // to the chosen set (unreachable first, lowest node id breaking ties). Each
-// landmark owns a DynamicSsspTree, repaired incrementally per link mutation
-// — never rebuilt mid-run (OracleStats::rebuilds, gated == 0 by bench_m6).
+// landmark owns a routers-only DynamicSsspTree, repaired incrementally per
+// link mutation — never rebuilt mid-run (OracleStats::rebuilds, gated == 0
+// by bench_m6). A host's landmark distance is derived from its links, as
+// the engine derives its server delays.
 //
 // Queries use the classic ALT triangle bounds for an undirected graph:
 //     lo = max_L |d(L,a) - d(L,s)|      hi = min_L d(L,a) + d(L,s)
-// which bracket the true delay whenever the landmark vectors are current.
+// which bracket the true delay whenever the landmark vectors are current and
+// both endpoints are single-homed (with a multi-homed endpoint the no-relay
+// delay need not obey the triangle inequality, so lo drops to 0 and the
+// entry falls back to exact).
 // If exactly one of d(L,a), d(L,s) is infinite, a and s are in different
 // components and the oracle certifies unreachability. An envelope is served
 // (value = hi) when hi <= lo·(1+eps) + slack, so a served entry e satisfies
 //     exact <= e <= (1+eps)·exact + slack;
 // looser envelopes FALL BACK to an exact value: an O(1) read from the
-// engine's server tree when attached, or one Dijkstra from the device node
-// (filling the whole row) when standalone.
+// engine's server tree when attached, or one no-relay Dijkstra from the
+// device node (filling the whole row) when standalone.
 //
 // Staleness/invalidation (the dirty-set contract):
 //  - Attached (inside a DynamicCluster): the engine's dirty set is the
@@ -29,8 +34,9 @@
 //    funnel via MutationListener.
 //  - Standalone (no per-server trees; the million-device mode): callers
 //    mirror each graph mutation through apply_mutation(). A row goes stale
-//    only if its node's landmark vector moved, if any SERVER's landmark
-//    vector moved (every row has an entry against that server), or if the
+//    only if its node's landmark vector may have moved (a router it hangs
+//    off moved, or one of its own links changed), if any SERVER's landmark
+//    vector may have (every row has an entry against that server), or if the
 //    row holds exact-fallback entries (exact values carry no envelope, so
 //    they are conservatively re-dirtied on every mutation). refresh()
 //    drops exactly the resident rows in that set; everything else keeps
@@ -93,7 +99,8 @@ class LandmarkOracle final : public DelayOracle, private incr::MutationListener 
                    double new_ms) override;
   void on_rebuild() override;
 
-  /// Farthest-point sampling over routers + one Dijkstra tree per landmark.
+  /// Farthest-point sampling over routers + one routers-only Dijkstra tree
+  /// per landmark.
   void select_landmarks();
   /// Incremental repair of every landmark tree; in standalone mode also
   /// queues row invalidations derived from the changed-node sets.
@@ -101,6 +108,8 @@ class LandmarkOracle final : public DelayOracle, private incr::MutationListener 
                         double new_ms);
   void mark_pending(std::size_t row);
   [[nodiscard]] bool accept(const DelayBounds& bounds) const noexcept;
+  /// A router, or a host with one link, to a router.
+  [[nodiscard]] bool single_homed(NodeId node) const;
   [[nodiscard]] DelayBounds envelope(NodeId node, NodeId server_node) const;
   /// Bounds + fallbacks for every server; records stats and whether the
   /// row holds exact-fallback entries.
@@ -110,6 +119,7 @@ class LandmarkOracle final : public DelayOracle, private incr::MutationListener 
   const NetworkTopology* net_;
   incr::IncrementalDelayEngine* engine_;  ///< nullptr in standalone mode
   OracleConfig config_;
+  std::size_t routers_;  ///< routers are the node ids [0, routers_)
   std::vector<NodeId> server_nodes_;
   std::vector<std::uint8_t> is_server_node_;  ///< by node id
   std::vector<NodeId> landmark_nodes_;

@@ -13,9 +13,9 @@
 //            bind and rewritten on refresh(). A bound row keeps only its
 //            key (and its offset), its access latency and its epoch, and
 //            serves key_row[j] + latency — the same double addition the
-//            engine serves a pendant with, so values stay bit-identical
-//            while a link event rewrites one row per moved key instead of
-//            one per device;
+//            engine serves a single-homed device with, so values stay
+//            bit-identical while a link event rewrites one row per moved
+//            key instead of one per device;
 //   bounded  rows live in a QuantizedRowStore, filled lazily on first touch
 //            and dropped on refresh() (ExactOracle with compress=1, and
 //            LandmarkOracle).
@@ -208,7 +208,7 @@ class RowStore {
     return dense_ ? materialize_row(row) : fetch(row);
   }
   /// One entry of bound `row`. Dense: key row entry + latency, the same
-  /// double addition the engine serves a pendant with.
+  /// double addition the engine serves a single-homed device with.
   [[nodiscard]] double value(std::size_t row, std::size_t column) {
     if (!dense_) return fetch(row)[column];
     return key_values_[row_offset_[row] + column] + row_latency_[row];

@@ -19,7 +19,8 @@ std::vector<NodeId> ShortestPathTree::path_to(NodeId target) const {
   return path;
 }
 
-ShortestPathTree dijkstra(const Graph& graph, NodeId source) {
+ShortestPathTree dijkstra(const Graph& graph, NodeId source,
+                          std::size_t relays) {
   const std::size_t n = graph.node_count();
   ShortestPathTree tree;
   tree.distance_ms.assign(n, kUnreachable);
@@ -35,6 +36,7 @@ ShortestPathTree dijkstra(const Graph& graph, NodeId source) {
     const auto [dist, node] = heap.top();
     heap.pop();
     if (dist > tree.distance_ms[node]) continue;  // stale entry
+    if (node >= relays && node != source) continue;  // settled, not expanded
     for (const Adjacency& adj : graph.neighbors(node)) {
       const double candidate = dist + adj.props.latency_ms;
       if (candidate < tree.distance_ms[adj.to]) {
@@ -84,12 +86,13 @@ std::vector<std::vector<double>> all_pairs_distances(const Graph& graph,
 
 std::vector<ShortestPathTree> dijkstra_fan_out(const Graph& graph,
                                                std::span<const NodeId> sources,
-                                               std::size_t threads) {
+                                               std::size_t threads,
+                                               std::size_t relays) {
   std::vector<ShortestPathTree> result(sources.size());
   // Each task writes only its own slot, so any schedule yields the same
   // trees.
   runtime::parallel_for(sources.size(), threads, [&](std::size_t k) {
-    result[k] = dijkstra(graph, sources[k]);
+    result[k] = dijkstra(graph, sources[k], relays);
   });
   return result;
 }

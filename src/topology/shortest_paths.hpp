@@ -20,8 +20,17 @@ struct ShortestPathTree {
   [[nodiscard]] std::vector<NodeId> path_to(NodeId target) const;
 };
 
-/// Dijkstra with a binary heap; O((V+E) log V).
-[[nodiscard]] ShortestPathTree dijkstra(const Graph& graph, NodeId source);
+/// `relays` value under which every node relays (plain Dijkstra).
+constexpr std::size_t kEveryNodeRelays =
+    std::numeric_limits<std::size_t>::max();
+
+/// Dijkstra with a binary heap; O((V+E) log V). Only the source and the
+/// nodes with an id below `relays` are expanded: any other node is settled
+/// but forwards no path. Passing a NetworkTopology's router_count() gives
+/// the no-relay model, in which hosts (devices and servers) never relay.
+[[nodiscard]] ShortestPathTree dijkstra(
+    const Graph& graph, NodeId source,
+    std::size_t relays = kEveryNodeRelays);
 
 /// Hop counts (BFS), ignoring latencies. SIZE_MAX-like sentinel via
 /// kUnreachableHops for disconnected nodes.
@@ -38,12 +47,12 @@ constexpr std::uint32_t kUnreachableHops =
     const Graph& graph, std::size_t threads = 1);
 
 /// Runs dijkstra() from every node in `sources`, spread over up to `threads`
-/// workers (1 = serial, 0 = hardware concurrency). result[k] corresponds to
-/// sources[k]; deterministic for any thread count. This is the hot
-/// precomputation path when building delay matrices.
+/// workers (1 = serial, 0 = hardware concurrency), with the same `relays`.
+/// result[k] corresponds to sources[k]; deterministic for any thread count.
+/// This is the hot precomputation path when building delay matrices.
 [[nodiscard]] std::vector<ShortestPathTree> dijkstra_fan_out(
     const Graph& graph, std::span<const NodeId> sources,
-    std::size_t threads = 1);
+    std::size_t threads = 1, std::size_t relays = kEveryNodeRelays);
 
 /// Floyd–Warshall reference implementation (O(V^3)); used by tests to
 /// cross-check Dijkstra.

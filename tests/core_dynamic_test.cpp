@@ -167,6 +167,27 @@ TEST(DynamicCluster, RebalanceBudgetRespected) {
     cluster.join(test_device(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)));
   }
   EXPECT_LE(cluster.rebalance(3), 3u);
+
+  // More improving moves than the budget: the residents server 0 lost
+  // while it was down all want to move back once it recovers. A budget of
+  // 3 must make exactly 3 moves, of 3 distinct devices.
+  DynamicCluster unbounded = make_cluster(6);
+  DynamicCluster budgeted = make_cluster(6);
+  for (DynamicCluster* displaced : {&unbounded, &budgeted}) {
+    (void)displaced->fail_server(0);
+    displaced->recover_server(0);
+  }
+  ASSERT_GT(unbounded.rebalance(1000), 3u);
+  std::vector<std::size_t> before;
+  for (std::size_t i = 0; i < budgeted.device_slot_count(); ++i) {
+    before.push_back(budgeted.server_of(i));
+  }
+  EXPECT_EQ(budgeted.rebalance(3), 3u);
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (budgeted.server_of(i) != before[i]) ++moved;
+  }
+  EXPECT_EQ(moved, 3u);
 }
 
 TEST(DynamicCluster, ChurnStormStaysFeasible) {

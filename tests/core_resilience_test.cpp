@@ -1,6 +1,9 @@
 // DynamicCluster failure handling and mobility handovers.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/dynamic.hpp"
 #include "util/rng.hpp"
 #include "workload/mobility.hpp"
@@ -128,6 +131,55 @@ TEST(Repair, RespectsMoveBudget) {
   cluster.recover_server(0);
   cluster.recover_server(1);
   EXPECT_LE(cluster.repair(2), 2u);
+}
+
+// repair() may only move a device onto a server with room for it. Here
+// the overloaded server's cheapest relocation target is exactly full, so
+// every eviction must land elsewhere, and no other server may end up over
+// capacity.
+TEST(Repair, SkipsTargetsWithoutHeadroom) {
+  DynamicCluster cluster = make_cluster(15, 60, 3);
+  // Fail servers 1 and 2 (their residents fall back onto server 0,
+  // overloading it), then bring both back empty.
+  (void)cluster.fail_server(1);
+  (void)cluster.fail_server(2);
+  cluster.recover_server(1);
+  cluster.recover_server(2);
+  const std::vector<double>& capacities = cluster.capacities();
+  ASSERT_GT(cluster.loads()[0], capacities[0]);
+  // The target repair() would pick first if capacity did not matter.
+  std::size_t full = 1;
+  double best_delta = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < cluster.device_slot_count(); ++i) {
+    if (!cluster.is_active(i) || cluster.server_of(i) != 0) continue;
+    for (const std::size_t k : {1u, 2u}) {
+      const double delta =
+          cluster.placement_cost(i, k) - cluster.placement_cost(i, 0);
+      if (delta < best_delta) {
+        best_delta = delta;
+        full = k;
+      }
+    }
+  }
+  const std::size_t other = 3 - full;
+  // Fill it exactly: a device right at that server, demanding all of it.
+  workload::IotDevice filler;
+  filler.position = cluster.network().edge_position(full);
+  filler.demand = capacities[full] - cluster.loads()[full];
+  filler.request_rate_hz = filler.demand;
+  ASSERT_EQ(cluster.join(filler).server, full);
+
+  // One move at a time, so a move onto the full server shows even if a
+  // later move would take it back off.
+  std::size_t moves = 0;
+  while (moves < 1'000 && cluster.repair(1) == 1) {
+    ++moves;
+    EXPECT_EQ(cluster.loads()[full], capacities[full]) << "move " << moves;
+    EXPECT_LE(cluster.loads()[other], capacities[other] + 1e-9)
+        << "move " << moves;
+  }
+  EXPECT_GT(moves, 0u);
+  EXPECT_GT(cluster.loads()[other], 0.0);
 }
 
 TEST(RecoverServer, RecoveringHealthyThrows) {

@@ -213,14 +213,16 @@ TEST_F(InvariantsTest, EngineCatchesOutOfBandTopologyEdit) {
   topo::NetworkTopology net = make_net(22);
   topo::incr::IncrementalDelayEngine engine(net);
   // Mutate the graph directly, bypassing the engine: the trees now disagree
-  // with a fresh Dijkstra on the live graph. Reweight device 0's access
-  // link so every tree's distance to that node moves.
-  const topo::NodeId device = net.iot_nodes[0];
-  const auto neighbors = net.graph.neighbors(device);
+  // with a fresh Dijkstra on the live graph. Reweight server 0's access
+  // link, the first hop of its tree, so that tree's distance to its access
+  // router moves. (A device's access link holds no tree state: its delay
+  // is read from the live graph.)
+  const topo::NodeId server = net.edge_nodes[0];
+  const auto neighbors = net.graph.neighbors(server);
   ASSERT_FALSE(neighbors.empty());
   const topo::NodeId router = neighbors[0].to;
   const double old_ms = neighbors[0].props.latency_ms;
-  ASSERT_TRUE(net.graph.set_edge_latency(device, router, old_ms + 5.0));
+  ASSERT_TRUE(net.graph.set_edge_latency(server, router, old_ms + 5.0));
   EXPECT_THROW(engine.check_invariants(net.edge_count()), ContractViolation);
   // rebuild() is the documented recovery hatch for out-of-band edits.
   engine.rebuild();

@@ -254,13 +254,13 @@ TEST(Engine, ClusterVerbRepliesAreByteStable) {
       {"FAIL g 2 evacuate=1", "OK server=2 evacuated=10 overloaded=0"},
       {"RECOVER g 2", "OK server=2"},
       {"LINK_FAIL g 1 10",
-       "OK u=1 v=10 epoch=7 affected=29 saved=187 rows_refreshed=14 "
+       "OK u=1 v=10 epoch=7 affected=25 saved=191 rows_refreshed=14 "
        "latency_ms=0.574309 avg_delay_ms=6.79288"},
       {"LINK_RESTORE g 1 10",
-       "OK u=1 v=10 epoch=8 affected=29 saved=187 rows_refreshed=14 "
+       "OK u=1 v=10 epoch=8 affected=25 saved=191 rows_refreshed=14 "
        "latency_ms=0.574309 avg_delay_ms=6.33448"},
       {"LINK_SET g 1 13 7.5",
-       "OK u=1 v=13 epoch=9 affected=13 saved=203 rows_refreshed=9 "
+       "OK u=1 v=13 epoch=9 affected=11 saved=205 rows_refreshed=9 "
        "latency_ms=2.30054 avg_delay_ms=6.4065"},
   };
   for (const auto& [request, reply] : golden) {

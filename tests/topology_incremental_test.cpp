@@ -1,6 +1,6 @@
 // Correctness of the incremental delay engine: randomized churn sequences
-// must keep every per-server tree bit-identical to a from-scratch Dijkstra
-// (and within tolerance of Floyd–Warshall) at every step.
+// must keep every served delay bit-identical to a from-scratch no-relay
+// Dijkstra (and within tolerance of Floyd–Warshall) at every step.
 #include "topology/incremental/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -37,11 +37,21 @@ NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
   return build_network(infra, iot, edges, kDelay, attach);
 }
 
-/// True iff every served delay (pendants included) equals the
-/// from-scratch Dijkstra value bitwise (inf compares equal to inf).
+/// From-scratch no-relay Dijkstra from every server: the reference.
+std::vector<ShortestPathTree> reference(const NetworkTopology& net) {
+  return dijkstra_fan_out(net.graph, net.edge_nodes, 1, net.router_count());
+}
+
+/// True iff `node` reads through an anchor router rather than itself.
+bool reads_through_anchor(const IncrementalDelayEngine& engine, NodeId node) {
+  return engine.read_through(node).node != node;
+}
+
+/// True iff every served delay (hosts included) equals the from-scratch
+/// no-relay Dijkstra value bitwise (inf compares equal to inf).
 testing::AssertionResult trees_match_rebuild(
     const IncrementalDelayEngine& engine, const NetworkTopology& net) {
-  const auto fresh = dijkstra_fan_out(net.graph, net.edge_nodes);
+  const auto fresh = reference(net);
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
     for (NodeId node = 0; node < net.graph.node_count(); ++node) {
       const double expect = fresh[j].distance_ms[node];
@@ -191,16 +201,16 @@ std::vector<NodeId> changed_nodes(const std::vector<ShortestPathTree>& before,
 
 // After every event of a mixed churn the drained dirty set must EQUAL the
 // set of nodes whose delay to some server changed bitwise, as an
-// independent from-scratch fan-out sees it — pendant devices included, and
-// none whose delay a rounding absorbed.
+// independent from-scratch fan-out sees it — single-homed devices
+// included, and none whose delay a rounding absorbed.
 TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 3);
   IncrementalDelayEngine engine(net);
   for (const NodeId device : net.iot_nodes) {
-    ASSERT_TRUE(engine.is_pendant(device));
+    ASSERT_TRUE(reads_through_anchor(engine, device));
   }
   util::Rng rng(41);
-  auto before = dijkstra_fan_out(net.graph, net.edge_nodes);
+  auto before = reference(net);
   std::vector<NodeId> discarded;
   engine.drain_dirty(discarded);
 
@@ -212,7 +222,7 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
 
   // Drains the dirty set and compares it with the reference; returns it.
   const auto drain_exact = [&](const std::string& what) {
-    const auto after = dijkstra_fan_out(net.graph, net.edge_nodes);
+    const auto after = reference(net);
     std::vector<NodeId> dirty;
     const std::size_t drained = engine.drain_dirty(dirty);
     EXPECT_EQ(drained, dirty.size()) << what;
@@ -267,7 +277,7 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
         const NodeId node = engine.acquire_node(pos, NodeKind::kIotDevice);
         engine.add_link(node, static_cast<NodeId>(rng.index(49)),
                         kDelay.access_link(rng.uniform(0.1, 2.0)));
-        EXPECT_TRUE(engine.is_pendant(node)) << what;
+        EXPECT_TRUE(reads_through_anchor(engine, node)) << what;
         attached.push_back(node);
         break;
       }
@@ -278,31 +288,32 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
         attached.erase(attached.begin() + static_cast<std::ptrdiff_t>(k));
         break;
       }
-      case 5: {  // pendant access-link fail
+      case 5: {  // device access-link fail
         if (!access_live) continue;
         const NodeId router = net.graph.neighbors(device).front().to;
         engine.fail_link(device, router);
-        EXPECT_FALSE(engine.is_pendant(device)) << what;
+        EXPECT_FALSE(reads_through_anchor(engine, device)) << what;
         failed_access.emplace_back(device, router);
         break;
       }
-      case 6: {  // pendant access-link restore
+      case 6: {  // device access-link restore
         if (failed_access.empty()) continue;
         const std::size_t k = rng.index(failed_access.size());
         engine.restore_link(failed_access[k].first, failed_access[k].second);
-        EXPECT_TRUE(engine.is_pendant(failed_access[k].first)) << what;
+        EXPECT_TRUE(reads_through_anchor(engine, failed_access[k].first))
+            << what;
         failed_access.erase(failed_access.begin() +
                             static_cast<std::ptrdiff_t>(k));
         break;
       }
-      case 7: {  // pendant access-link reweight
+      case 7: {  // device access-link reweight
         if (!access_live) continue;
         const Adjacency link = net.graph.neighbors(device).front();
         engine.set_link_latency(device, link.to,
                                 link.props.latency_ms * rng.uniform(0.5, 2.0));
         break;
       }
-      default: {  // pendant reweight by one ulp, often rounded away
+      default: {  // device reweight by one ulp, often rounded away
         if (!access_live) continue;
         const Adjacency link = net.graph.neighbors(device).front();
         const double w = link.props.latency_ms;
@@ -334,18 +345,22 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
   engine.check_invariants(net.edge_count());
 }
 
-// Multi-homed devices (two access links each) are never pendants: every
-// node lives in the trees and must track a from-scratch Dijkstra through
-// backbone and access-link churn.
+// Multi-homed hosts (devices and servers with two access links each) read
+// through themselves, and relay nothing: every served delay must track a
+// from-scratch no-relay Dijkstra through backbone and access-link churn,
+// and every drained dirty set must be exactly the nodes whose delay moved.
 TEST(IncrementalDelayEngine, MultiHomedChurnMatchesFromScratch) {
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 0xD1CE,
                                  49, 24, 4, AttachParams{.attach_count = 2});
   IncrementalDelayEngine engine(net);
   for (const NodeId device : net.iot_nodes) {
     ASSERT_EQ(net.graph.degree(device), 2u);
-    ASSERT_FALSE(engine.is_pendant(device));
+    ASSERT_FALSE(reads_through_anchor(engine, device));
   }
   util::Rng rng(0x2A77);
+  auto before = reference(net);
+  std::vector<NodeId> dirty;
+  engine.drain_dirty(dirty);
   std::size_t fails = 0, restores = 0, reweights = 0, access = 0;
   for (std::size_t event = 0; event < 1000; ++event) {
     const auto live = backbone_links(net);
@@ -373,23 +388,79 @@ TEST(IncrementalDelayEngine, MultiHomedChurnMatchesFromScratch) {
       ++access;
     }
     ASSERT_TRUE(trees_match_rebuild(engine, net)) << "event " << event;
+    const auto after = reference(net);
+    dirty.clear();
+    engine.drain_dirty(dirty);
+    std::sort(dirty.begin(), dirty.end());
+    ASSERT_EQ(dirty, changed_nodes(before, after)) << "event " << event;
+    before = after;
   }
   EXPECT_GT(fails, 100u);
   EXPECT_GT(restores, 100u);
   EXPECT_GT(reweights, 100u);
   EXPECT_GT(access, 100u);
   for (const NodeId device : net.iot_nodes) {
-    EXPECT_FALSE(engine.is_pendant(device));
+    EXPECT_FALSE(reads_through_anchor(engine, device));
   }
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
   engine.check_invariants(net.edge_count());
 }
 
-// A pendant that gains a second link is promoted into the trees. Here that
-// link makes the device the only shortest route between its two routers:
-// every tree must route through it, and drop the route exactly once the
-// link is removed again.
-TEST(IncrementalDelayEngine, PromotedPendantCarriesTheOnlyShortestRoute) {
+// A server's access links are its tree's first hops: failing, restoring
+// and reweighting them repairs that server's tree (and moves the server's
+// own delay in every other tree), exactly as a from-scratch run sees it.
+TEST(IncrementalDelayEngine, ServerAccessLinkChurnRepairsItsOwnTree) {
+  NetworkTopology net = make_net(TopologyFamily::kGrid, 0x5E4F, 49, 24, 4,
+                                 AttachParams{.attach_count = 2});
+  IncrementalDelayEngine engine(net);
+  util::Rng rng(0x5E4F);
+  auto before = reference(net);
+  std::vector<NodeId> dirty;
+  engine.drain_dirty(dirty);
+  std::size_t moved = 0;
+  for (std::size_t event = 0; event < 300; ++event) {
+    const NodeId server = net.edge_nodes[rng.index(net.edge_count())];
+    std::vector<FailedLink> failed_here;
+    for (const FailedLink& link : net.failed_links) {
+      if (link.u == server || link.v == server) failed_here.push_back(link);
+    }
+    const double pick = rng.uniform();
+    if (!failed_here.empty() && (pick < 0.4 || net.graph.degree(server) == 0)) {
+      const FailedLink& link = failed_here[rng.index(failed_here.size())];
+      engine.restore_link(link.u, link.v);
+    } else if (net.graph.degree(server) == 0) {
+      continue;
+    } else {
+      const Adjacency link = net.graph.neighbors(
+          server)[rng.index(net.graph.degree(server))];
+      if (pick < 0.6) {
+        engine.fail_link(server, link.to);
+      } else {
+        engine.set_link_latency(server, link.to,
+                                link.props.latency_ms * rng.uniform(0.5, 2.0));
+      }
+    }
+    ASSERT_TRUE(trees_match_rebuild(engine, net)) << "event " << event;
+    const auto after = reference(net);
+    dirty.clear();
+    engine.drain_dirty(dirty);
+    std::sort(dirty.begin(), dirty.end());
+    ASSERT_EQ(dirty, changed_nodes(before, after)) << "event " << event;
+    moved += dirty.size();
+    before = after;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(engine.stats().nodes_affected, 0u);
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  engine.check_invariants(net.edge_count());
+}
+
+// A single-homed device that gains a second link becomes multi-homed: it
+// reads through itself and takes the better of its two links. Here that
+// link would be the shortest route between its two routers, but hosts
+// never relay: no router's delay may move, and removing the link again
+// restores every delay exactly.
+TEST(IncrementalDelayEngine, MultiHomedDeviceNeverCarriesTheRouterRoute) {
   // r0 ——(slow backbone)—— r1, server 0 on r0, server 1 on r1, and one
   // device attached to r0.
   GeoGraph infra{Graph(2), {{0.0, 0.0}, {10.0, 0.0}}};
@@ -399,7 +470,7 @@ TEST(IncrementalDelayEngine, PromotedPendantCarriesTheOnlyShortestRoute) {
   NetworkTopology net = build_network(infra, iot, edges, kDelay);
   IncrementalDelayEngine engine(net);
   const NodeId device = net.iot_nodes[0];
-  ASSERT_TRUE(engine.is_pendant(device));
+  ASSERT_TRUE(reads_through_anchor(engine, device));
   ASSERT_EQ(net.graph.neighbors(device).front().to, 0u);
   const double w0 = net.graph.neighbors(device).front().props.latency_ms;
   const double w1 = 1.5;
@@ -413,21 +484,31 @@ TEST(IncrementalDelayEngine, PromotedPendantCarriesTheOnlyShortestRoute) {
   }
   std::vector<NodeId> dirty;
   engine.drain_dirty(dirty);
-  const auto before = dijkstra_fan_out(net.graph, net.edge_nodes);
+  std::vector<NodeId> reclassified;
+  engine.drain_reclassified(reclassified);
+  const auto before = reference(net);
 
   engine.add_link(device, 1, EdgeProps{w1, 100.0});
-  EXPECT_FALSE(engine.is_pendant(device));
+  EXPECT_FALSE(reads_through_anchor(engine, device));
   ASSERT_TRUE(trees_match_rebuild(engine, net));
-  // Server 0 reaches r1, and server 1 reaches r0, only through the device.
-  EXPECT_EQ(engine.delay_ms(0, 1), engine.delay_ms(0, device) + w1);
-  EXPECT_LT(engine.delay_ms(0, 1), original[0][1]);
-  EXPECT_EQ(engine.delay_ms(1, 0), engine.delay_ms(1, device) + w0);
-  EXPECT_LT(engine.delay_ms(1, 0), original[1][0]);
+  // Through the device, server 0 would reach r1 (and server 1 reach r0)
+  // faster than over the backbone; neither route is taken.
+  EXPECT_LT(engine.delay_ms(0, device) + w1, original[0][1]);
+  EXPECT_EQ(engine.delay_ms(0, 1), original[0][1]);
+  EXPECT_LT(engine.delay_ms(1, device) + w0, original[1][0]);
+  EXPECT_EQ(engine.delay_ms(1, 0), original[1][0]);
+  // The device itself now reaches server 1 over its new link.
+  EXPECT_EQ(engine.delay_ms(1, device), engine.delay_ms(1, 1) + w1);
+  EXPECT_LT(engine.delay_ms(1, device), original[1][device]);
+  EXPECT_EQ(engine.delay_ms(0, device), original[0][device]);
   dirty.clear();
   engine.drain_dirty(dirty);
   std::sort(dirty.begin(), dirty.end());
-  EXPECT_EQ(dirty, changed_nodes(before, dijkstra_fan_out(net.graph,
-                                                          net.edge_nodes)));
+  EXPECT_EQ(dirty, changed_nodes(before, reference(net)));
+  EXPECT_EQ(dirty, std::vector<NodeId>{device});
+  reclassified.clear();
+  engine.drain_reclassified(reclassified);
+  EXPECT_EQ(reclassified, std::vector<NodeId>{device});
   {
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
     engine.check_invariants(net.edge_count());
@@ -435,6 +516,7 @@ TEST(IncrementalDelayEngine, PromotedPendantCarriesTheOnlyShortestRoute) {
 
   ASSERT_TRUE(engine.remove_link(device, 1));
   ASSERT_TRUE(trees_match_rebuild(engine, net));
+  EXPECT_TRUE(reads_through_anchor(engine, device));
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
     for (NodeId node = 0; node < net.graph.node_count(); ++node) {
       EXPECT_EQ(engine.delay_ms(j, node), original[j][node])

@@ -83,7 +83,8 @@ TEST(ComputeDelayMatrix, MatchesManualDijkstra) {
   const auto net = build_network(infra, iot, edges, kDelay);
   const auto matrix = compute_delay_matrix(net);
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    const auto tree = dijkstra(net.graph, net.edge_nodes[j]);
+    const auto tree =
+        dijkstra(net.graph, net.edge_nodes[j], net.router_count());
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
       EXPECT_DOUBLE_EQ(matrix.at(i, j), tree.distance_ms[net.iot_nodes[i]]);
     }

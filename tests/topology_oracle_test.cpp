@@ -30,7 +30,8 @@ const LinkDelayModel kDelay;
 
 NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
                          std::size_t routers = 49, std::size_t devices = 24,
-                         std::size_t servers = 4) {
+                         std::size_t servers = 4,
+                         const AttachParams& attach = {}) {
   util::Rng rng(seed);
   GeneratorParams params;
   params.node_count = routers;
@@ -41,7 +42,7 @@ NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
                            rng.uniform(0.0, params.area_km)};
   for (auto& p : edges) p = {rng.uniform(0.0, params.area_km),
                              rng.uniform(0.0, params.area_km)};
-  return build_network(infra, iot, edges, kDelay);
+  return build_network(infra, iot, edges, kDelay, attach);
 }
 
 // ---- Spec parsing ----------------------------------------------------------
@@ -472,7 +473,8 @@ TEST(ExactOracle, UnbindAndRebindRecyclesRows) {
   EXPECT_EQ(oracle.row_node(0), kInvalidNode);
   oracle.bind_row(0, net.iot_nodes[2]);  // slot reuse, different node
   EXPECT_EQ(oracle.bound_count(), 2u);
-  const auto tree = dijkstra(net.graph, net.edge_nodes[0]);
+  const auto tree =
+      dijkstra(net.graph, net.edge_nodes[0], net.router_count());
   EXPECT_EQ(oracle.row(0)[0], tree.distance_ms[net.iot_nodes[2]]);
 }
 
@@ -573,9 +575,10 @@ TEST(ExactOracle, SharedKeyRowsStayFarBelowOneRowPerDevice) {
   }
 }
 
-// Mixed churn through the dense ExactOracle: pendants beside multi-homed
-// devices, a promoted pendant whose second link then carries its only
-// shortest route, access-link fail/restore/reweight (one-ulp included),
+// Mixed churn through the dense ExactOracle: single-homed devices beside
+// multi-homed ones, a device whose second link would be the shortest route
+// to its anchor router (hosts never relay, so it carries none),
+// access-link fail/restore/reweight (one-ulp included),
 // backbone fail/restore/reweight, and unbind/rebind onto recycled slots.
 // After every event and refresh() each bound slot must serve the engine's
 // value bitwise, through both row() and delay_ms(), and carry the epoch of
@@ -594,8 +597,8 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
                              rng.uniform(0.0, params.area_km)};
   NetworkTopology net = build_network(infra, iot, edges, kDelay,
                                       AttachParams{.attach_count = 2});
-  // Two devices in three keep one access link: pendants once the engine
-  // classifies; the rest stay multi-homed.
+  // Two devices in three keep one access link and read through their
+  // anchor router; the rest stay multi-homed.
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     if (i % 3 == 0) continue;
     const NodeId device = net.iot_nodes[i];
@@ -653,15 +656,19 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   };
   refresh_and_check("bound");
 
-  // A pendant gains a nearly free second link to a router other than its
-  // anchor and is promoted. With the anchor's backbone links failed, the
-  // anchor reaches every server only through the device; reweighting the
-  // anchor's access link then moves the anchor but not the device, whose
+  // A single-homed device gains a nearly free second link to a router
+  // other than its anchor and reads through itself from then on. With the
+  // anchor's backbone links failed, the device would be the anchor's best
+  // route to the servers, but hosts never relay: reweighting the device's
+  // link to the anchor moves neither the anchor nor the device, whose own
   // route runs over the new link.
-  std::size_t promoted_slot = 0;
-  while (!engine.is_pendant(slot_node[promoted_slot])) ++promoted_slot;
-  const NodeId promoted = slot_node[promoted_slot];
-  const Adjacency access = net.graph.neighbors(promoted).front();
+  std::size_t dual_slot = 0;
+  while (engine.read_through(slot_node[dual_slot]).node ==
+         slot_node[dual_slot]) {
+    ++dual_slot;
+  }
+  const NodeId dual = slot_node[dual_slot];
+  const Adjacency access = net.graph.neighbors(dual).front();
   const NodeId anchor = access.to;
   NodeId far_router = kInvalidNode;
   for (NodeId node = 0; node < net.graph.node_count(); ++node) {
@@ -672,9 +679,9 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
     }
   }
   ASSERT_NE(far_router, kInvalidNode);
-  engine.add_link(promoted, far_router, EdgeProps{0.01, 100.0});
-  ASSERT_FALSE(engine.is_pendant(promoted));
-  refresh_and_check("promote");
+  engine.add_link(dual, far_router, EdgeProps{0.01, 100.0});
+  ASSERT_EQ(engine.read_through(dual).node, dual);
+  refresh_and_check("second link");
   std::vector<NodeId> anchor_routers;
   for (const Adjacency& adj : net.graph.neighbors(anchor)) {
     if (net.kinds[adj.to] == NodeKind::kRouter) {
@@ -685,17 +692,18 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
     engine.fail_link(anchor, router);
     refresh_and_check("isolate the anchor's backbone");
   }
-  std::vector<double> promoted_before(net.edge_count());
+  std::vector<double> dual_before(net.edge_count());
+  std::vector<double> anchor_before(net.edge_count());
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    promoted_before[j] = oracle.delay_ms(promoted_slot, j);
+    dual_before[j] = oracle.delay_ms(dual_slot, j);
+    anchor_before[j] = engine.delay_ms(j, anchor);
   }
-  const double anchor_before = engine.delay_ms(0, anchor);
-  engine.set_link_latency(promoted, anchor, access.props.latency_ms * 0.5);
-  refresh_and_check("reweight the anchor's route through the device");
-  EXPECT_NE(bits(engine.delay_ms(0, anchor)), bits(anchor_before));
+  engine.set_link_latency(dual, anchor, access.props.latency_ms * 0.5);
+  refresh_and_check("reweight the device's link to the anchor");
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    EXPECT_EQ(bits(oracle.delay_ms(promoted_slot, j)),
-              bits(promoted_before[j]));
+    EXPECT_EQ(bits(engine.delay_ms(j, anchor)), bits(anchor_before[j]));
+    EXPECT_EQ(bits(oracle.delay_ms(dual_slot, j)),
+              bits(dual_before[j]));
   }
   for (const NodeId router : anchor_routers) {
     engine.restore_link(anchor, router);
@@ -809,10 +817,12 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
 
 // ---- LandmarkOracle --------------------------------------------------------
 
-/// Exact (device, server) delay via a fresh Dijkstra from the device node.
+/// Exact (device, server) delay via a fresh no-relay Dijkstra from the
+/// device node.
 double exact_delay(const NetworkTopology& net, std::size_t device,
                    std::size_t server) {
-  const ShortestPathTree tree = dijkstra(net.graph, net.iot_nodes[device]);
+  const ShortestPathTree tree =
+      dijkstra(net.graph, net.iot_nodes[device], net.router_count());
   return tree.distance_ms[net.edge_nodes[server]];
 }
 
@@ -887,6 +897,39 @@ TEST(LandmarkOracle, AttachedEnvelopesContainExactThroughChurn) {
   // Link churn must never trigger a full landmark rebuild.
   EXPECT_EQ(oracle->stats().rebuilds, 0u);
   EXPECT_GT(oracle->stats().queries, 0u);
+}
+
+// With two access links per host the no-relay delay need not obey the
+// triangle inequality ALT's lower bound rests on, so no entry may be served
+// from an envelope: every one falls back to the exact value.
+TEST(LandmarkOracle, MultiHomedEntriesFallBackToExact) {
+  NetworkTopology net = make_net(TopologyFamily::kWaxman, 17, 49, 24, 4,
+                                 AttachParams{.attach_count = 2});
+  incr::IncrementalDelayEngine engine(net);
+  OracleConfig config;
+  config.backend = OracleBackend::kLandmark;
+  config.landmarks = 6;
+  config.max_rel_error = 0.15;
+  auto oracle = make_oracle(config, engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle->bind_row(i, net.iot_nodes[i]);
+  }
+  const auto links = backbone_links(net);
+  util::Rng rng(18);
+  for (int step = 0; step < 10; ++step) {
+    const auto& [u, v] = links[rng.index(links.size())];
+    if (net.link_failed(u, v)) {
+      engine.restore_link(u, v);
+    } else {
+      engine.fail_link(u, v);
+    }
+    oracle->refresh();
+    EXPECT_TRUE(envelopes_contain_exact(*oracle, net, 0.0));
+  }
+  EXPECT_EQ(oracle->stats().bound_hits, 0u);
+  EXPECT_GT(oracle->stats().exact_fallbacks, 0u);
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  oracle->check_invariants();
 }
 
 TEST(LandmarkOracle, ZeroEpsServesExactValues) {

@@ -49,6 +49,30 @@ TEST(Dijkstra, BadSourceYieldsAllUnreachable) {
   EXPECT_EQ(tree.distance_ms[0], kUnreachable);
 }
 
+// No-relay mode: routers 0 and 1 are joined by a slow backbone link and by
+// a fast two-hop detour through host 3. Hosts are settled, never expanded,
+// so the detour carries no route — except out of the source itself.
+TEST(Dijkstra, NoRelayModeSettlesHostsWithoutExpandingThem) {
+  Graph g(5);
+  g.add_edge(0, 1, {10.0, 1.0});
+  g.add_edge(0, 3, {1.0, 1.0});
+  g.add_edge(3, 1, {1.0, 1.0});
+  g.add_edge(1, 2, {1.0, 1.0});
+  g.add_edge(3, 4, {1.0, 1.0});
+  const auto relaying = dijkstra(g, 0);
+  EXPECT_DOUBLE_EQ(relaying.distance_ms[1], 2.0);
+  const auto no_relay = dijkstra(g, 0, /*relays=*/3);
+  EXPECT_DOUBLE_EQ(no_relay.distance_ms[1], 10.0);
+  EXPECT_DOUBLE_EQ(no_relay.distance_ms[2], 11.0);
+  EXPECT_DOUBLE_EQ(no_relay.distance_ms[3], 1.0);  // settled
+  EXPECT_EQ(no_relay.distance_ms[4], kUnreachable);  // only via host 3
+  // A host source is expanded: its links are the first hops.
+  const auto from_host = dijkstra(g, 3, /*relays=*/3);
+  EXPECT_DOUBLE_EQ(from_host.distance_ms[1], 1.0);
+  EXPECT_DOUBLE_EQ(from_host.distance_ms[4], 1.0);
+  EXPECT_DOUBLE_EQ(from_host.distance_ms[2], 2.0);
+}
+
 TEST(BfsHops, KnownGraph) {
   const Graph g = test::known_graph();
   const auto hops = bfs_hops(g, 0);

@@ -33,7 +33,9 @@ Per-bench requirements (beyond the generic schema):
     m6_oracle must record the approximate-oracle contract: a positive
     certified_eps, a positive memory_ratio, an exact_fallback_rate in
     [0, 1], and the solve_gap + envelope_containment + memory_reduction +
-    incremental_invalidation gates.
+    incremental_invalidation gates; and the exact engine's footprint at
+    scale: positive engine_scratch_bytes and engine_build_ms metrics with
+    the engine_memory + engine_build gates.
 """
 
 import json
@@ -126,7 +128,8 @@ def check_oracle_contract(path: pathlib.Path, metrics: dict,
     def bad(msg: str) -> None:
         problems.append(f"{path}: {msg}")
 
-    for key in ("certified_eps", "memory_ratio"):
+    for key in ("certified_eps", "memory_ratio", "engine_scratch_bytes",
+                "engine_build_ms"):
         value = metrics.get(key)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             bad(f"m6_oracle must record a numeric {key} metric")
@@ -142,7 +145,7 @@ def check_oracle_contract(path: pathlib.Path, metrics: dict,
     gate_names = {g.get("name") for g in gates if isinstance(g, dict)} \
         if isinstance(gates, list) else set()
     required = {"solve_gap", "envelope_containment", "memory_reduction",
-                "incremental_invalidation"}
+                "incremental_invalidation", "engine_memory", "engine_build"}
     for name in sorted(required - gate_names):
         bad(f"m6_oracle must gate on {name}")
 
