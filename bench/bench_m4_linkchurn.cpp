@@ -2,9 +2,8 @@
 //
 // Drives provider-generated link events (correlated regional outages plus
 // background reweights by default — fail when live, restore when failed,
-// reweight live links) against an IncrementalDelayEngine + the default
-// (dense) ExactOracle and HARD-GATES the three properties the engine exists
-// for:
+// reweight live links) against an IncrementalDelayEngine + the
+// DelayOracle and HARD-GATES the three properties the engine exists for:
 //   1. Exactness: at sampled epochs the engine's per-server distances are
 //      bit-identical to a from-scratch dijkstra_fan_out on the same graph.
 //   2. Speed: the median incremental update (engine + oracle refresh) beats
@@ -90,9 +89,9 @@ int run(int argc, char** argv) {
   const Scenario scenario = Scenario::smart_city(iot, edge, config.base_seed);
   topo::NetworkTopology net = scenario.network();
   topo::incr::IncrementalDelayEngine engine(net);
-  const auto oracle = topo::oracle::make_oracle({}, engine);
+  topo::oracle::DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_nodes.size(); ++i) {
-    oracle->bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i, net.iot_nodes[i]);
   }
 
   const workload::ProviderContext ctx =
@@ -148,7 +147,7 @@ int run(int argc, char** argv) {
         default:
           continue;  // device churn is out of scope here
       }
-      const std::size_t refreshed = oracle->refresh();
+      const std::size_t refreshed = oracle.refresh();
       inc_us.push_back(timer.elapsed_ms() * 1e3);
       const std::size_t event_index = event_count++;
 
@@ -176,7 +175,7 @@ int run(int argc, char** argv) {
           break;
         }
         for (std::size_t i = 0; i < iot; ++i) {
-          if (oracle->row(i) != reference_rows[i]) {
+          if (oracle.row(i) != reference_rows[i]) {
             std::cerr << "cached delay row " << i << " diverged at event "
                       << event_index << "\n";
             exact = false;
@@ -190,7 +189,7 @@ int run(int argc, char** argv) {
         // against the fresh fan-out. The default abort handler makes any
         // violation a hard bench failure.
         engine.check_invariants(/*spot_check_trees=*/0);
-        oracle->check_invariants();
+        oracle.check_invariants();
       }
     }
   }
@@ -213,8 +212,8 @@ int run(int argc, char** argv) {
                  std::to_string(stats.nodes_affected)});
   table.add_row({"node visits saved", std::to_string(stats.nodes_saved)});
   table.add_row({"rows refreshed",
-                 std::to_string(oracle->rows_refreshed())});
-  table.add_row({"rows saved", std::to_string(oracle->rows_saved())});
+                 std::to_string(oracle.rows_refreshed())});
+  table.add_row({"rows saved", std::to_string(oracle.rows_saved())});
   table.add_row({"scratch bytes (early/peak)",
                  std::to_string(scratch_early) + " / " +
                      std::to_string(scratch_peak)});

@@ -59,11 +59,9 @@ struct ConfigureRequest {
   /// Inflation applied to deadline-violating delays when cost_model is
   /// kDeadlinePenalized (must exceed 1; ignored otherwise).
   double penalty_factor = 10.0;
-  /// Delay-oracle backend a DynamicCluster built from this request serves
-  /// its delay rows through (see topology/oracle/config.hpp). The one-shot
-  /// solve is unaffected — it prices against the scenario's exact instance
-  /// matrix either way; the default exact backend keeps the live cluster
-  /// bit-identical to pre-oracle behavior.
+  /// The parsed CONFIGURE oracle= spec (see topology/oracle/config.hpp).
+  /// There is one backend, the exact one, so it selects nothing: the live
+  /// cluster's rows are bit-identical to the scenario's instance matrix.
   topo::oracle::OracleConfig oracle;
 };
 

@@ -40,7 +40,7 @@ DynamicCluster::DynamicCluster(const Scenario& scenario,
                                const ConfigureRequest& request)
     : net_(scenario.network()),
       engine_(net_),
-      oracle_(topo::oracle::make_oracle(request.oracle, engine_)),
+      oracle_(engine_),
       delay_model_(scenario.params().delay_model),
       router_positions_(net_.positions.begin(),
                         net_.positions.begin() +
@@ -64,17 +64,17 @@ DynamicCluster::DynamicCluster(const Scenario& scenario,
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     // Filled from the engine's server trees — the same Dijkstra values the
     // scenario's instance matrix was built from.
-    oracle_->bind_row(i, net_.iot_nodes[i]);
+    oracle_.bind_row(i, net_.iot_nodes[i]);
     const auto j = static_cast<std::size_t>(assignment_[i]);
     loads_[j] += devices_[i].demand;
-    set_delay_term(i, to_term(oracle_->delay_ms(i, j)));
+    set_delay_term(i, to_term(oracle_.delay_ms(i, j)));
   }
   active_ = devices_.size();
 }
 
 double DynamicCluster::placement_cost(std::size_t device_index,
                                       std::size_t server) const {
-  return cost_of(device_index, oracle_->delay_ms(device_index, server));
+  return cost_of(device_index, oracle_.delay_ms(device_index, server));
 }
 
 double DynamicCluster::cost_of(std::size_t device_index, double delay) const {
@@ -99,7 +99,7 @@ double DynamicCluster::total_cost() const {
 }
 
 void DynamicCluster::refresh_delay_row(std::size_t slot) {
-  oracle_->bind_row(slot, net_.iot_nodes[slot]);
+  oracle_.bind_row(slot, net_.iot_nodes[slot]);
 }
 
 void DynamicCluster::assign(std::size_t slot, std::int32_t server,
@@ -201,7 +201,7 @@ void DynamicCluster::attach_device(std::size_t slot,
 }
 
 void DynamicCluster::detach_device(std::size_t slot) {
-  oracle_->unbind_row(slot);
+  oracle_.unbind_row(slot);
   engine_.release_node(net_.iot_nodes[slot]);
   absorb_device_churn();
   net_.iot_nodes[slot] = topo::kInvalidNode;
@@ -212,7 +212,7 @@ JoinResult DynamicCluster::place_device(std::size_t slot) {
   const ServerChoice choice = cheapest_feasible_server(slot);
   TACC_ENSURE(choice.server < capacities_.size() && !failed_[choice.server],
               "placement must land on a healthy server");
-  const double delay = oracle_->delay_ms(slot, choice.server);
+  const double delay = oracle_.delay_ms(slot, choice.server);
   assign(slot, static_cast<std::int32_t>(choice.server), delay);
   loads_[choice.server] += devices_[slot].demand;
   ++assignment_version_;
@@ -272,7 +272,7 @@ JoinResult DynamicCluster::move_pinned(std::size_t device_index,
     return place_device(device_index);
   }
   // The row was rebound, so the term moves even though the server does not.
-  const double delay = oracle_->delay_ms(device_index, pinned);
+  const double delay = oracle_.delay_ms(device_index, pinned);
   assign(device_index, static_cast<std::int32_t>(pinned), delay);
   ++assignment_version_;
   // Score through the shared CostModel rather than re-deriving delay
@@ -314,7 +314,7 @@ std::size_t DynamicCluster::rebalance(std::size_t max_moves) {
       for (std::size_t j = 0; j < capacities_.size(); ++j) {
         if (j == from || failed_[j]) continue;
         if (loads_[j] + demand > capacities_[j] + kEps) continue;
-        const double delay = oracle_->delay_ms(i, j);
+        const double delay = oracle_.delay_ms(i, j);
         const double cost = cost_of(i, delay);
         if (cost < best_cost - kEps) {
           best_cost = cost;
@@ -353,7 +353,7 @@ std::size_t DynamicCluster::repair(std::size_t max_moves) {
         for (std::size_t k = 0; k < capacities_.size(); ++k) {
           if (k == j || failed_[k]) continue;
           if (loads_[k] + demand > capacities_[k] + kEps) continue;
-          const double delay = oracle_->delay_ms(i, k);
+          const double delay = oracle_.delay_ms(i, k);
           const double delta = cost_of(i, delay) - placement_cost(i, j);
           if (delta < best_delta) {
             best_delta = delta;
@@ -400,7 +400,7 @@ MovePlanReport DynamicCluster::apply_move_plan(const MovePlan& plan,
       continue;
     }
     // Score the gain against live delays, not the proposal's prediction.
-    const double delay = oracle_->delay_ms(move.device, move.to);
+    const double delay = oracle_.delay_ms(move.device, move.to);
     report.achieved_gain +=
         placement_cost(move.device, move.from) - cost_of(move.device, delay);
     loads_[move.from] -= demand;
@@ -481,7 +481,7 @@ double DynamicCluster::avg_delay_ms() const noexcept {
   double sum = 0.0;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (assignment_[i] == gap::kUnassigned) continue;
-    sum += oracle_->delay_ms(i, static_cast<std::size_t>(assignment_[i]));
+    sum += oracle_.delay_ms(i, static_cast<std::size_t>(assignment_[i]));
   }
   return sum / static_cast<double>(active_);
 }
@@ -507,11 +507,11 @@ void DynamicCluster::require_backbone(topo::NodeId u, topo::NodeId v) const {
 LinkUpdateReport DynamicCluster::finish_link_update(
     const topo::incr::EngineStats& before, double latency_ms) {
   LinkUpdateReport report;
-  report.rows_refreshed = oracle_->refresh();
+  report.rows_refreshed = oracle_.refresh();
   // Only refreshed rows serve moved delays; a bound row is an active slot.
-  for (const std::size_t slot : oracle_->refreshed_rows()) {
+  for (const std::size_t slot : oracle_.refreshed_rows()) {
     const auto server = static_cast<std::size_t>(assignment_[slot]);
-    set_delay_term(slot, to_term(oracle_->delay_ms(slot, server)));
+    set_delay_term(slot, to_term(oracle_.delay_ms(slot, server)));
   }
   const topo::incr::EngineStats& after = engine_.stats();
   report.epoch = after.epoch;
@@ -587,8 +587,8 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
                            "inactive slot missing from the free list: " +
                                std::to_string(i));
       TACC_CHECK_INVARIANT(
-          i >= oracle_->row_count() ||
-              oracle_->row_node(i) == topo::kInvalidNode,
+          i >= oracle_.row_count() ||
+              oracle_.row_node(i) == topo::kInvalidNode,
           "inactive slot still bound to a delay row: " + std::to_string(i));
       continue;
     }
@@ -603,8 +603,8 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
     TACC_CHECK_INVARIANT(devices_[i].demand >= 0.0,
                          "negative demand on slot " + std::to_string(i));
     recomputed[j] += devices_[i].demand;
-    TACC_CHECK_INVARIANT(i < oracle_->row_count() &&
-                             oracle_->row_node(i) == net_.iot_nodes[i],
+    TACC_CHECK_INVARIANT(i < oracle_.row_count() &&
+                             oracle_.row_node(i) == net_.iot_nodes[i],
                          "delay row bound to the wrong graph node: slot " +
                              std::to_string(i));
     if (term == kUnreachableTerm) {
@@ -614,10 +614,10 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
     } else {
       term_sum += term;
     }
-    // Dense rows serve current values whatever was read before, so each
-    // term must be exactly the served delay: the independent reference.
-    if (oracle_->dense() && j < capacities_.size()) {
-      TACC_CHECK_INVARIANT(term == to_term(oracle_->delay_ms(i, j)),
+    // Rows serve current values whatever was read before, so each term
+    // must be exactly the served delay: the independent reference.
+    if (j < capacities_.size()) {
+      TACC_CHECK_INVARIANT(term == to_term(oracle_.delay_ms(i, j)),
                            "objective term differs from the served delay: "
                            "slot " +
                                std::to_string(i));
@@ -658,7 +658,7 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
   // ---- Underlying topology / engine / oracle -------------------------------
   net_.check_invariants();
   engine_.check_invariants(options.delay_spot_checks);
-  oracle_->check_invariants();
+  oracle_.check_invariants();
 }
 
 bool DynamicCluster::feasible() const noexcept {

@@ -35,8 +35,6 @@
 // pid reuse.
 #pragma once
 
-#include <memory>
-
 #include "core/configurator.hpp"
 #include "core/move_plan.hpp"
 #include "core/scenario.hpp"
@@ -74,9 +72,8 @@ struct LinkUpdateReport {
   /// and servers, never enter a tree, so they count nothing).
   std::uint64_t nodes_affected = 0;
   std::uint64_t nodes_saved = 0;     ///< full-recompute visits avoided
-  /// Bound device rows whose served delays moved: restamped (dense; only
-  /// the key rows they read through are rewritten) or dropped for a lazy
-  /// refill (bounded).
+  /// Bound device rows whose served delays moved, restamped (only the key
+  /// rows they read through are rewritten).
   std::size_t rows_refreshed = 0;
   double latency_ms = 0.0;           ///< the link's (previous) latency
 };
@@ -181,24 +178,23 @@ class DynamicCluster {
     return assignment_version_;
   }
   /// Served per-server delay row of an active device (ms), through the
-  /// configured DelayOracle. Exact under the default backend; within the
-  /// certified envelope for approximate ones (see topology/oracle/). The
-  /// reference lasts until the next delay_row() call (the default oracle
+  /// DelayOracle: the exact shortest-path delays (see topology/oracle/). The
+  /// reference lasts until the next delay_row() call (the oracle
   /// materializes rows into one scratch row): copy it to keep two rows.
   [[nodiscard]] const std::vector<double>& delay_row(
       std::size_t device_index) const {
-    return oracle_->row(device_index);
+    return oracle_.row(device_index);
   }
   /// Engine epoch at which the device's row was last rewritten — newer
   /// epochs mark rows dirtied by link churn, which the re-optimizer scans
   /// first.
   [[nodiscard]] std::uint64_t delay_row_epoch(std::size_t device_index) const {
-    return oracle_->row_epoch(device_index);
+    return oracle_.row_epoch(device_index);
   }
-  /// The live delay oracle serving this cluster's rows (backend selected by
-  /// ConfigureRequest::oracle; introspection for ORACLE_STATS and benches).
+  /// The live delay oracle serving this cluster's rows (introspection for
+  /// ORACLE_STATS and benches).
   [[nodiscard]] const topo::oracle::DelayOracle& delay_oracle() const {
-    return *oracle_;
+    return oracle_;
   }
   [[nodiscard]] const workload::IotDevice& device(
       std::size_t device_index) const {
@@ -259,17 +255,17 @@ class DynamicCluster {
     return engine_.epoch();
   }
   [[nodiscard]] std::uint64_t delay_rows_refreshed() const noexcept {
-    return oracle_->rows_refreshed();
+    return oracle_.rows_refreshed();
   }
   [[nodiscard]] std::uint64_t delay_rows_saved() const noexcept {
-    return oracle_->rows_saved();
+    return oracle_.rows_saved();
   }
   /// Digest of the served delay view; distinguishes every epoch, so stale
   /// consumers detect reconfigurations they slept through even when a
-  /// fail/restore pair returned the values to their start state. Under the
-  /// default backend it also digests every row value (see RowStore).
+  /// fail/restore pair returned the values to their start state. It also
+  /// digests every row value (see RowStore).
   [[nodiscard]] std::uint64_t delay_fingerprint() const {
-    return oracle_->fingerprint();
+    return oracle_.fingerprint();
   }
 
   // ---- Introspection ------------------------------------------------------
@@ -291,11 +287,7 @@ class DynamicCluster {
   /// the same value). +inf while any device's server is unreachable. While
   /// any finite delay is too large for the fixed-point range (2^23 ms and
   /// up, from hostile link latencies) it falls back to a scan of the served
-  /// delays. Under the dense default oracle every term is the delay the
-  /// oracle serves now; under bounded oracles (compress=1, landmark) a term
-  /// is the value served at the slot's last placement or row refresh,
-  /// which LRU residency may since have replaced with a differently
-  /// rounded or enveloped one.
+  /// delays. Every term is the delay the oracle serves now.
   [[nodiscard]] double avg_delay_ms() const noexcept;
   [[nodiscard]] double max_utilization() const noexcept;
   [[nodiscard]] bool feasible() const noexcept;
@@ -334,8 +326,8 @@ class DynamicCluster {
   ///    graph node, a free slot's row is unbound;
   ///  - the objective: the integer sum and the unreachable / out-of-range
   ///    counts behind avg_delay_ms() equal a recount of the per-slot terms,
-  ///    a free slot's term is 0, and, under the dense oracle, each active
-  ///    term equals the fixed-point value of the delay served now;
+  ///    a free slot's term is 0, and each active term equals the
+  ///    fixed-point value of the delay served now;
   ///  - node recycling: live graph nodes == routers + servers + active
   ///    devices (a leak here is what bench_m2's gates watch);
   ///  - the underlying NetworkTopology, IncrementalDelayEngine and
@@ -370,7 +362,7 @@ class DynamicCluster {
   };
 
   /// (Re)binds `slot`'s delay row to its graph node; the oracle (re)fills
-  /// it from the engine's per-server trees (eagerly or lazily, per backend).
+  /// it from the engine's per-server trees.
   void refresh_delay_row(std::size_t slot);
   /// placement_cost() for a delay already read from the oracle.
   [[nodiscard]] double cost_of(std::size_t device_index,
@@ -420,10 +412,9 @@ class DynamicCluster {
   // topology mutations route through engine_ so the trees stay exact.
   // Declared right after net_ (initialization order matters).
   topo::incr::IncrementalDelayEngine engine_;
-  // Serves the per-device delay rows (row i == device slot i); backend
-  // chosen by ConfigureRequest::oracle (default: exact, dense rows
-  // bit-identical to the engine's trees).
-  std::unique_ptr<topo::oracle::DelayOracle> oracle_;
+  // Serves the per-device delay rows (row i == device slot i), bit-identical
+  // to the engine's trees.
+  topo::oracle::DelayOracle oracle_;
   topo::LinkDelayModel delay_model_;
   /// Router r (routers are the node id prefix) sits at router_positions_[r].
   std::vector<topo::Point2D> router_positions_;

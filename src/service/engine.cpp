@@ -499,14 +499,11 @@ std::string Engine::apply(Session& session, const Request& request) {
       }();
       AlgorithmOptions algorithm_options;
       algorithm_options.apply_seed(request.seed);
-      // Per-request oracle= beats the daemon-wide --oracle default; both
-      // were validated at parse/startup, so this parse only throws (caught
-      // below as BAD_REQUEST) if a raw EngineOptions carried a bad spec.
-      const std::string& oracle_spec =
-          !request.oracle.empty() ? request.oracle : options_.default_oracle;
-      ConfigureRequest configure(request.algorithm, algorithm_options,
-                                 CostModel::kTopologyAware, 10.0,
-                                 topo::oracle::parse_oracle_spec(oracle_spec));
+      // oracle= was validated at parse time, so this parse only throws
+      // (caught below as BAD_REQUEST) for a Request built by hand.
+      ConfigureRequest configure(
+          request.algorithm, algorithm_options, CostModel::kTopologyAware,
+          10.0, topo::oracle::parse_oracle_spec(request.oracle));
       // The optimizer (if any) references the old cluster: stop and detach
       // it before the swap, then re-attach onto the replacement with the
       // same tuning (or the engine default under auto_reopt).
@@ -527,7 +524,7 @@ std::string Engine::apply(Session& session, const Request& request) {
           .field("devices", session.cluster->active_count())
           .field("servers", session.cluster->server_count())
           .field("algo", tacc::to_string(request.algorithm))
-          .field("oracle", session.cluster->delay_oracle().name())
+          .field("oracle", "exact")
           .field("avg_delay_ms", session.cluster->avg_delay_ms())
           .field("feasible", session.cluster->feasible())
           .str();
@@ -618,24 +615,14 @@ std::string Engine::apply(Session& session, const Request& request) {
       case Verb::kOracleStats: {
         const topo::oracle::DelayOracle& oracle = cluster.delay_oracle();
         const topo::oracle::OracleStats stats = oracle.stats();
-        std::string hist;
-        for (std::size_t i = 0; i < stats.width_hist.size(); ++i) {
-          if (i > 0) hist += ':';
-          hist += std::to_string(stats.width_hist[i]);
-        }
         return OkLine()
             .field("session", session.name)
-            .field("backend", oracle.name())
+            .field("backend", "exact")
             .field("rows", oracle.row_count())
             .field("epoch", static_cast<std::size_t>(oracle.epoch()))
             .field("queries", static_cast<std::size_t>(stats.queries))
-            .field("bound_hits", static_cast<std::size_t>(stats.bound_hits))
-            .field("exact_fallbacks",
-                   static_cast<std::size_t>(stats.exact_fallbacks))
             .field("row_fills", static_cast<std::size_t>(stats.row_fills))
-            .field("rebuilds", static_cast<std::size_t>(stats.rebuilds))
             .field("resident_bytes", oracle.resident_bytes())
-            .field("width_hist", hist)
             .str();
       }
       case Verb::kLinks: {

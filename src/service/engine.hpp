@@ -99,10 +99,6 @@ struct EngineOptions {
   /// Budget/planner defaults for attached re-optimizers; REOPT_START
   /// options override per session.
   opt::ReoptOptions reopt;
-  /// Delay-oracle spec applied to sessions whose CONFIGURE carries no
-  /// oracle= option (taccd --oracle). Empty means the exact default; must
-  /// parse (see topology/oracle/config.hpp) or CONFIGURE fails BAD_REQUEST.
-  std::string default_oracle;
 };
 
 /// Throws std::invalid_argument unless options.max_batch >= 1 and

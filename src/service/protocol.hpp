@@ -3,9 +3,9 @@
 // One request per line, one response line per request:
 //
 //   CONFIGURE <session> <iot> <edge> [seed=N] [algo=NAME] [preset=NAME]
-//             [oracle=SPEC]            (delay-oracle backend, e.g.
-//                                       "exact" or "landmark,k=8,eps=0.1" —
-//                                       see topology/oracle/config.hpp)
+//             [oracle=exact]           (the one delay-oracle backend; any
+//                                       other spec is a BAD_REQUEST — see
+//                                       topology/oracle/config.hpp)
 //   JOIN      <session> <x> <y> [demand=D] [rate=HZ]
 //   MOVE      <session> <device> <x> <y> [pinned=0|1]
 //   LEAVE     <session> <device>
@@ -28,9 +28,9 @@
 //                                         the daemon's --reopt-* defaults)
 //   REOPT_STOP  <session>                (stop + detach; idempotent)
 //   REOPT_STATS <session>                (live optimizer ledger)
-//   ORACLE_STATS <session>               (delay-oracle counters: queries,
-//                                         bound hits, exact fallbacks,
-//                                         width histogram, bytes resident)
+//   ORACLE_STATS <session>               (delay-oracle counters: rows,
+//                                         epoch, queries, row fills (always
+//                                         0), bytes resident)
 //   SLEEP     <session> <ms>               (diagnostic: occupies the session)
 //   STATS     [<session>] [shards=0|1]   (shards=1: per-shard breakdown)
 //   PING

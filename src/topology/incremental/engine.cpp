@@ -174,18 +174,6 @@ void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
   ++stats_.epoch;
   stats_.nodes_affected += affected;
   stats_.nodes_saved += full_cost > affected ? full_cost - affected : 0;
-  for (MutationListener* listener : listeners_) {
-    listener->on_mutation(kind, u, v, old_ms, new_ms);
-  }
-}
-
-void IncrementalDelayEngine::add_listener(MutationListener* listener) {
-  if (listener != nullptr) listeners_.push_back(listener);
-}
-
-void IncrementalDelayEngine::remove_listener(
-    MutationListener* listener) noexcept {
-  std::erase(listeners_, listener);
 }
 
 EdgeProps IncrementalDelayEngine::fail_link(NodeId u, NodeId v) {
@@ -267,7 +255,6 @@ void IncrementalDelayEngine::rebuild() {
     mark_dirty(node);
     mark_reclassified(node);
   }
-  for (MutationListener* listener : listeners_) listener->on_rebuild();
 }
 
 void IncrementalDelayEngine::check_invariants(

@@ -48,25 +48,6 @@ struct EngineStats {
   std::uint64_t nodes_saved = 0;
 };
 
-/// Observer for the engine's mutation funnel. Listeners are notified AFTER
-/// the graph and every server tree reflect the mutation (the same contract
-/// DynamicSsspTree's update hooks have with the graph), so a listener can
-/// repair its own derived structures against the post-mutation graph.
-/// `kind` matches apply_mutation: 0 edge added, 1 removed, 2 reweighted;
-/// old_ms/new_ms are the link latency before/after (kUnreachable when
-/// absent; remove_link reports no old latency). Every mutation is reported,
-/// device access links included.
-/// Used by the landmark delay oracle to keep its landmark distance vectors
-/// in sync with link churn (see topology/oracle/landmark.hpp).
-class MutationListener {
- public:
-  virtual ~MutationListener() = default;
-  virtual void on_mutation(int kind, NodeId u, NodeId v, double old_ms,
-                           double new_ms) = 0;
-  /// The engine rebuilt every tree from scratch (recovery hatch).
-  virtual void on_rebuild() = 0;
-};
-
 /// The node a node's delays read through, and the latency added to that
 /// node's delays: see IncrementalDelayEngine::read_through().
 struct ReadThrough {
@@ -135,7 +116,7 @@ class IncrementalDelayEngine {
   std::size_t drain_dirty(std::vector<NodeId>& out);
 
   /// True iff `node` is currently in the dirty set (distance changed since
-  /// the last drain). Used by ExactOracle::check_invariants to prove stale
+  /// the last drain). Used by DelayOracle::check_invariants to prove stale
   /// rows are excused by dirtiness.
   [[nodiscard]] bool is_dirty(NodeId node) const noexcept {
     return node < in_dirty_.size() && in_dirty_[node] != 0;
@@ -174,12 +155,6 @@ class IncrementalDelayEngine {
   /// — the bench's flat-memory gate watches this across 100k+ events.
   [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
-  // ---- Mutation listeners --------------------------------------------------
-  /// Registers `listener` for post-mutation notifications (not owned; must
-  /// outlive its registration — remove_listener() before destruction).
-  void add_listener(MutationListener* listener);
-  void remove_listener(MutationListener* listener) noexcept;
-
  private:
   /// A host endpoint of the link about to change, as it read before.
   struct HostSnapshot {
@@ -205,7 +180,8 @@ class IncrementalDelayEngine {
   /// tree, any other link none; then the changed routers and the hosts whose
   /// delay moved are dirtied, and host endpoints that read through a new
   /// node or latency are reclassified. kind: 0 added, 1 removed,
-  /// 2 reweighted; old_ms/new_ms as reported to listeners.
+  /// 2 reweighted; old_ms/new_ms are the link latency before/after
+  /// (kUnreachable when absent).
   void apply_mutation(int kind, NodeId u, NodeId v, double old_ms,
                       double new_ms);
 
@@ -229,7 +205,6 @@ class IncrementalDelayEngine {
   std::vector<std::uint64_t> hosts_dirty_in_;
   std::array<HostSnapshot, 2> snapshots_;  ///< the endpoints u, v
   std::vector<double> row_scratch_;        ///< a host's delay row after
-  std::vector<MutationListener*> listeners_;
 };
 
 }  // namespace tacc::topo::incr

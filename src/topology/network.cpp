@@ -219,20 +219,6 @@ DelayMatrix compute_delay_matrix(const NetworkTopology& net,
   return matrix;
 }
 
-DelayMatrix compute_hop_matrix(const NetworkTopology& net) {
-  DelayMatrix matrix(net.iot_count(), net.edge_count(), 0.0);
-  for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    const auto hops = bfs_hops(net.graph, net.edge_nodes[j]);
-    for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      const std::uint32_t h = hops[net.iot_nodes[i]];
-      matrix.set(i, j,
-                 h == kUnreachableHops ? kUnreachable
-                                       : static_cast<double>(h));
-    }
-  }
-  return matrix;
-}
-
 DelayMatrix compute_euclidean_matrix(const NetworkTopology& net) {
   DelayMatrix matrix(net.iot_count(), net.edge_count(), 0.0);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {

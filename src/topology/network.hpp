@@ -160,9 +160,6 @@ struct AttachParams {
 [[nodiscard]] DelayMatrix compute_delay_matrix(const NetworkTopology& net,
                                                std::size_t threads = 1);
 
-/// Hop counts on the same paths; useful for diagnostics/ablation.
-[[nodiscard]] DelayMatrix compute_hop_matrix(const NetworkTopology& net);
-
 /// Straight-line distances (km); the *topology-oblivious* cost used by the
 /// geometric-nearest baseline and the A1 ablation.
 [[nodiscard]] DelayMatrix compute_euclidean_matrix(const NetworkTopology& net);

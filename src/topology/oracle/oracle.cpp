@@ -1,37 +1,63 @@
 #include "topology/oracle/oracle.hpp"
 
-#include <utility>
+#include <bit>
+#include <string>
 
-#include "topology/oracle/exact.hpp"
-#include "topology/oracle/landmark.hpp"
+#include "util/contracts.hpp"
 
 namespace tacc::topo::oracle {
 
-DelayOracle::DelayOracle(RowEncoding encoding, std::size_t width,
-                         std::size_t hot_rows, RowStore::Resolve resolve)
-    : store_(encoding, width, hot_rows,
-             [this](std::size_t row, NodeId node, std::span<double> out) {
-               return fill_row(row, node, out);
-             },
-             std::move(resolve)) {}
+DelayOracle::DelayOracle(incr::IncrementalDelayEngine& engine)
+    : engine_(&engine),
+      store_(
+          engine.server_count(),
+          [&engine](NodeId node, std::span<double> out) {
+            engine.delay_row(node, out);
+            return engine.epoch();
+          },
+          [&engine](NodeId node) { return engine.read_through(node); }) {}
 
-DelayOracle::~DelayOracle() = default;
-
-std::size_t width_bucket(double relative_width) noexcept {
-  constexpr std::array<double, 7> kEdges = {1e-3, 3e-3, 1e-2, 3e-2,
-                                            1e-1, 3e-1, 1.0};
-  for (std::size_t b = 0; b < kEdges.size(); ++b) {
-    if (relative_width < kEdges[b]) return b;
-  }
-  return kEdges.size();
+std::size_t DelayOracle::drain() {
+  drain_scratch_.clear();
+  const std::size_t dirty = engine_->drain_dirty(drain_scratch_);
+  engine_->drain_reclassified(drain_scratch_);
+  return dirty;
 }
 
-std::unique_ptr<DelayOracle> make_oracle(
-    const OracleConfig& config, incr::IncrementalDelayEngine& engine) {
-  if (config.backend == OracleBackend::kLandmark) {
-    return std::make_unique<LandmarkOracle>(engine, config);
+std::size_t DelayOracle::refresh() {
+  const std::size_t dirty = drain();
+  const std::span<const NodeId> drained(drain_scratch_);
+  return store_.refresh(drained.first(dirty), drained.subspan(dirty));
+}
+
+void DelayOracle::refresh_all() {
+  drain();
+  store_.refresh_all();
+}
+
+std::size_t DelayOracle::resident_bytes() const {
+  return store_.resident_bytes() +
+         drain_scratch_.capacity() * sizeof(NodeId);
+}
+
+void DelayOracle::check_invariants() const {
+  store_.check_invariants(engine_->epoch());
+  for (std::size_t row = 0; row < store_.row_count(); ++row) {
+    const NodeId node = store_.row_node(row);
+    // Values that drifted from the engine's trees are only acceptable while
+    // the node or its key is queued for the next refresh().
+    if (node == kInvalidNode || engine_->is_dirty(node) ||
+        engine_->is_dirty(store_.row_key(row))) {
+      continue;
+    }
+    for (std::size_t j = 0; j < store_.width(); ++j) {
+      TACC_CHECK_INVARIANT(
+          std::bit_cast<std::uint64_t>(store_.value(row, j)) ==
+              std::bit_cast<std::uint64_t>(engine_->delay_ms(j, node)),
+          "stale cached delay with a clean dirty set: row " +
+              std::to_string(row) + ", server " + std::to_string(j));
+    }
   }
-  return std::make_unique<ExactOracle>(engine, config);
 }
 
 }  // namespace tacc::topo::oracle

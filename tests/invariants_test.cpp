@@ -12,7 +12,7 @@
 #include "service/engine.hpp"
 #include "topology/failures.hpp"
 #include "topology/incremental/engine.hpp"
-#include "topology/oracle/exact.hpp"
+#include "topology/oracle/oracle.hpp"
 #include "util/contracts.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -35,9 +35,9 @@ struct GraphTestPeer {
 
 namespace oracle {
 
-/// Friend of RowStore and of ExactOracle (which owns one).
+/// Friend of RowStore and of DelayOracle (which owns one).
 struct RowStoreTestPeer {
-  static std::vector<std::uint64_t>& row_epochs(ExactOracle& oracle) {
+  static std::vector<std::uint64_t>& row_epochs(DelayOracle& oracle) {
     return oracle.store_.epochs_;
   }
 };
@@ -229,12 +229,12 @@ TEST_F(InvariantsTest, EngineCatchesOutOfBandTopologyEdit) {
   EXPECT_NO_THROW(engine.check_invariants(net.edge_count()));
 }
 
-// ---- topo::oracle::ExactOracle's dense row cache ----------------------------
+// ---- topo::oracle::DelayOracle's row cache -------------------------------------
 
 TEST_F(InvariantsTest, CacheHealthyRefreshCyclePasses) {
   topo::NetworkTopology net = make_net(31);
   topo::incr::IncrementalDelayEngine engine(net);
-  topo::oracle::ExactOracle cache(engine);
+  topo::oracle::DelayOracle cache(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     cache.bind_row(i, net.iot_nodes[i]);
   }
@@ -252,7 +252,7 @@ TEST_F(InvariantsTest, CacheHealthyRefreshCyclePasses) {
 TEST_F(InvariantsTest, CacheCatchesUnexcusedStaleRow) {
   topo::NetworkTopology net = make_net(32);
   topo::incr::IncrementalDelayEngine engine(net);
-  topo::oracle::ExactOracle cache(engine);
+  topo::oracle::DelayOracle cache(engine);
   cache.bind_row(0, net.iot_nodes[0]);
   // Move device 0's distances through the engine, then throw away the dirty
   // notification instead of refreshing: the cache now serves stale delays
@@ -269,7 +269,7 @@ TEST_F(InvariantsTest, CacheCatchesUnexcusedStaleRow) {
 TEST_F(InvariantsTest, CacheCatchesEpochFromTheFuture) {
   topo::NetworkTopology net = make_net(33);
   topo::incr::IncrementalDelayEngine engine(net);
-  topo::oracle::ExactOracle cache(engine);
+  topo::oracle::DelayOracle cache(engine);
   cache.bind_row(0, net.iot_nodes[0]);
   // A row stamped past the engine epoch claims to have seen a mutation that
   // never happened.
@@ -345,7 +345,7 @@ TEST_F(InvariantsTest, ClusterCatchesObjectiveDrift) {
   DynamicClusterTestPeer::shift_delay_term(drifted, 0, 1, false);
   EXPECT_THROW(drifted.check_invariants(), ContractViolation);
   // A term and sum that agree with each other but not with the delay the
-  // dense oracle serves: only the independent reference catches it.
+  // oracle serves: only the independent reference catches it.
   DynamicCluster consistent = make_cluster(47);
   EXPECT_NO_THROW(consistent.check_invariants());
   DynamicClusterTestPeer::shift_delay_term(consistent, 0, 1, true);

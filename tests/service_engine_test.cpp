@@ -854,18 +854,24 @@ TEST(ReoptEngine, AutoReoptAttachesOnConfigure) {
 TEST(OracleEngine, ConfigureReportsBackendAndStatsRespond) {
   Engine engine(small_options());
   const std::string ok =
-      call(engine, "CONFIGURE city 40 5 seed=9 oracle=landmark,k=4,eps=0.2");
+      call(engine, "CONFIGURE city 40 5 seed=9 oracle=exact");
   ASSERT_EQ(ok.rfind("OK", 0), 0u) << ok;
-  EXPECT_NE(ok.find(" oracle=landmark"), std::string::npos) << ok;
+  EXPECT_NE(ok.find(" oracle=exact"), std::string::npos) << ok;
 
   const std::string stats = call(engine, "ORACLE_STATS city");
   ASSERT_EQ(stats.rfind("OK", 0), 0u) << stats;
-  EXPECT_NE(stats.find(" backend=landmark"), std::string::npos) << stats;
+  EXPECT_NE(stats.find(" backend=exact"), std::string::npos) << stats;
   // CONFIGURE solves the initial placement, so the oracle has been queried.
   EXPECT_GT(field_value(stats, "queries"), 0u);
   EXPECT_GT(field_value(stats, "rows"), 0u);
   EXPECT_GT(field_value(stats, "resident_bytes"), 0u);
-  EXPECT_NE(stats.find(" width_hist="), std::string::npos) << stats;
+  // Rows are filled on bind and refresh, never on a read.
+  EXPECT_EQ(field_value(stats, "row_fills"), 0u);
+  // No envelope or landmark counters: the one backend has none.
+  for (const char* gone :
+       {" bound_hits=", " exact_fallbacks=", " rebuilds=", " width_hist="}) {
+    EXPECT_EQ(stats.find(gone), std::string::npos) << stats;
+  }
 }
 
 TEST(OracleEngine, DefaultsToExactBackend) {
@@ -875,22 +881,6 @@ TEST(OracleEngine, DefaultsToExactBackend) {
   EXPECT_NE(ok.find(" oracle=exact"), std::string::npos) << ok;
   const std::string stats = call(engine, "ORACLE_STATS city");
   EXPECT_NE(stats.find(" backend=exact"), std::string::npos) << stats;
-  // The exact backend certifies zero-width envelopes: no fallbacks recorded.
-  EXPECT_EQ(field_value(stats, "exact_fallbacks"), 0u);
-}
-
-TEST(OracleEngine, EngineDefaultOracleAppliesWhenRequestOmitsIt) {
-  EngineOptions options = small_options();
-  options.default_oracle = "landmark,k=4";
-  Engine engine(options);
-  ASSERT_EQ(call(engine, "CONFIGURE city 30 4").rfind("OK", 0), 0u);
-  const std::string stats = call(engine, "ORACLE_STATS city");
-  EXPECT_NE(stats.find(" backend=landmark"), std::string::npos) << stats;
-  // A per-request spec still wins over the engine-wide default.
-  ASSERT_EQ(call(engine, "CONFIGURE other 30 4 oracle=exact").rfind("OK", 0),
-            0u);
-  EXPECT_NE(call(engine, "ORACLE_STATS other").find(" backend=exact"),
-            std::string::npos);
 }
 
 TEST(OracleEngine, StatsRequireAnExistingSession) {

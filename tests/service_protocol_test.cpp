@@ -329,13 +329,9 @@ TEST(ReoptProtocol, VerbNamesRoundTrip) {
 }
 
 TEST(OracleProtocol, ConfigureStoresValidatedSpec) {
-  const Request r =
-      parse_ok("CONFIGURE city 50 5 oracle=landmark,k=4,eps=0.2");
-  EXPECT_EQ(r.oracle, "landmark,k=4,eps=0.2");
-  // Absent option leaves the spec empty (engine applies its default).
+  EXPECT_EQ(parse_ok("CONFIGURE city 50 5 oracle=exact").oracle, "exact");
+  // Absent option leaves the spec empty: the same exact backend.
   EXPECT_TRUE(parse_ok("CONFIGURE city 50 5").oracle.empty());
-  EXPECT_EQ(parse_ok("CONFIGURE city 50 5 oracle=exact,compress=1").oracle,
-            "exact,compress=1");
 }
 
 TEST(OracleProtocol, RejectsMalformedSpecsEagerly) {
@@ -343,9 +339,10 @@ TEST(OracleProtocol, RejectsMalformedSpecsEagerly) {
   EXPECT_NE(parse_error("CONFIGURE city 50 5 oracle=alt")
                 .find("bad value for option 'oracle'"),
             std::string::npos);
-  parse_error("CONFIGURE city 50 5 oracle=landmark,k=0");
-  parse_error("CONFIGURE city 50 5 oracle=exact,k=4");  // k is landmark-only
-  parse_error("CONFIGURE city 50 5 oracle=landmark,eps=-1");
+  // "exact" is the whole grammar: no other backend, no keys.
+  parse_error("CONFIGURE city 50 5 oracle=landmark,k=4,eps=0.2");
+  parse_error("CONFIGURE city 50 5 oracle=exact,compress=1");
+  parse_error("CONFIGURE city 50 5 oracle=exact,hot=8");
   parse_error("JOIN city 1 2 oracle=exact");  // CONFIGURE-only option
 }
 
@@ -403,7 +400,7 @@ std::vector<std::string> golden_corpus() {
       {"timeout_ms=250", "timeout_ms=0"},
       {"seed=42", "seed=abc"},
       {"algo=local-search", "algo=does-not-exist"},
-      {"oracle=landmark,k=4,eps=0.2", "oracle=alt"},
+      {"oracle=exact", "oracle=alt"},
       {"preset=factory", "preset=moonbase"},
       {"demand=2.5", "demand=-1"},
       {"rate=10", "rate=0"},

@@ -125,16 +125,6 @@ TEST(ComputeDelayMatrix, AtLeastAccessLatency) {
             kDelay.per_hop_forwarding_ms + kDelay.wireless_access_extra_ms);
 }
 
-TEST(ComputeHopMatrix, CountsHops) {
-  const GeoGraph infra = two_router_line();
-  const std::vector<Point2D> iot{{0.1, 0.0}};
-  const std::vector<Point2D> edges{{3.9, 0.0}};
-  const auto net = build_network(infra, iot, edges, kDelay);
-  const auto hops = compute_hop_matrix(net);
-  // iot → router0 → router1 → server = 3 hops.
-  EXPECT_DOUBLE_EQ(hops.at(0, 0), 3.0);
-}
-
 TEST(ComputeEuclideanMatrix, StraightLineDistances) {
   const GeoGraph infra = two_router_line();
   const std::vector<Point2D> iot{{0.0, 0.0}};

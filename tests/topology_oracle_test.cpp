@@ -1,6 +1,6 @@
-// The pluggable DelayOracle subsystem: spec parsing, the quantized row
-// store, bit-identity of the exact backend, and the landmark/ALT backend's
-// certified-envelope guarantees under churn (attached and standalone).
+// The DelayOracle: spec parsing, bit-identity with the engine's trees
+// through churn, refresh accounting, shared key rows and the row store's
+// bookkeeping.
 #include "topology/oracle/oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -8,16 +8,13 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "topology/failures.hpp"
-#include "topology/oracle/exact.hpp"
-#include "topology/oracle/landmark.hpp"
+#include "topology/oracle/config.hpp"
 #include "topology/oracle/rowstore.hpp"
 #include "topology/shortest_paths.hpp"
 #include "util/contracts.hpp"
@@ -48,126 +45,21 @@ NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
 // ---- Spec parsing ----------------------------------------------------------
 
 TEST(OracleConfig, ParsesSpecsAndRoundTrips) {
-  const OracleConfig def = parse_oracle_spec("");
-  EXPECT_EQ(def, OracleConfig{});
+  EXPECT_EQ(parse_oracle_spec(""), OracleConfig{});
   EXPECT_EQ(parse_oracle_spec("exact"), OracleConfig{});
-
-  const OracleConfig landmark = parse_oracle_spec("landmark,k=12,eps=0.2");
-  EXPECT_EQ(landmark.backend, OracleBackend::kLandmark);
-  EXPECT_EQ(landmark.landmarks, 12u);
-  EXPECT_DOUBLE_EQ(landmark.max_rel_error, 0.2);
-
-  const OracleConfig compressed = parse_oracle_spec("exact,compress=1,hot=7");
-  EXPECT_TRUE(compressed.compress);
-  EXPECT_EQ(compressed.hot_rows, 7u);
-
-  // Canonical round trip for both backends.
-  EXPECT_EQ(parse_oracle_spec(to_string(landmark)), landmark);
-  EXPECT_EQ(parse_oracle_spec(to_string(compressed)), compressed);
-  const OracleConfig seeded = parse_oracle_spec("landmark,seed=9,k=3");
-  EXPECT_EQ(parse_oracle_spec(to_string(seeded)), seeded);
-
-  // compress= is an exact-only key: the landmark store is always bounded.
-  EXPECT_THROW((void)parse_oracle_spec("landmark,compress=1"),
-               std::invalid_argument);
-  EXPECT_EQ(to_string(landmark).find("compress="), std::string::npos);
 }
 
 TEST(OracleConfig, RejectsMalformedSpecs) {
-  EXPECT_THROW((void)parse_oracle_spec("alt"), std::invalid_argument);
-  EXPECT_THROW((void)parse_oracle_spec("exact,k=4"), std::invalid_argument);
-  EXPECT_THROW((void)parse_oracle_spec("landmark,k=0"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_oracle_spec("landmark,eps=-1"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_oracle_spec("landmark,eps=xyz"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_oracle_spec("landmark,bogus=1"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_oracle_spec("exact,hot=0"), std::invalid_argument);
-}
-
-// ---- QuantizedRowStore -----------------------------------------------------
-
-TEST(QuantizedRowStore, HotRowsExactColdRowsWithinOneScaleStep) {
-  QuantizedRowStore store(/*width=*/4, /*hot_capacity=*/2,
-                          /*cold_capacity=*/8);
-  const std::vector<double> a = {1.0, 2.5, 0.0, kUnreachable};
-  const std::vector<double> b = {10.0, 0.25, 3.75, 9.5};
-  const std::vector<double> c = {100.0, 50.0, 25.0, 12.5};
-  store.put(0, a);
-  store.put(1, b);
-  const std::vector<double>* hot = store.get(1);
-  ASSERT_NE(hot, nullptr);
-  EXPECT_EQ(*hot, b);  // hot tier is bit-exact
-
-  store.put(2, c);  // demotes row 0 to the quantized cold tier
-  EXPECT_EQ(store.hot_size(), 2u);
-  EXPECT_EQ(store.cold_size(), 1u);
-  const std::vector<double>* cold = store.get(0);  // promotes back
-  ASSERT_NE(cold, nullptr);
-  const double scale = 2.5 / 65534.0;  // max finite of row a
-  for (std::size_t j = 0; j < a.size(); ++j) {
-    if (a[j] == kUnreachable) {
-      EXPECT_EQ((*cold)[j], kUnreachable);
-    } else {
-      EXPECT_GE((*cold)[j], a[j]);
-      EXPECT_LE((*cold)[j], a[j] + scale * 1.0001);
-    }
-  }
-  {
-    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    store.check_invariants();
+  // "exact" is the whole grammar: no other backend, no keys.
+  for (const char* spec :
+       {"alt", "landmark", "landmark,k=4,eps=0.2", "exact,compress=1",
+        "exact,hot=8", "exact,k=4", "exact,", "Exact"}) {
+    EXPECT_THROW((void)parse_oracle_spec(spec), std::invalid_argument)
+        << spec;
   }
 }
 
-TEST(QuantizedRowStore, EvictsBeyondColdCapacityAndErases) {
-  QuantizedRowStore store(/*width=*/2, /*hot_capacity=*/1,
-                          /*cold_capacity=*/2);
-  const std::vector<double> row = {1.0, 2.0};
-  for (std::size_t r = 0; r < 5; ++r) store.put(r, row);
-  // 1 hot + at most 2 cold survive; the oldest rows fell off entirely.
-  EXPECT_EQ(store.hot_size(), 1u);
-  EXPECT_LE(store.cold_size(), 2u);
-  EXPECT_EQ(store.get(0), nullptr);
-  EXPECT_TRUE(store.contains(4));
-  store.erase(4);
-  EXPECT_FALSE(store.contains(4));
-  EXPECT_EQ(store.get(4), nullptr);
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  {
-    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    store.check_invariants();
-  }
-}
-
-TEST(QuantizedRowStore, RowsCyclingBetweenTiersStayWithinOneScaleStep) {
-  // Each get() of a cold row promotes it and each put() of another row
-  // demotes it again; the served values must not creep up per round trip.
-  util::Rng rng(5);
-  for (int trial = 0; trial < 200; ++trial) {
-    QuantizedRowStore store(/*width=*/8, /*hot_capacity=*/1,
-                            /*cold_capacity=*/2);
-    std::vector<double> truth(8);
-    for (double& value : truth) value = rng.uniform(0.5, 20.0);
-    const double scale =
-        *std::max_element(truth.begin(), truth.end()) / 65534.0;
-    store.put(0, truth);
-    for (int cycle = 0; cycle < 6; ++cycle) {
-      store.put(1, std::vector<double>(8, 1.0));  // demotes row 0
-      const std::vector<double>* served = store.get(0);
-      ASSERT_NE(served, nullptr);
-      for (std::size_t j = 0; j < truth.size(); ++j) {
-        EXPECT_GE((*served)[j], truth[j]);
-        EXPECT_LE((*served)[j], truth[j] + scale * 1.0001)
-            << "trial " << trial << " cycle " << cycle;
-      }
-    }
-  }
-}
-
-// ---- ExactOracle -----------------------------------------------------------
+// ---- DelayOracle -----------------------------------------------------------
 
 /// One step of the recorded churn run: refresh()'s return, the cumulative
 /// refresh counters, fingerprint(), rows_digest() and stats().row_fills.
@@ -181,7 +73,6 @@ struct GoldenStep {
 };
 
 /// Splitmix64 chain over every bound row's value bits and row_epoch().
-/// Reads each row, so it fills lazy rows.
 std::uint64_t rows_digest(const DelayOracle& oracle) {
   std::uint64_t state = 0x7ACC5EEDULL;
   std::uint64_t digest = 0;
@@ -199,9 +90,9 @@ std::uint64_t rows_digest(const DelayOracle& oracle) {
   return digest;
 }
 
-// Recorded from the standalone DelayMatrixCache (dense) and the compressed
-// ExactOracle before the cache was folded into ExactOracle's row store:
-// step 0 is the freshly bound state, then one row per churn step below.
+// Recorded from the standalone DelayMatrixCache before the cache was folded
+// into the oracle's row store: step 0 is the freshly bound state, then one
+// row per churn step below.
 constexpr std::array<GoldenStep, 31> kDenseGolden = {{
     {0, 0, 0, 0xCD9F339560F46DDAULL, 0xA5FBE67661141EAAULL, 0},
     {0, 0, 24, 0x855D7ADD48D991CAULL, 0xA5FBE67661141EAAULL, 0},
@@ -236,63 +127,26 @@ constexpr std::array<GoldenStep, 31> kDenseGolden = {{
     {0, 19, 701, 0x224DCF866C7CA82EULL, 0x46D316375F040204ULL, 0}
 }};
 
-constexpr std::array<GoldenStep, 31> kCompressedGolden = {{
-    {0, 0, 0, 0x1C430B0BDC089B69ULL, 0xA5FBE67661141EAAULL, 24},
-    {0, 0, 24, 0x8C7EA1DF20F9406BULL, 0xA5FBE67661141EAAULL, 24},
-    {0, 0, 48, 0x1A0E2F1C01031ADAULL, 0xA5FBE67661141EAAULL, 24},
-    {0, 0, 72, 0x768FECDFBADCFBD2ULL, 0xA5FBE67661141EAAULL, 24},
-    {0, 0, 96, 0xD02FCC053093C2C8ULL, 0xA5FBE67661141EAAULL, 24},
-    {3, 3, 117, 0xBF27EE494D6EE6BFULL, 0x8B0CBD1F3027032FULL, 27},
-    {0, 3, 141, 0x562A26C29749FB04ULL, 0x8B0CBD1F3027032FULL, 27},
-    {0, 3, 165, 0x168FCA7B1A0C00C1ULL, 0x8B0CBD1F3027032FULL, 27},
-    {0, 3, 189, 0xEBA6D4C19C439D10ULL, 0x8B0CBD1F3027032FULL, 27},
-    {0, 3, 213, 0xA314428CD730917FULL, 0x8B0CBD1F3027032FULL, 27},
-    {0, 3, 237, 0x8E8CF26C6DBFCE91ULL, 0x8B0CBD1F3027032FULL, 27},
-    {0, 3, 261, 0xE7DE3DC7F779053AULL, 0x8B0CBD1F3027032FULL, 27},
-    {0, 3, 285, 0xE6D822EC287ED1E7ULL, 0x8B0CBD1F3027032FULL, 27},
-    {0, 3, 309, 0x871405B46B07FA47ULL, 0x8B0CBD1F3027032FULL, 27},
-    {1, 4, 332, 0x5CAB27578CE0B971ULL, 0x00A93A1C2A67112DULL, 28},
-    {0, 4, 356, 0x5BB0DE01D05A697EULL, 0x00A93A1C2A67112DULL, 28},
-    {2, 6, 378, 0x3328ED6DE6B9EFDAULL, 0x6722AF6D226C3B84ULL, 30},
-    {0, 6, 402, 0x82FF97769BC849C0ULL, 0x6722AF6D226C3B84ULL, 30},
-    {0, 6, 426, 0x670D9D8713FB05C8ULL, 0x6722AF6D226C3B84ULL, 30},
-    {1, 7, 449, 0x968577F7B5CC0DE1ULL, 0x0F00758F178B1411ULL, 31},
-    {0, 7, 473, 0xA21FEF6BDA4210F5ULL, 0x0F00758F178B1411ULL, 31},
-    {0, 7, 497, 0x8D7B177CB789D7A7ULL, 0x0F00758F178B1411ULL, 31},
-    {5, 12, 516, 0x1051457337B741E0ULL, 0xB4E82FAFA06FE9A4ULL, 36},
-    {0, 12, 540, 0x68BB82720C499ADAULL, 0xB4E82FAFA06FE9A4ULL, 36},
-    {0, 12, 564, 0x0C89D237221E8F7AULL, 0xB4E82FAFA06FE9A4ULL, 36},
-    {4, 16, 584, 0xF8DBF58B5D53736AULL, 0x781CB94B120D6195ULL, 40},
-    {2, 18, 606, 0x0249FFF86939BA6FULL, 0xE2191FAE17CDF8D1ULL, 42},
-    {0, 18, 630, 0xEEBE3761EF9C87D6ULL, 0xE2191FAE17CDF8D1ULL, 42},
-    {1, 19, 653, 0xB47527BDCCAE245DULL, 0x46D316375F040204ULL, 43},
-    {0, 19, 677, 0xB088B5985B190851ULL, 0x46D316375F040204ULL, 43},
-    {0, 19, 701, 0xFF4ECE0B84D39216ULL, 0x46D316375F040204ULL, 43}
-}};
-
-void expect_golden_churn(std::string_view spec, std::string_view name,
-                         std::span<const GoldenStep> golden) {
-  SCOPED_TRACE(std::string(spec));
+TEST(ExactOracle, BitIdenticalToDelayMatrixCacheThroughChurn) {
+  const auto& golden = kDenseGolden;
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 7);
   incr::IncrementalDelayEngine engine(net);
-  auto oracle = make_oracle(parse_oracle_spec(spec), engine);
-  EXPECT_EQ(oracle->name(), name);
+  DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle->bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i, net.iot_nodes[i]);
   }
   const auto expect_step = [&](std::size_t step, std::size_t refreshed) {
     SCOPED_TRACE("step " + std::to_string(step));
     const GoldenStep& want = golden[step];
     EXPECT_EQ(refreshed, want.refreshed);
-    EXPECT_EQ(oracle->rows_refreshed(), want.rows_refreshed);
-    EXPECT_EQ(oracle->rows_saved(), want.rows_saved);
-    EXPECT_EQ(oracle->fingerprint(), want.fingerprint);
-    EXPECT_EQ(rows_digest(*oracle), want.rows_digest);
-    EXPECT_EQ(oracle->stats().row_fills, want.row_fills);
-    if (name != "exact") return;
-    // Dense rows are exact: check them against the engine's trees too.
+    EXPECT_EQ(oracle.rows_refreshed(), want.rows_refreshed);
+    EXPECT_EQ(oracle.rows_saved(), want.rows_saved);
+    EXPECT_EQ(oracle.fingerprint(), want.fingerprint);
+    EXPECT_EQ(rows_digest(oracle), want.rows_digest);
+    EXPECT_EQ(oracle.stats().row_fills, want.row_fills);
+    // Rows are exact: check them against the engine's trees too.
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      const std::vector<double>& served = oracle->row(i);
+      const std::vector<double>& served = oracle.row(i);
       for (std::size_t j = 0; j < net.edge_count(); ++j) {
         EXPECT_EQ(served[j], engine.delay_ms(j, net.iot_nodes[i]));
       }
@@ -312,86 +166,18 @@ void expect_golden_churn(std::string_view spec, std::string_view name,
     } else {
       engine.set_link_latency(u, v, rng.uniform(0.5, 6.0));
     }
-    expect_step(step, oracle->refresh());
+    expect_step(step, oracle.refresh());
   }
   {
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    oracle->check_invariants();
-  }
-}
-
-TEST(ExactOracle, BitIdenticalToDelayMatrixCacheThroughChurn) {
-  expect_golden_churn("exact", "exact", kDenseGolden);
-  expect_golden_churn("exact,compress=1", "exact+compress",
-                      kCompressedGolden);
-}
-
-TEST(ExactOracle, CompressedModeStaysWithinQuantizationSlack) {
-  NetworkTopology net = make_net(TopologyFamily::kGrid, 13);
-  incr::IncrementalDelayEngine engine(net);
-  OracleConfig config;
-  config.compress = true;
-  config.hot_rows = 2;  // force demotion traffic with 24 devices
-  auto oracle = make_oracle(config, engine);
-  EXPECT_EQ(oracle->name(), "exact+compress");
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle->bind_row(i, net.iot_nodes[i]);
-  }
-
-  // Every served row against the engine's current trees: unreachable stays
-  // unreachable, finite values within one quantization step above.
-  const auto expect_within_slack = [&] {
-    for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      std::vector<double> truth(net.edge_count());
-      double max_finite = 0.0;
-      for (std::size_t j = 0; j < truth.size(); ++j) {
-        truth[j] = engine.delay_ms(j, net.iot_nodes[i]);
-        if (truth[j] != kUnreachable) {
-          max_finite = std::max(max_finite, truth[j]);
-        }
-      }
-      const double scale = max_finite / 65534.0;
-      const std::vector<double>& served = oracle->row(i);
-      for (std::size_t j = 0; j < truth.size(); ++j) {
-        if (truth[j] == kUnreachable) {
-          EXPECT_EQ(served[j], kUnreachable);
-        } else {
-          EXPECT_GE(served[j], truth[j]);
-          EXPECT_LE(served[j], truth[j] + scale * 1.0001);
-        }
-      }
-      // bounds_ms is computed live from the engine: always exact.
-      const DelayBounds bounds = oracle->bounds_ms(i, 0);
-      EXPECT_EQ(bounds.lo_ms, truth[0]);
-      EXPECT_EQ(bounds.hi_ms, truth[0]);
-      EXPECT_TRUE(bounds.certified);
-    }
-  };
-  // Touch every row twice so most traffic comes from the cold tier.
-  expect_within_slack();
-  expect_within_slack();
-  EXPECT_GT(oracle->stats().row_fills, 0u);
-
-  // Fail backbone links until one moves some bound row's delays.
-  const auto links = backbone_links(net);
-  std::size_t refreshed = 0;
-  for (std::size_t k = 0; k < links.size() && refreshed == 0; ++k) {
-    engine.fail_link(links[k].first, links[k].second);
-    refreshed = oracle->refresh();
-  }
-  ASSERT_GT(refreshed, 0u);
-  expect_within_slack();
-  expect_within_slack();
-  {
-    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    oracle->check_invariants();
+    oracle.check_invariants();
   }
 }
 
 TEST(ExactOracle, RefreshRewritesExactlyTheDirtyBoundRows) {
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 21);
   incr::IncrementalDelayEngine engine(net);
-  ExactOracle oracle(engine);
+  DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     oracle.bind_row(i, net.iot_nodes[i]);
   }
@@ -440,7 +226,7 @@ TEST(ExactOracle, RefreshRewritesExactlyTheDirtyBoundRows) {
 TEST(ExactOracle, FingerprintTracksEpochAcrossRoundTrips) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 31);
   incr::IncrementalDelayEngine engine(net);
-  ExactOracle oracle(engine);
+  DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     oracle.bind_row(i, net.iot_nodes[i]);
   }
@@ -465,7 +251,7 @@ TEST(ExactOracle, FingerprintTracksEpochAcrossRoundTrips) {
 TEST(ExactOracle, UnbindAndRebindRecyclesRows) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 41);
   incr::IncrementalDelayEngine engine(net);
-  ExactOracle oracle(engine);
+  DelayOracle oracle(engine);
   oracle.bind_row(0, net.iot_nodes[0]);
   oracle.bind_row(1, net.iot_nodes[1]);
   oracle.unbind_row(0);
@@ -481,7 +267,7 @@ TEST(ExactOracle, UnbindAndRebindRecyclesRows) {
 TEST(ExactOracle, RefreshAllRecoversAfterOutOfBandRebuild) {
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 61);
   incr::IncrementalDelayEngine engine(net);
-  ExactOracle oracle(engine);
+  DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     oracle.bind_row(i, net.iot_nodes[i]);
   }
@@ -524,8 +310,8 @@ TEST(ExactOracle, RefreshAllRecoversAfterOutOfBandRebuild) {
             refreshed_before + 2 * oracle.bound_count());
 }
 
-/// Distinct nodes the bound devices of `net` read through: the key rows a
-/// dense ExactOracle holds.
+/// Distinct nodes the bound devices of `net` read through: the key rows the
+/// oracle holds.
 std::size_t key_rows(const incr::IncrementalDelayEngine& engine,
                      const NetworkTopology& net) {
   std::vector<NodeId> keys;
@@ -540,7 +326,7 @@ std::size_t key_rows(const incr::IncrementalDelayEngine& engine,
 TEST(ExactOracle, ResidentBytesKeepRecycledRowAllocations) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 47);
   incr::IncrementalDelayEngine engine(net);
-  ExactOracle oracle(engine);
+  DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     oracle.bind_row(i, net.iot_nodes[i]);
   }
@@ -552,7 +338,7 @@ TEST(ExactOracle, ResidentBytesKeepRecycledRowAllocations) {
   EXPECT_GE(oracle.resident_bytes(), bound_bytes);
   EXPECT_GE(bound_bytes,
             key_rows(engine, net) * net.edge_count() * sizeof(double) +
-                net.iot_count() * RowStore::kDenseRowBytes);
+                net.iot_count() * RowStore::kRowBytes);
 }
 
 // The single-homed devices of one anchor share its key row, so at the
@@ -561,7 +347,7 @@ TEST(ExactOracle, ResidentBytesKeepRecycledRowAllocations) {
 TEST(ExactOracle, SharedKeyRowsStayFarBelowOneRowPerDevice) {
   NetworkTopology net = make_net(TopologyFamily::kWaxman, 53, 64, 2000, 32);
   incr::IncrementalDelayEngine engine(net);
-  ExactOracle oracle(engine);
+  DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
     oracle.bind_row(i, net.iot_nodes[i]);
   }
@@ -575,7 +361,7 @@ TEST(ExactOracle, SharedKeyRowsStayFarBelowOneRowPerDevice) {
   }
 }
 
-// Mixed churn through the dense ExactOracle: single-homed devices beside
+// Mixed churn through the DelayOracle: single-homed devices beside
 // multi-homed ones, a device whose second link would be the shortest route
 // to its anchor router (hosts never relay, so it carries none),
 // access-link fail/restore/reweight (one-ulp included),
@@ -606,7 +392,7 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
     net.graph.remove_edge(device, net.graph.neighbors(device).back().to);
   }
   incr::IncrementalDelayEngine engine(net);
-  ExactOracle oracle(engine);
+  DelayOracle oracle(engine);
 
   std::vector<NodeId> slot_node(net.iot_count(), kInvalidNode);
   std::vector<std::uint64_t> want_epoch(net.iot_count(), 0);
@@ -815,267 +601,37 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   EXPECT_GT(checks, 300u);
 }
 
-// ---- LandmarkOracle --------------------------------------------------------
-
-/// Exact (device, server) delay via a fresh no-relay Dijkstra from the
-/// device node.
-double exact_delay(const NetworkTopology& net, std::size_t device,
-                   std::size_t server) {
-  const ShortestPathTree tree =
-      dijkstra(net.graph, net.iot_nodes[device], net.router_count());
-  return tree.distance_ms[net.edge_nodes[server]];
-}
-
-testing::AssertionResult envelopes_contain_exact(const DelayOracle& oracle,
-                                                 const NetworkTopology& net,
-                                                 double eps) {
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    const std::vector<double>& served = oracle.row(i);
-    for (std::size_t j = 0; j < net.edge_count(); ++j) {
-      const double exact = exact_delay(net, i, j);
-      const DelayBounds bounds = oracle.bounds_ms(i, j);
-      if (exact == kUnreachable) {
-        if (served[j] != kUnreachable) {
-          return testing::AssertionFailure()
-                 << "(" << i << ", " << j << "): served " << served[j]
-                 << " but exact is unreachable";
-        }
-        continue;
-      }
-      const double slack = 1e-9 * (1.0 + exact);
-      if (bounds.lo_ms > exact + slack ||
-          (bounds.hi_ms != kUnreachable && bounds.hi_ms + slack < exact)) {
-        return testing::AssertionFailure()
-               << "(" << i << ", " << j << "): envelope [" << bounds.lo_ms
-               << ", " << bounds.hi_ms << "] excludes exact " << exact;
-      }
-      if (served[j] + slack < exact ||
-          served[j] > (1.0 + eps) * exact + slack) {
-        return testing::AssertionFailure()
-               << "(" << i << ", " << j << "): served " << served[j]
-               << " outside [exact, (1+eps)*exact] for exact " << exact;
-      }
-    }
-  }
-  return testing::AssertionSuccess();
-}
-
-TEST(LandmarkOracle, AttachedEnvelopesContainExactThroughChurn) {
-  NetworkTopology net = make_net(TopologyFamily::kWaxman, 17);
-  incr::IncrementalDelayEngine engine(net);
-  OracleConfig config;
-  config.backend = OracleBackend::kLandmark;
-  config.landmarks = 6;
-  config.max_rel_error = 0.15;
-  auto oracle = make_oracle(config, engine);
-  EXPECT_EQ(oracle->name(), "landmark");
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle->bind_row(i, net.iot_nodes[i]);
-  }
-  EXPECT_TRUE(envelopes_contain_exact(*oracle, net, config.max_rel_error));
-
-  const auto links = backbone_links(net);
-  util::Rng rng(18);
-  for (int step = 0; step < 20; ++step) {
-    const auto& [u, v] = links[rng.index(links.size())];
-    if (net.link_failed(u, v)) {
-      engine.restore_link(u, v);
-    } else if (rng.uniform() < 0.4) {
-      engine.fail_link(u, v);
-    } else {
-      engine.set_link_latency(u, v, rng.uniform(0.5, 6.0));
-    }
-    oracle->refresh();
-    if (step % 5 == 0) {
-      EXPECT_TRUE(
-          envelopes_contain_exact(*oracle, net, config.max_rel_error));
-      const contracts::ScopedFailureHandler guard(
-          &contracts::throw_handler);
-      oracle->check_invariants();
-    }
-  }
-  // Link churn must never trigger a full landmark rebuild.
-  EXPECT_EQ(oracle->stats().rebuilds, 0u);
-  EXPECT_GT(oracle->stats().queries, 0u);
-}
-
-// With two access links per host the no-relay delay need not obey the
-// triangle inequality ALT's lower bound rests on, so no entry may be served
-// from an envelope: every one falls back to the exact value.
-TEST(LandmarkOracle, MultiHomedEntriesFallBackToExact) {
-  NetworkTopology net = make_net(TopologyFamily::kWaxman, 17, 49, 24, 4,
-                                 AttachParams{.attach_count = 2});
-  incr::IncrementalDelayEngine engine(net);
-  OracleConfig config;
-  config.backend = OracleBackend::kLandmark;
-  config.landmarks = 6;
-  config.max_rel_error = 0.15;
-  auto oracle = make_oracle(config, engine);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle->bind_row(i, net.iot_nodes[i]);
-  }
-  const auto links = backbone_links(net);
-  util::Rng rng(18);
-  for (int step = 0; step < 10; ++step) {
-    const auto& [u, v] = links[rng.index(links.size())];
-    if (net.link_failed(u, v)) {
-      engine.restore_link(u, v);
-    } else {
-      engine.fail_link(u, v);
-    }
-    oracle->refresh();
-    EXPECT_TRUE(envelopes_contain_exact(*oracle, net, 0.0));
-  }
-  EXPECT_EQ(oracle->stats().bound_hits, 0u);
-  EXPECT_GT(oracle->stats().exact_fallbacks, 0u);
-  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-  oracle->check_invariants();
-}
-
-TEST(LandmarkOracle, ZeroEpsServesExactValues) {
-  NetworkTopology net = make_net(TopologyFamily::kGrid, 23);
-  incr::IncrementalDelayEngine engine(net);
-  OracleConfig config;
-  config.backend = OracleBackend::kLandmark;
-  config.max_rel_error = 0.0;  // only bit-tight envelopes may be served
-  auto oracle = make_oracle(config, engine);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle->bind_row(i, net.iot_nodes[i]);
-  }
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    const std::vector<double>& served = oracle->row(i);
-    for (std::size_t j = 0; j < net.edge_count(); ++j) {
-      const double exact = exact_delay(net, i, j);
-      if (exact == kUnreachable) {
-        EXPECT_EQ(served[j], kUnreachable);
-      } else {
-        EXPECT_NEAR(served[j], exact, 1e-9 * (1.0 + exact));
-      }
-    }
-  }
-}
-
-TEST(LandmarkOracle, SelectionIsSeedDeterministic) {
-  NetworkTopology net = make_net(TopologyFamily::kBarabasiAlbert, 29);
-  incr::IncrementalDelayEngine engine_a(net);
-  incr::IncrementalDelayEngine engine_b(net);
-  OracleConfig config;
-  config.backend = OracleBackend::kLandmark;
-  config.landmarks = 5;
-  config.seed = 99;
-  const LandmarkOracle a(engine_a, config);
-  const LandmarkOracle b(engine_b, config);
-  EXPECT_EQ(a.landmark_nodes(), b.landmark_nodes());
-  EXPECT_EQ(a.landmark_nodes().size(), 5u);
-
-  config.seed = 100;
-  const LandmarkOracle c(engine_b, config);
-  // A different seed starts farthest-point sampling elsewhere; the sets are
-  // allowed to coincide, but the first landmark is the seeded draw.
-  EXPECT_EQ(c.landmark_nodes().size(), 5u);
-}
-
-TEST(LandmarkOracle, StandaloneMutationsInvalidateAndStayCertified) {
-  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 37);
-  OracleConfig config;
-  config.backend = OracleBackend::kLandmark;
-  config.landmarks = 6;
-  config.max_rel_error = 0.2;
-  LandmarkOracle oracle(net, config);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
-  }
-  EXPECT_TRUE(envelopes_contain_exact(oracle, net, config.max_rel_error));
-  const std::uint64_t epoch0 = oracle.epoch();
-
-  const auto links = backbone_links(net);
-  util::Rng rng(38);
-  for (int step = 0; step < 12; ++step) {
-    const auto& [u, v] = links[rng.index(links.size())];
-    if (net.link_failed(u, v)) {
-      const EdgeProps props = net.restore_link(u, v);
-      oracle.apply_mutation(/*kind=*/0, u, v, 0.0, props.latency_ms);
-    } else if (rng.uniform() < 0.4) {
-      const EdgeProps props = net.fail_link(u, v);
-      oracle.apply_mutation(/*kind=*/1, u, v, props.latency_ms,
-                            kUnreachable);
-    } else {
-      const double ms = rng.uniform(0.5, 6.0);
-      const EdgeProps props = net.set_link_latency(u, v, ms);
-      oracle.apply_mutation(/*kind=*/2, u, v, props.latency_ms, ms);
-    }
-    oracle.refresh();
-    EXPECT_TRUE(envelopes_contain_exact(oracle, net, config.max_rel_error));
-  }
-  EXPECT_GT(oracle.epoch(), epoch0);
-  EXPECT_EQ(oracle.stats().rebuilds, 0u);
-  {
-    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    oracle.check_invariants();
-  }
-}
-
-TEST(LandmarkOracle, RefreshAllInvalidatesEverything) {
-  NetworkTopology net = make_net(TopologyFamily::kGrid, 43);
-  incr::IncrementalDelayEngine engine(net);
-  OracleConfig config;
-  config.backend = OracleBackend::kLandmark;
-  auto oracle = make_oracle(config, engine);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle->bind_row(i, net.iot_nodes[i]);
-  }
-  for (std::size_t i = 0; i < net.iot_count(); ++i) (void)oracle->row(i);
-  const std::uint64_t refreshed_before = oracle->rows_refreshed();
-  oracle->refresh_all();
-  EXPECT_EQ(oracle->rows_refreshed(),
-            refreshed_before + oracle->bound_count());
-  // Rows refill lazily and still serve certified values.
-  EXPECT_TRUE(envelopes_contain_exact(*oracle, net, config.max_rel_error));
-}
-
 TEST(DelayOracle, EveryBackendCountsOneQueryPerEntryAndOnePerServerPerRow) {
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 31);
   incr::IncrementalDelayEngine engine(net);
-  OracleConfig compressed;
-  compressed.compress = true;
-  OracleConfig landmark;
-  landmark.backend = OracleBackend::kLandmark;
-  for (const OracleConfig& config : {OracleConfig{}, compressed, landmark}) {
-    auto oracle = make_oracle(config, engine);
-    for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      oracle->bind_row(i, net.iot_nodes[i]);
-    }
-    std::uint64_t queries = oracle->stats().queries;
-    const std::vector<double> served = oracle->row(0);
-    EXPECT_EQ(oracle->stats().queries - queries, oracle->server_count())
-        << oracle->name();
-    for (std::size_t j = 0; j < oracle->server_count(); ++j) {
-      queries = oracle->stats().queries;
-      EXPECT_EQ(oracle->delay_ms(0, j), served[j]) << oracle->name();
-      EXPECT_EQ(oracle->stats().queries - queries, 1u) << oracle->name();
-    }
+  DelayOracle oracle(engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle.bind_row(i, net.iot_nodes[i]);
   }
+  std::uint64_t queries = oracle.stats().queries;
+  const std::vector<double> served = oracle.row(0);
+  EXPECT_EQ(oracle.stats().queries - queries, oracle.server_count());
+  for (std::size_t j = 0; j < oracle.server_count(); ++j) {
+    queries = oracle.stats().queries;
+    EXPECT_EQ(oracle.delay_ms(0, j), served[j]);
+    EXPECT_EQ(oracle.stats().queries - queries, 1u);
+  }
+  // Rows are filled on bind and refresh, never on a read.
+  EXPECT_EQ(oracle.stats().row_fills, 0u);
 }
 
 // refreshed_rows() names exactly the bound rows whose nodes the drained
-// dirty set held, once each, as many as refresh() returns, for both
-// encodings.
+// dirty set held, once each, as many as refresh() returns.
 TEST(DelayOracle, RefreshedRowsAreTheBoundRowsOfTheDrainedDirtyNodes) {
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 59);
   incr::IncrementalDelayEngine engine(net);
-  OracleConfig compressed;
-  compressed.compress = true;
-  std::vector<std::unique_ptr<DelayOracle>> oracles;
-  oracles.push_back(make_oracle(OracleConfig{}, engine));
-  oracles.push_back(make_oracle(compressed, engine));
-  for (const auto& oracle : oracles) {
-    for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      oracle->bind_row(i, net.iot_nodes[i]);
-    }
+  DelayOracle oracle(engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle.bind_row(i, net.iot_nodes[i]);
   }
   // Leave one slot unbound: its node's distances move too, but no row
   // reads them.
-  for (const auto& oracle : oracles) oracle->unbind_row(3);
+  oracle.unbind_row(3);
 
   const auto links = backbone_links(net);
   std::size_t reported = 0;
@@ -1086,63 +642,50 @@ TEST(DelayOracle, RefreshedRowsAreTheBoundRowsOfTheDrainedDirtyNodes) {
     } else {
       engine.set_link_latency(links[k].first, links[k].second, 0.01);
     }
-    // Both oracles drain one engine, so the expectation is taken before
-    // the first refresh and the second refresh sees an empty dirty set.
     std::vector<std::size_t> expected;
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
       if (i != 3 && engine.is_dirty(net.iot_nodes[i])) expected.push_back(i);
     }
-    for (const auto& oracle : oracles) {
-      const std::size_t refreshed = oracle->refresh();
-      const std::span<const std::size_t> rows = oracle->refreshed_rows();
-      EXPECT_EQ(rows.size(), refreshed) << oracle->name();
-      std::vector<std::size_t> sorted(rows.begin(), rows.end());
-      std::sort(sorted.begin(), sorted.end());
-      EXPECT_EQ(sorted, expected) << oracle->name() << ", link " << k;
-      reported += refreshed;
-      expected.clear();
-    }
+    const std::size_t refreshed = oracle.refresh();
+    const std::span<const std::size_t> rows = oracle.refreshed_rows();
+    EXPECT_EQ(rows.size(), refreshed);
+    std::vector<std::size_t> sorted(rows.begin(), rows.end());
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, expected) << "link " << k;
+    reported += refreshed;
   }
   EXPECT_GT(reported, 0u);
 
   // refresh_all() reports every bound row.
-  for (const auto& oracle : oracles) {
-    oracle->refresh_all();
-    EXPECT_EQ(oracle->refreshed_rows().size(), oracle->bound_count());
-  }
+  oracle.refresh_all();
+  EXPECT_EQ(oracle.refreshed_rows().size(), oracle.bound_count());
 }
 
 TEST(RowStore, BindUnbindRebindBookkeeping) {
-  for (const RowEncoding encoding :
-       {RowEncoding::kDense, RowEncoding::kBounded}) {
-    RowStore store(encoding, /*width=*/2, /*hot_rows=*/1,
-                   [](std::size_t, NodeId node, std::span<double> out) {
-                     out[0] = node;
-                     out[1] = 2.0 * node;
-                     return std::uint64_t{3};
-                   });
-    store.bind(0, 5);
-    store.bind(1, 7);
-    EXPECT_EQ(store.bound_count(), 2u);
-    EXPECT_EQ(store.row_of(5), 0u);
-    store.bind(0, 9);  // rebind
-    EXPECT_EQ(store.bound_count(), 2u);
-    EXPECT_EQ(store.row_of(9), 0u);
-    EXPECT_EQ(store.row_of(5), RowStore::kUnbound);
-    EXPECT_EQ(store.row(0), (std::vector<double>{9.0, 18.0}));
-    EXPECT_EQ(store.row_epoch(0), 3u);
-    EXPECT_TRUE(store.unbind(1));
-    EXPECT_FALSE(store.unbind(1));  // already unbound
-    EXPECT_EQ(store.bound_count(), 1u);
-    EXPECT_EQ(store.row_node(1), kInvalidNode);
-    EXPECT_EQ(store.row_fills(),
-              encoding == RowEncoding::kBounded ? 1u : 0u);
-    {
-      const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-      store.check_invariants(/*epoch=*/3);
-      EXPECT_THROW(store.check_invariants(/*epoch=*/2),
-                   contracts::ContractViolation);
-    }
+  RowStore store(/*width=*/2, [](NodeId node, std::span<double> out) {
+    out[0] = node;
+    out[1] = 2.0 * node;
+    return std::uint64_t{3};
+  });
+  store.bind(0, 5);
+  store.bind(1, 7);
+  EXPECT_EQ(store.bound_count(), 2u);
+  EXPECT_EQ(store.row_of(5), 0u);
+  store.bind(0, 9);  // rebind
+  EXPECT_EQ(store.bound_count(), 2u);
+  EXPECT_EQ(store.row_of(9), 0u);
+  EXPECT_EQ(store.row_of(5), RowStore::kUnbound);
+  EXPECT_EQ(store.row(0), (std::vector<double>{9.0, 18.0}));
+  EXPECT_EQ(store.row_epoch(0), 3u);
+  EXPECT_TRUE(store.unbind(1));
+  EXPECT_FALSE(store.unbind(1));  // already unbound
+  EXPECT_EQ(store.bound_count(), 1u);
+  EXPECT_EQ(store.row_node(1), kInvalidNode);
+  {
+    const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+    store.check_invariants(/*epoch=*/3);
+    EXPECT_THROW(store.check_invariants(/*epoch=*/2),
+                 contracts::ContractViolation);
   }
 }
 

@@ -30,12 +30,11 @@ Per-bench requirements (beyond the generic schema):
     reopt_gap_pct and reopt_cpu_ratio metrics, a reopt_gap gate, a
     reopt_cpu gate on full runs (quick runs skip the timing gate), and
     the reopt_invariants + soak_accounting gates from the engine soak.
-    m6_oracle must record the approximate-oracle contract: a positive
-    certified_eps, a positive memory_ratio, an exact_fallback_rate in
-    [0, 1], and the solve_gap + envelope_containment + memory_reduction +
-    incremental_invalidation gates; and the exact engine's footprint at
-    scale: positive engine_scratch_bytes and engine_build_ms metrics with
-    the engine_memory + engine_build gates.
+    m6_oracle must record the exact delay oracle measured at scale:
+    positive engine_scratch_bytes, oracle_resident_bytes,
+    exact_resident_bytes, engine_build_ms, bind_ms,
+    reweight_median_ms and reweight_max_ms metrics, and the engine_memory +
+    engine_build + rows_bit_exact gates.
 """
 
 import json
@@ -122,30 +121,24 @@ def check_file(path: pathlib.Path, require_gates_pass: bool) -> list[str]:
 
 def check_oracle_contract(path: pathlib.Path, metrics: dict,
                           gates) -> list[str]:
-    """m6_oracle: the approximate-oracle quality/memory contract."""
+    """m6_oracle: the exact oracle's measured memory and time at scale."""
     problems = []
 
     def bad(msg: str) -> None:
         problems.append(f"{path}: {msg}")
 
-    for key in ("certified_eps", "memory_ratio", "engine_scratch_bytes",
-                "engine_build_ms"):
+    for key in ("engine_scratch_bytes", "oracle_resident_bytes",
+                "exact_resident_bytes", "engine_build_ms", "bind_ms",
+                "reweight_median_ms", "reweight_max_ms"):
         value = metrics.get(key)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             bad(f"m6_oracle must record a numeric {key} metric")
         elif value <= 0:
             bad(f"metric {key!r} must be positive, got {value!r}")
 
-    rate = metrics.get("exact_fallback_rate")
-    if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-        bad("m6_oracle must record a numeric exact_fallback_rate metric")
-    elif not 0 <= rate <= 1:
-        bad(f"metric 'exact_fallback_rate' must be in [0, 1], got {rate!r}")
-
     gate_names = {g.get("name") for g in gates if isinstance(g, dict)} \
         if isinstance(gates, list) else set()
-    required = {"solve_gap", "envelope_containment", "memory_reduction",
-                "incremental_invalidation", "engine_memory", "engine_build"}
+    required = {"engine_memory", "engine_build", "rows_bit_exact"}
     for name in sorted(required - gate_names):
         bad(f"m6_oracle must gate on {name}")
 

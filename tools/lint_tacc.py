@@ -31,8 +31,8 @@ Enforces the conventions clang-tidy cannot express:
   R7  src/solvers/ and src/optimize/ never reach under the delay oracle:
       no topology/incremental/ includes and no tacc::topo::incr types
       (incr:: qualified names) — all delay queries go through the
-      DelayOracle interface (src/topology/oracle/) so exact and approximate
-      backends stay interchangeable.
+      DelayOracle (src/topology/oracle/), so the engine's trees stay an
+      implementation detail of the oracle.
 
 Run from the repo root (or via the `lint` CMake target):
     python3 tools/lint_tacc.py [--json] [--root DIR]
@@ -164,7 +164,7 @@ def collect_findings(root: Path) -> list[dict]:
                            "use DynamicCluster::apply_move_plan()")
 
             # R7: solvers and the optimizer see delays only through the
-            # DelayOracle; touching the engine ties them to one backend.
+            # DelayOracle; touching the engine bypasses its rows and epochs.
             if rel.startswith(("src/solvers/", "src/optimize/")):
                 if re.search(r'#\s*include\s*"topology/incremental/', raw):
                     report(path, i, "R7",

@@ -9,7 +9,6 @@
 //         [--max-batch=32] [--max-line=4096] [--verbose]
 //         [--reopt] [--reopt-moves=32] [--reopt-device-moves=1]
 //         [--reopt-window-s=10] [--reopt-interval-ms=50]
-//         [--oracle=exact|landmark[,k=N][,eps=E]]
 //
 // Sessions are hash-partitioned across --shards engine shards (default:
 // one per core), each with its own admission queue and workers; --threads
@@ -18,11 +17,12 @@
 // (--timeout-ms default, timeout_ms= per request); excess load answers
 // OVERLOADED / DEADLINE_EXCEEDED instead of queuing unboundedly. SIGINT or
 // SIGTERM (or the SHUTDOWN verb) drains in-flight requests and exits 0.
+// Every session serves exact shortest-path delays from its DelayOracle;
+// there is no backend to pick, so the daemon takes no oracle flag.
 #include <iostream>
 #include <stdexcept>
 
 #include "service/server.hpp"
-#include "topology/oracle/config.hpp"
 #include "util/flags.hpp"
 #include "util/log.hpp"
 
@@ -65,18 +65,6 @@ int run(int argc, char** argv) {
       "reopt-window-s", options.engine.reopt.budget.window_s);
   options.engine.reopt.interval_ms =
       flags.get_double("reopt-interval-ms", options.engine.reopt.interval_ms);
-  // --oracle sets the delay-oracle backend for sessions whose CONFIGURE
-  // carries no oracle= option. Validate here so a typo fails at startup
-  // instead of on the first CONFIGURE.
-  options.engine.default_oracle = flags.get_string("oracle", "");
-  if (!options.engine.default_oracle.empty()) {
-    try {
-      (void)topo::oracle::parse_oracle_spec(options.engine.default_oracle);
-    } catch (const std::invalid_argument& error) {
-      std::cerr << "taccd: bad --oracle spec: " << error.what() << "\n";
-      return 2;
-    }
-  }
   // A zero --max-batch never drains a request, and a --timeout-ms outside
   // (0, one day] expires every request: refuse both at startup.
   try {
@@ -93,8 +81,7 @@ int run(int argc, char** argv) {
                  "[--shards=N] [--threads=N] [--max-queue=N] [--timeout-ms=T] "
                  "[--max-batch=N] [--max-line=BYTES] [--verbose] [--reopt] "
                  "[--reopt-moves=N] [--reopt-device-moves=N] "
-                 "[--reopt-window-s=S] [--reopt-interval-ms=T] "
-                 "[--oracle=SPEC]\n"
+                 "[--reopt-window-s=S] [--reopt-interval-ms=T]\n"
                  "at least one of --socket / --port is required\n";
     return 2;
   }
