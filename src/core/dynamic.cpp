@@ -24,12 +24,39 @@ constexpr double kTermLimitMs = 0x1p23;
 constexpr std::int64_t kUnreachableTerm =
     std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kWideTerm = kUnreachableTerm + 1;  ///< out of range
+constexpr std::uint32_t kNoKeySlot = static_cast<std::uint32_t>(-1);
 
 std::int64_t to_term(double delay_ms) {
   if (delay_ms == topo::kUnreachable) return kUnreachableTerm;
   if (!(std::fabs(delay_ms) < kTermLimitMs)) return kWideTerm;
   return static_cast<std::int64_t>(delay_ms * kTermScale + 0.5);
 }
+}
+
+void DynamicCluster::TermSum::add(std::int64_t term, std::int64_t count) {
+  if (term == kUnreachableTerm) {
+    unreachable += count;
+  } else if (term == kWideTerm) {
+    wide += count;
+  } else {
+    sum += static_cast<__int128>(term) * count;
+  }
+}
+
+DynamicCluster::TermSum& DynamicCluster::TermSum::operator+=(
+    const TermSum& other) {
+  sum += other.sum;
+  unreachable += other.unreachable;
+  wide += other.wide;
+  return *this;
+}
+
+DynamicCluster::TermSum& DynamicCluster::TermSum::operator-=(
+    const TermSum& other) {
+  sum -= other.sum;
+  unreachable -= other.unreachable;
+  wide -= other.wide;
+  return *this;
 }
 
 DynamicCluster::DynamicCluster(const Scenario& scenario, Algorithm initial,
@@ -60,14 +87,14 @@ DynamicCluster::DynamicCluster(const Scenario& scenario,
   loads_.assign(capacities_.size(), 0.0);
   failed_.assign(capacities_.size(), false);
   generations_.assign(devices_.size(), 0);
-  delay_terms_.assign(devices_.size(), 0);
+  slot_keys_.assign(devices_.size(), kNoKeySlot);
+  latency_terms_.assign(devices_.size(), 0);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     // Filled from the engine's server trees — the same Dijkstra values the
     // scenario's instance matrix was built from.
     oracle_.bind_row(i, net_.iot_nodes[i]);
-    const auto j = static_cast<std::size_t>(assignment_[i]);
-    loads_[j] += devices_[i].demand;
-    set_delay_term(i, to_term(oracle_.delay_ms(i, j)));
+    loads_[static_cast<std::size_t>(assignment_[i])] += devices_[i].demand;
+    count_slot(i, 1);
   }
   active_ = devices_.size();
 }
@@ -102,34 +129,60 @@ void DynamicCluster::refresh_delay_row(std::size_t slot) {
   oracle_.bind_row(slot, net_.iot_nodes[slot]);
 }
 
-void DynamicCluster::assign(std::size_t slot, std::int32_t server,
-                            double delay_ms) {
+void DynamicCluster::assign(std::size_t slot, std::int32_t server) {
+  if (assignment_[slot] != gap::kUnassigned) count_slot(slot, -1);
   assignment_[slot] = server;
-  set_delay_term(slot, server == gap::kUnassigned ? 0 : to_term(delay_ms));
+  if (server != gap::kUnassigned) count_slot(slot, 1);
 }
 
-void DynamicCluster::set_delay_term(std::size_t slot, std::int64_t term) {
-  std::int64_t& held = delay_terms_[slot];
-  if (held == kUnreachableTerm) {
-    --unreachable_terms_;
-  } else if (held == kWideTerm) {
-    --wide_terms_;
-  } else {
-    delay_term_sum_ -= held;
+void DynamicCluster::count_slot(std::size_t slot, std::int64_t count) {
+  if (count > 0) {
+    slot_keys_[slot] = oracle_.row_key_slot(slot);
+    latency_terms_[slot] = to_term(oracle_.row_latency(slot));
   }
-  held = term;
-  if (term == kUnreachableTerm) {
-    ++unreachable_terms_;
-  } else if (term == kWideTerm) {
-    ++wide_terms_;
-  } else {
-    delay_term_sum_ += term;
+  const std::uint32_t key = slot_keys_[slot];
+  const std::size_t servers = capacities_.size();
+  if (key >= key_terms_.size()) {
+    key_terms_.resize(std::size_t{key} + 1);
+    residents_.resize(key_terms_.size() * servers, 0);
   }
+  const auto server = static_cast<std::size_t>(assignment_[slot]);
+  std::uint32_t& residents = residents_[std::size_t{key} * servers + server];
+  residents = count > 0 ? residents + 1 : residents - 1;
+  // A placement reads the slot's entry; a removal reads the value it was
+  // counted with, since a key row moves only in a refresh, which recounts
+  // the key.
+  const std::int64_t key_term =
+      to_term(count > 0 ? oracle_.key_entry(slot, server)
+                        : oracle_.key_value(key, server));
+  key_terms_[key].add(key_term, count);
+  objective_.add(key_term, count);
+  objective_.add(latency_terms_[slot], count);
+  if (count < 0) {
+    slot_keys_[slot] = kNoKeySlot;
+    latency_terms_[slot] = 0;
+  }
+}
+
+void DynamicCluster::recount_key(std::uint32_t key) {
+  if (key >= key_terms_.size()) return;  // never counted a slot
+  TermSum& terms = key_terms_[key];
+  objective_ -= terms;
+  terms = TermSum{};
+  const std::size_t servers = capacities_.size();
+  const std::uint32_t* residents = &residents_[std::size_t{key} * servers];
+  for (std::size_t j = 0; j < servers; ++j) {
+    if (residents[j] != 0) {
+      terms.add(to_term(oracle_.key_value(key, j)), residents[j]);
+    }
+  }
+  objective_ += terms;
 }
 
 void DynamicCluster::absorb_device_churn() {
   churn_scratch_.clear();
   engine_.drain_dirty(churn_scratch_);
+  engine_.drain_reclassified(churn_scratch_);
 }
 
 DynamicCluster::ServerChoice DynamicCluster::cheapest_feasible_server(
@@ -189,12 +242,12 @@ void DynamicCluster::attach_device(std::size_t slot,
   if (slot == devices_.size()) {
     devices_.push_back(device);
     assignment_.push_back(gap::kUnassigned);
-    delay_terms_.push_back(0);
+    slot_keys_.push_back(kNoKeySlot);
+    latency_terms_.push_back(0);
     generations_.push_back(0);
     net_.iot_nodes.push_back(node);
   } else {
     devices_[slot] = device;
-    assign(slot, gap::kUnassigned);
     net_.iot_nodes[slot] = node;
   }
   refresh_delay_row(slot);
@@ -213,7 +266,7 @@ JoinResult DynamicCluster::place_device(std::size_t slot) {
   TACC_ENSURE(choice.server < capacities_.size() && !failed_[choice.server],
               "placement must land on a healthy server");
   const double delay = oracle_.delay_ms(slot, choice.server);
-  assign(slot, static_cast<std::int32_t>(choice.server), delay);
+  assign(slot, static_cast<std::int32_t>(choice.server));
   loads_[choice.server] += devices_[slot].demand;
   ++assignment_version_;
   TACC_ENSURE(!choice.feasible ||
@@ -249,6 +302,7 @@ JoinResult DynamicCluster::move(std::size_t device_index,
   loads_[from] -= devices_[device_index].demand;
   workload::IotDevice device = devices_[device_index];
   device.position = new_position;
+  assign(device_index, gap::kUnassigned);
   detach_device(device_index);
   attach_device(device_index, device, access);
   return place_device(device_index);
@@ -263,6 +317,7 @@ JoinResult DynamicCluster::move_pinned(std::size_t device_index,
   const auto pinned = static_cast<std::size_t>(assignment_[device_index]);
   workload::IotDevice device = devices_[device_index];
   device.position = new_position;
+  assign(device_index, gap::kUnassigned);
   detach_device(device_index);
   attach_device(device_index, device, access);
   if (failed_[pinned]) {
@@ -271,9 +326,9 @@ JoinResult DynamicCluster::move_pinned(std::size_t device_index,
     loads_[pinned] -= device.demand;
     return place_device(device_index);
   }
-  // The row was rebound, so the term moves even though the server does not.
+  // The row was rebound, so the slot is counted anew on the same server.
   const double delay = oracle_.delay_ms(device_index, pinned);
-  assign(device_index, static_cast<std::int32_t>(pinned), delay);
+  assign(device_index, static_cast<std::int32_t>(pinned));
   ++assignment_version_;
   // Score through the shared CostModel rather than re-deriving delay
   // locally — the "no reconfiguration" baseline and the re-optimizer must
@@ -310,22 +365,19 @@ std::size_t DynamicCluster::rebalance(std::size_t max_moves) {
       const double demand = devices_[i].demand;
       std::size_t best = from;
       double best_cost = placement_cost(i, from);
-      double best_delay = 0.0;
       for (std::size_t j = 0; j < capacities_.size(); ++j) {
         if (j == from || failed_[j]) continue;
         if (loads_[j] + demand > capacities_[j] + kEps) continue;
-        const double delay = oracle_.delay_ms(i, j);
-        const double cost = cost_of(i, delay);
+        const double cost = placement_cost(i, j);
         if (cost < best_cost - kEps) {
           best_cost = cost;
           best = j;
-          best_delay = delay;
         }
       }
       if (best != from) {
         loads_[from] -= demand;
         loads_[best] += demand;
-        assign(i, static_cast<std::int32_t>(best), best_delay);
+        assign(i, static_cast<std::int32_t>(best));
         ++assignment_version_;
         ++moves;
         improved = true;
@@ -343,7 +395,6 @@ std::size_t DynamicCluster::repair(std::size_t max_moves) {
       std::size_t victim = devices_.size();
       std::size_t target = capacities_.size();
       double best_delta = std::numeric_limits<double>::infinity();
-      double target_delay = 0.0;
       for (std::size_t i = 0; i < devices_.size(); ++i) {
         if (assignment_[i] == gap::kUnassigned ||
             static_cast<std::size_t>(assignment_[i]) != j) {
@@ -353,20 +404,18 @@ std::size_t DynamicCluster::repair(std::size_t max_moves) {
         for (std::size_t k = 0; k < capacities_.size(); ++k) {
           if (k == j || failed_[k]) continue;
           if (loads_[k] + demand > capacities_[k] + kEps) continue;
-          const double delay = oracle_.delay_ms(i, k);
-          const double delta = cost_of(i, delay) - placement_cost(i, j);
+          const double delta = placement_cost(i, k) - placement_cost(i, j);
           if (delta < best_delta) {
             best_delta = delta;
             victim = i;
             target = k;
-            target_delay = delay;
           }
         }
       }
       if (victim == devices_.size()) break;  // nothing movable off j
       loads_[j] -= devices_[victim].demand;
       loads_[target] += devices_[victim].demand;
-      assign(victim, static_cast<std::int32_t>(target), target_delay);
+      assign(victim, static_cast<std::int32_t>(target));
       ++assignment_version_;
       ++moves;
     }
@@ -405,7 +454,7 @@ MovePlanReport DynamicCluster::apply_move_plan(const MovePlan& plan,
         placement_cost(move.device, move.from) - cost_of(move.device, delay);
     loads_[move.from] -= demand;
     loads_[move.to] += demand;
-    assign(move.device, static_cast<std::int32_t>(move.to), delay);
+    assign(move.device, static_cast<std::int32_t>(move.to));
     ++assignment_version_;
     if (ledger != nullptr) ledger->charge(move.device);
     ++report.applied;
@@ -472,9 +521,9 @@ std::size_t DynamicCluster::server_of(std::size_t device_index) const {
 
 double DynamicCluster::avg_delay_ms() const noexcept {
   if (active_ == 0) return 0.0;
-  if (unreachable_terms_ != 0) return topo::kUnreachable;
-  if (wide_terms_ == 0) {
-    return static_cast<double>(delay_term_sum_) / kTermScale /
+  if (objective_.unreachable != 0) return topo::kUnreachable;
+  if (objective_.wide == 0) {
+    return static_cast<double>(objective_.sum) / kTermScale /
            static_cast<double>(active_);
   }
   // An out-of-range term holds no value: scan the served delays instead.
@@ -507,12 +556,13 @@ void DynamicCluster::require_backbone(topo::NodeId u, topo::NodeId v) const {
 LinkUpdateReport DynamicCluster::finish_link_update(
     const topo::incr::EngineStats& before, double latency_ms) {
   LinkUpdateReport report;
+  // A backbone link reclassifies no device, and device churn drains its
+  // own, so every slot still reads through the key it was counted under.
+  TACC_ASSERT(engine_.reclassified_count() == 0,
+              "a link update found a device reclassified");
   report.rows_refreshed = oracle_.refresh();
-  // Only refreshed rows serve moved delays; a bound row is an active slot.
-  for (const std::size_t slot : oracle_.refreshed_rows()) {
-    const auto server = static_cast<std::size_t>(assignment_[slot]);
-    set_delay_term(slot, to_term(oracle_.delay_ms(slot, server)));
-  }
+  // Only the moved keys' rows serve moved delays.
+  for (const std::uint32_t key : oracle_.moved_keys()) recount_key(key);
   const topo::incr::EngineStats& after = engine_.stats();
   report.epoch = after.epoch;
   report.nodes_affected = after.nodes_affected - before.nodes_affected;
@@ -555,8 +605,12 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
       "per-server arrays must stay parallel");
   TACC_CHECK_INVARIANT(generations_.size() == devices_.size(),
                        "slot generations must cover every device slot");
-  TACC_CHECK_INVARIANT(delay_terms_.size() == devices_.size(),
-                       "objective terms must cover every device slot");
+  TACC_CHECK_INVARIANT(slot_keys_.size() == devices_.size() &&
+                           latency_terms_.size() == devices_.size(),
+                       "objective parts must cover every device slot");
+  const std::size_t servers = capacities_.size();
+  TACC_CHECK_INVARIANT(residents_.size() == key_terms_.size() * servers,
+                       "one resident count per key and server");
 
   std::vector<bool> on_free_list(devices_.size(), false);
   for (const std::size_t slot : free_slots_) {
@@ -575,14 +629,14 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
   // ---- Load accounting + slot<->row binding + objective terms -------------
   std::size_t active_seen = 0;
   std::vector<double> recomputed(capacities_.size(), 0.0);
-  __int128 term_sum = 0;
-  std::size_t unreachable_terms = 0;
-  std::size_t wide_terms = 0;
+  std::vector<std::uint32_t> residents(residents_.size(), 0);
+  TermSum objective;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const std::int64_t term = delay_terms_[i];
+    const std::int64_t latency_term = latency_terms_[i];
     if (assignment_[i] == gap::kUnassigned) {
-      TACC_CHECK_INVARIANT(term == 0, "free slot holds an objective term: " +
-                                          std::to_string(i));
+      TACC_CHECK_INVARIANT(slot_keys_[i] == kNoKeySlot && latency_term == 0,
+                           "free slot holds objective parts: " +
+                               std::to_string(i));
       TACC_CHECK_INVARIANT(on_free_list[i],
                            "inactive slot missing from the free list: " +
                                std::to_string(i));
@@ -607,20 +661,39 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
                              oracle_.row_node(i) == net_.iot_nodes[i],
                          "delay row bound to the wrong graph node: slot " +
                              std::to_string(i));
-    if (term == kUnreachableTerm) {
-      ++unreachable_terms;
-    } else if (term == kWideTerm) {
-      ++wide_terms;
-    } else {
-      term_sum += term;
-    }
-    // Rows serve current values whatever was read before, so each term
-    // must be exactly the served delay: the independent reference.
-    if (j < capacities_.size()) {
-      TACC_CHECK_INVARIANT(term == to_term(oracle_.delay_ms(i, j)),
-                           "objective term differs from the served delay: "
-                           "slot " +
-                               std::to_string(i));
+    // Rows serve current values whatever was read before, so each slot's
+    // parts must come from its row now: the independent reference.
+    const std::uint32_t key = oracle_.row_key_slot(i);
+    TACC_CHECK_INVARIANT(slot_keys_[i] == key && key < key_terms_.size(),
+                         "slot counted under another key than its row "
+                         "reads: slot " +
+                             std::to_string(i));
+    TACC_CHECK_INVARIANT(latency_term == to_term(oracle_.row_latency(i)),
+                         "latency term differs from the row's latency: slot " +
+                             std::to_string(i));
+    objective.add(latency_term, 1);
+    if (j < servers && key < key_terms_.size()) {
+      ++residents[std::size_t{key} * servers + j];
+      const std::int64_t key_term = to_term(oracle_.key_value(key, j));
+      const double served = oracle_.delay_ms(i, j);
+      if (key_term == kUnreachableTerm || latency_term == kUnreachableTerm) {
+        TACC_CHECK_INVARIANT(served == topo::kUnreachable,
+                             "an unreachable part serves a finite delay: "
+                             "slot " +
+                                 std::to_string(i));
+      } else if (key_term != kWideTerm && latency_term != kWideTerm &&
+                 to_term(served) != kWideTerm) {
+        // Each part rounds by half a unit, and so does the served sum; the
+        // served double addition itself rounds by half an ulp.
+        const double gap = std::fabs(static_cast<double>(
+            static_cast<__int128>(key_term) + latency_term -
+            to_term(served)));
+        const double ulp = std::nextafter(served, topo::kUnreachable) - served;
+        TACC_CHECK_INVARIANT(gap <= 1.5 + ulp * kTermScale / 2.0,
+                             "objective parts differ from the served delay: "
+                             "slot " +
+                                 std::to_string(i));
+      }
     }
     if (options.forbid_failed_residents) {
       TACC_CHECK_INVARIANT(!failed_[j], "device assigned to failed server " +
@@ -629,10 +702,21 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
   }
   TACC_CHECK_INVARIANT(active_seen == active_,
                        "active count out of sync with assignments");
-  TACC_CHECK_INVARIANT(term_sum == delay_term_sum_ &&
-                           unreachable_terms == unreachable_terms_ &&
-                           wide_terms == wide_terms_,
-                       "objective sum out of step with its per-slot terms");
+  TACC_CHECK_INVARIANT(residents == residents_,
+                       "N[key][server] out of step with the assignments");
+  for (std::uint32_t key = 0; key < key_terms_.size(); ++key) {
+    TermSum terms;
+    for (std::size_t j = 0; j < servers; ++j) {
+      const std::uint32_t count = residents[std::size_t{key} * servers + j];
+      if (count != 0) terms.add(to_term(oracle_.key_value(key, j)), count);
+    }
+    TACC_CHECK_INVARIANT(terms == key_terms_[key],
+                         "key " + std::to_string(key) +
+                             "'s objective sum differs from its recount");
+    objective += terms;
+  }
+  TACC_CHECK_INVARIANT(objective == objective_,
+                       "objective sum out of step with its parts");
   TACC_CHECK_INVARIANT(active_ + free_slots_.size() == devices_.size(),
                        "slots must be exactly active or free");
 
@@ -654,6 +738,14 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
       net_.graph.live_node_count() ==
           router_positions_.size() + net_.edge_count() + active_,
       "live graph nodes must be exactly routers + servers + active devices");
+
+  // ---- Pending notifications ------------------------------------------------
+  // Every mutation drains what it caused: device churn absorbs it, a link
+  // update refreshes it. A leftover would make the next link update
+  // re-resolve rows the cluster already rebound.
+  TACC_CHECK_INVARIANT(
+      engine_.dirty_count() == 0 && engine_.reclassified_count() == 0,
+      "engine notifications left pending between cluster operations");
 
   // ---- Underlying topology / engine / oracle -------------------------------
   net_.check_invariants();

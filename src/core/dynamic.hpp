@@ -21,10 +21,15 @@
 //    of its anchor router; no Dijkstra runs. The engine's trees span the
 //    routers only, since hosts never relay, so link churn repairs router
 //    distances and rewrites only the key rows whose distances moved.
-//  - Incremental objective: each active slot's served delay to its server
-//    is kept as a fixed-point term with a running integer sum, updated
-//    wherever an assignment changes and for the rows a link update
-//    refreshes, so avg_delay_ms() is O(1) (see there).
+//  - Incremental objective: the served delay of an active slot is its key
+//    row's entry for its server plus its access latency, so the sum splits
+//    the same way (shared and per-party terms, as in Gong's delay-optimal
+//    edge computing): per (key, server) the count N of active slots reading
+//    that key and assigned to that server times the fixed-point key entry,
+//    plus one fixed-point latency term per slot. An assignment change moves
+//    one count and one latency term; a link update re-multiplies the counts
+//    of the moved keys only, never visiting a device, so avg_delay_ms() is
+//    O(1) (see there).
 //  - Explicit outcomes: join/move return a JoinResult and failure
 //    evacuations return an EvacuationReport instead of silently falling
 //    back onto an overloaded server.
@@ -72,8 +77,9 @@ struct LinkUpdateReport {
   /// and servers, never enter a tree, so they count nothing).
   std::uint64_t nodes_affected = 0;
   std::uint64_t nodes_saved = 0;     ///< full-recompute visits avoided
-  /// Bound device rows whose served delays moved, restamped (only the key
-  /// rows they read through are rewritten).
+  /// Bound device rows whose served delays may have moved: the sum of the
+  /// refcounts of the key rows the update rewrote (no device row is
+  /// touched).
   std::size_t rows_refreshed = 0;
   double latency_ms = 0.0;           ///< the link's (previous) latency
 };
@@ -225,8 +231,9 @@ class DynamicCluster {
   // ---- Backbone link churn --------------------------------------------------
   // In-place router–router link mutations. Each one repairs every server's
   // shortest-path tree incrementally (cost O(affected region), not a full
-  // recompute), refreshes only the delay rows of devices whose distances
-  // actually moved, and re-reads those devices' objective terms.
+  // recompute), rewrites only the key rows whose distances moved, and
+  // updates the objective once per moved key and server with residents:
+  // O(moved keys x servers), whatever the number of devices behind them.
   // Assignments are NOT changed — call rebalance() to react.
   // Throws std::invalid_argument if an endpoint is not a router or the link
   // precondition fails (fail: link must exist; restore: must be failed).
@@ -281,13 +288,15 @@ class DynamicCluster {
   [[nodiscard]] std::size_t server_of(std::size_t device_index) const;
   /// Mean served delay over active devices (ms): the paper's objective
   /// Σ d(i, x(i)) over the active count, in O(1). The sum is kept in fixed
-  /// point (2^-40 ms) as one integer term per active slot, so it is
+  /// point (2^-40 ms) as integers: Σ N[a][j] fix(key_row[a][j]) over keys a
+  /// and servers j, plus Σ fix(w_i) over active slots. It is
   /// order-independent and exact: equal delays give equal bits, however
   /// the cluster got there (a fail/restore or set/reset round trip returns
-  /// the same value). +inf while any device's server is unreachable. While
-  /// any finite delay is too large for the fixed-point range (2^23 ms and
-  /// up, from hostile link latencies) it falls back to a scan of the served
-  /// delays. Every term is the delay the oracle serves now.
+  /// the same value). Each slot's two parts sum to its served delay within
+  /// one fixed-point unit plus the rounding of that double addition. +inf
+  /// while any device's server is unreachable. While any key entry or
+  /// latency is too large for the fixed-point range (2^23 ms and up, from
+  /// hostile link latencies) it falls back to a scan of the served delays.
   [[nodiscard]] double avg_delay_ms() const noexcept;
   [[nodiscard]] double max_utilization() const noexcept;
   [[nodiscard]] bool feasible() const noexcept;
@@ -324,12 +333,15 @@ class DynamicCluster {
   ///    and assignments point at real servers;
   ///  - slot<->row binding: an active slot's delay row is bound to its
   ///    graph node, a free slot's row is unbound;
-  ///  - the objective: the integer sum and the unreachable / out-of-range
-  ///    counts behind avg_delay_ms() equal a recount of the per-slot terms,
-  ///    a free slot's term is 0, and each active term equals the
-  ///    fixed-point value of the delay served now;
+  ///  - the objective: N[a][j], the per-key sums and the total behind
+  ///    avg_delay_ms() equal a recount from the active slots and the key
+  ///    rows served now; each active slot's key and latency term match its
+  ///    oracle row, and its two parts match its served delay within one
+  ///    fixed-point unit (plus the rounding of the served addition); a free
+  ///    slot holds no key and a 0 latency term;
   ///  - node recycling: live graph nodes == routers + servers + active
   ///    devices (a leak here is what bench_m2's gates watch);
+  ///  - no engine dirty or reclassified notification is left pending;
   ///  - the underlying NetworkTopology, IncrementalDelayEngine and
   ///    DelayOracle invariants (see their check_invariants()).
   /// Cold path; meant for tests and sampled bench epochs.
@@ -367,21 +379,25 @@ class DynamicCluster {
   /// placement_cost() for a delay already read from the oracle.
   [[nodiscard]] double cost_of(std::size_t device_index,
                                double delay_ms) const;
-  /// Points `slot` at `server`, or frees it with gap::kUnassigned, and sets
-  /// the slot's objective term to `delay_ms`, its served delay to `server`
-  /// (ignored when freeing). Every assignment change after construction
-  /// goes through here, so the terms cannot miss one.
-  void assign(std::size_t slot, std::int32_t server, double delay_ms = 0.0);
-  /// Replaces `slot`'s objective term, keeping the sum and counts in step.
-  void set_delay_term(std::size_t slot, std::int64_t term);
+  /// Points `slot` at `server`, or frees it with gap::kUnassigned, moving
+  /// its objective parts along. Every assignment change goes through here,
+  /// so the objective cannot miss one. A slot's row must stay bound to the
+  /// key it was assigned under until it is freed here: move() frees it
+  /// before the row is rebound.
+  void assign(std::size_t slot, std::int32_t server);
+  /// Adds (`count` 1) or removes (-1) assigned `slot`'s objective parts:
+  /// its latency term and one resident of (its key, its server).
+  void count_slot(std::size_t slot, std::int64_t count);
+  /// Re-multiplies moved key `key`'s residents by its rewritten row.
+  void recount_key(std::uint32_t key);
   /// Throws std::invalid_argument unless u and v are router nodes.
   void require_backbone(topo::NodeId u, topo::NodeId v) const;
   /// Refreshes the oracle and packages the per-update engine deltas.
   LinkUpdateReport finish_link_update(const topo::incr::EngineStats& before,
                                       double latency_ms);
-  /// Discards dirty notifications caused by device attach/detach: a device
-  /// is a single-access-link leaf, so only its own distances move, and its
-  /// row is (re)bound or unbound explicitly by the caller.
+  /// Discards the dirty and reclassified notifications of a device attach
+  /// or detach: a device relays nothing, so only its own row moves, and
+  /// the caller (re)binds or unbinds that row explicitly.
   void absorb_device_churn();
   /// The router a device at some position attaches to, and how far away.
   struct Access {
@@ -436,14 +452,27 @@ class DynamicCluster {
   CostModel cost_model_ = CostModel::kTopologyAware;
   double penalty_factor_ = 10.0;
 
-  // The objective (see avg_delay_ms()): per slot, the served delay to its
-  // server as a fixed-point term (0 on a free slot), the running sum of the
-  // finite in-range terms, and counts of the +inf and out-of-range ones,
-  // which take sentinel terms.
-  std::vector<std::int64_t> delay_terms_;  // parallel to devices_
-  __int128 delay_term_sum_ = 0;
-  std::size_t unreachable_terms_ = 0;
-  std::size_t wide_terms_ = 0;
+  // The objective (see avg_delay_ms()). Sums of fixed-point terms, with
+  // the +inf and out-of-range terms counted apart, each weighted by a
+  // resident count.
+  struct TermSum {
+    __int128 sum = 0;
+    std::int64_t unreachable = 0;
+    std::int64_t wide = 0;  ///< out of the fixed-point range
+    void add(std::int64_t term, std::int64_t count);
+    TermSum& operator+=(const TermSum& other);
+    TermSum& operator-=(const TermSum& other);
+    friend bool operator==(const TermSum&, const TermSum&) = default;
+  };
+  // Per slot: the key slot its row read through when assigned
+  // (kNoKeySlot when free) and its latency term (0 when free).
+  std::vector<std::uint32_t> slot_keys_;      // parallel to devices_
+  std::vector<std::int64_t> latency_terms_;   // parallel to devices_
+  // N[a][j] at residents_[a * server_count() + j], and per key a the sum
+  // Σ_j N[a][j] fix(key_row[a][j]); both grow with the oracle's key slots.
+  std::vector<std::uint32_t> residents_;
+  std::vector<TermSum> key_terms_;
+  TermSum objective_;  ///< every key's sum plus every latency term
 
   // Staleness provenance for asynchronous move plans.
   std::vector<std::uint64_t> generations_;  // parallel to devices_

@@ -26,7 +26,12 @@ void IncrementalDelayEngine::build_trees() {
       std::max(in_reclassified_.size(), graph.node_count()), 0);
   prior_ms_.assign(router_count_, kUnreachable);
   prior_stamp_.assign(router_count_, 0);
-  hosts_dirty_in_.assign(router_count_, 0);
+  self_keyed_at_.resize(router_count_);
+  for (std::vector<NodeId>& hosts : self_keyed_at_) hosts.clear();
+  for (NodeId host = static_cast<NodeId>(router_count_);
+       host < graph.node_count(); ++host) {
+    list_self_keyed(host);
+  }
 }
 
 ReadThrough IncrementalDelayEngine::read_through(NodeId node) const {
@@ -70,6 +75,13 @@ void IncrementalDelayEngine::mark_reclassified(NodeId node) {
   reclassified_.push_back(node);
 }
 
+void IncrementalDelayEngine::list_self_keyed(NodeId host) {
+  if (!self_keyed(host)) return;
+  for (const Adjacency& adj : net_->graph.neighbors(host)) {
+    if (is_router(adj.to)) self_keyed_at_[adj.to].push_back(host);
+  }
+}
+
 void IncrementalDelayEngine::snapshot_hosts(NodeId u, NodeId v) {
   const NodeId ends[2] = {u, v};
   for (std::size_t k = 0; k < snapshots_.size(); ++k) {
@@ -81,11 +93,27 @@ void IncrementalDelayEngine::snapshot_hosts(NodeId u, NodeId v) {
     snapshot.through = read_through(node);
     snapshot.row.resize(trees_.size());
     delay_row(node, snapshot.row);
+    snapshot.listed_at.clear();
+    if (snapshot.through.node != node) continue;
+    for (const Adjacency& adj : net_->graph.neighbors(node)) {
+      if (is_router(adj.to)) snapshot.listed_at.push_back(adj.to);
+    }
   }
 }
 
-void IncrementalDelayEngine::mark_changes_dirty(const DynamicSsspTree& tree,
-                                                std::uint64_t event) {
+void IncrementalDelayEngine::relist_host(const HostSnapshot& snapshot) {
+  const NodeId host = snapshot.node;
+  for (const NodeId router : snapshot.listed_at) {
+    std::vector<NodeId>& hosts = self_keyed_at_[router];
+    const auto at = std::find(hosts.begin(), hosts.end(), host);
+    TACC_ASSERT(at != hosts.end(), "self-keyed host missing from its router");
+    *at = hosts.back();
+    hosts.pop_back();
+  }
+  list_self_keyed(host);
+}
+
+void IncrementalDelayEngine::mark_changes_dirty(const DynamicSsspTree& tree) {
   const Graph& graph = net_->graph;
   ++update_stamp_;
   for (const DistanceChange& change : changes_) {
@@ -99,27 +127,16 @@ void IncrementalDelayEngine::mark_changes_dirty(const DynamicSsspTree& tree,
   };
   for (const DistanceChange& change : changes_) {
     mark_dirty(change.node);
-    if (hosts_dirty_in_[change.node] == event) continue;
-    // A host's delay moves with its routers' — unless adding its access
-    // latency rounds the change away, or another link still serves it.
-    const double now = tree.distance_ms(change.node);
-    bool clean_left = false;
-    for (const Adjacency& adj : graph.neighbors(change.node)) {
-      if (is_router(adj.to) || is_dirty(adj.to)) continue;
-      // A single-homed host other than the source reads old + w, new + w.
-      const bool moved =
-          graph.degree(adj.to) == 1 && adj.to != tree.source()
-              ? change.old_ms + adj.props.latency_ms !=
-                    now + adj.props.latency_ms
-              : delay_from(graph, router_count_, tree.source(), adj.to,
-                           prior_ms) != tree.delay_ms(graph, adj.to);
-      if (moved) {
-        mark_dirty(adj.to);
-      } else {
-        clean_left = true;
+    // A self-keyed host's delay moves with its routers' — unless another
+    // link still serves it. Single-homed devices read through the router's
+    // own key, so they are not visited at all.
+    for (const NodeId host : self_keyed_at_[change.node]) {
+      if (is_dirty(host)) continue;
+      if (delay_from(graph, router_count_, tree.source(), host, prior_ms) !=
+          tree.delay_ms(graph, host)) {
+        mark_dirty(host);
       }
     }
-    if (!clean_left) hosts_dirty_in_[change.node] = event;
   }
 }
 
@@ -132,7 +149,6 @@ void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
   const std::uint64_t full_cost =
       static_cast<std::uint64_t>(trees_.size()) * graph.live_node_count();
   std::uint64_t affected = 0;
-  const std::uint64_t event = stats_.epoch + 1;
   // Hosts never relay: only a backbone link, or a server's own access link
   // in that server's tree, can move a router's distance.
   const bool backbone = is_router(u) && is_router(v);
@@ -153,19 +169,24 @@ void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
         break;
     }
     affected += update.nodes_affected;
-    mark_changes_dirty(tree, event);
+    mark_changes_dirty(tree);
   }
   // A host endpoint's own delay may move with its link, and so may what it
-  // reads through.
+  // reads through. Only a self-keyed host has a key of its own to dirty; a
+  // single-homed one now reads through a new anchor or latency, which
+  // reclassifies it.
   for (const HostSnapshot& snapshot : snapshots_) {
     if (snapshot.node == kInvalidNode) continue;
-    row_scratch_.resize(trees_.size());
-    delay_row(snapshot.node, row_scratch_);
-    if (!std::equal(row_scratch_.begin(), row_scratch_.end(),
-                    snapshot.row.begin())) {
-      mark_dirty(snapshot.node);
-    }
+    relist_host(snapshot);
     const ReadThrough through = read_through(snapshot.node);
+    if (through.node == snapshot.node) {
+      row_scratch_.resize(trees_.size());
+      delay_row(snapshot.node, row_scratch_);
+      if (!std::equal(row_scratch_.begin(), row_scratch_.end(),
+                      snapshot.row.begin())) {
+        mark_dirty(snapshot.node);
+      }
+    }
     if (through.node != snapshot.through.node ||
         through.latency_ms != snapshot.through.latency_ms) {
       mark_reclassified(snapshot.node);
@@ -278,9 +299,27 @@ void IncrementalDelayEngine::check_invariants(
   TACC_CHECK_INVARIANT(listed == reclassified_.size(),
                        "reclassified list and bitmap disagree");
   for (const NodeId node : reclassified_) {
-    TACC_CHECK_INVARIANT(
-        node < in_reclassified_.size() && in_reclassified_[node] != 0,
-        "reclassified node not flagged in the bitmap");
+    TACC_CHECK_INVARIANT(is_reclassified(node),
+                         "reclassified node not flagged in the bitmap");
+  }
+
+  // Each router lists exactly the self-keyed hosts linked to it, once per
+  // link: a host missing here would never be dirtied by a repair.
+  TACC_CHECK_INVARIANT(self_keyed_at_.size() == router_count_,
+                       "one self-keyed host list per router");
+  std::vector<NodeId> linked;
+  std::vector<NodeId> hosts;
+  for (NodeId router = 0; router < router_count_; ++router) {
+    linked.clear();
+    for (const Adjacency& adj : net_->graph.neighbors(router)) {
+      if (!is_router(adj.to) && self_keyed(adj.to)) linked.push_back(adj.to);
+    }
+    hosts = self_keyed_at_[router];
+    std::sort(linked.begin(), linked.end());
+    std::sort(hosts.begin(), hosts.end());
+    TACC_CHECK_INVARIANT(hosts == linked,
+                         "router " + std::to_string(router) +
+                             " lists the wrong self-keyed hosts");
   }
 
   for (std::size_t j = 0; j < trees_.size(); ++j) {
@@ -318,10 +357,14 @@ std::size_t IncrementalDelayEngine::scratch_bytes() const noexcept {
       in_dirty_.capacity() + in_reclassified_.capacity() +
       changes_.capacity() * sizeof(DistanceChange) +
       (prior_ms_.capacity() + row_scratch_.capacity()) * sizeof(double) +
-      (prior_stamp_.capacity() + hosts_dirty_in_.capacity()) *
-          sizeof(std::uint64_t);
+      prior_stamp_.capacity() * sizeof(std::uint64_t) +
+      self_keyed_at_.capacity() * sizeof(std::vector<NodeId>);
+  for (const std::vector<NodeId>& hosts : self_keyed_at_) {
+    bytes += hosts.capacity() * sizeof(NodeId);
+  }
   for (const HostSnapshot& snapshot : snapshots_) {
-    bytes += snapshot.row.capacity() * sizeof(double);
+    bytes += snapshot.row.capacity() * sizeof(double) +
+             snapshot.listed_at.capacity() * sizeof(NodeId);
   }
   for (const DynamicSsspTree& tree : trees_) bytes += tree.scratch_bytes();
   return bytes;

@@ -19,10 +19,16 @@
 // its delay is dist_j(anchor) + w, exactly what a tree would store. A
 // backbone repair therefore settles and heap-orders routers only, and
 // attaching, detaching or reweighting a device's access link touches no
-// tree at all; only a server's own access links move its own tree. When a
-// repair moves a router, each host hanging off it costs one compare of its
-// delay before and after, so the dirty set is exactly the set of nodes
-// whose served delay changed.
+// tree at all; only a server's own access links move its own tree.
+//
+// The dirty set holds moved keys: the routers a repair moved, and the hosts
+// that read through themselves (servers, multi-homed and isolated devices)
+// whose delay moved. Each router keeps the list of such hosts linked to it,
+// so a repair compares those hosts only and never visits a single-homed
+// device: a link event costs O(moved keys x servers) however many devices
+// hang off the moved routers. A single-homed device's served delay moves
+// with its anchor's key row; a consumer that keys rows by read_through()
+// (the delay oracle) learns of it through the key.
 #pragma once
 
 #include <array>
@@ -108,7 +114,9 @@ class IncrementalDelayEngine {
   void release_node(NodeId node);
 
   // ---- Dirty set -----------------------------------------------------------
-  /// Nodes whose distance to some server changed since the last drain.
+  /// Keys whose distance to some server changed since the last drain:
+  /// routers, and hosts that read through themselves. A single-homed device
+  /// is never dirty; its anchor router is.
   [[nodiscard]] std::size_t dirty_count() const noexcept {
     return dirty_.size();
   }
@@ -117,7 +125,7 @@ class IncrementalDelayEngine {
 
   /// True iff `node` is currently in the dirty set (distance changed since
   /// the last drain). Used by DelayOracle::check_invariants to prove stale
-  /// rows are excused by dirtiness.
+  /// rows are excused by a pending invalidation.
   [[nodiscard]] bool is_dirty(NodeId node) const noexcept {
     return node < in_dirty_.size() && in_dirty_[node] != 0;
   }
@@ -125,16 +133,25 @@ class IncrementalDelayEngine {
   /// Appends the nodes whose read_through() changed since the last drain,
   /// clears the list and returns the count: a device that gained its first
   /// or a second access link, lost one, or had its only one reweighted;
-  /// rebuild() reports every node. Their served delay may not have moved,
-  /// so the dirty set need not hold them; a row store keyed by
-  /// read_through() re-resolves them. Each node appears once, so an
-  /// undrained list holds at most one entry per node.
+  /// rebuild() reports every node. Their served delay may have moved
+  /// without any key moving, so a row store keyed by read_through()
+  /// re-resolves them. Each node appears once, so an undrained list holds
+  /// at most one entry per node. Backbone links never reclassify anything.
   std::size_t drain_reclassified(std::vector<NodeId>& out);
+  [[nodiscard]] std::size_t reclassified_count() const noexcept {
+    return reclassified_.size();
+  }
+  /// True iff `node` is waiting in the reclassified list.
+  [[nodiscard]] bool is_reclassified(NodeId node) const noexcept {
+    return node < in_reclassified_.size() && in_reclassified_[node] != 0;
+  }
 
   /// Deep validation, reported through the contracts failure handler:
   ///  - one tree per edge server, rooted at that server's node, over the
   ///    network's routers (still the id prefix it was built with);
   ///  - dirty-set bookkeeping (dirty list and membership bitmap agree);
+  ///  - the per-router lists of self-keyed hosts name exactly the hosts that
+  ///    read through themselves, once per access link to a router;
   ///  - exactness spot-check: up to `spot_check_trees` servers (rotated by
   ///    epoch so successive calls cover different servers) have delay_ms()
   ///    of every node, hosts included, compared bit-for-bit against a
@@ -151,8 +168,9 @@ class IncrementalDelayEngine {
   void rebuild();
 
   /// Scratch bytes across all trees plus the dirty set, the reclassified
-  /// list, the per-router change bookkeeping and the per-update change log
-  /// — the bench's flat-memory gate watches this across 100k+ events.
+  /// list, the per-router change bookkeeping and self-keyed host lists and
+  /// the per-update change log — the bench's flat-memory gate watches this
+  /// across 100k+ events.
   [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
  private:
@@ -161,6 +179,9 @@ class IncrementalDelayEngine {
     NodeId node = kInvalidNode;
     ReadThrough through;
     std::vector<double> row;  ///< delay_row() before the mutation
+    /// The routers whose self-keyed host lists held it (empty unless it
+    /// read through itself), one entry per access link.
+    std::vector<NodeId> listed_at;
   };
 
   [[nodiscard]] bool is_router(NodeId node) const noexcept {
@@ -168,18 +189,29 @@ class IncrementalDelayEngine {
   }
   /// Builds every tree and sizes the per-node bitmaps.
   void build_trees();
-  /// Records how the host endpoints of u–v read, before a mutation.
+  /// True iff host `node` reads through itself: it has its own key row.
+  [[nodiscard]] bool self_keyed(NodeId node) const {
+    return read_through(node).node == node;
+  }
+  /// Lists `host` at every router it links to, if it reads through itself.
+  void list_self_keyed(NodeId host);
+  /// Records how the host endpoints of u–v read, before a mutation. Changes
+  /// nothing, so a mutation that throws leaves the engine as it was.
   void snapshot_hosts(NodeId u, NodeId v);
-  /// Dirties the routers in changes_ and each host hanging off one whose
-  /// delay in `tree` moved. `event` is the epoch this mutation will take.
-  void mark_changes_dirty(const DynamicSsspTree& tree, std::uint64_t event);
+  /// Moves a host endpoint between self-keyed host lists: off the routers
+  /// it was listed at before the mutation, onto those it links to now if
+  /// it still reads through itself.
+  void relist_host(const HostSnapshot& snapshot);
+  /// Dirties the routers in changes_ and each self-keyed host linked to one
+  /// whose delay in `tree` moved.
+  void mark_changes_dirty(const DynamicSsspTree& tree);
   void mark_dirty(NodeId node);
   void mark_reclassified(NodeId node);
   /// Applies one already-performed graph mutation, after snapshot_hosts():
   /// a backbone link repairs every tree, a server's access link its own
-  /// tree, any other link none; then the changed routers and the hosts whose
-  /// delay moved are dirtied, and host endpoints that read through a new
-  /// node or latency are reclassified. kind: 0 added, 1 removed,
+  /// tree, any other link none; then the changed routers and the self-keyed
+  /// hosts whose delay moved are dirtied, and host endpoints that read
+  /// through a new node or latency are reclassified. kind: 0 added, 1 removed,
   /// 2 reweighted; old_ms/new_ms are the link latency before/after
   /// (kUnreachable when absent).
   void apply_mutation(int kind, NodeId u, NodeId v, double old_ms,
@@ -200,9 +232,10 @@ class IncrementalDelayEngine {
   std::vector<double> prior_ms_;
   std::vector<std::uint64_t> prior_stamp_;
   std::uint64_t update_stamp_ = 0;  ///< bumped per tree update
-  /// Per router: the event (epoch + 1) in which all its hosts were found
-  /// dirty, so later trees of that event skip scanning them again.
-  std::vector<std::uint64_t> hosts_dirty_in_;
+  /// Per router: the hosts linked to it that read through themselves,
+  /// one entry per link (servers and multi-homed devices; never a
+  /// single-homed device).
+  std::vector<std::vector<NodeId>> self_keyed_at_;
   std::array<HostSnapshot, 2> snapshots_;  ///< the endpoints u, v
   std::vector<double> row_scratch_;        ///< a host's delay row after
 };

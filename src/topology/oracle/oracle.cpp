@@ -27,7 +27,8 @@ std::size_t DelayOracle::drain() {
 std::size_t DelayOracle::refresh() {
   const std::size_t dirty = drain();
   const std::span<const NodeId> drained(drain_scratch_);
-  return store_.refresh(drained.first(dirty), drained.subspan(dirty));
+  return store_.refresh(drained.first(dirty), drained.subspan(dirty),
+                        engine_->epoch());
 }
 
 void DelayOracle::refresh_all() {
@@ -45,8 +46,9 @@ void DelayOracle::check_invariants() const {
   for (std::size_t row = 0; row < store_.row_count(); ++row) {
     const NodeId node = store_.row_node(row);
     // Values that drifted from the engine's trees are only acceptable while
-    // the node or its key is queued for the next refresh().
-    if (node == kInvalidNode || engine_->is_dirty(node) ||
+    // the key is queued for the next refresh(), or the node for a
+    // re-resolve.
+    if (node == kInvalidNode || engine_->is_reclassified(node) ||
         engine_->is_dirty(store_.row_key(row))) {
       continue;
     }

@@ -10,17 +10,21 @@
 // Rows live in a RowStore (rowstore.hpp) keyed by the node each device reads
 // through (IncrementalDelayEngine::read_through): a single-homed device
 // shares its anchor router's key row and keeps only its access latency and
-// epoch; a multi-homed or isolated device reads through its own node. Key
-// rows are resident, filled on bind and rewritten by refresh() for exactly
-// the engine's dirty key nodes, so a link event rewrites one row per moved
-// router, not one per device. A read adds the device's latency to its key
-// row entry — the engine's own addition, so served values are bit-identical
-// to the trees. refresh() also drains the engine's reclassified nodes and
-// re-resolves their keys, and stamps each dirty bound device's row epoch
-// exactly as a per-device row store would.
+// bind epoch; a multi-homed or isolated device reads through its own node.
+// Key rows are resident, filled on bind and rewritten by refresh() for
+// exactly the engine's dirty keys, so a link event rewrites one row per
+// moved key and touches no device's record. A read adds the device's
+// latency to its key row entry — the engine's own addition, so served
+// values are bit-identical to the trees. refresh() also drains the engine's
+// reclassified nodes and re-resolves their keys.
 //
-// Row contract: rows are bound to graph nodes, carry the epoch they were
-// last written at, refresh() drains the pending invalidations (the engine's
+// Epochs: a bound row's epoch is the later of its bind epoch and its key
+// row's epoch. A served value never changes without its row's epoch
+// rising; a key that moves by less than a row's latency can show still
+// bumps that row's epoch (consumers use epochs as a staleness signal only).
+//
+// Row contract: rows are bound to graph nodes, carry an epoch as above,
+// refresh() drains the pending invalidations (the engine's
 // dirty set and its reclassified nodes), and fingerprint() digests the
 // epoch, the bindings and every served value. row() returns a reference
 // that lasts until the next row() call on the same oracle: rows are
@@ -95,21 +99,47 @@ class DelayOracle {
 
   // ---- Epochs / invalidation ----------------------------------------------
   /// Drains the engine's dirty set and reclassified nodes. Returns the
-  /// number of bound rows whose served delays moved, however few shared key
-  /// rows that took; refreshed_rows() names them.
+  /// number of bound rows whose served delays may have moved: the sum of
+  /// the moved keys' refcounts, plus re-resolved rows on an unmoved key.
+  /// moved_keys() names the key rows it rewrote.
   std::size_t refresh();
-  /// The bound rows the last refresh() counted, each once (refresh_all()
-  /// reports every bound row). A bound row outside them serves what it
-  /// served before the refresh. Valid until the next refresh() or
-  /// refresh_all().
-  [[nodiscard]] std::span<const std::size_t> refreshed_rows() const noexcept {
-    return store_.refreshed_rows();
+  /// The key slots the last refresh() rewrote, each once (refresh_all()
+  /// lists every live key). A bound row reading another key, and not
+  /// reclassified, serves what it served before the refresh. Valid until
+  /// the next refresh() or refresh_all().
+  [[nodiscard]] std::span<const std::uint32_t> moved_keys() const noexcept {
+    return store_.moved_keys();
   }
   /// Rewrites every bound row (recovery hatch after rebuild()).
   void refresh_all();
   [[nodiscard]] std::uint64_t epoch() const { return engine_->epoch(); }
+  /// The later of `row`'s bind epoch and its key row's epoch.
   [[nodiscard]] std::uint64_t row_epoch(std::size_t row) const {
     return store_.row_epoch(row);
+  }
+
+  // ---- Key rows -------------------------------------------------------------
+  // A bound row serves key_value(row_key_slot(row), j) + row_latency(row),
+  // the split DynamicCluster keeps its objective in. A read through a bound
+  // row counts a query (key_entry() as delay_ms() does); a read by key slot
+  // serves no row and counts none.
+  /// The key-row part of bound `row`'s entry for `server`. Counts one query.
+  [[nodiscard]] double key_entry(std::size_t row, std::size_t server) const {
+    ++stats_.queries;
+    return store_.key_value(store_.row_key_slot(row), server);
+  }
+  /// The node bound `row` reads through.
+  [[nodiscard]] NodeId row_key(std::size_t row) const {
+    return store_.row_key(row);
+  }
+  [[nodiscard]] std::uint32_t row_key_slot(std::size_t row) const {
+    return store_.row_key_slot(row);
+  }
+  [[nodiscard]] double row_latency(std::size_t row) const {
+    return store_.row_latency(row);
+  }
+  [[nodiscard]] double key_value(std::uint32_t key, std::size_t server) const {
+    return store_.key_value(key, server);
   }
   [[nodiscard]] std::uint64_t fingerprint() const {
     return store_.fingerprint(engine_->epoch());
@@ -133,8 +163,9 @@ class DelayOracle {
   /// Deep validation via the contracts failure handler; cold path. The
   /// store's structural invariants plus dirty-set soundness: a bound row
   /// whose values differ bitwise from the engine's delay_ms() must have its
-  /// node or its key in the engine's dirty set (a refresh() would rewrite
-  /// it) — otherwise the oracle serves stale delays it believes are current.
+  /// key in the engine's dirty set or its node in the reclassified list (a
+  /// refresh() would rewrite or re-resolve it) — otherwise the oracle
+  /// serves stale delays it believes are current.
   void check_invariants() const;
 
  private:

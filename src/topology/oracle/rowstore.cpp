@@ -1,6 +1,8 @@
 #include "topology/oracle/rowstore.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -39,7 +41,7 @@ std::uint32_t RowStore::acquire_key(NodeId node) {
   if (node >= key_of_node_.size()) key_of_node_.resize(node + 1, kNoKey);
   key_of_node_[node] = key;
   // pass 0 is never current, so the caller's fill_key() always fills it.
-  keys_[key] = Key{node, 1, 0, 0};
+  keys_[key] = Key{node, 1, 0, 0, 0};
   return key;
 }
 
@@ -72,15 +74,10 @@ void RowStore::resolve_row(std::size_t row) {
   if (old != kNoKey) release_key(old);
 }
 
-void RowStore::stamp_row(std::size_t row) {
-  const std::uint32_t key = row_key_[row];
+void RowStore::move_key(std::uint32_t key) {
   fill_key(key);
-  epochs_[row] = keys_[key].epoch;
-}
-
-void RowStore::reload_row(std::size_t row) {
-  resolve_row(row);
-  stamp_row(row);
+  keys_[key].moved = pass_;
+  moved_keys_.push_back(key);
 }
 
 void RowStore::bind(std::size_t row, NodeId node) {
@@ -99,10 +96,25 @@ void RowStore::bind(std::size_t row, NodeId node) {
   }
   nodes_[row] = node;
   node_to_row_[node] = row;
-  // A fresh pass, so the key row is refilled even if this refresh pass's
-  // fill already covered it: binds serve current values.
-  ++pass_;
-  reload_row(row);
+  resolve_row(row);
+  Key& key = keys_[row_key_[row]];
+  if (key.pass == 0) {  // a fresh key: its first fill
+    fill_key(row_key_[row]);
+    epochs_[row] = key.epoch;
+    return;
+  }
+  // A shared key row is refilled so the row serves current values, but it
+  // takes the fill epoch only if a value moved: the rows already reading it
+  // served those values all along.
+  fill_scratch_.resize(width_);
+  epochs_[row] = fill_(key.node, fill_scratch_);
+  double* values = &key_values_[row_offset_[row]];
+  // Bitwise: memcmp tells -0.0 from 0.0 as the fingerprint does.
+  if (std::memcmp(values, fill_scratch_.data(), width_ * sizeof(double)) !=
+      0) {
+    std::copy(fill_scratch_.begin(), fill_scratch_.end(), values);
+    key.epoch = epochs_[row];
+  }
 }
 
 bool RowStore::unbind(std::size_t row) {
@@ -116,9 +128,11 @@ bool RowStore::unbind(std::size_t row) {
 }
 
 std::size_t RowStore::refresh(std::span<const NodeId> nodes,
-                              std::span<const NodeId> reclassified) {
-  refreshed_rows_.clear();
+                              std::span<const NodeId> reclassified,
+                              std::uint64_t epoch) {
+  moved_keys_.clear();
   ++pass_;
+  // Re-resolve first, so a key released here is never listed as moved.
   for (const NodeId node : reclassified) {
     const std::size_t row = row_of(node);
     if (row == kUnbound) continue;
@@ -126,19 +140,19 @@ std::size_t RowStore::refresh(std::span<const NodeId> nodes,
     // A key row created here is filled now; an existing one is current, or
     // its node is in `nodes` and it is rewritten below.
     if (keys_[row_key_[row]].pass == 0) fill_key(row_key_[row]);
+    epochs_[row] = epoch;
   }
+  std::size_t refreshed = 0;
   for (const NodeId node : nodes) {
-    if (node < key_of_node_.size() && key_of_node_[node] != kNoKey) {
-      fill_key(key_of_node_[node]);
-    }
-    const std::size_t row = row_of(node);
-    if (row == kUnbound) continue;
-    // Its key is current: any change of key was reported in `reclassified`
-    // and resolved above.
-    stamp_row(row);
-    refreshed_rows_.push_back(row);
+    if (node >= key_of_node_.size() || key_of_node_[node] == kNoKey) continue;
+    const std::uint32_t key = key_of_node_[node];
+    move_key(key);
+    refreshed += keys_[key].refs;
   }
-  const std::size_t refreshed = refreshed_rows_.size();
+  for (const NodeId node : reclassified) {
+    const std::size_t row = row_of(node);
+    if (row != kUnbound && keys_[row_key_[row]].moved != pass_) ++refreshed;
+  }
   rows_refreshed_ += refreshed;
   rows_saved_ += bound_ > refreshed ? bound_ - refreshed : 0;
   return refreshed;
@@ -146,11 +160,11 @@ std::size_t RowStore::refresh(std::span<const NodeId> nodes,
 
 void RowStore::refresh_all() {
   ++pass_;
-  refreshed_rows_.clear();
+  moved_keys_.clear();
   for (std::size_t row = 0; row < nodes_.size(); ++row) {
     if (nodes_[row] == kInvalidNode) continue;
-    reload_row(row);
-    refreshed_rows_.push_back(row);
+    resolve_row(row);
+    if (keys_[row_key_[row]].moved != pass_) move_key(row_key_[row]);
   }
   rows_refreshed_ += bound_;
 }
@@ -189,16 +203,15 @@ DelayMatrix RowStore::materialize() const {
 }
 
 std::size_t RowStore::resident_bytes() const noexcept {
-  return (row_scratch_.capacity() + row_latency_.capacity() +
-          key_values_.capacity()) *
+  return (row_scratch_.capacity() + fill_scratch_.capacity() +
+          row_latency_.capacity() + key_values_.capacity()) *
              sizeof(double) +
          nodes_.capacity() * sizeof(NodeId) +
          row_offset_.capacity() * sizeof(std::size_t) +
          epochs_.capacity() * sizeof(std::uint64_t) +
-         (node_to_row_.capacity() + refreshed_rows_.capacity()) *
-             sizeof(std::size_t) +
+         node_to_row_.capacity() * sizeof(std::size_t) +
          (row_key_.capacity() + key_of_node_.capacity() +
-          free_keys_.capacity()) *
+          free_keys_.capacity() + moved_keys_.capacity()) *
              sizeof(std::uint32_t) +
          keys_.capacity() * sizeof(Key);
 }

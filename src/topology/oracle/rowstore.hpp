@@ -7,10 +7,15 @@
 // says which. Each key row is stored once, contiguously, refcounted by the
 // bound rows that read through it, filled on bind and rewritten on
 // refresh(). A bound row keeps only its key (and its offset), its access
-// latency and its epoch, and serves key_row[j] + latency — the same double
-// addition the engine serves a single-homed device with, so values stay
-// bit-identical while a link event rewrites one row per moved key instead
-// of one per device.
+// latency and its bind epoch, and serves key_row[j] + latency — the same
+// double addition the engine serves a single-homed device with, so values
+// stay bit-identical while a link event rewrites one row per moved key and
+// touches no device's record at all.
+//
+// Epochs are per key and per row: a bound row's epoch is the later of its
+// bind epoch and its key row's fill epoch. A served value never changes
+// without its row's epoch rising; the epoch may also rise when a key moves
+// by less than the row's latency can show (old + w == new + w).
 //
 // The owner supplies the key row values through a fill callback; the store
 // decides when to call it.
@@ -20,6 +25,7 @@
 // the serving layer).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -56,9 +62,10 @@ class RowStore {
 
   // ---- Bindings -----------------------------------------------------------
   /// Binds `row` (growing storage as needed) to `node`, rebinding in place
-  /// if the row was already bound. Resolves the node's key and fills the
-  /// key row now, so the row serves current values, and so do the other
-  /// rows reading through that key.
+  /// if the row was already bound, and stamps it with the fill epoch.
+  /// Resolves the node's key and fills the key row now, so the row serves
+  /// current values, and so do the other rows reading through that key; a
+  /// shared key row whose values did not move keeps its epoch.
   void bind(std::size_t row, NodeId node);
   /// Detaches `row` from its node and releases its key; false if it was not
   /// bound. A key row no row reads through is freed, and its allocation is
@@ -74,13 +81,23 @@ class RowStore {
     return nodes_.size();
   }
   [[nodiscard]] std::size_t bound_count() const noexcept { return bound_; }
-  /// Epoch at which `row` was last filled (bound or refreshed).
+  /// The later of bound `row`'s bind epoch (bind, or a re-resolve in
+  /// refresh()) and its key row's fill epoch.
   [[nodiscard]] std::uint64_t row_epoch(std::size_t row) const {
-    return epochs_.at(row);
+    return std::max(epochs_.at(row), keys_[row_key_.at(row)].epoch);
   }
-  /// The key bound `row` reads through.
+  /// The node bound `row` reads through.
   [[nodiscard]] NodeId row_key(std::size_t row) const {
     return keys_.at(row_key_.at(row)).node;
+  }
+  /// The key slot bound `row` reads through: a dense index, reused once the
+  /// last row reading through it lets go.
+  [[nodiscard]] std::uint32_t row_key_slot(std::size_t row) const {
+    return row_key_[row];
+  }
+  /// The latency bound `row` adds to its key row.
+  [[nodiscard]] double row_latency(std::size_t row) const {
+    return row_latency_[row];
   }
 
   // ---- Rows ---------------------------------------------------------------
@@ -93,27 +110,34 @@ class RowStore {
   [[nodiscard]] double value(std::size_t row, std::size_t column) const {
     return key_values_[row_offset_[row] + column] + row_latency_[row];
   }
+  /// One entry of live key slot `key`'s row.
+  [[nodiscard]] double key_value(std::uint32_t key, std::size_t column) const {
+    return key_values_[std::size_t{key} * width_ + column];
+  }
 
-  /// Drained invalidations: the values of `nodes` moved, and the key
-  /// `reclassified` nodes read through may have changed, values moved or
-  /// not. The caller reports every change of key in `reclassified`.
-  /// Re-resolves the bound rows of `reclassified`, then rewrites the key
-  /// rows of `nodes` and those read by bound rows in `nodes` (each once)
-  /// and stamps those rows with the fill epoch. Nodes without a bound row
-  /// or key row are skipped. Counts the pass into rows_refreshed/rows_saved,
-  /// records the bound rows in `nodes` as refreshed_rows() and returns
-  /// their count.
+  /// Drained invalidations at engine epoch `epoch`: the key rows of `nodes`
+  /// moved, and the key `reclassified` nodes read through, or their
+  /// latency, may have changed. The caller reports every change of key in
+  /// `reclassified`. Re-resolves the bound rows of `reclassified` and stamps
+  /// them with `epoch`, then rewrites the key rows of `nodes` (nodes
+  /// without a key row are skipped) and lists them as moved_keys(). No
+  /// other row's record is touched: a row reading a moved key takes its
+  /// epoch from the key. Counts the bound rows whose served values may have
+  /// moved into rows_refreshed/rows_saved and returns their count: the sum
+  /// of the moved keys' refcounts, plus the re-resolved rows reading an
+  /// unmoved key.
   std::size_t refresh(std::span<const NodeId> nodes,
-                      std::span<const NodeId> reclassified = {});
-  /// Rewrites every bound row, counting each one as refreshed and recording
-  /// all of them as refreshed_rows() (the recovery hatch after an engine
-  /// rebuild()).
+                      std::span<const NodeId> reclassified,
+                      std::uint64_t epoch);
+  /// Re-resolves every bound row and rewrites every key row, counting each
+  /// bound row as refreshed and listing every live key as moved (the
+  /// recovery hatch after an engine rebuild()).
   void refresh_all();
-  /// The bound rows the last refresh() or refresh_all() counted, each once:
-  /// every row whose served delays may have moved since. Valid until the
-  /// next of those calls.
-  [[nodiscard]] std::span<const std::size_t> refreshed_rows() const noexcept {
-    return refreshed_rows_;
+  /// The key slots the last refresh() or refresh_all() rewrote, each once:
+  /// a bound row outside them (and not re-resolved) serves what it served
+  /// before. Valid until the next of those calls.
+  [[nodiscard]] std::span<const std::uint32_t> moved_keys() const noexcept {
+    return moved_keys_;
   }
 
   // ---- Digest / introspection --------------------------------------------
@@ -150,8 +174,9 @@ class RowStore {
   struct Key {
     NodeId node = kInvalidNode;
     std::uint32_t refs = 0;
-    std::uint64_t epoch = 0;  ///< returned by the last fill
+    std::uint64_t epoch = 0;  ///< returned by the last fill that moved it
     std::uint64_t pass = 0;   ///< refresh pass of the last fill
+    std::uint64_t moved = 0;  ///< refresh pass that last listed it as moved
   };
 
   /// Points bound `row` at its node's current key and latency.
@@ -160,17 +185,14 @@ class RowStore {
   void release_key(std::uint32_t key);
   /// Fills `key`'s row unless this refresh pass already did.
   void fill_key(std::uint32_t key);
-  /// Fills bound `row`'s key row (once per pass) and stamps the row with
-  /// the fill epoch.
-  void stamp_row(std::size_t row);
-  /// resolve_row() then stamp_row().
-  void reload_row(std::size_t row);
+  /// Fills `key` (once per pass) and lists it in moved_keys().
+  void move_key(std::uint32_t key);
 
   Fill fill_;
   Resolve resolve_;
   std::size_t width_;
   std::vector<NodeId> nodes_;             ///< per row; kInvalidNode if unbound
-  std::vector<std::uint64_t> epochs_;     ///< per row: epoch last filled
+  std::vector<std::uint64_t> epochs_;     ///< per row: bind epoch
   std::vector<std::size_t> node_to_row_;  ///< per node; kUnbound if none
   std::size_t bound_ = 0;
   // Per row, the key it reads through and the latency added to it.
@@ -185,7 +207,8 @@ class RowStore {
   std::vector<std::uint32_t> free_keys_;    ///< freed key slots, reused first
   std::uint64_t pass_ = 1;                  ///< bumped per refresh pass
   std::vector<double> row_scratch_;         ///< the last row() read
-  std::vector<std::size_t> refreshed_rows_;  ///< see refreshed_rows()
+  std::vector<double> fill_scratch_;        ///< a shared key row's refill
+  std::vector<std::uint32_t> moved_keys_;   ///< see moved_keys()
   std::uint64_t rows_refreshed_ = 0;
   std::uint64_t rows_saved_ = 0;
 };

@@ -58,13 +58,16 @@ struct DynamicClusterTestPeer {
   static std::vector<std::size_t>& free_slots(DynamicCluster& cluster) {
     return cluster.free_slots_;
   }
-  /// Moves one slot's objective term by `delta` fixed-point units; with
+  static std::size_t pending_reclassified(const DynamicCluster& cluster) {
+    return cluster.engine_.reclassified_count();
+  }
+  /// Moves one slot's latency term by `delta` fixed-point units; with
   /// `keep_sum` the running sum moves along, so the bookkeeping still adds
-  /// up and only the comparison against the served delay can tell.
+  /// up and only the comparison against the served row can tell.
   static void shift_delay_term(DynamicCluster& cluster, std::size_t slot,
                                std::int64_t delta, bool keep_sum) {
-    cluster.delay_terms_[slot] += delta;
-    if (keep_sum) cluster.delay_term_sum_ += delta;
+    cluster.latency_terms_[slot] += delta;
+    if (keep_sum) cluster.objective_.sum += delta;
   }
 };
 
@@ -254,15 +257,19 @@ TEST_F(InvariantsTest, CacheCatchesUnexcusedStaleRow) {
   topo::incr::IncrementalDelayEngine engine(net);
   topo::oracle::DelayOracle cache(engine);
   cache.bind_row(0, net.iot_nodes[0]);
-  // Move device 0's distances through the engine, then throw away the dirty
-  // notification instead of refreshing: the cache now serves stale delays
+  // Move device 0's distances through the engine, then throw away the
+  // notifications (the device reads through a new latency, so it is
+  // reclassified) instead of refreshing: the cache now serves stale delays
   // it believes are current.
   const topo::NodeId device = net.iot_nodes[0];
   const topo::NodeId router = net.graph.neighbors(device)[0].to;
   const double old_ms = net.graph.neighbors(device)[0].props.latency_ms;
   engine.set_link_latency(device, router, old_ms * 3.0);
+  // Pending, the reclassification excuses the stale row.
+  EXPECT_NO_THROW(cache.check_invariants());
   std::vector<topo::NodeId> discarded;
   engine.drain_dirty(discarded);
+  engine.drain_reclassified(discarded);
   EXPECT_THROW(cache.check_invariants(), ContractViolation);
 }
 
@@ -350,6 +357,20 @@ TEST_F(InvariantsTest, ClusterCatchesObjectiveDrift) {
   EXPECT_NO_THROW(consistent.check_invariants());
   DynamicClusterTestPeer::shift_delay_term(consistent, 0, 1, true);
   EXPECT_THROW(consistent.check_invariants(), ContractViolation);
+}
+
+// Device churn drains the engine's reclassified list as well as its dirty
+// set: a move binds the device's row itself, so nothing is left for the
+// next link update to re-resolve.
+TEST_F(InvariantsTest, DeviceChurnLeavesNoReclassifiedDevicePending) {
+  DynamicCluster cluster = make_cluster(49);
+  util::Rng rng(49);
+  for (std::size_t move = 0; move < 200; ++move) {
+    const std::size_t device = rng.index(cluster.device_slot_count());
+    cluster.move(device, {rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)});
+  }
+  EXPECT_EQ(DynamicClusterTestPeer::pending_reclassified(cluster), 0u);
+  EXPECT_NO_THROW(cluster.check_invariants());
 }
 
 TEST_F(InvariantsTest, ClusterFlagsDeferredDrainOnlyWhenAsked) {

@@ -368,7 +368,8 @@ TEST(ExactOracle, SharedKeyRowsStayFarBelowOneRowPerDevice) {
 // backbone fail/restore/reweight, and unbind/rebind onto recycled slots.
 // After every event and refresh() each bound slot must serve the engine's
 // value bitwise, through both row() and delay_ms(), and carry the epoch of
-// its bind or of the last refresh whose drained set held its node.
+// its bind or of the last refresh that re-resolved its node or rewrote the
+// key it reads through.
 TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   util::Rng rng(0x3C4D);
   GeneratorParams params;
@@ -414,8 +415,10 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   const auto refresh_and_check = [&](const std::string& what) {
     SCOPED_TRACE(what);
     for (std::size_t slot = 0; slot < slot_node.size(); ++slot) {
-      if (slot_node[slot] != kInvalidNode &&
-          engine.is_dirty(slot_node[slot])) {
+      const NodeId node = slot_node[slot];
+      if (node != kInvalidNode &&
+          (engine.is_reclassified(node) ||
+           engine.is_dirty(engine.read_through(node).node))) {
         want_epoch[slot] = engine.epoch();
       }
     }
@@ -601,6 +604,142 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   EXPECT_GT(checks, 300u);
 }
 
+/// A network where two devices in three keep one access link and read
+/// through their anchor router, and the rest stay multi-homed.
+NetworkTopology make_mixed_net(std::uint64_t seed) {
+  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, seed, 36,
+                                 30, 4, AttachParams{.attach_count = 2});
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    if (i % 3 == 0) continue;
+    const NodeId device = net.iot_nodes[i];
+    net.graph.remove_edge(device, net.graph.neighbors(device).back().to);
+  }
+  return net;
+}
+
+// The epoch contract: through a seeded backbone churn, one reweight in
+// three by a single ulp, no bound row's served value changes without its
+// row_epoch() rising. The converse is relaxed on purpose: a key that moves
+// by less than a device's latency can show still bumps that device's epoch.
+TEST(ExactOracle, NoServedValueMovesWithoutItsEpochRising) {
+  NetworkTopology net = make_mixed_net(0xE90C);
+  incr::IncrementalDelayEngine engine(net);
+  DelayOracle oracle(engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle.bind_row(i, net.iot_nodes[i]);
+  }
+  util::Rng rng(0xE90C);
+  std::vector<std::vector<double>> rows(net.iot_count());
+  std::vector<std::uint64_t> epochs(net.iot_count());
+  const auto snapshot = [&] {
+    for (std::size_t i = 0; i < net.iot_count(); ++i) {
+      rows[i] = oracle.row(i);
+      epochs[i] = oracle.row_epoch(i);
+    }
+  };
+  snapshot();
+  std::size_t moved = 0;
+  std::size_t bumped_unmoved = 0;
+  for (std::size_t event = 0; event < 500; ++event) {
+    const auto live = backbone_links(net);
+    const double roll = rng.uniform();
+    if (!net.failed_links.empty() && (roll < 0.25 || live.empty())) {
+      const FailedLink& link =
+          net.failed_links[rng.index(net.failed_links.size())];
+      engine.restore_link(link.u, link.v);
+    } else if (roll < 0.5) {
+      const auto [u, v] = live[rng.index(live.size())];
+      engine.fail_link(u, v);
+    } else {
+      const auto [u, v] = live[rng.index(live.size())];
+      const double old_ms = net.graph.edge_props(u, v)->latency_ms;
+      engine.set_link_latency(u, v,
+                              roll < 0.67
+                                  ? std::nextafter(old_ms, kUnreachable)
+                                  : old_ms * rng.uniform(0.5, 2.0));
+    }
+    (void)oracle.refresh();
+    for (std::size_t i = 0; i < net.iot_count(); ++i) {
+      const std::vector<double>& served = oracle.row(i);
+      bool changed = false;
+      for (std::size_t j = 0; j < served.size(); ++j) {
+        changed = changed || std::bit_cast<std::uint64_t>(served[j]) !=
+                                 std::bit_cast<std::uint64_t>(rows[i][j]);
+      }
+      if (changed) {
+        ++moved;
+        ASSERT_GT(oracle.row_epoch(i), epochs[i])
+            << "event " << event << ": row " << i
+            << " serves new values at an old epoch";
+      } else if (oracle.row_epoch(i) > epochs[i]) {
+        ++bumped_unmoved;
+      }
+    }
+    snapshot();
+  }
+  EXPECT_GT(moved, 500u);
+  // One-ulp reweights move routers by less than most latencies show.
+  EXPECT_GT(bumped_unmoved, 0u);
+}
+
+// A backbone fail, restore or reweight dirties keys only, never a
+// single-homed device, and refresh() counts exactly the bound rows that
+// read through the keys it rewrote: the sum of their refcounts.
+TEST(DelayOracle, BackboneEventsDirtyKeysAndCountTheirRefcounts) {
+  NetworkTopology net = make_mixed_net(0xD117);
+  incr::IncrementalDelayEngine engine(net);
+  DelayOracle oracle(engine);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    oracle.bind_row(i, net.iot_nodes[i]);
+  }
+  util::Rng rng(0xD117);
+  std::array<std::size_t, 3> kinds{};
+  std::size_t refreshed_total = 0;
+  for (std::size_t event = 0; event < 300; ++event) {
+    const auto live = backbone_links(net);
+    const double roll = rng.uniform();
+    if (!net.failed_links.empty() && (roll < 0.3 || live.empty())) {
+      const FailedLink& link =
+          net.failed_links[rng.index(net.failed_links.size())];
+      engine.restore_link(link.u, link.v);
+      ++kinds[0];
+    } else if (roll < 0.6) {
+      const auto [u, v] = live[rng.index(live.size())];
+      engine.fail_link(u, v);
+      ++kinds[1];
+    } else {
+      const auto [u, v] = live[rng.index(live.size())];
+      engine.set_link_latency(
+          u, v, net.graph.edge_props(u, v)->latency_ms * rng.uniform(0.5, 2.0));
+      ++kinds[2];
+    }
+    ASSERT_EQ(engine.reclassified_count(), 0u) << "event " << event;
+    std::size_t dirty_rows = 0;
+    for (std::size_t i = 0; i < net.iot_count(); ++i) {
+      const NodeId device = net.iot_nodes[i];
+      if (engine.read_through(device).node != device) {
+        ASSERT_FALSE(engine.is_dirty(device))
+            << "event " << event << ": single-homed device " << device
+            << " is dirty";
+      }
+      if (engine.is_dirty(oracle.row_key(i))) ++dirty_rows;
+    }
+    const std::size_t refreshed = oracle.refresh();
+    std::size_t refcounts = 0;
+    for (const std::uint32_t key : oracle.moved_keys()) {
+      for (std::size_t i = 0; i < net.iot_count(); ++i) {
+        if (oracle.row_key_slot(i) == key) ++refcounts;
+      }
+    }
+    EXPECT_EQ(refreshed, refcounts) << "event " << event;
+    EXPECT_EQ(refreshed, dirty_rows) << "event " << event;
+    refreshed_total += refreshed;
+  }
+  for (const std::size_t kind : kinds) EXPECT_GT(kind, 50u);
+  EXPECT_GT(refreshed_total, 0u);
+  EXPECT_EQ(oracle.rows_refreshed(), refreshed_total);
+}
+
 TEST(DelayOracle, EveryBackendCountsOneQueryPerEntryAndOnePerServerPerRow) {
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 31);
   incr::IncrementalDelayEngine engine(net);
@@ -620,8 +759,9 @@ TEST(DelayOracle, EveryBackendCountsOneQueryPerEntryAndOnePerServerPerRow) {
   EXPECT_EQ(oracle.stats().row_fills, 0u);
 }
 
-// refreshed_rows() names exactly the bound rows whose nodes the drained
-// dirty set held, once each, as many as refresh() returns.
+// The rows a refresh() counts are exactly the bound rows whose key the
+// drained dirty set held: moved_keys() names those keys, once each, and
+// refresh() returns the number of bound rows reading them.
 TEST(DelayOracle, RefreshedRowsAreTheBoundRowsOfTheDrainedDirtyNodes) {
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 59);
   incr::IncrementalDelayEngine engine(net);
@@ -642,23 +782,38 @@ TEST(DelayOracle, RefreshedRowsAreTheBoundRowsOfTheDrainedDirtyNodes) {
     } else {
       engine.set_link_latency(links[k].first, links[k].second, 0.01);
     }
-    std::vector<std::size_t> expected;
+    std::vector<std::uint32_t> expected;
+    std::size_t rows = 0;
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      if (i != 3 && engine.is_dirty(net.iot_nodes[i])) expected.push_back(i);
+      if (i == 3 || !engine.is_dirty(oracle.row_key(i))) continue;
+      expected.push_back(oracle.row_key_slot(i));
+      ++rows;
     }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
     const std::size_t refreshed = oracle.refresh();
-    const std::span<const std::size_t> rows = oracle.refreshed_rows();
-    EXPECT_EQ(rows.size(), refreshed);
-    std::vector<std::size_t> sorted(rows.begin(), rows.end());
+    EXPECT_EQ(refreshed, rows) << "link " << k;
+    const std::span<const std::uint32_t> moved = oracle.moved_keys();
+    std::vector<std::uint32_t> sorted(moved.begin(), moved.end());
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(sorted, expected) << "link " << k;
     reported += refreshed;
   }
   EXPECT_GT(reported, 0u);
 
-  // refresh_all() reports every bound row.
+  // refresh_all() lists every live key once.
+  std::vector<std::uint32_t> live;
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    if (i != 3) live.push_back(oracle.row_key_slot(i));
+  }
+  std::sort(live.begin(), live.end());
+  live.erase(std::unique(live.begin(), live.end()), live.end());
   oracle.refresh_all();
-  EXPECT_EQ(oracle.refreshed_rows().size(), oracle.bound_count());
+  std::vector<std::uint32_t> moved(oracle.moved_keys().begin(),
+                                   oracle.moved_keys().end());
+  std::sort(moved.begin(), moved.end());
+  EXPECT_EQ(moved, live);
 }
 
 TEST(RowStore, BindUnbindRebindBookkeeping) {

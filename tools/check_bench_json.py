@@ -31,10 +31,11 @@ Per-bench requirements (beyond the generic schema):
     reopt_cpu gate on full runs (quick runs skip the timing gate), and
     the reopt_invariants + soak_accounting gates from the engine soak.
     m6_oracle must record the exact delay oracle measured at scale:
-    positive engine_scratch_bytes, oracle_resident_bytes,
-    exact_resident_bytes, engine_build_ms, bind_ms,
-    reweight_median_ms and reweight_max_ms metrics, and the engine_memory +
-    engine_build + rows_bit_exact gates.
+    positive engine_scratch_bytes, engine_scratch_build_bytes,
+    oracle_resident_bytes, exact_resident_bytes, engine_build_ms, bind_ms,
+    reweight_median_ms and reweight_max_ms metrics, a non-negative
+    dirty_keys_per_reweight, and the engine_memory + engine_build +
+    scale_free_reweight + rows_bit_exact gates.
 """
 
 import json
@@ -127,18 +128,20 @@ def check_oracle_contract(path: pathlib.Path, metrics: dict,
     def bad(msg: str) -> None:
         problems.append(f"{path}: {msg}")
 
-    for key in ("engine_scratch_bytes", "oracle_resident_bytes",
-                "exact_resident_bytes", "engine_build_ms", "bind_ms",
-                "reweight_median_ms", "reweight_max_ms"):
+    for key in ("engine_scratch_bytes", "engine_scratch_build_bytes",
+                "oracle_resident_bytes", "exact_resident_bytes",
+                "engine_build_ms", "bind_ms", "reweight_median_ms",
+                "reweight_max_ms", "dirty_keys_per_reweight"):
         value = metrics.get(key)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             bad(f"m6_oracle must record a numeric {key} metric")
-        elif value <= 0:
+        elif value < 0 or (value == 0 and key != "dirty_keys_per_reweight"):
             bad(f"metric {key!r} must be positive, got {value!r}")
 
     gate_names = {g.get("name") for g in gates if isinstance(g, dict)} \
         if isinstance(gates, list) else set()
-    required = {"engine_memory", "engine_build", "rows_bit_exact"}
+    required = {"engine_memory", "engine_build", "scale_free_reweight",
+                "rows_bit_exact"}
     for name in sorted(required - gate_names):
         bad(f"m6_oracle must gate on {name}")
 
