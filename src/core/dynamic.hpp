@@ -198,7 +198,10 @@ class DynamicCluster {
     return oracle_.row_epoch(device_index);
   }
   /// The live delay oracle serving this cluster's rows (introspection for
-  /// ORACLE_STATS and benches).
+  /// ORACLE_STATS, the STATS row counters and benches). Its fingerprint()
+  /// digests the served delay view and distinguishes every epoch, so stale
+  /// consumers detect reconfigurations they slept through even when a
+  /// fail/restore pair returned the values to their start state.
   [[nodiscard]] const topo::oracle::DelayOracle& delay_oracle() const {
     return oracle_;
   }
@@ -260,19 +263,6 @@ class DynamicCluster {
   /// Bumps on every distance-relevant topology change.
   [[nodiscard]] std::uint64_t delay_epoch() const noexcept {
     return engine_.epoch();
-  }
-  [[nodiscard]] std::uint64_t delay_rows_refreshed() const noexcept {
-    return oracle_.rows_refreshed();
-  }
-  [[nodiscard]] std::uint64_t delay_rows_saved() const noexcept {
-    return oracle_.rows_saved();
-  }
-  /// Digest of the served delay view; distinguishes every epoch, so stale
-  /// consumers detect reconfigurations they slept through even when a
-  /// fail/restore pair returned the values to their start state. It also
-  /// digests every row value (see RowStore).
-  [[nodiscard]] std::uint64_t delay_fingerprint() const {
-    return oracle_.fingerprint();
   }
 
   // ---- Introspection ------------------------------------------------------

@@ -439,22 +439,13 @@ bool Engine::drain_batch(Shard& shard, Session& session) {
     snapshot.avg_delay_ms = cluster.avg_delay_ms();
     snapshot.max_utilization = cluster.max_utilization();
     snapshot.feasible = cluster.feasible();
-    const topo::incr::EngineStats& link_stats = cluster.link_stats();
-    snapshot.delay_epoch = link_stats.epoch;
-    snapshot.link_updates = link_stats.link_updates;
-    snapshot.link_nodes_affected = link_stats.nodes_affected;
-    snapshot.link_nodes_saved = link_stats.nodes_saved;
-    snapshot.delay_rows_refreshed = cluster.delay_rows_refreshed();
-    snapshot.delay_rows_saved = cluster.delay_rows_saved();
+    snapshot.link = cluster.link_stats();
+    snapshot.delay_rows_refreshed = cluster.delay_oracle().rows_refreshed();
+    snapshot.delay_rows_saved = cluster.delay_oracle().rows_saved();
   }
   if (session.reoptimizer) {
     snapshot.reopt_running = session.reoptimizer->running();
-    const opt::ReoptStats reopt = session.reoptimizer->stats();
-    snapshot.reopt_passes = reopt.passes;
-    snapshot.reopt_proposed = reopt.moves_proposed;
-    snapshot.reopt_applied = reopt.moves_applied;
-    snapshot.reopt_rejected = reopt.rejected();
-    snapshot.reopt_gain = reopt.achieved_gain;
+    snapshot.reopt = session.reoptimizer->stats();
   }
   cluster_lock.release();
   {
@@ -751,22 +742,22 @@ std::string Engine::stats_line(const Request& request) const {
       .field("avg_delay_ms", s.avg_delay_ms)
       .field("max_utilization", s.max_utilization)
       .field("feasible", s.feasible)
-      .field("delay_epoch", static_cast<std::size_t>(s.delay_epoch))
-      .field("link_updates", static_cast<std::size_t>(s.link_updates))
+      .field("delay_epoch", static_cast<std::size_t>(s.link.epoch))
+      .field("link_updates", static_cast<std::size_t>(s.link.link_updates))
       .field("link_nodes_affected",
-             static_cast<std::size_t>(s.link_nodes_affected))
-      .field("link_nodes_saved",
-             static_cast<std::size_t>(s.link_nodes_saved))
+             static_cast<std::size_t>(s.link.nodes_affected))
+      .field("link_nodes_saved", static_cast<std::size_t>(s.link.nodes_saved))
       .field("delay_rows_refreshed",
              static_cast<std::size_t>(s.delay_rows_refreshed))
       .field("delay_rows_saved",
              static_cast<std::size_t>(s.delay_rows_saved))
       .field("reopt_running", s.reopt_running)
-      .field("reopt_passes", static_cast<std::size_t>(s.reopt_passes))
-      .field("reopt_proposed", static_cast<std::size_t>(s.reopt_proposed))
-      .field("reopt_applied", static_cast<std::size_t>(s.reopt_applied))
-      .field("reopt_rejected", static_cast<std::size_t>(s.reopt_rejected))
-      .field("reopt_gain", s.reopt_gain)
+      .field("reopt_passes", static_cast<std::size_t>(s.reopt.passes))
+      .field("reopt_proposed",
+             static_cast<std::size_t>(s.reopt.moves_proposed))
+      .field("reopt_applied", static_cast<std::size_t>(s.reopt.moves_applied))
+      .field("reopt_rejected", static_cast<std::size_t>(s.reopt.rejected()))
+      .field("reopt_gain", s.reopt.achieved_gain)
       .field("accepted", static_cast<std::size_t>(c.accepted))
       .field("completed", static_cast<std::size_t>(c.completed))
       .field("failed", static_cast<std::size_t>(c.failed))

@@ -252,21 +252,15 @@ class Engine {
     double avg_delay_ms = 0.0;
     double max_utilization = 0.0;
     bool feasible = true;
-    // Incremental delay engine counters (LINK_* verbs).
-    std::uint64_t delay_epoch = 0;
-    std::uint64_t link_updates = 0;
-    std::uint64_t link_nodes_affected = 0;
-    std::uint64_t link_nodes_saved = 0;
+    // Incremental delay engine counters (LINK_* verbs) and the oracle's
+    // row refresh counters.
+    topo::incr::EngineStats link;
     std::uint64_t delay_rows_refreshed = 0;
     std::uint64_t delay_rows_saved = 0;
     // Background re-optimizer ledger (REOPT_START/REOPT_STOP); sampled at
     // the batch flush like everything else, so STATS stays lock-coherent.
     bool reopt_running = false;
-    std::uint64_t reopt_passes = 0;
-    std::uint64_t reopt_proposed = 0;
-    std::uint64_t reopt_applied = 0;
-    std::uint64_t reopt_rejected = 0;
-    double reopt_gain = 0.0;
+    opt::ReoptStats reopt;
   };
 
   struct Session {

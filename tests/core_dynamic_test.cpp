@@ -273,7 +273,7 @@ TEST(DynamicCluster, RejectsNonFiniteDeviceBeforeTouchingState) {
 TEST(DynamicClusterLinks, FailRestoreRoundTripRestoresDelaysExactly) {
   DynamicCluster cluster = make_cluster(10);
   const double baseline = cluster.avg_delay_ms();
-  const std::uint64_t fp0 = cluster.delay_fingerprint();
+  const std::uint64_t fp0 = cluster.delay_oracle().fingerprint();
   const auto links = topo::backbone_links(cluster.network());
   ASSERT_FALSE(links.empty());
 
@@ -295,7 +295,7 @@ TEST(DynamicClusterLinks, FailRestoreRoundTripRestoresDelaysExactly) {
   // Delays return to their exact pre-failure values (bit-identical)…
   EXPECT_EQ(cluster.avg_delay_ms(), baseline);
   // …but the fingerprint still records that the topology churned.
-  EXPECT_NE(cluster.delay_fingerprint(), fp0);
+  EXPECT_NE(cluster.delay_oracle().fingerprint(), fp0);
   EXPECT_EQ(cluster.link_stats().link_updates, 2 * failable.size());
 }
 
@@ -354,9 +354,10 @@ TEST(DynamicClusterLinks, StatsCountSavingsAndRefreshes) {
   // relative to a full recompute.
   EXPECT_GT(failed.nodes_saved + restored.nodes_saved, 0u);
   // Every bound row is either refreshed or saved on each of the 2 updates.
-  EXPECT_EQ(cluster.delay_rows_saved() + cluster.delay_rows_refreshed(),
+  const topo::oracle::DelayOracle& oracle = cluster.delay_oracle();
+  EXPECT_EQ(oracle.rows_saved() + oracle.rows_refreshed(),
             2 * cluster.device_slot_count());
-  EXPECT_EQ(cluster.delay_rows_refreshed(),
+  EXPECT_EQ(oracle.rows_refreshed(),
             failed.rows_refreshed + restored.rows_refreshed);
   EXPECT_EQ(cluster.link_stats().nodes_affected,
             failed.nodes_affected + restored.nodes_affected);

@@ -35,10 +35,10 @@ struct GraphTestPeer {
 
 namespace oracle {
 
-/// Friend of RowStore and of DelayOracle (which owns one).
-struct RowStoreTestPeer {
+/// Friend of DelayOracle.
+struct DelayOracleTestPeer {
   static std::vector<std::uint64_t>& row_epochs(DelayOracle& oracle) {
-    return oracle.store_.epochs_;
+    return oracle.epochs_;
   }
 };
 
@@ -280,7 +280,7 @@ TEST_F(InvariantsTest, CacheCatchesEpochFromTheFuture) {
   cache.bind_row(0, net.iot_nodes[0]);
   // A row stamped past the engine epoch claims to have seen a mutation that
   // never happened.
-  topo::oracle::RowStoreTestPeer::row_epochs(cache)[0] = engine.epoch() + 1;
+  topo::oracle::DelayOracleTestPeer::row_epochs(cache)[0] = engine.epoch() + 1;
   EXPECT_THROW(cache.check_invariants(), ContractViolation);
 }
 

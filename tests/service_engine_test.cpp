@@ -268,6 +268,25 @@ TEST(Engine, ClusterVerbRepliesAreByteStable) {
   }
 }
 
+// Golden STATS bytes for the cluster snapshot (everything before the
+// request counters, whose latency quantiles depend on timing). A change to
+// how the snapshot is sampled or rendered must keep them byte-identical.
+TEST(Engine, StatsSnapshotFieldsAreByteStable) {
+  Engine engine(small_options());
+  ASSERT_EQ(call(engine, "CONFIGURE g 20 4 seed=3").rfind("OK", 0), 0u);
+  ASSERT_EQ(call(engine, "LINK_FAIL g 1 10").rfind("OK", 0), 0u);
+  ASSERT_EQ(call(engine, "LINK_SET g 1 13 7.5").rfind("OK", 0), 0u);
+  engine.drain();
+  const std::string stats = call(engine, "STATS g");
+  EXPECT_EQ(stats.substr(0, stats.find(" accepted=")),
+            "OK session=g shard=0 configured=1 devices=20 servers=4 "
+            "healthy_servers=4 avg_delay_ms=6.49671 max_utilization=0.989946 "
+            "feasible=1 delay_epoch=2 link_updates=2 link_nodes_affected=28 "
+            "link_nodes_saved=404 delay_rows_refreshed=15 delay_rows_saved=25 "
+            "reopt_running=0 reopt_passes=0 reopt_proposed=0 reopt_applied=0 "
+            "reopt_rejected=0 reopt_gain=0");
+}
+
 // Devices the cluster cannot place (a position with no finite router
 // distance, a non-finite demand) are rejected before they touch the session:
 // avg_delay_ms once became inf for good after JOIN u 1e308 1e308.

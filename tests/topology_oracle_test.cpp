@@ -1,5 +1,5 @@
 // The DelayOracle: spec parsing, bit-identity with the engine's trees
-// through churn, refresh accounting, shared key rows and the row store's
+// through churn, refresh accounting, shared key rows and the row
 // bookkeeping.
 #include "topology/oracle/oracle.hpp"
 
@@ -15,12 +15,23 @@
 
 #include "topology/failures.hpp"
 #include "topology/oracle/config.hpp"
-#include "topology/oracle/rowstore.hpp"
 #include "topology/shortest_paths.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace tacc::topo::oracle {
+
+/// Friend of DelayOracle: the private node->row index and key epochs.
+struct DelayOracleTestPeer {
+  static constexpr std::size_t kUnbound = DelayOracle::kUnbound;
+  static std::size_t row_of(const DelayOracle& oracle, NodeId node) {
+    return oracle.row_of(node);
+  }
+  static std::uint64_t& key_epoch(DelayOracle& oracle, std::uint32_t key) {
+    return oracle.keys_[key].epoch;
+  }
+};
+
 namespace {
 
 const LinkDelayModel kDelay;
@@ -338,7 +349,7 @@ TEST(ExactOracle, ResidentBytesKeepRecycledRowAllocations) {
   EXPECT_GE(oracle.resident_bytes(), bound_bytes);
   EXPECT_GE(bound_bytes,
             key_rows(engine, net) * net.edge_count() * sizeof(double) +
-                net.iot_count() * RowStore::kRowBytes);
+                net.iot_count() * DelayOracle::kRowBytes);
 }
 
 // The single-homed devices of one anchor share its key row, so at the
@@ -816,32 +827,68 @@ TEST(DelayOracle, RefreshedRowsAreTheBoundRowsOfTheDrainedDirtyNodes) {
   EXPECT_EQ(moved, live);
 }
 
-TEST(RowStore, BindUnbindRebindBookkeeping) {
-  RowStore store(/*width=*/2, [](NodeId node, std::span<double> out) {
-    out[0] = node;
-    out[1] = 2.0 * node;
-    return std::uint64_t{3};
-  });
-  store.bind(0, 5);
-  store.bind(1, 7);
-  EXPECT_EQ(store.bound_count(), 2u);
-  EXPECT_EQ(store.row_of(5), 0u);
-  store.bind(0, 9);  // rebind
-  EXPECT_EQ(store.bound_count(), 2u);
-  EXPECT_EQ(store.row_of(9), 0u);
-  EXPECT_EQ(store.row_of(5), RowStore::kUnbound);
-  EXPECT_EQ(store.row(0), (std::vector<double>{9.0, 18.0}));
-  EXPECT_EQ(store.row_epoch(0), 3u);
-  EXPECT_TRUE(store.unbind(1));
-  EXPECT_FALSE(store.unbind(1));  // already unbound
-  EXPECT_EQ(store.bound_count(), 1u);
-  EXPECT_EQ(store.row_node(1), kInvalidNode);
+TEST(DelayOracle, BindUnbindRebindBookkeeping) {
+  using Peer = DelayOracleTestPeer;
+  NetworkTopology net = make_net(TopologyFamily::kGrid, 43);
+  incr::IncrementalDelayEngine engine(net);
+  DelayOracle oracle(engine);
+  // Move the engine past epoch 0, so the stamps below are the fill's.
+  const auto links = backbone_links(net);
+  engine.set_link_latency(links[0].first, links[0].second, 2.5);
+  oracle.refresh();
+  ASSERT_GT(engine.epoch(), 0u);
+
+  const NodeId first = net.iot_nodes[0];
+  const NodeId second = net.iot_nodes[1];
+  const NodeId third = net.iot_nodes[2];
+  oracle.bind_row(0, first);
+  oracle.bind_row(1, second);
+  EXPECT_EQ(oracle.bound_count(), 2u);
+  EXPECT_EQ(Peer::row_of(oracle, first), 0u);
+  oracle.bind_row(0, third);  // rebind in place
+  EXPECT_EQ(oracle.bound_count(), 2u);
+  EXPECT_EQ(oracle.row_count(), 2u);
+  EXPECT_EQ(oracle.row_node(0), third);
+  EXPECT_EQ(Peer::row_of(oracle, third), 0u);
+  EXPECT_EQ(Peer::row_of(oracle, first), Peer::kUnbound);
+  std::vector<double> want(net.edge_count());
+  engine.delay_row(third, want);
+  EXPECT_EQ(oracle.row(0), want);
+  EXPECT_EQ(oracle.row_epoch(0), engine.epoch());
+
+  oracle.unbind_row(1);
+  oracle.unbind_row(1);  // already unbound: a no-op
+  EXPECT_EQ(oracle.bound_count(), 1u);
+  EXPECT_EQ(oracle.row_node(1), kInvalidNode);
+  EXPECT_EQ(Peer::row_of(oracle, second), Peer::kUnbound);
   {
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-    store.check_invariants(/*epoch=*/3);
-    EXPECT_THROW(store.check_invariants(/*epoch=*/2),
-                 contracts::ContractViolation);
+    oracle.check_invariants();
+    // A key row stamped past the engine epoch claims a fill that never
+    // happened.
+    std::uint64_t& stamp = Peer::key_epoch(oracle, oracle.row_key_slot(0));
+    stamp = engine.epoch() + 1;
+    EXPECT_THROW(oracle.check_invariants(), contracts::ContractViolation);
+    stamp = engine.epoch();
+    oracle.check_invariants();
   }
+}
+
+TEST(DelayOracle, UnboundRowHasNoEpoch) {
+  NetworkTopology net = make_net(TopologyFamily::kGrid, 45);
+  incr::IncrementalDelayEngine engine(net);
+  DelayOracle oracle(engine);
+  oracle.bind_row(0, net.iot_nodes[0]);
+  oracle.bind_row(1, net.iot_nodes[1]);
+  oracle.unbind_row(0);
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  if (contracts::enabled()) {
+    EXPECT_THROW((void)oracle.row_epoch(0), contracts::ContractViolation);
+  } else {
+    // The contract is compiled out; the checked lookup still refuses.
+    EXPECT_THROW((void)oracle.row_epoch(0), std::out_of_range);
+  }
+  EXPECT_EQ(oracle.row_epoch(1), engine.epoch());
 }
 
 }  // namespace

@@ -39,17 +39,12 @@ import json
 import sys
 from pathlib import Path
 
-# Mutating methods of tacc::DynamicCluster (mirrors lint_tacc.py R6).
-CLUSTER_MUTATORS = {
-    "move", "move_pinned", "join", "leave", "rebalance", "repair",
-    "fail_server", "recover_server", "evacuate_server",
-}
+# The R6 mutator list and every rule's directory scope are defined once, in
+# lint_tacc.py beside this script.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from lint_tacc import (  # noqa: E402
+    CLUSTER_MUTATORS, R1_DIRS, R1_EXEMPT, R6_DIRS, R7_DIRS)
 
-# Directories (relative to --root) each rule applies to.
-R1_DIRS = ("src/",)
-R1_EXEMPT = ("src/util/contracts.hpp",)
-R6_DIRS = ("src/optimize/",)
-R7_DIRS = ("src/solvers/", "src/optimize/")
 R7_NAMESPACE = "tacc::topo::incr"
 
 ASSERT_CALLEES = {"__assert_fail", "__assert_rtn", "__assert", "_assert"}

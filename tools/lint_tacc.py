@@ -68,12 +68,22 @@ REMOVED_APIS = {
 # R2: the logging sink is the one legitimate stream writer in src/.
 CONSOLE_IO_ALLOWLIST = {"src/util/log.cpp"}
 
-# R6: direct cluster mutators banned in src/optimize/ (the receiver is
-# captured so thread handles — e.g. thread_.join() — stay exempt).
+# Rule scopes (paths relative to the repo root), shared with ast_lint.py.
+R1_DIRS = ("src/",)
+R1_EXEMPT = ("src/util/contracts.hpp",)
+R6_DIRS = ("src/optimize/",)
+R7_DIRS = ("src/solvers/", "src/optimize/")
+
+# R6: the mutating methods of tacc::DynamicCluster, banned in R6_DIRS.
+CLUSTER_MUTATORS = frozenset({
+    "move", "move_pinned", "join", "leave", "rebalance", "repair",
+    "fail_server", "recover_server", "evacuate_server",
+})
+# The receiver is captured so thread handles — e.g. thread_.join() — stay
+# exempt.
 CLUSTER_MUTATOR = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\.|->)\s*"
-    r"(move|move_pinned|join|leave|rebalance|repair|fail_server|"
-    r"recover_server|evacuate_server)\s*\(")
+    r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\.|->)\s*("
+    + "|".join(sorted(CLUSTER_MUTATORS)) + r")\s*\(")
 
 RAW_ASSERT = re.compile(r"(?<![A-Za-z0-9_])assert\s*\(")
 CONSOLE_IO = re.compile(
@@ -140,7 +150,7 @@ def collect_findings(root: Path) -> list[dict]:
                 line = line.split("/*", 1)[0]
             code = strip_comments_and_strings(line)
 
-            if rel != "src/util/contracts.hpp":
+            if rel.startswith(R1_DIRS) and rel not in R1_EXEMPT:
                 m = RAW_ASSERT.search(code)
                 if m and "static_assert" not in code:
                     report(path, i, "R1",
@@ -154,7 +164,7 @@ def collect_findings(root: Path) -> list[dict]:
 
             # R6: the re-optimizer only reads the cluster; all mutation
             # goes through apply_move_plan() under the owner's lock.
-            if rel.startswith("src/optimize/"):
+            if rel.startswith(R6_DIRS):
                 for m in CLUSTER_MUTATOR.finditer(code):
                     if "thread" in m.group(1):
                         continue  # std::jthread handle, not a cluster
@@ -165,7 +175,7 @@ def collect_findings(root: Path) -> list[dict]:
 
             # R7: solvers and the optimizer see delays only through the
             # DelayOracle; touching the engine bypasses its rows and epochs.
-            if rel.startswith(("src/solvers/", "src/optimize/")):
+            if rel.startswith(R7_DIRS):
                 if re.search(r'#\s*include\s*"topology/incremental/', raw):
                     report(path, i, "R7",
                            "topology/incremental/ include; use the "
