@@ -24,7 +24,6 @@ constexpr double kTermLimitMs = 0x1p23;
 constexpr std::int64_t kUnreachableTerm =
     std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kWideTerm = kUnreachableTerm + 1;  ///< out of range
-constexpr std::uint32_t kNoKeySlot = static_cast<std::uint32_t>(-1);
 
 std::int64_t to_term(double delay_ms) {
   if (delay_ms == topo::kUnreachable) return kUnreachableTerm;
@@ -87,8 +86,6 @@ DynamicCluster::DynamicCluster(const Scenario& scenario,
   loads_.assign(capacities_.size(), 0.0);
   failed_.assign(capacities_.size(), false);
   generations_.assign(devices_.size(), 0);
-  slot_keys_.assign(devices_.size(), kNoKeySlot);
-  latency_terms_.assign(devices_.size(), 0);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     // Filled from the engine's server trees — the same Dijkstra values the
     // scenario's instance matrix was built from.
@@ -125,22 +122,24 @@ double DynamicCluster::total_cost() const {
   return sum;
 }
 
-void DynamicCluster::refresh_delay_row(std::size_t slot) {
-  oracle_.bind_row(slot, net_.iot_nodes[slot]);
-}
-
 void DynamicCluster::assign(std::size_t slot, std::int32_t server) {
   if (assignment_[slot] != gap::kUnassigned) count_slot(slot, -1);
   assignment_[slot] = server;
   if (server != gap::kUnassigned) count_slot(slot, 1);
 }
 
+void DynamicCluster::relocate(std::size_t slot, std::size_t to) {
+  const double demand = devices_[slot].demand;
+  loads_[static_cast<std::size_t>(assignment_[slot])] -= demand;
+  loads_[to] += demand;
+  assign(slot, static_cast<std::int32_t>(to));
+  ++assignment_version_;
+}
+
 void DynamicCluster::count_slot(std::size_t slot, std::int64_t count) {
-  if (count > 0) {
-    slot_keys_[slot] = oracle_.row_key_slot(slot);
-    latency_terms_[slot] = to_term(oracle_.row_latency(slot));
-  }
-  const std::uint32_t key = slot_keys_[slot];
+  // The row is bound while the slot is assigned, so its key and latency
+  // are the ones the slot was counted with.
+  const std::uint32_t key = oracle_.row_key_slot(slot);
   const std::size_t servers = capacities_.size();
   if (key >= key_terms_.size()) {
     key_terms_.resize(std::size_t{key} + 1);
@@ -157,11 +156,7 @@ void DynamicCluster::count_slot(std::size_t slot, std::int64_t count) {
                         : oracle_.key_value(key, server));
   key_terms_[key].add(key_term, count);
   objective_.add(key_term, count);
-  objective_.add(latency_terms_[slot], count);
-  if (count < 0) {
-    slot_keys_[slot] = kNoKeySlot;
-    latency_terms_[slot] = 0;
-  }
+  objective_.add(to_term(oracle_.row_latency(slot)), count);
 }
 
 void DynamicCluster::recount_key(std::uint32_t key) {
@@ -177,12 +172,6 @@ void DynamicCluster::recount_key(std::uint32_t key) {
     }
   }
   objective_ += terms;
-}
-
-void DynamicCluster::absorb_device_churn() {
-  churn_scratch_.clear();
-  engine_.drain_dirty(churn_scratch_);
-  engine_.drain_reclassified(churn_scratch_);
 }
 
 DynamicCluster::ServerChoice DynamicCluster::cheapest_feasible_server(
@@ -237,26 +226,23 @@ void DynamicCluster::attach_device(std::size_t slot,
       engine_.acquire_node(device.position, topo::NodeKind::kIotDevice);
   engine_.add_link(node, access.router,
                    delay_model_.access_link(access.distance_km));
-  absorb_device_churn();
 
   if (slot == devices_.size()) {
     devices_.push_back(device);
     assignment_.push_back(gap::kUnassigned);
-    slot_keys_.push_back(kNoKeySlot);
-    latency_terms_.push_back(0);
     generations_.push_back(0);
     net_.iot_nodes.push_back(node);
   } else {
     devices_[slot] = device;
     net_.iot_nodes[slot] = node;
   }
-  refresh_delay_row(slot);
+  // The engine reports no host's own links: the row is rebound here.
+  oracle_.bind_row(slot, node);
 }
 
 void DynamicCluster::detach_device(std::size_t slot) {
   oracle_.unbind_row(slot);
   engine_.release_node(net_.iot_nodes[slot]);
-  absorb_device_churn();
   net_.iot_nodes[slot] = topo::kInvalidNode;
 }
 
@@ -375,10 +361,7 @@ std::size_t DynamicCluster::rebalance(std::size_t max_moves) {
         }
       }
       if (best != from) {
-        loads_[from] -= demand;
-        loads_[best] += demand;
-        assign(i, static_cast<std::int32_t>(best));
-        ++assignment_version_;
+        relocate(i, best);
         ++moves;
         improved = true;
       }
@@ -413,10 +396,7 @@ std::size_t DynamicCluster::repair(std::size_t max_moves) {
         }
       }
       if (victim == devices_.size()) break;  // nothing movable off j
-      loads_[j] -= devices_[victim].demand;
-      loads_[target] += devices_[victim].demand;
-      assign(victim, static_cast<std::int32_t>(target));
-      ++assignment_version_;
+      relocate(victim, target);
       ++moves;
     }
   }
@@ -452,10 +432,7 @@ MovePlanReport DynamicCluster::apply_move_plan(const MovePlan& plan,
     const double delay = oracle_.delay_ms(move.device, move.to);
     report.achieved_gain +=
         placement_cost(move.device, move.from) - cost_of(move.device, delay);
-    loads_[move.from] -= demand;
-    loads_[move.to] += demand;
-    assign(move.device, static_cast<std::int32_t>(move.to));
-    ++assignment_version_;
+    relocate(move.device, move.to);
     if (ledger != nullptr) ledger->charge(move.device);
     ++report.applied;
   }
@@ -556,10 +533,6 @@ void DynamicCluster::require_backbone(topo::NodeId u, topo::NodeId v) const {
 LinkUpdateReport DynamicCluster::finish_link_update(
     const topo::incr::EngineStats& before, double latency_ms) {
   LinkUpdateReport report;
-  // A backbone link reclassifies no device, and device churn drains its
-  // own, so every slot still reads through the key it was counted under.
-  TACC_ASSERT(engine_.reclassified_count() == 0,
-              "a link update found a device reclassified");
   report.rows_refreshed = oracle_.refresh();
   // Only the moved keys' rows serve moved delays.
   for (const std::uint32_t key : oracle_.moved_keys()) recount_key(key);
@@ -605,9 +578,6 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
       "per-server arrays must stay parallel");
   TACC_CHECK_INVARIANT(generations_.size() == devices_.size(),
                        "slot generations must cover every device slot");
-  TACC_CHECK_INVARIANT(slot_keys_.size() == devices_.size() &&
-                           latency_terms_.size() == devices_.size(),
-                       "objective parts must cover every device slot");
   const std::size_t servers = capacities_.size();
   TACC_CHECK_INVARIANT(residents_.size() == key_terms_.size() * servers,
                        "one resident count per key and server");
@@ -632,11 +602,7 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
   std::vector<std::uint32_t> residents(residents_.size(), 0);
   TermSum objective;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const std::int64_t latency_term = latency_terms_[i];
     if (assignment_[i] == gap::kUnassigned) {
-      TACC_CHECK_INVARIANT(slot_keys_[i] == kNoKeySlot && latency_term == 0,
-                           "free slot holds objective parts: " +
-                               std::to_string(i));
       TACC_CHECK_INVARIANT(on_free_list[i],
                            "inactive slot missing from the free list: " +
                                std::to_string(i));
@@ -664,13 +630,10 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
     // Rows serve current values whatever was read before, so each slot's
     // parts must come from its row now: the independent reference.
     const std::uint32_t key = oracle_.row_key_slot(i);
-    TACC_CHECK_INVARIANT(slot_keys_[i] == key && key < key_terms_.size(),
-                         "slot counted under another key than its row "
-                         "reads: slot " +
+    TACC_CHECK_INVARIANT(key < key_terms_.size(),
+                         "slot reads a key that was never counted: slot " +
                              std::to_string(i));
-    TACC_CHECK_INVARIANT(latency_term == to_term(oracle_.row_latency(i)),
-                         "latency term differs from the row's latency: slot " +
-                             std::to_string(i));
+    const std::int64_t latency_term = to_term(oracle_.row_latency(i));
     objective.add(latency_term, 1);
     if (j < servers && key < key_terms_.size()) {
       ++residents[std::size_t{key} * servers + j];
@@ -740,12 +703,11 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
       "live graph nodes must be exactly routers + servers + active devices");
 
   // ---- Pending notifications ------------------------------------------------
-  // Every mutation drains what it caused: device churn absorbs it, a link
-  // update refreshes it. A leftover would make the next link update
-  // re-resolve rows the cluster already rebound.
-  TACC_CHECK_INVARIANT(
-      engine_.dirty_count() == 0 && engine_.reclassified_count() == 0,
-      "engine notifications left pending between cluster operations");
+  // Device churn dirties no key and a link update refreshes what it moved,
+  // so nothing is left for the next link update to find.
+  TACC_CHECK_INVARIANT(engine_.dirty_count() == 0,
+                       "engine notifications left pending between cluster "
+                       "operations");
 
   // ---- Underlying topology / engine / oracle -------------------------------
   net_.check_invariants();

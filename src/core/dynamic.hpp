@@ -18,9 +18,12 @@
 //    keeps its index across handovers (no old-index invalidation).
 //  - Incremental delay rows: a join or move binds the device's row to its
 //    graph node, which reads the key row it shares with the other devices
-//    of its anchor router; no Dijkstra runs. The engine's trees span the
-//    routers only, since hosts never relay, so link churn repairs router
-//    distances and rewrites only the key rows whose distances moved.
+//    of its anchor router; no Dijkstra runs. The cluster is the one owner
+//    of that binding: the engine reports no device's own links, so the
+//    cluster rebinds the row right after it changes them. The engine's
+//    trees span the routers only, since hosts never relay, so link churn
+//    repairs router distances and rewrites only the key rows whose
+//    distances moved.
 //  - Incremental objective: the served delay of an active slot is its key
 //    row's entry for its server plus its access latency, so the sum splits
 //    the same way (shared and per-party terms, as in Gong's delay-optimal
@@ -324,14 +327,14 @@ class DynamicCluster {
   ///  - slot<->row binding: an active slot's delay row is bound to its
   ///    graph node, a free slot's row is unbound;
   ///  - the objective: N[a][j], the per-key sums and the total behind
-  ///    avg_delay_ms() equal a recount from the active slots and the key
-  ///    rows served now; each active slot's key and latency term match its
-  ///    oracle row, and its two parts match its served delay within one
-  ///    fixed-point unit (plus the rounding of the served addition); a free
-  ///    slot holds no key and a 0 latency term;
+  ///    avg_delay_ms() equal a recount from the active slots' rows (the key
+  ///    each reads through, its latency) and the key rows served now, and
+  ///    each active slot's two parts match its served delay within one
+  ///    fixed-point unit (plus the rounding of the served addition);
   ///  - node recycling: live graph nodes == routers + servers + active
   ///    devices (a leak here is what bench_m2's gates watch);
-  ///  - no engine dirty or reclassified notification is left pending;
+  ///  - no engine dirty key is left pending (device churn dirties none;
+  ///    a link update refreshes what it moved);
   ///  - the underlying NetworkTopology, IncrementalDelayEngine and
   ///    DelayOracle invariants (see their check_invariants()).
   /// Cold path; meant for tests and sampled bench epochs.
@@ -363,20 +366,23 @@ class DynamicCluster {
     bool feasible;  ///< false => overload fallback (least-utilized healthy)
   };
 
-  /// (Re)binds `slot`'s delay row to its graph node; the oracle (re)fills
-  /// it from the engine's per-server trees.
-  void refresh_delay_row(std::size_t slot);
   /// placement_cost() for a delay already read from the oracle.
   [[nodiscard]] double cost_of(std::size_t device_index,
                                double delay_ms) const;
   /// Points `slot` at `server`, or frees it with gap::kUnassigned, moving
   /// its objective parts along. Every assignment change goes through here,
-  /// so the objective cannot miss one. A slot's row must stay bound to the
-  /// key it was assigned under until it is freed here: move() frees it
-  /// before the row is rebound.
+  /// so the objective cannot miss one. The parts are read from the slot's
+  /// row, so the row must stay bound, to the key and latency it was
+  /// assigned under, until the slot is freed here: move() frees it before
+  /// the row is rebound.
   void assign(std::size_t slot, std::int32_t server);
+  /// Moves assigned `slot`'s load and assignment to server `to` and bumps
+  /// assignment_version(): the one reassignment step of rebalance(),
+  /// repair() and apply_move_plan().
+  void relocate(std::size_t slot, std::size_t to);
   /// Adds (`count` 1) or removes (-1) assigned `slot`'s objective parts:
-  /// its latency term and one resident of (its key, its server).
+  /// its row's latency term and one resident of (its row's key, its
+  /// server).
   void count_slot(std::size_t slot, std::int64_t count);
   /// Re-multiplies moved key `key`'s residents by its rewritten row.
   void recount_key(std::uint32_t key);
@@ -385,10 +391,6 @@ class DynamicCluster {
   /// Refreshes the oracle and packages the per-update engine deltas.
   LinkUpdateReport finish_link_update(const topo::incr::EngineStats& before,
                                       double latency_ms);
-  /// Discards the dirty and reclassified notifications of a device attach
-  /// or detach: a device relays nothing, so only its own row moves, and
-  /// the caller (re)binds or unbinds that row explicitly.
-  void absorb_device_churn();
   /// The router a device at some position attaches to, and how far away.
   struct Access {
     topo::NodeId router = topo::kInvalidNode;
@@ -400,10 +402,13 @@ class DynamicCluster {
   [[nodiscard]] Access nearest_router(topo::Point2D position) const;
   /// Acquires a graph node at `device`'s position (recycled when possible),
   /// wires the access link to `access.router`, and installs the device
-  /// into `slot` with a fresh delay row. No assignment yet.
+  /// into `slot` with its delay row bound to the new node: the engine
+  /// dirties nothing for a device's own links, so the cluster, which
+  /// changed them, rebinds the row. No assignment yet.
   void attach_device(std::size_t slot, const workload::IotDevice& device,
                      const Access& access);
-  /// Releases `slot`'s graph node + access link back to the free list.
+  /// Unbinds `slot`'s delay row and releases its graph node + access link
+  /// back to the free list.
   void detach_device(std::size_t slot);
   /// Cheapest feasible healthy server, else the least-utilized healthy one
   /// (feasible == false). Throws std::logic_error if every server is
@@ -430,7 +435,6 @@ class DynamicCluster {
   std::vector<workload::IotDevice> devices_;
   gap::Assignment assignment_;
   std::vector<std::size_t> free_slots_;  // recycled LIFO
-  std::vector<topo::NodeId> churn_scratch_;
 
   std::vector<double> capacities_;
   std::vector<double> loads_;
@@ -454,10 +458,7 @@ class DynamicCluster {
     TermSum& operator-=(const TermSum& other);
     friend bool operator==(const TermSum&, const TermSum&) = default;
   };
-  // Per slot: the key slot its row read through when assigned
-  // (kNoKeySlot when free) and its latency term (0 when free).
-  std::vector<std::uint32_t> slot_keys_;      // parallel to devices_
-  std::vector<std::int64_t> latency_terms_;   // parallel to devices_
+  // A slot's own parts live in its oracle row (row_key_slot, row_latency).
   // N[a][j] at residents_[a * server_count() + j], and per key a the sum
   // Σ_j N[a][j] fix(key_row[a][j]); both grow with the oracle's key slots.
   std::vector<std::uint32_t> residents_;

@@ -111,6 +111,19 @@ void validate_engine_options(const EngineOptions& options) {
             << timeout_ms;
     throw std::invalid_argument(message.str());
   }
+  if (!reopt_window_ok(options.reopt.budget.window_s)) {
+    std::ostringstream message;
+    message << "reopt window_s must be <= 0 (one window) or at least "
+            << kMinReoptWindowS << ", got " << options.reopt.budget.window_s;
+    throw std::invalid_argument(message.str());
+  }
+  if (!reopt_interval_ok(options.reopt.interval_ms)) {
+    std::ostringstream message;
+    message << "reopt interval_ms must be in (0, "
+            << static_cast<std::int64_t>(kMaxTimeoutMs) << "], got "
+            << options.reopt.interval_ms;
+    throw std::invalid_argument(message.str());
+  }
 }
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
@@ -496,10 +509,12 @@ std::string Engine::apply(Session& session, const Request& request) {
           request.algorithm, algorithm_options, CostModel::kTopologyAware,
           10.0, topo::oracle::parse_oracle_spec(request.oracle));
       // The optimizer (if any) references the old cluster: stop and detach
-      // it before the swap, then re-attach onto the replacement with the
-      // same tuning (or the engine default under auto_reopt).
+      // it before the swap, then re-attach a running one (or, under
+      // auto_reopt, any) onto the replacement with the same tuning (or the
+      // engine default), with a fresh ledger.
       const bool reattach =
-          session.reoptimizer != nullptr || options_.auto_reopt;
+          (session.reoptimizer != nullptr && session.reoptimizer->running()) ||
+          options_.auto_reopt;
       session.reoptimizer.reset();
       session.cluster = std::make_unique<DynamicCluster>(scenario, configure);
       if (reattach) {
@@ -565,10 +580,13 @@ std::string Engine::apply(Session& session, const Request& request) {
             .str();
       }
       case Verb::kReoptStop: {
+        // The stopped optimizer stays attached, so REOPT_STATS and STATS
+        // keep reporting its run until REOPT_START or CONFIGURE replaces
+        // it with a fresh ledger.
         std::uint64_t applied = 0;
         if (session.reoptimizer) {
+          session.reoptimizer->stop();  // joins
           applied = session.reoptimizer->stats().moves_applied;
-          session.reoptimizer.reset();  // stops + joins
         }
         session.reopt_options.reset();
         return OkLine()

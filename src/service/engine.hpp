@@ -101,11 +101,14 @@ struct EngineOptions {
   opt::ReoptOptions reopt;
 };
 
-/// Throws std::invalid_argument unless options.max_batch >= 1 and
-/// options.default_timeout_ms is finite and in (0, kMaxTimeoutMs]. A zero
+/// Throws std::invalid_argument unless options.max_batch >= 1,
+/// options.default_timeout_ms is finite and in (0, kMaxTimeoutMs], and
+/// options.reopt passes reopt_window_ok() and reopt_interval_ok(). A zero
 /// batch would drain nothing and leave every session claimed; a deadline
 /// outside that range expires every request at once or overflows the
-/// deadline arithmetic. The Engine constructor runs it.
+/// deadline arithmetic, and so would a tiny budget window or a huge pass
+/// interval in the optimizer's clock arithmetic. The Engine constructor
+/// runs it.
 void validate_engine_options(const EngineOptions& options);
 
 /// Aggregate counters across a shard's (or the engine's) lifetime.
@@ -295,13 +298,15 @@ class Engine {
     Mutex cluster_mutex;
     std::unique_ptr<DynamicCluster> cluster TACC_GUARDED_BY(cluster_mutex)
         TACC_PT_GUARDED_BY(cluster_mutex);
-    // Per-session optimizer attach/detach (REOPT_START/REOPT_STOP or
-    // EngineOptions::auto_reopt). The pointer itself is only touched by the
-    // drainer under cluster_mutex. Declared after `cluster`: destroyed
-    // first, so the optimizer thread joins before the cluster it scans dies.
+    // Per-session optimizer (REOPT_START or EngineOptions::auto_reopt). A
+    // REOPT_STOP stops its thread but keeps it, so its ledger stays
+    // readable; REOPT_START and CONFIGURE replace it with a fresh one. The
+    // pointer itself is only touched by the drainer under cluster_mutex.
+    // Declared after `cluster`: destroyed first, so the optimizer thread
+    // joins before the cluster it scans dies.
     std::unique_ptr<opt::Reoptimizer> reoptimizer
         TACC_GUARDED_BY(cluster_mutex);
-    // Options used at the last attach, so CONFIGURE can re-attach a live
+    // Options used at the last attach, so CONFIGURE can re-attach a running
     // optimizer onto the replacement cluster with the same tuning.
     std::optional<opt::ReoptOptions> reopt_options
         TACC_GUARDED_BY(cluster_mutex);

@@ -93,6 +93,22 @@ bool timeout_option(Request& request, std::string_view value, std::string&) {
   return true;
 }
 
+/// window_s=: positive here (0 is the engine default, not a wire value).
+bool window_option(Request& request, std::string_view value, std::string&) {
+  const auto v = parse_number<double>(value);
+  if (!v || *v <= 0.0 || !reopt_window_ok(*v)) return false;
+  request.reopt_window_s = *v;
+  return true;
+}
+
+bool interval_option(Request& request, std::string_view value,
+                     std::string&) {
+  const auto v = parse_number<double>(value);
+  if (!v || !reopt_interval_ok(*v)) return false;
+  request.reopt_interval_ms = *v;
+  return true;
+}
+
 bool seed_option(Request& request, std::string_view value, std::string&) {
   const auto v = parse_number<std::size_t>(value);
   if (v) request.seed = *v;
@@ -162,8 +178,8 @@ constexpr OptionKey kOptionKeys[] = {
     {"shards", kShards, &set_field<&Request::per_shard>},
     {"moves", kMoves, &set_field<&Request::reopt_moves>},
     {"device_moves", kDeviceMoves, &set_field<&Request::reopt_device_moves>},
-    {"window_s", kWindow, &set_field<&Request::reopt_window_s>},
-    {"interval_ms", kInterval, &set_field<&Request::reopt_interval_ms>},
+    {"window_s", kWindow, &window_option},
+    {"interval_ms", kInterval, &interval_option},
 };
 
 // ---- Verb table: the wire grammar ------------------------------------------

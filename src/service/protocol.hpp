@@ -26,8 +26,11 @@
 //               [interval_ms=T]          (attach + start the background
 //                                         re-optimizer; omitted knobs use
 //                                         the daemon's --reopt-* defaults)
-//   REOPT_STOP  <session>                (stop + detach; idempotent)
-//   REOPT_STATS <session>                (live optimizer ledger)
+//   REOPT_STOP  <session>                (stop; idempotent; the ledger
+//                                         stays readable until the next
+//                                         REOPT_START or CONFIGURE)
+//   REOPT_STATS <session>                (optimizer ledger, running=0
+//                                         after REOPT_STOP)
 //   ORACLE_STATS <session>               (delay-oracle counters: rows,
 //                                         epoch, queries, row fills (always
 //                                         0), bytes resident)
@@ -60,6 +63,23 @@ namespace tacc::service {
 /// an Engine::Clock::duration. Bounds timeout_ms= on the wire and
 /// EngineOptions::default_timeout_ms.
 inline constexpr double kMaxTimeoutMs = 86'400'000.0;
+
+/// The shortest positive re-optimizer budget window (s). BudgetLedger
+/// numbers windows floor(now_s / window_s) as a uint64, which a shorter
+/// window can overflow.
+inline constexpr double kMinReoptWindowS = 1e-3;
+
+/// The re-optimizer timing check shared by REOPT_START's options and
+/// EngineOptions::reopt: a budget window of at least kMinReoptWindowS, or
+/// <= 0 for the one infinite window, and a pause between passes in
+/// (0, kMaxTimeoutMs], which the pass loop's nanosecond wait can hold.
+/// NaN fails both.
+[[nodiscard]] constexpr bool reopt_window_ok(double window_s) noexcept {
+  return window_s <= 0.0 || window_s >= kMinReoptWindowS;
+}
+[[nodiscard]] constexpr bool reopt_interval_ok(double interval_ms) noexcept {
+  return interval_ms > 0.0 && interval_ms <= kMaxTimeoutMs;
+}
 
 enum class Verb {
   kConfigure,

@@ -22,8 +22,6 @@ void IncrementalDelayEngine::build_trees() {
     trees_[j] = DynamicSsspTree(graph, router_count_, net_->edge_nodes[j]);
   });
   in_dirty_.resize(std::max(in_dirty_.size(), graph.node_count()), 0);
-  in_reclassified_.resize(
-      std::max(in_reclassified_.size(), graph.node_count()), 0);
   prior_ms_.assign(router_count_, kUnreachable);
   prior_stamp_.assign(router_count_, 0);
   self_keyed_at_.resize(router_count_);
@@ -66,15 +64,6 @@ void IncrementalDelayEngine::mark_dirty(NodeId node) {
   dirty_.push_back(node);
 }
 
-void IncrementalDelayEngine::mark_reclassified(NodeId node) {
-  if (node >= in_reclassified_.size()) {
-    in_reclassified_.resize(net_->graph.node_count(), 0);
-  }
-  if (in_reclassified_[node] != 0) return;
-  in_reclassified_[node] = 1;
-  reclassified_.push_back(node);
-}
-
 void IncrementalDelayEngine::list_self_keyed(NodeId host) {
   if (!self_keyed(host)) return;
   for (const Adjacency& adj : net_->graph.neighbors(host)) {
@@ -90,11 +79,8 @@ void IncrementalDelayEngine::snapshot_hosts(NodeId u, NodeId v) {
     const NodeId node = ends[k];
     if (is_router(node) || node >= net_->graph.node_count()) continue;
     snapshot.node = node;
-    snapshot.through = read_through(node);
-    snapshot.row.resize(trees_.size());
-    delay_row(node, snapshot.row);
     snapshot.listed_at.clear();
-    if (snapshot.through.node != node) continue;
+    if (!self_keyed(node)) continue;
     for (const Adjacency& adj : net_->graph.neighbors(node)) {
       if (is_router(adj.to)) snapshot.listed_at.push_back(adj.to);
     }
@@ -171,26 +157,11 @@ void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
     affected += update.nodes_affected;
     mark_changes_dirty(tree);
   }
-  // A host endpoint's own delay may move with its link, and so may what it
-  // reads through. Only a self-keyed host has a key of its own to dirty; a
-  // single-homed one now reads through a new anchor or latency, which
-  // reclassifies it.
+  // A host endpoint's own delay moves with its link, and so may what it
+  // reads through, but no other node's delay does: the owner of its row
+  // rebinds it. Only the self-keyed host lists follow the link.
   for (const HostSnapshot& snapshot : snapshots_) {
-    if (snapshot.node == kInvalidNode) continue;
-    relist_host(snapshot);
-    const ReadThrough through = read_through(snapshot.node);
-    if (through.node == snapshot.node) {
-      row_scratch_.resize(trees_.size());
-      delay_row(snapshot.node, row_scratch_);
-      if (!std::equal(row_scratch_.begin(), row_scratch_.end(),
-                      snapshot.row.begin())) {
-        mark_dirty(snapshot.node);
-      }
-    }
-    if (through.node != snapshot.through.node ||
-        through.latency_ms != snapshot.through.latency_ms) {
-      mark_reclassified(snapshot.node);
-    }
+    if (snapshot.node != kInvalidNode) relist_host(snapshot);
   }
   ++stats_.epoch;
   stats_.nodes_affected += affected;
@@ -260,21 +231,11 @@ std::size_t IncrementalDelayEngine::drain_dirty(std::vector<NodeId>& out) {
   return count;
 }
 
-std::size_t IncrementalDelayEngine::drain_reclassified(
-    std::vector<NodeId>& out) {
-  const std::size_t count = reclassified_.size();
-  for (const NodeId node : reclassified_) in_reclassified_[node] = 0;
-  out.insert(out.end(), reclassified_.begin(), reclassified_.end());
-  reclassified_.clear();
-  return count;
-}
-
 void IncrementalDelayEngine::rebuild() {
   build_trees();
   ++stats_.epoch;
   for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
     mark_dirty(node);
-    mark_reclassified(node);
   }
 }
 
@@ -293,14 +254,6 @@ void IncrementalDelayEngine::check_invariants(
   for (const NodeId node : dirty_) {
     TACC_CHECK_INVARIANT(is_dirty(node),
                          "dirty node not flagged in the bitmap");
-  }
-  std::size_t listed = 0;
-  for (const std::uint8_t flag : in_reclassified_) listed += flag != 0 ? 1 : 0;
-  TACC_CHECK_INVARIANT(listed == reclassified_.size(),
-                       "reclassified list and bitmap disagree");
-  for (const NodeId node : reclassified_) {
-    TACC_CHECK_INVARIANT(is_reclassified(node),
-                         "reclassified node not flagged in the bitmap");
   }
 
   // Each router lists exactly the self-keyed hosts linked to it, once per
@@ -353,18 +306,16 @@ void IncrementalDelayEngine::check_invariants(
 
 std::size_t IncrementalDelayEngine::scratch_bytes() const noexcept {
   std::size_t bytes =
-      (dirty_.capacity() + reclassified_.capacity()) * sizeof(NodeId) +
-      in_dirty_.capacity() + in_reclassified_.capacity() +
+      dirty_.capacity() * sizeof(NodeId) + in_dirty_.capacity() +
       changes_.capacity() * sizeof(DistanceChange) +
-      (prior_ms_.capacity() + row_scratch_.capacity()) * sizeof(double) +
+      prior_ms_.capacity() * sizeof(double) +
       prior_stamp_.capacity() * sizeof(std::uint64_t) +
       self_keyed_at_.capacity() * sizeof(std::vector<NodeId>);
   for (const std::vector<NodeId>& hosts : self_keyed_at_) {
     bytes += hosts.capacity() * sizeof(NodeId);
   }
   for (const HostSnapshot& snapshot : snapshots_) {
-    bytes += snapshot.row.capacity() * sizeof(double) +
-             snapshot.listed_at.capacity() * sizeof(NodeId);
+    bytes += snapshot.listed_at.capacity() * sizeof(NodeId);
   }
   for (const DynamicSsspTree& tree : trees_) bytes += tree.scratch_bytes();
   return bytes;

@@ -4,11 +4,11 @@
 // The engine owns the mutation path: callers fail/restore/reweight backbone
 // links and attach/detach device nodes through it, and it forwards each
 // change to every server tree (cost O(affected region) per tree, not a full
-// recompute). Nodes whose server distances changed accumulate in a dirty set
-// that the delay oracle (topology/oracle/) drains to refresh exactly the
-// rows that moved. Distances read through delay_ms()/delay_row() are
-// bit-identical to a from-scratch compute_delay_matrix() at every epoch (see
-// dynamic_sssp.hpp).
+// recompute). Keys whose server distances a repair moved accumulate in a
+// dirty set that the delay oracle (topology/oracle/) drains to refresh
+// exactly the rows that moved. Distances read through delay_ms()/delay_row()
+// are bit-identical to a from-scratch compute_delay_matrix() at every epoch
+// (see dynamic_sssp.hpp).
 //
 // Hosts never relay. The paper's delay graph has devices at its leaves and
 // relay nodes (routers) inside it, so the engine's trees hold routers only
@@ -23,12 +23,20 @@
 //
 // The dirty set holds moved keys: the routers a repair moved, and the hosts
 // that read through themselves (servers, multi-homed and isolated devices)
-// whose delay moved. Each router keeps the list of such hosts linked to it,
-// so a repair compares those hosts only and never visits a single-homed
-// device: a link event costs O(moved keys x servers) however many devices
-// hang off the moved routers. A single-homed device's served delay moves
-// with its anchor's key row; a consumer that keys rows by read_through()
-// (the delay oracle) learns of it through the key.
+// linked to one of them whose delay moved. Each router keeps the list of
+// such hosts linked to it, so a repair compares those hosts only and never
+// visits a single-homed device: a link event costs O(moved keys x servers)
+// however many devices hang off the moved routers. A single-homed device's
+// served delay moves with its anchor's key row; a consumer that keys rows
+// by read_through() (the delay oracle) learns of it through the key.
+//
+// A host's own links are its owner's business: adding, removing or
+// reweighting a link of a host moves that host's delay (and may change what
+// it reads through) without dirtying anything, since no other node's delay
+// moves with it. Whoever changes a host's links rebinds that host's delay
+// row afterwards (DelayOracle::bind_row), as DynamicCluster does on every
+// join, move and leave. A server's access link still repairs the server's
+// own tree, and the routers that repair moves are dirtied as usual.
 #pragma once
 
 #include <array>
@@ -114,9 +122,10 @@ class IncrementalDelayEngine {
   void release_node(NodeId node);
 
   // ---- Dirty set -----------------------------------------------------------
-  /// Keys whose distance to some server changed since the last drain:
-  /// routers, and hosts that read through themselves. A single-homed device
-  /// is never dirty; its anchor router is.
+  /// Keys a tree repair moved since the last drain: routers, and hosts that
+  /// read through themselves and are linked to a moved router. A
+  /// single-homed device is never dirty; its anchor router is. A host whose
+  /// own link changed is not dirtied for it (see the preamble).
   [[nodiscard]] std::size_t dirty_count() const noexcept {
     return dirty_.size();
   }
@@ -128,22 +137,6 @@ class IncrementalDelayEngine {
   /// rows are excused by a pending invalidation.
   [[nodiscard]] bool is_dirty(NodeId node) const noexcept {
     return node < in_dirty_.size() && in_dirty_[node] != 0;
-  }
-
-  /// Appends the nodes whose read_through() changed since the last drain,
-  /// clears the list and returns the count: a device that gained its first
-  /// or a second access link, lost one, or had its only one reweighted;
-  /// rebuild() reports every node. Their served delay may have moved
-  /// without any key moving, so a row store keyed by read_through()
-  /// re-resolves them. Each node appears once, so an undrained list holds
-  /// at most one entry per node. Backbone links never reclassify anything.
-  std::size_t drain_reclassified(std::vector<NodeId>& out);
-  [[nodiscard]] std::size_t reclassified_count() const noexcept {
-    return reclassified_.size();
-  }
-  /// True iff `node` is waiting in the reclassified list.
-  [[nodiscard]] bool is_reclassified(NodeId node) const noexcept {
-    return node < in_reclassified_.size() && in_reclassified_[node] != 0;
   }
 
   /// Deep validation, reported through the contracts failure handler:
@@ -158,29 +151,28 @@ class IncrementalDelayEngine {
   ///    from-scratch no-relay Dijkstra on the live graph — the
   ///    Ramalingam–Reps-style repair must be indistinguishable from a full
   ///    recompute.
-  /// Cold path (each spot check is one Dijkstra); for tests and sampled
-  /// bench epochs.
+  /// A host whose own link changed is nobody's pending notification here:
+  /// its row's owner rebinds it, and DelayOracle::check_invariants catches
+  /// a forgotten rebind. Cold path (each spot check is one Dijkstra); for
+  /// tests and sampled bench epochs.
   void check_invariants(std::size_t spot_check_trees = 1) const;
 
-  /// From-scratch reconstruction of every tree (and dirties and
-  /// reclassifies every node). Recovery hatch for out-of-band topology
-  /// edits; also used by tests.
+  /// From-scratch reconstruction of every tree (and dirties every node).
+  /// Recovery hatch for out-of-band topology edits, followed by
+  /// DelayOracle::refresh_all(); also used by tests.
   void rebuild();
 
-  /// Scratch bytes across all trees plus the dirty set, the reclassified
-  /// list, the per-router change bookkeeping and self-keyed host lists and
-  /// the per-update change log — the bench's flat-memory gate watches this
-  /// across 100k+ events.
+  /// Scratch bytes across all trees plus the dirty set, the per-router
+  /// change bookkeeping and self-keyed host lists and the per-update change
+  /// log — the bench's flat-memory gate watches this across 100k+ events.
   [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
  private:
-  /// A host endpoint of the link about to change, as it read before.
+  /// A host endpoint of the link about to change: the routers whose
+  /// self-keyed host lists held it before (empty unless it read through
+  /// itself), one entry per access link.
   struct HostSnapshot {
     NodeId node = kInvalidNode;
-    ReadThrough through;
-    std::vector<double> row;  ///< delay_row() before the mutation
-    /// The routers whose self-keyed host lists held it (empty unless it
-    /// read through itself), one entry per access link.
     std::vector<NodeId> listed_at;
   };
 
@@ -195,8 +187,8 @@ class IncrementalDelayEngine {
   }
   /// Lists `host` at every router it links to, if it reads through itself.
   void list_self_keyed(NodeId host);
-  /// Records how the host endpoints of u–v read, before a mutation. Changes
-  /// nothing, so a mutation that throws leaves the engine as it was.
+  /// Records where the host endpoints of u–v are listed, before a mutation.
+  /// Changes nothing, so a mutation that throws leaves the engine as it was.
   void snapshot_hosts(NodeId u, NodeId v);
   /// Moves a host endpoint between self-keyed host lists: off the routers
   /// it was listed at before the mutation, onto those it links to now if
@@ -206,12 +198,11 @@ class IncrementalDelayEngine {
   /// whose delay in `tree` moved.
   void mark_changes_dirty(const DynamicSsspTree& tree);
   void mark_dirty(NodeId node);
-  void mark_reclassified(NodeId node);
   /// Applies one already-performed graph mutation, after snapshot_hosts():
   /// a backbone link repairs every tree, a server's access link its own
   /// tree, any other link none; then the changed routers and the self-keyed
-  /// hosts whose delay moved are dirtied, and host endpoints that read
-  /// through a new node or latency are reclassified. kind: 0 added, 1 removed,
+  /// hosts linked to them whose delay moved are dirtied, and the host
+  /// endpoints are relisted. kind: 0 added, 1 removed,
   /// 2 reweighted; old_ms/new_ms are the link latency before/after
   /// (kUnreachable when absent).
   void apply_mutation(int kind, NodeId u, NodeId v, double old_ms,
@@ -225,8 +216,6 @@ class IncrementalDelayEngine {
 
   std::vector<NodeId> dirty_;
   std::vector<std::uint8_t> in_dirty_;  ///< per node: already in dirty_?
-  std::vector<NodeId> reclassified_;
-  std::vector<std::uint8_t> in_reclassified_;  ///< per node: listed?
   std::vector<DistanceChange> changes_;  ///< one tree's change log
   /// Per router: its distance before the update stamped in prior_stamp_.
   std::vector<double> prior_ms_;
@@ -237,7 +226,6 @@ class IncrementalDelayEngine {
   /// single-homed device).
   std::vector<std::vector<NodeId>> self_keyed_at_;
   std::array<HostSnapshot, 2> snapshots_;  ///< the endpoints u, v
-  std::vector<double> row_scratch_;        ///< a host's delay row after
 };
 
 }  // namespace tacc::topo::incr

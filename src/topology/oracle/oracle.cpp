@@ -85,14 +85,8 @@ void DelayOracle::bind_row(std::size_t row, NodeId node) {
     row_offset_.resize(row + 1, 0);
     row_latency_.resize(row + 1, 0.0);
   }
-  if (node >= node_to_row_.size()) node_to_row_.resize(node + 1, kUnbound);
-  if (nodes_[row] != kInvalidNode) {
-    node_to_row_[nodes_[row]] = kUnbound;
-  } else {
-    ++bound_;
-  }
+  if (nodes_[row] == kInvalidNode) ++bound_;
   nodes_[row] = node;
-  node_to_row_[node] = row;
   resolve_row(row);
   Key& key = keys_[row_key_[row]];
   if (key.pass == 0) {  // a fresh key: its first fill
@@ -117,47 +111,27 @@ void DelayOracle::bind_row(std::size_t row, NodeId node) {
 
 void DelayOracle::unbind_row(std::size_t row) {
   if (row >= nodes_.size() || nodes_[row] == kInvalidNode) return;
-  node_to_row_[nodes_[row]] = kUnbound;
   nodes_[row] = kInvalidNode;
   --bound_;
   release_key(row_key_[row]);
   row_key_[row] = kNoKey;
 }
 
-std::size_t DelayOracle::drain() {
+void DelayOracle::drain() {
   drain_scratch_.clear();
-  const std::size_t dirty = engine_->drain_dirty(drain_scratch_);
-  engine_->drain_reclassified(drain_scratch_);
-  return dirty;
+  engine_->drain_dirty(drain_scratch_);
 }
 
 std::size_t DelayOracle::refresh() {
-  const std::size_t dirty = drain();
-  const std::span<const NodeId> drained(drain_scratch_);
-  const std::span<const NodeId> reclassified = drained.subspan(dirty);
-  const std::uint64_t epoch = engine_->epoch();
+  drain();
   moved_keys_.clear();
   ++pass_;
-  // Re-resolve first, so a key released here is never listed as moved.
-  for (const NodeId node : reclassified) {
-    const std::size_t row = row_of(node);
-    if (row == kUnbound) continue;
-    resolve_row(row);
-    // A key row created here is filled now; an existing one is current, or
-    // its node is dirty and it is rewritten below.
-    if (keys_[row_key_[row]].pass == 0) fill_key(row_key_[row]);
-    epochs_[row] = epoch;
-  }
   std::size_t refreshed = 0;
-  for (const NodeId node : drained.first(dirty)) {
+  for (const NodeId node : drain_scratch_) {
     if (node >= key_of_node_.size() || key_of_node_[node] == kNoKey) continue;
     const std::uint32_t key = key_of_node_[node];
     move_key(key);
     refreshed += keys_[key].refs;
-  }
-  for (const NodeId node : reclassified) {
-    const std::size_t row = row_of(node);
-    if (row != kUnbound && keys_[row_key_[row]].moved != pass_) ++refreshed;
   }
   rows_refreshed_ += refreshed;
   rows_saved_ += bound_ > refreshed ? bound_ - refreshed : 0;
@@ -215,7 +189,6 @@ std::size_t DelayOracle::resident_bytes() const noexcept {
          (nodes_.capacity() + drain_scratch_.capacity()) * sizeof(NodeId) +
          row_offset_.capacity() * sizeof(std::size_t) +
          epochs_.capacity() * sizeof(std::uint64_t) +
-         node_to_row_.capacity() * sizeof(std::size_t) +
          (row_key_.capacity() + key_of_node_.capacity() +
           free_keys_.capacity() + moved_keys_.capacity()) *
              sizeof(std::uint32_t) +
@@ -246,10 +219,6 @@ void DelayOracle::check_invariants() const {
       continue;
     }
     ++bound_seen;
-    TACC_CHECK_INVARIANT(node < node_to_row_.size() &&
-                             node_to_row_[node] == row,
-                         "bound row missing from the node->row index: " +
-                             where);
     const std::uint32_t key = row_key_[row];
     TACC_CHECK_INVARIANT(key < keys_.size() && keys_[key].refs != 0,
                          "bound row reads through no live key: " + where);
@@ -259,15 +228,6 @@ void DelayOracle::check_invariants() const {
   }
   TACC_CHECK_INVARIANT(bound_seen == bound_,
                        "bound-row count out of sync with bindings");
-  for (std::size_t node = 0; node < node_to_row_.size(); ++node) {
-    const std::size_t row = node_to_row_[node];
-    if (row == kUnbound) continue;
-    TACC_CHECK_INVARIANT(row < nodes_.size() &&
-                             nodes_[row] == static_cast<NodeId>(node),
-                         "node->row index points at a row bound elsewhere: "
-                         "node " +
-                             std::to_string(node));
-  }
 
   std::size_t free_seen = 0;
   for (std::size_t key = 0; key < keys_.size(); ++key) {
@@ -309,12 +269,16 @@ void DelayOracle::check_invariants() const {
   for (std::size_t row = 0; row < nodes_.size(); ++row) {
     const NodeId node = nodes_[row];
     // Values that drifted from the engine's trees are only acceptable while
-    // the key is queued for the next refresh(), or the node for a
-    // re-resolve.
-    if (node == kInvalidNode || engine_->is_reclassified(node) ||
-        engine_->is_dirty(row_key(row))) {
-      continue;
-    }
+    // the key is queued for the next refresh(); a node whose own links
+    // changed must have been rebound.
+    if (node == kInvalidNode || engine_->is_dirty(row_key(row))) continue;
+    const incr::ReadThrough through = engine_->read_through(node);
+    TACC_CHECK_INVARIANT(
+        row_key(row) == through.node &&
+            std::bit_cast<std::uint64_t>(row_latency_[row]) ==
+                std::bit_cast<std::uint64_t>(through.latency_ms),
+        "row not rebound after its node's links changed: row " +
+            std::to_string(row));
     for (std::size_t j = 0; j < width_; ++j) {
       TACC_CHECK_INVARIANT(
           std::bit_cast<std::uint64_t>(value(row, j)) ==

@@ -17,8 +17,12 @@
 // key_row[j] + latency — the same double addition the engine serves a
 // single-homed device with, so values stay bit-identical while a link event
 // rewrites one row per moved key and touches no device's record at all.
-// refresh() also drains the engine's reclassified nodes and re-resolves
-// their keys.
+//
+// One owner per binding: what a row reads through changes only when its
+// node's own links change, and whoever changes them rebinds the row
+// (bind_row) right after, as DynamicCluster does on every join, move and
+// leave. The engine reports no such change, so refresh() follows key moves
+// only, and check_invariants() catches a forgotten rebind.
 //
 // Epochs: a bound row's epoch is the later of its bind epoch and its key
 // row's fill epoch. A served value never changes without its row's epoch
@@ -27,8 +31,8 @@
 // as a staleness signal only).
 //
 // Row contract: rows are bound to graph nodes, carry an epoch as above,
-// refresh() drains the pending invalidations (the engine's dirty set and
-// its reclassified nodes), and fingerprint() digests the epoch, the
+// refresh() drains the pending invalidations (the engine's dirty set), and
+// fingerprint() digests the epoch, the
 // bindings and every served value. row() returns a reference that lasts
 // until the next row() call on the same oracle: rows are materialized into
 // one scratch row.
@@ -110,19 +114,17 @@ class DelayOracle {
   }
 
   // ---- Epochs / invalidation ----------------------------------------------
-  /// Drains the engine's dirty set and reclassified nodes. Re-resolves the
-  /// bound rows of the reclassified nodes and stamps them with the engine
-  /// epoch, then rewrites the key rows of the dirty nodes (nodes without a
-  /// key row are skipped) and lists them as moved_keys(). No other row's
-  /// record is touched: a row reading a moved key takes its epoch from the
-  /// key. Returns the number of bound rows whose served delays may have
-  /// moved — the sum of the moved keys' refcounts, plus re-resolved rows on
-  /// an unmoved key — and counts them into rows_refreshed/rows_saved.
+  /// Drains the engine's dirty set and rewrites the key rows of the dirty
+  /// nodes (nodes without a key row are skipped), listing them as
+  /// moved_keys(). No row's record is touched: a row reading a moved key
+  /// takes its epoch from the key. Returns the number of bound rows whose
+  /// served delays may have moved — the sum of the moved keys' refcounts —
+  /// and counts them into rows_refreshed/rows_saved.
   std::size_t refresh();
   /// The key slots the last refresh() rewrote, each once (refresh_all()
-  /// lists every live key). A bound row reading another key, and not
-  /// reclassified, serves what it served before the refresh. Valid until
-  /// the next refresh() or refresh_all().
+  /// lists every live key). A bound row reading another key serves what it
+  /// served before the refresh. Valid until the next refresh() or
+  /// refresh_all().
   [[nodiscard]] std::span<const std::uint32_t> moved_keys() const noexcept {
     return moved_keys_;
   }
@@ -131,8 +133,7 @@ class DelayOracle {
   /// recovery hatch after an engine rebuild()).
   void refresh_all();
   [[nodiscard]] std::uint64_t epoch() const { return engine_->epoch(); }
-  /// The later of bound `row`'s bind epoch (bind, or a re-resolve in
-  /// refresh()) and its key row's fill epoch.
+  /// The later of bound `row`'s bind epoch and its key row's fill epoch.
   [[nodiscard]] std::uint64_t row_epoch(std::size_t row) const {
     TACC_REQUIRE(row < nodes_.size() && nodes_[row] != kInvalidNode,
                  "reading the epoch of an unbound oracle row");
@@ -186,21 +187,21 @@ class DelayOracle {
   [[nodiscard]] DelayMatrix materialize() const;
   /// Deep validation via the contracts failure handler; cold path.
   /// Structure: per-row arrays stay parallel, bound_count matches the
-  /// bindings, node->row is the exact inverse of row->node, no row or key
-  /// row is stamped past the engine epoch, every bound row reads through a
-  /// live key, each key's refcount equals the rows reading through it, no
-  /// key row is left without one, and node->key is the inverse of
-  /// key->node. Dirty-set soundness: a bound row whose values differ
-  /// bitwise from the engine's delay_ms() must have its key in the engine's
-  /// dirty set or its node in the reclassified list (a refresh() would
-  /// rewrite or re-resolve it) — otherwise the oracle serves stale delays
-  /// it believes are current.
+  /// bindings, no row or key row is stamped past the engine epoch, every
+  /// bound row reads through a live key, each key's refcount equals the
+  /// rows reading through it, no key row is left without one, and
+  /// node->key is the inverse of key->node. Soundness: a bound row whose
+  /// values differ bitwise from the engine's delay_ms() must have its key
+  /// in the engine's dirty set (a refresh() would rewrite it) — otherwise
+  /// the oracle serves stale delays it believes are current, as it does
+  /// after a node's own link changed and its row was not rebound. Outside
+  /// that excuse each bound row also reads through its node's current key
+  /// and latency, so a forgotten rebind shows even where the values agree.
   void check_invariants() const;
 
  private:
   friend struct DelayOracleTestPeer;  ///< corruption hook for invariant tests
 
-  static constexpr std::size_t kUnbound = static_cast<std::size_t>(-1);
   static constexpr std::uint32_t kNoKey = static_cast<std::uint32_t>(-1);
   /// A shared row: `node`'s values, read by `refs` bound rows.
   struct Key {
@@ -216,9 +217,6 @@ class DelayOracle {
   [[nodiscard]] double value(std::size_t row, std::size_t column) const {
     return key_values_[row_offset_[row] + column] + row_latency_[row];
   }
-  [[nodiscard]] std::size_t row_of(NodeId node) const noexcept {
-    return node < node_to_row_.size() ? node_to_row_[node] : kUnbound;
-  }
   /// Points bound `row` at its node's current key and latency.
   void resolve_row(std::size_t row);
   std::uint32_t acquire_key(NodeId node);
@@ -227,15 +225,13 @@ class DelayOracle {
   void fill_key(std::uint32_t key);
   /// Fills `key` (once per pass) and lists it in moved_keys().
   void move_key(std::uint32_t key);
-  /// Drains the engine's dirty set, then its reclassified nodes, into
-  /// drain_scratch_; returns the dirty count.
-  std::size_t drain();
+  /// Drains the engine's dirty set into drain_scratch_.
+  void drain();
 
   incr::IncrementalDelayEngine* engine_;
   std::size_t width_;                     ///< values per row: the servers
   std::vector<NodeId> nodes_;             ///< per row; kInvalidNode if unbound
   std::vector<std::uint64_t> epochs_;     ///< per row: bind epoch
-  std::vector<std::size_t> node_to_row_;  ///< per node; kUnbound if none
   std::size_t bound_ = 0;
   // Per row, the key it reads through and the latency added to it.
   std::vector<std::uint32_t> row_key_;  ///< kNoKey if unbound

@@ -58,16 +58,17 @@ struct DynamicClusterTestPeer {
   static std::vector<std::size_t>& free_slots(DynamicCluster& cluster) {
     return cluster.free_slots_;
   }
-  static std::size_t pending_reclassified(const DynamicCluster& cluster) {
-    return cluster.engine_.reclassified_count();
+  static std::size_t pending_dirty(const DynamicCluster& cluster) {
+    return cluster.engine_.dirty_count();
   }
-  /// Moves one slot's latency term by `delta` fixed-point units; with
-  /// `keep_sum` the running sum moves along, so the bookkeeping still adds
-  /// up and only the comparison against the served row can tell.
-  static void shift_delay_term(DynamicCluster& cluster, std::size_t slot,
-                               std::int64_t delta, bool keep_sum) {
-    cluster.latency_terms_[slot] += delta;
-    if (keep_sum) cluster.objective_.sum += delta;
+  /// Moves the stored objective sum of the key `slot` reads through by
+  /// `delta` fixed-point units; with `keep_total` the running total moves
+  /// along, so the bookkeeping still adds up and only the recount from the
+  /// served rows can tell.
+  static void shift_key_sum(DynamicCluster& cluster, std::size_t slot,
+                            std::int64_t delta, bool keep_total) {
+    cluster.key_terms_[cluster.oracle_.row_key_slot(slot)].sum += delta;
+    if (keep_total) cluster.objective_.sum += delta;
   }
 };
 
@@ -257,20 +258,19 @@ TEST_F(InvariantsTest, CacheCatchesUnexcusedStaleRow) {
   topo::incr::IncrementalDelayEngine engine(net);
   topo::oracle::DelayOracle cache(engine);
   cache.bind_row(0, net.iot_nodes[0]);
-  // Move device 0's distances through the engine, then throw away the
-  // notifications (the device reads through a new latency, so it is
-  // reclassified) instead of refreshing: the cache now serves stale delays
-  // it believes are current.
+  // Reweight device 0's only access link through the engine and forget to
+  // rebind its row: the device reads through a new latency, and no key
+  // moved, so nothing is pending and the cache serves stale delays it
+  // believes are current.
   const topo::NodeId device = net.iot_nodes[0];
   const topo::NodeId router = net.graph.neighbors(device)[0].to;
   const double old_ms = net.graph.neighbors(device)[0].props.latency_ms;
   engine.set_link_latency(device, router, old_ms * 3.0);
-  // Pending, the reclassification excuses the stale row.
-  EXPECT_NO_THROW(cache.check_invariants());
-  std::vector<topo::NodeId> discarded;
-  engine.drain_dirty(discarded);
-  engine.drain_reclassified(discarded);
+  EXPECT_EQ(engine.dirty_count(), 0u);
   EXPECT_THROW(cache.check_invariants(), ContractViolation);
+  // The owner of the link rebinds the row, and it is current again.
+  cache.bind_row(0, device);
+  EXPECT_NO_THROW(cache.check_invariants());
 }
 
 TEST_F(InvariantsTest, CacheCatchesEpochFromTheFuture) {
@@ -349,27 +349,27 @@ TEST_F(InvariantsTest, ClusterCatchesObjectiveDrift) {
   // A term the running sum does not reflect: avg_delay_ms() would drift
   // from the served delays.
   DynamicCluster drifted = make_cluster(47);
-  DynamicClusterTestPeer::shift_delay_term(drifted, 0, 1, false);
+  DynamicClusterTestPeer::shift_key_sum(drifted, 0, 1, false);
   EXPECT_THROW(drifted.check_invariants(), ContractViolation);
-  // A term and sum that agree with each other but not with the delay the
-  // oracle serves: only the independent reference catches it.
+  // A key sum and total that agree with each other but not with the rows
+  // the oracle serves: only the independent recount catches it.
   DynamicCluster consistent = make_cluster(47);
   EXPECT_NO_THROW(consistent.check_invariants());
-  DynamicClusterTestPeer::shift_delay_term(consistent, 0, 1, true);
+  DynamicClusterTestPeer::shift_key_sum(consistent, 0, 1, true);
   EXPECT_THROW(consistent.check_invariants(), ContractViolation);
 }
 
-// Device churn drains the engine's reclassified list as well as its dirty
-// set: a move binds the device's row itself, so nothing is left for the
-// next link update to re-resolve.
-TEST_F(InvariantsTest, DeviceChurnLeavesNoReclassifiedDevicePending) {
+// A device's own links move no key: a move rebinds the device's row
+// itself and leaves the engine's dirty set empty, so the next link update
+// refreshes only what it moves.
+TEST_F(InvariantsTest, DeviceChurnLeavesNoDirtyKeyPending) {
   DynamicCluster cluster = make_cluster(49);
   util::Rng rng(49);
   for (std::size_t move = 0; move < 200; ++move) {
     const std::size_t device = rng.index(cluster.device_slot_count());
     cluster.move(device, {rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)});
+    ASSERT_EQ(DynamicClusterTestPeer::pending_dirty(cluster), 0u);
   }
-  EXPECT_EQ(DynamicClusterTestPeer::pending_reclassified(cluster), 0u);
   EXPECT_NO_THROW(cluster.check_invariants());
 }
 

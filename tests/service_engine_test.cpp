@@ -161,10 +161,31 @@ TEST(Engine, ConstructionRejectsZeroBatchAndUnusableDeadlines) {
     options.default_timeout_ms = timeout_ms;
     EXPECT_THROW(Engine{options}, std::invalid_argument) << timeout_ms;
   }
+  for (const double window_s :
+       {1e-300, 0.0009, std::numeric_limits<double>::quiet_NaN()}) {
+    EngineOptions options = small_options();
+    options.reopt.budget.window_s = window_s;
+    EXPECT_THROW(Engine{options}, std::invalid_argument) << window_s;
+  }
+  for (const double interval_ms :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), 1e300,
+        std::nextafter(kMaxTimeoutMs, 1e300)}) {
+    EngineOptions options = small_options();
+    options.reopt.interval_ms = interval_ms;
+    EXPECT_THROW(Engine{options}, std::invalid_argument) << interval_ms;
+  }
+  // A window <= 0 is the one infinite window.
+  for (const double window_s : {0.0, -3.0}) {
+    EngineOptions options = small_options();
+    options.reopt.budget.window_s = window_s;
+    EXPECT_NO_THROW(Engine{options}) << window_s;
+  }
   // The bounds themselves are usable.
   EngineOptions edge = small_options();
   edge.max_batch = 1;
   edge.default_timeout_ms = kMaxTimeoutMs;
+  edge.reopt.budget.window_s = kMinReoptWindowS;
+  edge.reopt.interval_ms = kMaxTimeoutMs;
   Engine engine(edge);
   EXPECT_EQ(call(engine, "CONFIGURE s 20 3 seed=1").rfind("OK", 0), 0u);
   EXPECT_EQ(call(engine, "JOIN s 1.0 1.0").rfind("OK", 0), 0u);
@@ -824,12 +845,43 @@ TEST(ReoptEngine, StartStatsStopLifecycle) {
   const std::string session_stats = call(engine, "STATS city");
   EXPECT_EQ(field_value(session_stats, "reopt_running"), 1u);
 
+  // Let the background thread run at least one pass before stopping it.
+  std::uint64_t passes = 0;
+  for (int attempt = 0; attempt < 1000 && passes == 0; ++attempt) {
+    passes = field_value(call(engine, "REOPT_STATS city"), "passes");
+    if (passes == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_GT(passes, 0u);
+
   const std::string stopped = call(engine, "REOPT_STOP city");
   ASSERT_EQ(stopped.rfind("OK", 0), 0u) << stopped;
   EXPECT_EQ(field_value(stopped, "running"), 0u);
-  EXPECT_EQ(field_value(call(engine, "REOPT_STATS city"), "running"), 0u);
-  // Idempotent: stopping a detached optimizer is still OK.
-  EXPECT_EQ(call(engine, "REOPT_STOP city").rfind("OK", 0), 0u);
+  // The stopped run's ledger stays readable, through both verbs.
+  const std::string after = call(engine, "REOPT_STATS city");
+  EXPECT_EQ(field_value(after, "running"), 0u);
+  EXPECT_GE(field_value(after, "passes"), passes);
+  EXPECT_EQ(field_value(after, "applied"),
+            field_value(stopped, "moves_applied"));
+  const std::string stopped_stats = call(engine, "STATS city");
+  EXPECT_EQ(field_value(stopped_stats, "reopt_running"), 0u);
+  EXPECT_EQ(field_value(stopped_stats, "reopt_passes"),
+            field_value(after, "passes"));
+  EXPECT_EQ(field_value(stopped_stats, "reopt_applied"),
+            field_value(stopped, "moves_applied"));
+  // Idempotent: stopping a stopped optimizer is still OK, and changes
+  // nothing.
+  const std::string again = call(engine, "REOPT_STOP city");
+  ASSERT_EQ(again.rfind("OK", 0), 0u) << again;
+  EXPECT_EQ(field_value(again, "moves_applied"),
+            field_value(stopped, "moves_applied"));
+  // CONFIGURE does not restart a stopped optimizer: the new cluster starts
+  // with no ledger.
+  ASSERT_EQ(call(engine, "CONFIGURE city 40 5 seed=9").rfind("OK", 0), 0u);
+  const std::string reconfigured = call(engine, "REOPT_STATS city");
+  EXPECT_EQ(field_value(reconfigured, "running"), 0u);
+  EXPECT_EQ(field_value(reconfigured, "passes"), 0u);
 
   engine.begin_shutdown();
   engine.drain();

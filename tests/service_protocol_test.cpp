@@ -258,6 +258,24 @@ TEST(Protocol, TimeoutIsFiniteAndAtMostOneDay) {
   EXPECT_DOUBLE_EQ(*day.timeout_ms, 86'400'000.0);
 }
 
+// A tiny budget window overflowed the optimizer's uint64 window index, and
+// a huge pass interval its nanosecond wait.
+TEST(Protocol, ReoptTimingIsBounded) {
+  for (const char* line :
+       {"REOPT_START s window_s=1e-300", "REOPT_START s window_s=0.0009"}) {
+    EXPECT_EQ(parse_error(line), "bad value for option 'window_s'") << line;
+  }
+  for (const char* line : {"REOPT_START s interval_ms=1e300",
+                           "REOPT_START s interval_ms=86400001"}) {
+    EXPECT_EQ(parse_error(line), "bad value for option 'interval_ms'")
+        << line;
+  }
+  const Request edge =
+      parse_ok("REOPT_START s window_s=0.001 interval_ms=86400000");
+  EXPECT_DOUBLE_EQ(edge.reopt_window_s, kMinReoptWindowS);
+  EXPECT_DOUBLE_EQ(edge.reopt_interval_ms, kMaxTimeoutMs);
+}
+
 // ---- Response formatting ---------------------------------------------------
 
 TEST(Protocol, ErrLineFormat) {

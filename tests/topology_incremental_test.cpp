@@ -213,9 +213,11 @@ std::vector<NodeId> changed_keys(const IncrementalDelayEngine& engine,
 
 // After every event of a mixed churn the drained dirty set must EQUAL the
 // set of keys whose delay to some server changed bitwise, as an
-// independent from-scratch fan-out sees it: routers and self-keyed hosts,
-// never a single-homed device, whose delay moves with its anchor's key or,
-// when its own access link changes, is reclassified instead.
+// independent from-scratch fan-out sees it — routers and self-keyed hosts,
+// never a single-homed device, whose delay moves with its anchor's key —
+// less the host whose own link the event changed. That host's delay is the
+// only one its link moves, and the engine reports it to no one: whoever
+// changed the link rebinds the host's row.
 TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 3);
   IncrementalDelayEngine engine(net);
@@ -231,10 +233,12 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
   std::vector<std::pair<NodeId, NodeId>> failed_access;
   std::vector<NodeId> attached;
   std::vector<std::size_t> kinds(9, 0);
-  std::size_t absorbed = 0;
 
-  // Drains the dirty set and compares it with the reference; returns it.
-  const auto drain_exact = [&](const std::string& what) {
+  // Drains the dirty set and compares it with the reference, less `host`,
+  // the host endpoint of the event's link (kInvalidNode for a backbone
+  // link). A host's own link moves no other node's delay, so it dirties
+  // nothing at all.
+  const auto drain_exact = [&](const std::string& what, NodeId host) {
     const auto after = reference(net);
     std::vector<NodeId> dirty;
     const std::size_t drained = engine.drain_dirty(dirty);
@@ -243,11 +247,15 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
     EXPECT_TRUE(std::adjacent_find(dirty.begin(), dirty.end()) ==
                 dirty.end())
         << what << ": duplicate dirty node";
-    EXPECT_EQ(dirty, changed_keys(engine, before, after)) << what;
+    std::vector<NodeId> keys = changed_keys(engine, before, after);
+    std::erase(keys, host);
+    EXPECT_EQ(dirty, keys) << what;
+    if (host != kInvalidNode) {
+      EXPECT_TRUE(dirty.empty()) << what << ": a host's own link dirtied";
+    }
     std::vector<NodeId> again;
     EXPECT_EQ(engine.drain_dirty(again), 0u) << what;
     before = after;
-    return dirty;
   };
 
   for (std::size_t event = 0; event < 600; ++event) {
@@ -257,13 +265,14 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
     const auto live = backbone_links(net);
     const NodeId device = net.iot_nodes[rng.index(net.iot_count())];
     const bool access_live = net.graph.degree(device) == 1;
-    bool absorbed_everywhere = false;
+    NodeId host = device;
     switch (kind) {
       case 0:  // backbone fail
         if (live.empty()) continue;
         failed_backbone.push_back(live[rng.index(live.size())]);
         engine.fail_link(failed_backbone.back().first,
                          failed_backbone.back().second);
+        host = kInvalidNode;
         break;
       case 1: {  // backbone restore
         if (failed_backbone.empty()) continue;
@@ -272,6 +281,7 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
                             failed_backbone[k].second);
         failed_backbone.erase(failed_backbone.begin() +
                               static_cast<std::ptrdiff_t>(k));
+        host = kInvalidNode;
         break;
       }
       case 2: {  // backbone reweight, half of them by one ulp: anchors
@@ -283,6 +293,7 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
                                 rng.uniform() < 0.5
                                     ? std::nextafter(w, kUnreachable)
                                     : w * rng.uniform(0.5, 2.0));
+        host = kInvalidNode;
         break;
       }
       case 3: {  // device attach
@@ -292,11 +303,13 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
                         kDelay.access_link(rng.uniform(0.1, 2.0)));
         EXPECT_TRUE(reads_through_anchor(engine, node)) << what;
         attached.push_back(node);
+        host = node;
         break;
       }
       case 4: {  // device detach
         if (attached.empty()) continue;
         const std::size_t k = rng.index(attached.size());
+        host = attached[k];
         engine.release_node(attached[k]);
         attached.erase(attached.begin() + static_cast<std::ptrdiff_t>(k));
         break;
@@ -312,6 +325,7 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
       case 6: {  // device access-link restore
         if (failed_access.empty()) continue;
         const std::size_t k = rng.index(failed_access.size());
+        host = failed_access[k].first;
         engine.restore_link(failed_access[k].first, failed_access[k].second);
         EXPECT_TRUE(reads_through_anchor(engine, failed_access[k].first))
             << what;
@@ -329,31 +343,19 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
       default: {  // device reweight by one ulp, often rounded away
         if (!access_live) continue;
         const Adjacency link = net.graph.neighbors(device).front();
-        const double w = link.props.latency_ms;
-        const double next = std::nextafter(w, kUnreachable);
-        absorbed_everywhere = true;
-        for (const ShortestPathTree& tree : before) {
-          const double base = tree.distance_ms[link.to];
-          absorbed_everywhere = absorbed_everywhere &&
-                                base != kUnreachable && base + w == base + next;
-        }
-        engine.set_link_latency(device, link.to, next);
+        engine.set_link_latency(device, link.to,
+                                std::nextafter(link.props.latency_ms,
+                                               kUnreachable));
         break;
       }
     }
     ++kinds[kind];
-    const std::vector<NodeId> dirty = drain_exact(what);
-    if (absorbed_everywhere) {
-      ++absorbed;
-      EXPECT_FALSE(std::binary_search(dirty.begin(), dirty.end(), device))
-          << what << ": a reweight every tree rounds away dirtied the device";
-    }
+    drain_exact(what, host);
     ASSERT_TRUE(trees_match_rebuild(engine, net)) << what;
   }
   for (std::size_t kind = 0; kind < kinds.size(); ++kind) {
     EXPECT_GT(kinds[kind], 10u) << "event kind " << kind << " barely ran";
   }
-  EXPECT_GT(absorbed, 0u) << "no reweight was absorbed by rounding";
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
   engine.check_invariants(net.edge_count());
 }
@@ -362,7 +364,8 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
 // through themselves, and relay nothing: every served delay must track a
 // from-scratch no-relay Dijkstra through backbone and access-link churn,
 // and every drained dirty set must be exactly the keys whose delay moved
-// (here every host is a key of its own).
+// (here every host is a key of its own), less a device whose own link
+// changed.
 TEST(IncrementalDelayEngine, MultiHomedChurnMatchesFromScratch) {
   NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, 0xD1CE,
                                  49, 24, 4, AttachParams{.attach_count = 2});
@@ -379,6 +382,7 @@ TEST(IncrementalDelayEngine, MultiHomedChurnMatchesFromScratch) {
   for (std::size_t event = 0; event < 1000; ++event) {
     const auto live = backbone_links(net);
     const double roll = rng.uniform();
+    NodeId host = kInvalidNode;
     if (!net.failed_links.empty() && (roll < 0.3 || live.empty())) {
       const FailedLink& pick =
           net.failed_links[rng.index(net.failed_links.size())];
@@ -399,6 +403,7 @@ TEST(IncrementalDelayEngine, MultiHomedChurnMatchesFromScratch) {
           net.graph.neighbors(device)[rng.index(net.graph.degree(device))];
       engine.set_link_latency(device, link.to,
                               link.props.latency_ms * rng.uniform(0.5, 2.0));
+      host = device;
       ++access;
     }
     ASSERT_TRUE(trees_match_rebuild(engine, net)) << "event " << event;
@@ -406,7 +411,9 @@ TEST(IncrementalDelayEngine, MultiHomedChurnMatchesFromScratch) {
     dirty.clear();
     engine.drain_dirty(dirty);
     std::sort(dirty.begin(), dirty.end());
-    ASSERT_EQ(dirty, changed_keys(engine, before, after)) << "event " << event;
+    std::vector<NodeId> keys = changed_keys(engine, before, after);
+    std::erase(keys, host);
+    ASSERT_EQ(dirty, keys) << "event " << event;
     before = after;
   }
   EXPECT_GT(fails, 100u);
@@ -421,8 +428,9 @@ TEST(IncrementalDelayEngine, MultiHomedChurnMatchesFromScratch) {
 }
 
 // A server's access links are its tree's first hops: failing, restoring
-// and reweighting them repairs that server's tree (and moves the server's
-// own delay in every other tree), exactly as a from-scratch run sees it.
+// and reweighting them repairs that server's tree, exactly as a
+// from-scratch run sees it. The server's own delay in every other tree
+// moves too, but like any host's own link the event does not dirty it.
 TEST(IncrementalDelayEngine, ServerAccessLinkChurnRepairsItsOwnTree) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 0x5E4F, 49, 24, 4,
                                  AttachParams{.attach_count = 2});
@@ -459,7 +467,9 @@ TEST(IncrementalDelayEngine, ServerAccessLinkChurnRepairsItsOwnTree) {
     dirty.clear();
     engine.drain_dirty(dirty);
     std::sort(dirty.begin(), dirty.end());
-    ASSERT_EQ(dirty, changed_nodes(before, after)) << "event " << event;
+    std::vector<NodeId> keys = changed_nodes(before, after);
+    std::erase(keys, server);
+    ASSERT_EQ(dirty, keys) << "event " << event;
     moved += dirty.size();
     before = after;
   }
@@ -498,8 +508,6 @@ TEST(IncrementalDelayEngine, MultiHomedDeviceNeverCarriesTheRouterRoute) {
   }
   std::vector<NodeId> dirty;
   engine.drain_dirty(dirty);
-  std::vector<NodeId> reclassified;
-  engine.drain_reclassified(reclassified);
   const auto before = reference(net);
 
   engine.add_link(device, 1, EdgeProps{w1, 100.0});
@@ -515,14 +523,10 @@ TEST(IncrementalDelayEngine, MultiHomedDeviceNeverCarriesTheRouterRoute) {
   EXPECT_EQ(engine.delay_ms(1, device), engine.delay_ms(1, 1) + w1);
   EXPECT_LT(engine.delay_ms(1, device), original[1][device]);
   EXPECT_EQ(engine.delay_ms(0, device), original[0][device]);
+  // Only the device's own delay moved, and its own link dirties nothing.
+  EXPECT_EQ(changed_nodes(before, reference(net)), std::vector<NodeId>{device});
   dirty.clear();
-  engine.drain_dirty(dirty);
-  std::sort(dirty.begin(), dirty.end());
-  EXPECT_EQ(dirty, changed_nodes(before, reference(net)));
-  EXPECT_EQ(dirty, std::vector<NodeId>{device});
-  reclassified.clear();
-  engine.drain_reclassified(reclassified);
-  EXPECT_EQ(reclassified, std::vector<NodeId>{device});
+  EXPECT_EQ(engine.drain_dirty(dirty), 0u);
   {
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
     engine.check_invariants(net.edge_count());
@@ -537,6 +541,79 @@ TEST(IncrementalDelayEngine, MultiHomedDeviceNeverCarriesTheRouterRoute) {
           << "server " << j << " node " << node;
     }
   }
+  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+  engine.check_invariants(net.edge_count());
+}
+
+// The dirty set names only keys a tree repair moved. Adding, removing or
+// reweighting a host's own link moves that host's delay and no other
+// node's, and is reported to no one: the engine's dirty set stays empty,
+// whoever changed the link rebinds the host's row. A server's access link
+// repairs the server's tree, and dirties exactly the routers that repair
+// moved (plus the other servers linked to them whose delay moved), never
+// the server itself.
+TEST(IncrementalDelayEngine, HostOwnLinkEventsDirtyNoKey) {
+  NetworkTopology net = make_net(TopologyFamily::kGrid, 0x0E1D);
+  IncrementalDelayEngine engine(net);
+  auto before = reference(net);
+  std::vector<NodeId> dirty;
+  engine.drain_dirty(dirty);
+  // `host`'s delay moved (or, with `may_hold`, may have held) and no other.
+  const auto expect_only_host_moved = [&](const std::string& what,
+                                          NodeId host, bool may_hold = false) {
+    const auto after = reference(net);
+    const std::vector<NodeId> changed = changed_nodes(before, after);
+    if (!(may_hold && changed.empty())) {
+      EXPECT_EQ(changed, std::vector<NodeId>{host}) << what;
+    }
+    EXPECT_EQ(engine.dirty_count(), 0u) << what;
+    before = after;
+  };
+
+  const NodeId device = net.iot_nodes[0];
+  ASSERT_TRUE(reads_through_anchor(engine, device));
+  const Adjacency access = net.graph.neighbors(device).front();
+  engine.set_link_latency(device, access.to, access.props.latency_ms * 2.0);
+  expect_only_host_moved("reweight", device);
+  engine.fail_link(device, access.to);
+  expect_only_host_moved("remove", device);
+  engine.restore_link(device, access.to);
+  expect_only_host_moved("add", device);
+  NodeId second = 0;
+  while (second == access.to) ++second;
+  engine.add_link(device, second, EdgeProps{0.01, 100.0});
+  ASSERT_FALSE(reads_through_anchor(engine, device));
+  expect_only_host_moved("add a second link", device, true);
+  ASSERT_TRUE(engine.remove_link(device, second));
+  expect_only_host_moved("remove the second link", device, true);
+
+  const NodeId server = net.edge_nodes[0];
+  const Adjacency uplink = net.graph.neighbors(server).front();
+  engine.set_link_latency(server, uplink.to, uplink.props.latency_ms * 4.0);
+  const auto after = reference(net);
+  dirty.clear();
+  engine.drain_dirty(dirty);
+  std::sort(dirty.begin(), dirty.end());
+  std::vector<NodeId> moved_routers;
+  for (NodeId router = 0; router < net.router_count(); ++router) {
+    if (before[0].distance_ms[router] != after[0].distance_ms[router]) {
+      moved_routers.push_back(router);
+    }
+  }
+  ASSERT_FALSE(moved_routers.empty());
+  std::vector<NodeId> dirty_routers;
+  for (const NodeId node : dirty) {
+    EXPECT_NE(node, server) << "the server's own link dirtied it";
+    if (node < net.router_count()) {
+      dirty_routers.push_back(node);
+    } else {
+      EXPECT_EQ(net.kinds[node], NodeKind::kEdgeServer) << "node " << node;
+    }
+  }
+  EXPECT_EQ(dirty_routers, moved_routers);
+  std::vector<NodeId> keys = changed_keys(engine, before, after);
+  std::erase(keys, server);
+  EXPECT_EQ(dirty, keys);
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
   engine.check_invariants(net.edge_count());
 }

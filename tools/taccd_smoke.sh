@@ -20,8 +20,10 @@ DAEMON_PID=""
 trap cleanup EXIT
 
 # Engine options are checked before the daemon listens: a zero batch once
-# left CONFIGURE unanswered, and these deadlines expired every request.
-for BAD in --max-batch=0 --timeout-ms=0 --timeout-ms=nan --timeout-ms=1e300; do
+# left CONFIGURE unanswered, these deadlines expired every request, and
+# these optimizer timings overflowed its clock arithmetic.
+for BAD in --max-batch=0 --timeout-ms=0 --timeout-ms=nan --timeout-ms=1e300 \
+           --reopt-window-s=1e-300 --reopt-interval-ms=1e300; do
   set +e
   timeout 10 "$TACCD" --socket="$SOCK" "$BAD" > /dev/null 2>&1
   RC=$?
