@@ -68,5 +68,54 @@ TEST(Regression, SimulationPinned) {
   EXPECT_NEAR(sim.mean_delay_ms(), 14.59037395804237, 14.6 * kRelTol);
 }
 
+
+// Pins for the metaheuristics and UCB rollout: each run reads its solver's
+// tunings, so a drift in any of them moves the pinned cost.
+double pinned_cost(Algorithm algorithm) {
+  const Scenario scenario = Scenario::smart_city(100, 8, 2026);
+  AlgorithmOptions options;
+  options.apply_seed(1);
+  const auto result =
+      make_solver(algorithm, options)->solve(scenario.instance());
+  EXPECT_TRUE(result.feasible);
+  return result.total_cost;
+}
+
+TEST(Regression, SimulatedAnnealingPinned) {
+  EXPECT_NEAR(pinned_cost(Algorithm::kSimulatedAnnealing), 5485.0694160621806,
+              5485.0 * kRelTol);
+}
+
+TEST(Regression, GeneticPinned) {
+  EXPECT_NEAR(pinned_cost(Algorithm::kGenetic), 5544.975698676808,
+              5545.0 * kRelTol);
+}
+
+TEST(Regression, TabuPinned) {
+  EXPECT_NEAR(pinned_cost(Algorithm::kTabu), 5514.7594759856556,
+              5515.0 * kRelTol);
+}
+
+TEST(Regression, GraspPinned) {
+  EXPECT_NEAR(pinned_cost(Algorithm::kGrasp), 5490.5133531430756,
+              5490.0 * kRelTol);
+}
+
+TEST(Regression, UcbRolloutPinned) {
+  EXPECT_NEAR(pinned_cost(Algorithm::kUcbRollout), 5559.0575093233438,
+              5559.0 * kRelTol);
+}
+
+// The fingerprint samples the delay matrix, so these pin the generators
+// (Waxman, geometric, hierarchical) and the link-delay model per preset.
+TEST(Regression, PresetFingerprintsPinned) {
+  EXPECT_EQ(Scenario::smart_city(100, 8, 2026).fingerprint(),
+            10280224029631469173u);
+  EXPECT_EQ(Scenario::factory(100, 8, 2026).fingerprint(),
+            5035503348573457233u);
+  EXPECT_EQ(Scenario::campus(100, 8, 2026).fingerprint(),
+            9721562154116581509u);
+}
+
 }  // namespace
 }  // namespace tacc
