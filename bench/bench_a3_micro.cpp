@@ -13,13 +13,12 @@ namespace {
 
 using namespace tacc;
 
-const topo::LinkDelayModel kDelay;
 
 topo::GeoGraph make_waxman(std::size_t nodes, std::uint64_t seed) {
   util::Rng rng(seed);
   topo::GeneratorParams params;
   params.node_count = nodes;
-  return topo::generate(topo::TopologyFamily::kWaxman, params, kDelay, rng);
+  return topo::generate(topo::TopologyFamily::kWaxman, params, rng);
 }
 
 void BM_Dijkstra(benchmark::State& state) {

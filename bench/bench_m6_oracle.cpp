@@ -50,12 +50,11 @@ int run(int argc, char** argv) {
   const std::size_t rounds = config.quick ? 32 : 64;
 
   util::Rng rng(config.base_seed ^ 0x5CA1Eu);
-  topo::LinkDelayModel delay_model;
   topo::GeneratorParams params;
   params.node_count = routers;
   params.area_km = 50.0;
   const topo::GeoGraph infra =
-      topo::generate(topo::TopologyFamily::kWaxman, params, delay_model, rng);
+      topo::generate(topo::TopologyFamily::kWaxman, params, rng);
 
   std::vector<topo::Point2D> iot_positions(devices);
   std::vector<topo::Point2D> edge_positions(servers);
@@ -67,7 +66,7 @@ int run(int argc, char** argv) {
   }
   util::WallTimer timer;
   topo::NetworkTopology net = topo::build_network(
-      infra, iot_positions, edge_positions, delay_model);
+      infra, iot_positions, edge_positions);
   const double network_ms = timer.elapsed_ms();
 
   timer.reset();

@@ -1,5 +1,6 @@
 #include "core/configurator.hpp"
 
+#include "gap/builder.hpp"
 #include "util/contracts.hpp"
 
 namespace tacc {
@@ -16,7 +17,11 @@ ClusterConfiguration ClusterConfigurator::configure(
       result = solver->solve(truth);
       break;
     case CostModel::kEuclidean:
-      result = solver->solve(scenario_->oblivious_instance());
+      // Built per call (a local, so concurrent configures share nothing):
+      // no other cost model reads the Euclidean twin.
+      result = solver->solve(gap::build_instance(
+          scenario_->network(), scenario_->workload(),
+          {.topology_oblivious_costs = true}));
       break;
     case CostModel::kDeadlinePenalized:
       result = solver->solve(truth.with_deadline_penalty(

@@ -67,7 +67,6 @@ DynamicCluster::DynamicCluster(const Scenario& scenario,
     : net_(scenario.network()),
       engine_(net_),
       oracle_(engine_),
-      delay_model_(scenario.params().delay_model),
       router_positions_(net_.positions.begin(),
                         net_.positions.begin() +
                             static_cast<std::ptrdiff_t>(net_.router_count())),
@@ -225,7 +224,7 @@ void DynamicCluster::attach_device(std::size_t slot,
   const topo::NodeId node =
       engine_.acquire_node(device.position, topo::NodeKind::kIotDevice);
   engine_.add_link(node, access.router,
-                   delay_model_.access_link(access.distance_km));
+                   topo::access_link(access.distance_km));
 
   if (slot == devices_.size()) {
     devices_.push_back(device);

@@ -426,7 +426,6 @@ class DynamicCluster {
   // Serves the per-device delay rows (row i == device slot i), bit-identical
   // to the engine's trees.
   topo::oracle::DelayOracle oracle_;
-  topo::LinkDelayModel delay_model_;
   /// Router r (routers are the node id prefix) sits at router_positions_[r].
   std::vector<topo::Point2D> router_positions_;
 

@@ -56,21 +56,15 @@ Scenario Scenario::generate(const ScenarioParams& params) {
   util::Rng topo_rng = rng.fork(1);
   util::Rng workload_rng = rng.fork(2);
 
-  const topo::GeoGraph infra = topo::generate(
-      params.family, params.topology, params.delay_model, topo_rng);
+  const topo::GeoGraph infra =
+      topo::generate(params.family, params.topology, topo_rng);
   scenario.workload_ =
       workload::generate_workload(params.workload, workload_rng);
   scenario.network_ = topo::build_network(
       infra, scenario.workload_.iot_positions(),
-      scenario.workload_.edge_positions(), params.delay_model, params.attach);
-  gap::BuilderOptions builder;
-  builder.threads = params.build_threads;
+      scenario.workload_.edge_positions(), params.attach);
   scenario.instance_ = std::make_shared<const gap::Instance>(
-      gap::build_instance(scenario.network_, scenario.workload_, builder));
-  gap::BuilderOptions oblivious = builder;
-  oblivious.topology_oblivious_costs = true;
-  scenario.oblivious_instance_ = std::make_shared<const gap::Instance>(
-      gap::build_instance(scenario.network_, scenario.workload_, oblivious));
+      gap::build_instance(scenario.network_, scenario.workload_));
   scenario.fingerprint_ =
       compute_fingerprint(params, *scenario.instance_);
   return scenario;

@@ -16,18 +16,15 @@ namespace tacc {
 struct ScenarioParams {
   topo::TopologyFamily family = topo::TopologyFamily::kWaxman;
   topo::GeneratorParams topology;
-  topo::LinkDelayModel delay_model;
   topo::AttachParams attach;
   workload::WorkloadParams workload;
   std::uint64_t seed = 42;
-  /// Worker threads for the delay-matrix build (per-source Dijkstra
-  /// fan-out); 1 = serial, 0 = hardware concurrency. The generated scenario
-  /// is bit-identical for any value.
-  std::size_t build_threads = 1;
 };
 
-/// Immutable after construction; the instance and its topology-oblivious
-/// twin are built eagerly so accessors are cheap and const.
+/// Immutable after construction; the instance is built eagerly so
+/// accessors are cheap, const and data-race-free under concurrent
+/// portfolio solves. The Euclidean-cost twin that CostModel::kEuclidean
+/// solves on is built per configure() call, not here.
 class Scenario {
  public:
   /// Generates everything deterministically from params.seed.
@@ -62,12 +59,6 @@ class Scenario {
   [[nodiscard]] const gap::Instance& instance() const noexcept {
     return *instance_;
   }
-  /// Euclidean-cost twin for the A1 ablation. Built eagerly in generate()
-  /// (it needs no shortest paths, so it is cheap) — accessors stay const and
-  /// data-race-free under concurrent portfolio solves.
-  [[nodiscard]] const gap::Instance& oblivious_instance() const noexcept {
-    return *oblivious_instance_;
-  }
 
   /// Deterministic 64-bit digest of the scenario's identity: generation
   /// parameters plus sampled instance data. Two scenarios generated from the
@@ -86,7 +77,6 @@ class Scenario {
   topo::NetworkTopology network_;
   workload::Workload workload_;
   std::shared_ptr<const gap::Instance> instance_;
-  std::shared_ptr<const gap::Instance> oblivious_instance_;
   std::uint64_t fingerprint_ = 0;
 };
 

@@ -18,7 +18,7 @@ Instance build_instance(const topo::NetworkTopology& net,
   topo::DelayMatrix delay =
       options.topology_oblivious_costs
           ? topo::compute_euclidean_matrix(net)
-          : topo::compute_delay_matrix(net, options.threads);
+          : topo::compute_delay_matrix(net);
   if (options.unreachable_delay_ms > 0.0) {
     for (std::size_t i = 0; i < delay.iot_count(); ++i) {
       for (std::size_t j = 0; j < delay.edge_count(); ++j) {
@@ -34,7 +34,7 @@ Instance build_instance(const topo::NetworkTopology& net,
   weights.reserve(workload.iot.size());
   demands.reserve(workload.iot.size());
   for (const auto& device : workload.iot) {
-    weights.push_back(options.rate_weighted ? device.request_rate_hz : 1.0);
+    weights.push_back(device.request_rate_hz);
     demands.push_back(device.demand);
   }
   std::vector<double> capacities;
@@ -44,14 +44,12 @@ Instance build_instance(const topo::NetworkTopology& net,
   }
   Instance instance(std::move(delay), std::move(weights), std::move(demands),
                     std::move(capacities));
-  if (options.attach_deadlines) {
-    std::vector<double> deadlines;
-    deadlines.reserve(workload.iot.size());
-    for (const auto& device : workload.iot) {
-      deadlines.push_back(device.deadline_ms);
-    }
-    instance.set_deadlines(std::move(deadlines));
+  std::vector<double> deadlines;
+  deadlines.reserve(workload.iot.size());
+  for (const auto& device : workload.iot) {
+    deadlines.push_back(device.deadline_ms);
   }
+  instance.set_deadlines(std::move(deadlines));
   return instance;
 }
 

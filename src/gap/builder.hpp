@@ -13,11 +13,6 @@ struct BuilderOptions {
   /// metric — the *topology-oblivious* ablation (experiment A1). The true
   /// delay matrix is always kept for reporting realized delays.
   bool topology_oblivious_costs = false;
-  /// Traffic weights from request rates (true) or all-ones (false).
-  bool rate_weighted = true;
-  /// Attach per-device deadlines from the workload so evaluations report
-  /// deadline violations (and with_deadline_penalty() becomes available).
-  bool attach_deadlines = true;
   /// Replacement for infinite (unreachable) delay entries, which appear
   /// when failure injection disconnects a device from *some* servers.
   /// 0 keeps the infinities (solvers then naturally avoid those servers,
@@ -25,12 +20,12 @@ struct BuilderOptions {
   /// finite value keeps all arithmetic well-behaved while still making
   /// unreachable servers unattractive.
   double unreachable_delay_ms = 0.0;
-  /// Worker threads for the delay-matrix Dijkstra fan-out (1 = serial,
-  /// 0 = hardware concurrency). The instance is bit-identical either way.
-  std::size_t threads = 1;
 };
 
 /// `net` must have the same device/server counts (and order) as `workload`.
+/// Traffic weights are the devices' request rates, and the workload's
+/// per-device deadlines are attached, so evaluations report deadline
+/// violations (and with_deadline_penalty() is available).
 [[nodiscard]] Instance build_instance(const topo::NetworkTopology& net,
                                       const workload::Workload& workload,
                                       const BuilderOptions& options = {});

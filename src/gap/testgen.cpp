@@ -4,6 +4,12 @@
 
 namespace tacc::gap {
 
+namespace {
+// Per-device demand range of random instances.
+constexpr double kDemandMin = 0.5;
+constexpr double kDemandMax = 2.0;
+}  // namespace
+
 Instance random_instance(const RandomInstanceParams& params, util::Rng& rng) {
   const std::size_t n = params.device_count;
   const std::size_t m = params.server_count;
@@ -16,7 +22,7 @@ Instance random_instance(const RandomInstanceParams& params, util::Rng& rng) {
   std::vector<double> demands(n);
   double total_demand = 0.0;
   for (auto& d : demands) {
-    d = rng.uniform(params.demand_min, params.demand_max);
+    d = rng.uniform(kDemandMin, kDemandMax);
     total_demand += d;
   }
   std::vector<double> weights(n, 1.0);

@@ -13,8 +13,6 @@ struct RandomInstanceParams {
   std::size_t server_count = 5;
   double delay_min_ms = 1.0;
   double delay_max_ms = 30.0;
-  double demand_min = 0.5;
-  double demand_max = 2.0;
   /// Target Σ demand / Σ capacity.
   double load_factor = 0.7;
   bool heterogeneous_capacity = true;

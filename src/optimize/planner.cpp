@@ -7,15 +7,24 @@ namespace tacc::opt {
 
 namespace {
 constexpr double kEps = 1e-9;  // matches DynamicCluster's feasibility slack
-}
+// Per-pass effort bounds. Costs are cost-model units (weight × ms).
+constexpr std::size_t kScanLimit = 256;  // devices examined per pass
+constexpr std::size_t kSwapLimit = 32;   // swap pairs sampled per pass
+// Blocked-improvement eviction chains attempted per pass: when a device's
+// cheaper server lacks headroom, relocate one of its residents first (two
+// moves, net gain required). The escape hatch for capacity-tight regimes
+// where no single move or feasible swap exists.
+constexpr std::size_t kChainLimit = 8;
+constexpr double kMinGain = 1e-6;  // ignore improvements below this
+}  // namespace
 
 MovePlan propose_plan(const DynamicCluster& cluster,
-                      const PlannerOptions& options, PlannerState& state) {
+                      std::size_t max_plan_moves, PlannerState& state) {
   MovePlan plan;
   plan.delay_epoch = cluster.delay_epoch();
   const std::size_t slots = cluster.device_slot_count();
   const std::size_t servers = cluster.server_count();
-  if (slots == 0 || servers < 2 || options.max_plan_moves == 0) {
+  if (slots == 0 || servers < 2 || max_plan_moves == 0) {
     state.seen_epoch = plan.delay_epoch;
     return plan;
   }
@@ -24,9 +33,9 @@ MovePlan propose_plan(const DynamicCluster& cluster,
   // delays) first, then round-robin so the whole population is revisited
   // across passes even when nothing is dirty.
   std::vector<std::size_t> order;
-  order.reserve(std::min(options.scan_limit, slots));
+  order.reserve(std::min(kScanLimit, slots));
   std::vector<bool> queued(slots, false);
-  for (std::size_t i = 0; i < slots && order.size() < options.scan_limit;
+  for (std::size_t i = 0; i < slots && order.size() < kScanLimit;
        ++i) {
     if (cluster.is_active(i) &&
         cluster.delay_row_epoch(i) > state.seen_epoch) {
@@ -36,7 +45,7 @@ MovePlan propose_plan(const DynamicCluster& cluster,
   }
   const std::size_t cursor = slots == 0 ? 0 : state.cursor % slots;
   std::size_t stepped = 0;
-  for (; stepped < slots && order.size() < options.scan_limit; ++stepped) {
+  for (; stepped < slots && order.size() < kScanLimit; ++stepped) {
     const std::size_t i = (cursor + stepped) % slots;
     if (cluster.is_active(i) && !queued[i]) {
       order.push_back(i);
@@ -63,7 +72,7 @@ MovePlan propose_plan(const DynamicCluster& cluster,
   };
   std::vector<Blocked> blocked;
   for (const std::size_t i : order) {
-    if (plan.moves.size() >= options.max_plan_moves) break;
+    if (plan.moves.size() >= max_plan_moves) break;
     const std::size_t from = cluster.server_of(i);
     const double demand = cluster.device(i).demand;
     const double base_cost = cluster.placement_cost(i, from);
@@ -85,14 +94,14 @@ MovePlan propose_plan(const DynamicCluster& cluster,
       }
     }
     const double gain = base_cost - best_cost;
-    if (best != from && gain > options.min_gain) {
+    if (best != from && gain > kMinGain) {
       plan.moves.push_back(
           {i, cluster.slot_generation(i), from, best, gain});
       planned[from] -= demand;
       planned[best] += demand;
       moved[i] = true;
     } else if (best_tight != from &&
-               base_cost - best_tight_cost > options.min_gain) {
+               base_cost - best_tight_cost > kMinGain) {
       blocked.push_back({i, best_tight, base_cost - best_tight_cost});
     }
   }
@@ -107,8 +116,8 @@ MovePlan propose_plan(const DynamicCluster& cluster,
             [](const Blocked& x, const Blocked& y) { return x.gain > y.gain; });
   std::size_t chains = 0;
   for (const Blocked& candidate : blocked) {
-    if (chains >= options.chain_limit) break;
-    if (plan.moves.size() + 2 > options.max_plan_moves) break;
+    if (chains >= kChainLimit) break;
+    if (plan.moves.size() + 2 > max_plan_moves) break;
     const std::size_t i = candidate.device;
     const std::size_t t = candidate.target;
     if (moved[i]) continue;
@@ -119,7 +128,7 @@ MovePlan propose_plan(const DynamicCluster& cluster,
     // increase, such that t gains enough headroom for i.
     std::size_t best_r = slots;
     std::size_t best_k = servers;
-    double best_loss = candidate.gain - options.min_gain;
+    double best_loss = candidate.gain - kMinGain;
     for (std::size_t r = 0; r < slots; ++r) {
       if (r == i || moved[r] || !cluster.is_active(r) ||
           cluster.server_of(r) != t) {
@@ -160,8 +169,8 @@ MovePlan propose_plan(const DynamicCluster& cluster,
   // rejected mid-plan, the lone first half may regress cost slightly; the
   // next pass repairs it.
   for (std::size_t sample = 0;
-       sample < options.swap_limit &&
-       plan.moves.size() + 2 <= options.max_plan_moves;
+       sample < kSwapLimit &&
+       plan.moves.size() + 2 <= max_plan_moves;
        ++sample) {
     const auto a = static_cast<std::size_t>(state.rng.next_below(slots));
     const auto b = static_cast<std::size_t>(state.rng.next_below(slots));
@@ -178,7 +187,7 @@ MovePlan propose_plan(const DynamicCluster& cluster,
         cluster.placement_cost(a, sa) - cluster.placement_cost(a, sb);
     const double gain_b =
         cluster.placement_cost(b, sb) - cluster.placement_cost(b, sa);
-    if (gain_a + gain_b <= options.min_gain) continue;
+    if (gain_a + gain_b <= kMinGain) continue;
     const double da = cluster.device(a).demand;
     const double db = cluster.device(b).demand;
     // End state must fit...

@@ -30,18 +30,9 @@
 
 namespace tacc::opt {
 
-/// Per-pass effort bounds. Costs are cost-model units (weight × ms).
-struct PlannerOptions {
-  std::size_t scan_limit = 256;     ///< devices examined per pass
-  std::size_t swap_limit = 32;      ///< swap pairs sampled per pass
-  /// Blocked-improvement eviction chains attempted per pass: when a
-  /// device's cheaper server lacks headroom, relocate one of its residents
-  /// first (two moves, net gain required). The escape hatch for
-  /// capacity-tight regimes where no single move or feasible swap exists.
-  std::size_t chain_limit = 8;
-  std::size_t max_plan_moves = 16;  ///< plan size cap (budget headroom)
-  double min_gain = 1e-6;           ///< ignore improvements below this
-};
+/// Plan size cap per pass; the re-optimizer lowers it further to the
+/// migration budget's remaining headroom.
+inline constexpr std::size_t kMaxPlanMoves = 16;
 
 /// Cross-pass planner memory: the round-robin scan cursor, the engine epoch
 /// up to which rows have been considered (dirty-row prioritization), and
@@ -53,11 +44,13 @@ struct PlannerState {
   util::Rng rng;
 };
 
-/// One bounded proposal pass. Never mutates the cluster; the caller must
-/// hold whatever lock makes concurrent cluster mutation impossible for the
-/// duration of the call (reads are not internally synchronized).
+/// One bounded proposal pass of at most `max_plan_moves` moves, within the
+/// fixed per-pass scan, swap and chain bounds of planner.cpp. Never mutates
+/// the cluster; the caller must hold whatever lock makes concurrent cluster
+/// mutation impossible for the duration of the call (reads are not
+/// internally synchronized).
 [[nodiscard]] MovePlan propose_plan(const DynamicCluster& cluster,
-                                    const PlannerOptions& options,
+                                    std::size_t max_plan_moves,
                                     PlannerState& state);
 
 }  // namespace tacc::opt

@@ -56,15 +56,12 @@ std::size_t Reoptimizer::pass_locked() {
 
   // Cap the proposal by the window headroom so a plan never promises more
   // migration than the budget can honour.
-  PlannerOptions planner = options_.planner;
-  planner.max_plan_moves = std::min(planner.max_plan_moves, headroom);
-  const MovePlan plan = propose_plan(*cluster_, planner, state_);
+  const MovePlan plan =
+      propose_plan(*cluster_, std::min(kMaxPlanMoves, headroom), state_);
   if (plan.empty()) return 0;
 
   const DynamicCluster::InvariantOptions validate_options{
-      .require_feasible = false,
-      .forbid_failed_residents = false,
-      .delay_spot_checks = options_.validate_spot_checks};
+      .require_feasible = false, .forbid_failed_residents = false};
   if (options_.validate) cluster_->check_invariants(validate_options);
   const MovePlanReport report = cluster_->apply_move_plan(plan, &ledger_);
   if (options_.validate) cluster_->check_invariants(validate_options);

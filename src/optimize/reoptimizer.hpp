@@ -42,15 +42,13 @@ namespace tacc::opt {
 
 struct ReoptOptions {
   MigrationBudget budget;
-  PlannerOptions planner;
   /// Pause between background passes (the thread try_locks the cluster
   /// mutex after each pause; a busy serving path just skips the pass).
   double interval_ms = 50.0;
   /// Bracket every non-empty apply with DynamicCluster::check_invariants()
-  /// (delay_spot_checks Dijkstras per check). Cold-path insurance for
+  /// (one delay spot-check Dijkstra per check). Cold-path insurance for
   /// soaks; leave off in production serving.
   bool validate = false;
-  std::size_t validate_spot_checks = 1;
   /// Seed for the planner's swap-sampling stream.
   std::uint64_t seed = 0x0500B1ull;
 };

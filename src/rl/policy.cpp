@@ -11,6 +11,11 @@
 
 namespace tacc::rl {
 
+namespace {
+// Greedy episodes apply_policy replays over shuffled device orders.
+constexpr std::size_t kEvalEpisodes = 16;
+}  // namespace
+
 TrainedPolicy train_policy(const gap::Instance& instance,
                            const RlOptions& options, TdVariant variant) {
   TrainedPolicy policy;
@@ -39,8 +44,7 @@ solvers::SolveResult apply_policy(const gap::Instance& instance,
   double best_cost = std::numeric_limits<double>::infinity();
   bool best_feasible = false;
   std::size_t steps = 0;
-  const std::size_t episodes = std::max<std::size_t>(1, options.eval_episodes);
-  for (std::size_t e = 0; e < episodes; ++e) {
+  for (std::size_t e = 0; e < kEvalEpisodes; ++e) {
     env.reset();
     while (!env.done()) {
       (void)env.step(policy.table.best_action(env.state(),

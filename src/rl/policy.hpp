@@ -28,9 +28,9 @@ struct TrainedPolicy {
                                          const RlOptions& options,
                                          TdVariant variant);
 
+/// apply_policy replays a fixed number of greedy episodes over shuffled
+/// device orders (policy.cpp) and keeps the best one.
 struct ApplyOptions {
-  /// Greedy episodes over shuffled device orders; best one is kept.
-  std::size_t eval_episodes = 16;
   bool polish = true;
   std::uint64_t seed = 1;
 };

@@ -29,6 +29,11 @@ double QTable::max_value(std::size_t state, std::uint64_t mask) const {
 
 namespace {
 
+constexpr double kGamma = 0.97;         // discount within an episode
+constexpr double kAlpha0 = 0.25;        // initial learning rate
+constexpr double kAlphaDecay = 0.01;    // α_e = α0 / (1 + decay·e)
+constexpr double kEpsilonDecay = 0.985;  // multiplicative per episode
+
 /// ε-greedy among mask-permitted actions (all actions if mask is 0).
 [[nodiscard]] std::size_t choose_action(const QTable& table, std::size_t state,
                                         std::uint64_t mask, double epsilon,
@@ -61,8 +66,7 @@ TrainResult train(const gap::Instance& instance, const RlOptions& options,
   double epsilon = options.epsilon0;
   for (std::size_t episode = 0; episode < options.episodes; ++episode) {
     const double alpha =
-        options.alpha0 /
-        (1.0 + options.alpha_decay * static_cast<double>(episode));
+        kAlpha0 / (1.0 + kAlphaDecay * static_cast<double>(episode));
     env.reset();
     double total_reward = 0.0;
 
@@ -92,7 +96,7 @@ TrainResult train(const gap::Instance& instance, const RlOptions& options,
             variant == TdVariant::kQLearning
                 ? table.max_value(next_state, next_mask)
                 : table.get(next_state, next_action);
-        target += options.gamma * bootstrap;
+        target += kGamma * bootstrap;
       }
       const double old_q = table.get(state, action);
       table.set(state, action, old_q + alpha * (target - old_q));
@@ -114,7 +118,7 @@ TrainResult train(const gap::Instance& instance, const RlOptions& options,
     }
     result.trace.push_back({episode, total_reward, cost, feasible,
                             result.best_cost, epsilon});
-    epsilon = std::max(options.epsilon_min, epsilon * options.epsilon_decay);
+    epsilon = std::max(options.epsilon_min, epsilon * kEpsilonDecay);
   }
 
   // Greedy-policy evaluation: exploit what was learned, noise-free.

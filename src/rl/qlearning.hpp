@@ -20,12 +20,8 @@ namespace tacc::rl {
 struct RlOptions {
   EnvOptions env;
   std::size_t episodes = 600;
-  double gamma = 0.97;         ///< discount within an episode
-  double alpha0 = 0.25;        ///< initial learning rate
-  double alpha_decay = 0.01;   ///< α_e = α0 / (1 + decay·e)
   double epsilon0 = 0.4;       ///< initial exploration rate
   double epsilon_min = 0.02;
-  double epsilon_decay = 0.985;  ///< multiplicative per episode
   /// Restrict ε-greedy choices to capacity-feasible candidates when any
   /// exist (the agent still learns penalties for the rest via fallback).
   bool mask_infeasible = true;

@@ -12,6 +12,7 @@ namespace tacc::rl {
 
 namespace {
 constexpr double kEps = 1e-9;
+constexpr double kExploration = 1.2;  // UCB1 exploration constant
 
 /// Completes `assignment` greedily over `remaining` (shuffled by caller):
 /// each device goes to its cheapest currently-feasible server, else the
@@ -66,13 +67,8 @@ solvers::SolveResult UcbRolloutSolver::solve(const gap::Instance& instance) {
   const std::size_t m = instance.server_count();
   const std::size_t k = std::min(options_.candidate_count, m);
 
-  double max_cost = 0.0;
-  for (gap::DeviceIndex i = 0; i < n; ++i) {
-    for (gap::ServerIndex j = 0; j < m; ++j) {
-      max_cost = std::max(max_cost, instance.cost(i, j));
-    }
-  }
-  const double penalty = options_.overload_penalty_factor * max_cost + 1.0;
+  const double max_cost = solvers::detail::max_cost_entry(instance);
+  const double penalty = solvers::detail::overload_penalty(max_cost);
 
   // Commitment order: heavy devices first.
   std::vector<gap::DeviceIndex> order(n);
@@ -113,7 +109,7 @@ solvers::SolveResult UcbRolloutSolver::solve(const gap::Instance& instance) {
         double best_ucb = -std::numeric_limits<double>::infinity();
         for (std::size_t a = 0; a < k; ++a) {
           const double bonus =
-              options_.exploration *
+              kExploration *
               std::sqrt(std::log(static_cast<double>(pull + 1)) /
                         static_cast<double>(pulls[a]));
           const double ucb = mean_value[a] + bonus;

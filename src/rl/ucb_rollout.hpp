@@ -17,8 +17,6 @@ namespace tacc::rl {
 struct UcbRolloutOptions {
   std::size_t candidate_count = 4;   ///< arms per device (K nearest)
   std::size_t rollouts_per_device = 12;  ///< total pulls across arms
-  double exploration = 1.2;          ///< UCB1 exploration constant
-  double overload_penalty_factor = 4.0;  ///< × max cost entry per violation
   std::uint64_t seed = 1;
 };
 

@@ -11,6 +11,10 @@ namespace tacc::solvers {
 
 namespace {
 constexpr double kEps = 1e-9;
+constexpr std::size_t kTournament = 3;
+constexpr double kCrossoverRate = 0.9;
+// Mutated genes pick among this many lowest-delay servers.
+constexpr std::size_t kMutationCandidates = 4;
 
 struct Individual {
   gap::Assignment genes;
@@ -81,19 +85,9 @@ SolveResult GeneticSolver::solve(const gap::Instance& instance) {
   const std::size_t n = instance.device_count();
   const std::size_t m = instance.server_count();
   const std::size_t pop_size = std::max<std::size_t>(4, options_.population);
-  const std::size_t mut_k =
-      std::min(std::max<std::size_t>(1, options_.mutation_candidates), m);
-
-  double penalty = options_.overload_penalty;
-  if (penalty <= 0.0) {
-    double max_cost = 0.0;
-    for (gap::DeviceIndex i = 0; i < n; ++i) {
-      for (gap::ServerIndex j = 0; j < m; ++j) {
-        max_cost = std::max(max_cost, instance.cost(i, j));
-      }
-    }
-    penalty = 4.0 * max_cost + 1.0;
-  }
+  const std::size_t mut_k = std::min(kMutationCandidates, m);
+  const double penalty =
+      detail::overload_penalty(detail::max_cost_entry(instance));
 
   // Seed the population: one greedy individual plus randomized ones biased
   // toward low-delay servers.
@@ -114,7 +108,7 @@ SolveResult GeneticSolver::solve(const gap::Instance& instance) {
 
   const auto tournament_pick = [&]() -> const Individual& {
     const Individual* winner = &population[rng.index(pop_size)];
-    for (std::size_t t = 1; t < options_.tournament; ++t) {
+    for (std::size_t t = 1; t < kTournament; ++t) {
       const Individual& challenger = population[rng.index(pop_size)];
       if (challenger.fitness < winner->fitness) winner = &challenger;
     }
@@ -135,7 +129,7 @@ SolveResult GeneticSolver::solve(const gap::Instance& instance) {
     while (next.size() < pop_size) {
       Individual child;
       const Individual& mother = tournament_pick();
-      if (rng.bernoulli(options_.crossover_rate)) {
+      if (rng.bernoulli(kCrossoverRate)) {
         const Individual& father = tournament_pick();
         child.genes.resize(n);
         for (gap::DeviceIndex i = 0; i < n; ++i) {

@@ -11,17 +11,14 @@
 
 namespace tacc::solvers {
 
+/// Tournament size, crossover rate and mutation candidates are fixed in
+/// genetic.cpp.
 struct GeneticOptions {
   std::uint64_t seed = 1;
   std::size_t population = 40;
   std::size_t generations = 120;
-  std::size_t tournament = 3;
-  double crossover_rate = 0.9;
   double mutation_rate = 0.02;    ///< per gene
   std::size_t elite = 2;          ///< copied unchanged each generation
-  /// Mutated genes pick among this many lowest-delay servers.
-  std::size_t mutation_candidates = 4;
-  double overload_penalty = 0.0;  ///< 0 = auto (4 × max cost entry)
 };
 
 class GeneticSolver final : public Solver {

@@ -60,7 +60,7 @@ SolveResult GraspSolver::solve(const gap::Instance& instance) {
        ++it) {
     gap::Assignment candidate =
         construct(instance, std::max<std::size_t>(1, options_.rcl_size), rng);
-    LocalSearchOptions ls = options_.local_search;
+    LocalSearchOptions ls;
     ls.seed = options_.seed * 1000 + it;
     improvements += local_search_improve(instance, candidate, ls);
 

@@ -18,7 +18,6 @@ struct GraspOptions {
   /// Restricted-candidate-list size: each device chooses uniformly among
   /// its `rcl_size` cheapest currently-feasible servers.
   std::size_t rcl_size = 3;
-  LocalSearchOptions local_search;
 };
 
 class GraspSolver final : public Solver {

@@ -11,13 +11,11 @@
 
 namespace tacc::solvers {
 
+/// The start temperature, cooling factor and swap/move mix are fixed in
+/// simulated_annealing.cpp.
 struct SimulatedAnnealingOptions {
   std::uint64_t seed = 1;
   std::size_t steps = 200'000;
-  double initial_temperature = 0.0;  ///< 0 = auto (10% of seed cost / n)
-  double cooling = 0.999'95;         ///< geometric factor per step
-  double overload_penalty = 0.0;     ///< 0 = auto (max cost entry × 4)
-  double swap_probability = 0.3;     ///< vs single-device move
 };
 
 class SimulatedAnnealingSolver final : public Solver {

@@ -1,5 +1,7 @@
 #include "solvers/solver.hpp"
 
+#include <algorithm>
+
 namespace tacc::solvers::detail {
 
 SolveResult finish(const gap::Instance& instance, gap::Assignment assignment,
@@ -12,6 +14,21 @@ SolveResult finish(const gap::Instance& instance, gap::Assignment assignment,
   result.wall_ms = wall_ms;
   result.iterations = iterations;
   return result;
+}
+
+double max_cost_entry(const gap::Instance& instance) {
+  double max_cost = 0.0;
+  for (gap::DeviceIndex i = 0; i < instance.device_count(); ++i) {
+    for (gap::ServerIndex j = 0; j < instance.server_count(); ++j) {
+      max_cost = std::max(max_cost, instance.cost(i, j));
+    }
+  }
+  return max_cost;
+}
+
+double overload_penalty(double max_cost) {
+  constexpr double kOverloadPenaltyFactor = 4.0;
+  return kOverloadPenaltyFactor * max_cost + 1.0;
 }
 
 gap::ServerIndex best_feasible_or_least_loaded(

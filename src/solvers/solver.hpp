@@ -39,6 +39,15 @@ namespace detail {
                                  gap::Assignment assignment, double wall_ms,
                                  std::size_t iterations);
 
+/// The largest entry of the instance's cost matrix.
+[[nodiscard]] double max_cost_entry(const gap::Instance& instance);
+
+/// Energy per unit of overload for the solvers that walk through
+/// infeasible states (annealing, genetic, UCB rollout), given
+/// max_cost_entry(): 4 × it + 1, so shedding overload outweighs any cost
+/// change.
+[[nodiscard]] double overload_penalty(double max_cost);
+
 /// The shared fallback: cheapest server that stays feasible, else the one
 /// with the lowest post-assignment utilization.
 [[nodiscard]] gap::ServerIndex best_feasible_or_least_loaded(

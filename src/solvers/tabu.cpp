@@ -9,6 +9,10 @@
 
 namespace tacc::solvers {
 
+namespace {
+constexpr std::size_t kTenure = 20;  // iterations a reversed move stays tabu
+}  // namespace
+
 SolveResult TabuSolver::solve(const gap::Instance& instance) {
   util::WallTimer timer;
   const std::size_t n = instance.device_count();
@@ -60,7 +64,7 @@ SolveResult TabuSolver::solve(const gap::Instance& instance) {
         static_cast<gap::ServerIndex>(eval.assignment()[best_device]);
     eval.apply_move(best_device, best_target);
     // Forbid moving this device straight back.
-    tabu_until[best_device * m + from] = it + options_.tenure;
+    tabu_until[best_device * m + from] = it + kTenure;
 
     if (eval.total_cost() < best_cost - 1e-12 &&
         (!seed_feasible || gap::is_feasible(instance, eval.assignment()))) {

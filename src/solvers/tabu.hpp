@@ -14,7 +14,6 @@ namespace tacc::solvers {
 struct TabuOptions {
   std::uint64_t seed = 1;
   std::size_t iterations = 2000;
-  std::size_t tenure = 20;  ///< how long a reversed move stays forbidden
   /// Evaluate only the `candidate_servers` lowest-delay targets per device
   /// (0 = all); keeps the neighborhood scan affordable on large instances.
   std::size_t candidate_servers = 8;

@@ -1,7 +1,7 @@
 // Maps physical link properties (length, tier) to edge latencies/bandwidths.
 //
-// Distances are kilometres; latencies are milliseconds. Defaults model a
-// metropolitan edge deployment: fibre backbone between routers, wireless
+// Distances are kilometres; latencies are milliseconds. The constants model
+// a metropolitan edge deployment: fibre backbone between routers, wireless
 // access hop between a device and its attachment router.
 #pragma once
 
@@ -9,31 +9,31 @@
 
 namespace tacc::topo {
 
-struct LinkDelayModel {
-  /// Effective one-way latency per km. Raw fibre propagation is ~0.005
-  /// ms/km, but metro edge links route indirectly and carry serialization
-  /// and shallow-queue latency roughly proportional to span; 0.25 ms/km
-  /// reproduces the 1–10 ms one-way metro link latencies reported in edge
-  /// measurement studies, and — crucially for this paper — makes delay
-  /// *distance- and hop-dependent*, so topology awareness has signal.
-  double propagation_ms_per_km = 0.25;
-  /// Store-and-forward / switching cost added per link traversal.
-  double per_hop_forwarding_ms = 0.5;
-  /// Extra latency on wireless access links (MAC contention, radio).
-  double wireless_access_extra_ms = 2.0;
-  double backbone_bandwidth_mbps = 1000.0;
-  double access_bandwidth_mbps = 50.0;
+/// Effective one-way latency per km. Raw fibre propagation is ~0.005 ms/km,
+/// but metro edge links route indirectly and carry serialization and
+/// shallow-queue latency roughly proportional to span; 0.25 ms/km
+/// reproduces the 1–10 ms one-way metro link latencies reported in edge
+/// measurement studies, and — crucially for this paper — makes delay
+/// *distance- and hop-dependent*, so topology awareness has signal.
+inline constexpr double kPropagationMsPerKm = 0.25;
+/// Store-and-forward / switching cost added per link traversal.
+inline constexpr double kPerHopForwardingMs = 0.5;
+/// Extra latency on wireless access links (MAC contention, radio).
+inline constexpr double kWirelessAccessExtraMs = 2.0;
+inline constexpr double kBackboneBandwidthMbps = 1000.0;
+inline constexpr double kAccessBandwidthMbps = 50.0;
 
-  [[nodiscard]] EdgeProps backbone_link(double distance_km) const noexcept {
-    return {per_hop_forwarding_ms + propagation_ms_per_km * distance_km,
-            backbone_bandwidth_mbps};
-  }
+/// A wired link between routers (or a server and its router).
+[[nodiscard]] inline EdgeProps backbone_link(double distance_km) noexcept {
+  return {kPerHopForwardingMs + kPropagationMsPerKm * distance_km,
+          kBackboneBandwidthMbps};
+}
 
-  [[nodiscard]] EdgeProps access_link(double distance_km) const noexcept {
-    return {per_hop_forwarding_ms + wireless_access_extra_ms +
-                propagation_ms_per_km * distance_km,
-            access_bandwidth_mbps};
-  }
-};
+/// A wireless access link between a device and its router.
+[[nodiscard]] inline EdgeProps access_link(double distance_km) noexcept {
+  return {kPerHopForwardingMs + kWirelessAccessExtraMs +
+              kPropagationMsPerKm * distance_km,
+          kAccessBandwidthMbps};
+}
 
 }  // namespace tacc::topo

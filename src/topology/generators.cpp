@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "topology/delay_model.hpp"
 #include "topology/shortest_paths.hpp"
 
 namespace tacc::topo {
@@ -21,13 +22,15 @@ namespace {
   return positions;
 }
 
-void add_backbone(GeoGraph& geo, NodeId u, NodeId v,
-                  const LinkDelayModel& delay) {
+void add_backbone(GeoGraph& geo, NodeId u, NodeId v) {
   geo.graph.add_edge(
       u, v,
-      delay.backbone_link(euclidean_distance(geo.positions[u],
-                                             geo.positions[v])));
+      backbone_link(euclidean_distance(geo.positions[u], geo.positions[v])));
 }
+
+/// Waxman's distance scale: link probability decays over this fraction of
+/// the area's diagonal.
+constexpr double kWaxmanBeta = 0.3;
 
 }  // namespace
 
@@ -62,8 +65,7 @@ std::vector<TopologyFamily> all_topology_families() {
           TopologyFamily::kGrid,            TopologyFamily::kHierarchical};
 }
 
-GeoGraph generate_waxman(const GeneratorParams& params,
-                         const LinkDelayModel& delay, util::Rng& rng) {
+GeoGraph generate_waxman(const GeneratorParams& params, util::Rng& rng) {
   GeoGraph geo{Graph(params.node_count),
                random_positions(params.node_count, params.area_km, rng)};
   const double max_distance = params.area_km * std::numbers::sqrt2;
@@ -72,15 +74,14 @@ GeoGraph generate_waxman(const GeneratorParams& params,
       const double d = euclidean_distance(geo.positions[u], geo.positions[v]);
       const double p =
           params.waxman_alpha *
-          std::exp(-d / (params.waxman_beta * max_distance));
-      if (rng.bernoulli(p)) add_backbone(geo, u, v, delay);
+          std::exp(-d / (kWaxmanBeta * max_distance));
+      if (rng.bernoulli(p)) add_backbone(geo, u, v);
     }
   }
   return geo;
 }
 
 GeoGraph generate_barabasi_albert(const GeneratorParams& params,
-                                  const LinkDelayModel& delay,
                                   util::Rng& rng) {
   const std::size_t m = std::max<std::size_t>(1, params.ba_attach_count);
   const std::size_t seed_size = std::min(params.node_count, m + 1);
@@ -92,7 +93,7 @@ GeoGraph generate_barabasi_albert(const GeneratorParams& params,
   std::vector<NodeId> endpoint_pool;
   for (NodeId u = 0; u < seed_size; ++u) {
     for (NodeId v = u + 1; v < seed_size; ++v) {
-      add_backbone(geo, u, v, delay);
+      add_backbone(geo, u, v);
       endpoint_pool.push_back(u);
       endpoint_pool.push_back(v);
     }
@@ -107,7 +108,7 @@ GeoGraph generate_barabasi_albert(const GeneratorParams& params,
       }
     }
     for (NodeId target : chosen) {
-      add_backbone(geo, node, target, delay);
+      add_backbone(geo, node, target);
       endpoint_pool.push_back(node);
       endpoint_pool.push_back(target);
     }
@@ -115,14 +116,13 @@ GeoGraph generate_barabasi_albert(const GeneratorParams& params,
   return geo;
 }
 
-GeoGraph generate_erdos_renyi(const GeneratorParams& params,
-                              const LinkDelayModel& delay, util::Rng& rng) {
+GeoGraph generate_erdos_renyi(const GeneratorParams& params, util::Rng& rng) {
   GeoGraph geo{Graph(params.node_count),
                random_positions(params.node_count, params.area_km, rng)};
   for (NodeId u = 0; u < params.node_count; ++u) {
     for (NodeId v = u + 1; v < params.node_count; ++v) {
       if (rng.bernoulli(params.er_edge_probability)) {
-        add_backbone(geo, u, v, delay);
+        add_backbone(geo, u, v);
       }
     }
   }
@@ -130,7 +130,6 @@ GeoGraph generate_erdos_renyi(const GeneratorParams& params,
 }
 
 GeoGraph generate_random_geometric(const GeneratorParams& params,
-                                   const LinkDelayModel& delay,
                                    util::Rng& rng) {
   GeoGraph geo{Graph(params.node_count),
                random_positions(params.node_count, params.area_km, rng)};
@@ -138,15 +137,14 @@ GeoGraph generate_random_geometric(const GeneratorParams& params,
     for (NodeId v = u + 1; v < params.node_count; ++v) {
       if (euclidean_distance(geo.positions[u], geo.positions[v]) <=
           params.geometric_radius_km) {
-        add_backbone(geo, u, v, delay);
+        add_backbone(geo, u, v);
       }
     }
   }
   return geo;
 }
 
-GeoGraph generate_grid(const GeneratorParams& params,
-                       const LinkDelayModel& delay) {
+GeoGraph generate_grid(const GeneratorParams& params) {
   const auto side = static_cast<std::size_t>(
       std::max(1.0, std::floor(std::sqrt(static_cast<double>(
                         std::max<std::size_t>(1, params.node_count))))));
@@ -163,9 +161,9 @@ GeoGraph generate_grid(const GeneratorParams& params,
   for (std::size_t r = 0; r < side; ++r) {
     for (std::size_t c = 0; c < side; ++c) {
       const auto id = static_cast<NodeId>(r * side + c);
-      if (c + 1 < side) add_backbone(geo, id, id + 1, delay);
+      if (c + 1 < side) add_backbone(geo, id, id + 1);
       if (r + 1 < side) {
-        add_backbone(geo, id, static_cast<NodeId>(id + side), delay);
+        add_backbone(geo, id, static_cast<NodeId>(id + side));
       }
     }
   }
@@ -173,7 +171,7 @@ GeoGraph generate_grid(const GeneratorParams& params,
 }
 
 GeoGraph generate_hierarchical(const GeneratorParams& params,
-                               const LinkDelayModel& delay, util::Rng& rng) {
+                               util::Rng& rng) {
   const std::size_t branching =
       std::max<std::size_t>(2, params.hierarchical_branching);
   const std::size_t count = std::max<std::size_t>(1, params.node_count);
@@ -206,7 +204,7 @@ GeoGraph generate_hierarchical(const GeneratorParams& params,
           std::clamp(centre.y + r * std::sin(angle), 0.0, params.area_km)};
       const auto parent =
           static_cast<NodeId>(tier_begin + k / branching);
-      add_backbone(geo, static_cast<NodeId>(next_begin + k), parent, delay);
+      add_backbone(geo, static_cast<NodeId>(next_begin + k), parent);
     }
     tier_begin = next_begin;
     tier_size = next_size;
@@ -216,29 +214,29 @@ GeoGraph generate_hierarchical(const GeneratorParams& params,
 }
 
 GeoGraph generate(TopologyFamily family, const GeneratorParams& params,
-                  const LinkDelayModel& delay, util::Rng& rng) {
+                  util::Rng& rng) {
   GeoGraph geo = [&] {
     switch (family) {
       case TopologyFamily::kWaxman:
-        return generate_waxman(params, delay, rng);
+        return generate_waxman(params, rng);
       case TopologyFamily::kBarabasiAlbert:
-        return generate_barabasi_albert(params, delay, rng);
+        return generate_barabasi_albert(params, rng);
       case TopologyFamily::kErdosRenyi:
-        return generate_erdos_renyi(params, delay, rng);
+        return generate_erdos_renyi(params, rng);
       case TopologyFamily::kRandomGeometric:
-        return generate_random_geometric(params, delay, rng);
+        return generate_random_geometric(params, rng);
       case TopologyFamily::kGrid:
-        return generate_grid(params, delay);
+        return generate_grid(params);
       case TopologyFamily::kHierarchical:
-        return generate_hierarchical(params, delay, rng);
+        return generate_hierarchical(params, rng);
     }
     throw std::invalid_argument("unknown topology family");
   }();
-  ensure_connected(geo, delay);
+  ensure_connected(geo);
   return geo;
 }
 
-void ensure_connected(GeoGraph& geo, const LinkDelayModel& delay) {
+void ensure_connected(GeoGraph& geo) {
   while (true) {
     const auto labels = connected_components(geo.graph);
     const auto component_count =
@@ -263,7 +261,7 @@ void ensure_connected(GeoGraph& geo, const LinkDelayModel& delay) {
         }
       }
     }
-    add_backbone(geo, best_u, best_v, delay);
+    add_backbone(geo, best_u, best_v);
   }
 }
 

@@ -1,7 +1,8 @@
 // Synthetic infrastructure-topology generators.
 //
 // Each generator produces a geometric graph of routers/access points inside
-// an area_km × area_km square; link latencies come from a LinkDelayModel.
+// an area_km × area_km square; link latencies come from the link-delay
+// model (delay_model.hpp).
 // Generators may emit disconnected graphs; ensure_connected() repairs them
 // by adding the shortest possible bridging links, so downstream code can
 // assume connectivity.
@@ -11,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "topology/delay_model.hpp"
 #include "topology/geometry.hpp"
 #include "topology/graph.hpp"
 #include "util/rng.hpp"
@@ -43,9 +43,9 @@ enum class TopologyFamily {
 struct GeneratorParams {
   std::size_t node_count = 50;
   double area_km = 10.0;
-  // Waxman: P(u,v) = alpha * exp(-d(u,v) / (beta * max_distance))
+  // Waxman: P(u,v) = alpha * exp(-d(u,v) / (beta * max_distance)), with
+  // beta fixed at kWaxmanBeta (generators.cpp).
   double waxman_alpha = 0.4;
-  double waxman_beta = 0.3;
   // Barabási–Albert: edges added per new node.
   std::size_t ba_attach_count = 2;
   // Erdős–Rényi edge probability.
@@ -57,31 +57,24 @@ struct GeneratorParams {
 };
 
 [[nodiscard]] GeoGraph generate_waxman(const GeneratorParams& params,
-                                       const LinkDelayModel& delay,
                                        util::Rng& rng);
 [[nodiscard]] GeoGraph generate_barabasi_albert(const GeneratorParams& params,
-                                                const LinkDelayModel& delay,
                                                 util::Rng& rng);
 [[nodiscard]] GeoGraph generate_erdos_renyi(const GeneratorParams& params,
-                                            const LinkDelayModel& delay,
                                             util::Rng& rng);
 [[nodiscard]] GeoGraph generate_random_geometric(
-    const GeneratorParams& params, const LinkDelayModel& delay,
-    util::Rng& rng);
+    const GeneratorParams& params, util::Rng& rng);
 /// Lattice over ceil(sqrt(node_count))²-truncated nodes; deterministic.
-[[nodiscard]] GeoGraph generate_grid(const GeneratorParams& params,
-                                     const LinkDelayModel& delay);
+[[nodiscard]] GeoGraph generate_grid(const GeneratorParams& params);
 [[nodiscard]] GeoGraph generate_hierarchical(const GeneratorParams& params,
-                                             const LinkDelayModel& delay,
                                              util::Rng& rng);
 
 /// Dispatch by family; every result is post-processed by ensure_connected.
 [[nodiscard]] GeoGraph generate(TopologyFamily family,
-                                const GeneratorParams& params,
-                                const LinkDelayModel& delay, util::Rng& rng);
+                                const GeneratorParams& params, util::Rng& rng);
 
 /// Adds backbone links between nearest node pairs of distinct components
 /// until the graph is connected.
-void ensure_connected(GeoGraph& geo, const LinkDelayModel& delay);
+void ensure_connected(GeoGraph& geo);
 
 }  // namespace tacc::topo

@@ -70,7 +70,7 @@ std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
   return settled;
 }
 
-SsspUpdateStats DynamicSsspTree::on_edge_added(
+std::size_t DynamicSsspTree::on_edge_added(
     const Graph& graph, NodeId u, NodeId v, double latency_ms,
     std::vector<DistanceChange>& changed) {
   bump_epochs();
@@ -83,16 +83,16 @@ SsspUpdateStats DynamicSsspTree::on_edge_added(
     const double via_v = relay_ms(v) + latency_ms;
     if (via_v < dist_[u]) improve(u, via_v, v, &changed);
   }
-  return {run_heap(graph, /*orphan_only=*/false, &changed)};
+  return run_heap(graph, /*orphan_only=*/false, &changed);
 }
 
-SsspUpdateStats DynamicSsspTree::on_edge_removed(
+std::size_t DynamicSsspTree::on_edge_removed(
     const Graph& graph, NodeId u, NodeId v,
     std::vector<DistanceChange>& changed) {
   return repair_tree_edge(graph, u, v, changed);
 }
 
-SsspUpdateStats DynamicSsspTree::on_edge_latency_changed(
+std::size_t DynamicSsspTree::on_edge_latency_changed(
     const Graph& graph, NodeId u, NodeId v, double old_latency_ms,
     double new_latency_ms, std::vector<DistanceChange>& changed) {
   if (new_latency_ms < old_latency_ms) {
@@ -106,10 +106,10 @@ SsspUpdateStats DynamicSsspTree::on_edge_latency_changed(
     // edge.
     return repair_tree_edge(graph, u, v, changed);
   }
-  return {};
+  return 0;
 }
 
-SsspUpdateStats DynamicSsspTree::repair_tree_edge(
+std::size_t DynamicSsspTree::repair_tree_edge(
     const Graph& graph, NodeId u, NodeId v,
     std::vector<DistanceChange>& changed) {
   // Only the tree edge's child-side subtree can be affected: every other
@@ -121,10 +121,10 @@ SsspUpdateStats DynamicSsspTree::repair_tree_edge(
   if (is_router(u) && parent_[u] == v) {
     return repair_orphans(graph, u, changed);
   }
-  return {};
+  return 0;
 }
 
-SsspUpdateStats DynamicSsspTree::repair_orphans(
+std::size_t DynamicSsspTree::repair_orphans(
     const Graph& graph, NodeId child, std::vector<DistanceChange>& changed) {
   bump_epochs();
 
@@ -178,7 +178,7 @@ SsspUpdateStats DynamicSsspTree::repair_orphans(
       changed.push_back({orphans_[i], old_dist_[i]});
     }
   }
-  return {orphans_.size()};
+  return orphans_.size();
 }
 
 std::size_t DynamicSsspTree::scratch_bytes() const noexcept {

@@ -60,12 +60,6 @@ template <typename RouterMs>
   return best;
 }
 
-/// What one update touched: `nodes_affected` counts the routers examined for
-/// change (orphaned or improved).
-struct SsspUpdateStats {
-  std::size_t nodes_affected = 0;
-};
-
 /// A router whose distance one update moved, with its distance before the
 /// update (the first old value, however often the update moved it).
 struct DistanceChange {
@@ -100,16 +94,17 @@ class DynamicSsspTree {
   // Update hooks. The graph must ALREADY reflect the mutation (edge present
   // for added, absent for removed, new weight for changed). Routers whose
   // distance changed are appended to `changed` (each once, with its
-  // pre-update distance).
-  SsspUpdateStats on_edge_added(const Graph& graph, NodeId u, NodeId v,
-                                double latency_ms,
-                                std::vector<DistanceChange>& changed);
-  SsspUpdateStats on_edge_removed(const Graph& graph, NodeId u, NodeId v,
-                                  std::vector<DistanceChange>& changed);
-  SsspUpdateStats on_edge_latency_changed(const Graph& graph, NodeId u,
-                                          NodeId v, double old_latency_ms,
-                                          double new_latency_ms,
-                                          std::vector<DistanceChange>& changed);
+  // pre-update distance). Each returns the count of routers examined for
+  // change (orphaned or improved).
+  std::size_t on_edge_added(const Graph& graph, NodeId u, NodeId v,
+                            double latency_ms,
+                            std::vector<DistanceChange>& changed);
+  std::size_t on_edge_removed(const Graph& graph, NodeId u, NodeId v,
+                              std::vector<DistanceChange>& changed);
+  std::size_t on_edge_latency_changed(const Graph& graph, NodeId u, NodeId v,
+                                      double old_latency_ms,
+                                      double new_latency_ms,
+                                      std::vector<DistanceChange>& changed);
 
   /// Bytes held by the scratch buffers (orphan list, heap, marks) — the
   /// bench's flat-memory gate checks this stays O(routers), independent of
@@ -147,11 +142,11 @@ class DynamicSsspTree {
                        std::vector<DistanceChange>* changed);
   /// Delete/increase repair: collect the subtree below `child`, invalidate
   /// it, re-seed from the surviving frontier, settle within the orphan set.
-  SsspUpdateStats repair_orphans(const Graph& graph, NodeId child,
-                                 std::vector<DistanceChange>& changed);
+  std::size_t repair_orphans(const Graph& graph, NodeId child,
+                             std::vector<DistanceChange>& changed);
   /// Repairs below whichever endpoint hangs off the other in the tree.
-  SsspUpdateStats repair_tree_edge(const Graph& graph, NodeId u, NodeId v,
-                                   std::vector<DistanceChange>& changed);
+  std::size_t repair_tree_edge(const Graph& graph, NodeId u, NodeId v,
+                               std::vector<DistanceChange>& changed);
   [[nodiscard]] bool marked(NodeId router) const noexcept {
     return mark_[router] == mark_epoch_;
   }

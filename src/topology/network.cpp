@@ -154,7 +154,6 @@ void NetworkTopology::check_invariants() const {
 NetworkTopology build_network(const GeoGraph& infrastructure,
                               std::span<const Point2D> iot_positions,
                               std::span<const Point2D> edge_positions,
-                              const LinkDelayModel& delay,
                               const AttachParams& attach) {
   if (infrastructure.graph.node_count() == 0) {
     throw std::invalid_argument("build_network: empty infrastructure");
@@ -177,7 +176,7 @@ NetworkTopology build_network(const GeoGraph& infrastructure,
     for (NodeId router :
          nearest_routers(infrastructure.positions, pos, attach_count)) {
       net.graph.add_edge(node, router,
-                         delay.access_link(euclidean_distance(
+                         access_link(euclidean_distance(
                              pos, infrastructure.positions[router])));
     }
     return node;
@@ -191,7 +190,7 @@ NetworkTopology build_network(const GeoGraph& infrastructure,
     for (NodeId router :
          nearest_routers(infrastructure.positions, pos, attach_count)) {
       net.graph.add_edge(node, router,
-                         delay.backbone_link(euclidean_distance(
+                         backbone_link(euclidean_distance(
                              pos, infrastructure.positions[router])));
     }
     net.edge_nodes.push_back(node);
@@ -202,15 +201,12 @@ NetworkTopology build_network(const GeoGraph& infrastructure,
   return net;
 }
 
-DelayMatrix compute_delay_matrix(const NetworkTopology& net,
-                                 std::size_t threads) {
+DelayMatrix compute_delay_matrix(const NetworkTopology& net) {
   DelayMatrix matrix(net.iot_count(), net.edge_count(), kUnreachable);
   // One Dijkstra per edge server — the hot precomputation when building
-  // instances. Each tree fills a disjoint column, so the fan-out is
-  // deterministic for any thread count.
+  // instances.
   const std::vector<ShortestPathTree> trees =
-      dijkstra_fan_out(net.graph, net.edge_nodes, threads,
-                       net.router_count());
+      dijkstra_fan_out(net.graph, net.edge_nodes, net.router_count());
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
       matrix.set(i, j, trees[j].distance_ms[net.iot_nodes[i]]);

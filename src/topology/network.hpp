@@ -148,17 +148,12 @@ struct AttachParams {
 /// Requires non-empty infra and at least one position in each span.
 [[nodiscard]] NetworkTopology build_network(
     const GeoGraph& infrastructure, std::span<const Point2D> iot_positions,
-    std::span<const Point2D> edge_positions, const LinkDelayModel& delay,
-    const AttachParams& attach = {});
+    std::span<const Point2D> edge_positions, const AttachParams& attach = {});
 
 /// Shortest-path delay (ms) from every IoT device to every edge server,
 /// over paths that only routers relay (the no-relay model of dijkstra()).
 /// Runs one Dijkstra per edge server (m << n in practice).
-/// `threads` spreads the per-server Dijkstra runs over a worker pool
-/// (1 = serial, 0 = hardware concurrency); the matrix is bit-identical for
-/// any thread count.
-[[nodiscard]] DelayMatrix compute_delay_matrix(const NetworkTopology& net,
-                                               std::size_t threads = 1);
+[[nodiscard]] DelayMatrix compute_delay_matrix(const NetworkTopology& net);
 
 /// Straight-line distances (km); the *topology-oblivious* cost used by the
 /// geometric-nearest baseline and the A1 ablation.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "runtime/thread_pool.hpp"
-
 namespace tacc::topo {
 
 std::vector<NodeId> ShortestPathTree::path_to(NodeId target) const {
@@ -69,14 +67,10 @@ std::vector<std::uint32_t> bfs_hops(const Graph& graph, NodeId source) {
   return hops;
 }
 
-std::vector<std::vector<double>> all_pairs_distances(const Graph& graph,
-                                                     std::size_t threads) {
-  // Delegate to the fan-out runner so there is exactly one parallel
-  // Dijkstra loop in the library.
+std::vector<std::vector<double>> all_pairs_distances(const Graph& graph) {
   std::vector<NodeId> sources(graph.node_count());
   for (NodeId s = 0; s < sources.size(); ++s) sources[s] = s;
-  std::vector<ShortestPathTree> trees =
-      dijkstra_fan_out(graph, sources, threads);
+  std::vector<ShortestPathTree> trees = dijkstra_fan_out(graph, sources);
   std::vector<std::vector<double>> result(trees.size());
   for (std::size_t s = 0; s < trees.size(); ++s) {
     result[s] = std::move(trees[s].distance_ms);
@@ -86,14 +80,12 @@ std::vector<std::vector<double>> all_pairs_distances(const Graph& graph,
 
 std::vector<ShortestPathTree> dijkstra_fan_out(const Graph& graph,
                                                std::span<const NodeId> sources,
-                                               std::size_t threads,
                                                std::size_t relays) {
-  std::vector<ShortestPathTree> result(sources.size());
-  // Each task writes only its own slot, so any schedule yields the same
-  // trees.
-  runtime::parallel_for(sources.size(), threads, [&](std::size_t k) {
-    result[k] = dijkstra(graph, sources[k], relays);
-  });
+  std::vector<ShortestPathTree> result;
+  result.reserve(sources.size());
+  for (const NodeId source : sources) {
+    result.push_back(dijkstra(graph, source, relays));
+  }
   return result;
 }
 

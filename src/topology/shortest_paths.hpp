@@ -40,19 +40,16 @@ constexpr std::uint32_t kUnreachableHops =
                                                   NodeId source);
 
 /// All-pairs distances via repeated Dijkstra; row-major [source][target].
-/// Intended for tests and small graphs (O(V·E log V)). `threads` spreads the
-/// per-source runs over a worker pool (1 = serial, 0 = hardware
-/// concurrency); the result is identical for any thread count.
+/// Intended for tests and small graphs (O(V·E log V)).
 [[nodiscard]] std::vector<std::vector<double>> all_pairs_distances(
-    const Graph& graph, std::size_t threads = 1);
+    const Graph& graph);
 
-/// Runs dijkstra() from every node in `sources`, spread over up to `threads`
-/// workers (1 = serial, 0 = hardware concurrency), with the same `relays`.
-/// result[k] corresponds to sources[k]; deterministic for any thread count.
-/// This is the hot precomputation path when building delay matrices.
+/// Runs dijkstra() from every node in `sources` with the same `relays`;
+/// result[k] corresponds to sources[k]. This is the hot precomputation
+/// path when building delay matrices.
 [[nodiscard]] std::vector<ShortestPathTree> dijkstra_fan_out(
     const Graph& graph, std::span<const NodeId> sources,
-    std::size_t threads = 1, std::size_t relays = kEveryNodeRelays);
+    std::size_t relays = kEveryNodeRelays);
 
 /// Floyd–Warshall reference implementation (O(V^3)); used by tests to
 /// cross-check Dijkstra.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/configurator.hpp"
-#include "gap/builder.hpp"
 #include "gap/instance.hpp"
 #include "gap/solution.hpp"
 #include "tests/test_helpers.hpp"
@@ -94,15 +93,6 @@ TEST(Deadlines, BuilderAttachesWorkloadDeadlines) {
     EXPECT_DOUBLE_EQ(scenario.instance().deadline_ms(i),
                      scenario.workload().iot[i].deadline_ms);
   }
-}
-
-TEST(Deadlines, BuilderCanSkipDeadlines) {
-  const tacc::Scenario scenario = tacc::Scenario::factory(20, 3, 9);
-  BuilderOptions options;
-  options.attach_deadlines = false;
-  const Instance inst =
-      build_instance(scenario.network(), scenario.workload(), options);
-  EXPECT_FALSE(inst.has_deadlines());
 }
 
 TEST(Deadlines, DeadlineAwareConfigurationReducesViolations) {

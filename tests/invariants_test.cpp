@@ -153,7 +153,6 @@ TEST_F(InvariantsTest, GraphCatchesReleasedBitmapDrift) {
 
 // ---- topo::NetworkTopology -------------------------------------------------
 
-const topo::LinkDelayModel kDelay;
 
 topo::NetworkTopology make_net(std::uint64_t seed, std::size_t routers = 25,
                                std::size_t devices = 10,
@@ -162,7 +161,7 @@ topo::NetworkTopology make_net(std::uint64_t seed, std::size_t routers = 25,
   topo::GeneratorParams params;
   params.node_count = routers;
   const topo::GeoGraph infra =
-      topo::generate(topo::TopologyFamily::kWaxman, params, kDelay, rng);
+      topo::generate(topo::TopologyFamily::kWaxman, params, rng);
   std::vector<topo::Point2D> iot(devices);
   std::vector<topo::Point2D> edges(servers);
   for (auto& p : iot) {
@@ -171,7 +170,7 @@ topo::NetworkTopology make_net(std::uint64_t seed, std::size_t routers = 25,
   for (auto& p : edges) {
     p = {rng.uniform(0.0, params.area_km), rng.uniform(0.0, params.area_km)};
   }
-  return topo::build_network(infra, iot, edges, kDelay);
+  return topo::build_network(infra, iot, edges);
 }
 
 TEST_F(InvariantsTest, NetworkHealthyStatePasses) {

@@ -70,7 +70,7 @@ TEST(ReoptPlanner, ProposesImprovingMovesWithPositiveGain) {
   const double before = cluster.total_cost();
 
   PlannerState state;
-  const MovePlan plan = propose_plan(cluster, PlannerOptions{}, state);
+  const MovePlan plan = propose_plan(cluster, kMaxPlanMoves, state);
   ASSERT_FALSE(plan.empty());
   EXPECT_GT(plan.predicted_gain(), 0.0);
 
@@ -84,10 +84,8 @@ TEST(ReoptPlanner, ProposesImprovingMovesWithPositiveGain) {
 TEST(ReoptPlanner, RespectsPlanSizeCap) {
   DynamicCluster cluster = make_cluster(22);
   ASSERT_GT(degrade(cluster, 8), 2u);
-  PlannerOptions options;
-  options.max_plan_moves = 2;
   PlannerState state;
-  const MovePlan plan = propose_plan(cluster, options, state);
+  const MovePlan plan = propose_plan(cluster, 2, state);
   EXPECT_LE(plan.size(), 2u);
 }
 
@@ -99,11 +97,11 @@ TEST(ReoptPlanner, EmptyPlanOnceConverged) {
   // and with nothing left to propose, the round-robin cursor guarantees
   // the whole population was re-scanned.
   for (int i = 0; i < 64; ++i) {
-    const MovePlan plan = propose_plan(cluster, PlannerOptions{}, state);
+    const MovePlan plan = propose_plan(cluster, kMaxPlanMoves, state);
     if (plan.empty()) break;
     (void)cluster.apply_move_plan(plan);
   }
-  EXPECT_TRUE(propose_plan(cluster, PlannerOptions{}, state).empty());
+  EXPECT_TRUE(propose_plan(cluster, kMaxPlanMoves, state).empty());
 }
 
 TEST(Reoptimizer, RunPassDrivesCostDown) {

@@ -10,7 +10,6 @@
 namespace tacc::topo {
 namespace {
 
-const LinkDelayModel kDelay;
 
 // Property sweep: every family × several seeds yields a connected graph of
 // the right size with positive link latencies and in-area positions.
@@ -33,7 +32,7 @@ TEST_P(GeneratorProperties, ConnectedSizedInArea) {
   GeneratorParams params;
   params.node_count = 40;
   params.area_km = 8.0;
-  const GeoGraph geo = generate(family, params, kDelay, rng);
+  const GeoGraph geo = generate(family, params, rng);
 
   // Grid truncates to a square; everything else hits the request exactly.
   if (family == TopologyFamily::kGrid) {
@@ -64,8 +63,8 @@ TEST_P(GeneratorProperties, DeterministicForSameSeed) {
   util::Rng rng2(seed);
   GeneratorParams params;
   params.node_count = 30;
-  const GeoGraph a = generate(family, params, kDelay, rng1);
-  const GeoGraph b = generate(family, params, kDelay, rng2);
+  const GeoGraph a = generate(family, params, rng1);
+  const GeoGraph b = generate(family, params, rng2);
   ASSERT_EQ(a.graph.node_count(), b.graph.node_count());
   EXPECT_EQ(a.graph.edge_count(), b.graph.edge_count());
   for (NodeId u = 0; u < a.graph.node_count(); ++u) {
@@ -94,8 +93,8 @@ TEST(Waxman, DenserWithHigherAlpha) {
   GeneratorParams dense_params = sparse_params;
   dense_params.waxman_alpha = 0.9;
   util::Rng rng1(5), rng2(5);
-  const auto sparse = generate_waxman(sparse_params, kDelay, rng1);
-  const auto dense = generate_waxman(dense_params, kDelay, rng2);
+  const auto sparse = generate_waxman(sparse_params, rng1);
+  const auto dense = generate_waxman(dense_params, rng2);
   EXPECT_GT(dense.graph.edge_count(), sparse.graph.edge_count());
 }
 
@@ -104,7 +103,7 @@ TEST(BarabasiAlbert, EdgeCountMatchesAttachment) {
   params.node_count = 50;
   params.ba_attach_count = 2;
   util::Rng rng(7);
-  const auto geo = generate_barabasi_albert(params, kDelay, rng);
+  const auto geo = generate_barabasi_albert(params, rng);
   // Seed clique of m+1=3 nodes has 3 edges; each later node adds m=2.
   EXPECT_EQ(geo.graph.edge_count(), 3u + (50u - 3u) * 2u);
 }
@@ -114,7 +113,7 @@ TEST(BarabasiAlbert, HasHubs) {
   params.node_count = 200;
   params.ba_attach_count = 2;
   util::Rng rng(9);
-  const auto geo = generate_barabasi_albert(params, kDelay, rng);
+  const auto geo = generate_barabasi_albert(params, rng);
   std::size_t max_degree = 0;
   for (NodeId u = 0; u < geo.graph.node_count(); ++u) {
     max_degree = std::max(max_degree, geo.graph.degree(u));
@@ -127,7 +126,7 @@ TEST(Grid, LatticeStructure) {
   GeneratorParams params;
   params.node_count = 16;
   params.area_km = 3.0;
-  const auto geo = generate_grid(params, kDelay);
+  const auto geo = generate_grid(params);
   EXPECT_EQ(geo.graph.node_count(), 16u);
   EXPECT_EQ(geo.graph.edge_count(), 24u);  // 2*4*3
   // Corners have degree 2, centre nodes degree 4.
@@ -138,7 +137,7 @@ TEST(Grid, LatticeStructure) {
 TEST(Grid, SingleNode) {
   GeneratorParams params;
   params.node_count = 1;
-  const auto geo = generate_grid(params, kDelay);
+  const auto geo = generate_grid(params);
   EXPECT_EQ(geo.graph.node_count(), 1u);
   EXPECT_EQ(geo.graph.edge_count(), 0u);
 }
@@ -148,7 +147,7 @@ TEST(Hierarchical, IsTreePlusNothing) {
   params.node_count = 40;
   params.hierarchical_branching = 3;
   util::Rng rng(3);
-  const auto geo = generate_hierarchical(params, kDelay, rng);
+  const auto geo = generate_hierarchical(params, rng);
   // A tree on n nodes has exactly n-1 edges.
   EXPECT_EQ(geo.graph.edge_count(), geo.graph.node_count() - 1);
   EXPECT_TRUE(is_connected(geo.graph));
@@ -161,8 +160,8 @@ TEST(RandomGeometric, RadiusControlsEdges) {
   GeneratorParams big_params = small_params;
   big_params.geometric_radius_km = 5.0;
   util::Rng rng1(13), rng2(13);
-  const auto small_r = generate_random_geometric(small_params, kDelay, rng1);
-  const auto big_r = generate_random_geometric(big_params, kDelay, rng2);
+  const auto small_r = generate_random_geometric(small_params, rng1);
+  const auto big_r = generate_random_geometric(big_params, rng2);
   EXPECT_GT(big_r.graph.edge_count(), small_r.graph.edge_count());
 }
 
@@ -171,7 +170,7 @@ TEST(EnsureConnected, RepairsFragments) {
                {{0.0, 0.0}, {1.0, 0.0}, {5.0, 0.0}, {6.0, 0.0}}};
   geo.graph.add_edge(0, 1, {1.0, 1.0});
   geo.graph.add_edge(2, 3, {1.0, 1.0});
-  ensure_connected(geo, kDelay);
+  ensure_connected(geo);
   EXPECT_TRUE(is_connected(geo.graph));
   // Nearest cross pair is 1–2.
   EXPECT_TRUE(geo.graph.has_edge(1, 2));

@@ -8,12 +8,11 @@
 namespace tacc::topo {
 namespace {
 
-const LinkDelayModel kDelay;
 
 GeoGraph two_router_line() {
   // Two routers 4 km apart.
   GeoGraph geo{Graph(2), {{0.0, 0.0}, {4.0, 0.0}}};
-  geo.graph.add_edge(0, 1, kDelay.backbone_link(4.0));
+  geo.graph.add_edge(0, 1, backbone_link(4.0));
   return geo;
 }
 
@@ -35,7 +34,7 @@ TEST(BuildNetwork, NodeBookkeeping) {
   const GeoGraph infra = two_router_line();
   const std::vector<Point2D> iot{{0.5, 0.0}, {3.5, 0.0}};
   const std::vector<Point2D> edges{{0.0, 0.5}};
-  const auto net = build_network(infra, iot, edges, kDelay);
+  const auto net = build_network(infra, iot, edges);
   EXPECT_EQ(net.iot_count(), 2u);
   EXPECT_EQ(net.edge_count(), 1u);
   EXPECT_EQ(net.graph.node_count(), 5u);  // 2 routers + 1 server + 2 iot
@@ -50,7 +49,7 @@ TEST(BuildNetwork, DevicesAttachToNearestRouter) {
   const GeoGraph infra = two_router_line();
   const std::vector<Point2D> iot{{3.9, 0.0}};
   const std::vector<Point2D> edges{{0.1, 0.0}};
-  const auto net = build_network(infra, iot, edges, kDelay);
+  const auto net = build_network(infra, iot, edges);
   EXPECT_TRUE(net.graph.has_edge(net.iot_nodes[0], 1));   // right router
   EXPECT_TRUE(net.graph.has_edge(net.edge_nodes[0], 0));  // left router
   EXPECT_FALSE(net.graph.has_edge(net.iot_nodes[0], 0));
@@ -62,7 +61,7 @@ TEST(BuildNetwork, MultiHomingAddsLinks) {
   const std::vector<Point2D> edges{{2.0, 1.0}};
   AttachParams attach;
   attach.attach_count = 2;
-  const auto net = build_network(infra, iot, edges, kDelay, attach);
+  const auto net = build_network(infra, iot, edges, attach);
   EXPECT_EQ(net.graph.degree(net.iot_nodes[0]), 2u);
   EXPECT_EQ(net.graph.degree(net.edge_nodes[0]), 2u);
 }
@@ -70,17 +69,17 @@ TEST(BuildNetwork, MultiHomingAddsLinks) {
 TEST(BuildNetwork, InvalidInputsThrow) {
   const GeoGraph infra = two_router_line();
   const std::vector<Point2D> one{{0.0, 0.0}};
-  EXPECT_THROW(build_network(GeoGraph{}, one, one, kDelay),
+  EXPECT_THROW(build_network(GeoGraph{}, one, one),
                std::invalid_argument);
-  EXPECT_THROW(build_network(infra, {}, one, kDelay), std::invalid_argument);
-  EXPECT_THROW(build_network(infra, one, {}, kDelay), std::invalid_argument);
+  EXPECT_THROW(build_network(infra, {}, one), std::invalid_argument);
+  EXPECT_THROW(build_network(infra, one, {}), std::invalid_argument);
 }
 
 TEST(ComputeDelayMatrix, MatchesManualDijkstra) {
   const GeoGraph infra = two_router_line();
   const std::vector<Point2D> iot{{0.5, 0.0}, {3.5, 0.0}};
   const std::vector<Point2D> edges{{0.0, 0.5}, {4.0, 0.5}};
-  const auto net = build_network(infra, iot, edges, kDelay);
+  const auto net = build_network(infra, iot, edges);
   const auto matrix = compute_delay_matrix(net);
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
     const auto tree =
@@ -91,25 +90,11 @@ TEST(ComputeDelayMatrix, MatchesManualDijkstra) {
   }
 }
 
-TEST(ComputeDelayMatrix, ParallelBuildMatchesSerialExactly) {
-  const GeoGraph infra = two_router_line();
-  const std::vector<Point2D> iot{{0.5, 0.0}, {3.5, 0.0}, {1.5, 0.3}};
-  const std::vector<Point2D> edges{{0.0, 0.5}, {4.0, 0.5}};
-  const auto net = build_network(infra, iot, edges, kDelay);
-  const auto serial = compute_delay_matrix(net, 1);
-  const auto parallel = compute_delay_matrix(net, 4);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    for (std::size_t j = 0; j < net.edge_count(); ++j) {
-      EXPECT_EQ(parallel.at(i, j), serial.at(i, j)) << i << "," << j;
-    }
-  }
-}
-
 TEST(ComputeDelayMatrix, NearerServerIsCheaper) {
   const GeoGraph infra = two_router_line();
   const std::vector<Point2D> iot{{0.2, 0.0}};
   const std::vector<Point2D> edges{{0.0, 0.1}, {4.0, 0.1}};
-  const auto net = build_network(infra, iot, edges, kDelay);
+  const auto net = build_network(infra, iot, edges);
   const auto matrix = compute_delay_matrix(net);
   EXPECT_LT(matrix.at(0, 0), matrix.at(0, 1));
 }
@@ -118,32 +103,32 @@ TEST(ComputeDelayMatrix, AtLeastAccessLatency) {
   const GeoGraph infra = two_router_line();
   const std::vector<Point2D> iot{{1.0, 1.0}};
   const std::vector<Point2D> edges{{3.0, 1.0}};
-  const auto net = build_network(infra, iot, edges, kDelay);
+  const auto net = build_network(infra, iot, edges);
   const auto matrix = compute_delay_matrix(net);
   // Any IoT→server path crosses one wireless access link.
   EXPECT_GE(matrix.at(0, 0),
-            kDelay.per_hop_forwarding_ms + kDelay.wireless_access_extra_ms);
+            access_link(0.0).latency_ms);
 }
 
 TEST(ComputeEuclideanMatrix, StraightLineDistances) {
   const GeoGraph infra = two_router_line();
   const std::vector<Point2D> iot{{0.0, 0.0}};
   const std::vector<Point2D> edges{{3.0, 4.0}};
-  const auto net = build_network(infra, iot, edges, kDelay);
+  const auto net = build_network(infra, iot, edges);
   const auto euclid = compute_euclidean_matrix(net);
   EXPECT_DOUBLE_EQ(euclid.at(0, 0), 5.0);
 }
 
 TEST(DelayModel, AccessSlowerThanBackbone) {
-  EXPECT_GT(kDelay.access_link(1.0).latency_ms,
-            kDelay.backbone_link(1.0).latency_ms);
-  EXPECT_LT(kDelay.access_link(1.0).bandwidth_mbps,
-            kDelay.backbone_link(1.0).bandwidth_mbps);
+  EXPECT_GT(access_link(1.0).latency_ms,
+            backbone_link(1.0).latency_ms);
+  EXPECT_LT(access_link(1.0).bandwidth_mbps,
+            backbone_link(1.0).bandwidth_mbps);
 }
 
 TEST(DelayModel, LatencyGrowsWithDistance) {
-  EXPECT_GT(kDelay.backbone_link(10.0).latency_ms,
-            kDelay.backbone_link(1.0).latency_ms);
+  EXPECT_GT(backbone_link(10.0).latency_ms,
+            backbone_link(1.0).latency_ms);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@ struct DelayOracleTestPeer {
 
 namespace {
 
-const LinkDelayModel kDelay;
 
 NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
                          std::size_t routers = 49, std::size_t devices = 24,
@@ -39,14 +38,14 @@ NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
   util::Rng rng(seed);
   GeneratorParams params;
   params.node_count = routers;
-  const GeoGraph infra = generate(family, params, kDelay, rng);
+  const GeoGraph infra = generate(family, params, rng);
   std::vector<Point2D> iot(devices);
   std::vector<Point2D> edges(servers);
   for (auto& p : iot) p = {rng.uniform(0.0, params.area_km),
                            rng.uniform(0.0, params.area_km)};
   for (auto& p : edges) p = {rng.uniform(0.0, params.area_km),
                              rng.uniform(0.0, params.area_km)};
-  return build_network(infra, iot, edges, kDelay, attach);
+  return build_network(infra, iot, edges, attach);
 }
 
 // ---- Spec parsing ----------------------------------------------------------
@@ -383,14 +382,14 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   GeneratorParams params;
   params.node_count = 36;
   const GeoGraph infra =
-      generate(TopologyFamily::kRandomGeometric, params, kDelay, rng);
+      generate(TopologyFamily::kRandomGeometric, params, rng);
   std::vector<Point2D> iot(24);
   std::vector<Point2D> edges(4);
   for (auto& p : iot) p = {rng.uniform(0.0, params.area_km),
                            rng.uniform(0.0, params.area_km)};
   for (auto& p : edges) p = {rng.uniform(0.0, params.area_km),
                              rng.uniform(0.0, params.area_km)};
-  NetworkTopology net = build_network(infra, iot, edges, kDelay,
+  NetworkTopology net = build_network(infra, iot, edges,
                                       AttachParams{.attach_count = 2});
   // Two devices in three keep one access link and read through their
   // anchor router; the rest stay multi-homed.
@@ -599,7 +598,7 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
         }
         engine.add_link(
             node, router,
-            kDelay.access_link(euclidean_distance(pos, net.positions[router])));
+            access_link(euclidean_distance(pos, net.positions[router])));
       }
       bind(slot, node);
     } else {

@@ -117,8 +117,7 @@ TEST_P(PathEquivalence, DijkstraMatchesFloydWarshall) {
   GeneratorParams params;
   params.node_count = 24;
   params.er_edge_probability = 0.12;
-  const LinkDelayModel delay;
-  const GeoGraph geo = generate_erdos_renyi(params, delay, rng);
+  const GeoGraph geo = generate_erdos_renyi(params, rng);
   const auto fw = floyd_warshall(geo.graph);
   for (NodeId s = 0; s < geo.graph.node_count(); s += 3) {
     const auto tree = dijkstra(geo.graph, s);
@@ -136,9 +135,8 @@ TEST_P(PathEquivalence, PathCostMatchesDistance) {
   util::Rng rng(GetParam() + 1000);
   GeneratorParams params;
   params.node_count = 20;
-  const LinkDelayModel delay;
-  GeoGraph geo = generate_waxman(params, delay, rng);
-  ensure_connected(geo, delay);
+  GeoGraph geo = generate_waxman(params, rng);
+  ensure_connected(geo);
   const auto tree = dijkstra(geo.graph, 0);
   for (NodeId t = 0; t < geo.graph.node_count(); ++t) {
     const auto path = tree.path_to(t);
@@ -164,40 +162,6 @@ TEST(AllPairs, MatchesPerSourceDijkstra) {
   for (NodeId s = 0; s < g.node_count(); ++s) {
     const auto tree = dijkstra(g, s);
     EXPECT_EQ(all[s], tree.distance_ms);
-  }
-}
-
-TEST(AllPairs, ParallelMatchesSerialExactly) {
-  util::Rng rng(77);
-  GeneratorParams params;
-  params.node_count = 40;
-  const LinkDelayModel delay;
-  GeoGraph geo = generate_waxman(params, delay, rng);
-  ensure_connected(geo, delay);
-  const auto serial = all_pairs_distances(geo.graph, 1);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    EXPECT_EQ(all_pairs_distances(geo.graph, threads), serial) << threads;
-  }
-}
-
-TEST(DijkstraFanOut, ParallelMatchesSerialTrees) {
-  util::Rng rng(78);
-  GeneratorParams params;
-  params.node_count = 30;
-  const LinkDelayModel delay;
-  GeoGraph geo = generate_waxman(params, delay, rng);
-  ensure_connected(geo, delay);
-  const std::vector<NodeId> sources = {0, 5, 9, 17, 29};
-  const auto serial = dijkstra_fan_out(geo.graph, sources, 1);
-  const auto parallel = dijkstra_fan_out(geo.graph, sources, 4);
-  ASSERT_EQ(serial.size(), sources.size());
-  ASSERT_EQ(parallel.size(), sources.size());
-  for (std::size_t k = 0; k < sources.size(); ++k) {
-    EXPECT_EQ(parallel[k].distance_ms, serial[k].distance_ms) << k;
-    EXPECT_EQ(parallel[k].parent, serial[k].parent) << k;
-    // And both agree with a direct per-source run.
-    const auto direct = dijkstra(geo.graph, sources[k]);
-    EXPECT_EQ(serial[k].distance_ms, direct.distance_ms) << k;
   }
 }
 
