@@ -275,13 +275,13 @@ TEST(Engine, ClusterVerbRepliesAreByteStable) {
       {"FAIL g 2 evacuate=1", "OK server=2 evacuated=10 overloaded=0"},
       {"RECOVER g 2", "OK server=2"},
       {"LINK_FAIL g 1 10",
-       "OK u=1 v=10 epoch=7 affected=25 saved=191 rows_refreshed=14 "
+       "OK u=1 v=10 epoch=7 affected=25 saved=95 rows_refreshed=14 "
        "latency_ms=0.574309 avg_delay_ms=6.79288"},
       {"LINK_RESTORE g 1 10",
-       "OK u=1 v=10 epoch=8 affected=25 saved=191 rows_refreshed=14 "
+       "OK u=1 v=10 epoch=8 affected=25 saved=95 rows_refreshed=14 "
        "latency_ms=0.574309 avg_delay_ms=6.33448"},
       {"LINK_SET g 1 13 7.5",
-       "OK u=1 v=13 epoch=9 affected=11 saved=205 rows_refreshed=9 "
+       "OK u=1 v=13 epoch=9 affected=11 saved=109 rows_refreshed=9 "
        "latency_ms=2.30054 avg_delay_ms=6.4065"},
   };
   for (const auto& [request, reply] : golden) {
@@ -303,7 +303,7 @@ TEST(Engine, StatsSnapshotFieldsAreByteStable) {
             "OK session=g shard=0 configured=1 devices=20 servers=4 "
             "healthy_servers=4 avg_delay_ms=6.49671 max_utilization=0.989946 "
             "feasible=1 delay_epoch=2 link_updates=2 link_nodes_affected=28 "
-            "link_nodes_saved=404 delay_rows_refreshed=15 delay_rows_saved=25 "
+            "link_nodes_saved=212 delay_rows_refreshed=15 delay_rows_saved=25 "
             "reopt_running=0 reopt_passes=0 reopt_proposed=0 reopt_applied=0 "
             "reopt_rejected=0 reopt_gain=0");
 }
