@@ -63,6 +63,15 @@ REMOVED_APIS = {
     "configure_deadline_aware":
         "configure({algorithm, options, CostModel::kDeadlinePenalized, "
         "penalty})",
+    "LinkDelayModel": "topo::backbone_link/access_link (fixed link model)",
+    "build_threads": "nothing: the delay-matrix build is serial",
+    "PlannerOptions": "propose_plan(cluster, max_plan_moves, state)",
+    "validate_spot_checks":
+        "nothing: ReoptOptions::validate runs one spot check",
+    "oblivious_instance":
+        "gap::build_instance(net, workload, "
+        "{.topology_oblivious_costs = true})",
+    "SsspUpdateStats": "the std::size_t DynamicSsspTree's hooks return",
 }
 
 # R2: the logging sink is the one legitimate stream writer in src/.
