@@ -153,19 +153,24 @@ double Instance::load_factor() const noexcept {
   return capacity > 0.0 ? total_demand_lower_bound() / capacity : 0.0;
 }
 
-std::span<const std::uint32_t> Instance::servers_by_delay(
-    DeviceIndex i) const {
+std::span<const std::uint32_t> Instance::rank_table() const {
   if (!rank_cache_built_.load(std::memory_order_acquire)) {
     const MutexLock lock(&rank_mutex_);
     if (!rank_cache_built_.load(std::memory_order_relaxed)) {
       build_rank_cache();
     }
   }
-  const std::size_t m = server_count();
+  return rank_cache_;
+}
+
+std::span<const std::uint32_t> Instance::servers_by_delay(
+    DeviceIndex i) const {
+  const auto table = rank_table();
   if (i >= device_count()) {
     throw std::out_of_range("Instance::servers_by_delay: bad device index");
   }
-  return {rank_cache_.data() + i * m, m};
+  const std::size_t m = server_count();
+  return table.subspan(i * m, m);
 }
 
 void Instance::set_deadlines(std::vector<double> deadlines_ms) {

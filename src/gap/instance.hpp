@@ -20,6 +20,17 @@ namespace tacc::gap {
 using DeviceIndex = std::size_t;
 using ServerIndex = std::size_t;
 
+/// demand(i, ·) of one device as a strided view: element j is
+/// data[j * stride]. The stride is 0 under uniform demand (one value per
+/// device) and 1 under a demand matrix, so hot loops read it branch-free.
+struct DemandRow {
+  const double* data;
+  std::size_t stride;
+  [[nodiscard]] double operator[](ServerIndex j) const noexcept {
+    return data[j * stride];
+  }
+};
+
 class Instance {
  public:
   /// Builds an instance with uniform per-device demand (w_ij = w_i).
@@ -68,6 +79,14 @@ class Instance {
   [[nodiscard]] double demand(DeviceIndex i, ServerIndex j) const {
     return has_demand_matrix_ ? demand_matrix_.at(i, j) : demands_.at(i);
   }
+  /// demand(i, j) for every j, read without per-element checks.
+  [[nodiscard]] DemandRow demand_row(DeviceIndex i) const {
+    return has_demand_matrix_ ? DemandRow{demand_matrix_.row(i).data(), 1}
+                              : DemandRow{&demands_.at(i), 0};
+  }
+  [[nodiscard]] std::span<const double> traffic_weights() const noexcept {
+    return weights_;
+  }
   [[nodiscard]] bool uniform_demand() const noexcept {
     return !has_demand_matrix_;
   }
@@ -89,6 +108,9 @@ class Instance {
   /// portfolio solves share one instance across worker threads.
   [[nodiscard]] std::span<const std::uint32_t> servers_by_delay(
       DeviceIndex i) const;
+  /// The whole rank cache, n rows of m: servers_by_delay(i) is the row at
+  /// [i·m, (i+1)·m). Built on first use like servers_by_delay.
+  [[nodiscard]] std::span<const std::uint32_t> rank_table() const;
 
   [[nodiscard]] const topo::DelayMatrix& delay_matrix() const noexcept {
     return delay_;

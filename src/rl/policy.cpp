@@ -47,8 +47,8 @@ solvers::SolveResult apply_policy(const gap::Instance& instance,
   for (std::size_t e = 0; e < kEvalEpisodes; ++e) {
     env.reset();
     while (!env.done()) {
-      (void)env.step(policy.table.best_action(env.state(),
-                                              env.feasible_mask()));
+      const Observation obs = env.observe();
+      (void)env.step(policy.table.best_action(obs.state, obs.mask));
       ++steps;
     }
     const bool feasible = env.episode_feasible();

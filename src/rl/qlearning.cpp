@@ -2,20 +2,40 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "util/timer.hpp"
 
 namespace tacc::rl {
 
+QTable::QTable(std::size_t states, std::size_t actions)
+    : states_(states), actions_(actions) {
+  if (actions != 0 &&
+      states > std::numeric_limits<std::size_t>::max() / actions) {
+    throw std::invalid_argument("QTable: states x actions overflows size_t");
+  }
+  values_.assign(states * actions, 0.0);
+}
+
+std::span<const double> QTable::row(std::size_t state) const {
+  if (state >= states_) throw std::out_of_range("QTable: bad state");
+  return {values_.data() + state * actions_, actions_};
+}
+
+std::span<double> QTable::row(std::size_t state) {
+  if (state >= states_) throw std::out_of_range("QTable: bad state");
+  return {values_.data() + state * actions_, actions_};
+}
+
 std::size_t QTable::best_action(std::size_t state, std::uint64_t mask) const {
+  const std::span<const double> q = row(state);
   std::size_t best = 0;
   double best_value = -std::numeric_limits<double>::infinity();
   bool any = false;
   for (std::size_t a = 0; a < actions_; ++a) {
     if (mask != 0 && ((mask >> a) & 1u) == 0) continue;
-    const double v = get(state, a);
-    if (!any || v > best_value) {
-      best_value = v;
+    if (!any || q[a] > best_value) {
+      best_value = q[a];
       best = a;
       any = true;
     }
@@ -24,7 +44,7 @@ std::size_t QTable::best_action(std::size_t state, std::uint64_t mask) const {
 }
 
 double QTable::max_value(std::size_t state, std::uint64_t mask) const {
-  return get(state, best_action(state, mask));
+  return row(state)[best_action(state, mask)];
 }
 
 namespace {
@@ -34,21 +54,22 @@ constexpr double kAlpha0 = 0.25;        // initial learning rate
 constexpr double kAlphaDecay = 0.01;    // α_e = α0 / (1 + decay·e)
 constexpr double kEpsilonDecay = 0.985;  // multiplicative per episode
 
-/// ε-greedy among mask-permitted actions (all actions if mask is 0).
-[[nodiscard]] std::size_t choose_action(const QTable& table, std::size_t state,
+/// ε-greedy among mask-permitted actions (all actions if mask is 0);
+/// `greedy` is the masked argmax, which the caller computed already.
+[[nodiscard]] std::size_t choose_action(std::size_t greedy,
                                         std::uint64_t mask, double epsilon,
                                         std::size_t action_count,
                                         util::Rng& rng) {
   if (rng.uniform() < epsilon) {
     if (mask == 0) return rng.index(action_count);
-    std::size_t permitted[64];
+    std::size_t permitted[AssignmentEnv::kMaxCandidates];
     std::size_t count = 0;
     for (std::size_t a = 0; a < action_count; ++a) {
       if ((mask >> a) & 1u) permitted[count++] = a;
     }
     return permitted[rng.index(count)];
   }
-  return table.best_action(state, mask);
+  return greedy;
 }
 
 }  // namespace
@@ -58,6 +79,13 @@ TrainResult train(const gap::Instance& instance, const RlOptions& options,
   AssignmentEnv env(instance, options.env, options.seed);
   QTable table(env.state_count(), env.action_count());
   util::Rng rng(options.seed ^ 0xA5A5A5A5A5A5A5A5ULL);
+  const std::size_t actions = env.action_count();
+  // The feasibility mask the agent acts under (0 = unrestricted).
+  const auto observe = [&] {
+    Observation obs = env.observe();
+    if (!options.mask_infeasible) obs.mask = 0;
+    return obs;
+  };
 
   TrainResult result;
   result.best_cost = std::numeric_limits<double>::infinity();
@@ -70,13 +98,14 @@ TrainResult train(const gap::Instance& instance, const RlOptions& options,
     env.reset();
     double total_reward = 0.0;
 
-    std::size_t state = env.done() ? 0 : env.state();
-    std::uint64_t mask =
-        options.mask_infeasible ? env.feasible_mask() : 0;
-    std::size_t action =
-        env.done() ? 0
-                   : choose_action(table, state, mask, epsilon,
-                                   env.action_count(), rng);
+    std::size_t state = 0;
+    std::size_t action = 0;
+    if (!env.done()) {
+      const Observation obs = observe();
+      state = obs.state;
+      action = choose_action(table.best_action(obs.state, obs.mask),
+                             obs.mask, epsilon, actions, rng);
+    }
 
     while (!env.done()) {
       const double reward = env.step(action);
@@ -85,21 +114,23 @@ TrainResult train(const gap::Instance& instance, const RlOptions& options,
 
       double target = reward;
       std::size_t next_state = 0;
-      std::uint64_t next_mask = 0;
       std::size_t next_action = 0;
       if (!env.done()) {
-        next_state = env.state();
-        next_mask = options.mask_infeasible ? env.feasible_mask() : 0;
-        next_action = choose_action(table, next_state, next_mask, epsilon,
-                                    env.action_count(), rng);
-        const double bootstrap =
-            variant == TdVariant::kQLearning
-                ? table.max_value(next_state, next_mask)
-                : table.get(next_state, next_action);
+        // One argmax serves as the greedy choice and as Q-learning's
+        // max over next actions; it draws nothing from the generator.
+        const Observation next = observe();
+        const std::size_t greedy = table.best_action(next.state, next.mask);
+        next_state = next.state;
+        next_action =
+            choose_action(greedy, next.mask, epsilon, actions, rng);
+        const std::span<const double> next_q = table.row(next_state);
+        const double bootstrap = variant == TdVariant::kQLearning
+                                     ? next_q[greedy]
+                                     : next_q[next_action];
         target += kGamma * bootstrap;
       }
-      const double old_q = table.get(state, action);
-      table.set(state, action, old_q + alpha * (target - old_q));
+      double& q = table.row(state)[action];
+      q += alpha * (target - q);
 
       state = next_state;
       action = next_action;
@@ -125,10 +156,8 @@ TrainResult train(const gap::Instance& instance, const RlOptions& options,
   for (std::size_t g = 0; g < options.greedy_eval_episodes; ++g) {
     env.reset();
     while (!env.done()) {
-      const std::size_t state = env.state();
-      const std::uint64_t mask =
-          options.mask_infeasible ? env.feasible_mask() : 0;
-      (void)env.step(table.best_action(state, mask));
+      const Observation obs = observe();
+      (void)env.step(table.best_action(obs.state, obs.mask));
       ++result.total_steps;
     }
     const bool feasible = env.episode_feasible();

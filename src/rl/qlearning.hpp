@@ -9,6 +9,7 @@
 // it with local search before returning.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "rl/environment.hpp"
@@ -55,8 +56,8 @@ struct TrainResult {
 /// Dense Q-table over (state, action).
 class QTable {
  public:
-  QTable(std::size_t states, std::size_t actions)
-      : actions_(actions), values_(states * actions, 0.0) {}
+  /// Throws std::invalid_argument if states × actions overflows size_t.
+  QTable(std::size_t states, std::size_t actions);
 
   [[nodiscard]] double get(std::size_t state, std::size_t action) const {
     return values_.at(state * actions_ + action);
@@ -64,16 +65,19 @@ class QTable {
   void set(std::size_t state, std::size_t action, double value) {
     values_.at(state * actions_ + action) = value;
   }
-  /// Argmax over actions, restricted to `mask` when nonzero.
+  /// The action values of one state: one bounds check for the whole row.
+  [[nodiscard]] std::span<const double> row(std::size_t state) const;
+  [[nodiscard]] std::span<double> row(std::size_t state);
+  /// Argmax over actions, restricted to `mask` when nonzero; ties go to
+  /// the lowest action.
   [[nodiscard]] std::size_t best_action(std::size_t state,
                                         std::uint64_t mask) const;
   [[nodiscard]] double max_value(std::size_t state, std::uint64_t mask) const;
-  [[nodiscard]] std::size_t state_count() const noexcept {
-    return actions_ ? values_.size() / actions_ : 0;
-  }
+  [[nodiscard]] std::size_t state_count() const noexcept { return states_; }
   [[nodiscard]] std::size_t action_count() const noexcept { return actions_; }
 
  private:
+  std::size_t states_;
   std::size_t actions_;
   std::vector<double> values_;
 };

@@ -40,6 +40,48 @@ TEST(Environment, ZeroCandidatesThrows) {
   EXPECT_THROW(AssignmentEnv(inst, options, 1), std::invalid_argument);
 }
 
+TEST(Environment, MoreThan64CandidatesThrows) {
+  // The feasibility mask is 64 bits: K = 65 on 80 servers must be refused,
+  // not shifted past the mask's width. At 2% load every server fits any
+  // one device.
+  const gap::Instance inst = test::small_instance(3, 10, 80, 0.02);
+  EnvOptions options = small_env_options();
+  options.load_buckets = 1;
+  options.candidate_count = 65;
+  EXPECT_THROW(AssignmentEnv(inst, options, 1), std::invalid_argument);
+  options.candidate_count = 64;
+  AssignmentEnv env(inst, options, 1);
+  EXPECT_EQ(env.action_count(), 64u);
+  // Every bit of a full mask is a candidate that fits the empty cluster.
+  EXPECT_EQ(env.feasible_mask(), ~std::uint64_t{0});
+}
+
+TEST(Environment, OversizedStateSpaceThrows) {
+  const gap::Instance inst = test::small_instance(3, 10, 80);
+  EnvOptions options = small_env_options();
+  options.candidate_count = 64;  // 2^64 load states alone overflow
+  EXPECT_THROW(AssignmentEnv(inst, options, 1), std::invalid_argument);
+  options.candidate_count = 4;
+  options.load_buckets = 257;  // bucket indices are bytes
+  EXPECT_THROW(AssignmentEnv(inst, options, 1), std::invalid_argument);
+  options.load_buckets = 256;
+  AssignmentEnv env(inst, options, 1);
+  EXPECT_EQ(env.state_count(), std::size_t{1} << 34);
+}
+
+TEST(Environment, ObserveMatchesStateAndMask) {
+  const gap::Instance inst = test::small_instance(9, 40, 6, 0.9);
+  AssignmentEnv env(inst, small_env_options(), 5);
+  while (!env.done()) {
+    const Observation obs = env.observe();
+    EXPECT_EQ(obs.state, env.state());
+    EXPECT_EQ(obs.mask, env.feasible_mask());
+    (void)env.step(0);
+  }
+  EXPECT_EQ(env.feasible_mask(), 0u);
+  EXPECT_THROW((void)env.observe(), std::logic_error);
+}
+
 TEST(Environment, EpisodeAssignsEveryDevice) {
   const gap::Instance inst = test::small_instance(4, 25, 5, 0.5);
   AssignmentEnv env(inst, small_env_options(), 7);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gap/testgen.hpp"
 #include "solvers/constructive.hpp"
 #include "tests/test_helpers.hpp"
@@ -26,6 +28,17 @@ TEST(QTable, GetSetAndShape) {
   table.set(2, 1, 5.5);
   EXPECT_DOUBLE_EQ(table.get(2, 1), 5.5);
   EXPECT_THROW((void)table.get(9, 0), std::out_of_range);
+}
+
+TEST(QTable, RowViewsAndOverflowingShape) {
+  QTable table(4, 3);
+  table.set(2, 1, 5.5);
+  EXPECT_DOUBLE_EQ(table.row(2)[1], 5.5);
+  table.row(3)[2] = -1.0;
+  EXPECT_DOUBLE_EQ(table.get(3, 2), -1.0);
+  EXPECT_THROW((void)table.row(4), std::out_of_range);
+  EXPECT_THROW(QTable(std::numeric_limits<std::size_t>::max() / 2, 3),
+               std::invalid_argument);
 }
 
 TEST(QTable, BestActionUnmasked) {

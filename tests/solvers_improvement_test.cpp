@@ -1,6 +1,8 @@
 // Local search and simulated annealing.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gap/testgen.hpp"
 #include "solvers/constructive.hpp"
 #include "solvers/local_search.hpp"
@@ -44,6 +46,67 @@ TEST(LocalSearch, ReachesLocalOptimumOnTrap) {
   (void)local_search_improve(trap.instance, assignment, options);
   EXPECT_DOUBLE_EQ(gap::evaluate(trap.instance, assignment).total_cost,
                    trap.optimal_cost);
+}
+
+// The polish's move scan stops at a device's current server: the rank list
+// is sorted by (delay, index) and weights are positive, so no server at or
+// past that rank can lower the device's cost. A full-m scan from the
+// polished result checks it, on random instances with unequal weights and
+// on copies whose delays are rounded to whole milliseconds (many ties).
+TEST(LocalSearch, NoImprovingMoveAtOrPastCurrentRank) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    gap::RandomInstanceParams params;
+    params.device_count = 30;
+    params.server_count = 6;
+    params.load_factor = 0.8;
+    params.rate_weighted = true;
+    util::Rng rng(seed);
+    const gap::Instance random = gap::random_instance(params, rng);
+    topo::DelayMatrix rounded(random.device_count(), random.server_count());
+    std::vector<double> weights(random.device_count());
+    std::vector<double> demands(random.device_count());
+    for (gap::DeviceIndex i = 0; i < random.device_count(); ++i) {
+      weights[i] = random.traffic_weight(i);
+      demands[i] = random.demand(i, 0);
+      for (gap::ServerIndex j = 0; j < random.server_count(); ++j) {
+        rounded.set(i, j, std::round(random.delay_ms(i, j) / 8.0));
+      }
+    }
+    const std::vector<double> capacities(random.capacities().begin(),
+                                         random.capacities().end());
+    const gap::Instance tied(std::move(rounded), std::move(weights),
+                             std::move(demands), capacities);
+
+    for (const gap::Instance* inst : {&random, &tied}) {
+      const std::size_t m = inst->server_count();
+      gap::Assignment assignment(inst->device_count());
+      for (gap::DeviceIndex i = 0; i < assignment.size(); ++i) {
+        assignment[i] = static_cast<std::int32_t>(rng.index(m));
+      }
+      LocalSearchOptions options;
+      options.seed = seed;
+      (void)local_search_improve(*inst, assignment, options);
+      const std::vector<double> loads = gap::server_loads(*inst, assignment);
+      for (gap::DeviceIndex i = 0; i < assignment.size(); ++i) {
+        const auto from = static_cast<gap::ServerIndex>(assignment[i]);
+        const auto ranked = inst->servers_by_delay(i);
+        bool at_or_past = false;
+        for (std::size_t r = 0; r < m; ++r) {
+          const gap::ServerIndex j = ranked[r];
+          at_or_past = at_or_past || j == from;
+          const double delta = inst->cost(i, j) - inst->cost(i, from);
+          if (at_or_past) {
+            EXPECT_GE(delta, 0.0) << "seed " << seed << " device " << i;
+          } else {
+            const bool fits = loads[j] + inst->demand(i, j) <=
+                              inst->capacity(j) + 1e-9;
+            EXPECT_FALSE(delta < -1e-12 && fits)
+                << "seed " << seed << " device " << i << " server " << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(LocalSearch, RespectsImprovementBudget) {
