@@ -203,13 +203,10 @@ DynamicCluster::ServerChoice DynamicCluster::cheapest_feasible_server(
   return {least_loaded, false};
 }
 
-DynamicCluster::Access DynamicCluster::nearest_router(
+topo::NearestRouter DynamicCluster::nearest_router(
     topo::Point2D position) const {
-  Access nearest{0, std::numeric_limits<double>::infinity()};
-  for (topo::NodeId r = 0; r < router_positions_.size(); ++r) {
-    const double d = topo::euclidean_distance(router_positions_[r], position);
-    if (d < nearest.distance_km) nearest = {r, d};
-  }
+  const topo::NearestRouter nearest =
+      topo::nearest_router(router_positions_, position);
   if (!std::isfinite(nearest.distance_km)) {
     throw std::invalid_argument(
         "DynamicCluster: device position has no finite router distance");
@@ -219,7 +216,7 @@ DynamicCluster::Access DynamicCluster::nearest_router(
 
 void DynamicCluster::attach_device(std::size_t slot,
                                    const workload::IotDevice& device,
-                                   const Access& access) {
+                                   const topo::NearestRouter& access) {
   // Attach to the nearest router with a wireless access link.
   const topo::NodeId node =
       engine_.acquire_node(device.position, topo::NodeKind::kIotDevice);
@@ -265,7 +262,7 @@ JoinResult DynamicCluster::join(const workload::IotDevice& device) {
   if (!std::isfinite(device.demand)) {
     throw std::invalid_argument("DynamicCluster::join: demand is not finite");
   }
-  const Access access = nearest_router(device.position);
+  const topo::NearestRouter access = nearest_router(device.position);
   std::size_t slot = devices_.size();
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -282,7 +279,7 @@ JoinResult DynamicCluster::move(std::size_t device_index,
   if (!is_active(device_index)) {
     throw std::invalid_argument("DynamicCluster::move: not active");
   }
-  const Access access = nearest_router(new_position);
+  const topo::NearestRouter access = nearest_router(new_position);
   const auto from = static_cast<std::size_t>(assignment_[device_index]);
   loads_[from] -= devices_[device_index].demand;
   workload::IotDevice device = devices_[device_index];
@@ -298,7 +295,7 @@ JoinResult DynamicCluster::move_pinned(std::size_t device_index,
   if (!is_active(device_index)) {
     throw std::invalid_argument("DynamicCluster::move_pinned: not active");
   }
-  const Access access = nearest_router(new_position);
+  const topo::NearestRouter access = nearest_router(new_position);
   const auto pinned = static_cast<std::size_t>(assignment_[device_index]);
   workload::IotDevice device = devices_[device_index];
   device.position = new_position;

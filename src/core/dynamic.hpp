@@ -391,22 +391,18 @@ class DynamicCluster {
   /// Refreshes the oracle and packages the per-update engine deltas.
   LinkUpdateReport finish_link_update(const topo::incr::EngineStats& before,
                                       double latency_ms);
-  /// The router a device at some position attaches to, and how far away.
-  struct Access {
-    topo::NodeId router = topo::kInvalidNode;
-    double distance_km = 0.0;
-  };
-  /// The nearest router to `position`. Throws std::invalid_argument when
-  /// the distance is not finite (a NaN or far-off position), so callers
-  /// check it before they change any state.
-  [[nodiscard]] Access nearest_router(topo::Point2D position) const;
+  /// topo::nearest_router over the routers. Throws std::invalid_argument
+  /// when the distance is not finite (a NaN or far-off position), so
+  /// callers check it before they change any state.
+  [[nodiscard]] topo::NearestRouter nearest_router(
+      topo::Point2D position) const;
   /// Acquires a graph node at `device`'s position (recycled when possible),
   /// wires the access link to `access.router`, and installs the device
   /// into `slot` with its delay row bound to the new node: the engine
   /// dirties nothing for a device's own links, so the cluster, which
   /// changed them, rebinds the row. No assignment yet.
   void attach_device(std::size_t slot, const workload::IotDevice& device,
-                     const Access& access);
+                     const topo::NearestRouter& access);
   /// Unbinds `slot`'s delay row and releases its graph node + access link
   /// back to the free list.
   void detach_device(std::size_t slot);

@@ -62,7 +62,7 @@ Scenario Scenario::generate(const ScenarioParams& params) {
       workload::generate_workload(params.workload, workload_rng);
   scenario.network_ = topo::build_network(
       infra, scenario.workload_.iot_positions(),
-      scenario.workload_.edge_positions(), params.attach);
+      scenario.workload_.edge_positions());
   scenario.instance_ = std::make_shared<const gap::Instance>(
       gap::build_instance(scenario.network_, scenario.workload_));
   scenario.fingerprint_ =

@@ -16,7 +16,6 @@ namespace tacc {
 struct ScenarioParams {
   topo::TopologyFamily family = topo::TopologyFamily::kWaxman;
   topo::GeneratorParams topology;
-  topo::AttachParams attach;
   workload::WorkloadParams workload;
   std::uint64_t seed = 42;
 };

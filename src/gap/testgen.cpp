@@ -16,7 +16,7 @@ Instance random_instance(const RandomInstanceParams& params, util::Rng& rng) {
   topo::DelayMatrix delay(n, m);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
-      delay.set(i, j, rng.uniform(params.delay_min_ms, params.delay_max_ms));
+      delay.set(i, j, rng.uniform(kRandomDelayMinMs, kRandomDelayMaxMs));
     }
   }
   std::vector<double> demands(n);

@@ -11,13 +11,15 @@ namespace tacc::gap {
 struct RandomInstanceParams {
   std::size_t device_count = 50;
   std::size_t server_count = 5;
-  double delay_min_ms = 1.0;
-  double delay_max_ms = 30.0;
   /// Target Σ demand / Σ capacity.
   double load_factor = 0.7;
   bool heterogeneous_capacity = true;
   bool rate_weighted = false;  ///< if true, weights U[0.5, 2.0], else 1.0
 };
+
+/// The range random_instance() draws every delay from, uniformly.
+inline constexpr double kRandomDelayMinMs = 1.0;
+inline constexpr double kRandomDelayMaxMs = 30.0;
 
 /// Uniform-random instance, always demand-feasible at the given load factor
 /// (capacities scaled from realized total demand).

@@ -27,31 +27,13 @@ RolloutOutcome rollout_complete(const gap::Instance& instance,
                                 const std::vector<gap::DeviceIndex>& remaining,
                                 std::size_t from_index) {
   RolloutOutcome outcome;
-  const std::size_t m = instance.server_count();
   for (std::size_t r = from_index; r < remaining.size(); ++r) {
     const gap::DeviceIndex i = remaining[r];
-    gap::ServerIndex best_feasible = m;
-    double best_feasible_cost = 0.0;
-    gap::ServerIndex least_loaded = 0;
-    double least_utilization = std::numeric_limits<double>::infinity();
-    for (gap::ServerIndex j = 0; j < m; ++j) {
-      const double new_load = loads[j] + instance.demand(i, j);
-      const double cost = instance.cost(i, j);
-      if (new_load <= instance.capacity(j) + kEps) {
-        if (best_feasible == m || cost < best_feasible_cost) {
-          best_feasible = j;
-          best_feasible_cost = cost;
-        }
-      }
-      const double utilization = new_load / instance.capacity(j);
-      if (utilization < least_utilization) {
-        least_utilization = utilization;
-        least_loaded = j;
-      }
-    }
     const gap::ServerIndex j =
-        best_feasible != m ? best_feasible : least_loaded;
-    if (best_feasible == m) ++outcome.violations;
+        solvers::detail::best_feasible_or_least_loaded(instance, i, loads);
+    if (loads[j] + instance.demand(i, j) > instance.capacity(j) + kEps) {
+      ++outcome.violations;
+    }
     loads[j] += instance.demand(i, j);
     outcome.cost += instance.cost(i, j);
   }

@@ -39,10 +39,10 @@ void DynamicSsspTree::bump_epochs() {
 }
 
 void DynamicSsspTree::improve(NodeId router, double dist, NodeId via,
-                              std::vector<DistanceChange>* changed) {
+                              std::vector<NodeId>* changed) {
   if (changed != nullptr && cmark_[router] != cmark_epoch_) {
     cmark_[router] = cmark_epoch_;
-    changed->push_back({router, dist_[router]});
+    changed->push_back(router);
   }
   dist_[router] = dist;
   parent_[router] = via;
@@ -51,7 +51,7 @@ void DynamicSsspTree::improve(NodeId router, double dist, NodeId via,
 }
 
 std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
-                                      std::vector<DistanceChange>* changed) {
+                                      std::vector<NodeId>* changed) {
   std::size_t settled = 0;
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end());
@@ -72,7 +72,7 @@ std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
 
 std::size_t DynamicSsspTree::on_edge_added(
     const Graph& graph, NodeId u, NodeId v, double latency_ms,
-    std::vector<DistanceChange>& changed) {
+    std::vector<NodeId>& changed) {
   bump_epochs();
   heap_.clear();
   if (is_router(v)) {
@@ -88,13 +88,13 @@ std::size_t DynamicSsspTree::on_edge_added(
 
 std::size_t DynamicSsspTree::on_edge_removed(
     const Graph& graph, NodeId u, NodeId v,
-    std::vector<DistanceChange>& changed) {
+    std::vector<NodeId>& changed) {
   return repair_tree_edge(graph, u, v, changed);
 }
 
 std::size_t DynamicSsspTree::on_edge_latency_changed(
     const Graph& graph, NodeId u, NodeId v, double old_latency_ms,
-    double new_latency_ms, std::vector<DistanceChange>& changed) {
+    double new_latency_ms, std::vector<NodeId>& changed) {
   if (new_latency_ms < old_latency_ms) {
     // A cheaper edge behaves exactly like a fresh insertion: only paths
     // through it can improve.
@@ -111,7 +111,7 @@ std::size_t DynamicSsspTree::on_edge_latency_changed(
 
 std::size_t DynamicSsspTree::repair_tree_edge(
     const Graph& graph, NodeId u, NodeId v,
-    std::vector<DistanceChange>& changed) {
+    std::vector<NodeId>& changed) {
   // Only the tree edge's child-side subtree can be affected: every other
   // router's shortest path survives intact, and deletion never shortens
   // one. A non-tree edge changes nothing.
@@ -125,7 +125,7 @@ std::size_t DynamicSsspTree::repair_tree_edge(
 }
 
 std::size_t DynamicSsspTree::repair_orphans(
-    const Graph& graph, NodeId child, std::vector<DistanceChange>& changed) {
+    const Graph& graph, NodeId child, std::vector<NodeId>& changed) {
   bump_epochs();
 
   // Collect the subtree below `child` by scanning each orphan's neighbors
@@ -175,7 +175,7 @@ std::size_t DynamicSsspTree::repair_orphans(
 
   for (std::size_t i = 0; i < orphans_.size(); ++i) {
     if (dist_[orphans_[i]] != old_dist_[i]) {
-      changed.push_back({orphans_[i], old_dist_[i]});
+      changed.push_back(orphans_[i]);
     }
   }
   return orphans_.size();

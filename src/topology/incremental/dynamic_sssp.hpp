@@ -60,13 +60,6 @@ template <typename RouterMs>
   return best;
 }
 
-/// A router whose distance one update moved, with its distance before the
-/// update (the first old value, however often the update moved it).
-struct DistanceChange {
-  NodeId node = kInvalidNode;
-  double old_ms = 0.0;
-};
-
 class DynamicSsspTree {
  public:
   DynamicSsspTree() = default;
@@ -93,18 +86,17 @@ class DynamicSsspTree {
 
   // Update hooks. The graph must ALREADY reflect the mutation (edge present
   // for added, absent for removed, new weight for changed). Routers whose
-  // distance changed are appended to `changed` (each once, with its
-  // pre-update distance). Each returns the count of routers examined for
-  // change (orphaned or improved).
+  // distance changed are appended to `changed`, each once. Each returns the
+  // count of routers examined for change (orphaned or improved).
   std::size_t on_edge_added(const Graph& graph, NodeId u, NodeId v,
                             double latency_ms,
-                            std::vector<DistanceChange>& changed);
+                            std::vector<NodeId>& changed);
   std::size_t on_edge_removed(const Graph& graph, NodeId u, NodeId v,
-                              std::vector<DistanceChange>& changed);
+                              std::vector<NodeId>& changed);
   std::size_t on_edge_latency_changed(const Graph& graph, NodeId u, NodeId v,
                                       double old_latency_ms,
                                       double new_latency_ms,
-                                      std::vector<DistanceChange>& changed);
+                                      std::vector<NodeId>& changed);
 
   /// Bytes held by the scratch buffers (orphan list, heap, marks) — the
   /// bench's flat-memory gate checks this stays O(routers), independent of
@@ -132,21 +124,20 @@ class DynamicSsspTree {
   /// Advances the scratch epochs (resetting the arrays on wraparound).
   void bump_epochs();
   /// Records the improved distance/parent, pushes the router, and appends it
-  /// (with its old distance) to `changed` the first time it moves this
-  /// update.
+  /// to `changed` the first time it moves this update.
   void improve(NodeId router, double dist, NodeId via,
-               std::vector<DistanceChange>* changed);
+               std::vector<NodeId>* changed);
   /// Bounded Dijkstra over the pre-seeded heap_: pops until empty, relaxing
   /// into orphans only (marked) or all routers. Returns the settled count.
   std::size_t run_heap(const Graph& graph, bool orphan_only,
-                       std::vector<DistanceChange>* changed);
+                       std::vector<NodeId>* changed);
   /// Delete/increase repair: collect the subtree below `child`, invalidate
   /// it, re-seed from the surviving frontier, settle within the orphan set.
   std::size_t repair_orphans(const Graph& graph, NodeId child,
-                             std::vector<DistanceChange>& changed);
+                             std::vector<NodeId>& changed);
   /// Repairs below whichever endpoint hangs off the other in the tree.
   std::size_t repair_tree_edge(const Graph& graph, NodeId u, NodeId v,
-                               std::vector<DistanceChange>& changed);
+                               std::vector<NodeId>& changed);
   [[nodiscard]] bool marked(NodeId router) const noexcept {
     return mark_[router] == mark_epoch_;
   }

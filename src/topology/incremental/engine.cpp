@@ -20,15 +20,7 @@ void IncrementalDelayEngine::build_trees() {
   for (const NodeId server : net_->edge_nodes) {
     trees_.emplace_back(graph, router_count_, server);
   }
-  in_dirty_.resize(std::max(in_dirty_.size(), graph.node_count()), 0);
-  prior_ms_.assign(router_count_, kUnreachable);
-  prior_stamp_.assign(router_count_, 0);
-  self_keyed_at_.resize(router_count_);
-  for (std::vector<NodeId>& hosts : self_keyed_at_) hosts.clear();
-  for (NodeId host = static_cast<NodeId>(router_count_);
-       host < graph.node_count(); ++host) {
-    list_self_keyed(host);
-  }
+  in_dirty_.resize(router_count_, 0);
 }
 
 ReadThrough IncrementalDelayEngine::read_through(NodeId node) const {
@@ -56,73 +48,10 @@ void IncrementalDelayEngine::delay_row(NodeId node,
   for (std::size_t j = 0; j < out.size(); ++j) out[j] = delay_ms(j, node);
 }
 
-void IncrementalDelayEngine::mark_dirty(NodeId node) {
-  if (node >= in_dirty_.size()) in_dirty_.resize(net_->graph.node_count(), 0);
-  if (in_dirty_[node] != 0) return;
-  in_dirty_[node] = 1;
-  dirty_.push_back(node);
-}
-
-void IncrementalDelayEngine::list_self_keyed(NodeId host) {
-  if (!self_keyed(host)) return;
-  for (const Adjacency& adj : net_->graph.neighbors(host)) {
-    if (is_router(adj.to)) self_keyed_at_[adj.to].push_back(host);
-  }
-}
-
-void IncrementalDelayEngine::snapshot_hosts(NodeId u, NodeId v) {
-  const NodeId ends[2] = {u, v};
-  for (std::size_t k = 0; k < snapshots_.size(); ++k) {
-    HostSnapshot& snapshot = snapshots_[k];
-    snapshot.node = kInvalidNode;
-    const NodeId node = ends[k];
-    if (is_router(node) || node >= net_->graph.node_count()) continue;
-    snapshot.node = node;
-    snapshot.listed_at.clear();
-    if (!self_keyed(node)) continue;
-    for (const Adjacency& adj : net_->graph.neighbors(node)) {
-      if (is_router(adj.to)) snapshot.listed_at.push_back(adj.to);
-    }
-  }
-}
-
-void IncrementalDelayEngine::relist_host(const HostSnapshot& snapshot) {
-  const NodeId host = snapshot.node;
-  for (const NodeId router : snapshot.listed_at) {
-    std::vector<NodeId>& hosts = self_keyed_at_[router];
-    const auto at = std::find(hosts.begin(), hosts.end(), host);
-    TACC_ASSERT(at != hosts.end(), "self-keyed host missing from its router");
-    *at = hosts.back();
-    hosts.pop_back();
-  }
-  list_self_keyed(host);
-}
-
-void IncrementalDelayEngine::mark_changes_dirty(const DynamicSsspTree& tree) {
-  const Graph& graph = net_->graph;
-  ++update_stamp_;
-  for (const DistanceChange& change : changes_) {
-    prior_ms_[change.node] = change.old_ms;
-    prior_stamp_[change.node] = update_stamp_;
-  }
-  // The tree as it read before this update.
-  const auto prior_ms = [&](NodeId router) {
-    return prior_stamp_[router] == update_stamp_ ? prior_ms_[router]
-                                                 : tree.distance_ms(router);
-  };
-  for (const DistanceChange& change : changes_) {
-    mark_dirty(change.node);
-    // A self-keyed host's delay moves with its routers' — unless another
-    // link still serves it. Single-homed devices read through the router's
-    // own key, so they are not visited at all.
-    for (const NodeId host : self_keyed_at_[change.node]) {
-      if (is_dirty(host)) continue;
-      if (delay_from(graph, router_count_, tree.source(), host, prior_ms) !=
-          tree.delay_ms(graph, host)) {
-        mark_dirty(host);
-      }
-    }
-  }
+void IncrementalDelayEngine::mark_dirty(NodeId router) {
+  if (in_dirty_[router] != 0) return;
+  in_dirty_[router] = 1;
+  dirty_.push_back(router);
 }
 
 void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
@@ -152,21 +81,17 @@ void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
                                                  changes_);
         break;
     }
-    mark_changes_dirty(tree);
+    for (const NodeId router : changes_) mark_dirty(router);
   }
   // A host endpoint's own delay moves with its link, and so may what it
   // reads through, but no other node's delay does: the owner of its row
-  // rebinds it. Only the self-keyed host lists follow the link.
-  for (const HostSnapshot& snapshot : snapshots_) {
-    if (snapshot.node != kInvalidNode) relist_host(snapshot);
-  }
+  // rebinds it.
   ++stats_.epoch;
   stats_.nodes_affected += affected;
   stats_.nodes_saved += full_cost > affected ? full_cost - affected : 0;
 }
 
 EdgeProps IncrementalDelayEngine::fail_link(NodeId u, NodeId v) {
-  snapshot_hosts(u, v);
   const EdgeProps props = net_->fail_link(u, v);
   ++stats_.link_updates;
   apply_mutation(1, u, v, props.latency_ms, kUnreachable);
@@ -174,7 +99,6 @@ EdgeProps IncrementalDelayEngine::fail_link(NodeId u, NodeId v) {
 }
 
 EdgeProps IncrementalDelayEngine::restore_link(NodeId u, NodeId v) {
-  snapshot_hosts(u, v);
   const EdgeProps props = net_->restore_link(u, v);
   ++stats_.link_updates;
   apply_mutation(0, u, v, kUnreachable, props.latency_ms);
@@ -183,7 +107,6 @@ EdgeProps IncrementalDelayEngine::restore_link(NodeId u, NodeId v) {
 
 EdgeProps IncrementalDelayEngine::set_link_latency(NodeId u, NodeId v,
                                                    double latency_ms) {
-  snapshot_hosts(u, v);
   const EdgeProps previous = net_->set_link_latency(u, v, latency_ms);
   ++stats_.link_updates;
   apply_mutation(2, u, v, previous.latency_ms, latency_ms);
@@ -197,13 +120,15 @@ NodeId IncrementalDelayEngine::acquire_node(Point2D pos, NodeKind kind) {
 }
 
 void IncrementalDelayEngine::add_link(NodeId u, NodeId v, EdgeProps props) {
-  snapshot_hosts(u, v);
+  TACC_REQUIRE((is_router(u) || is_router(v)) &&
+                   (is_router(u) || net_->graph.degree(u) == 0) &&
+                   (is_router(v) || net_->graph.degree(v) == 0),
+               "a host takes one access link, to a router");
   net_->graph.add_edge(u, v, props);
   apply_mutation(0, u, v, kUnreachable, props.latency_ms);
 }
 
 bool IncrementalDelayEngine::remove_link(NodeId u, NodeId v) {
-  snapshot_hosts(u, v);
   if (!net_->graph.remove_edge(u, v)) return false;
   apply_mutation(1, u, v, kUnreachable, kUnreachable);
   return true;
@@ -231,8 +156,8 @@ std::size_t IncrementalDelayEngine::drain_dirty(std::vector<NodeId>& out) {
 void IncrementalDelayEngine::rebuild() {
   build_trees();
   ++stats_.epoch;
-  for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
-    mark_dirty(node);
+  for (NodeId router = 0; router < router_count_; ++router) {
+    mark_dirty(router);
   }
 }
 
@@ -251,25 +176,6 @@ void IncrementalDelayEngine::check_invariants(
   for (const NodeId node : dirty_) {
     TACC_CHECK_INVARIANT(is_dirty(node),
                          "dirty node not flagged in the bitmap");
-  }
-
-  // Each router lists exactly the self-keyed hosts linked to it, once per
-  // link: a host missing here would never be dirtied by a repair.
-  TACC_CHECK_INVARIANT(self_keyed_at_.size() == router_count_,
-                       "one self-keyed host list per router");
-  std::vector<NodeId> linked;
-  std::vector<NodeId> hosts;
-  for (NodeId router = 0; router < router_count_; ++router) {
-    linked.clear();
-    for (const Adjacency& adj : net_->graph.neighbors(router)) {
-      if (!is_router(adj.to) && self_keyed(adj.to)) linked.push_back(adj.to);
-    }
-    hosts = self_keyed_at_[router];
-    std::sort(linked.begin(), linked.end());
-    std::sort(hosts.begin(), hosts.end());
-    TACC_CHECK_INVARIANT(hosts == linked,
-                         "router " + std::to_string(router) +
-                             " lists the wrong self-keyed hosts");
   }
 
   for (std::size_t j = 0; j < trees_.size(); ++j) {
@@ -302,18 +208,9 @@ void IncrementalDelayEngine::check_invariants(
 }
 
 std::size_t IncrementalDelayEngine::scratch_bytes() const noexcept {
-  std::size_t bytes =
-      dirty_.capacity() * sizeof(NodeId) + in_dirty_.capacity() +
-      changes_.capacity() * sizeof(DistanceChange) +
-      prior_ms_.capacity() * sizeof(double) +
-      prior_stamp_.capacity() * sizeof(std::uint64_t) +
-      self_keyed_at_.capacity() * sizeof(std::vector<NodeId>);
-  for (const std::vector<NodeId>& hosts : self_keyed_at_) {
-    bytes += hosts.capacity() * sizeof(NodeId);
-  }
-  for (const HostSnapshot& snapshot : snapshots_) {
-    bytes += snapshot.listed_at.capacity() * sizeof(NodeId);
-  }
+  std::size_t bytes = (dirty_.capacity() + changes_.capacity()) *
+                          sizeof(NodeId) +
+                      in_dirty_.capacity();
   for (const DynamicSsspTree& tree : trees_) bytes += tree.scratch_bytes();
   return bytes;
 }

@@ -13,33 +13,29 @@
 // Hosts never relay. The paper's delay graph has devices at its leaves and
 // relay nodes (routers) inside it, so the engine's trees hold routers only
 // (the id prefix [0, router_count())). Every other node, IoT device or
-// edge server, is a host: a leaf with k >= 1 access links whose delay to
-// server j is the minimum over its links of dist_j(far end) + w. A
-// single-homed device reads through its access router (read_through()), so
-// its delay is dist_j(anchor) + w, exactly what a tree would store. A
-// backbone repair therefore settles and heap-orders routers only, and
-// attaching, detaching or reweighting a device's access link touches no
-// tree at all; only a server's own access links move its own tree.
+// edge server, is a host: a leaf with one access link, to a router, whose
+// delay to server j is dist_j(router) + w (0 at server j itself). A device
+// reads through its access router (read_through()), so its delay is
+// dist_j(anchor) + w, exactly what a tree would store. A backbone repair
+// therefore settles and heap-orders routers only, and attaching, detaching
+// or reweighting a device's access link touches no tree at all; only a
+// server's own access link moves its own tree.
 //
-// The dirty set holds moved keys: the routers a repair moved, and the hosts
-// that read through themselves (servers, multi-homed and isolated devices)
-// linked to one of them whose delay moved. Each router keeps the list of
-// such hosts linked to it, so a repair compares those hosts only and never
-// visits a single-homed device: a link event costs O(moved keys x servers)
-// however many devices hang off the moved routers. A single-homed device's
-// served delay moves with its anchor's key row; a consumer that keys rows
-// by read_through() (the delay oracle) learns of it through the key.
+// The dirty set holds exactly the routers a repair moved. A device's served
+// delay moves with its anchor's key row; a consumer that keys rows by
+// read_through() (the delay oracle) learns of it through the router, so a
+// link event costs O(moved routers x servers) however many devices hang off
+// the moved routers.
 //
-// A host's own links are its owner's business: adding, removing or
-// reweighting a link of a host moves that host's delay (and may change what
-// it reads through) without dirtying anything, since no other node's delay
-// moves with it. Whoever changes a host's links rebinds that host's delay
-// row afterwards (DelayOracle::bind_row), as DynamicCluster does on every
+// A host's own link is its owner's business: adding, removing or
+// reweighting it moves that host's delay (and may change what it reads
+// through) without dirtying anything, since no other node's delay moves
+// with it. Whoever changes a host's link rebinds that host's delay row
+// afterwards (DelayOracle::bind_row), as DynamicCluster does on every
 // join, move and leave. A server's access link still repairs the server's
 // own tree, and the routers that repair moves are dirtied as usual.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -88,9 +84,9 @@ class IncrementalDelayEngine {
     return trees_[server].delay_ms(net_->graph, node);
   }
   /// delay_ms(j, node) for every server j into `out` (size server_count()),
-  /// resolving a single-homed device's anchor once for the whole row.
+  /// resolving a device's anchor once for the whole row.
   void delay_row(NodeId node, std::span<double> out) const;
-  /// A single-homed IoT device (one link, to a router) reads through its
+  /// An IoT device with its access link (to a router) reads through that
   /// anchor router at its access latency; any other node reads through
   /// itself at latency 0. delay_ms(j, node) equals
   /// delay_ms(j, through.node) + through.latency_ms bitwise, since adding
@@ -111,7 +107,8 @@ class IncrementalDelayEngine {
   /// NetworkTopology::acquire_node for a host (`kind` is not kRouter); the
   /// node starts isolated.
   NodeId acquire_node(Point2D pos, NodeKind kind);
-  /// Graph::add_edge + incremental tree repair.
+  /// Graph::add_edge + incremental tree repair. Requires a router endpoint
+  /// and no link yet at a host endpoint: a host has one access link.
   void add_link(NodeId u, NodeId v, EdgeProps props);
   /// Graph::remove_edge + incremental tree repair. False if no such edge.
   bool remove_link(NodeId u, NodeId v);
@@ -120,17 +117,16 @@ class IncrementalDelayEngine {
   void release_node(NodeId node);
 
   // ---- Dirty set -----------------------------------------------------------
-  /// Keys a tree repair moved since the last drain: routers, and hosts that
-  /// read through themselves and are linked to a moved router. A
-  /// single-homed device is never dirty; its anchor router is. A host whose
-  /// own link changed is not dirtied for it (see the preamble).
+  /// Routers a tree repair moved since the last drain. A device is never
+  /// dirty; its anchor router is. A host whose own link changed dirties
+  /// nothing (see the preamble).
   [[nodiscard]] std::size_t dirty_count() const noexcept {
     return dirty_.size();
   }
-  /// Appends the dirty nodes to `out`, clears the set, returns the count.
+  /// Appends the dirty routers to `out`, clears the set, returns the count.
   std::size_t drain_dirty(std::vector<NodeId>& out);
 
-  /// True iff `node` is currently in the dirty set (distance changed since
+  /// True iff `node` is a router in the dirty set (distance changed since
   /// the last drain). Used by DelayOracle::check_invariants to prove stale
   /// rows are excused by a pending invalidation.
   [[nodiscard]] bool is_dirty(NodeId node) const noexcept {
@@ -141,8 +137,6 @@ class IncrementalDelayEngine {
   ///  - one tree per edge server, rooted at that server's node, over the
   ///    network's routers (still the id prefix it was built with);
   ///  - dirty-set bookkeeping (dirty list and membership bitmap agree);
-  ///  - the per-router lists of self-keyed hosts name exactly the hosts that
-  ///    read through themselves, once per access link to a router;
   ///  - exactness spot-check: up to `spot_check_trees` servers (rotated by
   ///    epoch so successive calls cover different servers) have delay_ms()
   ///    of every node, hosts included, compared bit-for-bit against a
@@ -155,54 +149,28 @@ class IncrementalDelayEngine {
   /// tests and sampled bench epochs.
   void check_invariants(std::size_t spot_check_trees = 1) const;
 
-  /// From-scratch reconstruction of every tree (and dirties every node).
+  /// From-scratch reconstruction of every tree (and dirties every router).
   /// Recovery hatch for out-of-band topology edits, followed by
   /// DelayOracle::refresh_all(); also used by tests.
   void rebuild();
 
-  /// Scratch bytes across all trees plus the dirty set, the per-router
-  /// change bookkeeping and self-keyed host lists and the per-update change
-  /// log — the bench's flat-memory gate watches this across 100k+ events.
+  /// Scratch bytes across all trees plus the dirty set and the per-update
+  /// change log — the bench's flat-memory gate watches this across 100k+
+  /// events.
   [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
  private:
-  /// A host endpoint of the link about to change: the routers whose
-  /// self-keyed host lists held it before (empty unless it read through
-  /// itself), one entry per access link.
-  struct HostSnapshot {
-    NodeId node = kInvalidNode;
-    std::vector<NodeId> listed_at;
-  };
-
   [[nodiscard]] bool is_router(NodeId node) const noexcept {
     return node < router_count_;
   }
-  /// Builds every tree and sizes the per-node bitmaps.
+  /// Builds every tree and sizes the dirty bitmap.
   void build_trees();
-  /// True iff host `node` reads through itself: it has its own key row.
-  [[nodiscard]] bool self_keyed(NodeId node) const {
-    return read_through(node).node == node;
-  }
-  /// Lists `host` at every router it links to, if it reads through itself.
-  void list_self_keyed(NodeId host);
-  /// Records where the host endpoints of u–v are listed, before a mutation.
-  /// Changes nothing, so a mutation that throws leaves the engine as it was.
-  void snapshot_hosts(NodeId u, NodeId v);
-  /// Moves a host endpoint between self-keyed host lists: off the routers
-  /// it was listed at before the mutation, onto those it links to now if
-  /// it still reads through itself.
-  void relist_host(const HostSnapshot& snapshot);
-  /// Dirties the routers in changes_ and each self-keyed host linked to one
-  /// whose delay in `tree` moved.
-  void mark_changes_dirty(const DynamicSsspTree& tree);
-  void mark_dirty(NodeId node);
-  /// Applies one already-performed graph mutation, after snapshot_hosts():
-  /// a backbone link repairs every tree, a server's access link its own
-  /// tree, any other link none; then the changed routers and the self-keyed
-  /// hosts linked to them whose delay moved are dirtied, and the host
-  /// endpoints are relisted. kind: 0 added, 1 removed,
-  /// 2 reweighted; old_ms/new_ms are the link latency before/after
-  /// (kUnreachable when absent).
+  void mark_dirty(NodeId router);
+  /// Applies one already-performed graph mutation: a backbone link repairs
+  /// every tree, a server's access link its own tree, any other link none;
+  /// then the routers those repairs moved are dirtied. kind: 0 added,
+  /// 1 removed, 2 reweighted; old_ms/new_ms are the link latency
+  /// before/after (kUnreachable when absent).
   void apply_mutation(int kind, NodeId u, NodeId v, double old_ms,
                       double new_ms);
 
@@ -212,17 +180,8 @@ class IncrementalDelayEngine {
   EngineStats stats_;
 
   std::vector<NodeId> dirty_;
-  std::vector<std::uint8_t> in_dirty_;  ///< per node: already in dirty_?
-  std::vector<DistanceChange> changes_;  ///< one tree's change log
-  /// Per router: its distance before the update stamped in prior_stamp_.
-  std::vector<double> prior_ms_;
-  std::vector<std::uint64_t> prior_stamp_;
-  std::uint64_t update_stamp_ = 0;  ///< bumped per tree update
-  /// Per router: the hosts linked to it that read through themselves,
-  /// one entry per link (servers and multi-homed devices; never a
-  /// single-homed device).
-  std::vector<std::vector<NodeId>> self_keyed_at_;
-  std::array<HostSnapshot, 2> snapshots_;  ///< the endpoints u, v
+  std::vector<std::uint8_t> in_dirty_;  ///< per router: already in dirty_?
+  std::vector<NodeId> changes_;         ///< one tree's moved routers
 };
 
 }  // namespace tacc::topo::incr

@@ -9,25 +9,6 @@
 
 namespace tacc::topo {
 
-namespace {
-
-/// Indices of the k nearest infrastructure nodes to `point`.
-[[nodiscard]] std::vector<NodeId> nearest_routers(
-    std::span<const Point2D> router_positions, Point2D point, std::size_t k) {
-  std::vector<NodeId> ids(router_positions.size());
-  for (NodeId i = 0; i < router_positions.size(); ++i) ids[i] = i;
-  k = std::min(k, ids.size());
-  std::partial_sort(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(k),
-                    ids.end(), [&](NodeId a, NodeId b) {
-                      return euclidean_distance(router_positions[a], point) <
-                             euclidean_distance(router_positions[b], point);
-                    });
-  ids.resize(k);
-  return ids;
-}
-
-}  // namespace
-
 NodeId NetworkTopology::acquire_node(Point2D pos, NodeKind kind) {
   const NodeId node = graph.acquire_node();
   if (node == positions.size()) {
@@ -151,10 +132,19 @@ void NetworkTopology::check_invariants() const {
   }
 }
 
+NearestRouter nearest_router(std::span<const Point2D> router_positions,
+                             Point2D point) {
+  NearestRouter nearest{0, std::numeric_limits<double>::infinity()};
+  for (NodeId r = 0; r < router_positions.size(); ++r) {
+    const double d = euclidean_distance(router_positions[r], point);
+    if (d < nearest.distance_km) nearest = {r, d};
+  }
+  return nearest;
+}
+
 NetworkTopology build_network(const GeoGraph& infrastructure,
                               std::span<const Point2D> iot_positions,
-                              std::span<const Point2D> edge_positions,
-                              const AttachParams& attach) {
+                              std::span<const Point2D> edge_positions) {
   if (infrastructure.graph.node_count() == 0) {
     throw std::invalid_argument("build_network: empty infrastructure");
   }
@@ -162,41 +152,27 @@ NetworkTopology build_network(const GeoGraph& infrastructure,
     throw std::invalid_argument(
         "build_network: need at least one IoT device and one edge server");
   }
-  const std::size_t attach_count = std::max<std::size_t>(1, attach.attach_count);
 
   NetworkTopology net;
   net.graph = infrastructure.graph;
   net.positions = infrastructure.positions;
   net.kinds.assign(net.graph.node_count(), NodeKind::kRouter);
 
-  const auto attach_device = [&](Point2D pos, NodeKind kind) {
+  const auto attach = [&](Point2D pos, NodeKind kind, auto link_model) {
     const NodeId node = net.graph.add_node();
     net.positions.push_back(pos);
     net.kinds.push_back(kind);
-    for (NodeId router :
-         nearest_routers(infrastructure.positions, pos, attach_count)) {
-      net.graph.add_edge(node, router,
-                         access_link(euclidean_distance(
-                             pos, infrastructure.positions[router])));
-    }
+    const NearestRouter access = nearest_router(infrastructure.positions, pos);
+    net.graph.add_edge(node, access.router, link_model(access.distance_km));
     return node;
   };
-
   // Edge servers typically sit beside a router: wired attachment.
   for (const Point2D& pos : edge_positions) {
-    const NodeId node = net.graph.add_node();
-    net.positions.push_back(pos);
-    net.kinds.push_back(NodeKind::kEdgeServer);
-    for (NodeId router :
-         nearest_routers(infrastructure.positions, pos, attach_count)) {
-      net.graph.add_edge(node, router,
-                         backbone_link(euclidean_distance(
-                             pos, infrastructure.positions[router])));
-    }
-    net.edge_nodes.push_back(node);
+    net.edge_nodes.push_back(
+        attach(pos, NodeKind::kEdgeServer, backbone_link));
   }
   for (const Point2D& pos : iot_positions) {
-    net.iot_nodes.push_back(attach_device(pos, NodeKind::kIotDevice));
+    net.iot_nodes.push_back(attach(pos, NodeKind::kIotDevice, access_link));
   }
   return net;
 }

@@ -137,18 +137,25 @@ struct NetworkTopology {
   void check_invariants() const;
 };
 
-struct AttachParams {
-  /// Each device/server connects to its `attach_count` nearest routers.
-  /// Multi-homing (> 1) gives a host a choice of access router; it adds no
-  /// route between routers, since hosts never relay.
-  std::size_t attach_count = 1;
+/// The router nearest to a point, and how far away it is.
+struct NearestRouter {
+  NodeId router = kInvalidNode;
+  double distance_km = 0.0;
 };
 
-/// Attaches devices and servers to the infrastructure via access links.
+/// The nearest of `router_positions` (router r at index r) to `point`: the
+/// first minimum under `<`. Router 0 at +inf when no distance compares
+/// below +inf (a NaN or far-off point); callers that must reject such a
+/// point check distance_km.
+[[nodiscard]] NearestRouter nearest_router(
+    std::span<const Point2D> router_positions, Point2D point);
+
+/// Gives every server and device one access link, to its nearest router
+/// (nearest_router()): servers a wired link, devices a wireless one.
 /// Requires non-empty infra and at least one position in each span.
 [[nodiscard]] NetworkTopology build_network(
     const GeoGraph& infrastructure, std::span<const Point2D> iot_positions,
-    std::span<const Point2D> edge_positions, const AttachParams& attach = {});
+    std::span<const Point2D> edge_positions);
 
 /// Shortest-path delay (ms) from every IoT device to every edge server,
 /// over paths that only routers relay (the no-relay model of dijkstra()).

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "topology/shortest_paths.hpp"
@@ -10,7 +11,9 @@
 namespace tacc::topo::oracle {
 
 DelayOracle::DelayOracle(incr::IncrementalDelayEngine& engine)
-    : engine_(&engine), width_(engine.server_count()) {}
+    : engine_(&engine),
+      width_(engine.server_count()),
+      key_of_node_(engine.network().router_count(), kNoKey) {}
 
 const std::vector<double>& DelayOracle::row(std::size_t row) const {
   stats_.queries += width_;
@@ -21,9 +24,9 @@ const std::vector<double>& DelayOracle::row(std::size_t row) const {
   return row_scratch_;
 }
 
-std::uint32_t DelayOracle::acquire_key(NodeId node) {
-  if (node < key_of_node_.size() && key_of_node_[node] != kNoKey) {
-    const std::uint32_t key = key_of_node_[node];
+std::uint32_t DelayOracle::acquire_key(NodeId router) {
+  if (key_of_node_[router] != kNoKey) {
+    const std::uint32_t key = key_of_node_[router];
     ++keys_[key].refs;
     return key;
   }
@@ -36,10 +39,9 @@ std::uint32_t DelayOracle::acquire_key(NodeId node) {
     keys_.emplace_back();
     key_values_.resize(keys_.size() * width_);
   }
-  if (node >= key_of_node_.size()) key_of_node_.resize(node + 1, kNoKey);
-  key_of_node_[node] = key;
+  key_of_node_[router] = key;
   // pass 0 is never current, so the caller's fill_key() always fills it.
-  keys_[key] = Key{node, 1, 0, 0, 0};
+  keys_[key] = Key{router, 1, 0, 0, 0};
   return key;
 }
 
@@ -59,8 +61,12 @@ void DelayOracle::fill_key(std::uint32_t key) {
   entry.pass = pass_;
 }
 
-void DelayOracle::resolve_row(std::size_t row) {
-  const incr::ReadThrough through = engine_->read_through(nodes_[row]);
+void DelayOracle::resolve_row(std::size_t row, NodeId node) {
+  const incr::ReadThrough through = engine_->read_through(node);
+  if (through.node >= key_of_node_.size()) {
+    throw std::invalid_argument(
+        "DelayOracle: a bound row must read through a router");
+  }
   row_latency_[row] = through.latency_ms;
   const std::uint32_t old = row_key_[row];
   if (old != kNoKey && keys_[old].node == through.node) return;
@@ -85,9 +91,9 @@ void DelayOracle::bind_row(std::size_t row, NodeId node) {
     row_offset_.resize(row + 1, 0);
     row_latency_.resize(row + 1, 0.0);
   }
+  resolve_row(row, node);
   if (nodes_[row] == kInvalidNode) ++bound_;
   nodes_[row] = node;
-  resolve_row(row);
   Key& key = keys_[row_key_[row]];
   if (key.pass == 0) {  // a fresh key: its first fill
     fill_key(row_key_[row]);
@@ -127,9 +133,9 @@ std::size_t DelayOracle::refresh() {
   moved_keys_.clear();
   ++pass_;
   std::size_t refreshed = 0;
-  for (const NodeId node : drain_scratch_) {
-    if (node >= key_of_node_.size() || key_of_node_[node] == kNoKey) continue;
-    const std::uint32_t key = key_of_node_[node];
+  for (const NodeId router : drain_scratch_) {
+    const std::uint32_t key = key_of_node_[router];
+    if (key == kNoKey) continue;
     move_key(key);
     refreshed += keys_[key].refs;
   }
@@ -144,7 +150,7 @@ void DelayOracle::refresh_all() {
   moved_keys_.clear();
   for (std::size_t row = 0; row < nodes_.size(); ++row) {
     if (nodes_[row] == kInvalidNode) continue;
-    resolve_row(row);
+    resolve_row(row, nodes_[row]);
     if (keys_[row_key_[row]].moved != pass_) move_key(row_key_[row]);
   }
   rows_refreshed_ += bound_;

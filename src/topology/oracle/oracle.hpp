@@ -7,16 +7,15 @@
 // (lint rule R7). It serves the paper's cost, the exact shortest-path delay,
 // bit-identical to the engine's trees.
 //
-// Rows are keyed by the node each device reads through
-// (IncrementalDelayEngine::read_through): a single-homed device reads
-// through its anchor router, a multi-homed or isolated device through its
-// own node. Each key row is stored once, contiguously, refcounted by the
-// bound rows that read through it, filled on bind and rewritten by
-// refresh() for exactly the engine's dirty keys. A bound row keeps only its
-// key (and its offset), its access latency and its bind epoch, and serves
-// key_row[j] + latency — the same double addition the engine serves a
-// single-homed device with, so values stay bit-identical while a link event
-// rewrites one row per moved key and touches no device's record at all.
+// Rows are keyed by the router each device reads through
+// (IncrementalDelayEngine::read_through), its access router. Each key row
+// is stored once, contiguously, refcounted by the bound rows that read
+// through it, filled on bind and rewritten by refresh() for exactly the
+// engine's dirty routers. A bound row keeps only its key (and its offset),
+// its access latency and its bind epoch, and serves key_row[j] + latency —
+// the same double addition the engine serves a device with, so values stay
+// bit-identical while a link event rewrites one row per moved router and
+// touches no device's record at all.
 //
 // One owner per binding: what a row reads through changes only when its
 // node's own links change, and whoever changes them rebinds the row
@@ -85,6 +84,8 @@ class DelayOracle {
   // ---- Row bindings ---------------------------------------------------------
   /// Binds `row` (growing storage as needed) to `node`, rebinding in place
   /// if the row was already bound, and stamps it with the fill epoch.
+  /// Throws std::invalid_argument, leaving every binding as it was, unless
+  /// `node` reads through a router: a device with its access link.
   /// Resolves the node's key and fills the key row now, so the row serves
   /// current values, and so do the other rows reading through that key; a
   /// shared key row whose values did not move keeps its epoch.
@@ -115,7 +116,7 @@ class DelayOracle {
 
   // ---- Epochs / invalidation ----------------------------------------------
   /// Drains the engine's dirty set and rewrites the key rows of the dirty
-  /// nodes (nodes without a key row are skipped), listing them as
+  /// routers (routers without a key row are skipped), listing them as
   /// moved_keys(). No row's record is touched: a row reading a moved key
   /// takes its epoch from the key. Returns the number of bound rows whose
   /// served delays may have moved — the sum of the moved keys' refcounts —
@@ -150,7 +151,7 @@ class DelayOracle {
     ++stats_.queries;
     return key_value(row_key_[row], server);
   }
-  /// The node bound `row` reads through.
+  /// The router bound `row` reads through.
   [[nodiscard]] NodeId row_key(std::size_t row) const {
     return keys_.at(row_key_.at(row)).node;
   }
@@ -213,13 +214,15 @@ class DelayOracle {
   };
 
   /// One entry of bound `row`: key row entry + latency, the same double
-  /// addition the engine serves a single-homed device with.
+  /// addition the engine serves a device with.
   [[nodiscard]] double value(std::size_t row, std::size_t column) const {
     return key_values_[row_offset_[row] + column] + row_latency_[row];
   }
-  /// Points bound `row` at its node's current key and latency.
-  void resolve_row(std::size_t row);
-  std::uint32_t acquire_key(NodeId node);
+  /// Points `row` at the current key and latency of `node`, which it is
+  /// or is about to be bound to. Throws std::invalid_argument before any
+  /// change unless `node` reads through a router.
+  void resolve_row(std::size_t row, NodeId node);
+  std::uint32_t acquire_key(NodeId router);
   void release_key(std::uint32_t key);
   /// Fills `key`'s row unless this refresh pass already did.
   void fill_key(std::uint32_t key);
@@ -241,7 +244,7 @@ class DelayOracle {
   // The key rows, one contiguous width_-sized block per key.
   std::vector<Key> keys_;
   std::vector<double> key_values_;
-  std::vector<std::uint32_t> key_of_node_;  ///< per node; kNoKey if none
+  std::vector<std::uint32_t> key_of_node_;  ///< per router; kNoKey if none
   std::vector<std::uint32_t> free_keys_;    ///< freed key slots, reused first
   std::uint64_t pass_ = 1;                  ///< bumped per refresh pass
   // mutable: row() materializes into the scratch row and reads count

@@ -560,154 +560,6 @@ TEST_P(DynamicClusterObjective, LinkChangesKeepTheObjectiveExact) {
   EXPECT_EQ(cluster.avg_delay_ms(), baseline) << "1e300 round trip";
 }
 
-// The objective with multi-homed devices: every initial device links to its
-// two nearest routers and reads through its own key row, beside the
-// single-homed joiners that share their anchor's. The sequence follows
-// LinkChangesKeepTheObjectiveExact — fail/restore, set/reset, a router
-// cut-off, 1e300 ms links — and adds a cut that moves a multi-homed device
-// off the access link that served it, onto its other one.
-TEST(DynamicClusterMultiHomed, LinkChangesKeepTheObjectiveExact) {
-  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-  ScenarioParams params;
-  params.seed = 23;
-  params.family = topo::TopologyFamily::kHierarchical;
-  params.topology.node_count = 40;
-  params.topology.area_km = 4.0;
-  params.topology.hierarchical_branching = 3;
-  params.attach.attach_count = 2;
-  params.workload.iot_count = 60;
-  params.workload.edge_count = 6;
-  params.workload.area_km = params.topology.area_km;
-  params.workload.iot_placement = workload::PlacementPattern::kClustered;
-  params.workload.hotspot_count = 8;
-  params.workload.load_factor = 0.6;
-  DynamicCluster cluster(Scenario::generate(params), Algorithm::kGreedyBestFit,
-                         cheap_options(23));
-  const topo::NetworkTopology& net = cluster.network();
-  const topo::oracle::DelayOracle& oracle = cluster.delay_oracle();
-  for (std::size_t i = 0; i < cluster.device_slot_count(); ++i) {
-    ASSERT_EQ(net.graph.degree(net.iot_nodes[i]), 2u);
-    ASSERT_EQ(oracle.row_key(i), net.iot_nodes[i]) << "slot " << i;
-  }
-  // Single-homed joiners read through their anchor router's key.
-  const std::size_t joined = cluster.join(test_device(1.0, 1.0)).device_index;
-  cluster.join(test_device(3.0, 2.5));
-  cluster.move(joined, {2.0, 3.0});
-  ASSERT_NE(oracle.row_key(joined), net.iot_nodes[joined]);
-  expect_objective(cluster, "multi-homed and single-homed");
-  const double baseline = cluster.avg_delay_ms();
-
-  util::Rng rng(23);
-  const auto failable = topo::sample_failable_links(net, 0.3, rng);
-  ASSERT_FALSE(failable.empty());
-  for (const auto& [u, v] : failable) {
-    cluster.fail_link(u, v);
-    expect_objective(cluster, "fail_link");
-  }
-  for (auto it = failable.rbegin(); it != failable.rend(); ++it) {
-    cluster.restore_link(it->first, it->second);
-    expect_objective(cluster, "restore_link");
-  }
-  EXPECT_EQ(cluster.avg_delay_ms(), baseline) << "fail/restore round trip";
-
-  const auto links = topo::backbone_links(net);
-  const auto [u, v] = links.front();
-  const double latency = net.graph.edge_props(u, v)->latency_ms;
-  cluster.set_link_latency(u, v, latency * 10.0);
-  expect_objective(cluster, "set_link_latency");
-  cluster.set_link_latency(u, v, latency);
-  expect_objective(cluster, "set_link_latency reset");
-  EXPECT_EQ(cluster.avg_delay_ms(), baseline) << "set/reset round trip";
-
-  const auto links_at = [&](const std::vector<topo::NodeId>& routers) {
-    std::vector<topo::LinkEndpoints> at;
-    for (const auto& link : topo::backbone_links(net)) {
-      for (const topo::NodeId router : routers) {
-        if (link.first == router || link.second == router) {
-          at.push_back(link);
-          break;
-        }
-      }
-    }
-    return at;
-  };
-  const auto access_routers = [&](std::size_t slot) {
-    std::vector<topo::NodeId> routers;
-    for (const topo::Adjacency& access :
-         net.graph.neighbors(net.iot_nodes[slot])) {
-      routers.push_back(access.to);
-    }
-    return routers;
-  };
-
-  // Cutting one of a multi-homed device's routers off the backbone moves
-  // the device onto its other access link when the cut one served it.
-  bool switched = false;
-  for (std::size_t i = 0; i < cluster.device_slot_count() && !switched; ++i) {
-    if (!cluster.is_active(i) || net.graph.degree(net.iot_nodes[i]) != 2) {
-      continue;
-    }
-    const std::size_t server = cluster.server_of(i);
-    for (const topo::NodeId router : access_routers(i)) {
-      const auto cut = links_at({router});
-      if (cut.empty()) continue;
-      const double before = oracle.delay_ms(i, server);
-      for (const auto& [x, y] : cut) cluster.fail_link(x, y);
-      const double after = oracle.delay_ms(i, server);
-      if (after != before && after != topo::kUnreachable) {
-        switched = true;
-        expect_objective(cluster, "served over the other access link");
-      }
-      for (const auto& [x, y] : cut) cluster.restore_link(x, y);
-      EXPECT_EQ(cluster.avg_delay_ms(), baseline) << "one-router round trip";
-      if (switched) break;
-    }
-  }
-  EXPECT_TRUE(switched) << "no cut moved a device onto its other link";
-
-  // Cut both routers of a multi-homed device whose server hangs off
-  // neither: the device loses its server.
-  std::size_t device = cluster.device_slot_count();
-  for (std::size_t i = 0; i < cluster.device_slot_count(); ++i) {
-    if (!cluster.is_active(i) || net.graph.degree(net.iot_nodes[i]) != 2) {
-      continue;
-    }
-    bool adjacent = false;
-    for (const topo::NodeId router : access_routers(i)) {
-      for (const topo::Adjacency& link :
-           net.graph.neighbors(net.edge_nodes[cluster.server_of(i)])) {
-        adjacent = adjacent || link.to == router;
-      }
-    }
-    if (!adjacent) {
-      device = i;
-      break;
-    }
-  }
-  ASSERT_LT(device, cluster.device_slot_count());
-  const auto cut = links_at(access_routers(device));
-  ASSERT_FALSE(cut.empty());
-  for (const auto& [x, y] : cut) cluster.fail_link(x, y);
-  expect_objective(cluster, "both routers cut off");
-  EXPECT_TRUE(std::isinf(cluster.avg_delay_ms()));
-  for (const auto& [x, y] : cut) cluster.restore_link(x, y);
-  expect_objective(cluster, "both routers restored");
-  EXPECT_EQ(cluster.avg_delay_ms(), baseline) << "unreachable round trip";
-
-  // Hostile latencies: the device's paths run over 1e300 ms.
-  std::vector<double> before;
-  for (const auto& [x, y] : cut) {
-    before.push_back(cluster.set_link_latency(x, y, 1e300).latency_ms);
-  }
-  expect_objective(cluster, "1e300 ms links");
-  EXPECT_GE(oracle.delay_ms(device, cluster.server_of(device)), 1e300);
-  for (std::size_t k = 0; k < cut.size(); ++k) {
-    cluster.set_link_latency(cut[k].first, cut[k].second, before[k]);
-  }
-  expect_objective(cluster, "1e300 ms links reset");
-  EXPECT_EQ(cluster.avg_delay_ms(), baseline) << "1e300 round trip";
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Oracles, DynamicClusterObjective, ::testing::Values("exact"),
     [](const ::testing::TestParamInfo<const char*>& spec) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
+#include <vector>
+
+#include "core/scenario.hpp"
 #include "topology/shortest_paths.hpp"
 #include "util/rng.hpp"
 
@@ -55,15 +60,35 @@ TEST(BuildNetwork, DevicesAttachToNearestRouter) {
   EXPECT_FALSE(net.graph.has_edge(net.iot_nodes[0], 0));
 }
 
-TEST(BuildNetwork, MultiHomingAddsLinks) {
-  const GeoGraph infra = two_router_line();
-  const std::vector<Point2D> iot{{2.0, 0.0}};
-  const std::vector<Point2D> edges{{2.0, 1.0}};
-  AttachParams attach;
-  attach.attach_count = 2;
-  const auto net = build_network(infra, iot, edges, attach);
-  EXPECT_EQ(net.graph.degree(net.iot_nodes[0]), 2u);
-  EXPECT_EQ(net.graph.degree(net.edge_nodes[0]), 2u);
+// Every server and device of each preset has one access link, to the
+// first nearest router.
+TEST(BuildNetwork, EveryPresetHostHasOneAccessLinkToItsNearestRouter) {
+  for (const Scenario& scenario :
+       {Scenario::smart_city(100, 8, 2026), Scenario::factory(100, 8, 2026),
+        Scenario::campus(100, 8, 2026)}) {
+    const NetworkTopology& net = scenario.network();
+    const std::span<const Point2D> routers(net.positions.data(),
+                                           net.router_count());
+    std::vector<NodeId> hosts = net.iot_nodes;
+    hosts.insert(hosts.end(), net.edge_nodes.begin(), net.edge_nodes.end());
+    for (const NodeId host : hosts) {
+      ASSERT_EQ(net.graph.degree(host), 1u) << "host " << host;
+      EXPECT_EQ(net.graph.neighbors(host).front().to,
+                nearest_router(routers, net.positions[host]).router)
+          << "host " << host;
+    }
+  }
+}
+
+TEST(NearestRouter, FirstMinimumAndNonFiniteDistances) {
+  const std::vector<Point2D> routers{{0.0, 0.0}, {2.0, 0.0}, {2.0, 0.0}};
+  EXPECT_EQ(nearest_router(routers, {0.5, 0.0}).router, 0u);
+  const NearestRouter tie = nearest_router(routers, {3.0, 0.0});
+  EXPECT_EQ(tie.router, 1u);
+  EXPECT_EQ(tie.distance_km, 1.0);
+  const NearestRouter lost = nearest_router(routers, {std::nan(""), 0.0});
+  EXPECT_EQ(lost.router, 0u);
+  EXPECT_TRUE(std::isinf(lost.distance_km));
 }
 
 TEST(BuildNetwork, InvalidInputsThrow) {

@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "topology/failures.hpp"
@@ -33,8 +34,7 @@ namespace {
 
 NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
                          std::size_t routers = 49, std::size_t devices = 24,
-                         std::size_t servers = 4,
-                         const AttachParams& attach = {}) {
+                         std::size_t servers = 4) {
   util::Rng rng(seed);
   GeneratorParams params;
   params.node_count = routers;
@@ -45,7 +45,7 @@ NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
                            rng.uniform(0.0, params.area_km)};
   for (auto& p : edges) p = {rng.uniform(0.0, params.area_km),
                              rng.uniform(0.0, params.area_km)};
-  return build_network(infra, iot, edges, attach);
+  return build_network(infra, iot, edges);
 }
 
 // ---- Spec parsing ----------------------------------------------------------
@@ -347,7 +347,7 @@ TEST(ExactOracle, ResidentBytesKeepRecycledRowAllocations) {
                 net.iot_count() * DelayOracle::kRowBytes);
 }
 
-// The single-homed devices of one anchor share its key row, so at the
+// The devices of one anchor share its key row, so at the
 // link_churn serving shape (2 000 devices x 32 servers over 64 routers) the
 // dense store holds well under a quarter of one row per device.
 TEST(ExactOracle, SharedKeyRowsStayFarBelowOneRowPerDevice) {
@@ -367,16 +367,16 @@ TEST(ExactOracle, SharedKeyRowsStayFarBelowOneRowPerDevice) {
   }
 }
 
-// Mixed churn through the DelayOracle: single-homed devices beside
-// multi-homed ones, a device whose second link would be the shortest route
-// to its anchor router (hosts never relay, so it carries none),
-// access-link fail/restore/reweight (one-ulp included),
-// backbone fail/restore/reweight, and unbind/rebind onto recycled slots.
-// The engine reports no device's own links, so every access-link event is
-// followed by a rebind of the touched slot, as DynamicCluster does. After
-// every event and refresh() each bound slot must serve the engine's value
-// bitwise, through both row() and delay_ms(), and carry the epoch of its
-// bind or of the last refresh that rewrote the key it reads through.
+// Mixed churn through the DelayOracle: backbone fail/restore/reweight,
+// access-link fail/restore/reweight (one-ulp included), an anchor router cut
+// off the backbone, and unbind/rebind onto recycled slots. The engine
+// reports no device's own link, so every access-link event is followed by a
+// rebind of the touched slot, as DynamicCluster does; a device whose access
+// link failed reads through no router, so its slot is unbound (bind_row
+// refuses it) until the link is restored. After every event and refresh()
+// each bound slot must serve the engine's value bitwise, through both row()
+// and delay_ms(), and carry the epoch of its bind or of the last refresh
+// that rewrote the key it reads through.
 TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   util::Rng rng(0x3C4D);
   GeneratorParams params;
@@ -389,22 +389,15 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
                            rng.uniform(0.0, params.area_km)};
   for (auto& p : edges) p = {rng.uniform(0.0, params.area_km),
                              rng.uniform(0.0, params.area_km)};
-  NetworkTopology net = build_network(infra, iot, edges,
-                                      AttachParams{.attach_count = 2});
-  // Two devices in three keep one access link and read through their
-  // anchor router; the rest stay multi-homed.
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    if (i % 3 == 0) continue;
-    const NodeId device = net.iot_nodes[i];
-    ASSERT_EQ(net.graph.degree(device), 2u);
-    net.graph.remove_edge(device, net.graph.neighbors(device).back().to);
-  }
+  NetworkTopology net = build_network(infra, iot, edges);
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
 
   std::vector<NodeId> slot_node(net.iot_count(), kInvalidNode);
   std::vector<std::uint64_t> want_epoch(net.iot_count(), 0);
   std::vector<std::size_t> free_slots;
+  // Per slot: its device while the device's access link is failed.
+  std::vector<NodeId> stranded(net.iot_count(), kInvalidNode);
   const auto bind = [&](std::size_t slot, NodeId node) {
     oracle.bind_row(slot, node);
     slot_node[slot] = node;
@@ -451,33 +444,11 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   };
   refresh_and_check("bound");
 
-  // A single-homed device gains a nearly free second link to a router
-  // other than its anchor and reads through itself from then on. With the
-  // anchor's backbone links failed, the device would be the anchor's best
-  // route to the servers, but hosts never relay: reweighting the device's
-  // link to the anchor moves neither the anchor nor the device, whose own
-  // route runs over the new link.
-  std::size_t dual_slot = 0;
-  while (engine.read_through(slot_node[dual_slot]).node ==
-         slot_node[dual_slot]) {
-    ++dual_slot;
-  }
-  const NodeId dual = slot_node[dual_slot];
-  const Adjacency access = net.graph.neighbors(dual).front();
+  // Cut a device's anchor off the backbone. Hosts never relay:
+  // reweighting the device's link to the anchor does not move the anchor.
+  const NodeId device0 = slot_node[0];
+  const Adjacency access = net.graph.neighbors(device0).front();
   const NodeId anchor = access.to;
-  NodeId far_router = kInvalidNode;
-  for (NodeId node = 0; node < net.graph.node_count(); ++node) {
-    if (net.kinds[node] == NodeKind::kRouter && node != anchor &&
-        net.graph.edge_props(node, anchor) == nullptr) {
-      far_router = node;
-      break;
-    }
-  }
-  ASSERT_NE(far_router, kInvalidNode);
-  engine.add_link(dual, far_router, EdgeProps{0.01, 100.0});
-  ASSERT_EQ(engine.read_through(dual).node, dual);
-  bind(dual_slot, dual);
-  refresh_and_check("second link");
   std::vector<NodeId> anchor_routers;
   for (const Adjacency& adj : net.graph.neighbors(anchor)) {
     if (net.kinds[adj.to] == NodeKind::kRouter) {
@@ -488,31 +459,21 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
     engine.fail_link(anchor, router);
     refresh_and_check("isolate the anchor's backbone");
   }
-  std::vector<double> dual_before(net.edge_count());
   std::vector<double> anchor_before(net.edge_count());
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    dual_before[j] = oracle.delay_ms(dual_slot, j);
     anchor_before[j] = engine.delay_ms(j, anchor);
   }
-  engine.set_link_latency(dual, anchor, access.props.latency_ms * 0.5);
-  bind(dual_slot, dual);
+  engine.set_link_latency(device0, anchor, access.props.latency_ms * 0.5);
+  bind(0, device0);
   refresh_and_check("reweight the device's link to the anchor");
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
     EXPECT_EQ(bits(engine.delay_ms(j, anchor)), bits(anchor_before[j]));
-    EXPECT_EQ(bits(oracle.delay_ms(dual_slot, j)),
-              bits(dual_before[j]));
   }
   for (const NodeId router : anchor_routers) {
     engine.restore_link(anchor, router);
     refresh_and_check("restore the anchor's backbone");
   }
 
-  const auto failed_access = [&](NodeId device) {
-    return std::any_of(net.failed_links.begin(), net.failed_links.end(),
-                       [device](const FailedLink& link) {
-                         return link.u == device || link.v == device;
-                       });
-  };
   std::array<std::size_t, 8> kinds{};
   for (std::size_t event = 0; event < 400; ++event) {
     const std::string what = "event " + std::to_string(event);
@@ -547,36 +508,38 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
                       : old_ms * rng.uniform(0.5, 2.0));
         ++kinds[ulp ? 2 : 3];
       }
+    } else if (roll < 0.75 && stranded[slot] != kInvalidNode) {
+      // The failed access link comes back, and the slot is bound again.
+      const NodeId node = std::exchange(stranded[slot], kInvalidNode);
+      const auto link = std::find_if(
+          net.failed_links.begin(), net.failed_links.end(),
+          [node](const FailedLink& l) { return l.u == node || l.v == node; });
+      ASSERT_NE(link, net.failed_links.end());
+      engine.restore_link(link->u, link->v);
+      ++kinds[4];
+      bind(slot, node);
     } else if (roll < 0.75 && device != kInvalidNode) {  // access link
-      std::vector<FailedLink> failed_here;
-      for (const FailedLink& link : net.failed_links) {
-        if (link.u == device || link.v == device) failed_here.push_back(link);
-      }
+      const Adjacency link = net.graph.neighbors(device).front();
       const double pick = rng.uniform();
-      if (!failed_here.empty() &&
-          (pick < 0.4 || net.graph.degree(device) == 0)) {
-        const FailedLink& link = failed_here[rng.index(failed_here.size())];
-        engine.restore_link(link.u, link.v);
-        ++kinds[4];
-      } else if (net.graph.degree(device) == 0) {
-        continue;
+      if (pick < 0.4) {
+        engine.fail_link(device, link.to);
+        EXPECT_THROW(oracle.bind_row(slot, device), std::invalid_argument);
+        EXPECT_EQ(oracle.row_key(slot), link.to)
+            << "a refused bind changed the row";
+        oracle.unbind_row(slot);
+        slot_node[slot] = kInvalidNode;
+        stranded[slot] = device;
+        ++kinds[5];
       } else {
-        const Adjacency link = net.graph.neighbors(
-            device)[rng.index(net.graph.degree(device))];
-        if (pick < 0.6) {
-          engine.fail_link(device, link.to);
-          ++kinds[5];
-        } else {
-          const bool ulp = pick < 0.8;
-          engine.set_link_latency(
-              device, link.to,
-              ulp ? std::nextafter(link.props.latency_ms, kUnreachable)
-                  : link.props.latency_ms * rng.uniform(0.5, 2.0));
-          ++kinds[ulp ? 6 : 3];
-        }
+        const bool ulp = pick < 0.7;
+        engine.set_link_latency(
+            device, link.to,
+            ulp ? std::nextafter(link.props.latency_ms, kUnreachable)
+                : link.props.latency_ms * rng.uniform(0.5, 2.0));
+        ++kinds[ulp ? 6 : 3];
+        bind(slot, device);
       }
-      bind(slot, device);
-    } else if (device != kInvalidNode && !failed_access(device)) {  // leave
+    } else if (device != kInvalidNode) {  // leave
       oracle.unbind_row(slot);
       slot_node[slot] = kInvalidNode;
       engine.release_node(device);
@@ -588,18 +551,10 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
       const Point2D pos{rng.uniform(0.0, params.area_km),
                         rng.uniform(0.0, params.area_km)};
       const NodeId node = engine.acquire_node(pos, NodeKind::kIotDevice);
-      const std::size_t links = rng.uniform() < 0.3 ? 2 : 1;
-      for (std::size_t k = 0; k < links; ++k) {
-        NodeId router = kInvalidNode;
-        while (router == kInvalidNode ||
-               net.kinds[router] != NodeKind::kRouter ||
-               net.graph.edge_props(node, router) != nullptr) {
-          router = static_cast<NodeId>(rng.index(net.graph.node_count()));
-        }
-        engine.add_link(
-            node, router,
-            access_link(euclidean_distance(pos, net.positions[router])));
-      }
+      const auto router = static_cast<NodeId>(rng.index(net.router_count()));
+      engine.add_link(
+          node, router,
+          access_link(euclidean_distance(pos, net.positions[router])));
       bind(slot, node);
     } else {
       continue;
@@ -613,25 +568,13 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   EXPECT_GT(checks, 300u);
 }
 
-/// A network where two devices in three keep one access link and read
-/// through their anchor router, and the rest stay multi-homed.
-NetworkTopology make_mixed_net(std::uint64_t seed) {
-  NetworkTopology net = make_net(TopologyFamily::kRandomGeometric, seed, 36,
-                                 30, 4, AttachParams{.attach_count = 2});
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    if (i % 3 == 0) continue;
-    const NodeId device = net.iot_nodes[i];
-    net.graph.remove_edge(device, net.graph.neighbors(device).back().to);
-  }
-  return net;
-}
-
 // The epoch contract: through a seeded backbone churn, one reweight in
 // three by a single ulp, no bound row's served value changes without its
 // row_epoch() rising. The converse is relaxed on purpose: a key that moves
 // by less than a device's latency can show still bumps that device's epoch.
 TEST(ExactOracle, NoServedValueMovesWithoutItsEpochRising) {
-  NetworkTopology net = make_mixed_net(0xE90C);
+  NetworkTopology net =
+      make_net(TopologyFamily::kRandomGeometric, 0xE90C, 36, 30, 4);
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
@@ -691,11 +634,12 @@ TEST(ExactOracle, NoServedValueMovesWithoutItsEpochRising) {
   EXPECT_GT(bumped_unmoved, 0u);
 }
 
-// A backbone fail, restore or reweight dirties keys only, never a
-// single-homed device, and refresh() counts exactly the bound rows that
-// read through the keys it rewrote: the sum of their refcounts.
+// A backbone fail, restore or reweight dirties keys only, never a device,
+// and refresh() counts exactly the bound rows that read through the keys it
+// rewrote: the sum of their refcounts.
 TEST(DelayOracle, BackboneEventsDirtyKeysAndCountTheirRefcounts) {
-  NetworkTopology net = make_mixed_net(0xD117);
+  NetworkTopology net =
+      make_net(TopologyFamily::kRandomGeometric, 0xD117, 36, 30, 4);
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
@@ -725,11 +669,8 @@ TEST(DelayOracle, BackboneEventsDirtyKeysAndCountTheirRefcounts) {
     std::size_t dirty_rows = 0;
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
       const NodeId device = net.iot_nodes[i];
-      if (engine.read_through(device).node != device) {
-        ASSERT_FALSE(engine.is_dirty(device))
-            << "event " << event << ": single-homed device " << device
-            << " is dirty";
-      }
+      ASSERT_FALSE(engine.is_dirty(device))
+          << "event " << event << ": device " << device << " is dirty";
       if (engine.is_dirty(oracle.row_key(i))) ++dirty_rows;
     }
     const std::size_t refreshed = oracle.refresh();

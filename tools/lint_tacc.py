@@ -72,6 +72,9 @@ REMOVED_APIS = {
         "gap::build_instance(net, workload, "
         "{.topology_oblivious_costs = true})",
     "SsspUpdateStats": "the std::size_t DynamicSsspTree's hooks return",
+    "AttachParams": "build_network's one access link per host",
+    "HostSnapshot": "nothing: the engine's dirty set holds routers only",
+    "self_keyed_at": "nothing: the engine's dirty set holds routers only",
 }
 
 # R2: the logging sink is the one legitimate stream writer in src/.
