@@ -10,7 +10,13 @@
 #      interleaves two sessions that hash to different shards, so their
 #      requests complete on different worker pools in nondeterministic
 #      order — the per-connection response sequencer must still deliver
-#      replies strictly in request order, or the transcripts diverge.
+#      replies strictly in request order, or the transcripts diverge;
+#   3. against the committed golden tests/data/taccd_replay.golden: the
+#      LINK_* replies carry affected=/saved= from the incremental tree
+#      repair, so a change to repair order or tie-breaks shows here. On a
+#      mismatch the actual transcript is written to
+#      $TEST_TMPDIR/taccd_replay.actual (default /tmp/) for a diff; copy it
+#      over the golden only for a deliberate change in replies.
 #
 #   taccd_replay_smoke.sh <taccd> <tacc_client> <tacc_workload>
 set -euo pipefail
@@ -18,6 +24,8 @@ set -euo pipefail
 TACCD=${1:?usage: taccd_replay_smoke.sh <taccd> <tacc_client> <tacc_workload>}
 CLIENT=${2:?usage: taccd_replay_smoke.sh <taccd> <tacc_client> <tacc_workload>}
 WORKLOAD=${3:?usage: taccd_replay_smoke.sh <taccd> <tacc_client> <tacc_workload>}
+
+GOLDEN="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/tests/data/taccd_replay.golden"
 
 WORKDIR=$(mktemp -d "${TMPDIR:-/tmp}/taccd_replay_XXXXXX")
 DAEMON_PID=""
@@ -90,4 +98,12 @@ cmp -s "$WORKDIR/replay_1.txt" "$WORKDIR/replay_2.txt" \
 cmp -s "$WORKDIR/replay_1.txt" "$WORKDIR/replay_s4.txt" \
   || { echo "FAIL: transcripts differ between --shards=1 and --shards=4 (response ordering broke)"; exit 1; }
 
-echo "taccd replay smoke passed: $LINES requests ($SPEC, 2 sessions), all OK, transcripts identical at 1 and 4 shards"
+if ! cmp -s "$WORKDIR/replay_1.txt" "$GOLDEN"; then
+  ACTUAL="${TEST_TMPDIR:-/tmp}/taccd_replay.actual"
+  cp "$WORKDIR/replay_1.txt" "$ACTUAL"
+  echo "FAIL: transcript differs from $GOLDEN (actual written to $ACTUAL)"
+  diff "$GOLDEN" "$ACTUAL" | head -20 || true
+  exit 1
+fi
+
+echo "taccd replay smoke passed: $LINES requests ($SPEC, 2 sessions), all OK, transcripts identical at 1 and 4 shards and to the golden"
