@@ -11,7 +11,7 @@ std::vector<LinkEndpoints> backbone_links(const NetworkTopology& net) {
   std::vector<LinkEndpoints> links;
   for (NodeId u = 0; u < net.graph.node_count(); ++u) {
     if (net.kinds[u] != NodeKind::kRouter) continue;
-    for (const Adjacency& adj : net.graph.neighbors(u)) {
+    for (const Adjacency& adj : net.graph.relay_neighbors(u)) {
       if (adj.to > u && net.kinds[adj.to] == NodeKind::kRouter) {
         links.push_back({u, adj.to});
       }

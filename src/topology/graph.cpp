@@ -8,18 +8,69 @@
 
 namespace tacc::topo {
 
-NodeId Graph::add_node() {
+NodeId Graph::add_node(NodeRole role) {
   adjacency_.emplace_back();
+  relay_end_.push_back(0);
+  leaf_slot_.push_back(0);
   released_.push_back(false);
+  leaf_.push_back(role == NodeRole::kLeaf);
   return static_cast<NodeId>(adjacency_.size() - 1);
 }
 
-NodeId Graph::acquire_node() {
-  if (free_list_.empty()) return add_node();
+NodeId Graph::acquire_node(NodeRole role) {
+  if (free_list_.empty()) return add_node(role);
   const NodeId node = free_list_.back();
   free_list_.pop_back();
   released_[node] = false;
+  // A released node has no edges, so no list holds an entry for it.
+  leaf_[node] = role == NodeRole::kLeaf;
   return node;
+}
+
+std::size_t Graph::entry_index(NodeId from, NodeId to) const {
+  if (leaf_[to]) {
+    const auto& links = adjacency_[to];
+    return !links.empty() && links.front().to == from ? leaf_slot_[to]
+                                                       : kNoEntry;
+  }
+  const auto& list = adjacency_[from];
+  for (std::size_t i = 0; i < relay_end_[from]; ++i) {
+    if (list[i].to == to) return i;
+  }
+  return kNoEntry;
+}
+
+void Graph::insert_entry(NodeId from, Adjacency entry) {
+  auto& list = adjacency_[from];
+  if (leaf_[entry.to]) {
+    leaf_slot_[entry.to] = static_cast<std::uint32_t>(list.size());
+    list.push_back(entry);
+    return;
+  }
+  const std::uint32_t end = relay_end_[from]++;
+  if (end < list.size()) {
+    list.push_back(list[end]);
+    leaf_slot_[list.back().to] = static_cast<std::uint32_t>(list.size() - 1);
+    list[end] = entry;
+  } else {
+    list.push_back(entry);
+  }
+}
+
+void Graph::erase_entry(NodeId from, std::size_t index) {
+  auto& list = adjacency_[from];
+  if (index < relay_end_[from]) {
+    // Close the gap inside the prefix; its last slot is then the free one.
+    const auto end = list.begin() + relay_end_[from];
+    std::move(list.begin() + static_cast<std::ptrdiff_t>(index) + 1, end,
+              list.begin() + static_cast<std::ptrdiff_t>(index));
+    index = --relay_end_[from];
+  }
+  if (index + 1 < list.size()) {
+    list[index] = list.back();
+    leaf_slot_[list[index].to] = static_cast<std::uint32_t>(index);
+  }
+  list.pop_back();
 }
 
 void Graph::release_node(NodeId node) {
@@ -32,20 +83,14 @@ void Graph::release_node(NodeId node) {
   // Each entry in our list is one undirected edge; drop its mirror entry at
   // the other endpoint (one mirror per entry, so parallel edges stay paired).
   for (const Adjacency& adj : adjacency_[node]) {
-    auto& list = adjacency_[adj.to];
-    bool erased = false;
-    for (auto it = list.begin(); it != list.end(); ++it) {
-      if (it->to == node) {
-        list.erase(it);
-        erased = true;
-        break;
-      }
-    }
-    TACC_ASSERT(erased, "released node's edge had no mirror entry");
+    const std::size_t mirror = entry_index(adj.to, node);
+    TACC_ASSERT(mirror != kNoEntry, "released node's edge had no mirror entry");
+    erase_entry(adj.to, mirror);
     --edges_;
   }
   adjacency_[node].clear();
   adjacency_[node].shrink_to_fit();
+  relay_end_[node] = 0;
   released_[node] = true;
   free_list_.push_back(node);
 }
@@ -63,22 +108,24 @@ void Graph::add_edge(NodeId u, NodeId v, EdgeProps props) {
   if (!(props.latency_ms > 0.0)) {
     throw std::invalid_argument("Graph::add_edge: latency must be positive");
   }
-  adjacency_[u].push_back({v, props});
-  adjacency_[v].push_back({u, props});
+  if ((leaf_[u] && !adjacency_[u].empty()) ||
+      (leaf_[v] && !adjacency_[v].empty())) {
+    throw std::invalid_argument("Graph::add_edge: a leaf takes one link");
+  }
+  insert_entry(u, {v, props});
+  insert_entry(v, {u, props});
   ++edges_;
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
-  const auto& list = adjacency_.at(u);
-  return std::any_of(list.begin(), list.end(),
-                     [v](const Adjacency& a) { return a.to == v; });
+  return edge_props(u, v) != nullptr;
 }
 
 const EdgeProps* Graph::edge_props(NodeId u, NodeId v) const {
-  for (const Adjacency& adj : adjacency_.at(u)) {
-    if (adj.to == v) return &adj.props;
-  }
-  return nullptr;
+  const auto& list = adjacency_.at(u);
+  if (v >= node_count()) return nullptr;
+  const std::size_t at = entry_index(u, v);
+  return at == kNoEntry ? nullptr : &list[at].props;
 }
 
 bool Graph::set_edge_latency(NodeId u, NodeId v, double latency_ms) {
@@ -87,44 +134,33 @@ bool Graph::set_edge_latency(NodeId u, NodeId v, double latency_ms) {
         "Graph::set_edge_latency: latency must be positive");
   }
   if (u >= node_count() || v >= node_count()) return false;
-  // Mirror entries are kept in matching insertion order (add_edge appends to
-  // both lists; remove_edge/release_node erase the first match from both), so
+  // Mirror relay entries are kept in matching insertion order (add_edge
+  // appends to both prefixes; erase_entry keeps each prefix in order), so
   // rewriting the first match on each side updates one undirected edge.
-  const auto rewrite_one = [this, latency_ms](NodeId from, NodeId to) {
-    for (Adjacency& adj : adjacency_[from]) {
-      if (adj.to == to) {
-        adj.props.latency_ms = latency_ms;
-        return true;
-      }
-    }
-    return false;
-  };
-  if (!rewrite_one(u, v)) return false;
-  rewrite_one(v, u);
+  const std::size_t at_u = entry_index(u, v);
+  if (at_u == kNoEntry) return false;
+  adjacency_[u][at_u].props.latency_ms = latency_ms;
+  adjacency_[v][entry_index(v, u)].props.latency_ms = latency_ms;
   return true;
 }
 
 bool Graph::remove_edge(NodeId u, NodeId v) {
   if (u >= node_count() || v >= node_count()) return false;
-  const auto erase_one = [this](NodeId from, NodeId to) {
-    auto& list = adjacency_[from];
-    for (auto it = list.begin(); it != list.end(); ++it) {
-      if (it->to == to) {
-        list.erase(it);
-        return true;
-      }
-    }
-    return false;
-  };
-  if (!erase_one(u, v)) return false;
-  erase_one(v, u);
+  const std::size_t at_u = entry_index(u, v);
+  if (at_u == kNoEntry) return false;
+  const std::size_t at_v = entry_index(v, u);
+  erase_entry(u, at_u);
+  erase_entry(v, at_v);
   --edges_;
   return true;
 }
 
 void Graph::check_invariants() const {
-  TACC_CHECK_INVARIANT(released_.size() == adjacency_.size(),
-                       "released bitmap must cover every node");
+  TACC_CHECK_INVARIANT(released_.size() == adjacency_.size() &&
+                           leaf_.size() == adjacency_.size() &&
+                           relay_end_.size() == adjacency_.size() &&
+                           leaf_slot_.size() == adjacency_.size(),
+                       "per-node tables must cover every node");
   TACC_CHECK_INVARIANT(free_list_.size() <= adjacency_.size(),
                        "free list larger than the node table");
 
@@ -150,9 +186,9 @@ void Graph::check_invariants() const {
                              std::to_string(node));
   }
 
-  // Adjacency symmetry: mirror entries are kept in matching insertion order
-  // (see set_edge_latency), so the k-th u->v entry must pair with the k-th
-  // v->u entry, carrying identical properties.
+  // Adjacency symmetry: mirror relay entries are kept in matching insertion
+  // order (see set_edge_latency) and a leaf has one link, so the k-th u->v
+  // entry must pair with the k-th v->u entry, carrying identical properties.
   std::size_t directed_entries = 0;
   for (NodeId u = 0; u < adjacency_.size(); ++u) {
     std::size_t own_rank = 0;  // rank of each u->v among u's entries to v
@@ -195,6 +231,30 @@ void Graph::check_invariants() const {
   }
   TACC_CHECK_INVARIANT(directed_entries == 2 * edges_,
                        "edge count out of sync with adjacency storage");
+
+  // Layout: relay far ends exactly fill the prefix; a leaf has at most one
+  // link, and its mirror sits at the slot the leaf recorded.
+  for (NodeId u = 0; u < adjacency_.size(); ++u) {
+    const auto& list = adjacency_[u];
+    TACC_CHECK_INVARIANT(relay_end_[u] <= list.size(),
+                         "relay prefix longer than the list at node " +
+                             std::to_string(u));
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      TACC_CHECK_INVARIANT(
+          leaf_[list[i].to] == (i >= relay_end_[u]),
+          (i < relay_end_[u] ? "leaf entry inside the relay prefix"
+                             : "relay entry outside the relay prefix") +
+              std::string(" at node ") + std::to_string(u));
+    }
+    if (!leaf_[u]) continue;
+    TACC_CHECK_INVARIANT(list.size() <= 1,
+                         "leaf with more than one link: " + std::to_string(u));
+    if (list.empty()) continue;
+    const auto& back = adjacency_[list.front().to];
+    TACC_CHECK_INVARIANT(
+        leaf_slot_[u] < back.size() && back[leaf_slot_[u]].to == u,
+        "leaf entry not at its recorded position: " + std::to_string(u));
+  }
 }
 
 double Graph::total_latency() const noexcept {

@@ -10,6 +10,16 @@
 // instead of growing without bound. Released ids stay valid indices (their
 // adjacency is empty and algorithms see them as isolated); ids are recycled
 // LIFO.
+//
+// Adjacency layout. A node is a relay or a leaf, fixed when it is added or
+// acquired. A leaf (an IoT device) ends paths and takes at most one link; a
+// relay is anything else (a router, or an edge server, whose shortest-path
+// trees seed from its own entries). Each list holds its relay entries first,
+// in insertion order, then its leaf entries in no particular order, so
+// relay_neighbors() is a prefix that path scans read without touching the
+// leaf links. Each leaf records where its mirror entry sits in its one
+// neighbor's list, which makes removing a leaf link O(1) (swap with the last
+// entry) while relay order, and with it every parent tie-break, is kept.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +41,19 @@ struct Adjacency {
   EdgeProps props;
 };
 
+/// A leaf only ends paths and takes at most one link; see the layout note.
+enum class NodeRole : std::uint8_t { kRelay, kLeaf };
+
 class Graph {
  public:
   Graph() = default;
+  /// `node_count` isolated relay nodes.
   explicit Graph(std::size_t node_count)
-      : adjacency_(node_count), released_(node_count, false) {}
+      : adjacency_(node_count),
+        relay_end_(node_count, 0),
+        leaf_slot_(node_count, 0),
+        released_(node_count, false),
+        leaf_(node_count, false) {}
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return adjacency_.size();
@@ -43,11 +61,11 @@ class Graph {
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_; }
 
   /// Appends a new isolated node and returns its id.
-  NodeId add_node();
+  NodeId add_node(NodeRole role = NodeRole::kRelay);
 
   /// Returns a ready-to-use node id: the most recently released node if any
-  /// (LIFO), otherwise a freshly appended one.
-  NodeId acquire_node();
+  /// (LIFO), otherwise a freshly appended one. The node takes `role`.
+  NodeId acquire_node(NodeRole role = NodeRole::kRelay);
 
   /// Removes every edge incident to `node` and pushes its id onto the free
   /// list for acquire_node(). Throws std::out_of_range for bad ids and
@@ -57,6 +75,7 @@ class Graph {
   [[nodiscard]] bool node_released(NodeId node) const {
     return released_.at(node);
   }
+  [[nodiscard]] bool is_leaf(NodeId node) const { return leaf_.at(node); }
   /// Nodes currently on the free list.
   [[nodiscard]] std::size_t released_node_count() const noexcept {
     return free_list_.size();
@@ -67,12 +86,18 @@ class Graph {
   }
 
   /// Adds an undirected edge u–v. Throws std::out_of_range for bad ids and
-  /// std::invalid_argument for self-loops, non-positive latency, or
-  /// released endpoints.
+  /// std::invalid_argument for self-loops, non-positive latency, released
+  /// endpoints, or a leaf endpoint that already has its link.
   void add_edge(NodeId u, NodeId v, EdgeProps props);
 
+  /// Every incident edge: the relay entries, then the leaf entries.
   [[nodiscard]] std::span<const Adjacency> neighbors(NodeId node) const {
     return adjacency_.at(node);
+  }
+  /// The entries whose far end is a relay, in insertion order.
+  [[nodiscard]] std::span<const Adjacency> relay_neighbors(
+      NodeId node) const {
+    return {adjacency_.at(node).data(), relay_end_[node]};
   }
 
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
@@ -106,14 +131,32 @@ class Graph {
   ///  - adjacency is symmetric: the k-th u->v entry mirrors the k-th v->u
   ///    entry with identical properties, and edge_count() matches;
   ///  - no self-loops, no edges touching released nodes, all latencies
-  ///    positive.
+  ///    positive;
+  ///  - each relay prefix holds exactly the entries with a non-leaf far end,
+  ///    no leaf has two links, and every leaf entry sits at the position its
+  ///    leaf recorded.
   /// Cold path (O(V + E·deg)); meant for tests and sampled bench epochs.
   void check_invariants() const;
 
  private:
   friend struct GraphTestPeer;  ///< corruption hook for invariant tests
+  static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
+
+  /// Index of the first from->to entry in from's list, or kNoEntry: the
+  /// recorded slot for a leaf `to`, else a scan of the relay prefix.
+  [[nodiscard]] std::size_t entry_index(NodeId from, NodeId to) const;
+  /// Adds `entry` to from's list: a relay entry at the end of the prefix
+  /// (the first leaf entry moves to the back), a leaf entry at the back.
+  void insert_entry(NodeId from, Adjacency entry);
+  /// Drops from's entry at `index`, keeping the relay prefix in order.
+  void erase_entry(NodeId from, std::size_t index);
+
   std::vector<std::vector<Adjacency>> adjacency_;
+  std::vector<std::uint32_t> relay_end_;  ///< per node: relay prefix length
+  std::vector<std::uint32_t> leaf_slot_;  ///< per linked leaf: its entry's
+                                          ///< index in its neighbor's list
   std::vector<bool> released_;      ///< per node: on the free list?
+  std::vector<bool> leaf_;          ///< per node: NodeRole::kLeaf?
   std::vector<NodeId> free_list_;   ///< released ids, reused LIFO
   std::size_t edges_ = 0;
 };

@@ -59,7 +59,7 @@ std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
     heap_.pop_back();
     if (top.dist > dist_[top.node]) continue;  // stale entry
     ++settled;
-    for (const Adjacency& adj : graph.neighbors(top.node)) {
+    for (const Adjacency& adj : graph.relay_neighbors(top.node)) {
       if (!is_router(adj.to) || (orphan_only && !marked(adj.to))) continue;
       const double candidate = top.dist + adj.props.latency_ms;
       if (candidate < dist_[adj.to]) {
@@ -128,16 +128,16 @@ std::size_t DynamicSsspTree::repair_orphans(
     const Graph& graph, NodeId child, std::vector<NodeId>& changed) {
   bump_epochs();
 
-  // Collect the subtree below `child` by scanning each orphan's neighbors
-  // for routers parented to it — tree children are always graph neighbors,
-  // so this costs O(Σ deg(orphan)) without maintaining child lists.
+  // Collect the subtree below `child` by scanning each orphan's relay
+  // neighbors for routers parented to it — tree children are always graph
+  // neighbors, so this costs O(Σ relay deg(orphan)) without child lists.
   orphans_.clear();
   old_dist_.clear();
   mark_[child] = mark_epoch_;
   orphans_.push_back(child);
   for (std::size_t i = 0; i < orphans_.size(); ++i) {
     const NodeId x = orphans_[i];
-    for (const Adjacency& adj : graph.neighbors(x)) {
+    for (const Adjacency& adj : graph.relay_neighbors(x)) {
       if (is_router(adj.to) && !marked(adj.to) && parent_[adj.to] == x) {
         mark_[adj.to] = mark_epoch_;
         orphans_.push_back(adj.to);
@@ -153,10 +153,12 @@ std::size_t DynamicSsspTree::repair_orphans(
 
   // Seed each orphan with its best non-orphan neighbor (those distances are
   // final — deletion/increase can only lengthen paths), then settle the
-  // orphan region with a Dijkstra that never leaves it.
+  // orphan region with a Dijkstra that never leaves it. Leaf neighbors
+  // relay nothing, so only the relay prefix can offer a base; the source
+  // server sits there too.
   heap_.clear();
   for (const NodeId x : orphans_) {
-    for (const Adjacency& adj : graph.neighbors(x)) {
+    for (const Adjacency& adj : graph.relay_neighbors(x)) {
       if (is_router(adj.to) && marked(adj.to)) continue;
       const double base = relay_ms(adj.to);
       if (base == kUnreachable) continue;

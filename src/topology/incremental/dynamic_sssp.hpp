@@ -14,6 +14,9 @@
 //    re-relaxes from the surviving frontier. Non-orphan distances are
 //    provably unchanged, so the cost is O(affected · (deg + log)).
 //
+// Every scan reads Graph::relay_neighbors(), so deg counts a router's links
+// to routers and servers, never its IoT devices.
+//
 // Routers only. Routers are the id prefix [0, routers) of the graph
 // (NetworkTopology::router_count()); every other node is a host, which
 // never relays. The tree's arrays are sized by the router count. A router
@@ -73,6 +76,11 @@ class DynamicSsspTree {
   }
   [[nodiscard]] double distance_ms(NodeId router) const {
     return dist_.at(router);
+  }
+  /// The router's tree parent: the source for a server's seed, kInvalidNode
+  /// when unreachable or the source itself.
+  [[nodiscard]] NodeId parent(NodeId router) const {
+    return parent_.at(router);
   }
   /// Distances by router id.
   [[nodiscard]] const std::vector<double>& distances() const noexcept {

@@ -10,7 +10,7 @@
 namespace tacc::topo {
 
 NodeId NetworkTopology::acquire_node(Point2D pos, NodeKind kind) {
-  const NodeId node = graph.acquire_node();
+  const NodeId node = graph.acquire_node(role_of(kind));
   if (node == positions.size()) {
     positions.push_back(pos);
     kinds.push_back(kind);
@@ -89,6 +89,12 @@ void NetworkTopology::check_invariants() const {
       std::count(kinds.begin(), kinds.end(), NodeKind::kRouter) ==
           static_cast<std::ptrdiff_t>(router_count()),
       "routers must be the id prefix of the graph");
+  for (NodeId node = 0; node < graph.node_count(); ++node) {
+    TACC_CHECK_INVARIANT(
+        graph.is_leaf(node) == (kinds[node] == NodeKind::kIotDevice),
+        "graph leaf flag disagrees with the node kind: " +
+            std::to_string(node));
+  }
 
   for (const NodeId node : edge_nodes) {
     TACC_CHECK_INVARIANT(node < graph.node_count(),
@@ -159,7 +165,7 @@ NetworkTopology build_network(const GeoGraph& infrastructure,
   net.kinds.assign(net.graph.node_count(), NodeKind::kRouter);
 
   const auto attach = [&](Point2D pos, NodeKind kind, auto link_model) {
-    const NodeId node = net.graph.add_node();
+    const NodeId node = net.graph.add_node(role_of(kind));
     net.positions.push_back(pos);
     net.kinds.push_back(kind);
     const NearestRouter access = nearest_router(infrastructure.positions, pos);

@@ -17,6 +17,12 @@ namespace tacc::topo {
 
 enum class NodeKind : std::uint8_t { kRouter, kIotDevice, kEdgeServer };
 
+/// IoT devices are the graph's leaves; routers and edge servers are relays
+/// (an edge server's trees seed from its own link).
+[[nodiscard]] constexpr NodeRole role_of(NodeKind kind) noexcept {
+  return kind == NodeKind::kIotDevice ? NodeRole::kLeaf : NodeRole::kRelay;
+}
+
 /// Dense row-major matrix of IoT→edge values (delay in ms, or hop counts).
 class DelayMatrix {
  public:
@@ -125,8 +131,9 @@ struct NetworkTopology {
 
   /// Deep validation, reported through the contracts failure handler:
   ///  - graph.check_invariants();
-  ///  - positions/kinds cover every graph node, and the routers are exactly
-  ///    the id prefix [0, router_count());
+  ///  - positions/kinds cover every graph node, the routers are exactly
+  ///    the id prefix [0, router_count()), and the graph's leaves are
+  ///    exactly the IoT devices;
   ///  - edge_nodes are live kEdgeServer nodes; iot_nodes are live
   ///    kIotDevice nodes (kInvalidNode marks a detached device slot);
   ///  - failed-link bookkeeping matches the edge set: a recorded failed

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dynamic.hpp"
@@ -31,6 +33,13 @@ struct GraphTestPeer {
   static std::vector<bool>& released(Graph& graph) {
     return graph.released_;
   }
+  static std::vector<std::uint32_t>& relay_end(Graph& graph) {
+    return graph.relay_end_;
+  }
+  static std::vector<std::uint32_t>& leaf_slot(Graph& graph) {
+    return graph.leaf_slot_;
+  }
+  static std::size_t& edges(Graph& graph) { return graph.edges_; }
 };
 
 namespace oracle {
@@ -151,6 +160,63 @@ TEST_F(InvariantsTest, GraphCatchesReleasedBitmapDrift) {
   EXPECT_THROW(graph.check_invariants(), ContractViolation);
 }
 
+/// Routers 0-1-2 in a path; leaves 3 and 4 hang off router 1, whose list
+/// reads [0, 2, 3, 4] with a relay prefix of two.
+topo::Graph make_leafy() {
+  topo::Graph graph(3);
+  graph.add_edge(0, 1, props(1.0));
+  graph.add_edge(1, 2, props(2.0));
+  for (int k = 0; k < 2; ++k) {
+    graph.add_edge(graph.add_node(topo::NodeRole::kLeaf), 1, props(3.0));
+  }
+  return graph;
+}
+
+/// check_invariants() must report a violation naming `what`.
+template <typename Checked>
+void expect_violation(const Checked& checked, const std::string& what) {
+  try {
+    checked.check_invariants();
+    ADD_FAILURE() << "no violation reported; wanted: " << what;
+  } catch (const ContractViolation& violation) {
+    EXPECT_NE(std::string(violation.what()).find(what), std::string::npos)
+        << violation.what();
+  }
+}
+
+TEST_F(InvariantsTest, GraphLeafLayoutHealthyStatePasses) {
+  topo::Graph graph = make_leafy();
+  EXPECT_NO_THROW(graph.check_invariants());
+  EXPECT_EQ(graph.relay_neighbors(1).size(), 2u);
+  EXPECT_THROW(graph.add_edge(3, 0, props(1.0)), std::invalid_argument);
+  EXPECT_NO_THROW(graph.check_invariants());
+}
+
+TEST_F(InvariantsTest, GraphCatchesLeafEntryInsideRelayPrefix) {
+  topo::Graph graph = make_leafy();
+  // Router 1's prefix swallows its first device entry.
+  ++topo::GraphTestPeer::relay_end(graph)[1];
+  expect_violation(graph, "leaf entry inside the relay prefix");
+}
+
+TEST_F(InvariantsTest, GraphCatchesStaleLeafPosition) {
+  topo::Graph graph = make_leafy();
+  // Leaf 4's entry sits at index 3 of router 1's list; point it at leaf 3's.
+  topo::GraphTestPeer::leaf_slot(graph)[4] = 2;
+  expect_violation(graph, "leaf entry not at its recorded position");
+}
+
+TEST_F(InvariantsTest, GraphCatchesLeafWithTwoLinks) {
+  topo::Graph graph = make_leafy();
+  // A symmetric second link 3-2 slipped past add_edge.
+  auto& adjacency = topo::GraphTestPeer::adjacency(graph);
+  adjacency[3].push_back({2, props(3.0)});
+  adjacency[2].push_back({3, props(3.0)});
+  ++topo::GraphTestPeer::relay_end(graph)[3];
+  ++topo::GraphTestPeer::edges(graph);
+  expect_violation(graph, "leaf with more than one link");
+}
+
 // ---- topo::NetworkTopology -------------------------------------------------
 
 
@@ -182,6 +248,13 @@ TEST_F(InvariantsTest, NetworkHealthyStatePasses) {
   EXPECT_NO_THROW(net.check_invariants());
   net.restore_link(live[0].first, live[0].second);
   EXPECT_NO_THROW(net.check_invariants());
+}
+
+TEST_F(InvariantsTest, NetworkCatchesLeafFlagDrift) {
+  topo::NetworkTopology net = make_net(13);
+  // A server relabelled as a device: the graph still keeps it a relay.
+  net.kinds[net.edge_nodes[0]] = topo::NodeKind::kIotDevice;
+  expect_violation(net, "graph leaf flag disagrees with the node kind");
 }
 
 TEST_F(InvariantsTest, NetworkCatchesFailedLinkStillLive) {
