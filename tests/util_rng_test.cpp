@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace tacc::util {
@@ -252,6 +254,76 @@ TEST(Rng, PickReturnsElement) {
     const int v = rng.pick(std::span<const int>(values));
     EXPECT_TRUE(v == 5 || v == 6 || v == 7);
   }
+}
+
+// Golden draws: the determinism tests above compare two streams of the same
+// build, so only these pin the values themselves. A change to the engine or
+// to a distribution's draw sequence fails here.
+TEST(RngGolden, Xoshiro256Next) {
+  Xoshiro256 engine(42);
+  const std::uint64_t expected[] = {
+      0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL,
+      0xecb8ad4703b360a1ULL, 0xfde6dc7fe2ec5e64ULL, 0xc50da53101795238ULL,
+      0xb82154855a65ddb2ULL, 0xd99a2743ebe60087ULL};
+  for (const std::uint64_t value : expected) EXPECT_EQ(engine.next(), value);
+}
+
+TEST(RngGolden, NextBelowIncludingRejections) {
+  // 2^63 + 1 and 0xAAAA...AB reject about half and a third of their raw
+  // draws, so this sequence consumes 43 engine outputs for 36 values; a
+  // different rejection rule shifts every later value.
+  Rng rng(7);
+  const std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>>
+      expected = {
+          {3ULL, {2, 0, 2, 2, 2, 2}},
+          {6ULL, {0, 0, 2, 0, 3, 4}},
+          {1000000007ULL,
+           {938965605ULL, 880850767ULL, 451419655ULL, 560879119ULL,
+            256697990ULL, 466258170ULL}},
+          {(1ULL << 63) + 1,
+           {1443456880271936157ULL, 1233180231008125398ULL,
+            1581129764374607292ULL, 6007701357827324246ULL,
+            6913927766047711413ULL, 377393329023157745ULL}},
+          {0xFFFFFFFFFFFFFFFFULL,
+           {10892339869266581350ULL, 3237470732251711754ULL,
+            8849608494865257564ULL, 1615450213743511011ULL,
+            2528831630446021849ULL, 15190024636146225583ULL}},
+          {0xAAAAAAAAAAAAAAABULL,
+           {12106238932425214836ULL, 11295858961079543934ULL,
+            5224388881666126118ULL, 12092084135579078054ULL,
+            10908130479972607021ULL, 6876892999468680199ULL}},
+      };
+  for (const auto& [bound, values] : expected) {
+    for (const std::uint64_t value : values) {
+      EXPECT_EQ(rng.next_below(bound), value) << "bound " << bound;
+    }
+  }
+}
+
+TEST(RngGolden, Uniform) {
+  Rng rng(11);
+  const double expected[] = {0x1.c943fe1349cdp-3,  0x1.654fe5f5c55ap-4,
+                             0x1.f64b414231b08p-3, 0x1.c66cf2bb39252p-2,
+                             0x1.5d312ce905ff8p-4, 0x1.3a0825450668ap-2};
+  for (const double value : expected) EXPECT_EQ(rng.uniform(), value);
+}
+
+TEST(RngGolden, Shuffle2000) {
+  Rng rng(2024);
+  std::vector<std::uint32_t> values(2000);
+  std::iota(values.begin(), values.end(), 0u);
+  rng.shuffle(values);
+  std::uint64_t fnv = 1469598103934665603ULL;  // FNV-1a over the permutation
+  for (const std::uint32_t v : values) {
+    fnv ^= v;
+    fnv *= 1099511628211ULL;
+  }
+  EXPECT_EQ(values[0], 439u);
+  EXPECT_EQ(values[1], 1181u);
+  EXPECT_EQ(values[2], 592u);
+  EXPECT_EQ(values[1999], 111u);
+  EXPECT_EQ(fnv, 0x415bae08795e5a7dULL);
+  EXPECT_EQ(rng.next_below(1000000), 210900u);  // the stream continues in step
 }
 
 }  // namespace
