@@ -1,6 +1,7 @@
 #include "rl/environment.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -38,6 +39,41 @@ constexpr double kEps = 1e-9;
 
 }  // namespace
 
+std::uint8_t residual_bucket(double load, double capacity,
+                             std::size_t buckets) {
+  const double residual_fraction = std::clamp(1.0 - load / capacity, 0.0, 1.0);
+  const auto b = static_cast<std::size_t>(residual_fraction *
+                                          static_cast<double>(buckets));
+  return static_cast<std::uint8_t>(std::min(b, buckets - 1));
+}
+
+std::vector<double> residual_bucket_thresholds(double capacity,
+                                               std::size_t buckets) {
+  if (capacity == std::numeric_limits<double>::infinity()) {
+    // Every finite load keeps a full residual; inf / inf is NaN, so the
+    // bisection's top probe is not defined here.
+    return std::vector<double>(buckets - 1, capacity);
+  }
+  std::vector<double> thresholds;
+  for (std::size_t k = 1; k < buckets; ++k) {
+    // Bucket buckets - 1 >= k at load 0 and bucket 0 < k at the capacity;
+    // non-negative doubles order like their bit patterns.
+    std::uint64_t lo = std::bit_cast<std::uint64_t>(0.0);
+    std::uint64_t hi = std::bit_cast<std::uint64_t>(capacity);
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (residual_bucket(std::bit_cast<double>(mid), capacity, buckets) >=
+          k) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    thresholds.push_back(std::bit_cast<double>(lo));
+  }
+  return thresholds;
+}
+
 AssignmentEnv::AssignmentEnv(const gap::Instance& instance, EnvOptions options,
                              std::uint64_t seed)
     : instance_(&instance),
@@ -71,6 +107,14 @@ AssignmentEnv::AssignmentEnv(const gap::Instance& instance, EnvOptions options,
     state_count_ *= options_.load_buckets;
   }
   ranks_ = instance.rank_table();
+  load_thresholds_.reserve(instance.server_count() *
+                           (options_.load_buckets - 1));
+  for (const double capacity : instance.capacities()) {
+    const std::vector<double> thresholds =
+        residual_bucket_thresholds(capacity, options_.load_buckets);
+    load_thresholds_.insert(load_thresholds_.end(), thresholds.begin(),
+                            thresholds.end());
+  }
 
   const std::size_t n = instance.device_count();
   order_.resize(n);
@@ -115,18 +159,11 @@ void AssignmentEnv::reset() {
   loads_.assign(instance_->server_count(), 0.0);
   load_bucket_.resize(instance_->server_count());
   for (gap::ServerIndex j = 0; j < load_bucket_.size(); ++j) {
-    load_bucket_[j] = bucket_residual(j);
+    load_bucket_[j] = residual_bucket(loads_[j], instance_->capacities()[j],
+                                      options_.load_buckets);
   }
   episode_cost_ = 0.0;
   violations_ = 0;
-}
-
-std::uint8_t AssignmentEnv::bucket_residual(gap::ServerIndex j) const {
-  const double residual_fraction =
-      std::clamp(1.0 - loads_[j] / instance_->capacities()[j], 0.0, 1.0);
-  const auto b = static_cast<std::size_t>(
-      residual_fraction * static_cast<double>(options_.load_buckets));
-  return static_cast<std::uint8_t>(std::min(b, options_.load_buckets - 1));
 }
 
 Observation AssignmentEnv::observe() const {
@@ -172,12 +209,22 @@ double AssignmentEnv::step(std::size_t action) {
   if (!fits(j)) {
     // Redirect to the cheapest feasible server anywhere in the cluster;
     // half penalty — the agent wasted its pick but no constraint breaks.
+    // The rank row is sorted by (delay, index) and a positive weight keeps
+    // weight × delay in that order under rounding, so the first server that
+    // fits is the cheapest; among the next ranks at exactly its cost, the
+    // lowest index that fits wins. A cost of +inf (or NaN) redirects
+    // nowhere.
+    const std::uint32_t* ranked = current_ranks();
     gap::ServerIndex redirect = m;
-    double redirect_cost = std::numeric_limits<double>::infinity();
-    for (gap::ServerIndex s = 0; s < m; ++s) {
-      if (fits(s) && weight * delay[s] < redirect_cost) {
-        redirect_cost = weight * delay[s];
-        redirect = s;
+    std::size_t r = 0;
+    while (r < m && !fits(ranked[r])) ++r;
+    if (r < m) {
+      const double redirect_cost = weight * delay[ranked[r]];
+      if (redirect_cost < std::numeric_limits<double>::infinity()) {
+        redirect = ranked[r];
+        for (++r; r < m && weight * delay[ranked[r]] == redirect_cost; ++r) {
+          if (ranked[r] < redirect && fits(ranked[r])) redirect = ranked[r];
+        }
       }
     }
     if (redirect != m) {
@@ -201,8 +248,14 @@ double AssignmentEnv::step(std::size_t action) {
 
   const double cost = weight * delay[j];
   reward -= cost / cost_scale_;
-  loads_[j] += demand[j];
-  load_bucket_[j] = bucket_residual(j);
+  const double load = loads_[j] += demand[j];
+  const std::size_t thresholds = options_.load_buckets - 1;
+  const double* threshold = load_thresholds_.data() + j * thresholds;
+  std::uint8_t bucket = 0;
+  for (std::size_t k = 0; k < thresholds; ++k) {
+    bucket = static_cast<std::uint8_t>(bucket + (load <= threshold[k]));
+  }
+  load_bucket_[j] = bucket;
   assignment_[device] = static_cast<std::int32_t>(j);
   episode_cost_ += cost;
   ++step_;

@@ -17,7 +17,11 @@
 //
 // The per-step path is flat: a step reads the device's rank row, delay row
 // and demand row once, and each server's residual-capacity bucket is cached
-// in a byte array that only the server a step loads is recomputed for.
+// in a byte array that only the server a step loads is recomputed for —
+// by comparing its new load against per-server thresholds found at
+// construction, not by dividing. A step whose pick does not fit redirects
+// by walking the device's rank row, nearest first, rather than scanning
+// every server.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +51,24 @@ struct EnvOptions {
   /// Shuffle device order each episode (exploration across orders).
   bool shuffle_order = true;
 };
+
+/// Residual-capacity bucket of a server carrying `load`: the residual
+/// fraction 1 - load / capacity, clamped to [0, 1], split into `buckets`
+/// equal bins (a full residual lands in the top one). Never increases as
+/// the load grows: each operation on the way is monotone under rounding.
+/// Requires capacity > 0 and buckets >= 1.
+[[nodiscard]] std::uint8_t residual_bucket(double load, double capacity,
+                                           std::size_t buckets);
+
+/// The buckets - 1 loads at which residual_bucket() steps down, in
+/// descending order: entry k - 1 is the largest load in [0, capacity] whose
+/// bucket is at least k (+inf for every entry when capacity is +inf). For
+/// any finite load, residual_bucket(load, capacity, buckets) is the number
+/// of entries t with load <= t. Found by bisection over the bit patterns of
+/// the doubles in [0, capacity], which order like their values. Requires
+/// capacity > 0 and buckets >= 1.
+[[nodiscard]] std::vector<double> residual_bucket_thresholds(
+    double capacity, std::size_t buckets);
 
 class AssignmentEnv {
  public:
@@ -85,11 +107,12 @@ class AssignmentEnv {
 
   /// Assigns the current device to candidate `action` (rank into its
   /// delay-sorted server list). If that server cannot fit the device, the
-  /// env redirects to the cheapest server anywhere that still fits —
-  /// charging the redirect penalty so the policy learns to keep its
-  /// candidates viable — and only genuinely overloads (the least-utilized
-  /// server, full penalty) when no server in the cluster fits. Returns the
-  /// step reward. Precondition: !done.
+  /// env redirects to the cheapest server anywhere that still fits (lowest
+  /// index among equal costs; a cost must be below +inf) — charging the
+  /// redirect penalty so the policy learns to keep its candidates viable —
+  /// and only genuinely overloads (the least-utilized server, full
+  /// penalty) when no server in the cluster fits. Returns the step reward.
+  /// Precondition: !done.
   double step(std::size_t action);
 
   /// Complete after done(); partial before.
@@ -114,7 +137,6 @@ class AssignmentEnv {
   }
 
  private:
-  [[nodiscard]] std::uint8_t bucket_residual(gap::ServerIndex j) const;
   [[nodiscard]] gap::DeviceIndex current_device() const {
     return order_[step_];
   }
@@ -134,7 +156,9 @@ class AssignmentEnv {
   std::size_t step_ = 0;
   gap::Assignment assignment_;
   std::vector<double> loads_;
-  std::vector<std::uint8_t> load_bucket_;  ///< bucket_residual per server
+  std::vector<std::uint8_t> load_bucket_;  ///< residual_bucket per server
+  /// residual_bucket_thresholds() of each server, B - 1 per server.
+  std::vector<double> load_thresholds_;
   double episode_cost_ = 0.0;
   std::size_t violations_ = 0;
 

@@ -119,7 +119,7 @@ TrainedPolicy load_policy(std::istream& in) {
     std::istringstream fields(line.substr(6));
     char comma;
     if (!(fields >> states >> comma >> actions) || states == 0 ||
-        actions == 0) {
+        actions == 0 || actions > AssignmentEnv::kMaxCandidates) {
       return fail("malformed table shape");
     }
   }

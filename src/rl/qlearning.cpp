@@ -10,37 +10,14 @@ namespace tacc::rl {
 
 QTable::QTable(std::size_t states, std::size_t actions)
     : states_(states), actions_(actions) {
+  if (actions > AssignmentEnv::kMaxCandidates) {
+    throw std::invalid_argument("QTable: more than 64 actions");
+  }
   if (actions != 0 &&
       states > std::numeric_limits<std::size_t>::max() / actions) {
     throw std::invalid_argument("QTable: states x actions overflows size_t");
   }
   values_.assign(states * actions, 0.0);
-}
-
-std::span<const double> QTable::row(std::size_t state) const {
-  if (state >= states_) throw std::out_of_range("QTable: bad state");
-  return {values_.data() + state * actions_, actions_};
-}
-
-std::span<double> QTable::row(std::size_t state) {
-  if (state >= states_) throw std::out_of_range("QTable: bad state");
-  return {values_.data() + state * actions_, actions_};
-}
-
-std::size_t QTable::best_action(std::size_t state, std::uint64_t mask) const {
-  const std::span<const double> q = row(state);
-  std::size_t best = 0;
-  double best_value = -std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (std::size_t a = 0; a < actions_; ++a) {
-    if (mask != 0 && ((mask >> a) & 1u) == 0) continue;
-    if (!any || q[a] > best_value) {
-      best_value = q[a];
-      best = a;
-      any = true;
-    }
-  }
-  return best;
 }
 
 double QTable::max_value(std::size_t state, std::uint64_t mask) const {

@@ -9,7 +9,10 @@
 // it with local search before returning.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "rl/environment.hpp"
@@ -56,7 +59,9 @@ struct TrainResult {
 /// Dense Q-table over (state, action).
 class QTable {
  public:
-  /// Throws std::invalid_argument if states × actions overflows size_t.
+  /// Throws std::invalid_argument if actions is above
+  /// AssignmentEnv::kMaxCandidates (masks are 64 bits) or states × actions
+  /// overflows size_t.
   QTable(std::size_t states, std::size_t actions);
 
   [[nodiscard]] double get(std::size_t state, std::size_t action) const {
@@ -66,12 +71,42 @@ class QTable {
     values_.at(state * actions_ + action) = value;
   }
   /// The action values of one state: one bounds check for the whole row.
-  [[nodiscard]] std::span<const double> row(std::size_t state) const;
-  [[nodiscard]] std::span<double> row(std::size_t state);
+  [[nodiscard]] std::span<const double> row(std::size_t state) const {
+    if (state >= states_) throw std::out_of_range("QTable: bad state");
+    return {values_.data() + state * actions_, actions_};
+  }
+  [[nodiscard]] std::span<double> row(std::size_t state) {
+    if (state >= states_) throw std::out_of_range("QTable: bad state");
+    return {values_.data() + state * actions_, actions_};
+  }
   /// Argmax over actions, restricted to `mask` when nonzero; ties go to
-  /// the lowest action.
+  /// the lowest action. The first permitted action is taken outright and a
+  /// later one replaces it only when strictly greater (a NaN never does);
+  /// action 0 if the mask permits none. This runs once per training step,
+  /// and its compares are data-dependent, so the running best is updated
+  /// by a bit-mask select rather than a branch (GCC turns a plain ternary
+  /// back into a jump).
   [[nodiscard]] std::size_t best_action(std::size_t state,
-                                        std::uint64_t mask) const;
+                                        std::uint64_t mask) const {
+    const std::span<const double> q = row(state);
+    const std::uint64_t all = actions_ == AssignmentEnv::kMaxCandidates
+                                  ? ~std::uint64_t{0}
+                                  : (std::uint64_t{1} << actions_) - 1;
+    const std::uint64_t permitted = mask == 0 ? all : mask & all;
+    if (permitted == 0) return 0;
+    auto best = static_cast<std::uint64_t>(std::countr_zero(permitted));
+    double best_value = q[best];
+    for (std::size_t a = best + 1; a < actions_; ++a) {
+      const std::uint64_t take =
+          0 - (((permitted >> a) & 1u) & std::uint64_t{q[a] > best_value});
+      best = (a & take) | (best & ~take);
+      best_value =
+          std::bit_cast<double>((std::bit_cast<std::uint64_t>(q[a]) & take) |
+                                (std::bit_cast<std::uint64_t>(best_value) &
+                                 ~take));
+    }
+    return static_cast<std::size_t>(best);
+  }
   [[nodiscard]] double max_value(std::size_t state, std::uint64_t mask) const;
   [[nodiscard]] std::size_t state_count() const noexcept { return states_; }
   [[nodiscard]] std::size_t action_count() const noexcept { return actions_; }

@@ -186,12 +186,13 @@ NetworkTopology build_network(const GeoGraph& infrastructure,
 DelayMatrix compute_delay_matrix(const NetworkTopology& net) {
   DelayMatrix matrix(net.iot_count(), net.edge_count(), kUnreachable);
   // One Dijkstra per edge server — the hot precomputation when building
-  // instances.
-  const std::vector<ShortestPathTree> trees =
-      dijkstra_fan_out(net.graph, net.edge_nodes, net.router_count());
+  // instances. Each tree fills its column and is dropped, so at most one
+  // is alive.
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
+    const ShortestPathTree tree =
+        dijkstra(net.graph, net.edge_nodes[j], net.router_count());
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      matrix.set(i, j, trees[j].distance_ms[net.iot_nodes[i]]);
+      matrix.set(i, j, tree.distance_ms[net.iot_nodes[i]]);
     }
   }
   return matrix;

@@ -166,7 +166,8 @@ struct NearestRouter {
 
 /// Shortest-path delay (ms) from every IoT device to every edge server,
 /// over paths that only routers relay (the no-relay model of dijkstra()).
-/// Runs one Dijkstra per edge server (m << n in practice).
+/// Runs one Dijkstra per edge server (m << n in practice), one tree alive
+/// at a time.
 [[nodiscard]] DelayMatrix compute_delay_matrix(const NetworkTopology& net);
 
 /// Straight-line distances (km); the *topology-oblivious* cost used by the

@@ -34,13 +34,14 @@ ShortestPathTree dijkstra(const Graph& graph, NodeId source,
     const auto [dist, node] = heap.top();
     heap.pop();
     if (dist > tree.distance_ms[node]) continue;  // stale entry
-    if (node >= relays && node != source) continue;  // settled, not expanded
     for (const Adjacency& adj : graph.neighbors(node)) {
       const double candidate = dist + adj.props.latency_ms;
       if (candidate < tree.distance_ms[adj.to]) {
         tree.distance_ms[adj.to] = candidate;
         tree.parent[adj.to] = node;
-        heap.push({candidate, adj.to});
+        // A node at or above `relays` is settled by this relaxation alone:
+        // it would only be popped to be skipped.
+        if (adj.to < relays) heap.push({candidate, adj.to});
       }
     }
   }

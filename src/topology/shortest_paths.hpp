@@ -26,8 +26,12 @@ constexpr std::size_t kEveryNodeRelays =
 
 /// Dijkstra with a binary heap; O((V+E) log V). Only the source and the
 /// nodes with an id below `relays` are expanded: any other node is settled
-/// but forwards no path. Passing a NetworkTopology's router_count() gives
-/// the no-relay model, in which hosts (devices and servers) never relay.
+/// by the relaxation that reaches it but forwards no path, and never enters
+/// the heap, so a no-relay tree heaps O(relays) entries however many hosts
+/// hang off them. Passing a NetworkTopology's router_count() gives the
+/// no-relay model, in which hosts (devices and servers) never relay.
+/// Ties pop in (distance, id) order, so the heap's contents do not change
+/// which parent a node keeps.
 [[nodiscard]] ShortestPathTree dijkstra(
     const Graph& graph, NodeId source,
     std::size_t relays = kEveryNodeRelays);

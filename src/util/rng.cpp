@@ -13,27 +13,9 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-std::uint64_t Xoshiro256::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256::long_jump() noexcept {
@@ -61,35 +43,11 @@ Rng Rng::fork(std::uint64_t stream) const noexcept {
   return child;
 }
 
-std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
-  // Lemire's rejection-free-in-expectation method.
-  std::uint64_t x = engine_.next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = engine_.next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   if (lo >= hi) return lo;
   const auto span =
       static_cast<std::uint64_t>(hi - lo) + 1;  // hi-lo < 2^63, safe
   return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-std::size_t Rng::index(std::size_t size) noexcept {
-  return static_cast<std::size_t>(next_below(size));
-}
-
-double Rng::uniform() noexcept {
-  return static_cast<double>(engine_.next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -25,7 +26,17 @@ class Xoshiro256 {
 
   explicit Xoshiro256(std::uint64_t seed) noexcept;
 
-  [[nodiscard]] result_type next() noexcept;
+  [[nodiscard]] result_type next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Advances the engine 2^128 steps; yields a stream independent from the
   /// parent for practical purposes. Used to derive per-component streams.
@@ -52,17 +63,35 @@ class Rng {
   /// same (seed, stream) always yields the same child.
   [[nodiscard]] Rng fork(std::uint64_t stream) const noexcept;
 
-  /// Uniform in [0, bound) without modulo bias. bound must be > 0.
-  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept;
+  /// Uniform in [0, bound) without modulo bias (Lemire's method). bound
+  /// must be > 0.
+  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept {
+    std::uint64_t x = engine_.next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = engine_.next();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in the closed range [lo, hi].
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Uniform index in [0, size); size must be > 0.
-  [[nodiscard]] std::size_t index(std::size_t size) noexcept;
+  [[nodiscard]] std::size_t index(std::size_t size) noexcept {
+    return static_cast<std::size_t>(next_below(size));
+  }
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() noexcept;
+  [[nodiscard]] double uniform() noexcept {
+    return static_cast<double>(engine_.next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;

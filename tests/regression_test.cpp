@@ -282,6 +282,21 @@ TEST(Regression, SarsaTightTraceExact) {
   EXPECT_EQ(train_digest(result), 2656027299994564503ULL);
 }
 
+// mask_infeasible = false: the agent may pick a candidate that cannot fit,
+// so far more steps take the redirect path.
+TEST(Regression, QLearningUnmaskedTightTraceExact) {
+  const gap::Instance instance = tight_instance();
+  rl::RlOptions options = pin_rl_options();
+  options.mask_infeasible = false;
+  const auto result =
+      rl::train(instance, options, rl::TdVariant::kQLearning);
+  const PathCounts paths = path_counts(instance, options, result);
+  EXPECT_GT(paths.redirect_episodes, 0u);
+  EXPECT_GT(paths.overload_episodes, 0u);
+  EXPECT_EQ(result.total_steps, 98560u);
+  EXPECT_EQ(train_digest(result), 17509551759268239575ULL);
+}
+
 // The polish from a poor start (every device on its farthest server), with
 // and without a candidate limit: the improvement count and the assignment.
 TEST(Regression, LocalSearchImproveExact) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "gap/testgen.hpp"
 #include "tests/test_helpers.hpp"
 
@@ -214,6 +218,198 @@ TEST(Environment, ShuffleChangesOrderAcrossEpisodes) {
     (void)env.step(0);
   }
   EXPECT_NE(states1, states2);
+}
+
+// ---- Kernel properties: the fast step against the formulas it replaces ----
+
+std::size_t count_at_or_above(double load,
+                              const std::vector<double>& thresholds) {
+  std::size_t count = 0;
+  for (const double t : thresholds) count += load <= t ? 1 : 0;
+  return count;
+}
+
+// A step buckets a server's new load by its thresholds instead of by the
+// residual_bucket() formula; the two agree at random loads and on both
+// sides of every threshold, including capacities near the ends of the
+// double range and +inf.
+TEST(ResidualBucket, ThresholdsMatchFormula) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Rng rng(91);
+  for (const std::size_t buckets : {1u, 2u, 3u, 4u, 7u, 256u}) {
+    for (const double capacity :
+         {1.0 / 3.0, 1e-300, 1e300, kInf, 1.0, 7.5, 0x1p-1074, 123.456}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "buckets " << buckets << " capacity " << capacity);
+      const std::vector<double> thresholds =
+          residual_bucket_thresholds(capacity, buckets);
+      ASSERT_EQ(thresholds.size(), buckets - 1);
+      EXPECT_TRUE(std::is_sorted(thresholds.rbegin(), thresholds.rend()));
+      const auto expect_agrees = [&](double load) {
+        if (!std::isfinite(load) || load < 0.0) return;
+        EXPECT_EQ(count_at_or_above(load, thresholds),
+                  residual_bucket(load, capacity, buckets))
+            << "load " << load;
+      };
+      for (const double t : thresholds) {
+        expect_agrees(t);
+        expect_agrees(std::nextafter(t, -kInf));
+        expect_agrees(std::nextafter(t, kInf));
+      }
+      const double span = std::isfinite(capacity) ? capacity : 1e300;
+      expect_agrees(0.0);
+      expect_agrees(span);
+      expect_agrees(std::nextafter(span, kInf));
+      for (int draw = 0; draw < 200; ++draw) {
+        expect_agrees(rng.uniform(0.0, 1.25) * span);
+      }
+    }
+  }
+}
+
+// Delays from a short list of values and their neighbouring doubles, and
+// weights that are not powers of two: weight × delay often rounds equal for
+// two different delays, which is where a rank-order scan could pick a
+// different server than a scan by index.
+gap::Instance tie_heavy_instance(std::uint64_t seed, bool demand_matrix) {
+  constexpr std::size_t kDevices = 120;
+  constexpr std::size_t kServers = 9;
+  util::Rng rng(seed);
+  const double kBases[] = {1.0, 2.0, 3.0, 0.1};
+  const double kWeights[] = {0.1, 1.0 / 3.0, 0.7, 1.0};
+  topo::DelayMatrix delay(kDevices, kServers);
+  topo::DelayMatrix demand(kDevices, kServers);
+  std::vector<double> weights(kDevices);
+  std::vector<double> demands(kDevices);
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    weights[i] = kWeights[rng.index(4)];
+    demands[i] = rng.uniform(1.0, 3.0);
+    for (std::size_t j = 0; j < kServers; ++j) {
+      double d = kBases[rng.index(4)];
+      for (std::size_t up = rng.index(3); up > 0; --up) {
+        d = std::nextafter(d, 10.0);
+      }
+      delay.set(i, j, d);
+      demand.set(i, j, rng.uniform(1.0, 3.0));
+    }
+  }
+  // About 95% of the mean demand: capacity binds, so steps redirect and
+  // some overload.
+  std::vector<double> capacities(kServers,
+                                 0.95 * 2.0 * kDevices / kServers);
+  if (demand_matrix) {
+    return gap::Instance::with_demand_matrix(std::move(delay),
+                                             std::move(weights),
+                                             std::move(demand),
+                                             std::move(capacities));
+  }
+  return gap::Instance(std::move(delay), std::move(weights),
+                       std::move(demands), std::move(capacities));
+}
+
+// The server the step rule picks for `device` after choosing `pick`, by
+// the scan over every server in index order (strict <, lowest index wins),
+// and the half-penalties it charges (0, 1 for a redirect, 2 for an
+// overload).
+std::pair<gap::ServerIndex, int> reference_target(
+    const gap::Instance& instance, const std::vector<double>& loads,
+    gap::DeviceIndex device, gap::ServerIndex pick) {
+  const std::size_t m = instance.server_count();
+  const auto fits = [&](gap::ServerIndex s) {
+    return loads[s] + instance.demand(device, s) <=
+           instance.capacity(s) + 1e-9;
+  };
+  if (fits(pick)) return {pick, 0};
+  const double weight = instance.traffic_weights()[device];
+  gap::ServerIndex redirect = m;
+  double redirect_cost = std::numeric_limits<double>::infinity();
+  for (gap::ServerIndex s = 0; s < m; ++s) {
+    if (fits(s) && weight * instance.delay_ms(device, s) < redirect_cost) {
+      redirect_cost = weight * instance.delay_ms(device, s);
+      redirect = s;
+    }
+  }
+  if (redirect != m) return {redirect, 1};
+  gap::ServerIndex least = 0;
+  double least_utilization = std::numeric_limits<double>::infinity();
+  for (gap::ServerIndex s = 0; s < m; ++s) {
+    const double utilization =
+        (loads[s] + instance.demand(device, s)) / instance.capacity(s);
+    if (utilization < least_utilization) {
+      least_utilization = utilization;
+      least = s;
+    }
+  }
+  return {least, 2};
+}
+
+TEST(Environment, RankOrderRedirectMatchesFullScan) {
+  std::size_t redirects = 0;
+  std::size_t overloads = 0;
+  std::size_t collisions = 0;
+  for (const bool demand_matrix : {false, true}) {
+    for (const bool masked : {true, false}) {
+      const gap::Instance instance = tie_heavy_instance(17, demand_matrix);
+      const std::size_t n = instance.device_count();
+      const std::size_t m = instance.server_count();
+      for (gap::DeviceIndex i = 0; i < n; ++i) {
+        const double w = instance.traffic_weights()[i];
+        for (gap::ServerIndex a = 0; a < m; ++a) {
+          for (gap::ServerIndex b = a + 1; b < m; ++b) {
+            const double da = instance.delay_ms(i, a);
+            const double db = instance.delay_ms(i, b);
+            if (da != db && w * da == w * db) ++collisions;
+          }
+        }
+      }
+      EnvOptions options;
+      AssignmentEnv env(instance, options, 5);
+      util::Rng rng(23);
+      for (int episode = 0; episode < 20; ++episode) {
+        SCOPED_TRACE(::testing::Message()
+                     << "demand_matrix " << demand_matrix << " masked "
+                     << masked << " episode " << episode);
+        env.reset();
+        std::vector<double> loads(m, 0.0);
+        gap::Assignment before = env.assignment();
+        while (!env.done()) {
+          // Unmasked picks are the mask_infeasible = false agent's.
+          const Observation obs = env.observe();
+          std::size_t action = rng.index(env.action_count());
+          if (masked && obs.mask != 0) {
+            while (((obs.mask >> action) & 1u) == 0) {
+              action = rng.index(env.action_count());
+            }
+          }
+          const gap::ServerIndex pick = env.action_server(action);
+          const double reward = env.step(action);
+          gap::DeviceIndex device = n;
+          for (gap::DeviceIndex i = 0; i < n; ++i) {
+            if (before[i] != env.assignment()[i]) device = i;
+          }
+          ASSERT_LT(device, n);
+          const auto [target, half_penalties] =
+              reference_target(instance, loads, device, pick);
+          redirects += half_penalties == 1 ? 1 : 0;
+          overloads += half_penalties == 2 ? 1 : 0;
+          ASSERT_EQ(env.assignment()[device],
+                    static_cast<std::int32_t>(target));
+          double expected = 0.0;
+          if (half_penalties > 0) {
+            expected -= half_penalties == 1 ? options.overload_penalty / 2.0
+                                            : options.overload_penalty;
+          }
+          expected -= instance.cost(device, target) / env.cost_scale();
+          EXPECT_EQ(reward, expected);
+          loads[target] += instance.demand(device, target);
+          before = env.assignment();
+        }
+      }
+    }
+  }
+  EXPECT_GT(collisions, 0u);
+  EXPECT_GT(redirects, 100u);
+  EXPECT_GT(overloads, 0u);
 }
 
 }  // namespace

@@ -144,6 +144,9 @@ TEST(PolicyIo, MalformedInputsThrow) {
   EXPECT_THROW((void)load_policy(truncated), std::runtime_error);
   std::stringstream zero_shape("tacc-policy v1\nenv,4,4,3,3,8,1\ntable,0,2\n");
   EXPECT_THROW((void)load_policy(zero_shape), std::runtime_error);
+  // A Q-table holds at most 64 actions (the feasibility mask's width).
+  std::stringstream wide("tacc-policy v1\nenv,4,4,3,3,8,1\ntable,1,65\n");
+  EXPECT_THROW((void)load_policy(wide), std::runtime_error);
 }
 
 TEST(PolicyIo, FileRoundTrip) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <span>
 
 #include "gap/testgen.hpp"
 #include "solvers/constructive.hpp"
@@ -62,6 +64,61 @@ TEST(QTable, BestActionRespectsMask) {
 TEST(QTable, TiesBreakToLowestAction) {
   QTable table(1, 3);
   EXPECT_EQ(table.best_action(0, 0), 0u);
+}
+
+// best_action's bit-mask select against the plain loop it replaced: the
+// first permitted action, then any strictly greater one; action 0 if the
+// mask permits none.
+std::size_t naive_best_action(std::span<const double> q, std::uint64_t mask) {
+  std::size_t best = 0;
+  double best_value = -std::numeric_limits<double>::infinity();
+  bool any = false;
+  for (std::size_t a = 0; a < q.size(); ++a) {
+    if (mask != 0 && ((mask >> a) & 1u) == 0) continue;
+    if (!any || q[a] > best_value) {
+      best_value = q[a];
+      best = a;
+      any = true;
+    }
+  }
+  return best;
+}
+
+TEST(QTable, BestActionMatchesNaiveArgmax) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Few distinct values, so ties are common; -inf and NaN included.
+  const double kValues[] = {-1.0, 0.0, 0.5, 0.5, 2.0, -kInf,
+                            std::numeric_limits<double>::quiet_NaN()};
+  util::Rng rng(31);
+  for (const std::size_t k : {1u, 4u, 64u}) {
+    constexpr std::size_t kStates = 300;
+    QTable table(kStates, k);
+    for (std::size_t s = 0; s < kStates; ++s) {
+      // Every tenth row is all equal.
+      const double shared = kValues[rng.index(7)];
+      for (std::size_t a = 0; a < k; ++a) {
+        table.set(s, a, s % 10 == 0 ? shared : kValues[rng.index(7)]);
+      }
+    }
+    const std::uint64_t all =
+        k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+    for (std::size_t s = 0; s < kStates; ++s) {
+      const std::uint64_t random_bits =
+          util::Rng(s * 131 + k).next_below(~std::uint64_t{0});
+      for (const std::uint64_t mask :
+           {std::uint64_t{0}, all, random_bits & all, random_bits,
+            std::uint64_t{1} << (k - 1), ~all}) {
+        EXPECT_EQ(table.best_action(s, mask),
+                  naive_best_action(table.row(s), mask))
+            << "k " << k << " state " << s << " mask " << mask;
+      }
+    }
+  }
+}
+
+TEST(QTable, MoreThan64ActionsThrows) {
+  EXPECT_THROW(QTable(1, 65), std::invalid_argument);
+  EXPECT_NO_THROW(QTable(1, 64));
 }
 
 // ---- Training ---------------------------------------------------------------

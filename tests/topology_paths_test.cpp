@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
+#include "tests/reference_dijkstra.hpp"
 #include "tests/test_helpers.hpp"
 #include "topology/generators.hpp"
 #include "util/rng.hpp"
@@ -71,6 +76,68 @@ TEST(Dijkstra, NoRelayModeSettlesHostsWithoutExpandingThem) {
   EXPECT_DOUBLE_EQ(from_host.distance_ms[1], 1.0);
   EXPECT_DOUBLE_EQ(from_host.distance_ms[4], 1.0);
   EXPECT_DOUBLE_EQ(from_host.distance_ms[2], 2.0);
+}
+
+// Routers 0..routers-1 with random backbone links, then hosts: single-
+// homed leaves (devices and servers in a NetworkTopology) and relay-role
+// hosts with up to three links. Latencies come from a short list, so
+// equal-distance ties are everywhere. The graph refuses a latency of 0;
+// the smallest subnormal stands in for it, since adding it to any
+// distance of 1e-292 or more changes nothing.
+Graph tie_heavy_graph(util::Rng& rng, std::size_t routers,
+                      std::size_t hosts) {
+  const double kLatencies[] = {std::numeric_limits<double>::denorm_min(),
+                               0.5, 1.0, 1.0, 1.5, 2.0};
+  const auto latency = [&] { return kLatencies[rng.index(6)]; };
+  Graph g;
+  for (std::size_t r = 0; r < routers; ++r) (void)g.add_node();
+  for (std::size_t e = 0; e < 2 * routers; ++e) {
+    const NodeId u = static_cast<NodeId>(rng.index(routers));
+    const NodeId v = static_cast<NodeId>(rng.index(routers));
+    if (u != v) g.add_edge(u, v, {latency(), 100.0});
+  }
+  for (std::size_t h = 0; h < hosts; ++h) {
+    const bool leaf = rng.bernoulli(0.6);
+    const NodeId host = g.add_node(leaf ? NodeRole::kLeaf : NodeRole::kRelay);
+    const std::size_t links = leaf ? 1 : 1 + rng.index(3);
+    for (std::size_t l = 0; l < links; ++l) {
+      g.add_edge(host, static_cast<NodeId>(rng.index(routers)),
+                 {latency(), 100.0});
+    }
+  }
+  return g;
+}
+
+void expect_bit_identical(const ShortestPathTree& actual,
+                          const ShortestPathTree& expected) {
+  ASSERT_EQ(actual.distance_ms.size(), expected.distance_ms.size());
+  for (std::size_t v = 0; v < expected.distance_ms.size(); ++v) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.distance_ms[v]),
+              std::bit_cast<std::uint64_t>(expected.distance_ms[v]))
+        << "node " << v;
+  }
+  EXPECT_EQ(actual.parent, expected.parent);
+}
+
+// The library's Dijkstra heaps only the nodes it expands; the reference
+// heaps every node it improves. Distances and parents agree bit for bit,
+// from router and host sources, with and without hosts relaying.
+TEST(Dijkstra, MatchesHeapEveryNodeReferenceBitForBit) {
+  util::Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t routers = 2 + rng.index(30);
+    const std::size_t hosts = rng.index(60);
+    const Graph g = tie_heavy_graph(rng, routers, hosts);
+    for (const std::size_t relays : {routers, kEveryNodeRelays}) {
+      for (NodeId source = 0; source < g.node_count(); ++source) {
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " source " << source
+                     << " relays " << relays);
+        expect_bit_identical(dijkstra(g, source, relays),
+                             test::reference_dijkstra(g, source, relays));
+      }
+    }
+  }
 }
 
 TEST(BfsHops, KnownGraph) {
