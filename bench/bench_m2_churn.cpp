@@ -4,13 +4,12 @@
 // plus backbone link churn if the provider emits it) against a
 // DynamicCluster, interleaved with bench-local server fail/recover/rebalance
 // stress, and HARD-GATES the properties that make sustained churn viable:
-//   1. Zero net growth: graph node count and device-slot (delay-row) storage
+//   1. Zero net growth: device-slot (delay-row) storage and the host table
 //      return exactly to baseline across move cycles, and track the *peak*
 //      live population across the soak — the engine recycles departed
-//      nodes/slots instead of leaking one per event.
+//      slots instead of leaking one per event.
 //   2. Flat per-event latency: the mean event latency late in the run stays
-//      within a small factor of the early mean (a leak shows up here too —
-//      every Dijkstra pays for dead nodes).
+//      within a small factor of the early mean (a leak shows up here too).
 // Exit code 1 if a gate fails, so CI can run it as a regression check.
 //
 // The event stream comes from a pluggable WorkloadProvider
@@ -78,8 +77,7 @@ int run(int argc, char** argv) {
   report.set_provider(workload_spec);
   bench::CsvFile csv(config, "m2_churn");
   csv.writer().header({"event", "event_type", "window_mean_us",
-                       "graph_nodes", "device_slots", "active",
-                       "avg_delay_ms"});
+                       "device_slots", "active", "avg_delay_ms"});
 
   std::ofstream stream_file;
   if (!stream_out.empty()) {
@@ -93,7 +91,7 @@ int run(int argc, char** argv) {
   // ---- Gate 1a: a pure move cycle must not grow anything. ------------------
   // A dedicated mobility_trace provider walks only the base devices, whose
   // provider ids coincide with their cluster indices.
-  const std::size_t baseline_nodes = cluster.graph_node_count();
+  const auto host_slots = [&cluster] { return cluster.network().hosts.size(); };
   const std::size_t baseline_slots = cluster.device_slot_count();
   {
     auto mobility = workload::make_provider("mobility_trace", ctx);
@@ -102,12 +100,12 @@ int run(int argc, char** argv) {
       for (const workload::Event& event : mobility->step(5.0)) {
         (void)cluster.move(event.device, event.position);
       }
-      if (cluster.graph_node_count() != baseline_nodes ||
-          cluster.device_slot_count() != baseline_slots) {
+      if (cluster.device_slot_count() != baseline_slots ||
+          host_slots() != baseline_slots) {
         std::cerr << "move cycle " << cycle << " grew storage ("
-                  << cluster.graph_node_count() << " nodes vs "
-                  << baseline_nodes << ", " << cluster.device_slot_count()
-                  << " slots vs " << baseline_slots << ")\n";
+                  << cluster.device_slot_count() << " slots and "
+                  << host_slots() << " host slots vs " << baseline_slots
+                  << ")\n";
         grew = true;
       }
     }
@@ -137,7 +135,7 @@ int run(int argc, char** argv) {
     peak_active = std::max(peak_active, cluster.active_count());
   };
 
-  util::ConsoleTable table({"events", "window mean (us)", "graph nodes",
+  util::ConsoleTable table({"events", "window mean (us)", "host slots",
                             "device slots", "active", "avg delay (ms)"});
   const std::size_t window = std::max<std::size_t>(events / 20, 1);
   std::size_t next_emit = window;
@@ -209,21 +207,20 @@ int run(int argc, char** argv) {
     // boundary mid-iteration, so catch up here).
     const std::size_t done = latency_us.size();
     if (done > 0 && (done >= next_emit || done == events)) {
-      // Deep invariant sweep once per window: slot/row/load accounting, node
-      // recycling, and one shortest-path tree spot-checked against a fresh
+      // Deep invariant sweep once per window: slot/row/load accounting, the
+      // host table, and one shortest-path tree spot-checked against a fresh
       // Dijkstra (rotating through servers across windows). The default
       // abort handler makes any violation a hard bench failure.
       cluster.check_invariants();
       const std::size_t lo = done > window ? done - window : 0;
       const double window_mean = mean(latency_us, lo, done);
       csv.writer().row(done, types.back(), window_mean,
-                       cluster.graph_node_count(),
                        cluster.device_slot_count(), cluster.active_count(),
                        cluster.avg_delay_ms());
       if (emitted % 4 == 0 || done == events) {
         table.add_row({std::to_string(done),
                        util::format_double(window_mean, 2),
-                       std::to_string(cluster.graph_node_count()),
+                       std::to_string(host_slots()),
                        std::to_string(cluster.device_slot_count()),
                        std::to_string(cluster.active_count()),
                        util::format_double(cluster.avg_delay_ms(), 2)});
@@ -243,14 +240,12 @@ int run(int argc, char** argv) {
 
   // ---- Gate 1b: storage tracks peak population, not cumulative events. -----
   const std::size_t expected_slots = peak_active;
-  const std::size_t expected_nodes = baseline_nodes + (peak_active - iot);
   const bool storage_ok = cluster.device_slot_count() == expected_slots &&
-                          cluster.graph_node_count() == expected_nodes;
+                          host_slots() == expected_slots;
   if (!storage_ok) {
     std::cerr << "storage grew past peak population ("
-              << cluster.device_slot_count() << " slots, expected "
-              << expected_slots << "; " << cluster.graph_node_count()
-              << " nodes, expected " << expected_nodes << ")\n";
+              << cluster.device_slot_count() << " slots and " << host_slots()
+              << " host slots, expected " << expected_slots << ")\n";
   }
   report.gate("storage_tracks_peak", storage_ok);
 
@@ -281,7 +276,7 @@ int run(int argc, char** argv) {
   report.metric("peak_active", static_cast<double>(peak_active));
   report.metric("device_slots",
                 static_cast<double>(cluster.device_slot_count()));
-  report.metric("graph_nodes", static_cast<double>(cluster.graph_node_count()));
+  report.metric("host_slots", static_cast<double>(host_slots()));
   report.write();
 
   const bool ok = report.all_gates_passed();

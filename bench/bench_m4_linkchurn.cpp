@@ -51,15 +51,18 @@ constexpr const char* kDefaultWorkload =
     "reweight_rate=10";
 
 /// One full recompute, the baseline the engine replaces: fan-out Dijkstra
-/// from every server plus rewriting every device row. Returns the trees so
-/// the equivalence gate can reuse them.
+/// from every server plus rewriting every device row from its anchor's
+/// distance and its access latency. Returns the trees so the equivalence
+/// gate can reuse them.
 std::vector<topo::ShortestPathTree> full_recompute(
     const topo::NetworkTopology& net, std::vector<std::vector<double>>& rows) {
   std::vector<topo::ShortestPathTree> trees =
       topo::dijkstra_fan_out(net.graph, net.edge_nodes);
-  for (std::size_t i = 0; i < net.iot_nodes.size(); ++i) {
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    const topo::NodeId anchor = net.hosts.anchor[i];
+    const double latency = net.hosts.access[i].latency_ms;
     for (std::size_t j = 0; j < trees.size(); ++j) {
-      rows[i][j] = trees[j].distance_ms[net.iot_nodes[i]];
+      rows[i][j] = trees[j].distance_ms[anchor] + latency;
     }
   }
   return trees;
@@ -82,9 +85,9 @@ void routers_only_rebuild(const topo::NetworkTopology& net,
 
 bool trees_match(const topo::incr::IncrementalDelayEngine& engine,
                  const std::vector<topo::ShortestPathTree>& reference,
-                 std::size_t node_count) {
+                 std::size_t router_count) {
   for (std::size_t j = 0; j < reference.size(); ++j) {
-    for (topo::NodeId n = 0; n < node_count; ++n) {
+    for (topo::NodeId n = 0; n < router_count; ++n) {
       const double expected = reference[j].distance_ms[n];
       const double actual = engine.delay_ms(j, n);
       // Bitwise agreement, except both-unreachable compares equal.
@@ -110,9 +113,7 @@ int run(int argc, char** argv) {
   topo::NetworkTopology net = scenario.network();
   topo::incr::IncrementalDelayEngine engine(net);
   topo::oracle::DelayOracle oracle(engine);
-  for (std::size_t i = 0; i < net.iot_nodes.size(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
-  }
+  for (std::size_t i = 0; i < net.iot_count(); ++i) oracle.bind_row(i);
 
   const workload::ProviderContext ctx =
       bench::provider_context(scenario, config.base_seed);
@@ -203,7 +204,7 @@ int run(int argc, char** argv) {
         const auto reference = full_recompute(net, reference_rows);
         full_us.push_back(timer.elapsed_ms() * 1e3);
         ++equivalence_checks;
-        if (!trees_match(engine, reference, net.graph.node_count())) {
+        if (!trees_match(engine, reference, net.router_count())) {
           std::cerr << "engine diverged from full recompute at event "
                     << event_index << " (" << kind << ")\n";
           exact = false;

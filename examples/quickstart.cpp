@@ -19,8 +19,10 @@ int main(int argc, char** argv) {
             << " IoT devices, " << edge << " edge servers (seed " << seed
             << ")\n";
   const tacc::Scenario scenario = tacc::Scenario::smart_city(iot, edge, seed);
-  std::cout << "Network: " << scenario.network().graph.node_count()
-            << " nodes, " << scenario.network().graph.edge_count()
+  // Devices sit off the router graph, each with one access link.
+  const tacc::topo::NetworkTopology& net = scenario.network();
+  std::cout << "Network: " << net.graph.node_count() + net.iot_count()
+            << " nodes, " << net.graph.edge_count() + net.iot_count()
             << " links; load factor "
             << tacc::util::format_double(scenario.workload().load_factor(), 2)
             << "\n\n";

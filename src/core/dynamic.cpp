@@ -88,7 +88,7 @@ DynamicCluster::DynamicCluster(const Scenario& scenario,
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     // Filled from the engine's server trees — the same Dijkstra values the
     // scenario's instance matrix was built from.
-    oracle_.bind_row(i, net_.iot_nodes[i]);
+    oracle_.bind_row(i);
     loads_[static_cast<std::size_t>(assignment_[i])] += devices_[i].demand;
     count_slot(i, 1);
   }
@@ -218,28 +218,22 @@ void DynamicCluster::attach_device(std::size_t slot,
                                    const workload::IotDevice& device,
                                    const topo::NearestRouter& access) {
   // Attach to the nearest router with a wireless access link.
-  const topo::NodeId node =
-      engine_.acquire_node(device.position, topo::NodeKind::kIotDevice);
-  engine_.add_link(node, access.router,
-                   topo::access_link(access.distance_km));
-
+  engine_.attach_host(slot, access.router,
+                      topo::access_link(access.distance_km), device.position);
   if (slot == devices_.size()) {
     devices_.push_back(device);
     assignment_.push_back(gap::kUnassigned);
     generations_.push_back(0);
-    net_.iot_nodes.push_back(node);
   } else {
     devices_[slot] = device;
-    net_.iot_nodes[slot] = node;
   }
-  // The engine reports no host's own links: the row is rebound here.
-  oracle_.bind_row(slot, node);
+  // The engine reports no device's attachment: the row is rebound here.
+  oracle_.bind_row(slot);
 }
 
 void DynamicCluster::detach_device(std::size_t slot) {
   oracle_.unbind_row(slot);
-  engine_.release_node(net_.iot_nodes[slot]);
-  net_.iot_nodes[slot] = topo::kInvalidNode;
+  engine_.detach_host(slot);
 }
 
 JoinResult DynamicCluster::place_device(std::size_t slot) {
@@ -518,9 +512,7 @@ double DynamicCluster::max_utilization() const noexcept {
 }
 
 void DynamicCluster::require_backbone(topo::NodeId u, topo::NodeId v) const {
-  if (u >= net_.kinds.size() || v >= net_.kinds.size() ||
-      net_.kinds[u] != topo::NodeKind::kRouter ||
-      net_.kinds[v] != topo::NodeKind::kRouter) {
+  if (u >= router_positions_.size() || v >= router_positions_.size()) {
     throw std::invalid_argument(
         "DynamicCluster: link endpoints must be router nodes");
   }
@@ -567,8 +559,8 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
   // ---- Slot accounting -----------------------------------------------------
   TACC_CHECK_INVARIANT(assignment_.size() == devices_.size(),
                        "assignment must cover every device slot");
-  TACC_CHECK_INVARIANT(net_.iot_nodes.size() == devices_.size(),
-                       "iot_nodes must cover every device slot");
+  TACC_CHECK_INVARIANT(net_.hosts.size() == devices_.size(),
+                       "the host table must cover every device slot");
   TACC_CHECK_INVARIANT(
       loads_.size() == capacities_.size() && failed_.size() == loads_.size(),
       "per-server arrays must stay parallel");
@@ -587,8 +579,8 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
     on_free_list[slot] = true;
     TACC_CHECK_INVARIANT(assignment_[slot] == gap::kUnassigned,
                          "free slot still assigned: " + std::to_string(slot));
-    TACC_CHECK_INVARIANT(net_.iot_nodes[slot] == topo::kInvalidNode,
-                         "free slot still holds a graph node: " +
+    TACC_CHECK_INVARIANT(!net_.hosts.attached(slot),
+                         "free slot still attached to a router: " +
                              std::to_string(slot));
   }
 
@@ -603,8 +595,7 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
                            "inactive slot missing from the free list: " +
                                std::to_string(i));
       TACC_CHECK_INVARIANT(
-          i >= oracle_.row_count() ||
-              oracle_.row_node(i) == topo::kInvalidNode,
+          !oracle_.row_bound(i),
           "inactive slot still bound to a delay row: " + std::to_string(i));
       continue;
     }
@@ -619,9 +610,8 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
     TACC_CHECK_INVARIANT(devices_[i].demand >= 0.0,
                          "negative demand on slot " + std::to_string(i));
     recomputed[j] += devices_[i].demand;
-    TACC_CHECK_INVARIANT(i < oracle_.row_count() &&
-                             oracle_.row_node(i) == net_.iot_nodes[i],
-                         "delay row bound to the wrong graph node: slot " +
+    TACC_CHECK_INVARIANT(net_.hosts.attached(i) && oracle_.row_bound(i),
+                         "active slot without an attached, bound row: slot " +
                              std::to_string(i));
     // Rows serve current values whatever was read before, so each slot's
     // parts must come from its row now: the independent reference.
@@ -692,11 +682,12 @@ void DynamicCluster::check_invariants(const InvariantOptions& options) const {
     }
   }
 
-  // ---- Node recycling ------------------------------------------------------
+  // ---- The router graph ----------------------------------------------------
+  // Device churn writes the host table only: the graph keeps its routers
+  // and servers.
   TACC_CHECK_INVARIANT(
-      net_.graph.live_node_count() ==
-          router_positions_.size() + net_.edge_count() + active_,
-      "live graph nodes must be exactly routers + servers + active devices");
+      net_.graph.node_count() == router_positions_.size() + net_.edge_count(),
+      "the graph must hold exactly the routers and the servers");
 
   // ---- Pending notifications ------------------------------------------------
   // Device churn dirties no key and a link update refreshes what it moved,

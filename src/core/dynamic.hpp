@@ -10,20 +10,20 @@
 // to beyond the one-shot assignment.
 //
 // The engine is churn-hardened for long horizons:
-//  - Node recycling: leave() releases the device's graph node and access
-//    link back to the topology's free list, and its device slot (delay row
-//    included) is reused by the next join. Memory footprint tracks *peak*
-//    population, not cumulative arrivals.
+//  - Slot recycling: device slot k is host-table slot k and delay row k.
+//    leave() detaches the slot, and the next join reuses it. Memory
+//    footprint tracks *peak* population, not cumulative arrivals.
 //  - Stable indices: move()/move_pinned() re-attach in place, so a device
 //    keeps its index across handovers (no old-index invalidation).
-//  - Incremental delay rows: a join or move binds the device's row to its
-//    graph node, which reads the key row it shares with the other devices
-//    of its anchor router; no Dijkstra runs. The cluster is the one owner
-//    of that binding: the engine reports no device's own links, so the
-//    cluster rebinds the row right after it changes them. The engine's
-//    trees span the routers only, since hosts never relay, so link churn
-//    repairs router distances and rewrites only the key rows whose
-//    distances moved.
+//  - Incremental delay rows: a join or move writes the device's anchor
+//    router and access link into its host-table slot and binds its row,
+//    which reads the key row it shares with the other devices of that
+//    anchor; no Dijkstra runs. The cluster is the one owner of that
+//    binding: the engine reports no device's attachment, so the cluster
+//    rebinds the row right after it writes the slot. The engine's trees
+//    span the routers only, since hosts never relay, so link churn repairs
+//    router distances and rewrites only the key rows whose distances
+//    moved.
 //  - Incremental objective: the served delay of an active slot is its key
 //    row's entry for its server plus its access latency, so the sum splits
 //    the same way (shared and per-party terms, as in Gong's delay-optimal
@@ -111,15 +111,15 @@ class DynamicCluster {
   DynamicCluster& operator=(const DynamicCluster&) = delete;
 
   /// Attaches a new device at its position (recycling a departed device's
-  /// slot + graph node when available) and assigns it to the cheapest
+  /// slot when available) and assigns it to the cheapest
   /// feasible server. The result carries the index, the server, and whether
   /// the overload fallback fired. Throws std::invalid_argument, before any
   /// state changes, if the demand or the nearest-router distance is not
   /// finite.
   JoinResult join(const workload::IotDevice& device);
 
-  /// Removes a device: frees its load, releases its graph node + access
-  /// link, and recycles its slot and delay row for future joins. Throws if
+  /// Removes a device: frees its load, detaches its host-table slot, and
+  /// recycles the slot and its delay row for future joins. Throws if
   /// already inactive.
   void leave(std::size_t device_index);
 
@@ -324,15 +324,15 @@ class DynamicCluster {
   ///    once; active_ matches;
   ///  - load accounting: loads_[j] equals the demand sum of j's residents,
   ///    and assignments point at real servers;
-  ///  - slot<->row binding: an active slot's delay row is bound to its
-  ///    graph node, a free slot's row is unbound;
+  ///  - slot<->row binding: an active slot is attached in the host table
+  ///    and its delay row bound, a free slot is neither;
   ///  - the objective: N[a][j], the per-key sums and the total behind
   ///    avg_delay_ms() equal a recount from the active slots' rows (the key
   ///    each reads through, its latency) and the key rows served now, and
   ///    each active slot's two parts match its served delay within one
   ///    fixed-point unit (plus the rounding of the served addition);
-  ///  - node recycling: live graph nodes == routers + servers + active
-  ///    devices (a leak here is what bench_m2's gates watch);
+  ///  - the graph holds exactly the routers and the servers (device churn
+  ///    writes the host table only);
   ///  - no engine dirty key is left pending (device churn dirties none;
   ///    a link update refreshes what it moved);
   ///  - the underlying NetworkTopology, IncrementalDelayEngine and
@@ -341,21 +341,15 @@ class DynamicCluster {
   void check_invariants(const InvariantOptions& options) const;
   void check_invariants() const { check_invariants(InvariantOptions()); }
 
-  // Churn bookkeeping (leak regression gates key off these: slot and node
-  // counts must track peak population, never cumulative arrivals).
-  /// Device slots ever allocated (== delay rows held).
+  // Churn bookkeeping (leak regression gates key off these: slot counts
+  // must track peak population, never cumulative arrivals).
+  /// Device slots ever allocated (== host-table slots == delay rows held).
   [[nodiscard]] std::size_t device_slot_count() const noexcept {
     return devices_.size();
   }
   /// Departed slots awaiting reuse.
   [[nodiscard]] std::size_t free_slot_count() const noexcept {
     return free_slots_.size();
-  }
-  [[nodiscard]] std::size_t graph_node_count() const noexcept {
-    return net_.graph.node_count();
-  }
-  [[nodiscard]] std::size_t live_graph_node_count() const noexcept {
-    return net_.graph.live_node_count();
   }
 
  private:
@@ -396,15 +390,14 @@ class DynamicCluster {
   /// callers check it before they change any state.
   [[nodiscard]] topo::NearestRouter nearest_router(
       topo::Point2D position) const;
-  /// Acquires a graph node at `device`'s position (recycled when possible),
-  /// wires the access link to `access.router`, and installs the device
-  /// into `slot` with its delay row bound to the new node: the engine
-  /// dirties nothing for a device's own links, so the cluster, which
-  /// changed them, rebinds the row. No assignment yet.
+  /// Attaches `slot` in the host table at `device`'s position, with its
+  /// access link to `access.router`, and installs the device into `slot`
+  /// with its delay row bound: the engine dirties nothing for a device's
+  /// attachment, so the cluster, which made it, rebinds the row. No
+  /// assignment yet.
   void attach_device(std::size_t slot, const workload::IotDevice& device,
                      const topo::NearestRouter& access);
-  /// Unbinds `slot`'s delay row and releases its graph node + access link
-  /// back to the free list.
+  /// Unbinds `slot`'s delay row and detaches its host-table slot.
   void detach_device(std::size_t slot);
   /// Cheapest feasible healthy server, else the least-utilized healthy one
   /// (feasible == false). Throws std::logic_error if every server is
@@ -414,7 +407,7 @@ class DynamicCluster {
   /// Assigns `slot` per cheapest_feasible_server and applies the load.
   JoinResult place_device(std::size_t slot);
 
-  topo::NetworkTopology net_;   // bounded by peak population (node recycling)
+  topo::NetworkTopology net_;   // host table bounded by peak population
   // Per-server shortest-path trees + versioned delay rows over net_; all
   // topology mutations route through engine_ so the trees stay exact.
   // Declared right after net_ (initialization order matters).
@@ -422,7 +415,8 @@ class DynamicCluster {
   // Serves the per-device delay rows (row i == device slot i), bit-identical
   // to the engine's trees.
   topo::oracle::DelayOracle oracle_;
-  /// Router r (routers are the node id prefix) sits at router_positions_[r].
+  /// Router r (routers are the node id prefix) sits at router_positions_[r];
+  /// its size is the router count.
   std::vector<topo::Point2D> router_positions_;
 
   // Per device slot. Active slots hold a served device; departed slots are

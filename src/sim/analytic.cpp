@@ -77,12 +77,15 @@ AnalyticResult predict_delays(const topo::NetworkTopology& net,
         topo::dijkstra(net.graph, net.edge_nodes[j], net.router_count());
     for (std::size_t i = 0; i < n; ++i) {
       if (static_cast<std::size_t>(assignment[i]) != j) continue;
-      const auto path = tree.path_to(net.iot_nodes[i]);
+      const topo::NodeId anchor = net.hosts.anchor[i];
+      const auto path = tree.path_to(anchor);
       if (path.empty()) {
         throw std::invalid_argument("predict_delays: unreachable server");
       }
-      double delay = tree.distance_ms[net.iot_nodes[i]];
-      // Transmission per hop.
+      const topo::EdgeProps access = net.hosts.access[i];
+      double delay = tree.distance_ms[anchor] + access.latency_ms;
+      // Transmission per hop: the tree path to the anchor, then the access
+      // link.
       for (std::size_t h = 0; h + 1 < path.size(); ++h) {
         double bandwidth = 0.0;
         for (const auto& adj : net.graph.neighbors(path[h])) {
@@ -93,6 +96,7 @@ AnalyticResult predict_delays(const topo::NetworkTopology& net,
         }
         delay += 8.0 * workload.iot[i].message_size_kb / bandwidth;
       }
+      delay += 8.0 * workload.iot[i].message_size_kb / access.bandwidth_mbps;
       // Service + wait at the server.
       const auto& dev = workload.iot[i];
       const double service_rate =

@@ -50,7 +50,7 @@ SimResult simulate(const topo::NetworkTopology& net,
     }
   }
 
-  // --- Precompute per-device routes (device node → assigned server node).
+  // --- Precompute per-device routes (device → assigned server node).
   // One Dijkstra per *server* covers all devices assigned to it.
   std::vector<std::vector<Hop>> routes(n);
   std::unordered_map<std::uint64_t, std::uint32_t> link_index;
@@ -74,12 +74,17 @@ SimResult simulate(const topo::NetworkTopology& net,
         topo::dijkstra(net.graph, net.edge_nodes[j], net.router_count());
     for (std::size_t i = 0; i < n; ++i) {
       if (static_cast<std::size_t>(assignment[i]) != j) continue;
-      // Path from server to device; traverse it reversed (device → server).
-      const auto path = tree.path_to(net.iot_nodes[i]);
+      // Path from server to the device's anchor router; the device first
+      // takes its own access link, then the path reversed (→ server).
+      const auto path = tree.path_to(net.hosts.anchor[i]);
       if (path.empty()) {
         throw std::invalid_argument("simulate: device unreachable from server");
       }
       auto& route = routes[i];
+      const topo::EdgeProps access = net.hosts.access[i];
+      route.push_back({static_cast<std::uint32_t>(link_free_ms.size()),
+                       access.latency_ms, access.bandwidth_mbps});
+      link_free_ms.push_back(0.0);  // the access link is the device's own
       for (std::size_t h = path.size(); h-- > 1;) {
         const topo::NodeId from = path[h];
         const topo::NodeId to = path[h - 1];

@@ -1,6 +1,5 @@
 #include "topology/failures.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "topology/shortest_paths.hpp"
@@ -9,10 +8,10 @@ namespace tacc::topo {
 
 std::vector<LinkEndpoints> backbone_links(const NetworkTopology& net) {
   std::vector<LinkEndpoints> links;
-  for (NodeId u = 0; u < net.graph.node_count(); ++u) {
-    if (net.kinds[u] != NodeKind::kRouter) continue;
-    for (const Adjacency& adj : net.graph.relay_neighbors(u)) {
-      if (adj.to > u && net.kinds[adj.to] == NodeKind::kRouter) {
+  const std::size_t routers = net.router_count();
+  for (NodeId u = 0; u < routers; ++u) {
+    for (const Adjacency& adj : net.graph.neighbors(u)) {
+      if (adj.to > u && adj.to < routers) {
         links.push_back({u, adj.to});
       }
     }
@@ -38,8 +37,13 @@ bool all_devices_served(const NetworkTopology& net) {
       }
     }
   }
-  return std::all_of(net.iot_nodes.begin(), net.iot_nodes.end(),
-                     [&](NodeId device) { return reached[device] != 0; });
+  // A device is served through its anchor router; detached slots hold none.
+  for (std::size_t slot = 0; slot < net.hosts.size(); ++slot) {
+    if (net.hosts.attached(slot) && reached[net.hosts.anchor[slot]] == 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<LinkEndpoints> sample_failable_links(const NetworkTopology& net,

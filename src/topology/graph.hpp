@@ -4,22 +4,11 @@
 // once per endpoint; latency is the routing metric (milliseconds), bandwidth
 // feeds the discrete-event simulator's transmission-delay model.
 //
-// Nodes can be released back to a free list (release_node) and reused
-// (acquire_node), so churny workloads — IoT devices joining, moving and
-// leaving a deployed network — keep the node table at peak-population size
-// instead of growing without bound. Released ids stay valid indices (their
-// adjacency is empty and algorithms see them as isolated); ids are recycled
-// LIFO.
-//
-// Adjacency layout. A node is a relay or a leaf, fixed when it is added or
-// acquired. A leaf (an IoT device) ends paths and takes at most one link; a
-// relay is anything else (a router, or an edge server, whose shortest-path
-// trees seed from its own entries). Each list holds its relay entries first,
-// in insertion order, then its leaf entries in no particular order, so
-// relay_neighbors() is a prefix that path scans read without touching the
-// leaf links. Each leaf records where its mirror entry sits in its one
-// neighbor's list, which makes removing a leaf link O(1) (swap with the last
-// entry) while relay order, and with it every parent tie-break, is kept.
+// A deployed network keeps only its routers and edge servers here; IoT
+// devices live off the graph in NetworkTopology's host table, so every
+// entry of every list is a link a path may take. Each list keeps its
+// entries in insertion order (a removal closes the gap), which fixes every
+// parent tie-break of the shortest-path trees.
 #pragma once
 
 #include <cstdint>
@@ -41,19 +30,11 @@ struct Adjacency {
   EdgeProps props;
 };
 
-/// A leaf only ends paths and takes at most one link; see the layout note.
-enum class NodeRole : std::uint8_t { kRelay, kLeaf };
-
 class Graph {
  public:
   Graph() = default;
-  /// `node_count` isolated relay nodes.
-  explicit Graph(std::size_t node_count)
-      : adjacency_(node_count),
-        relay_end_(node_count, 0),
-        leaf_slot_(node_count, 0),
-        released_(node_count, false),
-        leaf_(node_count, false) {}
+  /// `node_count` isolated nodes.
+  explicit Graph(std::size_t node_count) : adjacency_(node_count) {}
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return adjacency_.size();
@@ -61,43 +42,15 @@ class Graph {
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_; }
 
   /// Appends a new isolated node and returns its id.
-  NodeId add_node(NodeRole role = NodeRole::kRelay);
-
-  /// Returns a ready-to-use node id: the most recently released node if any
-  /// (LIFO), otherwise a freshly appended one. The node takes `role`.
-  NodeId acquire_node(NodeRole role = NodeRole::kRelay);
-
-  /// Removes every edge incident to `node` and pushes its id onto the free
-  /// list for acquire_node(). Throws std::out_of_range for bad ids and
-  /// std::invalid_argument if the node is already released.
-  void release_node(NodeId node);
-
-  [[nodiscard]] bool node_released(NodeId node) const {
-    return released_.at(node);
-  }
-  [[nodiscard]] bool is_leaf(NodeId node) const { return leaf_.at(node); }
-  /// Nodes currently on the free list.
-  [[nodiscard]] std::size_t released_node_count() const noexcept {
-    return free_list_.size();
-  }
-  /// Nodes in service (node_count() minus the free list).
-  [[nodiscard]] std::size_t live_node_count() const noexcept {
-    return adjacency_.size() - free_list_.size();
-  }
+  NodeId add_node();
 
   /// Adds an undirected edge u–v. Throws std::out_of_range for bad ids and
-  /// std::invalid_argument for self-loops, non-positive latency, released
-  /// endpoints, or a leaf endpoint that already has its link.
+  /// std::invalid_argument for self-loops or non-positive latency.
   void add_edge(NodeId u, NodeId v, EdgeProps props);
 
-  /// Every incident edge: the relay entries, then the leaf entries.
+  /// Every incident edge, in insertion order.
   [[nodiscard]] std::span<const Adjacency> neighbors(NodeId node) const {
     return adjacency_.at(node);
-  }
-  /// The entries whose far end is a relay, in insertion order.
-  [[nodiscard]] std::span<const Adjacency> relay_neighbors(
-      NodeId node) const {
-    return {adjacency_.at(node).data(), relay_end_[node]};
   }
 
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
@@ -120,21 +73,10 @@ class Graph {
     return adjacency_.at(node).size();
   }
 
-  /// Total latency-weighted size; useful as a quick structural fingerprint.
-  [[nodiscard]] double total_latency() const noexcept;
-
   /// Deep structural validation, reported through the contracts failure
-  /// handler (src/util/contracts.hpp):
-  ///  - free list / live nodes are disjoint, with consistent bookkeeping
-  ///    (every free-list id is marked released exactly once, released nodes
-  ///    have empty adjacency);
-  ///  - adjacency is symmetric: the k-th u->v entry mirrors the k-th v->u
-  ///    entry with identical properties, and edge_count() matches;
-  ///  - no self-loops, no edges touching released nodes, all latencies
-  ///    positive;
-  ///  - each relay prefix holds exactly the entries with a non-leaf far end,
-  ///    no leaf has two links, and every leaf entry sits at the position its
-  ///    leaf recorded.
+  /// handler (src/util/contracts.hpp): adjacency is symmetric (the k-th
+  /// u->v entry mirrors the k-th v->u entry with identical properties, and
+  /// edge_count() matches), with no self-loops and all latencies positive.
   /// Cold path (O(V + E·deg)); meant for tests and sampled bench epochs.
   void check_invariants() const;
 
@@ -142,22 +84,10 @@ class Graph {
   friend struct GraphTestPeer;  ///< corruption hook for invariant tests
   static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 
-  /// Index of the first from->to entry in from's list, or kNoEntry: the
-  /// recorded slot for a leaf `to`, else a scan of the relay prefix.
+  /// Index of the first from->to entry in from's list, or kNoEntry.
   [[nodiscard]] std::size_t entry_index(NodeId from, NodeId to) const;
-  /// Adds `entry` to from's list: a relay entry at the end of the prefix
-  /// (the first leaf entry moves to the back), a leaf entry at the back.
-  void insert_entry(NodeId from, Adjacency entry);
-  /// Drops from's entry at `index`, keeping the relay prefix in order.
-  void erase_entry(NodeId from, std::size_t index);
 
   std::vector<std::vector<Adjacency>> adjacency_;
-  std::vector<std::uint32_t> relay_end_;  ///< per node: relay prefix length
-  std::vector<std::uint32_t> leaf_slot_;  ///< per linked leaf: its entry's
-                                          ///< index in its neighbor's list
-  std::vector<bool> released_;      ///< per node: on the free list?
-  std::vector<bool> leaf_;          ///< per node: NodeRole::kLeaf?
-  std::vector<NodeId> free_list_;   ///< released ids, reused LIFO
   std::size_t edges_ = 0;
 };
 

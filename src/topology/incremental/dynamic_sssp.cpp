@@ -15,8 +15,8 @@ DynamicSsspTree::DynamicSsspTree(const Graph& graph, std::size_t routers,
     dist_[source] = 0.0;
     heap_.push_back({0.0, source});
   } else {
-    // A host source: its access links are the first hops, at 0 + w — the
-    // sum a Dijkstra from the host itself would form.
+    // A server source: its access links are the first hops, at 0 + w — the
+    // sum a Dijkstra from the server itself would form.
     for (const Adjacency& adj : graph.neighbors(source)) {
       const double seed = 0.0 + adj.props.latency_ms;
       if (is_router(adj.to) && seed < dist_[adj.to]) {
@@ -59,7 +59,7 @@ std::size_t DynamicSsspTree::run_heap(const Graph& graph, bool orphan_only,
     heap_.pop_back();
     if (top.dist > dist_[top.node]) continue;  // stale entry
     ++settled;
-    for (const Adjacency& adj : graph.relay_neighbors(top.node)) {
+    for (const Adjacency& adj : graph.neighbors(top.node)) {
       if (!is_router(adj.to) || (orphan_only && !marked(adj.to))) continue;
       const double candidate = top.dist + adj.props.latency_ms;
       if (candidate < dist_[adj.to]) {
@@ -137,7 +137,7 @@ std::size_t DynamicSsspTree::repair_orphans(
   orphans_.push_back(child);
   for (std::size_t i = 0; i < orphans_.size(); ++i) {
     const NodeId x = orphans_[i];
-    for (const Adjacency& adj : graph.relay_neighbors(x)) {
+    for (const Adjacency& adj : graph.neighbors(x)) {
       if (is_router(adj.to) && !marked(adj.to) && parent_[adj.to] == x) {
         mark_[adj.to] = mark_epoch_;
         orphans_.push_back(adj.to);
@@ -158,7 +158,7 @@ std::size_t DynamicSsspTree::repair_orphans(
   // server sits there too.
   heap_.clear();
   for (const NodeId x : orphans_) {
-    for (const Adjacency& adj : graph.relay_neighbors(x)) {
+    for (const Adjacency& adj : graph.neighbors(x)) {
       if (is_router(adj.to) && marked(adj.to)) continue;
       const double base = relay_ms(adj.to);
       if (base == kUnreachable) continue;

@@ -14,18 +14,17 @@
 //    re-relaxes from the surviving frontier. Non-orphan distances are
 //    provably unchanged, so the cost is O(affected · (deg + log)).
 //
-// Every scan reads Graph::relay_neighbors(), so deg counts a router's links
-// to routers and servers, never its IoT devices.
+// The graph holds routers and edge servers only (IoT devices live in
+// NetworkTopology's host table), so deg counts a router's links to routers
+// and servers.
 //
 // Routers only. Routers are the id prefix [0, routers) of the graph
-// (NetworkTopology::router_count()); every other node is a host, which
-// never relays. The tree's arrays are sized by the router count. A router
-// source starts at 0; a host source (an edge server) is seeded at its
-// access routers with 0 + w, and its access links are the only host links
-// that can move a distance. Any other link with a host endpoint changes
-// nothing, so the update hooks ignore it. A host's distance is derived on
-// read (delay_ms()): the minimum over its links of the far end's distance
-// plus the link latency.
+// (NetworkTopology::router_count()); every other node is an edge server,
+// which never relays. The tree's arrays are sized by the router count. A
+// router source starts at 0; a server source is seeded at its access
+// routers with 0 + w, and its access links are the only server links that
+// can move a distance. Any other link with a server endpoint changes
+// nothing, so the update hooks ignore it.
 //
 // Exactness: distances are the min-plus closure of the rounded edge weights
 // (the same value dijkstra() computes in its no-relay mode), so an
@@ -34,34 +33,12 @@
 // exactly that.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "topology/shortest_paths.hpp"
 
 namespace tacc::topo::incr {
-
-/// The delay from `source` to `node` in a graph whose routers are the ids
-/// [0, routers): 0 at the source, a router's own distance `router_ms(r)`,
-/// and for any other host the minimum over its links of the far end's
-/// distance plus the latency. A host relays nothing, so a far end counts
-/// only if it is a router or the source.
-template <typename RouterMs>
-[[nodiscard]] double delay_from(const Graph& graph, std::size_t routers,
-                                NodeId source, NodeId node,
-                                RouterMs&& router_ms) {
-  if (node == source) return 0.0;
-  if (node < routers) return router_ms(node);
-  double best = kUnreachable;
-  for (const Adjacency& adj : graph.neighbors(node)) {
-    const double base = adj.to == source   ? 0.0
-                        : adj.to < routers ? router_ms(adj.to)
-                                           : kUnreachable;
-    best = std::min(best, base + adj.props.latency_ms);
-  }
-  return best;
-}
 
 class DynamicSsspTree {
  public:
@@ -85,11 +62,6 @@ class DynamicSsspTree {
   /// Distances by router id.
   [[nodiscard]] const std::vector<double>& distances() const noexcept {
     return dist_;
-  }
-  /// delay_from() this tree's source to any node.
-  [[nodiscard]] double delay_ms(const Graph& graph, NodeId node) const {
-    return delay_from(graph, dist_.size(), source_, node,
-                      [this](NodeId router) { return dist_[router]; });
   }
 
   // Update hooks. The graph must ALREADY reflect the mutation (edge present
@@ -124,7 +96,7 @@ class DynamicSsspTree {
     return node < dist_.size();
   }
   /// The distance a path may continue from: the source's 0, a router's own
-  /// distance, unreachable for any other host (it relays nothing).
+  /// distance, unreachable for any other server (it relays nothing).
   [[nodiscard]] double relay_ms(NodeId node) const noexcept {
     if (node == source_) return 0.0;
     return is_router(node) ? dist_[node] : kUnreachable;

@@ -23,29 +23,13 @@ void IncrementalDelayEngine::build_trees() {
   in_dirty_.resize(router_count_, 0);
 }
 
-ReadThrough IncrementalDelayEngine::read_through(NodeId node) const {
-  if (node < net_->kinds.size() &&
-      net_->kinds[node] == NodeKind::kIotDevice) {
-    const std::span<const Adjacency> links = net_->graph.neighbors(node);
-    if (links.size() == 1 && is_router(links.front().to)) {
-      return {links.front().to, links.front().props.latency_ms};
-    }
-  }
-  return {node, 0.0};
-}
-
-void IncrementalDelayEngine::delay_row(NodeId node,
+void IncrementalDelayEngine::delay_row(NodeId router,
                                        std::span<double> out) const {
-  TACC_REQUIRE(out.size() == trees_.size(),
-               "delay row must have one slot per server");
-  const ReadThrough through = read_through(node);
-  if (is_router(through.node)) {
-    for (std::size_t j = 0; j < out.size(); ++j) {
-      out[j] = trees_[j].distance_ms(through.node) + through.latency_ms;
-    }
-    return;
+  TACC_REQUIRE(out.size() == trees_.size() && is_router(router),
+               "a key row has one slot per server and keys a router");
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = trees_[j].distance_ms(router);
   }
-  for (std::size_t j = 0; j < out.size(); ++j) out[j] = delay_ms(j, node);
 }
 
 void IncrementalDelayEngine::mark_dirty(NodeId router) {
@@ -83,9 +67,6 @@ void IncrementalDelayEngine::apply_mutation(int kind, NodeId u, NodeId v,
     }
     for (const NodeId router : changes_) mark_dirty(router);
   }
-  // A host endpoint's own delay moves with its link, and so may what it
-  // reads through, but no other node's delay does: the owner of its row
-  // rebinds it.
   ++stats_.epoch;
   stats_.nodes_affected += affected;
   stats_.nodes_saved += full_cost > affected ? full_cost - affected : 0;
@@ -113,36 +94,17 @@ EdgeProps IncrementalDelayEngine::set_link_latency(NodeId u, NodeId v,
   return previous;
 }
 
-NodeId IncrementalDelayEngine::acquire_node(Point2D pos, NodeKind kind) {
-  TACC_REQUIRE(kind != NodeKind::kRouter,
-               "routers are fixed: only hosts join a live network");
-  return net_->acquire_node(pos, kind);
+void IncrementalDelayEngine::attach_host(std::size_t slot, NodeId router,
+                                         EdgeProps access, Point2D position) {
+  TACC_REQUIRE(is_router(router) && access.latency_ms > 0.0,
+               "a device takes one access link, to a router");
+  net_->hosts.attach(slot, router, access, position);
+  ++stats_.epoch;
 }
 
-void IncrementalDelayEngine::add_link(NodeId u, NodeId v, EdgeProps props) {
-  TACC_REQUIRE((is_router(u) || is_router(v)) &&
-                   (is_router(u) || net_->graph.degree(u) == 0) &&
-                   (is_router(v) || net_->graph.degree(v) == 0),
-               "a host takes one access link, to a router");
-  net_->graph.add_edge(u, v, props);
-  apply_mutation(0, u, v, kUnreachable, props.latency_ms);
-}
-
-bool IncrementalDelayEngine::remove_link(NodeId u, NodeId v) {
-  if (!net_->graph.remove_edge(u, v)) return false;
-  apply_mutation(1, u, v, kUnreachable, kUnreachable);
-  return true;
-}
-
-void IncrementalDelayEngine::release_node(NodeId node) {
-  // Peel the incident edges one at a time so each tree repair sees a graph
-  // consistent with its input; the node ends isolated and release_node()
-  // then only recycles the id.
-  while (!net_->graph.neighbors(node).empty()) {
-    const NodeId other = net_->graph.neighbors(node).front().to;
-    remove_link(node, other);
-  }
-  net_->release_node(node);
+void IncrementalDelayEngine::detach_host(std::size_t slot) {
+  net_->hosts.detach(slot);
+  ++stats_.epoch;
 }
 
 std::size_t IncrementalDelayEngine::drain_dirty(std::vector<NodeId>& out) {
@@ -185,24 +147,22 @@ void IncrementalDelayEngine::check_invariants(
                          "tree not sized to the routers");
   }
 
-  // Exactness spot-check vs a from-scratch no-relay Dijkstra through
-  // delay_ms(), so hosts are covered too; rotated by epoch so repeated
-  // calls (e.g. sampled bench epochs) sweep across servers.
+  // Exactness spot-check vs a from-scratch no-relay Dijkstra; rotated by
+  // epoch so repeated calls (e.g. sampled bench epochs) sweep across
+  // servers.
   const std::size_t checks = std::min(spot_check_trees, trees_.size());
   for (std::size_t k = 0; k < checks; ++k) {
     const std::size_t j =
         (static_cast<std::size_t>(stats_.epoch) + k) % trees_.size();
     const ShortestPathTree reference =
         dijkstra(net_->graph, net_->edge_nodes[j], router_count_);
-    for (NodeId node = 0; node < net_->graph.node_count(); ++node) {
-      const double expected = reference.distance_ms[node];
-      const double actual = delay_ms(j, node);
+    for (NodeId router = 0; router < router_count_; ++router) {
       // Bitwise agreement (inf == inf, so unreachable matches too).
       TACC_CHECK_INVARIANT(
-          actual == expected,
+          delay_ms(j, router) == reference.distance_ms[router],
           "server " + std::to_string(j) +
-              " delay diverged from Dijkstra at node " +
-              std::to_string(node));
+              " delay diverged from Dijkstra at router " +
+              std::to_string(router));
     }
   }
 }

@@ -2,37 +2,27 @@
 // with in-place mutations of a live NetworkTopology.
 //
 // The engine owns the mutation path: callers fail/restore/reweight backbone
-// links and attach/detach device nodes through it, and it forwards each
+// links and attach/detach devices through it, and it forwards each link
 // change to every server tree (cost O(affected region) per tree, not a full
-// recompute). Keys whose server distances a repair moved accumulate in a
+// recompute). Routers whose server distances a repair moved accumulate in a
 // dirty set that the delay oracle (topology/oracle/) drains to refresh
-// exactly the rows that moved. Distances read through delay_ms()/delay_row()
-// are bit-identical to a from-scratch compute_delay_matrix() at every epoch
-// (see dynamic_sssp.hpp).
+// exactly the key rows that moved. Distances read through delay_ms() and
+// delay_row() are bit-identical to a from-scratch no-relay Dijkstra at
+// every epoch (see dynamic_sssp.hpp).
 //
 // Hosts never relay. The paper's delay graph has devices at its leaves and
 // relay nodes (routers) inside it, so the engine's trees hold routers only
-// (the id prefix [0, router_count())). Every other node, IoT device or
-// edge server, is a host: a leaf with one access link, to a router, whose
-// delay to server j is dist_j(router) + w (0 at server j itself). A device
-// reads through its access router (read_through()), so its delay is
-// dist_j(anchor) + w, exactly what a tree would store. A backbone repair
-// therefore settles and heap-orders routers only, and attaching, detaching
-// or reweighting a device's access link touches no tree at all; only a
-// server's own access link moves its own tree.
-//
-// The dirty set holds exactly the routers a repair moved. A device's served
-// delay moves with its anchor's key row; a consumer that keys rows by
-// read_through() (the delay oracle) learns of it through the router, so a
-// link event costs O(moved routers x servers) however many devices hang off
-// the moved routers.
-//
-// A host's own link is its owner's business: adding, removing or
-// reweighting it moves that host's delay (and may change what it reads
-// through) without dirtying anything, since no other node's delay moves
-// with it. Whoever changes a host's link rebinds that host's delay row
-// afterwards (DelayOracle::bind_row), as DynamicCluster does on every
-// join, move and leave. A server's access link still repairs the server's
+// (the id prefix [0, router_count())). An IoT device is no graph node at
+// all: it is a host-table slot naming its anchor router and access link,
+// and its delay to server j is delay_ms(j, anchor) + access latency, which
+// its consumer (the delay oracle) adds. Attaching or detaching a device is
+// a host-table write that touches no tree and dirties nothing; whoever
+// makes it rebinds the device's delay row afterwards (DelayOracle::
+// bind_row), as DynamicCluster does on every join, move and leave. A
+// backbone repair therefore settles and heap-orders routers only, and a
+// link event costs O(moved routers x servers) however many devices hang
+// off the moved routers. Edge servers stay graph nodes, since each tree
+// seeds from its server's access link; a server's access link moves its
 // own tree, and the routers that repair moves are dirtied as usual.
 #pragma once
 
@@ -50,19 +40,12 @@ namespace tacc::topo::incr {
 struct EngineStats {
   std::uint64_t epoch = 0;
   std::uint64_t link_updates = 0;    ///< fail/restore/set_latency calls
-  /// Σ per-tree affected-region sizes: routers examined, so hosts (and
-  /// device access-link events) count nothing.
+  /// Σ per-tree affected-region sizes: routers examined, so device churn
+  /// counts nothing.
   std::uint64_t nodes_affected = 0;
-  /// Full-recompute node visits avoided (a full recompute settles every
-  /// router once per tree; hosts are never settled).
+  /// Full-recompute node visits avoided by link updates (a full recompute
+  /// settles every router once per tree).
   std::uint64_t nodes_saved = 0;
-};
-
-/// The node a node's delays read through, and the latency added to that
-/// node's delays: see IncrementalDelayEngine::read_through().
-struct ReadThrough {
-  NodeId node = kInvalidNode;
-  double latency_ms = 0.0;
 };
 
 class IncrementalDelayEngine {
@@ -79,19 +62,13 @@ class IncrementalDelayEngine {
     return trees_.size();
   }
   /// Delay (ms) from edge server `server` (index into net.edge_nodes) to
-  /// any graph node; kUnreachable if disconnected.
-  [[nodiscard]] double delay_ms(std::size_t server, NodeId node) const {
-    return trees_[server].delay_ms(net_->graph, node);
+  /// router `router`; kUnreachable if disconnected.
+  [[nodiscard]] double delay_ms(std::size_t server, NodeId router) const {
+    return trees_[server].distance_ms(router);
   }
-  /// delay_ms(j, node) for every server j into `out` (size server_count()),
-  /// resolving a device's anchor once for the whole row.
-  void delay_row(NodeId node, std::span<double> out) const;
-  /// An IoT device with its access link (to a router) reads through that
-  /// anchor router at its access latency; any other node reads through
-  /// itself at latency 0. delay_ms(j, node) equals
-  /// delay_ms(j, through.node) + through.latency_ms bitwise, since adding
-  /// +0.0 to a non-negative distance changes no bit.
-  [[nodiscard]] ReadThrough read_through(NodeId node) const;
+  /// delay_ms(j, router) for every server j into `out` (size
+  /// server_count()): a device's key row, to which it adds its latency.
+  void delay_row(NodeId router, std::span<double> out) const;
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return stats_.epoch; }
 
@@ -104,22 +81,17 @@ class IncrementalDelayEngine {
   EdgeProps set_link_latency(NodeId u, NodeId v, double latency_ms);
 
   // ---- Device churn (joins / moves / leaves) -------------------------------
-  /// NetworkTopology::acquire_node for a host (`kind` is not kRouter); the
-  /// node starts isolated.
-  NodeId acquire_node(Point2D pos, NodeKind kind);
-  /// Graph::add_edge + incremental tree repair. Requires a router endpoint
-  /// and no link yet at a host endpoint: a host has one access link.
-  void add_link(NodeId u, NodeId v, EdgeProps props);
-  /// Graph::remove_edge + incremental tree repair. False if no such edge.
-  bool remove_link(NodeId u, NodeId v);
-  /// Removes every incident edge (repairing trees per edge), then returns
-  /// the node to the topology's free list.
-  void release_node(NodeId node);
+  /// HostTable::attach of device `slot` to `router` (appending the slot
+  /// when it is the table's size). No tree moves and nothing is dirtied,
+  /// but the epoch advances: the device's delays changed.
+  void attach_host(std::size_t slot, NodeId router, EdgeProps access,
+                   Point2D position);
+  /// HostTable::detach of device `slot`; advances the epoch likewise.
+  void detach_host(std::size_t slot);
 
   // ---- Dirty set -----------------------------------------------------------
-  /// Routers a tree repair moved since the last drain. A device is never
-  /// dirty; its anchor router is. A host whose own link changed dirties
-  /// nothing (see the preamble).
+  /// Routers a tree repair moved since the last drain. Device churn
+  /// dirties nothing (see the preamble).
   [[nodiscard]] std::size_t dirty_count() const noexcept {
     return dirty_.size();
   }
@@ -139,13 +111,12 @@ class IncrementalDelayEngine {
   ///  - dirty-set bookkeeping (dirty list and membership bitmap agree);
   ///  - exactness spot-check: up to `spot_check_trees` servers (rotated by
   ///    epoch so successive calls cover different servers) have delay_ms()
-  ///    of every node, hosts included, compared bit-for-bit against a
-  ///    from-scratch no-relay Dijkstra on the live graph — the
-  ///    Ramalingam–Reps-style repair must be indistinguishable from a full
-  ///    recompute.
-  /// A host whose own link changed is nobody's pending notification here:
-  /// its row's owner rebinds it, and DelayOracle::check_invariants catches
-  /// a forgotten rebind. Cold path (each spot check is one Dijkstra); for
+  ///    of every router compared bit-for-bit against a from-scratch
+  ///    no-relay Dijkstra on the live graph — the Ramalingam–Reps-style
+  ///    repair must be indistinguishable from a full recompute.
+  /// A device that moved is nobody's pending notification here: its row's
+  /// owner rebinds it, and DelayOracle::check_invariants catches a
+  /// forgotten rebind. Cold path (each spot check is one Dijkstra); for
   /// tests and sampled bench epochs.
   void check_invariants(std::size_t spot_check_trees = 1) const;
 

@@ -1,6 +1,5 @@
 #include "topology/network.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 
@@ -9,16 +8,29 @@
 
 namespace tacc::topo {
 
-NodeId NetworkTopology::acquire_node(Point2D pos, NodeKind kind) {
-  const NodeId node = graph.acquire_node(role_of(kind));
-  if (node == positions.size()) {
-    positions.push_back(pos);
-    kinds.push_back(kind);
-  } else {
-    positions[node] = pos;
-    kinds[node] = kind;
+void HostTable::attach(std::size_t slot, NodeId router, EdgeProps link,
+                       Point2D pos) {
+  if (slot == anchor.size()) {
+    anchor.push_back(router);
+    access.push_back(link);
+    position.push_back(pos);
+    return;
   }
-  return node;
+  anchor.at(slot) = router;
+  access[slot] = link;
+  position[slot] = pos;
+}
+
+void HostTable::reserve(std::size_t slots) {
+  anchor.reserve(slots);
+  access.reserve(slots);
+  position.reserve(slots);
+}
+
+std::size_t HostTable::resident_bytes() const noexcept {
+  return anchor.capacity() * sizeof(NodeId) +
+         access.capacity() * sizeof(EdgeProps) +
+         position.capacity() * sizeof(Point2D);
 }
 
 namespace {
@@ -83,35 +95,28 @@ void NetworkTopology::check_invariants() const {
   graph.check_invariants();
   TACC_CHECK_INVARIANT(positions.size() == graph.node_count(),
                        "positions must cover every graph node");
-  TACC_CHECK_INVARIANT(kinds.size() == graph.node_count(),
-                       "kinds must cover every graph node");
-  TACC_CHECK_INVARIANT(
-      std::count(kinds.begin(), kinds.end(), NodeKind::kRouter) ==
-          static_cast<std::ptrdiff_t>(router_count()),
-      "routers must be the id prefix of the graph");
-  for (NodeId node = 0; node < graph.node_count(); ++node) {
-    TACC_CHECK_INVARIANT(
-        graph.is_leaf(node) == (kinds[node] == NodeKind::kIotDevice),
-        "graph leaf flag disagrees with the node kind: " +
-            std::to_string(node));
+  TACC_CHECK_INVARIANT(edge_nodes.size() <= graph.node_count(),
+                       "more edge servers than graph nodes");
+  const std::size_t routers = router_count();
+  for (std::size_t j = 0; j < edge_nodes.size(); ++j) {
+    TACC_CHECK_INVARIANT(edge_nodes[j] == routers + j,
+                         "edge servers must be the graph's id suffix, in "
+                         "order: server " +
+                             std::to_string(j));
   }
 
-  for (const NodeId node : edge_nodes) {
-    TACC_CHECK_INVARIANT(node < graph.node_count(),
-                         "edge server node out of range");
-    TACC_CHECK_INVARIANT(!graph.node_released(node),
-                         "edge server node is on the free list");
-    TACC_CHECK_INVARIANT(kinds[node] == NodeKind::kEdgeServer,
-                         "edge server node has the wrong kind");
-  }
-  for (const NodeId node : iot_nodes) {
-    if (node == kInvalidNode) continue;  // detached device slot
-    TACC_CHECK_INVARIANT(node < graph.node_count(),
-                         "IoT device node out of range");
-    TACC_CHECK_INVARIANT(!graph.node_released(node),
-                         "IoT device node is on the free list");
-    TACC_CHECK_INVARIANT(kinds[node] == NodeKind::kIotDevice,
-                         "IoT device node has the wrong kind");
+  TACC_CHECK_INVARIANT(hosts.access.size() == hosts.size() &&
+                           hosts.position.size() == hosts.size(),
+                       "host table arrays must stay parallel");
+  for (std::size_t slot = 0; slot < hosts.size(); ++slot) {
+    if (!hosts.attached(slot)) continue;
+    TACC_CHECK_INVARIANT(hosts.anchor[slot] < routers,
+                         "device anchored off the routers: slot " +
+                             std::to_string(slot));
+    TACC_CHECK_INVARIANT(hosts.access[slot].latency_ms > 0.0,
+                         "device access link with non-positive latency: "
+                         "slot " +
+                             std::to_string(slot));
   }
 
   // Failed-link bookkeeping vs the live edge set. Pairs recorded more than
@@ -162,38 +167,47 @@ NetworkTopology build_network(const GeoGraph& infrastructure,
   NetworkTopology net;
   net.graph = infrastructure.graph;
   net.positions = infrastructure.positions;
-  net.kinds.assign(net.graph.node_count(), NodeKind::kRouter);
-
-  const auto attach = [&](Point2D pos, NodeKind kind, auto link_model) {
-    const NodeId node = net.graph.add_node(role_of(kind));
-    net.positions.push_back(pos);
-    net.kinds.push_back(kind);
-    const NearestRouter access = nearest_router(infrastructure.positions, pos);
-    net.graph.add_edge(node, access.router, link_model(access.distance_km));
-    return node;
-  };
   // Edge servers typically sit beside a router: wired attachment.
   for (const Point2D& pos : edge_positions) {
-    net.edge_nodes.push_back(
-        attach(pos, NodeKind::kEdgeServer, backbone_link));
+    const NodeId node = net.graph.add_node();
+    net.positions.push_back(pos);
+    const NearestRouter access = nearest_router(infrastructure.positions, pos);
+    net.graph.add_edge(node, access.router, backbone_link(access.distance_km));
+    net.edge_nodes.push_back(node);
   }
-  for (const Point2D& pos : iot_positions) {
-    net.iot_nodes.push_back(attach(pos, NodeKind::kIotDevice, access_link));
+  net.hosts.reserve(iot_positions.size());
+  for (std::size_t k = 0; k < iot_positions.size(); ++k) {
+    const NearestRouter access =
+        nearest_router(infrastructure.positions, iot_positions[k]);
+    net.hosts.attach(k, access.router, access_link(access.distance_km),
+                     iot_positions[k]);
   }
   return net;
 }
 
 DelayMatrix compute_delay_matrix(const NetworkTopology& net) {
-  DelayMatrix matrix(net.iot_count(), net.edge_count(), kUnreachable);
-  // One Dijkstra per edge server — the hot precomputation when building
-  // instances. Each tree fills its column and is dropped, so at most one
-  // is alive.
-  for (std::size_t j = 0; j < net.edge_count(); ++j) {
+  const std::size_t routers = net.router_count();
+  const std::size_t servers = net.edge_count();
+  // One no-relay Dijkstra per edge server — the hot precomputation when
+  // building instances — kept as router-major columns: router r's delays
+  // to every server at [r * servers, (r + 1) * servers).
+  std::vector<double> columns(routers * servers);
+  for (std::size_t j = 0; j < servers; ++j) {
     const ShortestPathTree tree =
-        dijkstra(net.graph, net.edge_nodes[j], net.router_count());
-    for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      matrix.set(i, j, tree.distance_ms[net.iot_nodes[i]]);
+        dijkstra(net.graph, net.edge_nodes[j], routers);
+    for (std::size_t r = 0; r < routers; ++r) {
+      columns[r * servers + j] = tree.distance_ms[r];
     }
+  }
+  // A device's entry is the sum the no-relay Dijkstra relaxes into it from
+  // its anchor, so the matrix is bit-identical to a tree that holds it.
+  DelayMatrix matrix(net.iot_count(), servers, kUnreachable);
+  for (std::size_t i = 0; i < net.iot_count(); ++i) {
+    if (!net.hosts.attached(i)) continue;
+    const double latency = net.hosts.access[i].latency_ms;
+    const double* column = &columns[net.hosts.anchor[i] * servers];
+    const std::span<double> row = matrix.row(i);
+    for (std::size_t j = 0; j < servers; ++j) row[j] = column[j] + latency;
   }
   return matrix;
 }

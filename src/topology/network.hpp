@@ -1,8 +1,17 @@
-// The deployed network: infrastructure graph plus attached IoT devices and
-// edge servers, and the topology-aware delay matrix derived from it.
+// The deployed network: the router graph with its edge servers, the IoT
+// devices in a flat host table beside it, and the topology-aware delay
+// matrix derived from them.
+//
+// In the paper's model only routers relay: the delay from device i to
+// server j is a shortest path whose inner nodes are routers. Every device
+// hangs off one anchor router through its access link, so that delay is
+// dist_j(anchor(i)) + latency_i, and a device needs no graph node at all.
+// The graph holds the routers (the id prefix [0, router_count())) and then
+// the edge servers, which stay nodes because each server's tree seeds from
+// its own access link. The devices live in HostTable, slot k holding device
+// k, and joining, moving or leaving writes one slot.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
@@ -14,14 +23,6 @@
 #include "topology/graph.hpp"
 
 namespace tacc::topo {
-
-enum class NodeKind : std::uint8_t { kRouter, kIotDevice, kEdgeServer };
-
-/// IoT devices are the graph's leaves; routers and edge servers are relays
-/// (an edge server's trees seed from its own link).
-[[nodiscard]] constexpr NodeRole role_of(NodeKind kind) noexcept {
-  return kind == NodeKind::kIotDevice ? NodeRole::kLeaf : NodeRole::kRelay;
-}
 
 /// Dense row-major matrix of IoT→edge values (delay in ms, or hop counts).
 class DelayMatrix {
@@ -48,6 +49,10 @@ class DelayMatrix {
     if (iot >= rows_) throw std::out_of_range("DelayMatrix row out of range");
     return {data_.data() + iot * cols_, cols_};
   }
+  [[nodiscard]] std::span<double> row(std::size_t iot) {
+    if (iot >= rows_) throw std::out_of_range("DelayMatrix row out of range");
+    return {data_.data() + iot * cols_, cols_};
+  }
 
  private:
   void check(std::size_t iot, std::size_t edge) const {
@@ -69,45 +74,54 @@ struct FailedLink {
   EdgeProps props;
 };
 
-/// Infrastructure + devices. IoT device k lives at graph node iot_nodes[k];
-/// edge server j at edge_nodes[j].
+/// The IoT devices, off the graph, as a struct of arrays: slot k is device
+/// k. An attached slot names its anchor router and its access link to it; a
+/// detached slot's anchor is kInvalidNode.
+struct HostTable {
+  std::vector<NodeId> anchor;     ///< per slot: access router
+  std::vector<EdgeProps> access;  ///< per slot: the access link
+  std::vector<Point2D> position;  ///< per slot
+
+  [[nodiscard]] std::size_t size() const noexcept { return anchor.size(); }
+  [[nodiscard]] bool attached(std::size_t slot) const noexcept {
+    return slot < anchor.size() && anchor[slot] != kInvalidNode;
+  }
+  /// Attaches `slot` (appending it when slot == size()) to `router`.
+  void attach(std::size_t slot, NodeId router, EdgeProps link, Point2D pos);
+  /// Marks `slot` detached; its storage is reused by the next attach.
+  void detach(std::size_t slot) { anchor.at(slot) = kInvalidNode; }
+  void reserve(std::size_t slots);
+  /// Bytes held by the three arrays (their capacities).
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+};
+
+/// The router graph, its edge servers and the devices. Edge server j is
+/// graph node edge_nodes[j]; IoT device k is host slot k.
 struct NetworkTopology {
-  Graph graph;
+  Graph graph;  ///< routers [0, router_count()), then the edge servers
   std::vector<Point2D> positions;  ///< per graph node
-  std::vector<NodeKind> kinds;     ///< per graph node
-  std::vector<NodeId> iot_nodes;   ///< device index → node id
   std::vector<NodeId> edge_nodes;  ///< server index → node id
+  HostTable hosts;                 ///< device index → host slot
   std::vector<FailedLink> failed_links;  ///< links failed in place
 
   [[nodiscard]] std::size_t iot_count() const noexcept {
-    return iot_nodes.size();
+    return hosts.size();
   }
   [[nodiscard]] std::size_t edge_count() const noexcept {
     return edge_nodes.size();
   }
   [[nodiscard]] Point2D iot_position(std::size_t device) const {
-    return positions.at(iot_nodes.at(device));
+    return hosts.position.at(device);
   }
   [[nodiscard]] Point2D edge_position(std::size_t server) const {
     return positions.at(edge_nodes.at(server));
   }
-  /// Routers are the id prefix [0, router_count()): build_network adds them
-  /// first, and only device ids are ever recycled. Every other node is a
-  /// host (an IoT device or an edge server), which never relays traffic:
-  /// pass this as dijkstra()'s `relays`.
+  /// Routers are the id prefix [0, router_count()): build_network adds the
+  /// edge servers after them. Servers never relay traffic: pass this as
+  /// dijkstra()'s `relays`.
   [[nodiscard]] std::size_t router_count() const noexcept {
-    return static_cast<std::size_t>(
-        std::find_if(kinds.begin(), kinds.end(),
-                     [](NodeKind kind) { return kind != NodeKind::kRouter; }) -
-        kinds.begin());
+    return graph.node_count() - edge_nodes.size();
   }
-
-  /// Acquires a graph node (recycling a released one when available) and
-  /// records its position/kind. Callers wire the access links themselves.
-  NodeId acquire_node(Point2D pos, NodeKind kind);
-  /// Drops `node`'s access links and returns it to the graph's free list;
-  /// its position/kind slots are reused by the next acquire_node().
-  void release_node(NodeId node) { graph.release_node(node); }
 
   // ---- In-place link mutation (live topology churn) -----------------------
   // These mutate THIS network instead of copying it. Callers that maintain
@@ -131,11 +145,10 @@ struct NetworkTopology {
 
   /// Deep validation, reported through the contracts failure handler:
   ///  - graph.check_invariants();
-  ///  - positions/kinds cover every graph node, the routers are exactly
-  ///    the id prefix [0, router_count()), and the graph's leaves are
-  ///    exactly the IoT devices;
-  ///  - edge_nodes are live kEdgeServer nodes; iot_nodes are live
-  ///    kIotDevice nodes (kInvalidNode marks a detached device slot);
+  ///  - positions cover every graph node, and edge_nodes are the graph's
+  ///    id suffix after the routers, in order;
+  ///  - the host table's arrays stay parallel, and every attached slot
+  ///    anchors at a router through a positive-latency access link;
   ///  - failed-link bookkeeping matches the edge set: a recorded failed
   ///    link must NOT be present as a live edge (else restore_link would
   ///    double it), its endpoints must be valid, and its saved properties
@@ -158,16 +171,18 @@ struct NearestRouter {
     std::span<const Point2D> router_positions, Point2D point);
 
 /// Gives every server and device one access link, to its nearest router
-/// (nearest_router()): servers a wired link, devices a wireless one.
-/// Requires non-empty infra and at least one position in each span.
+/// (nearest_router()): servers a wired link as a graph node, devices a
+/// wireless one in the host table. Requires non-empty infra and at least
+/// one position in each span.
 [[nodiscard]] NetworkTopology build_network(
     const GeoGraph& infrastructure, std::span<const Point2D> iot_positions,
     std::span<const Point2D> edge_positions);
 
 /// Shortest-path delay (ms) from every IoT device to every edge server,
-/// over paths that only routers relay (the no-relay model of dijkstra()).
-/// Runs one Dijkstra per edge server (m << n in practice), one tree alive
-/// at a time.
+/// over paths that only routers relay (the no-relay model of dijkstra()):
+/// dist_j(anchor) + access latency, kUnreachable for a detached slot.
+/// Runs one Dijkstra per edge server (m << n in practice) into router-major
+/// columns, then fills each device row from its anchor's column.
 [[nodiscard]] DelayMatrix compute_delay_matrix(const NetworkTopology& net);
 
 /// Straight-line distances (km); the *topology-oblivious* cost used by the

@@ -17,8 +17,7 @@ DelayOracle::DelayOracle(incr::IncrementalDelayEngine& engine)
 
 const std::vector<double>& DelayOracle::row(std::size_t row) const {
   stats_.queries += width_;
-  TACC_REQUIRE(row < nodes_.size() && nodes_[row] != kInvalidNode,
-               "reading an unbound oracle row");
+  TACC_REQUIRE(row_bound(row), "reading an unbound oracle row");
   row_scratch_.resize(width_);
   for (std::size_t j = 0; j < width_; ++j) row_scratch_[j] = value(row, j);
   return row_scratch_;
@@ -61,18 +60,19 @@ void DelayOracle::fill_key(std::uint32_t key) {
   entry.pass = pass_;
 }
 
-void DelayOracle::resolve_row(std::size_t row, NodeId node) {
-  const incr::ReadThrough through = engine_->read_through(node);
-  if (through.node >= key_of_node_.size()) {
+void DelayOracle::resolve_row(std::size_t row) {
+  const HostTable& hosts = engine_->network().hosts;
+  if (!hosts.attached(row)) {
     throw std::invalid_argument(
-        "DelayOracle: a bound row must read through a router");
+        "DelayOracle: a bound row needs an attached host slot");
   }
-  row_latency_[row] = through.latency_ms;
+  const NodeId anchor = hosts.anchor[row];
+  row_latency_[row] = hosts.access[row].latency_ms;
   const std::uint32_t old = row_key_[row];
-  if (old != kNoKey && keys_[old].node == through.node) return;
+  if (old != kNoKey && keys_[old].node == anchor) return;
   // Acquire before releasing, so a key row shared with the old key is never
   // freed and refilled in between.
-  row_key_[row] = acquire_key(through.node);
+  row_key_[row] = acquire_key(anchor);
   row_offset_[row] = std::size_t{row_key_[row]} * width_;
   if (old != kNoKey) release_key(old);
 }
@@ -83,17 +83,16 @@ void DelayOracle::move_key(std::uint32_t key) {
   moved_keys_.push_back(key);
 }
 
-void DelayOracle::bind_row(std::size_t row, NodeId node) {
-  if (row >= nodes_.size()) {
-    nodes_.resize(row + 1, kInvalidNode);
+void DelayOracle::bind_row(std::size_t row) {
+  if (row >= row_key_.size()) {
     epochs_.resize(row + 1, 0);
     row_key_.resize(row + 1, kNoKey);
     row_offset_.resize(row + 1, 0);
     row_latency_.resize(row + 1, 0.0);
   }
-  resolve_row(row, node);
-  if (nodes_[row] == kInvalidNode) ++bound_;
-  nodes_[row] = node;
+  const bool was_bound = row_bound(row);
+  resolve_row(row);
+  if (!was_bound) ++bound_;
   Key& key = keys_[row_key_[row]];
   if (key.pass == 0) {  // a fresh key: its first fill
     fill_key(row_key_[row]);
@@ -116,8 +115,7 @@ void DelayOracle::bind_row(std::size_t row, NodeId node) {
 }
 
 void DelayOracle::unbind_row(std::size_t row) {
-  if (row >= nodes_.size() || nodes_[row] == kInvalidNode) return;
-  nodes_[row] = kInvalidNode;
+  if (!row_bound(row)) return;
   --bound_;
   release_key(row_key_[row]);
   row_key_[row] = kNoKey;
@@ -148,9 +146,9 @@ void DelayOracle::refresh_all() {
   drain();
   ++pass_;
   moved_keys_.clear();
-  for (std::size_t row = 0; row < nodes_.size(); ++row) {
-    if (nodes_[row] == kInvalidNode) continue;
-    resolve_row(row, nodes_[row]);
+  for (std::size_t row = 0; row < row_key_.size(); ++row) {
+    if (!row_bound(row)) continue;
+    resolve_row(row);
     if (keys_[row_key_[row]].moved != pass_) move_key(row_key_[row]);
   }
   rows_refreshed_ += bound_;
@@ -168,10 +166,13 @@ std::uint64_t DelayOracle::fingerprint() const {
   };
   mix(engine_->epoch());
   mix(static_cast<std::uint64_t>(bound_));
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i] == kInvalidNode) continue;
+  // A row is bound to its own host slot, which takes the device id after
+  // the graph's routers and servers.
+  const std::size_t first_device = engine_->network().graph.node_count();
+  for (std::size_t i = 0; i < row_key_.size(); ++i) {
+    if (!row_bound(i)) continue;
     mix(static_cast<std::uint64_t>(i));
-    mix(static_cast<std::uint64_t>(nodes_[i]));
+    mix(static_cast<std::uint64_t>(first_device + i));
     for (std::size_t j = 0; j < width_; ++j) {
       mix(std::bit_cast<std::uint64_t>(value(i, j)));
     }
@@ -180,9 +181,9 @@ std::uint64_t DelayOracle::fingerprint() const {
 }
 
 DelayMatrix DelayOracle::materialize() const {
-  DelayMatrix matrix(nodes_.size(), width_, kUnreachable);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i] == kInvalidNode) continue;
+  DelayMatrix matrix(row_key_.size(), width_, kUnreachable);
+  for (std::size_t i = 0; i < row_key_.size(); ++i) {
+    if (!row_bound(i)) continue;
     for (std::size_t j = 0; j < width_; ++j) matrix.set(i, j, value(i, j));
   }
   return matrix;
@@ -192,7 +193,7 @@ std::size_t DelayOracle::resident_bytes() const noexcept {
   return (row_scratch_.capacity() + fill_scratch_.capacity() +
           row_latency_.capacity() + key_values_.capacity()) *
              sizeof(double) +
-         (nodes_.capacity() + drain_scratch_.capacity()) * sizeof(NodeId) +
+         drain_scratch_.capacity() * sizeof(NodeId) +
          row_offset_.capacity() * sizeof(std::size_t) +
          epochs_.capacity() * sizeof(std::uint64_t) +
          (row_key_.capacity() + key_of_node_.capacity() +
@@ -203,27 +204,21 @@ std::size_t DelayOracle::resident_bytes() const noexcept {
 
 void DelayOracle::check_invariants() const {
   const std::uint64_t epoch = engine_->epoch();
-  TACC_CHECK_INVARIANT(epochs_.size() == nodes_.size() &&
-                           row_key_.size() == nodes_.size() &&
-                           row_offset_.size() == nodes_.size() &&
-                           row_latency_.size() == nodes_.size(),
-                       "row/node/epoch arrays must stay parallel");
+  TACC_CHECK_INVARIANT(epochs_.size() == row_key_.size() &&
+                           row_offset_.size() == row_key_.size() &&
+                           row_latency_.size() == row_key_.size(),
+                       "row key/epoch/latency arrays must stay parallel");
   TACC_CHECK_INVARIANT(key_values_.size() == keys_.size() * width_,
                        "every key needs one full-width row");
 
   std::size_t bound_seen = 0;
   std::vector<std::uint32_t> refs(keys_.size(), 0);
-  for (std::size_t row = 0; row < nodes_.size(); ++row) {
-    const NodeId node = nodes_[row];
+  for (std::size_t row = 0; row < row_key_.size(); ++row) {
     const std::string where = "row " + std::to_string(row);
     TACC_CHECK_INVARIANT(epochs_[row] <= epoch,
                          "row stamped with an epoch from the future: " +
                              where);
-    if (node == kInvalidNode) {
-      TACC_CHECK_INVARIANT(row_key_[row] == kNoKey,
-                           "unbound row still holds a key: " + where);
-      continue;
-    }
+    if (!row_bound(row)) continue;
     ++bound_seen;
     const std::uint32_t key = row_key_[row];
     TACC_CHECK_INVARIANT(key < keys_.size() && keys_[key].refs != 0,
@@ -272,26 +267,32 @@ void DelayOracle::check_invariants() const {
                              std::to_string(node));
   }
 
-  for (std::size_t row = 0; row < nodes_.size(); ++row) {
-    const NodeId node = nodes_[row];
-    // Values that drifted from the engine's trees are only acceptable while
-    // the key is queued for the next refresh(); a node whose own links
-    // changed must have been rebound.
-    if (node == kInvalidNode || engine_->is_dirty(row_key(row))) continue;
-    const incr::ReadThrough through = engine_->read_through(node);
-    TACC_CHECK_INVARIANT(
-        row_key(row) == through.node &&
-            std::bit_cast<std::uint64_t>(row_latency_[row]) ==
-                std::bit_cast<std::uint64_t>(through.latency_ms),
-        "row not rebound after its node's links changed: row " +
-            std::to_string(row));
+  // Key rows that drifted from the engine's trees are only acceptable
+  // while the key is queued for the next refresh().
+  std::vector<double> want(width_);
+  for (std::size_t key = 0; key < keys_.size(); ++key) {
+    const NodeId router = keys_[key].node;
+    if (keys_[key].refs == 0 || engine_->is_dirty(router)) continue;
+    engine_->delay_row(router, want);
     for (std::size_t j = 0; j < width_; ++j) {
       TACC_CHECK_INVARIANT(
-          std::bit_cast<std::uint64_t>(value(row, j)) ==
-              std::bit_cast<std::uint64_t>(engine_->delay_ms(j, node)),
-          "stale cached delay with a clean dirty set: row " +
-              std::to_string(row) + ", server " + std::to_string(j));
+          std::bit_cast<std::uint64_t>(key_value(
+              static_cast<std::uint32_t>(key), j)) ==
+              std::bit_cast<std::uint64_t>(want[j]),
+          "stale key row with a clean dirty set: router " +
+              std::to_string(router) + ", server " + std::to_string(j));
     }
+  }
+  // A device that attached anew must have been rebound.
+  const HostTable& hosts = engine_->network().hosts;
+  for (std::size_t row = 0; row < row_key_.size(); ++row) {
+    if (!row_bound(row)) continue;
+    TACC_CHECK_INVARIANT(
+        hosts.attached(row) && row_key(row) == hosts.anchor[row] &&
+            std::bit_cast<std::uint64_t>(row_latency_[row]) ==
+                std::bit_cast<std::uint64_t>(hosts.access[row].latency_ms),
+        "row not rebound after its device attached anew: row " +
+            std::to_string(row));
   }
 }
 

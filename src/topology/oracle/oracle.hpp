@@ -7,21 +7,21 @@
 // (lint rule R7). It serves the paper's cost, the exact shortest-path delay,
 // bit-identical to the engine's trees.
 //
-// Rows are keyed by the router each device reads through
-// (IncrementalDelayEngine::read_through), its access router. Each key row
-// is stored once, contiguously, refcounted by the bound rows that read
-// through it, filled on bind and rewritten by refresh() for exactly the
-// engine's dirty routers. A bound row keeps only its key (and its offset),
-// its access latency and its bind epoch, and serves key_row[j] + latency —
-// the same double addition the engine serves a device with, so values stay
-// bit-identical while a link event rewrites one row per moved router and
-// touches no device's record at all.
+// Row i serves device slot i of the network's host table. Rows are keyed by
+// the slot's anchor router: each key row is stored once, contiguously,
+// refcounted by the bound rows that read it, filled on bind and rewritten
+// by refresh() for exactly the engine's dirty routers. A bound row keeps
+// only its key (and its offset), its access latency and its bind epoch, and
+// serves key_row[j] + latency — the sum a no-relay Dijkstra over a graph
+// holding the device would relax into it, so values stay bit-identical
+// while a link event rewrites one row per moved router and touches no
+// device's record at all.
 //
-// One owner per binding: what a row reads through changes only when its
-// node's own links change, and whoever changes them rebinds the row
-// (bind_row) right after, as DynamicCluster does on every join, move and
-// leave. The engine reports no such change, so refresh() follows key moves
-// only, and check_invariants() catches a forgotten rebind.
+// One owner per binding: a row's anchor and latency change only when its
+// device attaches anew, and whoever attaches it rebinds the row (bind_row)
+// right after, as DynamicCluster does on every join, move and leave. The
+// engine reports no such change, so refresh() follows key moves only, and
+// check_invariants() catches a forgotten rebind.
 //
 // Epochs: a bound row's epoch is the later of its bind epoch and its key
 // row's fill epoch. A served value never changes without its row's epoch
@@ -29,12 +29,11 @@
 // (old + w == new + w) still bumps that row's epoch (consumers use epochs
 // as a staleness signal only).
 //
-// Row contract: rows are bound to graph nodes, carry an epoch as above,
+// Row contract: rows are bound to host slots, carry an epoch as above,
 // refresh() drains the pending invalidations (the engine's dirty set), and
-// fingerprint() digests the epoch, the
-// bindings and every served value. row() returns a reference that lasts
-// until the next row() call on the same oracle: rows are materialized into
-// one scratch row.
+// fingerprint() digests the epoch, the bindings and every served value.
+// row() returns a reference that lasts until the next row() call on the
+// same oracle: rows are materialized into one scratch row.
 //
 // Thread safety: none. The oracle is owned by a DynamicCluster and shares
 // its external synchronization. row() writes the scratch row and every read
@@ -67,12 +66,13 @@ struct OracleStats {
 
 class DelayOracle {
  public:
-  /// The record each row keeps (node, epoch, key, key row offset, latency),
-  /// the part of resident_bytes() that grows with the rows rather than the
+  /// The record each row keeps (epoch, key, key row offset, latency), the
+  /// part of resident_bytes() that grows with the rows rather than the
   /// keys.
-  static constexpr std::size_t kRowBytes =
-      sizeof(NodeId) + sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-      sizeof(std::size_t) + sizeof(double);
+  static constexpr std::size_t kRowBytes = sizeof(std::uint64_t) +
+                                           sizeof(std::uint32_t) +
+                                           sizeof(std::size_t) +
+                                           sizeof(double);
 
   /// The engine must outlive the oracle.
   explicit DelayOracle(incr::IncrementalDelayEngine& engine);
@@ -82,23 +82,22 @@ class DelayOracle {
   [[nodiscard]] std::size_t server_count() const noexcept { return width_; }
 
   // ---- Row bindings ---------------------------------------------------------
-  /// Binds `row` (growing storage as needed) to `node`, rebinding in place
-  /// if the row was already bound, and stamps it with the fill epoch.
-  /// Throws std::invalid_argument, leaving every binding as it was, unless
-  /// `node` reads through a router: a device with its access link.
-  /// Resolves the node's key and fills the key row now, so the row serves
-  /// current values, and so do the other rows reading through that key; a
-  /// shared key row whose values did not move keeps its epoch.
-  void bind_row(std::size_t row, NodeId node);
-  /// Detaches `row` from its node and releases its key; a no-op if it was
-  /// not bound. A key row no row reads through is freed, and its allocation
-  /// is kept for the next key.
+  /// Binds `row` (growing storage as needed) to host slot `row`'s anchor
+  /// and access latency, rebinding in place if the row was already bound,
+  /// and stamps it with the fill epoch. Throws std::invalid_argument,
+  /// leaving every binding as it was, unless the slot is attached. Fills
+  /// the anchor's key row now, so the row serves current values, and so do
+  /// the other rows reading that key; a shared key row whose values did
+  /// not move keeps its epoch.
+  void bind_row(std::size_t row);
+  /// Unbinds `row` and releases its key; a no-op if it was not bound. A key
+  /// row no row reads is freed, and its allocation is kept for the next key.
   void unbind_row(std::size_t row);
-  [[nodiscard]] NodeId row_node(std::size_t row) const {
-    return nodes_.at(row);
+  [[nodiscard]] bool row_bound(std::size_t row) const noexcept {
+    return row < row_key_.size() && row_key_[row] != kNoKey;
   }
   [[nodiscard]] std::size_t row_count() const noexcept {
-    return nodes_.size();
+    return row_key_.size();
   }
   [[nodiscard]] std::size_t bound_count() const noexcept { return bound_; }
 
@@ -136,8 +135,7 @@ class DelayOracle {
   [[nodiscard]] std::uint64_t epoch() const { return engine_->epoch(); }
   /// The later of bound `row`'s bind epoch and its key row's fill epoch.
   [[nodiscard]] std::uint64_t row_epoch(std::size_t row) const {
-    TACC_REQUIRE(row < nodes_.size() && nodes_[row] != kInvalidNode,
-                 "reading the epoch of an unbound oracle row");
+    TACC_REQUIRE(row_bound(row), "reading the epoch of an unbound oracle row");
     return std::max(epochs_.at(row), keys_.at(row_key_.at(row)).epoch);
   }
 
@@ -151,7 +149,7 @@ class DelayOracle {
     ++stats_.queries;
     return key_value(row_key_[row], server);
   }
-  /// The router bound `row` reads through.
+  /// The router bound `row` reads: its slot's anchor when bound.
   [[nodiscard]] NodeId row_key(std::size_t row) const {
     return keys_.at(row_key_.at(row)).node;
   }
@@ -191,13 +189,12 @@ class DelayOracle {
   /// bindings, no row or key row is stamped past the engine epoch, every
   /// bound row reads through a live key, each key's refcount equals the
   /// rows reading through it, no key row is left without one, and
-  /// node->key is the inverse of key->node. Soundness: a bound row whose
-  /// values differ bitwise from the engine's delay_ms() must have its key
-  /// in the engine's dirty set (a refresh() would rewrite it) — otherwise
-  /// the oracle serves stale delays it believes are current, as it does
-  /// after a node's own link changed and its row was not rebound. Outside
-  /// that excuse each bound row also reads through its node's current key
-  /// and latency, so a forgotten rebind shows even where the values agree.
+  /// node->key is the inverse of key->node. Soundness: a key row that
+  /// differs bitwise from the engine's delay_row() must be in the engine's
+  /// dirty set (a refresh() would rewrite it) — otherwise the oracle serves
+  /// stale delays it believes are current. Outside that excuse each bound
+  /// row also reads its slot's current anchor and latency, so a forgotten
+  /// rebind after a device attached anew shows even where the values agree.
   void check_invariants() const;
 
  private:
@@ -218,10 +215,9 @@ class DelayOracle {
   [[nodiscard]] double value(std::size_t row, std::size_t column) const {
     return key_values_[row_offset_[row] + column] + row_latency_[row];
   }
-  /// Points `row` at the current key and latency of `node`, which it is
-  /// or is about to be bound to. Throws std::invalid_argument before any
-  /// change unless `node` reads through a router.
-  void resolve_row(std::size_t row, NodeId node);
+  /// Points `row` at its host slot's current anchor and latency. Throws
+  /// std::invalid_argument before any change unless the slot is attached.
+  void resolve_row(std::size_t row);
   std::uint32_t acquire_key(NodeId router);
   void release_key(std::uint32_t key);
   /// Fills `key`'s row unless this refresh pass already did.
@@ -233,7 +229,6 @@ class DelayOracle {
 
   incr::IncrementalDelayEngine* engine_;
   std::size_t width_;                     ///< values per row: the servers
-  std::vector<NodeId> nodes_;             ///< per row; kInvalidNode if unbound
   std::vector<std::uint64_t> epochs_;     ///< per row: bind epoch
   std::size_t bound_ = 0;
   // Per row, the key it reads through and the latency added to it.

@@ -48,37 +48,6 @@ ShortestPathTree dijkstra(const Graph& graph, NodeId source,
   return tree;
 }
 
-std::vector<std::uint32_t> bfs_hops(const Graph& graph, NodeId source) {
-  const std::size_t n = graph.node_count();
-  std::vector<std::uint32_t> hops(n, kUnreachableHops);
-  if (source >= n) return hops;
-  std::queue<NodeId> frontier;
-  hops[source] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId node = frontier.front();
-    frontier.pop();
-    for (const Adjacency& adj : graph.neighbors(node)) {
-      if (hops[adj.to] == kUnreachableHops) {
-        hops[adj.to] = hops[node] + 1;
-        frontier.push(adj.to);
-      }
-    }
-  }
-  return hops;
-}
-
-std::vector<std::vector<double>> all_pairs_distances(const Graph& graph) {
-  std::vector<NodeId> sources(graph.node_count());
-  for (NodeId s = 0; s < sources.size(); ++s) sources[s] = s;
-  std::vector<ShortestPathTree> trees = dijkstra_fan_out(graph, sources);
-  std::vector<std::vector<double>> result(trees.size());
-  for (std::size_t s = 0; s < trees.size(); ++s) {
-    result[s] = std::move(trees[s].distance_ms);
-  }
-  return result;
-}
-
 std::vector<ShortestPathTree> dijkstra_fan_out(const Graph& graph,
                                                std::span<const NodeId> sources,
                                                std::size_t relays) {
@@ -113,19 +82,18 @@ std::vector<std::vector<double>> floyd_warshall(const Graph& graph) {
 }
 
 bool is_connected(const Graph& graph) {
-  if (graph.node_count() == 0) return true;
-  const auto hops = bfs_hops(graph, 0);
-  return std::none_of(hops.begin(), hops.end(), [](std::uint32_t h) {
-    return h == kUnreachableHops;
-  });
+  const auto labels = connected_components(graph);
+  return std::all_of(labels.begin(), labels.end(),
+                     [](std::uint32_t label) { return label == 0; });
 }
 
 std::vector<std::uint32_t> connected_components(const Graph& graph) {
+  constexpr std::uint32_t kUnlabelled = static_cast<std::uint32_t>(-1);
   const std::size_t n = graph.node_count();
-  std::vector<std::uint32_t> label(n, kUnreachableHops);
+  std::vector<std::uint32_t> label(n, kUnlabelled);
   std::uint32_t next_label = 0;
   for (NodeId start = 0; start < n; ++start) {
-    if (label[start] != kUnreachableHops) continue;
+    if (label[start] != kUnlabelled) continue;
     std::queue<NodeId> frontier;
     label[start] = next_label;
     frontier.push(start);
@@ -133,7 +101,7 @@ std::vector<std::uint32_t> connected_components(const Graph& graph) {
       const NodeId node = frontier.front();
       frontier.pop();
       for (const Adjacency& adj : graph.neighbors(node)) {
-        if (label[adj.to] == kUnreachableHops) {
+        if (label[adj.to] == kUnlabelled) {
           label[adj.to] = next_label;
           frontier.push(adj.to);
         }

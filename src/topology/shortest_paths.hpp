@@ -36,18 +36,6 @@ constexpr std::size_t kEveryNodeRelays =
     const Graph& graph, NodeId source,
     std::size_t relays = kEveryNodeRelays);
 
-/// Hop counts (BFS), ignoring latencies. SIZE_MAX-like sentinel via
-/// kUnreachableHops for disconnected nodes.
-constexpr std::uint32_t kUnreachableHops =
-    std::numeric_limits<std::uint32_t>::max();
-[[nodiscard]] std::vector<std::uint32_t> bfs_hops(const Graph& graph,
-                                                  NodeId source);
-
-/// All-pairs distances via repeated Dijkstra; row-major [source][target].
-/// Intended for tests and small graphs (O(V·E log V)).
-[[nodiscard]] std::vector<std::vector<double>> all_pairs_distances(
-    const Graph& graph);
-
 /// Runs dijkstra() from every node in `sources` with the same `relays`;
 /// result[k] corresponds to sources[k]. This is the hot precomputation
 /// path when building delay matrices.
@@ -63,7 +51,8 @@ constexpr std::uint32_t kUnreachableHops =
 /// True iff every node is reachable from node 0 (or graph is empty).
 [[nodiscard]] bool is_connected(const Graph& graph);
 
-/// Connected components as a label per node (labels are dense from 0).
+/// Connected components as a label per node (labels are dense from 0, in
+/// order of each component's lowest id).
 [[nodiscard]] std::vector<std::uint32_t> connected_components(
     const Graph& graph);
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -10,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "tests/host_graph.hpp"
+#include "tests/reference_dijkstra.hpp"
 #include "topology/failures.hpp"
 #include "topology/oracle/config.hpp"
 #include "util/contracts.hpp"
@@ -99,33 +104,38 @@ TEST(DynamicCluster, DoubleLeaveThrows) {
   EXPECT_THROW((void)cluster.server_of(index), std::invalid_argument);
 }
 
+// A device's place in the network is its host-table slot: leave detaches
+// it and the next join reuses it, and the router graph never changes.
 TEST(DynamicCluster, LeaveRecyclesSlotAndGraphNode) {
   DynamicCluster cluster = make_cluster(5);
+  const topo::HostTable& hosts = cluster.network().hosts;
   const std::size_t slots = cluster.device_slot_count();
-  const std::size_t nodes = cluster.graph_node_count();
+  const std::size_t nodes = cluster.network().graph.node_count();
   const std::size_t index = cluster.join(test_device(0.5, 0.5)).device_index;
   EXPECT_EQ(cluster.device_slot_count(), slots + 1);
-  EXPECT_EQ(cluster.graph_node_count(), nodes + 1);
+  EXPECT_EQ(hosts.size(), slots + 1);
   cluster.leave(index);
   EXPECT_EQ(cluster.free_slot_count(), 1u);
-  EXPECT_EQ(cluster.live_graph_node_count(), nodes);
-  // The next join reuses the departed slot and node: no growth.
+  EXPECT_FALSE(hosts.attached(index));
+  // The next join reuses the departed slot: no growth.
   const JoinResult joined = cluster.join(test_device(3.0, 3.0));
   EXPECT_EQ(joined.device_index, index);
+  EXPECT_TRUE(hosts.attached(index));
   EXPECT_EQ(cluster.device_slot_count(), slots + 1);
-  EXPECT_EQ(cluster.graph_node_count(), nodes + 1);
+  EXPECT_EQ(hosts.size(), slots + 1);
   EXPECT_EQ(cluster.free_slot_count(), 0u);
+  EXPECT_EQ(cluster.network().graph.node_count(), nodes);
 }
 
 TEST(DynamicCluster, ChurnLeakRegression) {
-  // N join/leave/move cycles must leave slot, row, and node storage exactly
-  // at baseline — the old implementation leaked one node + access edge +
-  // delay row per move.
+  // N join/leave/move cycles must leave slot, row, and host-table storage
+  // exactly at baseline — an early implementation leaked one node + access
+  // edge + delay row per move.
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
   DynamicCluster cluster = make_cluster(6);
   util::Rng rng(99);
   const std::size_t slots = cluster.device_slot_count();
-  const std::size_t nodes = cluster.graph_node_count();
+  const std::size_t nodes = cluster.network().graph.node_count();
   for (int cycle = 0; cycle < 50; ++cycle) {
     const std::size_t index =
         cluster
@@ -138,8 +148,9 @@ TEST(DynamicCluster, ChurnLeakRegression) {
     }
     cluster.leave(index);
     EXPECT_EQ(cluster.device_slot_count(), slots + 1);
-    EXPECT_EQ(cluster.graph_node_count(), nodes + 1);
-    EXPECT_EQ(cluster.live_graph_node_count(), nodes);
+    EXPECT_EQ(cluster.network().hosts.size(), slots + 1);
+    EXPECT_FALSE(cluster.network().hosts.attached(index));
+    EXPECT_EQ(cluster.network().graph.node_count(), nodes);
     if (cycle % 10 == 0) cluster.check_invariants();
   }
   EXPECT_EQ(cluster.free_slot_count(), 1u);
@@ -235,7 +246,7 @@ TEST(DynamicCluster, RejectsNonFiniteDeviceBeforeTouchingState) {
   const std::size_t active = cluster.active_count();
   const std::size_t slots = cluster.device_slot_count();
   const std::size_t free_slots = cluster.free_slot_count();
-  const std::size_t live_nodes = cluster.live_graph_node_count();
+  const std::size_t host_slots = cluster.network().hosts.size();
   const double avg_delay = cluster.avg_delay_ms();
   const std::size_t server = cluster.server_of(0);
   const auto expect_unchanged = [&](const char* call) {
@@ -243,7 +254,7 @@ TEST(DynamicCluster, RejectsNonFiniteDeviceBeforeTouchingState) {
     EXPECT_EQ(cluster.active_count(), active);
     EXPECT_EQ(cluster.device_slot_count(), slots);
     EXPECT_EQ(cluster.free_slot_count(), free_slots);
-    EXPECT_EQ(cluster.live_graph_node_count(), live_nodes);
+    EXPECT_EQ(cluster.network().hosts.size(), host_slots);
     EXPECT_EQ(cluster.avg_delay_ms(), avg_delay);
     EXPECT_EQ(cluster.server_of(0), server);
     EXPECT_NO_THROW(cluster.check_invariants());
@@ -325,7 +336,9 @@ TEST(DynamicClusterLinks, SetLinkLatencyReportsPreviousAndMovesDelays) {
 
 TEST(DynamicClusterLinks, LinkVerbsRequireRouterEndpoints) {
   DynamicCluster cluster = make_cluster(12);
-  const topo::NodeId device = cluster.network().iot_nodes.front();
+  // Devices take no graph node: the ids past the graph name none.
+  const auto device =
+      static_cast<topo::NodeId>(cluster.network().graph.node_count());
   const topo::NodeId server = cluster.network().edge_nodes.front();
   const auto links = topo::backbone_links(cluster.network());
   ASSERT_FALSE(links.empty());
@@ -418,7 +431,7 @@ class DynamicClusterObjective : public ::testing::TestWithParam<const char*> {
     const topo::NetworkTopology& net = cluster_->network();
     for (std::size_t i = 0; i < cluster_->device_slot_count(); ++i) {
       if (!cluster_->is_active(i)) continue;
-      const topo::NodeId router = net.graph.neighbors(net.iot_nodes[i])[0].to;
+      const topo::NodeId router = net.hosts.anchor[i];
       const topo::NodeId server = net.edge_nodes[cluster_->server_of(i)];
       bool adjacent = false;
       for (const topo::Adjacency& link : net.graph.neighbors(server)) {
@@ -573,6 +586,93 @@ TEST(DynamicCluster, LoadsMatchAssignments) {
   // 60 initial devices, each demand == rate; joins none yet.
   const Scenario scenario = Scenario::campus(60, 6, 9);
   EXPECT_NEAR(total, scenario.workload().total_demand(), 1e-6);
+}
+
+// The independent reference: after every step of a seeded churn of joins,
+// moves, leaves and backbone fails, restores and reweights, each active
+// device's served row equals a textbook no-relay Dijkstra over the graph
+// with every device materialized as a node (tests/host_graph.hpp) bit for
+// bit, and every free slot is unbound.
+TEST(DynamicClusterReference, RowsMatchDeviceAsNodeDijkstraThroughChurn) {
+  const Scenario scenario = Scenario::smart_city(60, 6, 17);
+  DynamicCluster cluster(scenario, Algorithm::kGreedyBestFit,
+                         cheap_options(17));
+  const topo::NetworkTopology& net = cluster.network();
+  const double area = scenario.params().workload.area_km;
+  util::Rng rng(0x4E57);
+  const auto point = [&] {
+    return topo::Point2D{rng.uniform(0.0, area), rng.uniform(0.0, area)};
+  };
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+
+  std::array<std::size_t, 6> kinds{};
+  for (std::size_t step = 0; step < 1200; ++step) {
+    const std::string what = "step " + std::to_string(step);
+    const std::size_t slot = rng.index(cluster.device_slot_count());
+    const auto live = topo::backbone_links(net);
+    const double roll = rng.uniform();
+    if (roll < 0.15) {
+      cluster.join(test_device(point().x, point().y));
+      ++kinds[0];
+    } else if (roll < 0.45) {
+      if (!cluster.is_active(slot)) continue;
+      cluster.move(slot, point());
+      ++kinds[1];
+    } else if (roll < 0.6) {
+      if (!cluster.is_active(slot) || cluster.active_count() < 20) continue;
+      cluster.leave(slot);
+      ++kinds[2];
+    } else if (roll < 0.75) {
+      // At most a handful of links down at once.
+      if (live.empty() || net.failed_links.size() >= 4) continue;
+      const auto [u, v] = live[rng.index(live.size())];
+      cluster.fail_link(u, v);
+      ++kinds[3];
+    } else if (roll < 0.85) {
+      if (net.failed_links.empty()) continue;
+      const topo::FailedLink link =
+          net.failed_links[rng.index(net.failed_links.size())];
+      cluster.restore_link(link.u, link.v);
+      ++kinds[4];
+    } else {
+      if (live.empty()) continue;
+      const auto [u, v] = live[rng.index(live.size())];
+      const double old_ms = net.graph.edge_props(u, v)->latency_ms;
+      cluster.set_link_latency(u, v,
+                               rng.uniform() < 0.3
+                                   ? std::nextafter(old_ms, 1e9)
+                                   : old_ms * rng.uniform(0.5, 2.0));
+      ++kinds[5];
+    }
+
+    const test::HostGraph hosts = test::materialize_hosts(net);
+    std::vector<topo::ShortestPathTree> trees;
+    for (const topo::NodeId server : net.edge_nodes) {
+      trees.push_back(
+          test::reference_dijkstra(hosts.graph, server, net.router_count()));
+    }
+    for (std::size_t i = 0; i < cluster.device_slot_count(); ++i) {
+      if (!cluster.is_active(i)) {
+        ASSERT_FALSE(cluster.delay_oracle().row_bound(i)) << what;
+        continue;
+      }
+      const std::vector<double> row = cluster.delay_row(i);
+      for (std::size_t j = 0; j < trees.size(); ++j) {
+        ASSERT_EQ(bits(row[j]),
+                  bits(trees[j].distance_ms[hosts.node_of_slot[i]]))
+            << what << ": device " << i << ", server " << j;
+      }
+    }
+    if (step % 100 == 0) {
+      const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
+      ASSERT_NO_THROW(cluster.check_invariants()) << what;
+    }
+  }
+  for (std::size_t kind = 0; kind < kinds.size(); ++kind) {
+    EXPECT_GT(kinds[kind], 50u) << "step kind " << kind << " barely ran";
+  }
 }
 
 }  // namespace

@@ -193,13 +193,13 @@ TEST(Move, ReassignsInPlaceAndKeepsBookkeeping) {
   DynamicCluster cluster = make_cluster(8);
   const std::size_t index = 3;
   ASSERT_TRUE(cluster.is_active(index));
-  const std::size_t nodes = cluster.graph_node_count();
+  const std::size_t slots = cluster.network().hosts.size();
   const JoinResult moved = cluster.move(index, {0.1, 0.1});
   EXPECT_EQ(moved.device_index, index);  // handover keeps the index
   EXPECT_TRUE(cluster.is_active(index));
   EXPECT_EQ(cluster.server_of(index), moved.server);
   EXPECT_EQ(cluster.active_count(), 60u);
-  EXPECT_EQ(cluster.graph_node_count(), nodes);  // node recycled, not leaked
+  EXPECT_EQ(cluster.network().hosts.size(), slots);  // slot kept, not leaked
   EXPECT_TRUE(cluster.feasible());
 }
 

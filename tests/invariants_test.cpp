@@ -27,18 +27,6 @@ struct GraphTestPeer {
   static std::vector<std::vector<Adjacency>>& adjacency(Graph& graph) {
     return graph.adjacency_;
   }
-  static std::vector<NodeId>& free_list(Graph& graph) {
-    return graph.free_list_;
-  }
-  static std::vector<bool>& released(Graph& graph) {
-    return graph.released_;
-  }
-  static std::vector<std::uint32_t>& relay_end(Graph& graph) {
-    return graph.relay_end_;
-  }
-  static std::vector<std::uint32_t>& leaf_slot(Graph& graph) {
-    return graph.leaf_slot_;
-  }
   static std::size_t& edges(Graph& graph) { return graph.edges_; }
 };
 
@@ -129,9 +117,10 @@ topo::Graph make_ring(std::size_t nodes = 6) {
 
 TEST_F(InvariantsTest, GraphHealthyStatePasses) {
   topo::Graph graph = make_ring();
-  graph.release_node(3);
   EXPECT_NO_THROW(graph.check_invariants());
-  EXPECT_EQ(graph.acquire_node(), 3u);  // recycled LIFO
+  ASSERT_TRUE(graph.remove_edge(3, 4));
+  graph.add_edge(4, 3, props(2.0));
+  graph.add_edge(0, 3, props(2.0));  // a chord
   EXPECT_NO_THROW(graph.check_invariants());
 }
 
@@ -144,32 +133,10 @@ TEST_F(InvariantsTest, GraphCatchesAsymmetricAdjacency) {
   EXPECT_THROW(graph.check_invariants(), ContractViolation);
 }
 
-TEST_F(InvariantsTest, GraphCatchesFreeListCorruption) {
+TEST_F(InvariantsTest, GraphCatchesEdgeCountDrift) {
   topo::Graph graph = make_ring();
-  // A live node pushed onto the free list without being released: the next
-  // acquire_node() would hand out an id that still has edges.
-  topo::GraphTestPeer::free_list(graph).push_back(2);
+  ++topo::GraphTestPeer::edges(graph);
   EXPECT_THROW(graph.check_invariants(), ContractViolation);
-}
-
-TEST_F(InvariantsTest, GraphCatchesReleasedBitmapDrift) {
-  topo::Graph graph = make_ring();
-  graph.release_node(4);
-  // Marked released but no longer on the free list: the id is leaked.
-  topo::GraphTestPeer::free_list(graph).pop_back();
-  EXPECT_THROW(graph.check_invariants(), ContractViolation);
-}
-
-/// Routers 0-1-2 in a path; leaves 3 and 4 hang off router 1, whose list
-/// reads [0, 2, 3, 4] with a relay prefix of two.
-topo::Graph make_leafy() {
-  topo::Graph graph(3);
-  graph.add_edge(0, 1, props(1.0));
-  graph.add_edge(1, 2, props(2.0));
-  for (int k = 0; k < 2; ++k) {
-    graph.add_edge(graph.add_node(topo::NodeRole::kLeaf), 1, props(3.0));
-  }
-  return graph;
 }
 
 /// check_invariants() must report a violation naming `what`.
@@ -182,39 +149,6 @@ void expect_violation(const Checked& checked, const std::string& what) {
     EXPECT_NE(std::string(violation.what()).find(what), std::string::npos)
         << violation.what();
   }
-}
-
-TEST_F(InvariantsTest, GraphLeafLayoutHealthyStatePasses) {
-  topo::Graph graph = make_leafy();
-  EXPECT_NO_THROW(graph.check_invariants());
-  EXPECT_EQ(graph.relay_neighbors(1).size(), 2u);
-  EXPECT_THROW(graph.add_edge(3, 0, props(1.0)), std::invalid_argument);
-  EXPECT_NO_THROW(graph.check_invariants());
-}
-
-TEST_F(InvariantsTest, GraphCatchesLeafEntryInsideRelayPrefix) {
-  topo::Graph graph = make_leafy();
-  // Router 1's prefix swallows its first device entry.
-  ++topo::GraphTestPeer::relay_end(graph)[1];
-  expect_violation(graph, "leaf entry inside the relay prefix");
-}
-
-TEST_F(InvariantsTest, GraphCatchesStaleLeafPosition) {
-  topo::Graph graph = make_leafy();
-  // Leaf 4's entry sits at index 3 of router 1's list; point it at leaf 3's.
-  topo::GraphTestPeer::leaf_slot(graph)[4] = 2;
-  expect_violation(graph, "leaf entry not at its recorded position");
-}
-
-TEST_F(InvariantsTest, GraphCatchesLeafWithTwoLinks) {
-  topo::Graph graph = make_leafy();
-  // A symmetric second link 3-2 slipped past add_edge.
-  auto& adjacency = topo::GraphTestPeer::adjacency(graph);
-  adjacency[3].push_back({2, props(3.0)});
-  adjacency[2].push_back({3, props(3.0)});
-  ++topo::GraphTestPeer::relay_end(graph)[3];
-  ++topo::GraphTestPeer::edges(graph);
-  expect_violation(graph, "leaf with more than one link");
 }
 
 // ---- topo::NetworkTopology -------------------------------------------------
@@ -250,11 +184,12 @@ TEST_F(InvariantsTest, NetworkHealthyStatePasses) {
   EXPECT_NO_THROW(net.check_invariants());
 }
 
-TEST_F(InvariantsTest, NetworkCatchesLeafFlagDrift) {
+TEST_F(InvariantsTest, NetworkCatchesDeviceAnchoredOffTheRouters) {
   topo::NetworkTopology net = make_net(13);
-  // A server relabelled as a device: the graph still keeps it a relay.
-  net.kinds[net.edge_nodes[0]] = topo::NodeKind::kIotDevice;
-  expect_violation(net, "graph leaf flag disagrees with the node kind");
+  // A device hanging off an edge server: it would read a server's delays
+  // as if the server relayed.
+  net.hosts.anchor[0] = net.edge_nodes[0];
+  expect_violation(net, "device anchored off the routers");
 }
 
 TEST_F(InvariantsTest, NetworkCatchesFailedLinkStillLive) {
@@ -291,8 +226,7 @@ TEST_F(InvariantsTest, EngineCatchesOutOfBandTopologyEdit) {
   // Mutate the graph directly, bypassing the engine: the trees now disagree
   // with a fresh Dijkstra on the live graph. Reweight server 0's access
   // link, the first hop of its tree, so that tree's distance to its access
-  // router moves. (A device's access link holds no tree state: its delay
-  // is read from the live graph.)
+  // router moves. (A device holds no tree state: it is a host-table slot.)
   const topo::NodeId server = net.edge_nodes[0];
   const auto neighbors = net.graph.neighbors(server);
   ASSERT_FALSE(neighbors.empty());
@@ -311,9 +245,7 @@ TEST_F(InvariantsTest, CacheHealthyRefreshCyclePasses) {
   topo::NetworkTopology net = make_net(31);
   topo::incr::IncrementalDelayEngine engine(net);
   topo::oracle::DelayOracle cache(engine);
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    cache.bind_row(i, net.iot_nodes[i]);
-  }
+  for (std::size_t i = 0; i < net.iot_count(); ++i) cache.bind_row(i);
   EXPECT_NO_THROW(cache.check_invariants());
   const auto live = topo::backbone_links(net);
   ASSERT_FALSE(live.empty());
@@ -329,19 +261,20 @@ TEST_F(InvariantsTest, CacheCatchesUnexcusedStaleRow) {
   topo::NetworkTopology net = make_net(32);
   topo::incr::IncrementalDelayEngine engine(net);
   topo::oracle::DelayOracle cache(engine);
-  cache.bind_row(0, net.iot_nodes[0]);
-  // Reweight device 0's only access link through the engine and forget to
-  // rebind its row: the device reads through a new latency, and no key
+  cache.bind_row(0);
+  // Re-attach device 0 through the engine with a slower access link and
+  // forget to rebind its row: the device reads a new latency, and no key
   // moved, so nothing is pending and the cache serves stale delays it
   // believes are current.
-  const topo::NodeId device = net.iot_nodes[0];
-  const topo::NodeId router = net.graph.neighbors(device)[0].to;
-  const double old_ms = net.graph.neighbors(device)[0].props.latency_ms;
-  engine.set_link_latency(device, router, old_ms * 3.0);
+  const topo::NodeId anchor = net.hosts.anchor[0];
+  topo::EdgeProps access = net.hosts.access[0];
+  access.latency_ms *= 3.0;
+  engine.detach_host(0);
+  engine.attach_host(0, anchor, access, net.iot_position(0));
   EXPECT_EQ(engine.dirty_count(), 0u);
   EXPECT_THROW(cache.check_invariants(), ContractViolation);
-  // The owner of the link rebinds the row, and it is current again.
-  cache.bind_row(0, device);
+  // The owner of the attachment rebinds the row, and it is current again.
+  cache.bind_row(0);
   EXPECT_NO_THROW(cache.check_invariants());
 }
 
@@ -349,7 +282,7 @@ TEST_F(InvariantsTest, CacheCatchesEpochFromTheFuture) {
   topo::NetworkTopology net = make_net(33);
   topo::incr::IncrementalDelayEngine engine(net);
   topo::oracle::DelayOracle cache(engine);
-  cache.bind_row(0, net.iot_nodes[0]);
+  cache.bind_row(0);
   // A row stamped past the engine epoch claims to have seen a mutation that
   // never happened.
   topo::oracle::DelayOracleTestPeer::row_epochs(cache)[0] = engine.epoch() + 1;

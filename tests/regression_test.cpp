@@ -22,7 +22,9 @@ constexpr double kRelTol = 1e-9;
 
 TEST(Regression, ScenarioGenerationPinned) {
   const Scenario scenario = Scenario::smart_city(100, 8, 2026);
-  EXPECT_EQ(scenario.network().graph.node_count(), 138u);
+  // 30 routers and 8 servers in the graph, 100 devices in the host table.
+  const topo::NetworkTopology& net = scenario.network();
+  EXPECT_EQ(net.graph.node_count() + net.iot_count(), 138u);
   EXPECT_NEAR(scenario.workload().load_factor(), 0.7, 1e-12);
   EXPECT_NEAR(scenario.instance().delay_ms(0, 0), 10.007339529605366,
               10.0 * kRelTol);

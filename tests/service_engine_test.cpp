@@ -308,6 +308,34 @@ TEST(Engine, StatsSnapshotFieldsAreByteStable) {
             "reopt_rejected=0 reopt_gain=0");
 }
 
+// Device churn writes the host table and runs no tree code: MOVE, JOIN and
+// LEAVE leave the cumulative link counters alone while the delay epoch
+// rises by one per attach and one per detach.
+TEST(Engine, DeviceChurnLeavesLinkCountersAlone) {
+  Engine engine(small_options());
+  ASSERT_EQ(call(engine, "CONFIGURE g 20 4 seed=3").rfind("OK", 0), 0u);
+  engine.drain();
+  const std::pair<const char*, std::uint64_t> steps[] = {
+      {"MOVE g 1 2 2", 2}, {"JOIN g 1.5 2.5", 1}, {"LEAVE g 3", 1}};
+  std::string before = call(engine, "STATS g");
+  for (const auto& [request, epochs] : steps) {
+    ASSERT_EQ(call(engine, request).rfind("OK", 0), 0u) << request;
+    engine.drain();
+    const std::string after = call(engine, "STATS g");
+    EXPECT_EQ(field_value(after, "link_nodes_saved"),
+              field_value(before, "link_nodes_saved"))
+        << request;
+    EXPECT_EQ(field_value(after, "link_nodes_affected"),
+              field_value(before, "link_nodes_affected"))
+        << request;
+    EXPECT_EQ(field_value(after, "delay_epoch"),
+              field_value(before, "delay_epoch") + epochs)
+        << request;
+    before = after;
+  }
+  EXPECT_EQ(field_value(before, "link_nodes_saved"), 0u);
+}
+
 // Devices the cluster cannot place (a position with no finite router
 // distance, a non-finite demand) are rejected before they touch the session:
 // avg_delay_ms once became inf for good after JOIN u 1e308 1e308.

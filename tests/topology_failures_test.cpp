@@ -38,8 +38,8 @@ TEST(BackboneLinks, OnlyRouterRouterLinks) {
   const auto links = backbone_links(net);
   EXPECT_FALSE(links.empty());
   for (const auto& [u, v] : links) {
-    EXPECT_EQ(net.kinds[u], NodeKind::kRouter);
-    EXPECT_EQ(net.kinds[v], NodeKind::kRouter);
+    EXPECT_LT(u, net.router_count());
+    EXPECT_LT(v, net.router_count());
     EXPECT_LT(u, v);  // each undirected link reported once
     EXPECT_TRUE(net.graph.has_edge(u, v));
   }
@@ -51,10 +51,11 @@ TEST(AllDevicesServed, HoldsOnFreshNetwork) {
 
 TEST(AllDevicesServed, DetectsStrandedDevice) {
   NetworkTopology net = test_net();
-  // Cut a device's only access link.
-  const NodeId device = net.iot_nodes[0];
-  const NodeId router = net.graph.neighbors(device)[0].to;
-  ASSERT_TRUE(net.graph.remove_edge(device, router));
+  // Cut every link of a device's anchor router.
+  const NodeId router = net.hosts.anchor[0];
+  while (net.graph.degree(router) != 0) {
+    net.fail_link(router, net.graph.neighbors(router).front().to);
+  }
   EXPECT_FALSE(all_devices_served(net));
 }
 
@@ -148,13 +149,13 @@ TEST(FailLinks, CopyThenFailMatchesFailInPlace) {
 
 TEST(FailLinks, FailingUnknownOrRestoringLiveLinkThrows) {
   NetworkTopology net = test_net();
-  EXPECT_THROW((void)net.fail_link(net.iot_nodes[0], net.iot_nodes[1]),
-               std::invalid_argument);
+  // Two servers are never linked to each other.
+  const NodeId a = net.edge_nodes[0];
+  const NodeId b = net.edge_nodes[1];
+  EXPECT_THROW((void)net.fail_link(a, b), std::invalid_argument);
   const auto [u, v] = backbone_links(net).front();
   EXPECT_THROW((void)net.restore_link(u, v), std::invalid_argument);
-  EXPECT_THROW((void)net.set_link_latency(net.iot_nodes[0], net.iot_nodes[1],
-                                          1.0),
-               std::invalid_argument);
+  EXPECT_THROW((void)net.set_link_latency(a, b, 1.0), std::invalid_argument);
   EXPECT_THROW((void)net.set_link_latency(u, v, 0.0), std::invalid_argument);
 }
 
@@ -177,7 +178,7 @@ TEST(FailLinks, NonexistentLinkThrowsAndEarlierLinksStayFailed) {
   NetworkTopology net = test_net();
   const auto [u, v] = backbone_links(net).front();
   EXPECT_THROW(
-      fail_links(net, {{u, v}, {net.iot_nodes[0], net.iot_nodes[1]}}),
+      fail_links(net, {{u, v}, {net.edge_nodes[0], net.edge_nodes[1]}}),
       std::invalid_argument);
   // Documented partial-failure semantics: links before the bad one stay
   // failed so the caller can restore them.

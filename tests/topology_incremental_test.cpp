@@ -40,23 +40,30 @@ std::vector<ShortestPathTree> reference(const NetworkTopology& net) {
   return dijkstra_fan_out(net.graph, net.edge_nodes, net.router_count());
 }
 
-/// True iff `node` reads through an anchor router rather than itself.
-bool reads_through_anchor(const IncrementalDelayEngine& engine, NodeId node) {
-  return engine.read_through(node).node != node;
+std::vector<NodeId> changed_nodes(const std::vector<ShortestPathTree>& before,
+                                  const std::vector<ShortestPathTree>& after);
+
+/// Device `slot`'s delay to server `server`: its anchor's tree distance
+/// plus its access latency.
+double device_delay(const IncrementalDelayEngine& engine,
+                    const NetworkTopology& net, std::size_t slot,
+                    std::size_t server) {
+  return engine.delay_ms(server, net.hosts.anchor[slot]) +
+         net.hosts.access[slot].latency_ms;
 }
 
-/// True iff every served delay (hosts included) equals the from-scratch
-/// no-relay Dijkstra value bitwise (inf compares equal to inf).
+/// True iff every router's served delay equals the from-scratch no-relay
+/// Dijkstra value bitwise (inf compares equal to inf).
 testing::AssertionResult trees_match_rebuild(
     const IncrementalDelayEngine& engine, const NetworkTopology& net) {
   const auto fresh = reference(net);
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    for (NodeId node = 0; node < net.graph.node_count(); ++node) {
-      const double expect = fresh[j].distance_ms[node];
-      const double got = engine.delay_ms(j, node);
+    for (NodeId router = 0; router < net.router_count(); ++router) {
+      const double expect = fresh[j].distance_ms[router];
+      const double got = engine.delay_ms(j, router);
       if (!(expect == got || (std::isinf(expect) && std::isinf(got)))) {
         return testing::AssertionFailure()
-               << "server " << j << " node " << node << ": incremental "
+               << "server " << j << " router " << router << ": incremental "
                << got << " vs rebuild " << expect;
       }
     }
@@ -117,12 +124,12 @@ TEST_P(IncrementalEquivalence, ThousandEventChurnMatchesFromScratch) {
   const auto reference = floyd_warshall(net.graph);
   for (std::size_t j = 0; j < net.edge_count(); ++j) {
     const auto& row = reference[net.edge_nodes[j]];
-    for (NodeId node = 0; node < net.graph.node_count(); ++node) {
-      const double got = engine.delay_ms(j, node);
-      if (std::isinf(row[node])) {
+    for (NodeId router = 0; router < net.router_count(); ++router) {
+      const double got = engine.delay_ms(j, router);
+      if (std::isinf(row[router])) {
         EXPECT_TRUE(std::isinf(got));
       } else {
-        EXPECT_NEAR(got, row[node], 1e-9 * (1.0 + row[node]));
+        EXPECT_NEAR(got, row[router], 1e-9 * (1.0 + row[router]));
       }
     }
   }
@@ -145,38 +152,58 @@ TEST(IncrementalDelayEngine, DisconnectionAndRestoreRoundTrip) {
   NetworkTopology net = build_network(infra, iot, edges);
   IncrementalDelayEngine engine(net);
 
-  const double before = engine.delay_ms(0, net.iot_nodes[0]);
+  const double before = device_delay(engine, net, 0, 0);
   EXPECT_TRUE(std::isfinite(before));
   engine.fail_link(0, 1);
-  EXPECT_TRUE(std::isinf(engine.delay_ms(0, net.iot_nodes[0])));
+  EXPECT_TRUE(std::isinf(device_delay(engine, net, 0, 0)));
   EXPECT_TRUE(trees_match_rebuild(engine, net));
   engine.restore_link(0, 1);
-  EXPECT_EQ(engine.delay_ms(0, net.iot_nodes[0]), before);
+  EXPECT_EQ(device_delay(engine, net, 0, 0), before);
   EXPECT_TRUE(trees_match_rebuild(engine, net));
 }
 
+// Device churn is a host-table write: it moves no tree and dirties
+// nothing, and it leaves the link counters alone while each attach and
+// detach advances the epoch by one.
 TEST(IncrementalDelayEngine, DeviceChurnKeepsTreesExact) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 77);
   IncrementalDelayEngine engine(net);
   util::Rng rng(5);
+  const auto before = reference(net);
 
-  std::vector<NodeId> added;
+  std::vector<std::size_t> attached;
+  for (std::size_t slot = 0; slot < net.iot_count(); ++slot) {
+    attached.push_back(slot);
+  }
+  std::vector<std::size_t> detached;
   for (std::size_t step = 0; step < 50; ++step) {
-    if (added.empty() || rng.uniform() < 0.6) {
+    if (attached.empty() || rng.uniform() < 0.6) {
       const Point2D pos{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-      const NodeId node = engine.acquire_node(pos, NodeKind::kIotDevice);
-      const NodeId router = static_cast<NodeId>(rng.index(49));
-      engine.add_link(node, router, access_link(1.0));
-      added.push_back(node);
+      std::size_t slot = net.hosts.size();
+      if (!detached.empty()) {
+        slot = detached.back();
+        detached.pop_back();
+      }
+      engine.attach_host(slot, static_cast<NodeId>(rng.index(49)),
+                         access_link(1.0), pos);
+      attached.push_back(slot);
     } else {
-      const std::size_t k = rng.index(added.size());
-      engine.release_node(added[k]);
-      added.erase(added.begin() + static_cast<std::ptrdiff_t>(k));
+      const std::size_t k = rng.index(attached.size());
+      engine.detach_host(attached[k]);
+      detached.push_back(attached[k]);
+      attached.erase(attached.begin() + static_cast<std::ptrdiff_t>(k));
     }
+    ASSERT_EQ(engine.epoch(), step + 1) << "step " << step;
+    ASSERT_EQ(engine.dirty_count(), 0u) << "step " << step;
     ASSERT_TRUE(trees_match_rebuild(engine, net)) << "step " << step;
   }
+  EXPECT_TRUE(changed_nodes(before, reference(net)).empty());
+  EXPECT_EQ(engine.stats().link_updates, 0u);
+  EXPECT_EQ(engine.stats().nodes_affected, 0u);
+  EXPECT_EQ(engine.stats().nodes_saved, 0u);
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
   engine.check_invariants(net.edge_count());
+  net.check_invariants();
 }
 
 /// Nodes whose distance to some server differs bitwise between two fan-outs
@@ -211,29 +238,24 @@ std::vector<NodeId> moved_routers(const NetworkTopology& net,
 // After every event of a mixed churn the drained dirty set must EQUAL the
 // set of routers whose delay to some server changed bitwise, as an
 // independent from-scratch fan-out sees it — never a device, whose delay
-// moves with its anchor's. A host's own link moves only that host's delay,
-// and the engine reports it to no one: whoever changed the link rebinds the
-// host's row.
+// moves with its anchor's. A device that attaches, moves or detaches moves
+// no router's delay, and the engine reports it to no one: whoever changed
+// the host table rebinds the device's row.
 TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 3);
   IncrementalDelayEngine engine(net);
-  for (const NodeId device : net.iot_nodes) {
-    ASSERT_TRUE(reads_through_anchor(engine, device));
-  }
   util::Rng rng(41);
   auto before = reference(net);
   std::vector<NodeId> discarded;
   engine.drain_dirty(discarded);
 
   std::vector<std::pair<NodeId, NodeId>> failed_backbone;
-  std::vector<std::pair<NodeId, NodeId>> failed_access;
-  std::vector<NodeId> attached;
-  std::vector<std::size_t> kinds(9, 0);
+  std::vector<std::size_t> detached;
+  std::vector<std::size_t> kinds(6, 0);
 
-  // Drains the dirty set and compares it with the reference. `host` is the
-  // host endpoint of the event's link (kInvalidNode for a backbone link): a
-  // host's own link moves no other node's delay, so it dirties nothing.
-  const auto drain_exact = [&](const std::string& what, NodeId host) {
+  // Drains the dirty set and compares it with the reference. A device
+  // event must dirty nothing.
+  const auto drain_exact = [&](const std::string& what, bool device) {
     const auto after = reference(net);
     std::vector<NodeId> dirty;
     const std::size_t drained = engine.drain_dirty(dirty);
@@ -243,12 +265,15 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
                 dirty.end())
         << what << ": duplicate dirty node";
     EXPECT_EQ(dirty, moved_routers(net, before, after)) << what;
-    if (host != kInvalidNode) {
-      EXPECT_TRUE(dirty.empty()) << what << ": a host's own link dirtied";
+    if (device) {
+      EXPECT_TRUE(dirty.empty()) << what << ": a device dirtied";
     }
     std::vector<NodeId> again;
     EXPECT_EQ(engine.drain_dirty(again), 0u) << what;
     before = after;
+  };
+  const auto random_point = [&rng] {
+    return Point2D{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
   };
 
   for (std::size_t event = 0; event < 600; ++event) {
@@ -256,16 +281,13 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
     const std::string what =
         "event " + std::to_string(event) + " kind " + std::to_string(kind);
     const auto live = backbone_links(net);
-    const NodeId device = net.iot_nodes[rng.index(net.iot_count())];
-    const bool access_live = net.graph.degree(device) == 1;
-    NodeId host = device;
+    const std::size_t slot = rng.index(net.iot_count());
     switch (kind) {
       case 0:  // backbone fail
         if (live.empty()) continue;
         failed_backbone.push_back(live[rng.index(live.size())]);
         engine.fail_link(failed_backbone.back().first,
                          failed_backbone.back().second);
-        host = kInvalidNode;
         break;
       case 1: {  // backbone restore
         if (failed_backbone.empty()) continue;
@@ -274,7 +296,6 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
                             failed_backbone[k].second);
         failed_backbone.erase(failed_backbone.begin() +
                               static_cast<std::ptrdiff_t>(k));
-        host = kInvalidNode;
         break;
       }
       case 2: {  // backbone reweight, half of them by one ulp: anchors
@@ -286,64 +307,34 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
                                 rng.uniform() < 0.5
                                     ? std::nextafter(w, kUnreachable)
                                     : w * rng.uniform(0.5, 2.0));
-        host = kInvalidNode;
         break;
       }
-      case 3: {  // device attach
-        const Point2D pos{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-        const NodeId node = engine.acquire_node(pos, NodeKind::kIotDevice);
-        engine.add_link(node, static_cast<NodeId>(rng.index(49)),
-                        access_link(rng.uniform(0.1, 2.0)));
-        EXPECT_TRUE(reads_through_anchor(engine, node)) << what;
-        attached.push_back(node);
-        host = node;
+      case 3: {  // device attach, into a detached slot or a new one
+        std::size_t into = net.hosts.size();
+        if (!detached.empty()) {
+          into = detached.back();
+          detached.pop_back();
+        }
+        engine.attach_host(into, static_cast<NodeId>(rng.index(49)),
+                           access_link(rng.uniform(0.1, 2.0)),
+                           random_point());
         break;
       }
-      case 4: {  // device detach
-        if (attached.empty()) continue;
-        const std::size_t k = rng.index(attached.size());
-        host = attached[k];
-        engine.release_node(attached[k]);
-        attached.erase(attached.begin() + static_cast<std::ptrdiff_t>(k));
+      case 4:  // device detach
+        if (!net.hosts.attached(slot)) continue;
+        engine.detach_host(slot);
+        detached.push_back(slot);
         break;
-      }
-      case 5: {  // device access-link fail
-        if (!access_live) continue;
-        const NodeId router = net.graph.neighbors(device).front().to;
-        engine.fail_link(device, router);
-        EXPECT_FALSE(reads_through_anchor(engine, device)) << what;
-        failed_access.emplace_back(device, router);
+      default:  // device moves: detach, then attach anew
+        if (!net.hosts.attached(slot)) continue;
+        engine.detach_host(slot);
+        engine.attach_host(slot, static_cast<NodeId>(rng.index(49)),
+                           access_link(rng.uniform(0.1, 2.0)),
+                           random_point());
         break;
-      }
-      case 6: {  // device access-link restore
-        if (failed_access.empty()) continue;
-        const std::size_t k = rng.index(failed_access.size());
-        host = failed_access[k].first;
-        engine.restore_link(failed_access[k].first, failed_access[k].second);
-        EXPECT_TRUE(reads_through_anchor(engine, failed_access[k].first))
-            << what;
-        failed_access.erase(failed_access.begin() +
-                            static_cast<std::ptrdiff_t>(k));
-        break;
-      }
-      case 7: {  // device access-link reweight
-        if (!access_live) continue;
-        const Adjacency link = net.graph.neighbors(device).front();
-        engine.set_link_latency(device, link.to,
-                                link.props.latency_ms * rng.uniform(0.5, 2.0));
-        break;
-      }
-      default: {  // device reweight by one ulp, often rounded away
-        if (!access_live) continue;
-        const Adjacency link = net.graph.neighbors(device).front();
-        engine.set_link_latency(device, link.to,
-                                std::nextafter(link.props.latency_ms,
-                                               kUnreachable));
-        break;
-      }
     }
     ++kinds[kind];
-    drain_exact(what, host);
+    drain_exact(what, kind >= 3);
     ASSERT_TRUE(trees_match_rebuild(engine, net)) << what;
   }
   for (std::size_t kind = 0; kind < kinds.size(); ++kind) {
@@ -351,6 +342,7 @@ TEST(IncrementalDelayEngine, DirtyNodesDrainOnceAndCoverChanges) {
   }
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
   engine.check_invariants(net.edge_count());
+  net.check_invariants();
 }
 
 // A server's access link is its tree's first hop: failing, restoring and
@@ -403,36 +395,37 @@ TEST(IncrementalDelayEngine, ServerAccessLinkChurnRepairsItsOwnTree) {
   engine.check_invariants(net.edge_count());
 }
 
-// The dirty set names only routers a tree repair moved. Adding, removing or
-// reweighting a host's own link moves that host's delay and no other
-// node's, and is reported to no one: the engine's dirty set stays empty,
-// whoever changed the link rebinds the host's row. A server's access link
-// repairs the server's tree, and dirties exactly the routers that repair
-// moved, never a host.
+// The dirty set names only routers a tree repair moved. A device attaching
+// anew moves that device's delay and no graph node's, and is reported to no
+// one: the engine's dirty set stays empty, whoever changed the host table
+// rebinds the device's row. A server's access link repairs the server's
+// tree, and dirties exactly the routers that repair moved.
 TEST(IncrementalDelayEngine, HostOwnLinkEventsDirtyNoKey) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 0x0E1D);
   IncrementalDelayEngine engine(net);
   auto before = reference(net);
   std::vector<NodeId> dirty;
   engine.drain_dirty(dirty);
-  // `host`'s delay moved and no other.
-  const auto expect_only_host_moved = [&](const std::string& what,
-                                          NodeId host) {
+  // No graph node's delay moved.
+  const auto expect_no_node_moved = [&](const std::string& what) {
     const auto after = reference(net);
-    EXPECT_EQ(changed_nodes(before, after), std::vector<NodeId>{host}) << what;
+    EXPECT_TRUE(changed_nodes(before, after).empty()) << what;
     EXPECT_EQ(engine.dirty_count(), 0u) << what;
     before = after;
   };
 
-  const NodeId device = net.iot_nodes[0];
-  ASSERT_TRUE(reads_through_anchor(engine, device));
-  const Adjacency access = net.graph.neighbors(device).front();
-  engine.set_link_latency(device, access.to, access.props.latency_ms * 2.0);
-  expect_only_host_moved("reweight", device);
-  engine.fail_link(device, access.to);
-  expect_only_host_moved("remove", device);
-  engine.restore_link(device, access.to);
-  expect_only_host_moved("add", device);
+  const NodeId anchor = net.hosts.anchor[0];
+  const EdgeProps access = net.hosts.access[0];
+  const Point2D position = net.iot_position(0);
+  const NodeId other = anchor == 0 ? 1 : 0;
+  engine.detach_host(0);
+  expect_no_node_moved("detach");
+  engine.attach_host(0, other, {access.latency_ms * 2.0, 1.0}, position);
+  expect_no_node_moved("attach elsewhere");
+  engine.detach_host(0);
+  engine.attach_host(0, anchor, access, position);
+  expect_no_node_moved("attach back");
+  EXPECT_EQ(engine.epoch(), 4u);
 
   const NodeId server = net.edge_nodes[0];
   const Adjacency uplink = net.graph.neighbors(server).front();
@@ -445,37 +438,6 @@ TEST(IncrementalDelayEngine, HostOwnLinkEventsDirtyNoKey) {
   ASSERT_FALSE(moved.empty());
   EXPECT_EQ(dirty, moved);
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-  engine.check_invariants(net.edge_count());
-}
-
-// A host has one access link, to a router: add_link refuses a second link
-// on a device or a server, and a link between two hosts, changing nothing.
-TEST(IncrementalDelayEngine, AddLinkRejectsASecondHostLink) {
-  if (!contracts::enabled()) GTEST_SKIP() << "contracts compiled out";
-  NetworkTopology net = make_net(TopologyFamily::kGrid, 0xA11C);
-  IncrementalDelayEngine engine(net);
-  const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
-  for (const NodeId host : {net.iot_nodes[0], net.edge_nodes[0]}) {
-    const NodeId other = net.graph.neighbors(host).front().to == 0 ? 1 : 0;
-    EXPECT_THROW(engine.add_link(host, other, access_link(1.0)),
-                 contracts::ContractViolation)
-        << "host " << host;
-    EXPECT_THROW(engine.add_link(other, host, access_link(1.0)),
-                 contracts::ContractViolation)
-        << "host " << host;
-    EXPECT_EQ(net.graph.degree(host), 1u) << "host " << host;
-  }
-  const NodeId fresh = engine.acquire_node({1.0, 1.0}, NodeKind::kIotDevice);
-  const NodeId other = engine.acquire_node({2.0, 1.0}, NodeKind::kIotDevice);
-  EXPECT_THROW(engine.add_link(fresh, net.edge_nodes[0], access_link(1.0)),
-               contracts::ContractViolation);
-  EXPECT_THROW(engine.add_link(fresh, other, access_link(1.0)),
-               contracts::ContractViolation);
-  EXPECT_EQ(net.graph.degree(fresh), 0u);
-  EXPECT_EQ(engine.epoch(), 0u);
-  engine.add_link(fresh, 0, access_link(1.0));
-  EXPECT_TRUE(reads_through_anchor(engine, fresh));
-  EXPECT_EQ(engine.epoch(), 1u);
   engine.check_invariants(net.edge_count());
 }
 

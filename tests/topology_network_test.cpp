@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "tests/host_graph.hpp"
+#include "tests/reference_dijkstra.hpp"
 #include "topology/shortest_paths.hpp"
 #include "util/rng.hpp"
 
@@ -42,10 +46,11 @@ TEST(BuildNetwork, NodeBookkeeping) {
   const auto net = build_network(infra, iot, edges);
   EXPECT_EQ(net.iot_count(), 2u);
   EXPECT_EQ(net.edge_count(), 1u);
-  EXPECT_EQ(net.graph.node_count(), 5u);  // 2 routers + 1 server + 2 iot
-  EXPECT_EQ(net.kinds[net.iot_nodes[0]], NodeKind::kIotDevice);
-  EXPECT_EQ(net.kinds[net.edge_nodes[0]], NodeKind::kEdgeServer);
-  EXPECT_EQ(net.kinds[0], NodeKind::kRouter);
+  EXPECT_EQ(net.graph.node_count(), 3u);  // 2 routers + 1 server
+  EXPECT_EQ(net.router_count(), 2u);
+  EXPECT_EQ(net.edge_nodes[0], 2u);
+  EXPECT_EQ(net.hosts.size(), 2u);
+  EXPECT_TRUE(net.hosts.attached(1));
   EXPECT_EQ(net.iot_position(1).x, 3.5);
   EXPECT_EQ(net.edge_position(0).y, 0.5);
 }
@@ -55,9 +60,9 @@ TEST(BuildNetwork, DevicesAttachToNearestRouter) {
   const std::vector<Point2D> iot{{3.9, 0.0}};
   const std::vector<Point2D> edges{{0.1, 0.0}};
   const auto net = build_network(infra, iot, edges);
-  EXPECT_TRUE(net.graph.has_edge(net.iot_nodes[0], 1));   // right router
+  EXPECT_EQ(net.hosts.anchor[0], 1u);                     // right router
+  EXPECT_EQ(net.hosts.access[0].latency_ms, access_link(0.1).latency_ms);
   EXPECT_TRUE(net.graph.has_edge(net.edge_nodes[0], 0));  // left router
-  EXPECT_FALSE(net.graph.has_edge(net.iot_nodes[0], 0));
 }
 
 // Every server and device of each preset has one access link, to the
@@ -69,13 +74,19 @@ TEST(BuildNetwork, EveryPresetHostHasOneAccessLinkToItsNearestRouter) {
     const NetworkTopology& net = scenario.network();
     const std::span<const Point2D> routers(net.positions.data(),
                                            net.router_count());
-    std::vector<NodeId> hosts = net.iot_nodes;
-    hosts.insert(hosts.end(), net.edge_nodes.begin(), net.edge_nodes.end());
-    for (const NodeId host : hosts) {
-      ASSERT_EQ(net.graph.degree(host), 1u) << "host " << host;
-      EXPECT_EQ(net.graph.neighbors(host).front().to,
-                nearest_router(routers, net.positions[host]).router)
-          << "host " << host;
+    for (const NodeId server : net.edge_nodes) {
+      ASSERT_EQ(net.graph.degree(server), 1u) << "server " << server;
+      EXPECT_EQ(net.graph.neighbors(server).front().to,
+                nearest_router(routers, net.positions[server]).router)
+          << "server " << server;
+    }
+    for (std::size_t slot = 0; slot < net.iot_count(); ++slot) {
+      const NearestRouter nearest =
+          nearest_router(routers, net.iot_position(slot));
+      EXPECT_EQ(net.hosts.anchor[slot], nearest.router) << "slot " << slot;
+      EXPECT_EQ(net.hosts.access[slot].latency_ms,
+                access_link(nearest.distance_km).latency_ms)
+          << "slot " << slot;
     }
   }
 }
@@ -100,17 +111,24 @@ TEST(BuildNetwork, InvalidInputsThrow) {
   EXPECT_THROW(build_network(infra, one, {}), std::invalid_argument);
 }
 
+// The matrix equals a no-relay Dijkstra over the graph with each device
+// materialized as a node, bit for bit, on every preset.
 TEST(ComputeDelayMatrix, MatchesManualDijkstra) {
-  const GeoGraph infra = two_router_line();
-  const std::vector<Point2D> iot{{0.5, 0.0}, {3.5, 0.0}};
-  const std::vector<Point2D> edges{{0.0, 0.5}, {4.0, 0.5}};
-  const auto net = build_network(infra, iot, edges);
-  const auto matrix = compute_delay_matrix(net);
-  for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    const auto tree =
-        dijkstra(net.graph, net.edge_nodes[j], net.router_count());
-    for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      EXPECT_DOUBLE_EQ(matrix.at(i, j), tree.distance_ms[net.iot_nodes[i]]);
+  for (const Scenario& scenario :
+       {Scenario::smart_city(60, 6, 3), Scenario::factory(60, 6, 3),
+        Scenario::campus(60, 6, 3)}) {
+    const NetworkTopology& net = scenario.network();
+    const DelayMatrix matrix = compute_delay_matrix(net);
+    const test::HostGraph hosts = test::materialize_hosts(net);
+    for (std::size_t j = 0; j < net.edge_count(); ++j) {
+      const ShortestPathTree tree = test::reference_dijkstra(
+          hosts.graph, net.edge_nodes[j], net.router_count());
+      for (std::size_t i = 0; i < net.iot_count(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(matrix.at(i, j)),
+                  std::bit_cast<std::uint64_t>(
+                      tree.distance_ms[hosts.node_of_slot[i]]))
+            << "device " << i << ", server " << j;
+      }
     }
   }
 }

@@ -32,6 +32,15 @@ struct DelayOracleTestPeer {
 namespace {
 
 
+/// Device `slot`'s delay to server `server` as the engine serves it: its
+/// anchor's tree distance plus its access latency.
+double device_delay(const incr::IncrementalDelayEngine& engine,
+                    const NetworkTopology& net, std::size_t slot,
+                    std::size_t server) {
+  return engine.delay_ms(server, net.hosts.anchor[slot]) +
+         net.hosts.access[slot].latency_ms;
+}
+
 NetworkTopology make_net(TopologyFamily family, std::uint64_t seed,
                          std::size_t routers = 49, std::size_t devices = 24,
                          std::size_t servers = 4) {
@@ -87,7 +96,7 @@ std::uint64_t rows_digest(const DelayOracle& oracle) {
     digest = util::splitmix64(state);
   };
   for (std::size_t i = 0; i < oracle.row_count(); ++i) {
-    if (oracle.row_node(i) == kInvalidNode) continue;
+    if (!oracle.row_bound(i)) continue;
     for (const double value : oracle.row(i)) {
       mix(std::bit_cast<std::uint64_t>(value));
     }
@@ -139,7 +148,7 @@ TEST(ExactOracle, BitIdenticalToDelayMatrixCacheThroughChurn) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   const auto expect_step = [&](std::size_t step, std::size_t refreshed) {
     SCOPED_TRACE("step " + std::to_string(step));
@@ -154,7 +163,7 @@ TEST(ExactOracle, BitIdenticalToDelayMatrixCacheThroughChurn) {
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
       const std::vector<double>& served = oracle.row(i);
       for (std::size_t j = 0; j < net.edge_count(); ++j) {
-        EXPECT_EQ(served[j], engine.delay_ms(j, net.iot_nodes[i]));
+        EXPECT_EQ(served[j], device_delay(engine, net, i, j));
       }
     }
   };
@@ -185,7 +194,7 @@ TEST(ExactOracle, RefreshRewritesExactlyTheDirtyBoundRows) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   EXPECT_EQ(oracle.bound_count(), net.iot_count());
 
@@ -234,7 +243,7 @@ TEST(ExactOracle, FingerprintTracksEpochAcrossRoundTrips) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   const std::uint64_t fp0 = oracle.fingerprint();
   EXPECT_EQ(fp0, oracle.fingerprint());  // pure
@@ -258,16 +267,21 @@ TEST(ExactOracle, UnbindAndRebindRecyclesRows) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 41);
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
-  oracle.bind_row(0, net.iot_nodes[0]);
-  oracle.bind_row(1, net.iot_nodes[1]);
+  oracle.bind_row(0);
+  oracle.bind_row(1);
   oracle.unbind_row(0);
   EXPECT_EQ(oracle.bound_count(), 1u);
-  EXPECT_EQ(oracle.row_node(0), kInvalidNode);
-  oracle.bind_row(0, net.iot_nodes[2]);  // slot reuse, different node
+  EXPECT_FALSE(oracle.row_bound(0));
+  // Slot reuse by a different device: device 2's attachment.
+  engine.detach_host(0);
+  engine.attach_host(0, net.hosts.anchor[2], net.hosts.access[2],
+                     net.iot_position(2));
+  oracle.bind_row(0);
   EXPECT_EQ(oracle.bound_count(), 2u);
   const auto tree =
       dijkstra(net.graph, net.edge_nodes[0], net.router_count());
-  EXPECT_EQ(oracle.row(0)[0], tree.distance_ms[net.iot_nodes[2]]);
+  EXPECT_EQ(oracle.row(0)[0], tree.distance_ms[net.hosts.anchor[2]] +
+                                  net.hosts.access[2].latency_ms);
 }
 
 TEST(ExactOracle, RefreshAllRecoversAfterOutOfBandRebuild) {
@@ -275,7 +289,7 @@ TEST(ExactOracle, RefreshAllRecoversAfterOutOfBandRebuild) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   const std::uint64_t refreshed_before = oracle.rows_refreshed();
 
@@ -316,14 +330,10 @@ TEST(ExactOracle, RefreshAllRecoversAfterOutOfBandRebuild) {
             refreshed_before + 2 * oracle.bound_count());
 }
 
-/// Distinct nodes the bound devices of `net` read through: the key rows the
-/// oracle holds.
-std::size_t key_rows(const incr::IncrementalDelayEngine& engine,
-                     const NetworkTopology& net) {
-  std::vector<NodeId> keys;
-  for (const NodeId device : net.iot_nodes) {
-    keys.push_back(engine.read_through(device).node);
-  }
+/// Distinct anchors of the devices of `net`: the key rows the oracle holds
+/// once every device is bound.
+std::size_t key_rows(const NetworkTopology& net) {
+  std::vector<NodeId> keys = net.hosts.anchor;
   std::sort(keys.begin(), keys.end());
   return static_cast<std::size_t>(
       std::unique(keys.begin(), keys.end()) - keys.begin());
@@ -334,7 +344,7 @@ TEST(ExactOracle, ResidentBytesKeepRecycledRowAllocations) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   ASSERT_EQ(oracle.bound_count(), 24u);
   const std::size_t bound_bytes = oracle.resident_bytes();
@@ -343,7 +353,7 @@ TEST(ExactOracle, ResidentBytesKeepRecycledRowAllocations) {
   for (std::size_t i = 0; i < 12; ++i) oracle.unbind_row(i);
   EXPECT_GE(oracle.resident_bytes(), bound_bytes);
   EXPECT_GE(bound_bytes,
-            key_rows(engine, net) * net.edge_count() * sizeof(double) +
+            key_rows(net) * net.edge_count() * sizeof(double) +
                 net.iot_count() * DelayOracle::kRowBytes);
 }
 
@@ -355,11 +365,11 @@ TEST(ExactOracle, SharedKeyRowsStayFarBelowOneRowPerDevice) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   const std::size_t per_device_rows =
       net.iot_count() * net.edge_count() * sizeof(double);
-  EXPECT_LE(key_rows(engine, net), 64u);
+  EXPECT_LE(key_rows(net), 64u);
   EXPECT_LT(oracle.resident_bytes() * 4, per_device_rows);
   {
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
@@ -367,16 +377,15 @@ TEST(ExactOracle, SharedKeyRowsStayFarBelowOneRowPerDevice) {
   }
 }
 
-// Mixed churn through the DelayOracle: backbone fail/restore/reweight,
-// access-link fail/restore/reweight (one-ulp included), an anchor router cut
-// off the backbone, and unbind/rebind onto recycled slots. The engine
-// reports no device's own link, so every access-link event is followed by a
-// rebind of the touched slot, as DynamicCluster does; a device whose access
-// link failed reads through no router, so its slot is unbound (bind_row
-// refuses it) until the link is restored. After every event and refresh()
-// each bound slot must serve the engine's value bitwise, through both row()
-// and delay_ms(), and carry the epoch of its bind or of the last refresh
-// that rewrote the key it reads through.
+// Mixed churn through the DelayOracle: backbone fail/restore/reweight, an
+// anchor router cut off the backbone, devices moving (to another router, or
+// to the same one by a one-ulp latency change), leaving, and joining onto
+// recycled slots. The engine reports no device's attachment, so every
+// attach is followed by a rebind of the touched slot, as DynamicCluster
+// does; a detached slot is refused by bind_row. After every event and
+// refresh() each bound slot must serve the engine's value bitwise, through
+// both row() and delay_ms(), and carry the epoch of its bind or of the
+// last refresh that rewrote the key it reads through.
 TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   util::Rng rng(0x3C4D);
   GeneratorParams params;
@@ -393,19 +402,25 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
 
-  std::vector<NodeId> slot_node(net.iot_count(), kInvalidNode);
+  std::vector<bool> bound(net.iot_count(), false);
   std::vector<std::uint64_t> want_epoch(net.iot_count(), 0);
   std::vector<std::size_t> free_slots;
-  // Per slot: its device while the device's access link is failed.
-  std::vector<NodeId> stranded(net.iot_count(), kInvalidNode);
-  const auto bind = [&](std::size_t slot, NodeId node) {
-    oracle.bind_row(slot, node);
-    slot_node[slot] = node;
+  const auto bind = [&](std::size_t slot) {
+    oracle.bind_row(slot);
+    bound[slot] = true;
     want_epoch[slot] = engine.epoch();
   };
-  for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    bind(i, net.iot_nodes[i]);
-  }
+  // Attaches `slot` anew: the bound row is refused while the slot is
+  // detached, and rebound after.
+  const auto reattach = [&](std::size_t slot, NodeId router, double ms) {
+    const NodeId old = oracle.row_key(slot);
+    engine.detach_host(slot);
+    EXPECT_THROW(oracle.bind_row(slot), std::invalid_argument);
+    EXPECT_EQ(oracle.row_key(slot), old) << "a refused bind changed the row";
+    engine.attach_host(slot, router, {ms, 1.0}, net.iot_position(slot));
+    bind(slot);
+  };
+  for (std::size_t i = 0; i < net.iot_count(); ++i) bind(i);
 
   const auto bits = [](double value) {
     return std::bit_cast<std::uint64_t>(value);
@@ -414,29 +429,25 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   // Refreshes, then checks every bound slot against the engine.
   const auto refresh_and_check = [&](const std::string& what) {
     SCOPED_TRACE(what);
-    for (std::size_t slot = 0; slot < slot_node.size(); ++slot) {
-      const NodeId node = slot_node[slot];
-      if (node != kInvalidNode &&
-          engine.is_dirty(engine.read_through(node).node)) {
+    for (std::size_t slot = 0; slot < bound.size(); ++slot) {
+      if (bound[slot] && engine.is_dirty(net.hosts.anchor[slot])) {
         want_epoch[slot] = engine.epoch();
       }
     }
     (void)oracle.refresh();
-    for (std::size_t slot = 0; slot < slot_node.size(); ++slot) {
-      const NodeId node = slot_node[slot];
-      if (node == kInvalidNode) continue;
-      ASSERT_EQ(oracle.row_node(slot), node);
+    for (std::size_t slot = 0; slot < bound.size(); ++slot) {
+      ASSERT_EQ(oracle.row_bound(slot), bound[slot]) << "slot " << slot;
+      if (!bound[slot]) continue;
       const std::vector<double> served = oracle.row(slot);
       ASSERT_EQ(served.size(), net.edge_count());
       for (std::size_t j = 0; j < net.edge_count(); ++j) {
-        const double want = engine.delay_ms(j, node);
+        const double want = device_delay(engine, net, slot, j);
         ASSERT_EQ(bits(served[j]), bits(want))
-            << "row(" << slot << ")[" << j << "], node " << node;
+            << "row(" << slot << ")[" << j << "]";
         ASSERT_EQ(bits(oracle.delay_ms(slot, j)), bits(want))
-            << "delay_ms(" << slot << ", " << j << "), node " << node;
+            << "delay_ms(" << slot << ", " << j << ")";
       }
-      ASSERT_EQ(oracle.row_epoch(slot), want_epoch[slot])
-          << "slot " << slot << ", node " << node;
+      ASSERT_EQ(oracle.row_epoch(slot), want_epoch[slot]) << "slot " << slot;
     }
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
     oracle.check_invariants();
@@ -444,31 +455,24 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   };
   refresh_and_check("bound");
 
-  // Cut a device's anchor off the backbone. Hosts never relay:
-  // reweighting the device's link to the anchor does not move the anchor.
-  const NodeId device0 = slot_node[0];
-  const Adjacency access = net.graph.neighbors(device0).front();
-  const NodeId anchor = access.to;
+  // Cut a device's anchor off the backbone. Hosts never relay: moving the
+  // device nearer its anchor does not move the anchor.
+  const NodeId anchor = net.hosts.anchor[0];
   std::vector<NodeId> anchor_routers;
   for (const Adjacency& adj : net.graph.neighbors(anchor)) {
-    if (net.kinds[adj.to] == NodeKind::kRouter) {
-      anchor_routers.push_back(adj.to);
-    }
+    if (adj.to < net.router_count()) anchor_routers.push_back(adj.to);
   }
   for (const NodeId router : anchor_routers) {
     engine.fail_link(anchor, router);
     refresh_and_check("isolate the anchor's backbone");
   }
   std::vector<double> anchor_before(net.edge_count());
-  for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    anchor_before[j] = engine.delay_ms(j, anchor);
-  }
-  engine.set_link_latency(device0, anchor, access.props.latency_ms * 0.5);
-  bind(0, device0);
-  refresh_and_check("reweight the device's link to the anchor");
-  for (std::size_t j = 0; j < net.edge_count(); ++j) {
-    EXPECT_EQ(bits(engine.delay_ms(j, anchor)), bits(anchor_before[j]));
-  }
+  engine.delay_row(anchor, anchor_before);
+  reattach(0, anchor, net.hosts.access[0].latency_ms * 0.5);
+  refresh_and_check("move the device nearer its anchor");
+  std::vector<double> anchor_after(net.edge_count());
+  engine.delay_row(anchor, anchor_after);
+  EXPECT_EQ(anchor_after, anchor_before);
   for (const NodeId router : anchor_routers) {
     engine.restore_link(anchor, router);
     refresh_and_check("restore the anchor's backbone");
@@ -477,22 +481,14 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
   std::array<std::size_t, 8> kinds{};
   for (std::size_t event = 0; event < 400; ++event) {
     const std::string what = "event " + std::to_string(event);
-    std::size_t slot = rng.index(slot_node.size());
-    const NodeId device = slot_node[slot];
+    std::size_t slot = rng.index(bound.size());
     const double roll = rng.uniform();
     if (roll < 0.3) {  // backbone
       const auto live = backbone_links(net);
-      std::vector<FailedLink> failed_backbone;
-      for (const FailedLink& link : net.failed_links) {
-        if (net.kinds[link.u] == NodeKind::kRouter &&
-            net.kinds[link.v] == NodeKind::kRouter) {
-          failed_backbone.push_back(link);
-        }
-      }
       const double pick = rng.uniform();
-      if (!failed_backbone.empty() && (pick < 0.3 || live.empty())) {
+      if (!net.failed_links.empty() && (pick < 0.3 || live.empty())) {
         const FailedLink& link =
-            failed_backbone[rng.index(failed_backbone.size())];
+            net.failed_links[rng.index(net.failed_links.size())];
         engine.restore_link(link.u, link.v);
         ++kinds[0];
       } else if (pick < 0.55) {
@@ -508,54 +504,39 @@ TEST(ExactOracle, MixedChurnServesEngineValuesAndEpochs) {
                       : old_ms * rng.uniform(0.5, 2.0));
         ++kinds[ulp ? 2 : 3];
       }
-    } else if (roll < 0.75 && stranded[slot] != kInvalidNode) {
-      // The failed access link comes back, and the slot is bound again.
-      const NodeId node = std::exchange(stranded[slot], kInvalidNode);
-      const auto link = std::find_if(
-          net.failed_links.begin(), net.failed_links.end(),
-          [node](const FailedLink& l) { return l.u == node || l.v == node; });
-      ASSERT_NE(link, net.failed_links.end());
-      engine.restore_link(link->u, link->v);
-      ++kinds[4];
-      bind(slot, node);
-    } else if (roll < 0.75 && device != kInvalidNode) {  // access link
-      const Adjacency link = net.graph.neighbors(device).front();
-      const double pick = rng.uniform();
-      if (pick < 0.4) {
-        engine.fail_link(device, link.to);
-        EXPECT_THROW(oracle.bind_row(slot, device), std::invalid_argument);
-        EXPECT_EQ(oracle.row_key(slot), link.to)
-            << "a refused bind changed the row";
-        oracle.unbind_row(slot);
-        slot_node[slot] = kInvalidNode;
-        stranded[slot] = device;
-        ++kinds[5];
+    } else if (roll < 0.75 && bound[slot]) {  // the device moves
+      const double ms = net.hosts.access[slot].latency_ms;
+      if (rng.uniform() < 0.4) {  // same anchor, one ulp further
+        reattach(slot, net.hosts.anchor[slot],
+                 std::nextafter(ms, kUnreachable));
+        ++kinds[4];
       } else {
-        const bool ulp = pick < 0.7;
-        engine.set_link_latency(
-            device, link.to,
-            ulp ? std::nextafter(link.props.latency_ms, kUnreachable)
-                : link.props.latency_ms * rng.uniform(0.5, 2.0));
-        ++kinds[ulp ? 6 : 3];
-        bind(slot, device);
+        const Point2D pos{rng.uniform(0.0, params.area_km),
+                          rng.uniform(0.0, params.area_km)};
+        const auto router =
+            static_cast<NodeId>(rng.index(net.router_count()));
+        reattach(slot, router,
+                 access_link(euclidean_distance(pos, net.positions[router]))
+                     .latency_ms);
+        ++kinds[5];
       }
-    } else if (device != kInvalidNode) {  // leave
+    } else if (bound[slot]) {  // leave
       oracle.unbind_row(slot);
-      slot_node[slot] = kInvalidNode;
-      engine.release_node(device);
+      bound[slot] = false;
+      engine.detach_host(slot);
       free_slots.push_back(slot);
-      ++kinds[7];
+      ++kinds[6];
     } else if (!free_slots.empty()) {  // join onto the last freed slot
       slot = free_slots.back();
       free_slots.pop_back();
       const Point2D pos{rng.uniform(0.0, params.area_km),
                         rng.uniform(0.0, params.area_km)};
-      const NodeId node = engine.acquire_node(pos, NodeKind::kIotDevice);
       const auto router = static_cast<NodeId>(rng.index(net.router_count()));
-      engine.add_link(
-          node, router,
-          access_link(euclidean_distance(pos, net.positions[router])));
-      bind(slot, node);
+      engine.attach_host(
+          slot, router,
+          access_link(euclidean_distance(pos, net.positions[router])), pos);
+      bind(slot);
+      ++kinds[7];
     } else {
       continue;
     }
@@ -578,7 +559,7 @@ TEST(ExactOracle, NoServedValueMovesWithoutItsEpochRising) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   util::Rng rng(0xE90C);
   std::vector<std::vector<double>> rows(net.iot_count());
@@ -643,7 +624,7 @@ TEST(DelayOracle, BackboneEventsDirtyKeysAndCountTheirRefcounts) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   util::Rng rng(0xD117);
   std::array<std::size_t, 3> kinds{};
@@ -668,9 +649,6 @@ TEST(DelayOracle, BackboneEventsDirtyKeysAndCountTheirRefcounts) {
     }
     std::size_t dirty_rows = 0;
     for (std::size_t i = 0; i < net.iot_count(); ++i) {
-      const NodeId device = net.iot_nodes[i];
-      ASSERT_FALSE(engine.is_dirty(device))
-          << "event " << event << ": device " << device << " is dirty";
       if (engine.is_dirty(oracle.row_key(i))) ++dirty_rows;
     }
     const std::size_t refreshed = oracle.refresh();
@@ -694,7 +672,7 @@ TEST(DelayOracle, EveryBackendCountsOneQueryPerEntryAndOnePerServerPerRow) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   std::uint64_t queries = oracle.stats().queries;
   const std::vector<double> served = oracle.row(0);
@@ -716,7 +694,7 @@ TEST(DelayOracle, RefreshedRowsAreTheBoundRowsOfTheDrainedDirtyNodes) {
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
   for (std::size_t i = 0; i < net.iot_count(); ++i) {
-    oracle.bind_row(i, net.iot_nodes[i]);
+    oracle.bind_row(i);
   }
   // Leave one slot unbound: its node's distances move too, but no row
   // reads them.
@@ -776,27 +754,29 @@ TEST(DelayOracle, BindUnbindRebindBookkeeping) {
   oracle.refresh();
   ASSERT_GT(engine.epoch(), 0u);
 
-  const NodeId first = net.iot_nodes[0];
-  const NodeId second = net.iot_nodes[1];
-  const NodeId third = net.iot_nodes[2];
-  oracle.bind_row(0, first);
-  oracle.bind_row(1, second);
+  oracle.bind_row(0);
+  oracle.bind_row(1);
   EXPECT_EQ(oracle.bound_count(), 2u);
-  EXPECT_EQ(oracle.row_node(0), first);
-  oracle.bind_row(0, third);  // rebind in place
+  EXPECT_EQ(oracle.row_key(0), net.hosts.anchor[0]);
+  // Slot 0 attaches anew where device 2 sits, and is rebound in place.
+  const NodeId third = net.hosts.anchor[2];
+  const double latency = net.hosts.access[2].latency_ms;
+  engine.detach_host(0);
+  engine.attach_host(0, third, net.hosts.access[2], net.iot_position(2));
+  oracle.bind_row(0);
   EXPECT_EQ(oracle.bound_count(), 2u);
   EXPECT_EQ(oracle.row_count(), 2u);
-  EXPECT_EQ(oracle.row_node(0), third);
-  EXPECT_EQ(oracle.row_key(0), engine.read_through(third).node);
+  EXPECT_EQ(oracle.row_key(0), third);
   std::vector<double> want(net.edge_count());
   engine.delay_row(third, want);
+  for (double& value : want) value += latency;
   EXPECT_EQ(oracle.row(0), want);
   EXPECT_EQ(oracle.row_epoch(0), engine.epoch());
 
   oracle.unbind_row(1);
   oracle.unbind_row(1);  // already unbound: a no-op
   EXPECT_EQ(oracle.bound_count(), 1u);
-  EXPECT_EQ(oracle.row_node(1), kInvalidNode);
+  EXPECT_FALSE(oracle.row_bound(1));
   {
     const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
     oracle.check_invariants();
@@ -814,8 +794,8 @@ TEST(DelayOracle, UnboundRowHasNoEpoch) {
   NetworkTopology net = make_net(TopologyFamily::kGrid, 45);
   incr::IncrementalDelayEngine engine(net);
   DelayOracle oracle(engine);
-  oracle.bind_row(0, net.iot_nodes[0]);
-  oracle.bind_row(1, net.iot_nodes[1]);
+  oracle.bind_row(0);
+  oracle.bind_row(1);
   oracle.unbind_row(0);
   const contracts::ScopedFailureHandler guard(&contracts::throw_handler);
   if (contracts::enabled()) {

@@ -79,8 +79,8 @@ TEST(Dijkstra, NoRelayModeSettlesHostsWithoutExpandingThem) {
 }
 
 // Routers 0..routers-1 with random backbone links, then hosts: single-
-// homed leaves (devices and servers in a NetworkTopology) and relay-role
-// hosts with up to three links. Latencies come from a short list, so
+// homed ones (servers in a NetworkTopology, and devices in the reference
+// graph of tests/host_graph.hpp) and hosts with up to three links. Latencies come from a short list, so
 // equal-distance ties are everywhere. The graph refuses a latency of 0;
 // the smallest subnormal stands in for it, since adding it to any
 // distance of 1e-292 or more changes nothing.
@@ -97,9 +97,8 @@ Graph tie_heavy_graph(util::Rng& rng, std::size_t routers,
     if (u != v) g.add_edge(u, v, {latency(), 100.0});
   }
   for (std::size_t h = 0; h < hosts; ++h) {
-    const bool leaf = rng.bernoulli(0.6);
-    const NodeId host = g.add_node(leaf ? NodeRole::kLeaf : NodeRole::kRelay);
-    const std::size_t links = leaf ? 1 : 1 + rng.index(3);
+    const NodeId host = g.add_node();
+    const std::size_t links = rng.bernoulli(0.6) ? 1 : 1 + rng.index(3);
     for (std::size_t l = 0; l < links; ++l) {
       g.add_edge(host, static_cast<NodeId>(rng.index(routers)),
                  {latency(), 100.0});
@@ -138,21 +137,6 @@ TEST(Dijkstra, MatchesHeapEveryNodeReferenceBitForBit) {
       }
     }
   }
-}
-
-TEST(BfsHops, KnownGraph) {
-  const Graph g = test::known_graph();
-  const auto hops = bfs_hops(g, 0);
-  EXPECT_EQ(hops[0], 0u);
-  EXPECT_EQ(hops[1], 1u);
-  EXPECT_EQ(hops[3], 1u);  // direct edge, hops ignore latency
-  EXPECT_EQ(hops[5], 3u);  // 0-1-2-5 (and 0-·-4-5) are all 3 hops
-}
-
-TEST(BfsHops, Disconnected) {
-  Graph g(2);
-  const auto hops = bfs_hops(g, 0);
-  EXPECT_EQ(hops[1], kUnreachableHops);
 }
 
 TEST(Connectivity, DetectsConnectedAndNot) {
@@ -222,15 +206,6 @@ TEST_P(PathEquivalence, PathCostMatchesDistance) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-TEST(AllPairs, MatchesPerSourceDijkstra) {
-  const Graph g = test::known_graph();
-  const auto all = all_pairs_distances(g);
-  for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto tree = dijkstra(g, s);
-    EXPECT_EQ(all[s], tree.distance_ms);
-  }
-}
 
 }  // namespace
 }  // namespace tacc::topo
